@@ -212,15 +212,6 @@ class DyadicInterval:
             out = out.mul(base, prec + 8)
         return out.round(prec)
 
-    def union(self, other: "DyadicInterval") -> "DyadicInterval":
-        lo = (self.lo_man, self.lo_exp)
-        if _cmp(other.lo_man, other.lo_exp, *lo) < 0:
-            lo = (other.lo_man, other.lo_exp)
-        hi = (self.hi_man, self.hi_exp)
-        if _cmp(other.hi_man, other.hi_exp, *hi) > 0:
-            hi = (other.hi_man, other.hi_exp)
-        return DyadicInterval(*lo, *hi)
-
     def intersect(self, other: "DyadicInterval") -> "DyadicInterval":
         lo = (self.lo_man, self.lo_exp)
         if _cmp(other.lo_man, other.lo_exp, *lo) > 0:

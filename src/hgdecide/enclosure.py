@@ -1,9 +1,14 @@
 """Rigorous enclosures of constant expressions.
 
 Expression trees over {rationals, sqrt(n), pi, exp, sin, cos} evaluate to
-dyadic intervals guaranteed to contain the exact value.  All series carry
-explicit tail bounds folded into the interval; there is no heuristic
-rounding anywhere.
+dyadic intervals guaranteed to contain the exact value.  Every constant is
+summed on plain integers scaled by 2**w (Brent 1976, "Fast multiple-
+precision evaluation of elementary functions"): pi by Machin's formula,
+exp, sin and cos by one Taylor kernel after halving the argument below
+2**-8, then squaring or angle doubling back.  Each kernel counts its error
+in ulps of 2**-w (per-term floors, the dropped tail, the rounded input and
+the growth under squaring or doubling) and folds the count into the
+interval; there is no heuristic rounding anywhere.
 
 Refinement is monotone by construction: `eval_enclosure` walks the standard
 precision ladder 64, 128, 256, ... intersecting as it goes, so a result at
@@ -178,7 +183,12 @@ def _atan_inv_scaled(x: int, shift: int) -> tuple[int, int]:
     return total, err
 
 
-@lru_cache(maxsize=None)
+# Bound on each enclosure cache: one decision asks for a few dozen distinct
+# entries, so this holds every live one and still caps memory.
+_CACHE_MAXSIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_MAXSIZE)
 def pi_interval(prec: int) -> DyadicInterval:
     """Machin: pi = 16*atan(1/5) - 4*atan(1/239)."""
     shift = prec + 16
@@ -189,95 +199,183 @@ def pi_interval(prec: int) -> DyadicInterval:
     return DyadicInterval(man - err, -shift, man + err, -shift).round(prec + 8)
 
 
-@lru_cache(maxsize=None)
-def _e_interval(prec: int) -> DyadicInterval:
-    tol = Fraction(1, 1 << (prec + 8))
-    total = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term /= k
-        total += term
-        if 2 * term < tol:
-            break
-    return _frac_pm(total, 2 * term, prec)
-
-
-def _frac_pm(center: Fraction, radius: Fraction, prec: int) -> DyadicInterval:
-    lo = DyadicInterval.from_fraction(center - radius, prec + 8)
-    hi = DyadicInterval.from_fraction(center + radius, prec + 8)
-    return DyadicInterval(lo.lo_man, lo.lo_exp, hi.hi_man, hi.hi_exp)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_MAXSIZE)
 def sqrt_int_interval(n: int, prec: int) -> DyadicInterval:
     m = math.isqrt(n << (2 * prec))
     exact = m * m == n << (2 * prec)
     return DyadicInterval(m, -prec, m if exact else m + 1, -prec)
 
 
-def _exp_fraction(x: Fraction, prec: int) -> DyadicInterval:
-    """Enclosure of exp(x) for exact rational x."""
-    n = x.numerator // x.denominator  # floor
-    f = x - n  # in [0, 1)
-    tol = Fraction(1, 1 << (prec + 8))
-    total = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term = term * f / k
-        total += term
-        if 2 * term < tol and k >= 2:
-            break
-    frac_part = _frac_pm(total, 2 * term, prec + 8)  # tail <= 2*f^K/K!
-    if n == 0:
-        return frac_part.round(prec)
-    e_pow = _e_interval(prec + 8).pow_int(n, prec + 8)
-    return frac_part.mul(e_pow, prec)
+# ---------------------------------------------------------------------------
+# Fixed-point series kernel for exp, sin and cos
+#
+# A kernel value is an integer V standing for V * 2**-w (w-bit fixed point,
+# one ulp = 2**-w) with an error bound E counted in ulps: the exact value
+# lies in [(V - E) * 2**-w, (V + E) * 2**-w].  The argument x = man * 2**exp
+# is halved s times so that |r| = |x| / 2**s < 2**-8, the Taylor series of r
+# is summed in fixed point, and the result is squared (exp) or doubled as
+# (C + iS)**2 (sin, cos) s times.
+# ---------------------------------------------------------------------------
+
+# series arguments satisfy |r| < 2**-_REDUCED_BITS
+_REDUCED_BITS = 8
+
+
+def _aligned(x: DyadicInterval) -> tuple[int, int, int]:
+    """(a, b, e) with x = [a * 2**e, b * 2**e]."""
+    e = min(x.lo_exp, x.hi_exp)
+    return x.lo_man << (x.lo_exp - e), x.hi_man << (x.hi_exp - e), e
+
+
+def _halvings(man: int, exp: int) -> int:
+    """A number s >= 0 of halvings that takes |man * 2**exp| below 2**-8."""
+    if man == 0:
+        return 0
+    return max(0, abs(man).bit_length() + exp + _REDUCED_BITS)
+
+
+def _to_fixed(man: int, exp: int, w: int) -> int:
+    """floor(man * 2**(exp + w)): at most one ulp below the exact value."""
+    shift = exp + w
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _taylor_terms(a: int, w: int) -> list[int]:
+    """Fixed-point terms a**j / j! (a >= 0 is r in w-bit fixed point).
+
+    Term j is floor(term(j-1) * a / (j * 2**w)), so its error e_j obeys
+    |e_j| <= |e_(j-1)| * 2**-8 / j + 1 < 1 / (1 - 2**-8) < 2 ulps.  The list
+    stops before the first term that floors to zero; that term's exact
+    value is below 2 ulps and the dropped tail, a geometric series of
+    ratio 2**-8 from there, below 2 * 2**8 / 255 < 3 ulps.
+    """
+    terms = []
+    t = 1 << w
+    j = 0
+    while t:
+        terms.append(t)
+        j += 1
+        t = (t * a >> w) // j
+    return terms
+
+
+def _series_err(terms: list[int]) -> int:
+    """Ulp error of a signed sum of `terms` from a rounded argument.
+
+    2 ulps per computed term, 3 for the dropped tail, and 2 for the input:
+    r is floored to within one ulp, and both exp' = e**r < 1.004 and
+    |sin'|, |cos'| <= 1 on |r| < 2**-8 turn that into at most 2 ulps.
+    """
+    return 2 * len(terms) + 5
+
+
+def _exp_point(man: int, exp: int, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= exp(man * 2**exp) <= hi * 2**e.
+
+    The series sum V +- E (see `_series_err`) is turned into the pair
+    lo = V - E, hi = V + E, and each of the s squarings floors lo and
+    ceils hi after dropping low bits, so the pair stays an enclosure with
+    no further ulp accounting.  Its relative width starts at 2E * 2**-w,
+    doubles at each squaring and gains at most 2**-(w+1) per rounding, so
+    w = prec + s + bits(prec) + 16 guard bits leave it below 2**-(prec+8)
+    (E < w/4 + 7 since each term is at least 2**8 times smaller than the
+    last).
+    """
+    s = _halvings(man, exp)
+    w = prec + s + prec.bit_length() + 16
+    r = _to_fixed(man, exp - s, w)
+    terms = _taylor_terms(abs(r), w)
+    v = sum(terms) if r >= 0 else sum(terms[0::2]) - sum(terms[1::2])
+    err = _series_err(terms)
+    lo, hi, e = v - err, v + err, -w
+    for _ in range(s):
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        drop = hi.bit_length() - (w + 2)
+        if drop > 0:
+            lo >>= drop
+            hi = -((-hi) >> drop)
+            e += drop
+    return lo, hi, e
 
 
 def exp_interval(x: DyadicInterval, prec: int) -> DyadicInterval:
-    lo = _exp_fraction(x.lo, prec)
-    hi = _exp_fraction(x.hi, prec)
-    return DyadicInterval(lo.lo_man, lo.lo_exp, hi.hi_man, hi.hi_exp)
+    """Enclosure of exp over x, rounded outward to prec mantissa bits.
+
+    exp is increasing, so the lower endpoint comes from `_exp_point` at
+    x.lo and the upper one at x.hi; each is within 2**-(prec+8) relative
+    before the final rounding, which adds at most one ulp at prec bits.
+    """
+    lo, hi, lo_e = _exp_point(x.lo_man, x.lo_exp, prec)
+    hi_e = lo_e
+    if (x.hi_man, x.hi_exp) != (x.lo_man, x.lo_exp):
+        _, hi, hi_e = _exp_point(x.hi_man, x.hi_exp, prec)
+    return DyadicInterval(lo, lo_e, hi, hi_e).round(prec)
 
 
-def _sin_cos_fraction(x: Fraction, prec: int, want_sin: bool) -> DyadicInterval:
-    """Taylor with Lagrange remainder |x|^K / K! (|f^(K)| <= 1)."""
-    tol = Fraction(1, 1 << (prec + 8))
-    total = x if want_sin else Fraction(1)
-    term = total
-    k = 1 if want_sin else 0
-    xx = x * x
-    while True:
-        term = -term * xx / ((k + 1) * (k + 2))
-        k += 2
-        total += term
-        bound = abs(term)
-        if bound < tol and k > abs(x):
-            break
-    return _frac_pm(total, bound, prec)
+@lru_cache(maxsize=_CACHE_MAXSIZE)  # sin and cos of one angle share it
+def _cos_sin_point(man: int, exp: int, prec: int) -> tuple[int, int, int, int]:
+    """(C, S, E, w): cos and sin of man * 2**exp are C, S +- E ulps of 2**-w.
+
+    The series of cos r and sin r share the terms of `_taylor_terms` and
+    both start within E0 = `_series_err` ulps.  Each doubling
+    C' = floor((C**2 - S**2) / 2**w), S' = floor(2CS / 2**w) moves the
+    error to E' = E(2|C| + 2|S| + 2E) / 2**w + 1 (|C**2 - c**2| <=
+    E(2|C| + E), the same for S, and |2CS - 2cs| <= 2E(|C| + |S| + E)),
+    which is computed exactly, rounded up, after every step.  Since
+    |C| + |S| <= sqrt(2) * 2**w, E grows by about 2*sqrt(2) < 4 per
+    doubling, so w = prec + 2s + bits(prec) + 16 guard bits leave
+    E * 2**-w below 2**-(prec+8).
+    """
+    s = _halvings(man, exp)
+    w = prec + 2 * s + prec.bit_length() + 16
+    r = _to_fixed(man, exp - s, w)
+    terms = _taylor_terms(abs(r), w)
+    c = sum(terms[0::4]) - sum(terms[2::4])
+    sn = sum(terms[1::4]) - sum(terms[3::4])
+    if r < 0:
+        sn = -sn
+    err = _series_err(terms)
+    for _ in range(s):
+        err = ((err * (2 * (abs(c) + abs(sn)) + 2 * err)) >> w) + 2
+        c, sn = (c * c - sn * sn) >> w, (c * sn) >> (w - 1)
+    return c, sn, err, w
 
 
 def _reduce_angle(x: DyadicInterval, prec: int) -> DyadicInterval:
-    """x - 2*k*pi with k chosen from the midpoint; result near [-pi, pi]."""
-    pi_iv = pi_interval(prec + 16)
-    two_pi_mid = 2 * pi_iv.mid()
-    k = int((x.mid() / two_pi_mid).__round__())
+    """x - 2*k*pi with k = round(mid(x) / (2*pi)); result near [-pi, pi].
+
+    pi is taken to bits(x) more bits than the result needs and 2*k*pi is
+    exact in it, so the reduction adds about 2**-(prec+6), the rounding of
+    the difference, whatever the size of x.
+    """
+    a, b, e = _aligned(x)
+    twice_mid = a + b
+    pi_iv = pi_interval(prec + 16 + max(0, twice_mid.bit_length() + e))
+    # mid(x) / (2*pi) = twice_mid * 2**e / (4 * pi), with pi ~ lo_man * 2**lo_exp
+    num, den = twice_mid, pi_iv.lo_man
+    shift = e - pi_iv.lo_exp - 2
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    k = (2 * num + den) // (2 * den)
     if k == 0:
         return x
-    return x.sub(pi_iv.scale(Fraction(2 * k), prec + 8), prec + 8)
+    lo = (2 * k * pi_iv.lo_man, pi_iv.lo_exp)
+    hi = (2 * k * pi_iv.hi_man, pi_iv.hi_exp)
+    two_k_pi = DyadicInterval.bounds(lo, hi) if k > 0 else DyadicInterval.bounds(hi, lo)
+    return x.sub(two_k_pi, prec + 8)
 
 
 def _sin_or_cos(x: DyadicInterval, prec: int, want_sin: bool) -> DyadicInterval:
-    y = _reduce_angle(x, prec)
-    mid = y.mid()
-    rad = y.width() / 2
-    core = _sin_cos_fraction(mid, prec + 4, want_sin)
-    # |sin'| and |cos'| are bounded by 1, so widen by the radius
-    return _frac_pm((core.lo + core.hi) / 2, (core.hi - core.lo) / 2 + rad, prec)
+    """Kernel value at the midpoint of the reduced angle, widened by its
+    radius (|sin'|, |cos'| <= 1) and rounded outward to 2**-(prec+8)."""
+    a, b, e = _aligned(_reduce_angle(x, prec))
+    c, sn, err, w = _cos_sin_point(a + b, e - 1, prec)
+    v = sn if want_sin else c
+    err -= _to_fixed(a - b, e - 1, w)  # the radius (b - a) * 2**(e-1), rounded up
+    drop = w - (prec + 8)
+    return DyadicInterval((v - err) >> drop, -(prec + 8), -((-v - err) >> drop), -(prec + 8))
 
 
 def sin_interval(x: DyadicInterval, prec: int) -> DyadicInterval:

@@ -29,6 +29,7 @@ from .errors import (
     DecideError,
     IntervalStraddlesZero,
     PrecisionExceeded,
+    ScanCapExceeded,
     UnsupportedInstance,
 )
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
@@ -425,7 +426,7 @@ def _balanced_verdict(
         n = 0
         while True:
             if n > config.scan_cap:
-                raise DecideError("scan cap exceeded hunting the tail crossing")
+                raise ScanCapExceeded("scan cap exceeded hunting the tail crossing")
             in_prefix = n <= k0 + 1
             if not in_prefix and not tail_may_cross:
                 break
@@ -483,7 +484,7 @@ def _balanced_verdict(
     n = k0 + 2
     while True:
         if n > config.scan_cap:
-            raise DecideError("scan cap exceeded hunting the threshold violation")
+            raise ScanCapExceeded("scan cap exceeded hunting the threshold violation")
         c = scan.cmp(inst.t)
         if c < 0:
             return Verdict(

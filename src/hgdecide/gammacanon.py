@@ -235,10 +235,6 @@ class CanonicalConstant:
             if poly_gcd(self.f, self.g).degree > 0:
                 raise DecideError("f, g must be coprime")
 
-    @property
-    def theta_is_rational(self) -> bool:
-        return self.theta_b == 0
-
     def x_expr(self) -> Expr:
         return Exp(Pi() * Sqrt(self.m) * Rc(Fraction(1, self.D)))
 

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DecideError
 from .exactnum import QuadElem
@@ -387,20 +388,50 @@ def _integer_roots(f: IntPoly) -> list[int]:
     return sorted(set(roots))
 
 
-_NUMERIC_ROOTS_CACHE: dict[IntPoly, list] = {}
+# working precision of the numeric root proposals, in decimal digits
+_ROOT_DIGITS = 60
 
 
-def _numeric_roots(f: IntPoly):
-    hit = _NUMERIC_ROOTS_CACHE.get(f)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=512)
+def numeric_roots(f: IntPoly) -> tuple:
+    """All complex roots of f as mpmath numbers, to _ROOT_DIGITS digits.
+
+    Runs under `mpmath.workdps`, so mpmath's global precision is untouched.
+    """
     import mpmath
 
-    mpmath.mp.dps = 60
-    coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
-    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)
-    _NUMERIC_ROOTS_CACHE[f] = roots
-    return roots
+    with mpmath.workdps(_ROOT_DIGITS):
+        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
+        return tuple(mpmath.polyroots(coeffs, maxsteps=200, extraprec=400))
+
+
+def _integer_root_product(roots: tuple, subset: tuple) -> tuple[int, ...] | None:
+    """Descending coefficients of prod (x - roots[i]) over `subset`, rounded
+    to integers, or None when some coefficient is not within 0.01 of one.
+
+    A function of its own so that the `workdps` block never spans a yield
+    of `_candidate_factors`, which would leak the precision to the caller.
+    """
+    import mpmath
+
+    with mpmath.workdps(_ROOT_DIGITS):
+        poly = [mpmath.mpc(1)]
+        for idx in subset:
+            r = roots[idx]
+            poly = (
+                [poly[0]]
+                + [poly[i] - r * poly[i - 1] for i in range(1, len(poly))]
+                + [-r * poly[-1]]
+            )
+        cand = []
+        for c in poly:
+            if abs(mpmath.im(c)) > 0.01:
+                return None
+            n = int(mpmath.nint(mpmath.re(c)))
+            if abs(mpmath.re(c) - n) > 0.01:
+                return None
+            cand.append(n)
+    return tuple(cand)
 
 
 def _candidate_factors(f: IntPoly, k: int):
@@ -410,37 +441,14 @@ def _candidate_factors(f: IntPoly, k: int):
     one by exact division, so precision only affects completeness, and 60
     digits is far beyond what desk-scale separations need.
     """
-    import mpmath
-
-    roots = _numeric_roots(f)
+    roots = numeric_roots(f)
     seen = set()
     for subset in itertools.combinations(range(len(roots)), k):
-        poly = [mpmath.mpc(1)]  # descending coefficients of prod (x - r)
-        for idx in subset:
-            r = roots[idx]
-            poly = (
-                [poly[0]]
-                + [poly[i] - r * poly[i - 1] for i in range(1, len(poly))]
-                + [-r * poly[-1]]
-            )
-        cand = []
-        ok = True
-        for c in poly:
-            if abs(mpmath.im(c)) > 0.01:
-                ok = False
-                break
-            n = int(mpmath.nint(mpmath.re(c)))
-            if abs(mpmath.re(c) - n) > 0.01:
-                ok = False
-                break
-            cand.append(n)
-        if not ok:
-            continue
-        key = tuple(cand)
-        if key in seen:
+        key = _integer_root_product(roots, subset)
+        if key is None or key in seen:
             continue
         seen.add(key)
-        yield IntPoly(tuple(reversed(cand)))
+        yield IntPoly(tuple(reversed(key)))
 
 
 def _quadratic_candidates_from_constant(f: IntPoly):

@@ -30,6 +30,7 @@ from .polys import (
     cyclotomic_index,
     factor_monic,
     has_negative_real_root,
+    numeric_roots,
     roots_quadratic,
 )
 from .towers import (
@@ -92,11 +93,7 @@ def _factor_root_values(g: IntPoly):
 
 
 def _factor_root_values_uncached(g: IntPoly):
-    import mpmath
-
-    mpmath.mp.dps = 60
-    approx = tuple(complex(r) for r in mpmath.polyroots(
-        [mpmath.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=400))
+    approx = tuple(complex(r) for r in numeric_roots(g))
     if g.degree == 2:
         rm = roots_quadratic(g)
         vals = sorted((e.root for e in rm.entries), key=lambda x: (x.a, x.b))

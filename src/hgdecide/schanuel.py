@@ -94,9 +94,6 @@ class CElem:
             self.re * other.im + self.im * other.re,
         )
 
-    def mul_tower(self, t: TowerElem) -> "CElem":
-        return CElem(self.re * t, self.im * t)
-
     def mul_i_power(self, k: int) -> "CElem":
         k %= 4
         tower = self.re.tower
@@ -250,15 +247,6 @@ class _Laurent:
         out = cls(nvars, tower)
         if not c.is_zero:
             out.terms[(0,) * nvars] = c
-        return out
-
-    def mul_term(self, exps: tuple[int, ...], coeff: CElem) -> "_Laurent":
-        out = _Laurent(self.nvars, self.tower)
-        for e, c in self.terms.items():
-            ne = tuple(a + b for a, b in zip(e, exps))
-            nc = c.mul(coeff)
-            if not nc.is_zero:
-                out.terms[ne] = nc
         return out
 
     def mul(self, other: "_Laurent") -> "_Laurent":

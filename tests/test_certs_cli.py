@@ -175,6 +175,18 @@ class TestCLI:
         assert main(["decide", str(f)]) == 2
         capsys.readouterr()
 
+    def test_scan_cap_on_near_tie_is_resource_error(self, tmp_path, capsys, monkeypatch):
+        # t = L * (1 + 2^-60) rounded down to a multiple of 2^-140, where
+        # L = sinh(pi)/(39 sinh(3 pi)) is the worked example's limit: the
+        # decreasing tail drops below t only about 2^60 terms in, so the
+        # threshold hunt must end at the scan cap as a resource error
+        t = "66614734727671937059123508434769531341/1393796574908163946345982392040522594123776"
+        f = tmp_path / "tie.json"
+        f.write_text(json.dumps(doc([13, -4, 1], [5, -4, 1], "1", t, "threshold")))
+        monkeypatch.setenv("HG_SCAN_CAP", "3000")
+        assert main(["decide", str(f)]) == 4
+        assert "resource limit" in capsys.readouterr().err
+
     def test_decide_many_files(self, tmp_path, capsys):
         f1 = tmp_path / "a.json"
         f2 = tmp_path / "b.json"

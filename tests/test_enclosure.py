@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide import enclosure
@@ -14,11 +15,21 @@ from hgdecide.enclosure import (
     Rc,
     Sin,
     Sqrt,
+    _cos_sin_point,
+    _exp_point,
+    cos_interval,
     cosh,
     eval_enclosure,
+    exp_interval,
+    sin_interval,
     sinh,
 )
 from hgdecide.errors import PrecisionExceeded
+
+
+def as_fraction(x) -> F:
+    man, exp = x.man_exp  # man is |mantissa|
+    return (-1 if x < 0 else 1) * F(man) * F(2) ** exp
 
 
 class TestKnownConstants:
@@ -40,6 +51,13 @@ class TestKnownConstants:
         iv = eval_enclosure(expr, 128)
         assert mpref(mp.sinh(mp.pi) / (39 * mp.sinh(3 * mp.pi))) in iv
         assert abs(float(iv.mid()) - 4.779e-5) < 1e-7
+
+    def test_exp_3pi_at_4096_bits(self):
+        iv = eval_enclosure(Exp(3 * Pi()), 4096)
+        with mpmath.workprec(2 * 4096):
+            ref = as_fraction(mpmath.exp(3 * mpmath.pi))
+        assert ref in iv
+        assert iv.width() <= F(1, 2 ** (4096 - 8)) * ref
 
     def test_sin_cos_sqrt(self, mp, mpref):
         assert mpref(mp.sin(mp.pi * mp.sqrt(2))) in eval_enclosure(Sin(Pi() * Sqrt(2)), 96)
@@ -103,3 +121,58 @@ class TestIntervalSoundness:
         iv = DyadicInterval.from_fraction(v, 80)
         assert v in iv
         assert iv.width() <= F(1, 2**80)
+
+
+@st.composite
+def dyadic_arguments(draw):
+    """(interval, prec): |endpoints| <= 2**8, point or wide, 64..4096 bits."""
+    prec = draw(st.integers(min_value=64, max_value=4096))
+    e = draw(st.integers(min_value=-(prec + 16), max_value=-1))
+    lim = 1 << (8 - e)
+    m = draw(st.integers(min_value=-lim, max_value=lim))
+    width = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=1 << 24)))
+    return DyadicInterval(m, e, min(m + width, lim), e), prec
+
+
+class TestSeriesKernels:
+    """exp, sin and cos enclosures against mpmath at twice the precision."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_arguments())
+    def test_contains_reference_and_is_tight(self, arg):
+        x, prec = arg
+        for kernel, ref_fn, slope in (
+            (exp_interval, mpmath.exp, None),
+            (sin_interval, mpmath.sin, 1),
+            (cos_interval, mpmath.cos, 1),
+        ):
+            iv = kernel(x, prec)
+            with mpmath.workprec(2 * prec):
+                refs = [
+                    as_fraction(ref_fn(mpmath.ldexp(man, exp)))
+                    for man, exp in ((x.lo_man, x.lo_exp), (x.hi_man, x.hi_exp))
+                ]
+            for ref in refs:
+                assert ref in iv, kernel.__name__
+            # exp is increasing, so its derivative on x is at most exp(x.hi)
+            derivative = refs[1] if slope is None else slope
+            size = max(1, *(abs(r) for r in refs))
+            limit = F(1, 2 ** (prec - 8)) * size + x.width() * derivative
+            assert iv.width() <= limit, kernel.__name__
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_arguments())
+    def test_point_kernels_meet_their_ulp_bounds(self, arg):
+        # the kernels before the final outward rounding, whose slack would
+        # hide an error count that is too small
+        x, prec = arg
+        man, exp = x.lo_man, x.lo_exp
+        c, s, err, w = _cos_sin_point(man, exp, prec)
+        lo, hi, e = _exp_point(man, exp, prec)
+        with mpmath.workprec(2 * w):
+            arg_mp = mpmath.ldexp(man, exp)
+            cos_ref = as_fraction(mpmath.ldexp(mpmath.cos(arg_mp), w))
+            sin_ref = as_fraction(mpmath.ldexp(mpmath.sin(arg_mp), w))
+            exp_ref = as_fraction(mpmath.exp(arg_mp))
+        assert abs(c - cos_ref) <= err and abs(s - sin_ref) <= err
+        assert F(lo) * F(2) ** e <= exp_ref <= F(hi) * F(2) ** e

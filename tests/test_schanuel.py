@@ -172,6 +172,35 @@ class TestConditionalDecider:
         assert v.identity["stress_separated"] is True
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
 
+    def test_decide_leaves_mpmath_precision_alone(self):
+        # a fresh interpreter, so no cache hides the numeric root finder
+        import os
+        import subprocess
+        import sys
+
+        import hgdecide
+
+        script = (
+            "import mpmath\n"
+            "from fractions import Fraction as F\n"
+            "from hgdecide.polys import IntPoly, numeric_roots\n"
+            "from hgdecide.schanuel import decide_conditional\n"
+            "from hgdecide.sequence import HGInstance, Problem\n"
+            "mpmath.mp.dps = 23\n"
+            "i = HGInstance(IntPoly((-1, -2, 1)), IntPoly((-4, -2, 1)), F(1), F(3, 7),"
+            " Problem.MEMBERSHIP)\n"
+            "v = decide_conditional(i)\n"
+            "print(mpmath.mp.dps, numeric_roots.cache_info().misses, v.conditionality.value)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hgdecide.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert out[0] == "23"
+        assert int(out[1]) > 0  # the root finder ran
+        assert out[2] == Conditionality.CONDITIONAL_ON_SCHANUEL.value
+
     def test_real_quadratic_witness_is_unconditional(self):
         i = inst([-1, -2, 1], [-4, -2, 1], 1, 4)  # u_1 = q(0)/p(0) = 4
         v = decide_conditional(i)
