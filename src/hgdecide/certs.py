@@ -16,7 +16,7 @@ from .errors import DecideError, ParseError
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
-from .sequence import ExactScan, HGInstance, Problem, term
+from .sequence import ExactScan, HGInstance, Problem
 from .verdicts import Conditionality, Verdict
 
 FORMAT = "hgdecide-certificate/1"
@@ -187,10 +187,10 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
                     problems.append(f"violation {witness} is not first: u_{n} < t")
                     break
                 scan.step()
-            value = scan.fraction() if scan.n == witness else term(inst, witness, config)
-            if inst.problem is Problem.MEMBERSHIP and result and value != inst.t:
+            scan.jump(witness)
+            if inst.problem is Problem.MEMBERSHIP and result and not scan.equals(inst.t):
                 problems.append(f"claimed witness u_{witness} != t")
-            if inst.problem is Problem.THRESHOLD and not result and not value < inst.t:
+            if inst.problem is Problem.THRESHOLD and not result and not scan.cmp(inst.t) < 0:
                 problems.append(f"claimed violation u_{witness} >= t")
         except DecideError as e:
             problems.append(f"witness replay failed: {e}")
@@ -216,8 +216,7 @@ def _verify_bound(inst: HGInstance, bound: dict, verdict_name: str, config) -> l
         return ["bound index invalid"]
     out = []
     scan = ExactScan(inst)
-    for _ in range(n0):
-        scan.step()
+    scan.jump(n0)
     t = inst.t
     for n in range(n0, n0 + BOUND_RECHECK_SPAN + 1):
         if just == "ratio_exceeds_target":

@@ -3,7 +3,8 @@
 Exit codes for `decide`: 0 member/holds and 1 not-member/fails when the
 verdict is unconditional; 10/11 for the same outcomes conditional on
 Schanuel's Conjecture; 2 unsupported instance class; 3 parse error; 4
-resource cap exceeded; 5 internal error.
+resource cap exceeded; 5 internal error.  With several files an error
+code wins over every verdict code.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def decide_document(docin: InstanceDocument, config: EngineConfig) -> dict:
 
 
 def _cmd_decide(args) -> int:
+    """Decide each file in turn.  Several files exit with the largest error
+    code (2-5) if any file failed, else with the largest verdict code."""
+    if args.out and len(args.files) > 1:
+        print("parse error: --out takes a single instance file", file=sys.stderr)
+        return EXIT_PARSE
     config = _config(args)
     codes = []
     for path in args.files:
@@ -105,7 +111,8 @@ def _cmd_decide(args) -> int:
         else:
             sys.stdout.write(text)
         codes.append(cert["exit_code"])
-    return max(codes) if len(codes) > 1 else codes[0]
+    errors = [c for c in codes if EXIT_UNSUPPORTED <= c <= EXIT_INTERNAL]
+    return max(errors or codes)
 
 
 def _cmd_eval(args) -> int:

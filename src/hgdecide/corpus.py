@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exactnum import format_rat
 from .polys import IntPoly
-from .sequence import ExactScan, HGInstance, Problem, classify, monotonicity_index
+from .sequence import HGInstance, Problem, classify, monotonicity_index, term
 
 _PROBE_LIMIT = 24000
 _ADMIT_DEPTH = 8000
@@ -129,10 +129,7 @@ def _pick_target(rng: random.Random, inst_wo_t: HGInstance) -> Fraction:
     if style < 0.35:
         # exact term: creates positive membership / tight threshold cases
         k = rng.randint(0, 8)
-        scan = ExactScan(inst_wo_t)
-        for _ in range(k):
-            scan.step()
-        value = scan.fraction()
+        value = term(inst_wo_t, k)
         if value != 0:
             return value
     if style < 0.45:

@@ -41,8 +41,10 @@ from .sequence import (
     Problem,
     SearchBound,
     classify,
+    divergence_bound,
     monotonicity_index,
     nonneg_integer_roots,
+    shrink_bound,
 )
 from .verdicts import Conditionality, EqualityDecision, Rationale, Verdict
 
@@ -284,72 +286,42 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
 
 
 def _growing_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    from .sequence import divergence_bound
-
-    bound = divergence_bound(inst, cls, config)
-    scan = ExactScan(inst)
-    if inst.problem is Problem.MEMBERSHIP:
-        for n in range(bound.n):
-            if scan.equals(inst.t):
-                return Verdict(
-                    inst.problem, True, Conditionality.UNCONDITIONAL, "divergence_bound",
-                    witness=n, bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-                )
-            scan.step()
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "divergence_bound",
-            bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-        )
-    for n in range(bound.n + 1):
-        if scan.cmp(inst.t) < 0:
-            return Verdict(
-                inst.problem, False, Conditionality.UNCONDITIONAL, "divergence_bound",
-                witness=n, bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-            )
-        scan.step()
-    # clean prefix forces u_N > |t| (a negative u_N would already violate)
-    if inst.q(bound.n) * inst.p(bound.n) < 0:
-        # alternating growing tail: the very next term is below -|t| < t
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "divergence_bound",
-            witness=bound.n + 1, bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-        )
-    return Verdict(
-        inst.problem, True, Conditionality.UNCONDITIONAL, "divergence_bound",
-        bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-    )
+    bound = divergence_bound(inst, cls, config, probe=_witness_probe(inst))
+    return _bounded_verdict(inst, cls, bound, "divergence_bound")
 
 
 def _shrinking_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    from .sequence import shrink_bound
+    bound = shrink_bound(inst, cls, config, probe=_witness_probe(inst))
+    return _bounded_verdict(inst, cls, bound, "shrink_bound")
 
-    bound = shrink_bound(inst, cls, config)
-    scan = ExactScan(inst)
+
+def _witness_probe(inst: HGInstance):
+    """The test a witness index passes: u_n = t, or u_n < t."""
     if inst.problem is Problem.MEMBERSHIP:
-        for n in range(bound.n):
-            if scan.equals(inst.t):
-                return Verdict(
-                    inst.problem, True, Conditionality.UNCONDITIONAL, "shrink_bound",
-                    witness=n, bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-                )
-            scan.step()
+        return lambda scan: scan.equals(inst.t)
+    return lambda scan: scan.cmp(inst.t) < 0
+
+
+def _bounded_verdict(inst: HGInstance, cls: AsymptoticClass, bound: SearchBound, reason: str) -> Verdict:
+    """Verdict from a divergence or shrink bound N whose scan probed every
+    n <= N for a witness (u_N itself is never a member: |u_N| != |t|)."""
+    common = dict(bound=bound, asymptotic=cls, scanned_up_to=bound.n)
+    witness = bound.first_hit
+    if inst.problem is Problem.MEMBERSHIP:
         return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "shrink_bound",
-            bound=bound, asymptotic=cls, scanned_up_to=bound.n,
+            inst.problem, witness is not None, Conditionality.UNCONDITIONAL, reason,
+            witness=witness, **common,
         )
-    for n in range(bound.n + 1):
-        if scan.cmp(inst.t) < 0:
-            return Verdict(
-                inst.problem, False, Conditionality.UNCONDITIONAL, "shrink_bound",
-                witness=n, bound=bound, asymptotic=cls, scanned_up_to=bound.n,
-            )
-        scan.step()
-    # tail satisfies |u_n| < |t|; with a clean prefix this forces t < 0
-    if inst.t > 0:
+    if witness is None and cls.grows and inst.q(bound.n) * inst.p(bound.n) < 0:
+        # clean prefix forces u_N > |t| (a negative u_N would already
+        # violate); an alternating growing tail puts u_{N+1} below -|t| < t
+        witness = bound.n + 1
+    if witness is None and cls.shrinks and inst.t > 0:
+        # the tail satisfies |u_n| < |t|; with a clean prefix this forces t < 0
         raise DecideError("internal: shrink tail below a positive target escaped the scan")
     return Verdict(
-        inst.problem, True, Conditionality.UNCONDITIONAL, "shrink_bound",
-        bound=bound, asymptotic=cls, scanned_up_to=bound.n,
+        inst.problem, witness is None, Conditionality.UNCONDITIONAL, reason,
+        witness=witness, **common,
     )
 
 
@@ -373,8 +345,7 @@ def _constant_sequence_verdict(inst: HGInstance, cls: AsymptoticClass) -> Verdic
 def _tail_direction(inst: HGInstance, k0: int) -> int:
     """+1 if u_n strictly increases for n > k0, -1 if it decreases."""
     scan = ExactScan(inst)
-    for _ in range(k0 + 1):
-        scan.step()
+    scan.jump(k0 + 1)
     s_u = scan.sign()
     s_diff = (inst.q - inst.p)(k0 + 1)
     if s_u == 0 or s_diff == 0:

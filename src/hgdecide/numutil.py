@@ -127,7 +127,8 @@ def perfect_power_root(a: int, k: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+# every n that cyclotomic_index tries for a degree-32 polynomial
+@lru_cache(maxsize=4096)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():

@@ -295,21 +295,15 @@ def poly_divrem(a: IntPoly, b: IntPoly) -> tuple[QPoly, QPoly]:
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-_CYCLO_CACHE: dict[int, IntPoly] = {}
-
-
+@lru_cache(maxsize=256)
 def cyclotomic(n: int) -> IntPoly:
     """n-th cyclotomic polynomial via exact division of x^n - 1."""
     if n < 1:
         raise DecideError("cyclotomic index must be >= 1")
-    hit = _CYCLO_CACHE.get(n)
-    if hit is not None:
-        return hit
     num = IntPoly((-1,) + (0,) * (n - 1) + (1,))  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             num = num.exact_div(cyclotomic(d))
-    _CYCLO_CACHE[n] = num
     return num
 
 
@@ -485,9 +479,7 @@ def _known_irreducible(f: IntPoly) -> bool:
     return False
 
 
-_FACTOR_CACHE: dict[IntPoly, list] = {}
-
-
+@lru_cache(maxsize=1024)
 def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Irreducible factorization of a monic integer polynomial over Q.
 
@@ -497,9 +489,6 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
     degree-k divisor found after all smaller degrees were exhausted can
     have no proper factor, and the final remainder has none either.
     """
-    hit = _FACTOR_CACHE.get(f)
-    if hit is not None:
-        return hit
     if not f.is_monic:
         raise DecideError("factor_monic expects a monic polynomial")
     f.check_caps()
@@ -515,12 +504,10 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
             rest = rest.exact_div(lin)
             factors.append(lin)
     if rest.degree >= 2 and _known_irreducible(rest):
-        result = sorted(
+        return sorted(
             {g: factors.count(g) for g in factors}.items() | {(rest, 1)},
             key=lambda t: (t[0].degree, t[0].coeffs),
         )
-        _FACTOR_CACHE[f] = result
-        return result
     k = 2
     while 2 * k <= rest.degree:
         gcd_der = poly_gcd(rest, rest.derivative())
@@ -544,9 +531,7 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
     out: dict[IntPoly, int] = {}
     for g in factors:
         out[g] = out.get(g, 0) + 1
-    result = sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
-    _FACTOR_CACHE[f] = result
-    return result
+    return sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DecideError, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
@@ -40,21 +41,14 @@ from .towers import (
     RadicalTower,
 )
 
-_TOWER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _cyclo_tower(n: int) -> CyclotomicTower:
-    key = ("cyclotomic", n)
-    if key not in _TOWER_CACHE:
-        _TOWER_CACHE[key] = CyclotomicTower(n)
-    return _TOWER_CACHE[key]
+    return CyclotomicTower(n)
 
 
+@lru_cache(maxsize=64)
 def _radical_tower(n: int, a: int) -> RadicalTower:
-    key = ("radical", n, a)
-    if key not in _TOWER_CACHE:
-        _TOWER_CACHE[key] = RadicalTower(n, a)
-    return _TOWER_CACHE[key]
+    return RadicalTower(n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +73,9 @@ def _x_power_minus_a(f: IntPoly) -> tuple[int, int] | None:
     return d, -f.coeffs[0]
 
 
-_ROOTS_CACHE: dict[IntPoly, tuple] = {}
-
-
+@lru_cache(maxsize=256)
 def _factor_root_values(g: IntPoly):
     """Exact root representations for one irreducible monic factor."""
-    hit = _ROOTS_CACHE.get(g)
-    if hit is not None:
-        return hit
-    out = _factor_root_values_uncached(g)
-    _ROOTS_CACHE[g] = out
-    return out
-
-
-def _factor_root_values_uncached(g: IntPoly):
     approx = tuple(complex(r) for r in numeric_roots(g))
     if g.degree == 2:
         rm = roots_quadratic(g)
@@ -203,20 +186,9 @@ def _root_partner(fr: FactorRoots, partner: FactorRoots, c: Fraction, idx: int) 
     return min(range(len(partner.approx)), key=lambda k: abs(partner.approx[k] - target))
 
 
-_GRAPH_CACHE: dict[IntPoly, SymmetryGraph] = {}
-
-
+@lru_cache(maxsize=256)
 def build_symmetry_graph(f: IntPoly) -> SymmetryGraph:
     """Graph on the irrational roots of f; exact edges, multiset vertices."""
-    hit = _GRAPH_CACHE.get(f)
-    if hit is not None:
-        return hit
-    graph = _build_symmetry_graph_uncached(f)
-    _GRAPH_CACHE[f] = graph
-    return graph
-
-
-def _build_symmetry_graph_uncached(f: IntPoly) -> SymmetryGraph:
     if not f.is_monic or f.degree < 1:
         raise DecideError("symmetry graph needs a monic polynomial of degree >= 1")
     factors = []

@@ -1,17 +1,24 @@
 """Hypergeometric sequence evaluation, classification, and search bounds.
 
 The sequence satisfies p(n) * u_{n+1} = q(n) * u_n, so
-u_n = u0 * prod_{k=0}^{n-1} q(k)/p(k).  Scans keep unreduced integer
-numerator/denominator pairs; order and equality tests against the target
-use a float-log prefilter but are always settled by exact cross-multiplied
-integer comparisons.
+u_n = u0 * prod_{k=0}^{n-1} q(k)/p(k).  ExactScan walks the sequence
+lazily: each step updates only the sign, a float log|u_n| and a counted
+bound on that float's error (derived in the class docstring).  An order
+or equality test against a target is settled by the floats when the logs
+differ by more than the bound; otherwise the exact unreduced
+numerator/denominator pair is brought up to n by one balanced product
+tree of the pending q(k) and p(k) and the test is an exact
+cross-multiplied integer comparison.  divergence_bound and shrink_bound
+find the search bound N and, through a probe, the least witness in the
+same single scan.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -137,98 +144,198 @@ def classify(p: IntPoly, q: IntPoly) -> AsymptoticClass:
 # Exact scanning
 # ---------------------------------------------------------------------------
 
+# unit roundoff of IEEE-754 double arithmetic
+_U = 2.0**-53
+# the float filter is trusted only this many steps past the exact anchor;
+# _SAFETY then covers the roundings of err's own running sum
+_MAX_PENDING = 2**30
+_SAFETY = 1.0 + 2.0**-20
+# product-tree ranges this short are multiplied left to right
+_LEAF = 16
+
+
+def _log_ratio(a: int, b: int) -> tuple[float, float]:
+    """(d, e): d = math.log|a| - math.log|b| for nonzero ints, and a bound e
+    on |d - log|a/b||.  See ExactScan for the derivation."""
+    la = math.log(abs(a))
+    lb = math.log(abs(b))
+    d = la - lb
+    return d, (12.0 + 6.0 * (la + lb) + abs(d)) * _U
+
+
+def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
+    """(prod q(k), prod p(k)) over lo <= k < hi by a balanced product tree."""
+    if hi - lo <= _LEAF:
+        qs = ps = 1
+        for k in range(lo, hi):
+            qs *= inst.q(k)
+            ps *= inst.p(k)
+        return qs, ps
+    mid = (lo + hi) // 2
+    q1, p1 = _factor_products(inst, lo, mid)
+    q2, p2 = _factor_products(inst, mid, hi)
+    return q1 * q2, p1 * p2
+
 
 class ExactScan:
-    """State of the exact forward scan of u_n.
+    """Forward scan of u_n: float log-magnitude per step, exact on demand.
 
-    Keeps num/den unreduced.  `logabs` tracks log|u_n| in floats with a
-    conservative error window; any decision inside the window falls back to
-    exact integer arithmetic.
+    step() does no big-integer work.  It tracks the sign of u_n, the float
+    `logabs` ~ log|u_n| and a bound `err` >= |logabs - log|u_n||.  The exact
+    pair (num, den), unreduced, is kept only at the last anchor index and
+    is brought up to n by one balanced product tree of q(k) and p(k) when
+    a comparison falls inside the error bound, or when a caller asks for
+    fraction(), num or den; logabs and err are then re-anchored on it.
+
+    Error bound.  Assume math.log is within 1 ulp (2u relative, u = 2^-53)
+    on doubles.  For a positive int x, math.log(x) = y obeys
+    |y - log x| <= 6u(1 + |y|):
+      * x < 2^1024: float(x) is correctly rounded (relative u, so log
+        moves by <= 1.01u), then log adds 2u|y|;
+      * x >= 2^1024: y = log(m) + log(2)*e with m the correctly rounded
+        frexp mantissa in [1/2, 1]: 1.01u for m, 1.4u for log(m), 3.01u*e*log 2
+        for the rounded log(2) times e, u|y| for the sum; with
+        e*log 2 <= |y| + 0.71 this is below 4.6u + 4.01u|y|.
+    So d = log|a| - log|b| (a, b nonzero ints, la, lb >= 0 their logs) is
+    off by at most (12 + 6(la + lb) + |d|)u, the last term for the
+    rounding of the subtraction (`_log_ratio`).  Each step adds that for
+    a = q(k), b = p(k), plus u|logabs| for the rounding of the running sum.
+    err itself is a float sum of nonnegative terms, each a few roundings,
+    so with fewer than 2^30 steps since the anchor the true bound is below
+    err * (1 + 2^-21); _SAFETY = 1 + 2^-20 also absorbs the roundings of
+    the final comparison.  A comparison with a target t is settled by
+    floats only when |logabs - log|t|| > (err + err_t) * _SAFETY, err_t
+    the same bound for log|t|; otherwise it is exact.
     """
 
-    __slots__ = ("inst", "n", "num", "den", "logabs", "steps", "zero_since")
+    __slots__ = (
+        "inst", "n", "logabs", "err", "steps", "materialized", "zero_since",
+        "_sign", "_num", "_den", "_at", "_t", "_tlog", "_terr",
+    )
 
     def __init__(self, inst: HGInstance):
         self.inst = inst
         self.n = 0
-        self.num = inst.u0.numerator
-        self.den = inst.u0.denominator
-        self.logabs = math.log(abs(self.num)) - math.log(self.den) if self.num else 0.0
         self.steps = 0
-        self.zero_since: int | None = 0 if self.num == 0 else None
-
-    def _window(self) -> float:
-        return 1e-4 + 1e-10 * self.steps + abs(self.logabs) * 1e-12
+        self.materialized = 0
+        self._num = inst.u0.numerator
+        self._den = inst.u0.denominator
+        self._at = 0
+        self._sign = (self._num > 0) - (self._num < 0)
+        self.zero_since: int | None = 0 if self._num == 0 else None
+        self.logabs, self.err = _log_ratio(self._num, self._den) if self._num else (0.0, 0.0)
+        self._t = None
 
     def step(self):
         k = self.n
-        pk = self.inst.p(k)
-        qk = self.inst.q(k)
-        # p has no nonnegative integer roots (validated); q may hit zero
-        self.num *= qk
-        self.den *= pk
-        self.n += 1
+        self.n = k + 1
         self.steps += 1
-        if self.num == 0:
-            if self.zero_since is None:
-                self.zero_since = self.n
-        else:
-            self.logabs += math.log(abs(qk)) - math.log(abs(pk))
+        if self.zero_since is not None:
+            return
+        # p has no nonnegative integer roots (validated); q may hit zero
+        qk = self.inst.q(k)
+        if qk == 0:
+            self.zero_since = k + 1
+            return
+        pk = self.inst.p(k)
+        if (qk < 0) != (pk < 0):
+            self._sign = -self._sign
+        d, e = _log_ratio(qk, pk)
+        self.logabs += d
+        self.err += e + abs(self.logabs) * _U
+
+    def jump(self, n: int):
+        """Go straight to index n >= self.n with one product tree."""
+        if n < self.n:
+            raise DecideError("ExactScan.jump cannot go back")
+        if n == self.n:
+            return
+        self.n = n
+        self._materialize()
+
+    def _materialize(self):
+        """Bring the exact pair from the anchor up to n and re-anchor there."""
+        lo, hi = self._at, self.n
+        if lo == hi:
+            return
+        self._at = hi
+        self.materialized += 1
+        if self.zero_since is not None:
+            self._num, self._den = 0, 1
+            return
+        qs, ps = _factor_products(self.inst, lo, hi)
+        if qs == 0:
+            self.zero_since = 1 + next(k for k in range(lo, hi) if self.inst.q(k) == 0)
+            self._num, self._den, self._sign = 0, 1, 0
+            return
+        self._num *= qs
+        self._den *= ps
+        self._sign = 1 if (self._num > 0) == (self._den > 0) else -1
+        self.logabs, self.err = _log_ratio(self._num, self._den)
+
+    @property
+    def num(self) -> int:
+        self._materialize()
+        return self._num
+
+    @property
+    def den(self) -> int:
+        self._materialize()
+        return self._den
 
     def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        self._materialize()
+        return Fraction(self._num, self._den)
 
     def is_zero(self) -> bool:
-        return self.num == 0
+        return self.zero_since is not None
 
     def sign(self) -> int:
-        if self.num == 0:
-            return 0
-        s = 1 if (self.num > 0) == (self.den > 0) else -1
-        return s
+        return 0 if self.zero_since is not None else self._sign
+
+    def _far(self, t: Fraction) -> bool:
+        """Whether the floats alone settle |u_n| against |t| (both nonzero)."""
+        if t is not self._t:
+            self._t = t
+            self._tlog, self._terr = _log_ratio(t.numerator, t.denominator)
+        return (
+            self.n - self._at < _MAX_PENDING
+            and abs(self.logabs - self._tlog) > (self.err + self._terr) * _SAFETY
+        )
 
     def equals(self, t: Fraction) -> bool:
-        if self.num == 0:
-            return t == 0
-        if t == 0:
+        if self.zero_since is not None:
+            return t.numerator == 0
+        if t.numerator == 0 or (self._sign > 0) != (t.numerator > 0):
             return False
-        if (self.sign() > 0) != (t > 0):
+        if self._far(t):
             return False
-        lt = math.log(abs(t.numerator)) - math.log(t.denominator)
-        if abs(self.logabs - lt) > self._window():
-            return False
-        return self.num * t.denominator == t.numerator * self.den
+        self._materialize()
+        return self._num * t.denominator == t.numerator * self._den
 
     def cmp(self, t: Fraction) -> int:
         """sign(u_n - t), exact."""
-        lt = (math.log(abs(t.numerator)) - math.log(t.denominator)) if t else None
-        if self.num == 0:
-            return (t < 0) - (t > 0)
-        s = self.sign()
-        if t == 0:
+        if self.zero_since is not None:
+            return (t.numerator < 0) - (t.numerator > 0)
+        s = self._sign
+        if t.numerator == 0 or (t.numerator > 0) != (s > 0):
             return s
-        if s != (1 if t > 0 else -1):
-            return 1 if s > 0 else -1
-        if lt is not None and abs(self.logabs - lt) > self._window():
-            # same sign; compare magnitudes via logs, settled outside window
-            bigger = self.logabs > lt
-            return (1 if bigger else -1) * s
-        diff = self.num * t.denominator - t.numerator * self.den
-        if diff == 0:
-            return 0
-        sd = 1 if diff > 0 else -1
-        return sd * (1 if self.den > 0 else -1)
+        if self._far(t):
+            return s if self.logabs > self._tlog else -s
+        self._materialize()
+        diff = self._num * t.denominator - t.numerator * self._den
+        return ((diff > 0) - (diff < 0)) * (1 if self._den > 0 else -1)
 
     def abs_cmp(self, t: Fraction) -> int:
         """sign(|u_n| - |t|), exact."""
-        if self.num == 0:
-            return -1 if t != 0 else 0
-        if t == 0:
+        if self.zero_since is not None:
+            return -1 if t.numerator else 0
+        if t.numerator == 0:
             return 1
-        lt = math.log(abs(t.numerator)) - math.log(t.denominator)
-        if abs(self.logabs - lt) > self._window():
-            return 1 if self.logabs > lt else -1
-        diff = abs(self.num) * t.denominator - abs(t.numerator) * abs(self.den)
+        if self._far(t):
+            return 1 if self.logabs > self._tlog else -1
+        self._materialize()
+        diff = abs(self._num) * t.denominator - abs(t.numerator) * abs(self._den)
         return (diff > 0) - (diff < 0)
 
 
@@ -239,8 +346,7 @@ def term(inst: HGInstance, n: int, config: EngineConfig = DEFAULT_CONFIG) -> Fra
     if n > config.scan_cap:
         raise ScanCapExceeded(f"term index {n} exceeds cap {config.scan_cap}")
     scan = ExactScan(inst)
-    for _ in range(n):
-        scan.step()
+    scan.jump(n)
     return scan.fraction()
 
 
@@ -261,10 +367,16 @@ def terms(inst: HGInstance, count: int, config: EngineConfig = DEFAULT_CONFIG):
 
 @dataclass(frozen=True)
 class SearchBound:
-    """Index N with a re-checkable guarantee for all n >= N."""
+    """Index N with a re-checkable guarantee for all n >= N.
+
+    `first_hit` is filled only by a bound search given a probe: the least
+    n <= N at which the probe held on the scan.  It is not part of the
+    guarantee and is ignored by equality.
+    """
 
     n: int
     justification: str  # ratio_exceeds_target | tail_below_target | product_monotone_beyond
+    first_hit: int | None = field(default=None, compare=False)
 
 
 def monotonicity_index(p: IntPoly, q: IntPoly) -> int:
@@ -285,8 +397,13 @@ def divergence_bound(
     inst: HGInstance,
     cls: AsymptoticClass | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
+    probe: Callable[[ExactScan], bool] | None = None,
 ) -> SearchBound:
-    """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
+    """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes).
+
+    With `probe`, the same scan also finds the least n <= N where
+    probe(scan) holds (`SearchBound.first_hit`).
+    """
     cls = cls or classify(inst.p, inst.q)
     if not cls.grows:
         raise DecideError("divergence_bound needs a growing class")
@@ -298,22 +415,21 @@ def divergence_bound(
     qq_pp = inst.q * inst.q - inst.p * inst.p
     if qq_pp(k1) <= 0:
         raise DecideError("internal: |r| not above 1 past the root bound")
-    scan = ExactScan(inst)
-    while scan.n < k1:
-        scan.step()
-    while scan.abs_cmp(inst.t) <= 0:
-        if scan.n >= config.scan_cap:
-            raise ScanCapExceeded(f"no divergence bound within {config.scan_cap} terms")
-        scan.step()
-    return SearchBound(scan.n, "ratio_exceeds_target")
+    return _bound_scan(
+        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", "divergence", probe, config
+    )
 
 
 def shrink_bound(
     inst: HGInstance,
     cls: AsymptoticClass | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
+    probe: Callable[[ExactScan], bool] | None = None,
 ) -> SearchBound:
-    """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
+    """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes).
+
+    `probe` as for divergence_bound.
+    """
     cls = cls or classify(inst.p, inst.q)
     if not cls.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
@@ -323,14 +439,23 @@ def shrink_bound(
     qq_pp = inst.q * inst.q - inst.p * inst.p
     if qq_pp(k1) >= 0:
         raise DecideError("internal: |r| not below 1 past the root bound")
+    return _bound_scan(
+        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", "shrink", probe, config
+    )
+
+
+def _bound_scan(inst, k1, past, justification, kind, probe, config) -> SearchBound:
+    """First N >= k1 with past(scan), probing every n <= N on the way."""
     scan = ExactScan(inst)
-    while scan.n < k1:
+    hit = None
+    while True:
+        if hit is None and probe is not None and probe(scan):
+            hit = scan.n
+        if scan.n >= k1 and past(scan):
+            return SearchBound(scan.n, justification, first_hit=hit)
+        if scan.n >= max(k1, config.scan_cap):
+            raise ScanCapExceeded(f"no {kind} bound within {config.scan_cap} terms")
         scan.step()
-    while not scan.is_zero() and scan.abs_cmp(inst.t) >= 0:
-        if scan.n >= config.scan_cap:
-            raise ScanCapExceeded(f"no shrink bound within {config.scan_cap} terms")
-        scan.step()
-    return SearchBound(scan.n, "tail_below_target")
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,31 @@ class TestCLI:
         assert main(["decide", str(f1), str(f2)]) == 1
         capsys.readouterr()
 
+    def test_decide_many_files_error_beats_verdict(self, tmp_path, capsys):
+        # a conditional verdict (11) must not hide a parse (3) or an
+        # unsupported (2) error, whatever the order of the files
+        cond = tmp_path / "cond.json"
+        bad = tmp_path / "bad.json"
+        unsupported = tmp_path / "unsupported.json"
+        cond.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "3/7")))
+        bad.write_text("{bad json")
+        unsupported.write_text(json.dumps(doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "1/2")))
+        assert main(["decide", str(cond), str(unsupported)]) == 2
+        assert main(["decide", str(bad), str(cond)]) == 3
+        assert main(["decide", str(unsupported), str(cond), str(bad)]) == 3
+        capsys.readouterr()
+
+    def test_decide_out_refuses_many_files(self, tmp_path, capsys):
+        f1 = tmp_path / "a.json"
+        f2 = tmp_path / "b.json"
+        out = tmp_path / "cert.json"
+        f1.write_text(json.dumps(WORKED))
+        f2.write_text(json.dumps(doc([13, -4, 1], [5, -4, 1], "1", "1/7")))
+        assert main(["decide", str(f1), str(f2), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "--out takes a single instance file" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_corpus_round_trip(self, tmp_path, capsys):
         outdir = tmp_path / "corpus"
         assert main(["corpus", "--seed", "7", "--count", "10",
