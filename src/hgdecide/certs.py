@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DecideError, ParseError
+from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
@@ -187,6 +187,10 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
                     problems.append(f"violation {witness} is not first: u_{n} < t")
                     break
                 scan.step()
+            if scan.n != witness and witness > config.scan_cap:
+                # the prefix check stopped early; the claimed index must
+                # not set the cost of the rest of the replay
+                raise ScanCapExceeded(f"term index {witness} exceeds cap {config.scan_cap}")
             scan.jump(witness)
             if inst.problem is Problem.MEMBERSHIP and result and not scan.equals(inst.t):
                 problems.append(f"claimed witness u_{witness} != t")

@@ -286,25 +286,18 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
 
 
 def _growing_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    bound = divergence_bound(inst, cls, config, probe=_witness_probe(inst))
+    bound = divergence_bound(inst, cls, config)
     return _bounded_verdict(inst, cls, bound, "divergence_bound")
 
 
 def _shrinking_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    bound = shrink_bound(inst, cls, config, probe=_witness_probe(inst))
+    bound = shrink_bound(inst, cls, config)
     return _bounded_verdict(inst, cls, bound, "shrink_bound")
 
 
-def _witness_probe(inst: HGInstance):
-    """The test a witness index passes: u_n = t, or u_n < t."""
-    if inst.problem is Problem.MEMBERSHIP:
-        return lambda scan: scan.equals(inst.t)
-    return lambda scan: scan.cmp(inst.t) < 0
-
-
 def _bounded_verdict(inst: HGInstance, cls: AsymptoticClass, bound: SearchBound, reason: str) -> Verdict:
-    """Verdict from a divergence or shrink bound N whose scan probed every
-    n <= N for a witness (u_N itself is never a member: |u_N| != |t|)."""
+    """Verdict from a divergence or shrink bound N whose scan looked for a
+    witness at every n <= N (u_N itself is never a member: |u_N| != |t|)."""
     common = dict(bound=bound, asymptotic=cls, scanned_up_to=bound.n)
     witness = bound.first_hit
     if inst.problem is Problem.MEMBERSHIP:

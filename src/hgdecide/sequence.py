@@ -9,15 +9,14 @@ differ by more than the bound; otherwise the exact unreduced
 numerator/denominator pair is brought up to n by one balanced product
 tree of the pending q(k) and p(k) and the test is an exact
 cross-multiplied integer comparison.  divergence_bound and shrink_bound
-find the search bound N and, through a probe, the least witness in the
-same single scan.
+find the search bound N and the least witness (u_n = t for Membership,
+u_n < t for Threshold) in the same single scan.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -186,6 +185,7 @@ class ExactScan:
     is brought up to n by one balanced product tree of q(k) and p(k) when
     a comparison falls inside the error bound, or when a caller asks for
     fraction(), num or den; logabs and err are then re-anchored on it.
+    `steps` counts the indices the scan has moved past, by step() or jump().
 
     Error bound.  Assume math.log is within 1 ulp (2u relative, u = 2^-53)
     on doubles.  For a positive int x, math.log(x) = y obeys
@@ -250,6 +250,7 @@ class ExactScan:
             raise DecideError("ExactScan.jump cannot go back")
         if n == self.n:
             return
+        self.steps += n - self.n
         self.n = n
         self._materialize()
 
@@ -369,9 +370,9 @@ def terms(inst: HGInstance, count: int, config: EngineConfig = DEFAULT_CONFIG):
 class SearchBound:
     """Index N with a re-checkable guarantee for all n >= N.
 
-    `first_hit` is filled only by a bound search given a probe: the least
-    n <= N at which the probe held on the scan.  It is not part of the
-    guarantee and is ignored by equality.
+    `first_hit` is the least n <= N with u_n = t (Membership) or u_n < t
+    (Threshold), found by the bound search on the same scan, or None.  It
+    is not part of the guarantee and is ignored by equality.
     """
 
     n: int
@@ -397,13 +398,8 @@ def divergence_bound(
     inst: HGInstance,
     cls: AsymptoticClass | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
-    probe: Callable[[ExactScan], bool] | None = None,
 ) -> SearchBound:
-    """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes).
-
-    With `probe`, the same scan also finds the least n <= N where
-    probe(scan) holds (`SearchBound.first_hit`).
-    """
+    """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
     cls = cls or classify(inst.p, inst.q)
     if not cls.grows:
         raise DecideError("divergence_bound needs a growing class")
@@ -416,7 +412,7 @@ def divergence_bound(
     if qq_pp(k1) <= 0:
         raise DecideError("internal: |r| not above 1 past the root bound")
     return _bound_scan(
-        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", "divergence", probe, config
+        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", "divergence", config
     )
 
 
@@ -424,12 +420,8 @@ def shrink_bound(
     inst: HGInstance,
     cls: AsymptoticClass | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
-    probe: Callable[[ExactScan], bool] | None = None,
 ) -> SearchBound:
-    """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes).
-
-    `probe` as for divergence_bound.
-    """
+    """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
     cls = cls or classify(inst.p, inst.q)
     if not cls.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
@@ -440,16 +432,17 @@ def shrink_bound(
     if qq_pp(k1) >= 0:
         raise DecideError("internal: |r| not below 1 past the root bound")
     return _bound_scan(
-        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", "shrink", probe, config
+        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", "shrink", config
     )
 
 
-def _bound_scan(inst, k1, past, justification, kind, probe, config) -> SearchBound:
-    """First N >= k1 with past(scan), probing every n <= N on the way."""
+def _bound_scan(inst, k1, past, justification, kind, config) -> SearchBound:
+    """First N >= k1 with past(scan), and the least witness n <= N on the way."""
     scan = ExactScan(inst)
+    membership = inst.problem is Problem.MEMBERSHIP
     hit = None
     while True:
-        if hit is None and probe is not None and probe(scan):
+        if hit is None and (scan.equals(inst.t) if membership else scan.cmp(inst.t) < 0):
             hit = scan.n
         if scan.n >= k1 and past(scan):
             return SearchBound(scan.n, justification, first_hit=hit)

@@ -73,6 +73,19 @@ class TestCertificates:
         cert["witness"] = 3
         assert verify_certificate(cert)
 
+    def test_tampered_far_witness_ends_at_scan_cap(self):
+        # u_0 = t, so the prefix check stops at once; the claimed index
+        # 10^8 must then end the replay at the cap, not be scanned to
+        from hgdecide.config import EngineConfig
+
+        din = parse_instance(doc([1], [2], "3", "3"))
+        cert = decide_document(din, EngineConfig(scan_cap=1000))
+        assert cert["witness"] == 0
+        cert["witness"] = 10**8
+        failures = verify_certificate(cert, EngineConfig(scan_cap=1000))
+        assert any("is not least" in f for f in failures)
+        assert any("witness replay failed" in f and "exceeds cap" in f for f in failures)
+
     def test_tampered_exit_code_rejected(self):
         din = parse_instance(WORKED)
         from hgdecide.config import DEFAULT_CONFIG

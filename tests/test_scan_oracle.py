@@ -122,7 +122,7 @@ class TestOracle:
             stepped.step()
         jumped.jump(n)
         num, den = list(reference_pairs(p, q, u0, n + 1))[n]
-        assert jumped.n == stepped.n == n
+        assert jumped.n == stepped.n == jumped.steps == stepped.steps == n
         assert jumped.fraction() == stepped.fraction() == F(num, den)
         assert jumped.sign() == stepped.sign() == _sgn(num) * _sgn(den)
         assert jumped.zero_since == stepped.zero_since

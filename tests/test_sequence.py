@@ -117,6 +117,14 @@ class TestBounds:
         b3 = shrink_bound(i3)
         assert abs(term(i3, b3.n)) < F(1, 5)
 
+    def test_first_hit_is_the_least_witness(self):
+        threshold = Problem.THRESHOLD
+        assert divergence_bound(inst([1], [2], 3, 48)).first_hit == 4  # u_n = 3 * 2^n
+        assert divergence_bound(inst([1], [2], 3, 50)).first_hit is None
+        assert divergence_bound(inst([1], [2], 3, 10, threshold)).first_hit == 0
+        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 5))).first_hit == 4  # u_n = 1/(n+1)
+        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 10), threshold)).first_hit == 10
+
     def test_wrong_class_rejected(self):
         with pytest.raises(DecideError):
             divergence_bound(inst([2, 1], [1, 1], 1, 5))
