@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DecideError, ParseError, ScanCapExceeded
+from .errors import DecideError, ParseError
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
@@ -176,32 +176,27 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         problems.append("exit code inconsistent with verdict/conditionality")
 
     witness = cert.get("witness")
-    if witness is not None:
+    if witness is not None and verdict_name in ("member", "fails"):
+        # a member verdict claims the least u_n = t, a fails verdict the
+        # first u_n < t: exactly the scan's witness test
+        if result:
+            what, least, rel, not_rel = "witness", "least", "=", "!="
+        else:
+            what, least, rel, not_rel = "violation", "first", "<", ">="
         try:
-            scan = ExactScan(inst)
-            for n in range(witness):
-                if inst.problem is Problem.MEMBERSHIP and result and scan.equals(inst.t):
-                    problems.append(f"witness {witness} is not least: u_{n} = t")
-                    break
-                if inst.problem is Problem.THRESHOLD and not result and scan.cmp(inst.t) < 0:
-                    problems.append(f"violation {witness} is not first: u_{n} < t")
-                    break
-                scan.step()
-            if scan.n != witness and witness > config.scan_cap:
-                # the prefix check stopped early; the claimed index must
-                # not set the cost of the rest of the replay
-                raise ScanCapExceeded(f"term index {witness} exceeds cap {config.scan_cap}")
+            scan = ExactScan(inst, config.scan_cap)
+            n = scan.first_hit(witness)
+            if n is not None:
+                problems.append(f"{what} {witness} is not {least}: u_{n} {rel} t")
             scan.jump(witness)
-            if inst.problem is Problem.MEMBERSHIP and result and not scan.equals(inst.t):
-                problems.append(f"claimed witness u_{witness} != t")
-            if inst.problem is Problem.THRESHOLD and not result and not scan.cmp(inst.t) < 0:
-                problems.append(f"claimed violation u_{witness} >= t")
+            if not scan.hit():
+                problems.append(f"claimed {what} u_{witness} {not_rel} t")
         except DecideError as e:
             problems.append(f"witness replay failed: {e}")
 
     bound = cert.get("bound")
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, verdict_name, config))
+        problems.extend(_verify_bound(inst, bound, config))
 
     canonical = cert.get("canonical")
     if canonical is not None:
@@ -213,43 +208,37 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     return problems
 
 
-def _verify_bound(inst: HGInstance, bound: dict, verdict_name: str, config) -> list[str]:
+def _verify_bound(inst: HGInstance, bound: dict, config: EngineConfig) -> list[str]:
     n0 = bound.get("n")
     just = bound.get("justification")
     if not isinstance(n0, int) or n0 < 0:
         return ["bound index invalid"]
-    out = []
-    scan = ExactScan(inst)
+    if just not in ("ratio_exceeds_target", "tail_below_target", "product_monotone_beyond"):
+        return [f"unknown bound justification {just!r}"]
+    if n0 > config.scan_cap:
+        return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
+    # a bound at the cap is rechecked BOUND_RECHECK_SPAN terms beyond it
+    scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
     scan.jump(n0)
     t = inst.t
     for n in range(n0, n0 + BOUND_RECHECK_SPAN + 1):
+        if n > n0:
+            scan.step()
         if just == "ratio_exceeds_target":
             if scan.abs_cmp(t) <= 0:
-                out.append(f"|u_{n}| <= |t| inside a divergence bound")
-                break
+                return [f"|u_{n}| <= |t| inside a divergence bound"]
             if abs(inst.q(n)) <= abs(inst.p(n)):
-                out.append(f"|r({n})| <= 1 inside a divergence bound")
-                break
+                return [f"|r({n})| <= 1 inside a divergence bound"]
         elif just == "tail_below_target":
             if scan.abs_cmp(t) >= 0:
-                out.append(f"|u_{n}| >= |t| inside a shrink bound")
-                break
+                return [f"|u_{n}| >= |t| inside a shrink bound"]
             if abs(inst.q(n)) >= abs(inst.p(n)):
-                out.append(f"|r({n})| >= 1 inside a shrink bound")
-                break
-        elif just == "product_monotone_beyond":
+                return [f"|r({n})| >= 1 inside a shrink bound"]
+        elif scan.hit():
             if inst.problem is Problem.THRESHOLD:
-                if scan.cmp(t) < 0:
-                    out.append(f"u_{n} < t inside a monotone-tail bound")
-                    break
-            else:
-                if scan.equals(t):
-                    out.append(f"u_{n} = t beyond the exclusion bound")
-                    break
-        else:
-            return [f"unknown bound justification {just!r}"]
-        scan.step()
-    return out
+                return [f"u_{n} < t inside a monotone-tail bound"]
+            return [f"u_{n} = t beyond the exclusion bound"]
+    return []
 
 
 def _verify_canonical(desc: dict) -> list[str]:

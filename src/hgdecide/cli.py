@@ -63,15 +63,12 @@ def _config(args) -> EngineConfig:
 def decide_document(docin: InstanceDocument, config: EngineConfig) -> dict:
     """Decide one parsed instance and wrap the verdict as a certificate."""
     start = time.perf_counter()
-    if docin.mode == "conditional":
-        verdict = decide_conditional(docin.inst, config)
-    elif docin.mode == "unconditional":
+    if docin.mode == "unconditional":
         verdict = decide(docin.inst, config)
     else:
-        try:
-            verdict = decide(docin.inst, config)
-        except UnsupportedInstance:
-            verdict = decide_conditional(docin.inst, config)
+        # "auto" is "conditional": its oracle builder tries the
+        # unconditional oracle first
+        verdict = decide_conditional(docin.inst, config)
     elapsed = (time.perf_counter() - start) * 1000.0
     return certificate_dict(docin, verdict, timing_ms=elapsed)
 

@@ -97,10 +97,6 @@ class DyadicInterval:
         return cls(lo, -prec, lo if exact else lo + 1, -prec)
 
     @classmethod
-    def point(cls, man: int, exp: int) -> "DyadicInterval":
-        return cls(man, exp, man, exp)
-
-    @classmethod
     def bounds(cls, lo: "tuple[int, int]", hi: "tuple[int, int]") -> "DyadicInterval":
         return cls(lo[0], lo[1], hi[0], hi[1])
 

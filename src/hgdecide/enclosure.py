@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
-from .errors import DecideError, PrecisionExceeded
+from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
 # Instrumented counter: number of top-level enclosure evaluations.  Test
 # hooks use this to prove the symbolic equality path never touches numerics.
@@ -452,3 +452,21 @@ def eval_enclosure(
         if p >= precision_bits:
             return result
         p *= 2
+
+
+def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONFIG):
+    """(probe(bits), bits) for the first bits in start_bits, 2*start_bits,
+    ... (capped at config.precision_cap_bits) where probe answers, i.e.
+    returns anything but None; an IntervalStraddlesZero counts as no
+    answer.  Raises PrecisionExceeded when the cap gives none."""
+    bits = start_bits
+    while True:
+        try:
+            answer = probe(bits)
+        except IntervalStraddlesZero:
+            answer = None
+        if answer is not None:
+            return answer, bits
+        if bits >= config.precision_cap_bits:
+            raise PrecisionExceeded(f"no separation at {bits} bits (cap {config.precision_cap_bits})")
+        bits = min(2 * bits, config.precision_cap_bits)

@@ -24,14 +24,8 @@ import dataclasses
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .enclosure import Expr, Rc, eval_enclosure
-from .errors import (
-    DecideError,
-    IntervalStraddlesZero,
-    PrecisionExceeded,
-    ScanCapExceeded,
-    UnsupportedInstance,
-)
+from .enclosure import Expr, Rc, eval_enclosure, precision_ladder
+from .errors import DecideError, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
@@ -85,20 +79,10 @@ def compare(
 
 
 def compare_expr_zero(expr: Expr, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int]:
-    bits = config.compare_start_bits
-    while True:
-        try:
-            iv = eval_enclosure(expr, bits, config)
-            sign = iv.sign()
-        except IntervalStraddlesZero:
-            sign = None
-        if sign is not None and sign != 0:
-            return sign, bits
-        if bits >= config.precision_cap_bits:
-            raise PrecisionExceeded(
-                f"no separation at {bits} bits (cap {config.precision_cap_bits})"
-            )
-        bits = min(2 * bits, config.precision_cap_bits)
+    return precision_ladder(
+        lambda bits: eval_enclosure(expr, bits, config).sign() or None,
+        config.compare_start_bits, config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +213,13 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
             "terms_never_zero",
         )
     k1 = monotonicity_index(inst.p, inst.q)
-    scan = ExactScan(inst)
-    for n in range(k1 + 1):
-        if scan.sign() < 0:
-            return Verdict(
-                inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
-                witness=n, scanned_up_to=n,
-            )
-        scan.step()
+    scan = ExactScan(inst, config.scan_cap)
+    n = scan.first_hit(k1 + 1)  # t = 0: the first negative term
+    if n is not None:
+        return Verdict(
+            inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
+            witness=n, scanned_up_to=n,
+        )
     # beyond k1 the ratio keeps one sign, so term signs are frozen or flip
     if scan.is_zero():
         return Verdict(
@@ -258,30 +241,17 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
 def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig) -> Verdict:
     """q(k0) = 0: terms vanish for n > k0 and t != 0 lives in the prefix."""
     last = first_q_root + 1
-    scan = ExactScan(inst)
+    n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
     if inst.problem is Problem.MEMBERSHIP:
-        for n in range(last + 1):
-            if scan.equals(inst.t):
-                return Verdict(
-                    inst.problem, True, Conditionality.UNCONDITIONAL, "zero_tail",
-                    witness=n, scanned_up_to=last,
-                )
-            scan.step()
         return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "zero_tail",
-            scanned_up_to=last,
+            inst.problem, n is not None, Conditionality.UNCONDITIONAL, "zero_tail",
+            witness=n, scanned_up_to=last,
         )
-    for n in range(last + 1):
-        if scan.cmp(inst.t) < 0:
-            return Verdict(
-                inst.problem, False, Conditionality.UNCONDITIONAL, "zero_tail",
-                witness=n, scanned_up_to=last,
-            )
-        scan.step()
-    holds = inst.t <= 0
+    if n is None and inst.t > 0:
+        n = last + 1  # the zero tail lies below t
     return Verdict(
-        inst.problem, holds, Conditionality.UNCONDITIONAL, "zero_tail",
-        witness=None if holds else last + 1, scanned_up_to=last,
+        inst.problem, n is None, Conditionality.UNCONDITIONAL, "zero_tail",
+        witness=n, scanned_up_to=last,
     )
 
 
@@ -335,9 +305,9 @@ def _constant_sequence_verdict(inst: HGInstance, cls: AsymptoticClass) -> Verdic
 # -- balanced branch ---------------------------------------------------------
 
 
-def _tail_direction(inst: HGInstance, k0: int) -> int:
+def _tail_direction(inst: HGInstance, k0: int, config: EngineConfig) -> int:
     """+1 if u_n strictly increases for n > k0, -1 if it decreases."""
-    scan = ExactScan(inst)
+    scan = ExactScan(inst, config.scan_cap)
     scan.jump(k0 + 1)
     s_u = scan.sign()
     s_diff = (inst.q - inst.p)(k0 + 1)
@@ -353,29 +323,24 @@ def _balanced_verdict(
     config: EngineConfig,
 ) -> Verdict:
     k0 = monotonicity_index(inst.p, inst.q)
-    direction = _tail_direction(inst, k0)
+    direction = _tail_direction(inst, k0, config)
     eq = oracle.decide_equal(inst.t)
     # captured after the equality decision so oracle traces are complete
-    extras = oracle.verdict_extras() if hasattr(oracle, "verdict_extras") else {}
-    cond = (
-        Conditionality.CONDITIONAL_ON_SCHANUEL
-        if getattr(eq, "conditional", False)
-        else Conditionality.UNCONDITIONAL
-    )
+    extras = oracle.verdict_extras()
+    cond = Conditionality.CONDITIONAL_ON_SCHANUEL if eq.conditional else Conditionality.UNCONDITIONAL
+    scan = ExactScan(inst, config.scan_cap)
+    n = scan.first_hit(k0 + 2)
 
     if inst.problem is Problem.MEMBERSHIP:
         if eq.equal:
             # the limit equals the target; a strictly monotone tail never
             # attains its limit, so witnesses live in the prefix only
-            scan = ExactScan(inst)
-            for n in range(k0 + 2):
-                if scan.equals(inst.t):
-                    return Verdict(
-                        inst.problem, True, Conditionality.UNCONDITIONAL,
-                        "prefix_witness", witness=n, asymptotic=cls,
-                        scanned_up_to=k0 + 1, equality_rationale=eq.rationale, **extras,
-                    )
-                scan.step()
+            if n is not None:
+                return Verdict(
+                    inst.problem, True, Conditionality.UNCONDITIONAL,
+                    "prefix_witness", witness=n, asymptotic=cls,
+                    scanned_up_to=k0 + 1, equality_rationale=eq.rationale, **extras,
+                )
             return Verdict(
                 inst.problem, False, cond, "limit_equals_target_not_attained",
                 asymptotic=cls, scanned_up_to=k0 + 1,
@@ -383,47 +348,38 @@ def _balanced_verdict(
             )
         side, bits = oracle.compare(inst.t)
         relation = "less" if side < 0 else "greater"
-        # tail witnesses are possible only while the monotone tail is on the
-        # far side of t from the limit; scan until it passes t
-        tail_may_cross = (direction > 0 and side > 0) or (direction < 0 and side < 0)
-        scan = ExactScan(inst)
-        n = 0
-        while True:
-            if n > config.scan_cap:
-                raise ScanCapExceeded("scan cap exceeded hunting the tail crossing")
-            in_prefix = n <= k0 + 1
-            if not in_prefix and not tail_may_cross:
-                break
-            if not in_prefix and tail_may_cross:
-                c = scan.cmp(inst.t)
-                if (direction > 0 and c > 0) or (direction < 0 and c < 0):
+        if n is None and side == direction:
+            # the monotone tail is on the far side of t from the limit: a
+            # tail witness is possible until the tail passes t
+            while True:
+                c = scan.cmp(inst.t) * direction
+                if c > 0:
                     break
-            if scan.equals(inst.t):
-                return Verdict(
-                    inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
-                    witness=n, asymptotic=cls, scanned_up_to=n,
-                    equality_rationale=eq.rationale, compare_relation=relation,
-                    compare_precision_bits=bits, **extras,
-                )
-            scan.step()
-            n += 1
+                if c == 0:
+                    n = scan.n
+                    break
+                scan.step()
+        if n is not None:
+            return Verdict(
+                inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
+                witness=n, asymptotic=cls, scanned_up_to=n,
+                equality_rationale=eq.rationale, compare_relation=relation,
+                compare_precision_bits=bits, **extras,
+            )
         return Verdict(
             inst.problem, False, cond, "monotone_tail_excludes_target",
-            asymptotic=cls, scanned_up_to=n - 1,
-            bound=SearchBound(n, "product_monotone_beyond"),
+            asymptotic=cls, scanned_up_to=scan.n - 1,
+            bound=SearchBound(scan.n, "product_monotone_beyond"),
             equality_rationale=eq.rationale, compare_relation=relation,
             compare_precision_bits=bits, **extras,
         )
 
     # threshold
-    scan = ExactScan(inst)
-    for n in range(k0 + 2):
-        if scan.cmp(inst.t) < 0:
-            return Verdict(
-                inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
-                witness=n, asymptotic=cls, scanned_up_to=k0 + 1, **extras,
-            )
-        scan.step()
+    if n is not None:
+        return Verdict(
+            inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
+            witness=n, asymptotic=cls, scanned_up_to=k0 + 1, **extras,
+        )
     if direction > 0:
         # increasing tail: its minimum u_{k0+1} was checked in the prefix
         return Verdict(
@@ -445,17 +401,10 @@ def _balanced_verdict(
             asymptotic=cls, scanned_up_to=k0 + 1, equality_rationale=eq.rationale,
             compare_relation="greater", compare_precision_bits=bits, **extras,
         )
-    n = k0 + 2
-    while True:
-        if n > config.scan_cap:
-            raise ScanCapExceeded("scan cap exceeded hunting the threshold violation")
-        c = scan.cmp(inst.t)
-        if c < 0:
-            return Verdict(
-                inst.problem, False, cond, "decreasing_tail_below_target",
-                witness=n, asymptotic=cls, scanned_up_to=n,
-                equality_rationale=eq.rationale, compare_relation="less",
-                compare_precision_bits=bits, **extras,
-            )
-        scan.step()
-        n += 1
+    n = scan.first_hit()
+    return Verdict(
+        inst.problem, False, cond, "decreasing_tail_below_target",
+        witness=n, asymptotic=cls, scanned_up_to=n,
+        equality_rationale=eq.rationale, compare_relation="less",
+        compare_precision_bits=bits, **extras,
+    )

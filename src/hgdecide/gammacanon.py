@@ -120,31 +120,6 @@ class PairForm:
     prefactor: Fraction
 
 
-def shift_to_base(arg: QuadElem) -> tuple[QuadElem, Fraction, QuadElem]:
-    """Reduce Gamma(arg) to Gamma(base) by the factorial identities.
-
-    Returns (A, base_rational_part, w) with Gamma(arg) = A * Gamma(rho0 + w),
-    rho0 in {0, 1/2} and w = b*sqrt(d) the purely irrational part.  The
-    rational part of arg must lie in (1/2)Z.
-    """
-    if arg.b == 0:
-        raise DecideError("shift_to_base expects an irrational argument")
-    if not is_half_integer(arg.a):
-        raise DecideError(f"rational part {arg.a} not in (1/2)Z")
-    w = QuadElem(Fraction(0), arg.b, arg.d)
-    rho0 = Fraction(0) if arg.a.denominator == 1 else Fraction(1, 2)
-    n = int(arg.a - rho0)
-    one = QuadElem.rational(1, arg.d)
-    a_quad = one
-    if n > 0:
-        for j in range(n):
-            a_quad = a_quad * (w + (rho0 + j))
-    elif n < 0:
-        for j in range(1, -n + 1):
-            a_quad = a_quad / (w + (rho0 - j))
-    return a_quad, rho0, w
-
-
 def pair_product(rho: Fraction, w: QuadElem) -> PairForm:
     """Closed form of Gamma(rho+w)*Gamma(rho-w) for imaginary quadratic w."""
     rho = Fraction(rho)

@@ -138,10 +138,6 @@ class IntPoly:
         """f(c - x)."""
         return self.to_q().compose_linear(Fraction(c), Fraction(-1))
 
-    def shift_by(self, r: Fraction) -> "QPoly":
-        """f(x + r)."""
-        return self.to_q().compose_linear(Fraction(r), Fraction(1))
-
     def cauchy_bound(self) -> Fraction:
         """All complex roots have |z| < this bound."""
         if self.degree < 1:
@@ -285,10 +281,6 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd over Q, returned as the primitive integer representative."""
     g = a.to_q().gcd(b.to_q())
     return g.clear_denominators()
-
-
-def poly_divrem(a: IntPoly, b: IntPoly) -> tuple[QPoly, QPoly]:
-    return a.to_q().divrem(b.to_q())
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +548,6 @@ class RootMultiset:
 
     def fields(self) -> set[int]:
         return {e.root.d for e in self.entries if isinstance(e.root, QuadElem)}
-
-    def rational_entries(self) -> list[RootEntry]:
-        return [e for e in self.entries if isinstance(e.root, Fraction)]
-
-    def quadratic_entries(self) -> list[RootEntry]:
-        return [e for e in self.entries if isinstance(e.root, QuadElem)]
 
 
 class NotSplitting:

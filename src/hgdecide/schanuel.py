@@ -30,15 +30,11 @@ from .enclosure import (
     cos_interval,
     exp_interval,
     pi_interval,
+    precision_ladder,
     sin_interval,
 )
 from .equality import _unconditional_oracle, decide
-from .errors import (
-    DecideError,
-    IntervalStraddlesZero,
-    PrecisionExceeded,
-    UnsupportedInstance,
-)
+from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
@@ -468,21 +464,18 @@ def stress_check_identity(ident: SymbolicIdentity, config: EngineConfig = DEFAUL
     near-zero at the precision cap (a conjecture stress case -- never
     silently dropped).
     """
-    bits = STRESS_CHECK_BITS
-    while True:
-        try:
-            iv = evaluate_identity(ident, bits)
-            if not iv.contains_zero():
-                return True
-        except IntervalStraddlesZero:
-            pass
-        if bits >= config.precision_cap_bits:
-            logger.warning(
-                "conjecture stress case: identity with %d terms not separated from zero at %d bits",
-                len(ident.terms), bits,
-            )
-            return False
-        bits = min(2 * bits, config.precision_cap_bits)
+    try:
+        precision_ladder(
+            lambda bits: not evaluate_identity(ident, bits).contains_zero() or None,
+            STRESS_CHECK_BITS, config,
+        )
+        return True
+    except PrecisionExceeded as e:
+        logger.warning(
+            "conjecture stress case: identity with %d terms not separated from zero: %s",
+            len(ident.terms), e,
+        )
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +624,6 @@ class ConditionalLimitOracle:
         pw = ComplexInterval(
             pi_iv.mul(wv.re, prec + 8), pi_iv.mul(wv.im, prec + 8)
         )
-        sin_pw = _complex_sin(pw, prec)
-        cos_pw = _complex_cos(pw, prec)
         a_val = ComplexInterval.from_real(DyadicInterval.from_int(1))
         if integer_rho:
             n = int(rho)
@@ -642,6 +633,7 @@ class ConditionalLimitOracle:
                     wv.mul(wv, prec), prec
                 )
                 a_val = a_val.mul(f, prec) if n > 0 else a_val.div(f, prec)
+            sin_pw = _complex_sin_or_cos(pw, prec, cos=False)
             core = pi_c.div(wv.mul(sin_pw, prec + 8), prec).neg()
         else:
             n = int(rho - Fraction(1, 2))
@@ -651,7 +643,7 @@ class ConditionalLimitOracle:
                 sq = ComplexInterval.from_real(DyadicInterval.from_fraction(hv * hv, prec + 8))
                 f = sq.sub(wv.mul(wv, prec), prec)
                 a_val = a_val.mul(f, prec) if n > 0 else a_val.div(f, prec)
-            core = pi_c.div(cos_pw, prec)
+            core = pi_c.div(_complex_sin_or_cos(pw, prec, cos=True), prec)
         return a_val.mul(core, prec)
 
     def limit_enclosure(self, prec: int) -> DyadicInterval:
@@ -667,20 +659,10 @@ class ConditionalLimitOracle:
         return total.re
 
     def compare(self, t: Fraction) -> tuple[int, int]:
-        bits = self.config.compare_start_bits
-        while True:
-            try:
-                iv = self.limit_enclosure(bits)
-                rel = iv.compare_fraction(Fraction(t))
-            except IntervalStraddlesZero:
-                rel = None
-            if rel is not None:
-                return rel, bits
-            if bits >= self.config.precision_cap_bits:
-                raise PrecisionExceeded(
-                    f"no separation at {bits} bits on the conditional path"
-                )
-            bits = min(2 * bits, self.config.precision_cap_bits)
+        return precision_ladder(
+            lambda bits: self.limit_enclosure(bits).compare_fraction(Fraction(t)),
+            self.config.compare_start_bits, self.config,
+        )
 
     def verdict_extras(self) -> dict:
         extras = {
@@ -697,30 +679,18 @@ class ConditionalLimitOracle:
         return extras
 
 
-def _complex_sin(z: ComplexInterval, prec: int) -> ComplexInterval:
-    """sin(x+iy) = sin x cosh y + i cos x sinh y."""
+def _complex_sin_or_cos(z: ComplexInterval, prec: int, cos: bool) -> ComplexInterval:
+    """sin(x+iy) = sin x cosh y + i cos x sinh y, or
+    cos(x+iy) = cos x cosh y - i sin x sinh y."""
     ey = exp_interval(z.im, prec + 8)
     ey_inv = ey.inv(prec + 8)
     half = Fraction(1, 2)
     cosh = ey.add(ey_inv, prec + 8).scale(half, prec + 8)
     sinh = ey.sub(ey_inv, prec + 8).scale(half, prec + 8)
-    return ComplexInterval(
-        sin_interval(z.re, prec).mul(cosh, prec),
-        cos_interval(z.re, prec).mul(sinh, prec),
-    )
-
-
-def _complex_cos(z: ComplexInterval, prec: int) -> ComplexInterval:
-    """cos(x+iy) = cos x cosh y - i sin x sinh y."""
-    ey = exp_interval(z.im, prec + 8)
-    ey_inv = ey.inv(prec + 8)
-    half = Fraction(1, 2)
-    cosh = ey.add(ey_inv, prec + 8).scale(half, prec + 8)
-    sinh = ey.sub(ey_inv, prec + 8).scale(half, prec + 8)
-    return ComplexInterval(
-        cos_interval(z.re, prec).mul(cosh, prec),
-        sin_interval(z.re, prec).mul(sinh, prec).neg(),
-    )
+    sin_x, cos_x = sin_interval(z.re, prec), cos_interval(z.re, prec)
+    if cos:
+        return ComplexInterval(cos_x.mul(cosh, prec), sin_x.mul(sinh, prec).neg())
+    return ComplexInterval(sin_x.mul(cosh, prec), cos_x.mul(sinh, prec))
 
 
 def conditional_oracle_builder(inst: HGInstance, config: EngineConfig):

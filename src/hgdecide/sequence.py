@@ -8,9 +8,11 @@ or equality test against a target is settled by the floats when the logs
 differ by more than the bound; otherwise the exact unreduced
 numerator/denominator pair is brought up to n by one balanced product
 tree of the pending q(k) and p(k) and the test is an exact
-cross-multiplied integer comparison.  divergence_bound and shrink_bound
-find the search bound N and the least witness (u_n = t for Membership,
-u_n < t for Threshold) in the same single scan.
+cross-multiplied integer comparison.  The scan owns the scan cap and the
+witness test (u_n = t for Membership, u_n < t for Threshold): hit() and
+first_hit() are the prefix search of every decision and replay.
+divergence_bound and shrink_bound find the search bound N and the least
+witness in the same single scan.
 """
 
 from __future__ import annotations
@@ -186,6 +188,8 @@ class ExactScan:
     a comparison falls inside the error bound, or when a caller asks for
     fraction(), num or den; logabs and err are then re-anchored on it.
     `steps` counts the indices the scan has moved past, by step() or jump().
+    The scan never goes past index `cap`: step() raises ScanCapExceeded on
+    moving to cap + 1, and jump(n) raises before any work when n > cap.
 
     Error bound.  Assume math.log is within 1 ulp (2u relative, u = 2^-53)
     on doubles.  For a positive int x, math.log(x) = y obeys
@@ -209,12 +213,13 @@ class ExactScan:
     """
 
     __slots__ = (
-        "inst", "n", "logabs", "err", "steps", "materialized", "zero_since",
+        "inst", "cap", "n", "logabs", "err", "steps", "materialized", "zero_since",
         "_sign", "_num", "_den", "_at", "_t", "_tlog", "_terr",
     )
 
-    def __init__(self, inst: HGInstance):
+    def __init__(self, inst: HGInstance, cap: int = DEFAULT_CONFIG.scan_cap):
         self.inst = inst
+        self.cap = cap
         self.n = 0
         self.steps = 0
         self.materialized = 0
@@ -230,6 +235,8 @@ class ExactScan:
         k = self.n
         self.n = k + 1
         self.steps += 1
+        if k >= self.cap:
+            raise ScanCapExceeded(f"scan index {k + 1} exceeds cap {self.cap}")
         if self.zero_since is not None:
             return
         # p has no nonnegative integer roots (validated); q may hit zero
@@ -246,6 +253,8 @@ class ExactScan:
 
     def jump(self, n: int):
         """Go straight to index n >= self.n with one product tree."""
+        if n > self.cap:
+            raise ScanCapExceeded(f"scan index {n} exceeds cap {self.cap}")
         if n < self.n:
             raise DecideError("ExactScan.jump cannot go back")
         if n == self.n:
@@ -253,6 +262,33 @@ class ExactScan:
         self.steps += n - self.n
         self.n = n
         self._materialize()
+
+    def _witness_test(self):
+        """(comparison, result): u_n is a witness exactly when
+        comparison(t) == result, i.e. u_n = t for Membership and u_n < t
+        for Threshold."""
+        if self.inst.problem is Problem.MEMBERSHIP:
+            return self.equals, True
+        return self.cmp, -1
+
+    def hit(self) -> bool:
+        """Whether u_n is a witness for inst.problem and inst.t."""
+        comparison, result = self._witness_test()
+        return comparison(self.inst.t) == result
+
+    def first_hit(self, stop: int | None = None) -> int | None:
+        """Least n in [self.n, stop) with a witness u_n, the scan left there;
+        None with the scan at stop if there is none.  Without stop the
+        search ends only at a witness or at the cap (ScanCapExceeded)."""
+        comparison, result = self._witness_test()
+        t = self.inst.t
+        step = self.step
+        end = self.cap + 1 if stop is None else stop
+        while self.n < end:
+            if comparison(t) == result:
+                return self.n
+            step()
+        return None
 
     def _materialize(self):
         """Bring the exact pair from the anchor up to n and re-anchor there."""
@@ -344,9 +380,7 @@ def term(inst: HGInstance, n: int, config: EngineConfig = DEFAULT_CONFIG) -> Fra
     """Exact n-th term; term(inst, 0) == u0."""
     if n < 0:
         raise DecideError("negative index")
-    if n > config.scan_cap:
-        raise ScanCapExceeded(f"term index {n} exceeds cap {config.scan_cap}")
-    scan = ExactScan(inst)
+    scan = ExactScan(inst, config.scan_cap)
     scan.jump(n)
     return scan.fraction()
 
@@ -355,7 +389,7 @@ def terms(inst: HGInstance, count: int, config: EngineConfig = DEFAULT_CONFIG):
     """First `count` terms as exact Fractions."""
     if count > config.scan_cap:
         raise ScanCapExceeded(f"{count} terms exceed cap {config.scan_cap}")
-    scan = ExactScan(inst)
+    scan = ExactScan(inst, config.scan_cap)
     for _ in range(count):
         yield scan.fraction()
         scan.step()
@@ -412,7 +446,7 @@ def divergence_bound(
     if qq_pp(k1) <= 0:
         raise DecideError("internal: |r| not above 1 past the root bound")
     return _bound_scan(
-        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", "divergence", config
+        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", config
     )
 
 
@@ -432,22 +466,19 @@ def shrink_bound(
     if qq_pp(k1) >= 0:
         raise DecideError("internal: |r| not below 1 past the root bound")
     return _bound_scan(
-        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", "shrink", config
+        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", config
     )
 
 
-def _bound_scan(inst, k1, past, justification, kind, config) -> SearchBound:
+def _bound_scan(inst, k1, past, justification, config) -> SearchBound:
     """First N >= k1 with past(scan), and the least witness n <= N on the way."""
-    scan = ExactScan(inst)
-    membership = inst.problem is Problem.MEMBERSHIP
+    scan = ExactScan(inst, config.scan_cap)
     hit = None
     while True:
-        if hit is None and (scan.equals(inst.t) if membership else scan.cmp(inst.t) < 0):
+        if hit is None and scan.hit():
             hit = scan.n
         if scan.n >= k1 and past(scan):
             return SearchBound(scan.n, justification, first_hit=hit)
-        if scan.n >= max(k1, config.scan_cap):
-            raise ScanCapExceeded(f"no {kind} bound within {config.scan_cap} terms")
         scan.step()
 
 
@@ -477,12 +508,13 @@ def brute_force(
 ) -> BruteResult:
     """Exhaustive exact scan of u_0 .. u_{up_to - 1}.
 
-    Used inside the deciders for prefix searches and as the independent
-    oracle in the test suite.  Membership reports the least witness.
+    The reference the deciders are checked against (the test suite,
+    scripts/run_corpus.py and `hgdecide oracle`); no decider calls it.
+    Membership reports the least witness.
     """
     if up_to > config.scan_cap:
         raise ScanCapExceeded(f"{up_to} exceeds scan cap {config.scan_cap}")
-    scan = ExactScan(inst)
+    scan = ExactScan(inst, config.scan_cap)
     membership = inst.problem is Problem.MEMBERSHIP
     for n in range(up_to):
         if membership:

@@ -124,10 +124,6 @@ class TowerElem:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def rational_part(self) -> Fraction:
-        """Coefficient on the basis element 1."""
-        return self.coords[0]
-
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise DecideError(f"{self} is irrational")

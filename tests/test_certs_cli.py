@@ -86,6 +86,23 @@ class TestCertificates:
         assert any("is not least" in f for f in failures)
         assert any("witness replay failed" in f and "exceeds cap" in f for f in failures)
 
+    def test_tampered_far_bound_ends_at_scan_cap(self, tmp_path, capsys):
+        from hgdecide.config import EngineConfig
+
+        din = parse_instance(doc([1], [2], "3", "50"))  # u_n = 3 * 2^n
+        cert = decide_document(din, EngineConfig(scan_cap=1000))
+        assert cert["bound"]["justification"] == "ratio_exceeds_target"
+        n0 = cert["bound"]["n"]
+        # a true bound at the cap still verifies: the recheck runs past it
+        assert verify_certificate(cert, EngineConfig(scan_cap=n0)) == []
+        cert["bound"]["n"] = 200_000
+        failures = verify_certificate(cert, EngineConfig(scan_cap=1000))
+        assert any("bound replay failed" in f and "exceeds cap" in f for f in failures)
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(cert))
+        assert main(["--scan-cap", "1000", "verify", str(f)]) == 1
+        assert "exceeds cap" in capsys.readouterr().out
+
     def test_tampered_exit_code_rejected(self):
         din = parse_instance(WORKED)
         from hgdecide.config import DEFAULT_CONFIG

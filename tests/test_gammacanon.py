@@ -12,7 +12,6 @@ from hgdecide.gammacanon import (
     limit_as_gamma,
     pair_product,
     pair_value_expr,
-    shift_to_base,
     tail_log_bound,
 )
 from hgdecide.polys import IntPoly, poly_gcd, roots_quadratic
@@ -44,21 +43,6 @@ class TestLimitAsGamma:
             limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q))
 
 
-class TestShiftToBase:
-    def test_two_falling_steps(self):
-        a, rho0, w = shift_to_base(QuadElem(F(-2), F(3), -1))
-        expected = 1 / (QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1))
-        assert a == expected and rho0 == 0 and w == QuadElem(0, 3, -1)
-
-    def test_one_rising_step_half(self):
-        a, rho0, w = shift_to_base(QuadElem(F(3, 2), F(1, 2), -3))
-        assert a == QuadElem(F(1, 2), F(1, 2), -3) and rho0 == F(1, 2)
-
-    def test_non_half_integer_rejected(self):
-        with pytest.raises(DecideError):
-            shift_to_base(QuadElem(F(1, 3), F(1), -1))
-
-
 class TestPairProduct:
     def test_value_pi_over_390_sinh3pi(self, mp, mpref):
         form = pair_product(F(-2), QuadElem(0, 3, -1))
@@ -77,6 +61,22 @@ class TestPairProduct:
         iv = eval_enclosure(pair_value_expr(form), 96)
         ref = mpref(2 * mp.pi / (mp.exp(mp.pi * mp.sqrt(3) / 2) + mp.exp(-mp.pi * mp.sqrt(3) / 2)))
         assert ref in iv
+
+    # the prefactor is the norm of the translation factor A in
+    # Gamma(rho + w) = A * Gamma(rho0 + w), rho0 in {0, 1/2}
+    def test_two_falling_steps(self):
+        form = pair_product(F(-2), QuadElem(0, 3, -1))
+        a = 1 / (QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1))
+        assert form.kind == PairKind.INTEGER_RHO and form.prefactor == a.norm()
+
+    def test_one_rising_step_half(self):
+        form = pair_product(F(3, 2), QuadElem(0, F(1, 2), -3))
+        a = QuadElem(F(1, 2), F(1, 2), -3)
+        assert form.kind == PairKind.HALF_INTEGER_RHO and form.prefactor == a.norm()
+
+    def test_non_half_integer_rejected(self):
+        with pytest.raises(DecideError):
+            pair_product(F(1, 3), QuadElem(0, 1, -1))
 
     def test_rejects_half_integer_w(self):
         with pytest.raises(DecideError):

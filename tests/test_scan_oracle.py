@@ -137,6 +137,46 @@ class TestOracle:
         assert scan.zero_since == 8 and scan.is_zero() and scan.fraction() == 0 and scan.sign() == 0
 
 
+class TestFirstHit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instances(),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50),
+        st.sampled_from(list(Problem)),
+        st.integers(0, DEPTH),
+        st.data(),
+    )
+    def test_first_hit_is_the_least_reference_hit(self, pq, u0, problem, stop, data):
+        p, q = pq
+        pairs = list(reference_pairs(p, q, u0, DEPTH + 1))
+        t = data.draw(st.sampled_from(_targets(data.draw, pairs)))
+        start = data.draw(st.integers(0, stop))
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem)
+
+        def is_hit(num, den):
+            if problem is Problem.MEMBERSHIP:
+                return num * t.denominator == t.numerator * den
+            return ref_cmp(num, den, t) < 0
+
+        want = next((n for n in range(start, stop) if is_hit(*pairs[n])), None)
+        scan = ExactScan(inst)
+        for _ in range(start):
+            scan.step()
+        assert scan.first_hit(stop) == want
+        assert scan.n == (stop if want is None else want)
+        assert scan.hit() == is_hit(*pairs[scan.n])
+
+    def test_search_without_stop_ends_at_the_cap(self):
+        # u_n = n + 1 never equals 1/2
+        inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
+        scan = ExactScan(inst, cap=50)
+        with pytest.raises(ScanCapExceeded):
+            scan.first_hit()
+        assert scan.n == 51
+        with pytest.raises(ScanCapExceeded, match="exceeds cap"):
+            ExactScan(inst, cap=50).jump(51)
+
+
 class TestScanCapReachable:
     def test_far_side_near_tie_ends_at_scan_cap(self, monkeypatch):
         # worked example, t = L(1 + 2^-60) (see test_certs_cli): the
@@ -159,3 +199,24 @@ class TestScanCapReachable:
             decide(inst, EngineConfig(scan_cap=10**5))
         assert max(s.n for s in scans) > 10**5
         assert sum(s.materialized for s in scans) <= 4
+
+    @pytest.mark.parametrize(
+        "q,t,problem",
+        [
+            ([-10**6, 1], F(1, 3), Problem.MEMBERSHIP),  # zero tail past 10^6
+            ([10**6, -1], F(-1), Problem.THRESHOLD),  # positive prefix, zero tail past 10^6
+            ([10**6, -1], F(0), Problem.THRESHOLD),  # zero target, sign scan to the root bound
+        ],
+    )
+    def test_far_zero_of_q_ends_at_scan_cap(self, q, t, problem):
+        inst = HGInstance(IntPoly.of(1), IntPoly(tuple(q)), F(1), t, problem)
+        with pytest.raises(ScanCapExceeded):
+            decide(inst, EngineConfig(scan_cap=1000))
+
+    def test_far_balanced_tail_ends_at_scan_cap(self):
+        # monotonicity index about 2^18: the tail direction lies past the cap
+        inst = HGInstance(
+            IntPoly.of(2**16, 0, 1), IntPoly.of(2**18, 0, 1), F(1), F(1, 10**6), Problem.THRESHOLD
+        )
+        with pytest.raises(ScanCapExceeded):
+            decide(inst, EngineConfig(scan_cap=1000))
