@@ -314,7 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:
+        # a crash must not exit 1, which reads as a "not member"/"fails" verdict
+        print(f"internal error: {type(e).__name__}: {e}".splitlines()[0], file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

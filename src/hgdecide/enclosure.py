@@ -17,7 +17,6 @@ higher requested precision is always nested inside the lower-precision one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
 # Instrumented counter: number of top-level enclosure evaluations.  Test
 # hooks use this to prove the symbolic equality path never touches numerics.
-_EVAL_COUNTER = itertools.count()
 _evals_done = 0
 
 

@@ -103,9 +103,6 @@ class CanonicalLimitOracle:
     def compare(self, t: Fraction) -> tuple[int, int]:
         return compare(self.constant, t, self.config)
 
-    def describe(self) -> dict:
-        return self.constant.describe()
-
     def verdict_extras(self) -> dict:
         return {"canonical": self.constant.describe()}
 

@@ -27,12 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import Exp, Expr, Pi, Rc, Sqrt
-from .errors import DecideError, FieldMismatchError
+from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
 from .polys import IntPoly, RootMultiset, poly_gcd
 from .sequence import classify
 
 GammaArg = Fraction | QuadElem
+
+# largest e in the x^e and x^(2e) +- 1 factors that canonicalize builds (a
+# pair Gamma(rho + w)Gamma(rho - w), w = b*sqrt(-m), has e = b*D); the
+# polynomials are dense, so a larger e is refused as unsupported
+X_POWER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -120,39 +125,53 @@ class PairForm:
     prefactor: Fraction
 
 
-def pair_product(rho: Fraction, w: QuadElem) -> PairForm:
-    """Closed form of Gamma(rho+w)*Gamma(rho-w) for imaginary quadratic w."""
+def translation_squares(rho: Fraction) -> tuple[tuple[Fraction, ...], bool]:
+    """Translation factor of Gamma(rho+w)*Gamma(rho-w) down to its base.
+
+    Gamma(rho+w)*Gamma(rho-w) = prod_j (c_j - w^2)^(+-1) times the same
+    product at rho0 = 0 (integer rho) or rho0 = 1/2 (half-integer rho).
+    Returns the rational squares c_j (j^2 or ((2j+1)/2)^2, one per step
+    between rho0 and rho, in increasing j) and True when the factors
+    multiply (rho above rho0) or False when they divide.
+    """
     rho = Fraction(rho)
     if not is_half_integer(rho):
         raise DecideError(f"rho = {rho} not in (1/2)Z")
+    if rho.denominator == 1:
+        n = int(rho)
+        js = range(n) if n > 0 else range(1, -n + 1)
+        squares = tuple(Fraction(j * j) for j in js)
+    else:
+        n = int(rho - Fraction(1, 2))
+        squares = tuple(Fraction(2 * j + 1, 2) ** 2 for j in range(abs(n)))
+    return squares, n >= 0
+
+
+def integer_gamma_ratio(num_args, den_args) -> Fraction:
+    """prod Gamma(a) / prod Gamma(b) for integer arguments a, b >= 1."""
+    for a in (*num_args, *den_args):
+        if Fraction(a).denominator != 1 or a < 1:
+            raise DecideError(f"rational gamma argument {a} out of range")
+    return Fraction(
+        math.prod(math.factorial(int(a) - 1) for a in num_args),
+        math.prod(math.factorial(int(b) - 1) for b in den_args),
+    )
+
+
+def pair_product(rho: Fraction, w: QuadElem) -> PairForm:
+    """Closed form of Gamma(rho+w)*Gamma(rho-w) for imaginary quadratic w."""
+    rho = Fraction(rho)
     if w.b == 0 or w.a != 0:
         raise DecideError("w must be purely irrational")
     if w.d >= 0:
         raise DecideError("pair_product handles imaginary quadratic fields only")
-    b = abs(w.b)
-    m = -w.d
+    squares, rising = translation_squares(rho)
     wsq = w.b * w.b * w.d  # w^2, rational and negative
-    if rho.denominator == 1:
-        kind = PairKind.INTEGER_RHO
-        n = int(rho)
-        pref = Fraction(1)
-        if n > 0:
-            for j in range(n):
-                pref *= Fraction(j * j) - wsq
-        elif n < 0:
-            for j in range(1, -n + 1):
-                pref /= Fraction(j * j) - wsq
-    else:
-        kind = PairKind.HALF_INTEGER_RHO
-        n = int(rho - Fraction(1, 2))
-        pref = Fraction(1)
-        if n > 0:
-            for j in range(n):
-                pref *= (Fraction(2 * j + 1, 2)) ** 2 - wsq
-        elif n < 0:
-            for j in range(1, -n + 1):
-                pref /= (Fraction(2 * j - 1, 2)) ** 2 - wsq
-    return PairForm(kind, rho, b, m, pref)
+    pref = Fraction(1)
+    for c in squares:
+        pref = pref * (c - wsq) if rising else pref / (c - wsq)
+    kind = PairKind.INTEGER_RHO if rho.denominator == 1 else PairKind.HALF_INTEGER_RHO
+    return PairForm(kind, rho, abs(w.b), -w.d, pref)
 
 
 def pair_value_expr(form: PairForm) -> Expr:
@@ -307,14 +326,10 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     if ds and next(iter(ds)) >= 0:
         raise FieldMismatchError("real quadratic arguments need the conditional path")
 
+    rational = Fraction(prefactor) * gp.prefactor * integer_gamma_ratio(num_rat, den_rat)
     if not ds:
-        theta = Fraction(prefactor) * gp.prefactor
-        for v in num_rat:
-            theta *= math.factorial(int(v) - 1)
-        for v in den_rat:
-            theta /= math.factorial(int(v) - 1)
         return CanonicalConstant(
-            theta, Fraction(0), 0, IntPoly.of(1), IntPoly.of(1), 1, 1, True
+            rational, Fraction(0), 0, IntPoly.of(1), IntPoly.of(1), 1, 1, True
         )
 
     d = next(iter(ds))
@@ -326,40 +341,37 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     D = 2 if 2 in denominators else 1
     if not denominators <= {1, 2}:
         raise DecideError("pair coordinates outside the half-integer lattice")
+    e_max = max(int(p.b * D) for p in num_pairs + den_pairs)
+    if e_max > X_POWER_CAP:
+        raise UnsupportedInstance(
+            f"pair exponent {e_max} exceeds the cap {X_POWER_CAP} on x^e in the canonical form"
+        )
 
     theta = _Theta(m)
-    theta.mul(Fraction(prefactor) * gp.prefactor)
-    for v in num_rat:
-        theta.mul(Fraction(math.factorial(int(v) - 1)))
-    for v in den_rat:
-        theta.div(Fraction(math.factorial(int(v) - 1)))
-
+    theta.mul(rational)
     ell = 0
     f = IntPoly.of(1)
     g = IntPoly.of(1)
-    for form in num_pairs:
-        e = int(form.b * D)
-        ell += 1
-        if form.kind == PairKind.INTEGER_RHO:
-            # A * pi * 2 x^e / (b sqrt(m) (x^{2e}-1)); 1/sqrt(m) = sqrt(m)/m
-            theta.mul(Fraction(0), form.prefactor * 2 / (form.b * m))
-            f = f * IntPoly.x_power(e)
-            g = g * (IntPoly.x_power(2 * e) - IntPoly.of(1))
-        else:
-            theta.mul(form.prefactor * 2)
-            f = f * IntPoly.x_power(e)
-            g = g * (IntPoly.x_power(2 * e) + IntPoly.of(1))
-    for form in den_pairs:
-        e = int(form.b * D)
-        ell -= 1
-        if form.kind == PairKind.INTEGER_RHO:
-            theta.div(Fraction(0), form.prefactor * 2 / (form.b * m))
-            f = f * (IntPoly.x_power(2 * e) - IntPoly.of(1))
-            g = g * IntPoly.x_power(e)
-        else:
-            theta.div(form.prefactor * 2)
-            f = f * (IntPoly.x_power(2 * e) + IntPoly.of(1))
-            g = g * IntPoly.x_power(e)
+    for forms, up in ((num_pairs, True), (den_pairs, False)):
+        for form in forms:
+            e = int(form.b * D)
+            top = IntPoly.x_power(e)
+            if form.kind == PairKind.INTEGER_RHO:
+                # A * pi * 2 x^e / (b sqrt(m) (x^{2e}-1)); 1/sqrt(m) = sqrt(m)/m
+                coef = (Fraction(0), form.prefactor * 2 / (form.b * m))
+                bottom = IntPoly.x_power(2 * e) - IntPoly.of(1)
+            else:
+                # A * pi * 2 x^e / (x^{2e}+1)
+                coef = (form.prefactor * 2, Fraction(0))
+                bottom = IntPoly.x_power(2 * e) + IntPoly.of(1)
+            if up:
+                ell += 1
+                theta.mul(*coef)
+                f, g = f * top, g * bottom
+            else:
+                ell -= 1
+                theta.div(*coef)
+                f, g = f * bottom, g * top
 
     common = poly_gcd(f, g)
     if common.degree >= 1:
@@ -378,8 +390,6 @@ def _split_args(args):
     rat, quad = [], []
     for a in args:
         if isinstance(a, Fraction):
-            if a.denominator != 1 or a < 1:
-                raise DecideError(f"rational gamma argument {a} out of range")
             rat.append(a)
         elif isinstance(a, QuadElem):
             if a.b == 0:

@@ -118,13 +118,8 @@ def perfect_power_root(a: int, k: int) -> int | None:
             return None
         r = perfect_power_root(-a, k)
         return -r if r is not None else None
-    if a in (0, 1):
-        return a
-    r = round(a ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == a:
-            return cand
-    return None
+    r = int_nthroot_floor(a, k)
+    return r if r**k == a else None
 
 
 # every n that cyclotomic_index tries for a degree-32 polynomial

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import DecideError
 from .exactnum import QuadElem
-from .numutil import divisors, euler_phi, squarefree_decompose
+from .numutil import divisors, euler_phi, factorize, perfect_power_root, squarefree_decompose
 
 DEGREE_CAP = 32
 COEFF_BIT_CAP = 256
@@ -356,22 +356,26 @@ def has_negative_real_root(f: QPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _integer_roots(f: IntPoly) -> list[int]:
-    """Integer roots of a monic integer polynomial, with repetition collapsed."""
-    roots = []
+def integer_roots(f: IntPoly) -> list[int]:
+    """Sorted distinct integer roots of a nonzero integer polynomial.
+
+    A nonzero integer root divides the constant term once the factor x^k
+    at zero is removed, so the candidates are the signed divisors of it.
+    """
+    if f.is_zero:
+        raise DecideError("zero polynomial")
+    roots = set()
     g = f
-    zero_mult = 0
-    while g.coeffs and g.coeffs[0] == 0:
-        g = IntPoly(g.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append(0)
-    if g.degree >= 1 and g.coeffs:
+    if g.coeffs[0] == 0:
+        roots.add(0)
+        while g.coeffs[0] == 0:
+            g = IntPoly(g.coeffs[1:])
+    if g.degree >= 1:
         for d in divisors(g.coeffs[0]):
             for r in (d, -d):
                 if g(r) == 0:
-                    roots.append(r)
-    return sorted(set(roots))
+                    roots.add(r)
+    return sorted(roots)
 
 
 # working precision of the numeric root proposals, in decimal digits
@@ -452,23 +456,33 @@ def _quadratic_candidates_from_constant(f: IntPoly):
                 yield IntPoly.of(cc, b, 1)
 
 
+def x_power_minus_a(f: IntPoly) -> tuple[int, int] | None:
+    """(d, a) when f = x^d - a with d >= 2, else None."""
+    d = f.degree
+    if d < 2 or not f.is_monic or any(c != 0 for c in f.coeffs[1:-1]):
+        return None
+    return d, -f.coeffs[0]
+
+
+def capelli_irreducible(d: int, a: int) -> bool:
+    """Whether x^d - a is irreducible over Q (Capelli).
+
+    It is exactly when a is not a p-th power for any prime p | d and, when
+    4 | d, a is not of the form -4 b^4.
+    """
+    if any(perfect_power_root(a, p) is not None for p in factorize(d)):
+        return False
+    if d % 4 == 0 and a < 0 and (-a) % 4 == 0:
+        return perfect_power_root((-a) // 4, 4) is None
+    return True
+
+
 def _known_irreducible(f: IntPoly) -> bool:
     """Cheap certified-irreducibility shapes: cyclotomic and x^d - a."""
     if cyclotomic_index(f) is not None:
         return True
-    d = f.degree
-    if d >= 2 and f.is_monic and all(c == 0 for c in f.coeffs[1:-1]):
-        a = -f.coeffs[0]
-        from .numutil import factorize, perfect_power_root
-
-        for p in factorize(d):
-            if perfect_power_root(a, p) is not None:
-                return False
-        if d % 4 == 0 and a < 0 and (-a) % 4 == 0 \
-                and perfect_power_root((-a) // 4, 4) is not None:
-            return False
-        return True
-    return False
+    shape = x_power_minus_a(f)
+    return shape is not None and capelli_irreducible(*shape)
 
 
 @lru_cache(maxsize=1024)
@@ -490,7 +504,7 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
         )
     factors: list[IntPoly] = []
     rest = f
-    for r in _integer_roots(f):
+    for r in integer_roots(f):
         lin = IntPoly.of(-r, 1)
         while lin.divides(rest):
             rest = rest.exact_div(lin)
@@ -583,10 +597,11 @@ def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
             r1 = QuadElem(a, b, d)
             r2 = QuadElem(a, -b, d)
             # verify by exact expansion: (x-r1)(x-r2) == g
-            assert (r1 + r2).as_rational() == -b_coef and (r1 * r2).as_rational() == c_coef
+            if (r1 + r2).as_rational() != -b_coef or (r1 * r2).as_rational() != c_coef:
+                raise DecideError(f"internal: quadratic roots of {g} fail expansion")
             # integral-basis sanity: full integers, or half-integers with d = 1 mod 4
-            if a.denominator == 2 or b.denominator == 2:
-                assert d % 4 == 1
+            if (a.denominator == 2 or b.denominator == 2) and d % 4 != 1:
+                raise DecideError(f"internal: half-integral roots of {g} with d = {d}")
             entries.append(RootEntry(r1, mult))
             entries.append(RootEntry(r2, mult))
         else:

@@ -24,15 +24,16 @@ from functools import lru_cache
 
 from .errors import DecideError, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
-from .numutil import perfect_power_root
 from .polys import (
     IntPoly,
     QPoly,
+    capelli_irreducible,
     cyclotomic_index,
     factor_monic,
     has_negative_real_root,
     numeric_roots,
     roots_quadratic,
+    x_power_minus_a,
 )
 from .towers import (
     CYCLOTOMIC_CONDUCTOR_CAP,
@@ -64,15 +65,6 @@ class FactorRoots:
     approx: tuple  # complex approximations aligned with `values`
 
 
-def _x_power_minus_a(f: IntPoly) -> tuple[int, int] | None:
-    d = f.degree
-    if d < 2 or not f.is_monic:
-        return None
-    if any(c != 0 for c in f.coeffs[1:-1]):
-        return None
-    return d, -f.coeffs[0]
-
-
 @lru_cache(maxsize=256)
 def _factor_root_values(g: IntPoly):
     """Exact root representations for one irreducible monic factor."""
@@ -89,7 +81,7 @@ def _factor_root_values(g: IntPoly):
         ks = [k for k in range(1, n) if math.gcd(k, n) == 1]
         vals = tuple(tower.root_of_unity(k) for k in ks)
         return vals, tuple(_match_approx(vals, approx))
-    pa = _x_power_minus_a(g)
+    pa = x_power_minus_a(g)
     if pa is not None and pa[0] <= RADICAL_INDEX_CAP:
         d, a = pa
         try:
@@ -473,31 +465,14 @@ class RadicalFamily:
 def check_radical_family(f: IntPoly) -> RadicalFamily:
     """Identify x^d - a and cyclotomic shapes with their parity conditions.
 
-    x^d - a is irreducible iff a is not a p-th power for any prime p | d
-    and, when 4 | d, a is not of the form -4 b^4 (Capelli).  Eligibility
-    for the symmetric-matching class asks d even (radical case) or 4 | n
+    Irreducibility of x^d - a is the Capelli test.  Eligibility for the
+    symmetric-matching class asks d even (radical case) or 4 | n
     (cyclotomic case).
     """
-    pa = _x_power_minus_a(f)
+    pa = x_power_minus_a(f)
     if pa is not None:
         d, a = pa
-        irreducible = True
-        dd = d
-        primes = set()
-        x = 2
-        while x * x <= dd:
-            while dd % x == 0:
-                primes.add(x)
-                dd //= x
-            x += 1
-        if dd > 1:
-            primes.add(dd)
-        for p in primes:
-            if perfect_power_root(a, p) is not None:
-                irreducible = False
-        if d % 4 == 0 and a < 0 and (-a) % 4 == 0:
-            if perfect_power_root((-a) // 4, 4) is not None:
-                irreducible = False
+        irreducible = capelli_irreducible(d, a)
         return RadicalFamily(
             "x_power_minus_a", d=d, a=a,
             irreducible=irreducible, eligible=irreducible and d % 2 == 0,

@@ -21,6 +21,7 @@ termination does.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from .enclosure import (
 from .equality import _unconditional_oracle, decide
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
+from .gammacanon import integer_gamma_ratio, translation_squares
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
 from .recognize import MatchingCertificate, NoMatching, find_symmetric_matching
@@ -159,13 +161,7 @@ def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
         raw_rows.append(coeffs)
     m = len(sprime)
     base = 2 if has_i else 1
-    lcms = []
-    for j in range(m):
-        lcm = 1
-        for row in raw_rows:
-            den = row[base + j].denominator
-            lcm = lcm * den // __import__("math").gcd(lcm, den)
-        lcms.append(lcm)
+    lcms = [math.lcm(*(row[base + j].denominator for row in raw_rows)) for j in range(m)]
     s = tuple(sp * Fraction(1, l) for sp, l in zip(sprime, lcms))
     one_part = []
     i_part = []
@@ -203,10 +199,6 @@ class SymbolicIdentity:
     basis: BasisResult
     target: Fraction
     terms: dict  # tuple[int, ...] -> CElem
-
-    @property
-    def nvars(self) -> int:
-        return 2 + len(self.basis.s)
 
     @property
     def is_zero(self) -> bool:
@@ -285,23 +277,11 @@ def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: in
     """A * 2 * pi * i^delta * M as a one-term Laurent polynomial."""
     rho, w = pair.rho, pair.w
     integer_rho = rho.denominator == 1
+    squares, rising = translation_squares(rho)
     a_elem = tower.one()
-    if integer_rho:
-        n = int(rho)
-        if n > 0:
-            for j in range(n):
-                a_elem = a_elem * (tower.rational(j * j) - w * w)
-        elif n < 0:
-            for j in range(1, -n + 1):
-                a_elem = a_elem / (tower.rational(j * j) - w * w)
-    else:
-        n = int(rho - Fraction(1, 2))
-        if n > 0:
-            for j in range(n):
-                a_elem = a_elem * (tower.rational(Fraction(2 * j + 1, 2) ** 2) - w * w)
-        elif n < 0:
-            for j in range(1, -n + 1):
-                a_elem = a_elem / (tower.rational(Fraction(2 * j - 1, 2) ** 2) - w * w)
+    for c in squares:
+        step = tower.rational(c) - w * w
+        a_elem = a_elem * step if rising else a_elem / step
     r = basis.one_part[pair.index]
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
@@ -378,7 +358,7 @@ class IdentityVerdict:
     unconditional_reason: str | None = None  # fast-path transcendence note
 
 
-def decide_identity(ident: SymbolicIdentity, config: EngineConfig = DEFAULT_CONFIG) -> IdentityVerdict:
+def decide_identity(ident: SymbolicIdentity) -> IdentityVerdict:
     """Zero iff all terms cancelled (exact tower arithmetic).
 
     A nonzero identity cannot hold under Schanuel's Conjecture; when it
@@ -396,29 +376,6 @@ def decide_identity(ident: SymbolicIdentity, config: EngineConfig = DEFAULT_CONF
     elif used <= {"PI", "E"}:
         reason = "nesterenko_pi_exp_pi"
     return IdentityVerdict(False, reason)
-
-
-def identity_norm(ident: SymbolicIdentity) -> dict:
-    """Galois-norm audit artifact: rational-coefficient polynomial that
-    vanishes wherever the identity's own polynomial does."""
-    from .towers import MPoly, galois_norm_poly
-
-    tower = ident.tower
-    has_i = tower.coords_of_i() is not None
-    nvars = ident.nvars if has_i else ident.nvars + 1
-    terms: dict = {}
-    shift = min((e for exps in ident.terms for e in exps), default=0)
-    for exps, c in ident.terms.items():
-        base = tuple(e - shift for e in exps)
-        if has_i:
-            terms[base] = c.re
-        else:
-            # adjoin a formal variable for i (exact over the real tower)
-            for extra, part in ((0, c.re), (1, c.im)):
-                if not part.is_zero:
-                    terms[base + (extra,)] = part
-    mp = MPoly(tower, nvars, terms)
-    return galois_norm_poly(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +453,9 @@ def matched_gamma_pairs(cert: MatchingCertificate) -> list[tuple[Fraction, objec
     return out
 
 
-def _rational_roots_with_mult(f: IntPoly) -> list[tuple[int, int]]:
-    return [
-        (-g.coeffs[0], mult) for g, mult in factor_monic(f) if g.degree == 1
-    ]
+def _rational_gamma_args(f: IntPoly) -> list[int]:
+    """Gamma arguments -r at the rational roots r of f, with multiplicity."""
+    return [g.coeffs[0] for g, mult in factor_monic(f) if g.degree == 1 for _ in range(mult)]
 
 
 class ConditionalLimitOracle:
@@ -531,22 +487,9 @@ class ConditionalLimitOracle:
         self.den_pairs = [
             GammaPair(rho, w, len(num_lift) + k) for k, (rho, w) in enumerate(den_lift)
         ]
-        # rational gamma arguments: -root for each rational root, absorbed
-        # into the prefactor as factorials
-        import math
-
-        factor = Fraction(inst.u0)
-        for root, mult in _rational_roots_with_mult(inst.p):
-            arg = -root
-            if arg < 1:
-                raise DecideError(f"gamma argument {arg} out of range")
-            factor *= Fraction(math.factorial(arg - 1)) ** mult
-        for root, mult in _rational_roots_with_mult(inst.q):
-            arg = -root
-            if arg < 1:
-                raise DecideError(f"gamma argument {arg} out of range")
-            factor /= Fraction(math.factorial(arg - 1)) ** mult
-        self.rational_factor = factor
+        self.rational_factor = Fraction(inst.u0) * integer_gamma_ratio(
+            _rational_gamma_args(inst.p), _rational_gamma_args(inst.q)
+        )
         self.last_identity: SymbolicIdentity | None = None
         self.stress_ok: bool | None = None
 
@@ -600,7 +543,7 @@ class ConditionalLimitOracle:
             self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
         )
         self.last_identity = ident
-        verdict = decide_identity(ident, self.config)
+        verdict = decide_identity(ident)
         if verdict.holds:
             # replay with freshly constructed terms before trusting Equal
             replay = build_identity(
@@ -624,25 +567,17 @@ class ConditionalLimitOracle:
         pw = ComplexInterval(
             pi_iv.mul(wv.re, prec + 8), pi_iv.mul(wv.im, prec + 8)
         )
+        squares, rising = translation_squares(rho)
         a_val = ComplexInterval.from_real(DyadicInterval.from_int(1))
+        for c in squares:
+            # exact for every c: integers and quarters are dyadic
+            sq = ComplexInterval.from_real(DyadicInterval.from_fraction(c, prec + 8))
+            f = sq.sub(wv.mul(wv, prec), prec)
+            a_val = a_val.mul(f, prec) if rising else a_val.div(f, prec)
         if integer_rho:
-            n = int(rho)
-            for j in range(abs(n)):
-                jj = j if n > 0 else j + 1
-                f = ComplexInterval.from_real(DyadicInterval.from_int(jj * jj)).sub(
-                    wv.mul(wv, prec), prec
-                )
-                a_val = a_val.mul(f, prec) if n > 0 else a_val.div(f, prec)
             sin_pw = _complex_sin_or_cos(pw, prec, cos=False)
             core = pi_c.div(wv.mul(sin_pw, prec + 8), prec).neg()
         else:
-            n = int(rho - Fraction(1, 2))
-            for j in range(abs(n)):
-                # (j+1/2)^2 going up, (j+1-1/2)^2 going down: both (2j+1)/2
-                hv = Fraction(2 * j + 1, 2)
-                sq = ComplexInterval.from_real(DyadicInterval.from_fraction(hv * hv, prec + 8))
-                f = sq.sub(wv.mul(wv, prec), prec)
-                a_val = a_val.mul(f, prec) if n > 0 else a_val.div(f, prec)
             core = pi_c.div(_complex_sin_or_cos(pw, prec, cos=True), prec)
         return a_val.mul(core, prec)
 

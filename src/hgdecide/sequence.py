@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ScanCapExceeded
-from .numutil import divisors
-from .polys import IntPoly
+from .polys import IntPoly, integer_roots
 
 
 class Problem(enum.Enum):
@@ -35,20 +34,7 @@ class Problem(enum.Enum):
 
 def nonneg_integer_roots(f: IntPoly) -> list[int]:
     """Sorted nonnegative integer roots of f (f nonzero)."""
-    if f.is_zero:
-        raise DecideError("zero polynomial")
-    g = f
-    out = set()
-    if g.coeffs[0] == 0:
-        out.add(0)
-        while g.coeffs and g.coeffs[0] == 0:
-            g = IntPoly(g.coeffs[1:])
-    if g.degree >= 1:
-        # integer roots of an integer polynomial divide the constant term
-        for d in divisors(g.coeffs[0]):
-            if g(d) == 0:
-                out.add(d)
-    return sorted(out)
+    return [r for r in integer_roots(f) if r >= 0]
 
 
 @dataclass(frozen=True)

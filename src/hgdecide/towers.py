@@ -2,8 +2,8 @@
 
 Exactly the three families the conditional decider needs.  Elements are
 exact rational coordinate vectors over a closed monomial basis; every
-tower knows its multiplication table, its automorphisms (as coordinate
-maps), and a distinguished complex embedding for rigorous enclosures.
+tower knows its multiplication table and a distinguished complex
+embedding for rigorous enclosures.
 
 Conventions for the embedding: sqrt(d) = i*sqrt(|d|) for d < 0, zeta_n =
 exp(2*pi*i/n), and the radical generator of x^n = a is the positive real
@@ -53,10 +53,6 @@ class Tower:
     degree: int
 
     def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
-        raise NotImplementedError
-
-    def automorphism_maps(self) -> list[list[dict[int, Fraction]]]:
-        """Per automorphism: image coordinates of each basis element."""
         raise NotImplementedError
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
@@ -190,14 +186,6 @@ class TowerElem:
             out = out * base
         return out
 
-    def apply(self, auto_map: list[dict[int, Fraction]]) -> "TowerElem":
-        out = [Fraction(0)] * self.tower.degree
-        for j, c in enumerate(self.coords):
-            if c:
-                for k, v in auto_map[j].items():
-                    out[k] += c * v
-        return TowerElem(self.tower, tuple(out))
-
     def embed(self, prec: int) -> ComplexInterval:
         out = ComplexInterval.from_real(DyadicInterval.from_int(0))
         for k, c in enumerate(self.coords):
@@ -247,50 +235,10 @@ class MultiquadraticTower(Tower):
         self.index = {c: k for k, c in enumerate(self.radicands)}
         self.degree = len(self.radicands)
         self.key = ("multiquadratic", self.radicands)
-        self._gen_basis: list[int] = []  # GF(2)-independent radicands
-        self._decomp: dict[int, tuple[int, ...]] = {}
-        self._build_generator_decomposition()
-
-    def _build_generator_decomposition(self):
-        # express each radicand as a square-class product of independent
-        # generators; at <= 2**4 basis elements a subset search suffices
-        for c in self.radicands:
-            if c == 1:
-                self._decomp[c] = ()
-                continue
-            found = None
-            for r in range(len(self._gen_basis) + 1):
-                for combo in itertools.combinations(range(len(self._gen_basis)), r):
-                    acc = 1
-                    for idx in combo:
-                        acc = _mul_sqrt(acc, self._gen_basis[idx])[1]
-                    if acc == c:
-                        found = combo
-                        break
-                if found is not None:
-                    break
-            if found is None:
-                self._gen_basis.append(c)
-                self._decomp[c] = (len(self._gen_basis) - 1,)
-            else:
-                self._decomp[c] = found
 
     def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
         coef, c = _mul_sqrt(self.radicands[i], self.radicands[j])
         return {self.index[c]: Fraction(coef)}
-
-    def automorphism_maps(self):
-        maps = []
-        ngen = len(self._gen_basis)
-        for signs in itertools.product((1, -1), repeat=ngen):
-            amap = []
-            for c in self.radicands:
-                sign = 1
-                for idx in self._decomp[c]:
-                    sign *= signs[idx]
-                amap.append({self.index[c]: Fraction(sign)})
-            maps.append(amap)
-        return maps
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         c = self.radicands[k]
@@ -357,18 +305,6 @@ class CyclotomicTower(Tower):
     def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
         coords = self._power_coords(i + j)
         return {k: c for k, c in enumerate(coords) if c}
-
-    def automorphism_maps(self):
-        maps = []
-        for a in range(1, self.n):
-            if math.gcd(a, self.n) != 1:
-                continue
-            amap = []
-            for j in range(self.degree):
-                coords = self._power_coords(a * j)
-                amap.append({k: c for k, c in enumerate(coords) if c})
-            maps.append(amap)
-        return maps
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         angle = pi_interval(prec + 8).scale(Fraction(2 * k, self.n), prec + 8)
@@ -496,23 +432,6 @@ class RadicalTower(Tower):
                 out[s * self.phi + jj] = c * scalar
         return out
 
-    def automorphism_maps(self):
-        maps = []
-        units = [a for a in range(1, self.n) if math.gcd(a, self.n) == 1]
-        for k in units:
-            for t in range(self.n):
-                amap = []
-                for idx in range(self.degree):
-                    s, j = divmod(idx, self.phi)
-                    # zeta^j -> zeta^(k j); Y^s -> zeta^(t s) Y^s
-                    out: dict[int, Fraction] = {}
-                    for jj, c in enumerate(self._zeta_coords(k * j + t * s)):
-                        if c:
-                            out[s * self.phi + jj] = c
-                    amap.append(out)
-                maps.append(amap)
-        return maps
-
     def _radical_interval(self, prec: int) -> DyadicInterval:
         m = int_nthroot_floor(abs(self.a) << (self.n * prec), self.n)
         exact = m**self.n == abs(self.a) << (self.n * prec)
@@ -553,89 +472,3 @@ class RadicalTower(Tower):
         for jj, c in enumerate(self._zeta_coords(zeta_power)):
             out[self.phi + jj] = c
         return self.element(out)
-
-
-# ---------------------------------------------------------------------------
-# Multivariate polynomials over a tower; Galois norm
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MPoly:
-    """Multivariate Laurent polynomial with TowerElem coefficients."""
-
-    tower: Tower
-    nvars: int
-    terms: dict  # tuple[int, ...] -> TowerElem (nonzero)
-
-    @classmethod
-    def constant(cls, tower: Tower, nvars: int, value: TowerElem) -> "MPoly":
-        if value.is_zero:
-            return cls(tower, nvars, {})
-        return cls(tower, nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def monomial(cls, tower: Tower, nvars: int, exps, coeff: TowerElem) -> "MPoly":
-        if coeff.is_zero:
-            return cls(tower, nvars, {})
-        return cls(tower, nvars, {tuple(exps): coeff})
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MPoly(self.tower, self.nvars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.tower, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MPoly(self.tower, self.nvars, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def apply(self, auto_map) -> "MPoly":
-        return MPoly(
-            self.tower, self.nvars, {e: c.apply(auto_map) for e, c in self.terms.items()}
-        )
-
-
-def galois_norm_poly(p: MPoly) -> dict[tuple, Fraction]:
-    """prod over the tower's automorphisms of sigma(p); rational coefficients.
-
-    The product is Galois-invariant, hence rational, and vanishes at any
-    point where some conjugate of p does (in particular wherever p does).
-    """
-    if p.is_zero:
-        raise DecideError("galois norm of the zero polynomial")
-    maps = p.tower.automorphism_maps()
-    prod = MPoly.constant(p.tower, p.nvars, p.tower.one())
-    for amap in maps:
-        prod = prod * p.apply(amap)
-    out = {}
-    for e, c in prod.terms.items():
-        if not c.is_rational:
-            raise DecideError("galois norm produced an irrational coefficient")
-        out[e] = c.as_rational()
-    return out

@@ -217,6 +217,29 @@ class TestCLI:
         assert main(["decide", str(f)]) == 4
         assert "resource limit" in capsys.readouterr().err
 
+    def test_oversized_pair_exponent_is_not_a_verdict(self, tmp_path, capsys):
+        # the canonical form would need x^e with e = 2^126: refused as
+        # unsupported before it is built; the conditional engine builds its
+        # oracle and then meets the scan cap
+        big = doc([2**250, 0, 1], [2**252, 0, 1], "1", "1/1000000", "threshold")
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({**big, "mode": "unconditional"}))
+        assert main(["--scan-cap", "1000", "decide", str(f)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        f.write_text(json.dumps(big))
+        assert main(["--scan-cap", "1000", "decide", str(f)]) == 4
+        capsys.readouterr()
+
+    def test_uncaught_exception_exits_internal(self, tmp_path, capsys, monkeypatch):
+        def crash(docin, config):
+            raise OverflowError("cannot fit 'int'\ninto an index-sized integer")
+
+        monkeypatch.setattr("hgdecide.cli.decide_document", crash)
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(WORKED))
+        assert main(["decide", str(f)]) == 5
+        assert capsys.readouterr().err == "internal error: OverflowError: cannot fit 'int'\n"
+
     def test_decide_many_files(self, tmp_path, capsys):
         f1 = tmp_path / "a.json"
         f2 = tmp_path / "b.json"

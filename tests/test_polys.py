@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError
 from hgdecide.exactnum import QuadElem
+from hgdecide.numutil import perfect_power_root
 from hgdecide.polys import (
     IntPoly,
     NotSplitting,
@@ -86,9 +87,31 @@ class TestFactor:
         c1, c2 = IntPoly.of(-2, 0, 0, 1), IntPoly.of(2, 0, 0, 1)
         assert factor_monic(c1 * c2) == [(c1, 1), (c2, 1)]
 
+    def test_x6_minus_large_cube(self):
+        # b^3 is a perfect cube far beyond float precision, so x^6 - b^3 is
+        # not of the irreducible x^d - a shape
+        b = 3 * 2**56 + 1
+        assert factor_monic(IntPoly.of(-(b**3), 0, 0, 0, 0, 0, 1)) == [
+            (IntPoly.of(-b, 0, 1), 1),
+            (IntPoly.of(b * b, 0, b, 0, 1), 1),
+        ]
+
     def test_non_monic_rejected(self):
         with pytest.raises(DecideError):
             factor_monic(IntPoly.of(1, 2))
+
+
+class TestPerfectPowerRoot:
+    def test_large_square(self):
+        r = 2**100 + 7
+        assert perfect_power_root(r**2, 2) == r
+        assert perfect_power_root(r**2 + 1, 2) is None
+
+    def test_large_cube(self):
+        r = 2**60 + 1
+        assert perfect_power_root(r**3, 3) == r
+        assert perfect_power_root(-(r**3), 3) == -r
+        assert perfect_power_root(r**3 - 1, 3) is None
 
 
 class TestRootsQuadratic:

@@ -180,5 +180,10 @@ class TestRadicalFamily:
         r = check_radical_family(IntPoly.of(4, 0, 0, 0, 1))  # x^4 + 4 = x^4 - (-4)
         assert not r.irreducible
 
+    def test_large_cube_radicand_is_reducible(self):
+        b = 3 * 2**56 + 1  # x^6 - b^3 = (x^2 - b)(x^4 + b x^2 + b^2)
+        r = check_radical_family(IntPoly.of(-(b**3), 0, 0, 0, 0, 0, 1))
+        assert r.kind == "x_power_minus_a" and not r.irreducible
+
     def test_neither(self):
         assert check_radical_family(IntPoly.of(5, -4, 1)).kind == "neither"

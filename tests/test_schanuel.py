@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from hgdecide.config import DEFAULT_CONFIG
-from hgdecide.equality import decide
+from hgdecide.enclosure import eval_enclosure
+from hgdecide.equality import _unconditional_oracle, decide
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.polys import IntPoly
 from hgdecide.schanuel import (
@@ -17,7 +18,6 @@ from hgdecide.schanuel import (
     decide_conditional,
     decide_identity,
     evaluate_identity,
-    identity_norm,
 )
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
 from hgdecide.towers import MultiquadraticTower
@@ -126,16 +126,6 @@ class TestIdentity:
         # enclosure of the identity value must differ from zero
         iv = evaluate_identity(ident, 128)
         assert not iv.contains_zero()
-
-    def test_identity_norm_is_rational(self):
-        t = MultiquadraticTower((2, -1))
-        w1, w2 = t.sqrt_elem(2), t.sqrt_elem(2) * 2
-        basis = build_basis([w1, w2], t)
-        ident = build_identity(
-            [GammaPair(F(0), w1, 0)], [GammaPair(F(0), w2, 1)], F(1), F(3, 7), basis
-        )
-        norm = identity_norm(ident)
-        assert norm and all(isinstance(c, F) for c in norm.values())
 
 
 class TestCElem:
@@ -249,6 +239,61 @@ class TestConditionalDecider:
             assert v_uncond.conditionality == v_cond.conditionality
             agreements += 1
         assert agreements == 30
+
+    def test_engines_agree_on_imaginary_quadratic_pairs(self):
+        # decide_conditional routes these instances to the canonical engine,
+        # so both oracles are built directly.  Pair centers run over both
+        # signs, so translation factors multiply and divide; half-integer
+        # centers need d = 1 mod 4 and half-odd offsets
+        rng = random.Random(29)
+        outcomes = set()
+        for k in range(80):
+            half = k % 2 == 1
+            d = rng.choice([-3, -7, -11] if half else [-1, -2, -3, -5])
+            shift = F(1, 2) if half else F(0)
+
+            def pair(rho, b):
+                # x^2 - 2 rho x + rho^2 - b^2 d: roots rho +- b sqrt(d)
+                return IntPoly((int(rho * rho - b * b * d), int(-2 * rho), 1))
+
+            def center():
+                return rng.randint(-3, 3) + shift
+
+            def offset():
+                return rng.randint(1, 3) - shift
+
+            rho1, rho2, s = center(), center(), rng.randint(-2, 2)
+            irr_p, irr_q = pair(rho1, offset()), pair(rho1, offset())
+            if k % 3 == 0:
+                irr_p = irr_p * pair(rho2, offset())
+                irr_q = pair(rho1 - s, offset()) * pair(rho2 + s, offset())
+            if k % 8 == 0:
+                irr_q = irr_p  # the limit is the rational gamma ratio alone
+            a1, a2 = rng.randint(1, 4), rng.randint(2, 4)
+            lin_p = lin_q = IntPoly.of(1)
+            if k % 4 == 0:
+                lin_p = IntPoly.of(a1, 1) * IntPoly.of(a2, 1)
+                lin_q = IntPoly.of(a1 + 1, 1) * IntPoly.of(a2 - 1, 1)
+            u0 = F(rng.randint(1, 3))
+            i = inst((irr_p * lin_p).coeffs, (irr_q * lin_q).coeffs, u0, 1)
+            canon = _unconditional_oracle(i, DEFAULT_CONFIG)
+            ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+            iv = ident.limit_enclosure(96)
+            assert eval_enclosure(canon.constant.value_expr(), 96).overlaps(iv)
+            targets = [
+                F(rng.randint(1, 40), rng.randint(1, 40)),
+                F(f"{float(iv.mid()):.6g}"),  # near the limit
+            ]
+            if k % 8 == 0:
+                # Gamma(a1)Gamma(a2) / (Gamma(a1 + 1)Gamma(a2 - 1))
+                targets.append(u0 * F(a2 - 1, a1))
+            for t in targets:
+                eq = canon.decide_equal(t)
+                assert eq.equal == ident.decide_equal(t).equal
+                outcomes.add(eq.equal)
+                if not eq.equal:
+                    assert canon.compare(t)[0] == ident.compare(t)[0]
+        assert outcomes == {True, False}
 
     def test_cyclotomic_tower_instance(self):
         # p = Phi_12, q = (x^2+1)^2: both symmetric, same degree, balanced
