@@ -217,18 +217,6 @@ class DyadicInterval:
             hi = (other.hi_man, other.hi_exp)
         return DyadicInterval(*lo, *hi)
 
-    def contains_interval(self, other: "DyadicInterval") -> bool:
-        return (
-            _cmp(self.lo_man, self.lo_exp, other.lo_man, other.lo_exp) <= 0
-            and _cmp(self.hi_man, self.hi_exp, other.hi_man, other.hi_exp) >= 0
-        )
-
-    def overlaps(self, other: "DyadicInterval") -> bool:
-        return (
-            _cmp(self.lo_man, self.lo_exp, other.hi_man, other.hi_exp) <= 0
-            and _cmp(other.lo_man, other.lo_exp, self.hi_man, self.hi_exp) <= 0
-        )
-
     def compare_fraction(self, q: Fraction) -> int | None:
         """-1 if the whole interval is < q, +1 if > q, None if q is inside."""
         if self.hi < q:

@@ -7,24 +7,6 @@ from fractions import Fraction
 from .errors import DecideError
 
 
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve square M x = b exactly; None when M is singular."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 class Eliminator:
     """Incremental exact Gaussian elimination over Q.
 

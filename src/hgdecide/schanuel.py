@@ -87,6 +87,8 @@ class CElem:
         return CElem(-self.re, -self.im)
 
     def mul(self, other: "CElem") -> "CElem":
+        if self.im.is_zero and other.im.is_zero:
+            return CElem(self.re * other.re, self.im)
         return CElem(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -273,15 +275,23 @@ class GammaPair:
     index: int  # row in the basis tables
 
 
+def _translation_factor(pair: GammaPair, tower: Tower, rising: bool) -> TowerElem:
+    """prod_j (c_j - w^2) if the pair's translation factor multiplies
+    (rising) or divides (not rising) its value as asked, else 1."""
+    squares, pair_rising = translation_squares(pair.rho)
+    out = tower.one()
+    if pair_rising == rising and squares:
+        w2 = pair.w * pair.w
+        for c in squares:
+            out = out * (tower.rational(c) - w2)
+    return out
+
+
 def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
-    """A * 2 * pi * i^delta * M as a one-term Laurent polynomial."""
-    rho, w = pair.rho, pair.w
-    integer_rho = rho.denominator == 1
-    squares, rising = translation_squares(rho)
-    a_elem = tower.one()
-    for c in squares:
-        step = tower.rational(c) - w * w
-        a_elem = a_elem * step if rising else a_elem / step
+    """A * 2 * pi * i^delta * M as a one-term Laurent polynomial, where A
+    is the translation factor when it multiplies and 1 otherwise."""
+    integer_rho = pair.rho.denominator == 1
+    a_elem = _translation_factor(pair, tower, rising=True)
     r = basis.one_part[pair.index]
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
@@ -295,18 +305,20 @@ def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: in
 
 
 def _pair_denominator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
-    """w*(1 - M^2) for integer rho, (1 + M^2) for half-integer rho."""
+    """B * w*(1 - M^2) for integer rho, B * (1 + M^2) for half-integer rho,
+    where B is the translation factor when it divides and 1 otherwise."""
     rho = pair.rho
     integer_rho = rho.denominator == 1
+    b_c = CElem.make(tower, _translation_factor(pair, tower, rising=False))
     r = basis.one_part[pair.index]
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
     msq_exps = (0, -2 * ri) + tuple(2 * c for c in cs)
-    msq_coeff = CElem.make(tower, tower.one()).mul_i_power(int(4 * r) % 4)  # (-1)^(2r)
+    msq_coeff = CElem.make(tower, tower.rational(-1 if int(2 * r) % 2 else 1))  # (-1)^(2r)
     out = _Laurent(nvars, tower)
     zero_exps = (0,) * nvars
     if integer_rho:
-        w_c = CElem.make(tower, pair.w)
+        w_c = CElem.make(tower, pair.w).mul(b_c)
         out.terms[zero_exps] = w_c
         m2 = w_c.mul(msq_coeff).neg()
         acc = out.terms.get(msq_exps)
@@ -314,9 +326,10 @@ def _pair_denominator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: 
         if out.terms[msq_exps].is_zero:
             del out.terms[msq_exps]
     else:
-        out.terms[zero_exps] = CElem.make(tower, tower.one())
+        out.terms[zero_exps] = b_c
+        m2 = msq_coeff.mul(b_c)
         acc = out.terms.get(msq_exps)
-        s = msq_coeff if acc is None else acc.add(msq_coeff)
+        s = m2 if acc is None else acc.add(m2)
         if s.is_zero:
             out.terms.pop(msq_exps, None)
         else:
@@ -336,7 +349,10 @@ def build_identity(
     limit = rational_factor * prod(num)/prod(den) of pair values; the
     returned map holds lhs - rhs after multiplying through by every pair
     denominator, with exp(i*pi) = -1 already substituted so only PI, E and
-    the Y_j symbols remain.
+    the Y_j symbols remain.  A translation factor that divides a pair
+    value is multiplied into the other side instead (`_pair_denominator`),
+    so the build never divides: that scales lhs - rhs by a nonzero field
+    element, which keeps its term keys and its zero-ness.
     """
     tower = basis.tower
     nvars = 2 + len(basis.s)
@@ -399,17 +415,21 @@ def evaluate_identity(ident: SymbolicIdentity, prec: int) -> ComplexInterval:
     pi_iv = pi_interval(prec + 8)
     pi_c = ComplexInterval.from_real(pi_iv)
     e_c = ComplexInterval.from_real(exp_interval(pi_iv, prec + 8))
-    ys = [
+    symbols = [pi_c, e_c] + [
         _exp_i_pi_times(s.embed(prec + 8), prec)
         for s in ident.basis.s
     ]
+    powers: dict[tuple[int, int], ComplexInterval] = {}
     total = ComplexInterval.from_real(DyadicInterval.from_int(0))
     for exps, coeff in ident.terms.items():
         term = coeff.embed(prec)
-        term = term.mul(pi_c.pow_int(exps[0], prec), prec)
-        term = term.mul(e_c.pow_int(exps[1], prec), prec)
-        for y, e in zip(ys, exps[2:]):
-            term = term.mul(y.pow_int(e, prec), prec)
+        for k, e in enumerate(exps):
+            if not e:
+                continue
+            power = powers.get((k, e))
+            if power is None:
+                power = powers[k, e] = symbols[k].pow_int(e, prec)
+            term = term.mul(power, prec)
         total = total.add(term, prec)
     return total
 

@@ -22,7 +22,6 @@ from .dyadic import ComplexInterval, DyadicInterval
 from .enclosure import cos_interval, pi_interval, sin_interval, sqrt_int_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .exactnum import QuadElem
-from .linalg import solve
 from .numutil import euler_phi, int_nthroot_floor, squarefree_decompose
 from .polys import QPoly, cyclotomic
 
@@ -51,6 +50,7 @@ class Tower:
 
     key: tuple
     degree: int
+    _table: list | None = None
 
     def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
         raise NotImplementedError
@@ -64,7 +64,7 @@ class Tower:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "TowerElem":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) != self.degree:
             raise DecideError("coordinate length != tower degree")
         return TowerElem(self, coords)
@@ -84,16 +84,31 @@ class Tower:
             raise UnsupportedInstance("tower does not contain i")
         return self.element(ci)
 
+    def _product_table(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+        """basis_product(i, j) as (k, c) pairs, built once per tower
+        (degree^2 entries, at most 42^2 under the caps)."""
+        table = self._table
+        if table is None:
+            n = self.degree
+            table = [
+                [tuple(self.basis_product(i, j).items()) for j in range(n)]
+                for i in range(n)
+            ]
+            self._table = table
+        return table
+
     def mul_coords(self, x, y) -> tuple[Fraction, ...]:
+        table = self._product_table()
         out = [Fraction(0)] * self.degree
+        ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if not a:
                 continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in self.basis_product(i, j).items():
-                    out[k] += a * b * c
+            row = table[i]
+            for j, b in ys:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
         return tuple(out)
 
     def __eq__(self, other):
@@ -109,7 +124,7 @@ class TowerElem:
     coords: tuple[Fraction, ...]
 
     def _check(self, other: "TowerElem"):
-        if self.tower != other.tower:
+        if self.tower is not other.tower and self.tower != other.tower:
             raise FieldMismatchError("elements of different towers")
 
     @property
@@ -154,36 +169,12 @@ class TowerElem:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TowerElem":
-        if self.is_zero:
-            raise ZeroDivisionError("tower element zero")
-        n = self.tower.degree
-        # columns: coords of self * basis_j
-        cols = []
-        for j in range(n):
-            unit = [Fraction(0)] * n
-            unit[j] = Fraction(1)
-            cols.append(self.tower.mul_coords(self.coords, unit))
-        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = solve(matrix, rhs)
-        if sol is None:
-            raise UnsupportedInstance(
-                "nonzero element is a zero divisor: radical tower is not a field"
-            )
-        return TowerElem(self.tower, tuple(sol))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, k: int):
-        base = self if k >= 0 else self.inverse()
+        if k < 0:
+            raise ValueError("tower elements have no division: negative power")
         out = self.tower.one()
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k):
+            out = out * self
         return out
 
     def embed(self, prec: int) -> ComplexInterval:
@@ -363,8 +354,10 @@ class CyclotomicTower(Tower):
 class RadicalTower(Tower):
     """Q(zeta_n, a^(1/n)) with basis zeta^j * Y^s, Y^n = a.
 
-    Constructed for irreducible x^n - a; if the presented ring fails to be
-    a field the first division by a zero divisor raises a diagnostic.
+    Constructed only for x^n - a irreducible over Q(zeta_n) (otherwise
+    UnsupportedInstance), so the presented ring is a field: no product of
+    nonzero elements is zero, which is what the division-free identity
+    build in `schanuel` relies on.
     """
 
     def __init__(self, n: int, a: int):

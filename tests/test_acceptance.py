@@ -40,6 +40,8 @@ from hgdecide.sequence import (
 )
 from hgdecide.verdicts import Conditionality, Rationale
 
+from intervals import overlaps
+
 P13 = IntPoly.of(13, -4, 1)
 Q13 = IntPoly.of(5, -4, 1)
 ORACLE_DEPTH = 10**4
@@ -92,7 +94,7 @@ class TestCriterion1:
         envelope = DyadicInterval(
             env_lo.lo_man, env_lo.lo_exp, env_hi.hi_man, env_hi.hi_exp
         )
-        numeric_ok = tuple_iv.overlaps(envelope)
+        numeric_ok = overlaps(tuple_iv, envelope)
         elapsed = time.perf_counter() - start
         report(
             "criterion-1 worked-example canonical tuple",

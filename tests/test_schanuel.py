@@ -23,6 +23,8 @@ from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
 from hgdecide.towers import MultiquadraticTower
 from hgdecide.verdicts import Conditionality, Rationale
 
+from intervals import overlaps
+
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
     return HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(u0), F(t), problem)
@@ -105,6 +107,31 @@ class TestIdentity:
         v = decide_identity(ident)
         assert not v.holds and v.unconditional_reason is None
         assert "Y1" in ident.symbols_used()
+
+    @pytest.mark.parametrize(
+        "rho_num, rho_den, t_equal",
+        [
+            # Gamma(-1+w)Gamma(-1-w) / Gamma(w)Gamma(-w) = 1/(1 - w^2) = -1
+            (F(-1), F(0), F(-1)),
+            # Gamma(-1/2+w)Gamma(-1/2-w) / Gamma(1/2+w)Gamma(1/2-w) = 1/(1/4 - w^2)
+            (F(-1, 2), F(1, 2), F(-4, 7)),
+        ],
+    )
+    def test_falling_translation_moves_across(self, rho_num, rho_den, t_equal):
+        # the numerator pair's translation factor divides its value, so the
+        # build multiplies it into the other side of the identity instead
+        t = MultiquadraticTower((2, -1))
+        w = t.sqrt_elem(2)
+        basis = build_basis([w, w], t)
+        num, den = [GammaPair(rho_num, w, 0)], [GammaPair(rho_den, w, 1)]
+        equal = build_identity(num, den, F(1), t_equal, basis)
+        assert equal.is_zero and decide_identity(equal).holds
+        unequal = build_identity(num, den, F(1), F(1), basis)
+        assert not unequal.is_zero and not decide_identity(unequal).holds
+        assert not evaluate_identity(unequal, 128).contains_zero()
+        # the same pairs with the sides swapped put the factor on the left
+        swapped = build_identity(den, num, F(1), 1 / t_equal, basis)
+        assert swapped.is_zero
 
     def test_pi_only_fast_path(self):
         t = MultiquadraticTower((-1,))
@@ -279,7 +306,7 @@ class TestConditionalDecider:
             canon = _unconditional_oracle(i, DEFAULT_CONFIG)
             ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
             iv = ident.limit_enclosure(96)
-            assert eval_enclosure(canon.constant.value_expr(), 96).overlaps(iv)
+            assert overlaps(eval_enclosure(canon.constant.value_expr(), 96), iv)
             targets = [
                 F(rng.randint(1, 40), rng.randint(1, 40)),
                 F(f"{float(iv.mid()):.6g}"),  # near the limit
