@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DecideError, ParseError
+from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
@@ -176,6 +176,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         problems.append("exit code inconsistent with verdict/conditionality")
 
     witness = cert.get("witness")
+    scan = None  # the witness scan, left at the witness for the bound replay
     if witness is not None and verdict_name in ("member", "fails"):
         # a member verdict claims the least u_n = t, a fails verdict the
         # first u_n < t: exactly the scan's witness test
@@ -184,19 +185,24 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         else:
             what, least, rel, not_rel = "violation", "first", "<", ">="
         try:
-            scan = ExactScan(inst, config.scan_cap)
-            n = scan.first_hit(witness)
+            # the scan may go on to a bound's recheck span; the witness
+            # replay itself stays within the scan cap
+            scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
+            n = scan.first_hit(min(witness, config.scan_cap + 1))
             if n is not None:
                 problems.append(f"{what} {witness} is not {least}: u_{n} {rel} t")
+            if witness > config.scan_cap:
+                raise ScanCapExceeded(f"scan index {witness} exceeds cap {config.scan_cap}")
             scan.jump(witness)
             if not scan.hit():
                 problems.append(f"claimed {what} u_{witness} {not_rel} t")
         except DecideError as e:
             problems.append(f"witness replay failed: {e}")
+            scan = None
 
     bound = cert.get("bound")
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, config))
+        problems.extend(_verify_bound(inst, bound, config, scan))
 
     canonical = cert.get("canonical")
     if canonical is not None:
@@ -208,7 +214,11 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     return problems
 
 
-def _verify_bound(inst: HGInstance, bound: dict, config: EngineConfig) -> list[str]:
+def _verify_bound(
+    inst: HGInstance, bound: dict, config: EngineConfig, scan: ExactScan | None = None
+) -> list[str]:
+    """Replay a bound; `scan`, if given and not past the bound index,
+    carries on from where it is (its exact anchor included)."""
     n0 = bound.get("n")
     just = bound.get("justification")
     if not isinstance(n0, int) or n0 < 0:
@@ -218,7 +228,8 @@ def _verify_bound(inst: HGInstance, bound: dict, config: EngineConfig) -> list[s
     if n0 > config.scan_cap:
         return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
     # a bound at the cap is rechecked BOUND_RECHECK_SPAN terms beyond it
-    scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
+    if scan is None or scan.n > n0:
+        scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
     scan.jump(n0)
     t = inst.t
     for n in range(n0, n0 + BOUND_RECHECK_SPAN + 1):

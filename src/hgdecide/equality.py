@@ -345,17 +345,12 @@ def _balanced_verdict(
             )
         side, bits = oracle.compare(inst.t)
         relation = "less" if side < 0 else "greater"
-        if n is None and side == direction:
+        if n is None and side == direction and scan.sign() * inst.t > 0:
             # the monotone tail is on the far side of t from the limit: a
-            # tail witness is possible until the tail passes t
-            while True:
-                c = scan.cmp(inst.t) * direction
-                if c > 0:
-                    break
-                if c == 0:
-                    n = scan.n
-                    break
-                scan.step()
+            # tail witness is possible until the tail passes t, where
+            # direction * (u_n - t) > 0, i.e. |u_n| - |t| has the sign of
+            # direction * u_n (a tail of the other sign has passed t)
+            n = scan.first_hit(past=direction * scan.sign())
         if n is not None:
             return Verdict(
                 inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",

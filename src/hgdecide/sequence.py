@@ -13,11 +13,23 @@ witness test (u_n = t for Membership, u_n < t for Threshold): hit() and
 first_hit() are the prefix search of every decision and replay.
 divergence_bound and shrink_bound find the search bound N and the least
 witness in the same single scan.
+
+Past k1 = monotonicity_index(p, q) the tail is monotone: |r(k)| - 1 and
+sign r(k) are constant, so |u_n| is monotone and the signs of u_n are
+constant or alternate.  The search therefore skips the tail in blocks of
+_BLOCK indices, aligned to multiples of _BLOCK: one exact product of
+q(k) and of p(k) over the block (`_values`, forward differences) and one
+float log of their ratio move the log-magnitude to the block's end.  If
+|u_n| and |u_{n+B}| are both float-settled on the same side of |t|, so is
+every index between them, and the block is committed without an exact
+term; otherwise the scan steps index by index through the block, so the
+exact comparison at a crossing is the one a per-index scan makes.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +150,9 @@ _U = 2.0**-53
 _MAX_PENDING = 2**30
 _SAFETY = 1.0 + 2.0**-20
 # product-tree ranges this short are multiplied left to right
-_LEAF = 16
+_LEAF = 64
+# the monotone tail is skipped in blocks of this many indices
+_BLOCK = 64
 
 
 def _log_ratio(a: int, b: int) -> tuple[float, float]:
@@ -150,14 +164,35 @@ def _log_ratio(a: int, b: int) -> tuple[float, float]:
     return d, (12.0 + 6.0 * (la + lb) + abs(d)) * _U
 
 
+def _values(f: IntPoly, lo: int, hi: int):
+    """f(lo), ..., f(hi - 1) exactly, as an iterable.
+
+    Forward differences (Knuth, TAOCP vol. 2, 4.6.4): the differences
+    D^j f(lo), j <= d = deg f, come from d + 1 Horner values; D^d f is
+    constant, and each lower row is the running sum of the row above
+    started at D^j f(lo), so d nested accumulate passes give the values
+    with one big-integer addition per value and degree.  Ranges of at
+    most d + 1 values are evaluated by Horner directly.
+    """
+    d = f.degree
+    if hi - lo <= d + 1:
+        return [f(k) for k in range(lo, hi)]
+    row = [f(k) for k in range(lo, lo + d + 1)]
+    heads = []
+    for _ in range(d + 1):
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    # row j of the table has one value more than row j + 1
+    vals = itertools.repeat(heads[d], hi - lo - d)
+    for head in reversed(heads[:d]):
+        vals = itertools.accumulate(vals, initial=head)
+    return vals
+
+
 def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
     """(prod q(k), prod p(k)) over lo <= k < hi by a balanced product tree."""
     if hi - lo <= _LEAF:
-        qs = ps = 1
-        for k in range(lo, hi):
-            qs *= inst.q(k)
-            ps *= inst.p(k)
-        return qs, ps
+        return math.prod(_values(inst.q, lo, hi)), math.prod(_values(inst.p, lo, hi))
     mid = (lo + hi) // 2
     q1, p1 = _factor_products(inst, lo, mid)
     q2, p2 = _factor_products(inst, mid, hi)
@@ -196,6 +231,26 @@ class ExactScan:
     the final comparison.  A comparison with a target t is settled by
     floats only when |logabs - log|t|| > (err + err_t) * _SAFETY, err_t
     the same bound for log|t|; otherwise it is exact.
+
+    Monotone tail.  Past k1 = monotonicity_index(p, q), q(k), p(k) and
+    q(k)^2 - p(k)^2 keep their signs, so |u_n| is monotone and sign(u_n)
+    is constant or alternates.  The witness test then depends only on
+    sign(u_n) and on the side of |t| that |u_n| lies on: two consecutive
+    misses on one side cover both signs of the pattern, so no index on
+    that side is a witness.  From there the search tries a block [n, hi),
+    hi the next multiple of _BLOCK (or the search end, or the cap): with
+    Q = prod q(k) and P = prod p(k) over the block, logabs moves by the d
+    of _log_ratio(Q, P) and err by its bound (12 + 6(log|Q| + log|P|)
+    + |d|)u plus u|logabs| for the running sum, the same derivation with
+    a = Q, b = P, so the 12u is paid once per block, not per index.  If
+    the block's end is float-settled on the side its start is on, every
+    index in between is on that side too (monotone |u|), so none is a
+    witness and none passes a bound: the block is committed (n and steps
+    move by hi - n, the sign flips when Q*P < 0) and never materializes.
+    Otherwise the scan steps index by index to hi and tries again there.
+    A bound search (first_past) that has recorded its witness needs only
+    the magnitude, so it tries blocks without waiting for two misses.
+    jump(n) moves the float state by the same block products, unchecked.
     """
 
     __slots__ = (
@@ -238,16 +293,16 @@ class ExactScan:
         self.err += e + abs(self.logabs) * _U
 
     def jump(self, n: int):
-        """Go straight to index n >= self.n with one product tree."""
+        """Go straight to index n >= self.n.  The float state moves by one
+        block product per _BLOCK indices; no exact term is built."""
         if n > self.cap:
             raise ScanCapExceeded(f"scan index {n} exceeds cap {self.cap}")
         if n < self.n:
             raise DecideError("ExactScan.jump cannot go back")
-        if n == self.n:
-            return
         self.steps += n - self.n
+        while self.n < n and self.zero_since is None:
+            self._advance(min((self.n // _BLOCK + 1) * _BLOCK, n))
         self.n = n
-        self._materialize()
 
     def _witness_test(self):
         """(comparison, result): u_n is a witness exactly when
@@ -262,19 +317,95 @@ class ExactScan:
         comparison, result = self._witness_test()
         return comparison(self.inst.t) == result
 
-    def first_hit(self, stop: int | None = None) -> int | None:
+    def first_hit(self, stop: int | None = None, past: int = 0) -> int | None:
         """Least n in [self.n, stop) with a witness u_n, the scan left there;
         None with the scan at stop if there is none.  Without stop the
-        search ends only at a witness or at the cap (ScanCapExceeded)."""
+        search ends only at a witness or at the cap (ScanCapExceeded).
+        With past = +-1 (t nonzero) it also ends, returning None, at the
+        first n >= monotonicity_index(p, q) with sign(|u_n| - |t|) = past.
+        """
+        end = self.cap + 1 if stop is None else stop
+        k1 = end  # too short a search to skip any block
+        if past or (self.inst.t and end - self.n > 2 * _BLOCK):
+            k1 = monotonicity_index(self.inst.p, self.inst.q)
+        return self._search(end, k1, past, through=False)
+
+    def first_past(self, k1: int, side: int) -> int | None:
+        """Move to the first N >= k1 (k1 at least monotonicity_index(p, q))
+        with sign(|u_N| - |t|) = side, t nonzero, and return the least
+        witness n <= N met on the way, or None."""
+        return self._search(self.cap + 1, k1, side, through=True)
+
+    def _search(self, end: int, k1: int, past: int, through: bool) -> int | None:
+        """The search loop of first_hit and first_past: per index below k1,
+        skipping committed blocks past it (class docstring)."""
         comparison, result = self._witness_test()
         t = self.inst.t
         step = self.step
-        end = self.cap + 1 if stop is None else stop
-        while self.n < end:
-            if comparison(t) == result:
-                return self.n
+        hit = None
+        low = min(end, k1)
+        while self.n < low:
+            if hit is None and comparison(t) == result:
+                if not through:
+                    return self.n
+                hit = self.n
             step()
-        return None
+        prev = 0  # side of the last index when it was a float-settled miss
+        retry = 0  # no block is tried before this index
+        while self.n < end:
+            n = self.n
+            if hit is None and comparison(t) == result:
+                if not through:
+                    return n
+                hit = n
+            side = self._side(t)
+            if past and (side or self.abs_cmp(t)) == past:
+                return hit
+            if side and n >= retry and (side == prev or hit is not None):
+                # once a witness is recorded only the magnitude matters
+                hi = min((n // _BLOCK + 1) * _BLOCK, end, self.cap)
+                if hi > n and self._advance(hi, side):
+                    self.steps += hi - n
+                    continue
+                retry = hi
+            prev = side
+            step()
+        return hit
+
+    def _side(self, t: Fraction) -> int:
+        """sign(|u_n| - |t|) when the floats settle it, else 0."""
+        if self.zero_since is not None or not t or not self._far(t):
+            return 0
+        return 1 if self.logabs > self._tlog else -1
+
+    def _advance(self, hi: int, side: int = 0) -> bool:
+        """Move the float state from n to hi by one product of q(k) and of
+        p(k) over [n, hi); with side != 0 only if |u_hi| is then
+        float-settled on that side of |t| (class docstring).  Returns
+        whether it moved; `steps` is the caller's."""
+        lo = self.n
+        qs = math.prod(_values(self.inst.q, lo, hi))
+        ps = math.prod(_values(self.inst.p, lo, hi))
+        if qs == 0:  # a jump over a zero of q; past k1 q has none
+            self.zero_since = 1 + next(k for k in range(lo, hi) if self.inst.q(k) == 0)
+            self.n = hi
+            return True
+        d, e = _log_ratio(qs, ps)
+        logabs = self.logabs + d
+        err = self.err + e + abs(logabs) * _U
+        if side:
+            gap = logabs - self._tlog
+            if (
+                (gap > 0) != (side > 0)
+                or abs(gap) <= (err + self._terr) * _SAFETY
+                or hi - self._at >= _MAX_PENDING
+            ):
+                return False
+        self.n = hi
+        self.logabs, self.err = logabs, err
+        if (qs < 0) != (ps < 0):
+            self._sign = -self._sign
+        return True
 
     def _materialize(self):
         """Bring the exact pair from the anchor up to n and re-anchor there."""
@@ -431,9 +562,7 @@ def divergence_bound(
     qq_pp = inst.q * inst.q - inst.p * inst.p
     if qq_pp(k1) <= 0:
         raise DecideError("internal: |r| not above 1 past the root bound")
-    return _bound_scan(
-        inst, k1, lambda s: s.abs_cmp(inst.t) > 0, "ratio_exceeds_target", config
-    )
+    return _bound_scan(inst, k1, 1, "ratio_exceeds_target", config)
 
 
 def shrink_bound(
@@ -451,21 +580,15 @@ def shrink_bound(
     qq_pp = inst.q * inst.q - inst.p * inst.p
     if qq_pp(k1) >= 0:
         raise DecideError("internal: |r| not below 1 past the root bound")
-    return _bound_scan(
-        inst, k1, lambda s: s.is_zero() or s.abs_cmp(inst.t) < 0, "tail_below_target", config
-    )
+    return _bound_scan(inst, k1, -1, "tail_below_target", config)
 
 
-def _bound_scan(inst, k1, past, justification, config) -> SearchBound:
-    """First N >= k1 with past(scan), and the least witness n <= N on the way."""
+def _bound_scan(inst, k1, side, justification, config) -> SearchBound:
+    """First N >= k1 with sign(|u_N| - |t|) = side (a zero term counts as
+    below), and the least witness n <= N on the way."""
     scan = ExactScan(inst, config.scan_cap)
-    hit = None
-    while True:
-        if hit is None and scan.hit():
-            hit = scan.n
-        if scan.n >= k1 and past(scan):
-            return SearchBound(scan.n, justification, first_hit=hit)
-        scan.step()
+    hit = scan.first_past(k1, side)
+    return SearchBound(scan.n, justification, first_hit=hit)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The reference below uses no floats and no hgdecide code: it evaluates the
 coefficient lists itself, multiplies every factor into one integer pair
 and compares by exact cross-multiplication.  ExactScan's float filter
 (log-magnitude plus a counted error bound) must agree with it at every
-index, including targets a few ulps away from a term.
+index, including targets a few ulps away from a term.  The deep tests run
+the searches about 3000 terms into monotone tails, which the scan skips
+in blocks of 64, with crossings placed at and next to block boundaries.
 """
 
 from fractions import Fraction as F
@@ -13,11 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdecide import sequence
+from hgdecide.certs import BOUND_RECHECK_SPAN, InstanceDocument, verify_certificate
+from hgdecide.cli import decide_document
 from hgdecide.config import EngineConfig
 from hgdecide.equality import decide
 from hgdecide.errors import ScanCapExceeded
 from hgdecide.polys import IntPoly
-from hgdecide.sequence import ExactScan, HGInstance, Problem
+from hgdecide.sequence import (
+    ExactScan,
+    HGInstance,
+    Problem,
+    classify,
+    divergence_bound,
+    monotonicity_index,
+    shrink_bound,
+)
 
 DEPTH = 300
 
@@ -220,3 +233,199 @@ class TestScanCapReachable:
         )
         with pytest.raises(ScanCapExceeded):
             decide(inst, EngineConfig(scan_cap=1000))
+
+
+class TestValues:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**256), 2**256), min_size=1, max_size=33),
+        st.integers(-200, 200),
+        st.integers(0, 80),
+    )
+    def test_values_match_horner(self, coeffs, lo, length):
+        coeffs[-1] = coeffs[-1] or 1
+        f = IntPoly(tuple(coeffs))
+        assert list(sequence._values(f, lo, lo + length)) == [
+            _horner(coeffs, k) for k in range(lo, lo + length)
+        ]
+
+
+DEEP = 3000
+# crossings at, just before and just after block boundaries 64j
+CROSSINGS = [64 * j + e for j in (20, 41) for e in (-1, 0, 1)]
+# (p, q, u0): |u_n| monotone from the start, growing or shrinking, with a
+# constant or an alternating sign (r(k) < 0)
+DEEP_FAMILIES = {
+    "grow": ([3, 1], [4, 1], F(5, 3)),  # u_n = u0 (n + 3)/3
+    "grow-alt": ([3, 1], [-4, -1], F(-5, 3)),
+    "grow-half": ([3, 2], [4, 2], F(7, 2)),  # |u_n| ~ n^(1/2), non-monic
+    "grow-geo-alt": ([2, 1], [-5, -2], F(1, 7)),  # r -> -2
+    "shrink": ([4, 1], [3, 1], F(2)),  # u_n = u0 3/(n + 3)
+    "shrink-alt": ([2, 1], [-1, -1], F(-3, 2)),
+    "shrink-half": ([5, 2], [4, 2], F(9, 4)),
+    "shrink-geo-alt": ([3, 2], [-1, -1], F(11)),  # r -> -1/2
+}
+_DEEP_PAIRS = {}
+
+
+def _deep_pairs(family):
+    if family not in _DEEP_PAIRS:
+        p, q, u0 = DEEP_FAMILIES[family]
+        _DEEP_PAIRS[family] = list(reference_pairs(p, q, u0, DEEP + 1))
+    return _DEEP_PAIRS[family]
+
+
+def _deep_targets(pairs, c):
+    """u_c (|u| meets |t| at c) and a 64-bit dyadic between |u_{c-1}| and
+    |u_c| (|u| passes |t| between c - 1 and c), both positive."""
+    here, before = abs(F(*pairs[c])), abs(F(*pairs[c - 1]))
+    mid = (before + here) / 2
+    scale = F(2) ** (64 - (mid.numerator.bit_length() - mid.denominator.bit_length()))
+    mid = round(mid * scale) / scale
+    assert min(before, here) < mid < max(before, here)
+    return [here, mid]
+
+
+def _abs_cmp_fast(num, den, t):
+    """ref_abs_cmp, settled by bit lengths when the products differ in
+    length by two bits or more (|x| < 2^len(x) <= 2|x|)."""
+    a = abs(num).bit_length() + t.denominator.bit_length()
+    b = abs(t.numerator).bit_length() + abs(den).bit_length()
+    if a + 1 < b:
+        return -1
+    if b + 1 < a:
+        return 1
+    return ref_abs_cmp(num, den, t)
+
+
+def _is_hit(problem, sign, side, t):
+    """The witness test from sign(u_n) and sign(|u_n| - |t|), t nonzero."""
+    if problem is Problem.MEMBERSHIP:
+        return side == 0 and sign == _sgn(t)
+    if sign != _sgn(t):
+        return sign < _sgn(t)
+    return sign * side < 0
+
+
+class TestDeepScan:
+    @pytest.mark.parametrize("c", CROSSINGS)
+    @pytest.mark.parametrize("family", sorted(DEEP_FAMILIES))
+    def test_searches_agree_with_reference(self, family, c):
+        p, q, u0 = DEEP_FAMILIES[family]
+        pairs = _deep_pairs(family)
+        signs = [_sgn(num) * _sgn(den) for num, den in pairs]
+        k1 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        cls = classify(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        grows = family.startswith("grow")
+        side = 1 if grows else -1
+        for size in _deep_targets(pairs, c):
+            sides = [_abs_cmp_fast(num, den, size) for num, den in pairs]
+            bound = next(n for n in range(k1, DEEP + 1) if sides[n] == side)
+            for t in (size, -size):
+                for problem in Problem:
+                    inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem)
+                    hits = [n for n in range(DEEP + 1) if _is_hit(problem, signs[n], sides[n], t)]
+                    where = (family, c, t, problem)
+
+                    want = next((n for n in hits if n < DEEP), None)
+                    scan = ExactScan(inst)
+                    assert scan.first_hit(DEEP) == want, where
+                    assert scan.n == (DEEP if want is None else want), where
+                    assert scan.steps == scan.n, where
+
+                    want = next((n for n in hits if n <= bound), None)
+                    scan = ExactScan(inst)
+                    assert scan.first_past(k1, side) == want, where
+                    assert scan.n == scan.steps == bound, where
+                    if cls.grows or cls.shrinks:  # not for r -> -1
+                        found = (divergence_bound if grows else shrink_bound)(inst)
+                        assert (found.n, found.first_hit) == (bound, want), where
+
+    @pytest.mark.parametrize("c", CROSSINGS)
+    def test_balanced_membership_crossing(self, c):
+        # p = (x + 2)(x + 4), q = (x + 1)(x + 5): u_n = u0 (n + 4)/(4(n + 1))
+        # falls to L = u0/4, so a target above L is met or passed at c
+        p, q, u0 = [8, 6, 1], [5, 6, 1], F(3)
+        pairs = list(reference_pairs(p, q, u0, c + 2))
+        here, after = F(*pairs[c]), F(*pairs[c + 1])
+        for t, problem, witness in (
+            (here, Problem.MEMBERSHIP, c),
+            ((here + after) / 2, Problem.MEMBERSHIP, None),
+            (-here, Problem.MEMBERSHIP, None),
+            ((here + after) / 2, Problem.THRESHOLD, c + 1),
+        ):
+            docin = InstanceDocument(
+                HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem), "unconditional"
+            )
+            cert = decide_document(docin, EngineConfig())
+            assert cert["witness"] == witness, (t, problem)
+            if witness is None and t > 0:
+                assert cert["reason"] == "monotone_tail_excludes_target"
+                assert cert["bound"]["n"] == c + 1 and cert["scanned_up_to"] == c
+            assert verify_certificate(cert) == []
+
+    def test_tail_is_skipped_in_blocks(self, monkeypatch):
+        # u_n = n + 1 never equals 1/2: 10^5 indices, about one float log
+        # per block of 64 past the monotonicity index
+        logs = []
+        log_ratio = sequence._log_ratio
+
+        def counted(a, b):
+            logs.append(1)
+            return log_ratio(a, b)
+
+        monkeypatch.setattr(sequence, "_log_ratio", counted)
+        inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
+        scan = ExactScan(inst, cap=10**5)
+        with pytest.raises(ScanCapExceeded):
+            scan.first_hit()
+        assert scan.n == 10**5 + 1 and scan.materialized == 0
+        assert len(logs) < 10**5 // 64 + 10
+
+    def test_error_bound_covers_block_logs(self):
+        # |u_n| stays 1: each float update of logabs is charged the 12u of
+        # its two logs, so err keeps at least 12u per block moved past
+        inst = HGInstance(IntPoly.of(1), IntPoly.of(-1), F(1), F(1, 2), Problem.MEMBERSHIP)
+        scan = ExactScan(inst)
+        assert scan.first_hit(64 * 50) is None
+        assert scan.n == 64 * 50 and scan.logabs == 0.0
+        assert scan.err >= 12 * 2.0**-53 * 50
+
+    @pytest.mark.parametrize("family", sorted(DEEP_FAMILIES))
+    def test_float_state_within_its_bound(self, family, mp):
+        p, q, u0 = DEEP_FAMILIES[family]
+        pairs = _deep_pairs(family)
+        t = -abs(F(*pairs[DEEP])) if family.startswith("grow") else F(10**9)
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, Problem.MEMBERSHIP)
+        scan = ExactScan(inst)
+        for stop in (DEEP // 3, DEEP):
+            assert scan.first_hit(stop) is None
+            num, den = pairs[stop]
+            exact = mp.log(abs(mp.mpf(num))) - mp.log(abs(mp.mpf(den)))
+            assert abs(scan.logabs - exact) <= scan.err
+            assert scan.sign() == _sgn(num) * _sgn(den)
+        assert scan.materialized == 0
+
+
+class TestSharedReplay:
+    def test_member_certificate_replays_on_one_scan(self, monkeypatch):
+        # witness 3000, bound 3001: the bound replay carries on from the
+        # witness scan and its exact anchor, one exact term in all
+        docin = InstanceDocument(
+            HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(2), F(2 * 3003, 3), Problem.MEMBERSHIP),
+            "unconditional",
+        )
+        cert = decide_document(docin, EngineConfig())
+        assert (cert["witness"], cert["bound"]["n"]) == (3000, 3001)
+        scans = []
+        init = ExactScan.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            scans.append(self)
+
+        monkeypatch.setattr(ExactScan, "__init__", recording_init)
+        assert verify_certificate(cert) == []
+        assert len(scans) == 1
+        assert scans[0].materialized == 1
+        assert scans[0].steps == 3001 + BOUND_RECHECK_SPAN
