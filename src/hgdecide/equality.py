@@ -37,7 +37,6 @@ from .sequence import (
     classify,
     divergence_bound,
     monotonicity_index,
-    nonneg_integer_roots,
     shrink_bound,
 )
 from .verdicts import Conditionality, EqualityDecision, Rationale, Verdict
@@ -161,9 +160,9 @@ def decide(
         return _zero_sequence_verdict(inst)
     if inst.t == 0:
         return _zero_target_verdict(inst, config)
-    ztails = nonneg_integer_roots(inst.q)
-    if ztails:
-        return _zero_tail_verdict(inst, ztails[0], config)
+    ztail = inst.first_zero_of_q
+    if ztail is not None:
+        return _zero_tail_verdict(inst, ztail, config)
 
     cls = classify(inst.p, inst.q)
     if cls.grows:
@@ -199,11 +198,11 @@ def _zero_sequence_verdict(inst: HGInstance) -> Verdict:
 def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
     """t = 0: membership is zero-production; threshold is sign analysis."""
     if inst.problem is Problem.MEMBERSHIP:
-        roots = nonneg_integer_roots(inst.q)
-        if roots:
+        root = inst.first_zero_of_q
+        if root is not None:
             return Verdict(
                 inst.problem, True, Conditionality.UNCONDITIONAL, "zero_tail_membership",
-                witness=roots[0] + 1,
+                witness=root + 1,
             )
         return Verdict(
             inst.problem, False, Conditionality.UNCONDITIONAL,

@@ -6,29 +6,38 @@ lazily: each step updates only the sign, a float log|u_n| and a counted
 bound on that float's error (derived in the class docstring).  An order
 or equality test against a target is settled by the floats when the logs
 differ by more than the bound; otherwise the exact unreduced
-numerator/denominator pair is brought up to n by one balanced product
-tree of the pending q(k) and p(k) and the test is an exact
-cross-multiplied integer comparison.  The scan owns the scan cap and the
-witness test (u_n = t for Membership, u_n < t for Threshold): hit() and
-first_hit() are the prefix search of every decision and replay.
-divergence_bound and shrink_bound find the search bound N and the least
-witness in the same single scan.
+numerator/denominator pair is brought up to n by one telescoped product
+of the pending q(k) and p(k) and the test is an exact cross-multiplied
+integer comparison.  Telescoped: an instance caches a shift form
+(`HGInstance.shift_form`) that pairs a factor g of p with a factor
+g(x + h) of q, h an integer, so that the product of g(k + h)/g(k) over a
+range leaves only |h| values of g at each end; the rest of q and p goes
+through a balanced product tree.  Ranges shorter than _LEAF, which cost
+about as much as building the shift form, are multiplied directly.  For
+p = x + 3, q = x + 4 the pair brought from 0 to n is
+(n + 3) * u0.numerator over 3 * u0.denominator, not two products of n
+factors.  The scan owns the scan cap and the witness test (u_n = t for
+Membership, u_n < t for Threshold): hit() and first_hit() are the prefix
+search of every decision and replay.  divergence_bound and shrink_bound
+find the search bound N and the least witness in the same single scan.
 
 Past k1 = monotonicity_index(p, q) the tail is monotone: |r(k)| - 1 and
 sign r(k) are constant, so |u_n| is monotone and the signs of u_n are
 constant or alternate.  The search therefore skips the tail in blocks of
-_BLOCK indices, aligned to multiples of _BLOCK: one exact product of
-q(k) and of p(k) over the block (`_values`, forward differences) and one
-float log of their ratio move the log-magnitude to the block's end.  If
-|u_n| and |u_{n+B}| are both float-settled on the same side of |t|, so is
-every index between them, and the block is committed without an exact
-term; otherwise the scan steps index by index through the block, so the
-exact comparison at a crossing is the one a per-index scan makes.
+_BLOCK indices, aligned to multiples of _BLOCK: one telescoped exact
+product of q(k) and of p(k) over the block (`_factor_products`, values by
+forward differences in `_values`) and one float log of their ratio move
+the log-magnitude to the block's end.  If |u_n| and |u_{n+B}| are both
+float-settled on the same side of |t|, so is every index between them,
+and the block is committed without an exact term; otherwise the scan
+steps index by index through the block, so the exact comparison at a
+crossing is the one a per-index scan makes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,11 +51,6 @@ from .polys import IntPoly, integer_roots
 class Problem(enum.Enum):
     MEMBERSHIP = "membership"
     THRESHOLD = "threshold"
-
-
-def nonneg_integer_roots(f: IntPoly) -> list[int]:
-    """Sorted nonnegative integer roots of f (f nonzero)."""
-    return [r for r in integer_roots(f) if r >= 0]
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,70 @@ class HGInstance:
             raise DecideError("p and q must be nonzero")
         self.p.check_caps()
         self.q.check_caps()
-        bad = nonneg_integer_roots(self.p)
+        bad = [r for r in self.p_roots if r >= 0]
         if bad:
             raise DecideError(f"p vanishes at nonnegative integer {bad[0]}")
+
+    @functools.cached_property
+    def p_roots(self) -> tuple[int, ...]:
+        """Sorted distinct integer roots of p, all negative (validated)."""
+        return tuple(integer_roots(self.p))
+
+    @functools.cached_property
+    def q_roots(self) -> tuple[int, ...]:
+        """Sorted distinct integer roots of q, searched on first use."""
+        return tuple(integer_roots(self.q))
+
+    @property
+    def first_zero_of_q(self) -> int | None:
+        """Least k >= 0 with q(k) = 0 (u_n = 0 for every n > k), or None."""
+        return next((r for r in self.q_roots if r >= 0), None)
+
+    @functools.cached_property
+    def shift_form(self) -> tuple:
+        """(pairs, p1, q1): q(x)/p(x) = q1(x)/p1(x) * prod g(x + h)/g(x)
+        over the pairs (g, h), g dividing p, g(x + h) dividing q, h a
+        nonzero integer.  Over lo <= k < hi each pair telescopes
+        (`_factor_products`, which builds this on its first product over
+        at least _LEAF indices): the shift reduction of Gosper's algorithm
+        (PNAS 75(1), 1978; Petkovsek-Wilf-Zeilberger, A = B, ch. 5).
+
+        First pairs x - r, x - s of linear factors, r and s integer roots
+        of p and q matched closest first and counting multiplicity; then
+        one pair q1 = c * p1(x + h) from what is left, h read off the top
+        two coefficients, which leaves the constants q1/p1 = c.  Factors
+        nothing beyond the two root lists, and searches q's only when p
+        has integer roots.
+        """
+        p, q = self.p, self.q
+        pairs = []
+        while True:
+            # q's roots are searched only once some root of p is left
+            rs = [
+                (abs(r - s), r, s)
+                for r in self.p_roots if p(r) == 0
+                for s in self.q_roots if q(s) == 0
+            ]
+            if not rs:
+                break
+            _, r, s = min(rs)
+            p, q = _drop_root(p, r), _drop_root(q, s)
+            if r != s:
+                pairs.append((IntPoly.of(-r, 1), r - s))
+        d, pd, qd = p.degree, p.coeffs[-1], q.coeffs[-1]
+        if d == q.degree and d > 0:
+            # q = c p(x + h) has c = q_d/p_d and, at x^(d-1),
+            # q_{d-1} = c (p_{d-1} + d h p_d)
+            h, rem = divmod(q.coeffs[d - 1] * pd - p.coeffs[d - 1] * qd, d * pd * qd)
+            if not rem:
+                shifted = []  # p(x + h), by Horner's rule in x + h
+                for c in reversed(p.coeffs):
+                    shifted = [h * a + b for a, b in zip(shifted + [0], [c] + shifted)]
+                if [a * pd for a in q.coeffs] == [b * qd for b in shifted]:
+                    if h:
+                        pairs.append((p, h))
+                    p, q = IntPoly.of(pd), IntPoly.of(qd)
+        return tuple(pairs), p, q
 
     @property
     def is_monic_pair(self) -> bool:
@@ -189,14 +254,53 @@ def _values(f: IntPoly, lo: int, hi: int):
     return vals
 
 
-def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
-    """(prod q(k), prod p(k)) over lo <= k < hi by a balanced product tree."""
+def _product(f: IntPoly, lo: int, hi: int) -> int:
+    """prod f(k) over lo <= k < hi by a balanced product tree."""
+    if f.degree == 0:
+        return f.lead ** (hi - lo)
     if hi - lo <= _LEAF:
-        return math.prod(_values(inst.q, lo, hi)), math.prod(_values(inst.p, lo, hi))
+        return math.prod(_values(f, lo, hi))
     mid = (lo + hi) // 2
-    q1, p1 = _factor_products(inst, lo, mid)
-    q2, p2 = _factor_products(inst, mid, hi)
-    return q1 * q2, p1 * p2
+    return _product(f, lo, mid) * _product(f, mid, hi)
+
+
+def _drop_root(f: IntPoly, r: int) -> IntPoly:
+    """f/(x - r) for an integer root r of f, by synthetic division over Z
+    (IntPoly.exact_div divides over Q, some 30 times slower)."""
+    out = list(itertools.accumulate(reversed(f.coeffs[1:]), lambda acc, c: acc * r + c))
+    return IntPoly(tuple(reversed(out)))
+
+
+def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
+    """(Q, P) with Q/P = prod q(k)/p(k) over lo <= k < hi, telescoped by
+    HGInstance.shift_form.
+
+    A pair (g, h) leaves g over w = min(|h|, hi - lo) indices at each end:
+    [hi, hi + h) in Q and [lo, lo + h) in P for h > 0, [lo + h, lo) in Q
+    and [hi + h, hi) in P for h < 0, each cut to w indices (for hi - lo
+    < |h| nothing cancels and these are the direct products).  Every
+    cancelled value g(k) and every value in P has lo <= k < hi, k >= 0,
+    where g, a factor of p, has no root; so P is nonzero and Q is zero
+    exactly when some q(k) is.
+
+    Ranges shorter than _LEAF are multiplied directly: the shift form
+    costs about as much to build as such a product, and an instance whose
+    products are all short never builds it.
+    """
+    if hi - lo < _LEAF:
+        return _product(inst.q, lo, hi), _product(inst.p, lo, hi)
+    pairs, p1, q1 = inst.shift_form
+    qs = _product(q1, lo, hi)
+    ps = _product(p1, lo, hi)
+    for g, h in pairs:
+        w = min(abs(h), hi - lo)
+        if h > 0:
+            qs *= _product(g, hi + h - w, hi + h)
+            ps *= _product(g, lo, lo + w)
+        else:
+            qs *= _product(g, lo + h, lo + h + w)
+            ps *= _product(g, hi - w, hi)
+    return qs, ps
 
 
 class ExactScan:
@@ -205,9 +309,11 @@ class ExactScan:
     step() does no big-integer work.  It tracks the sign of u_n, the float
     `logabs` ~ log|u_n| and a bound `err` >= |logabs - log|u_n||.  The exact
     pair (num, den), unreduced, is kept only at the last anchor index and
-    is brought up to n by one balanced product tree of q(k) and p(k) when
-    a comparison falls inside the error bound, or when a caller asks for
-    fraction(), num or den; logabs and err are then re-anchored on it.
+    is brought up to n by one telescoped product (`_factor_products`: the
+    shift-form pairs cancel, the residual goes through a balanced product
+    tree) when a comparison falls inside the error bound, or when a
+    caller asks for fraction(), num or den; logabs and err are then
+    re-anchored on it.
     `steps` counts the indices the scan has moved past, by step() or jump().
     The scan never goes past index `cap`: step() raises ScanCapExceeded on
     moving to cap + 1, and jump(n) raises before any work when n > cap.
@@ -223,7 +329,10 @@ class ExactScan:
         e*log 2 <= |y| + 0.71 this is below 4.6u + 4.01u|y|.
     So d = log|a| - log|b| (a, b nonzero ints, la, lb >= 0 their logs) is
     off by at most (12 + 6(la + lb) + |d|)u, the last term for the
-    rounding of the subtraction (`_log_ratio`).  Each step adds that for
+    rounding of the subtraction (`_log_ratio`).  Nothing here uses how a
+    and b were formed: the bound holds for any nonzero integer pair whose
+    ratio is the one wanted, so a telescoped (Q, P) is charged the same
+    way as the direct products, only less.  Each step adds that for
     a = q(k), b = p(k), plus u|logabs| for the rounding of the running sum.
     err itself is a float sum of nonnegative terms, each a few roundings,
     so with fewer than 2^30 steps since the anchor the true bound is below
@@ -239,7 +348,8 @@ class ExactScan:
     misses on one side cover both signs of the pattern, so no index on
     that side is a witness.  From there the search tries a block [n, hi),
     hi the next multiple of _BLOCK (or the search end, or the cap): with
-    Q = prod q(k) and P = prod p(k) over the block, logabs moves by the d
+    (Q, P) the telescoped pair of the block, Q/P = prod q(k)/p(k), P
+    nonzero and Q zero only at a zero of q, logabs moves by the d
     of _log_ratio(Q, P) and err by its bound (12 + 6(log|Q| + log|P|)
     + |d|)u plus u|logabs| for the running sum, the same derivation with
     a = Q, b = P, so the 12u is paid once per block, not per index.  If
@@ -384,8 +494,7 @@ class ExactScan:
         float-settled on that side of |t| (class docstring).  Returns
         whether it moved; `steps` is the caller's."""
         lo = self.n
-        qs = math.prod(_values(self.inst.q, lo, hi))
-        ps = math.prod(_values(self.inst.p, lo, hi))
+        qs, ps = _factor_products(self.inst, lo, hi)
         if qs == 0:  # a jump over a zero of q; past k1 q has none
             self.zero_since = 1 + next(k for k in range(lo, hi) if self.inst.q(k) == 0)
             self.n = hi

@@ -7,6 +7,9 @@ and compares by exact cross-multiplication.  ExactScan's float filter
 index, including targets a few ulps away from a term.  The deep tests run
 the searches about 3000 terms into monotone tails, which the scan skips
 in blocks of 64, with crossings placed at and next to block boundaries.
+Instances whose q is p shifted by an integer, up to cofactors, exercise
+the telescoped exact products, including shifts longer than a block and
+than the span of a product.
 """
 
 from fractions import Fraction as F
@@ -73,12 +76,58 @@ def _p_coeffs(roots, lead):
     return list(poly.coeffs)
 
 
+def _shift(f, h):
+    """f(x + h)."""
+    out = IntPoly.of(0)
+    for c in reversed(f.coeffs):
+        out = out * IntPoly.of(h, 1) + IntPoly.of(c)
+    return out
+
+
+def shifts(top):
+    """Nonzero shifts of at most top, some beyond a 64-term block."""
+    return st.builds(
+        lambda m, sign: m * sign,
+        st.one_of(st.integers(1, 3), st.integers(62, top), st.integers(1, top)),
+        st.sampled_from([1, -1]),
+    )
+
+
+@st.composite
+def shifted_pair(draw, top=70):
+    """(p, q) with q's linear factors those of p shifted by shifts(top)
+    (roots may repeat, and q may vanish at a nonnegative index),
+    optionally a quadratic g in p with g(x + h) in q, and optionally one
+    more factor of p or of q that the construction pairs with nothing."""
+    lead = draw(st.sampled_from([1, 1, 2, -3]))
+    p, q = IntPoly.of(lead), IntPoly.of(draw(st.sampled_from([1, -1, 2, lead])))
+    roots = draw(st.lists(st.integers(1, 90), min_size=0, max_size=3))
+    if roots and draw(st.booleans()):
+        roots.append(roots[0])
+    for r in roots:
+        p = p * IntPoly.of(r, 1)
+        q = q * IntPoly.of(r + draw(shifts(top)), 1)
+    if not roots or draw(st.booleans()):
+        # positive coefficients: g has no nonnegative root
+        g = IntPoly.of(draw(st.integers(1, 9)), draw(st.integers(0, 5)), 1)
+        p, q = p * g, q * _shift(g, draw(shifts(top)))
+    extra = draw(st.sampled_from(["none", "p", "q"]))
+    if extra == "p":
+        p = p * IntPoly.of(draw(st.integers(1, 9)), 0, 1)
+    elif extra == "q":
+        q = q * IntPoly.of(draw(st.integers(-20, 20)), 1)
+    return list(p.coeffs), list(q.coeffs)
+
+
 @st.composite
 def instances(draw):
     """(p, q) coefficient lists: random q, q with a nonnegative integer
-    root, and a degree-3 q over a constant p (|log u_n| in the thousands)."""
-    kind = draw(st.sampled_from(["random", "zero_root", "cubic"]))
+    root, a degree-3 q over a constant p (|log u_n| in the thousands), and
+    q a shift of p up to cofactors (shifted_pair)."""
+    kind = draw(st.sampled_from(["random", "zero_root", "cubic", "shifted"]))
     lead = draw(st.sampled_from([1, 1, 2, -3]))
+    if kind == "shifted":
+        return draw(shifted_pair())
     if kind == "cubic":
         p = [draw(st.integers(1, 9)) * lead]
         q = [draw(st.integers(-9, 9)) for _ in range(3)] + [draw(st.sampled_from([1, -2, 5]))]
@@ -148,6 +197,47 @@ class TestOracle:
             scan.step()
         scan.jump(40)
         assert scan.zero_since == 8 and scan.is_zero() and scan.fraction() == 0 and scan.sign() == 0
+
+
+class TestShiftForm:
+    @pytest.mark.parametrize(
+        "p,q,pairs,rest",
+        [
+            ([3, 1], [4, 1], [([3, 1], 1)], ([1], [1])),  # u_n = u0 (n + 3)/3
+            ([4, 1], [3, 1], [([4, 1], -1)], ([1], [1])),
+            ([9, 6, 1], [16, 8, 1], [([3, 1], 1), ([3, 1], 1)], ([1], [1])),  # repeated root
+            ([12, 7, 1], [15, 8, 1], [([4, 1], 1)], ([1], [1])),  # common root x + 3
+            ([6, 2], [-15, -5], [], ([2], [-5])),  # only the constant -5/2
+            ([3, 1, 1], [5, 3, 1], [([3, 1, 1], 1)], ([1], [1])),  # q = p(x + 1)
+            ([6, 2, 2], [-10, -6, -2], [([6, 2, 2], 1)], ([2], [-2])),  # q = -p(x + 1)
+            ([3, 2], [4, 2], [], ([3, 2], [4, 2])),  # q = p(x + 1/2): no pair
+            ([1, 0, 1], [2, 3, 1], [], ([1, 0, 1], [2, 3, 1])),  # p has no integer root
+            ([2, 1], [-5, 1], [([2, 1], -7)], ([1], [1])),  # q vanishes at 5
+        ],
+    )
+    def test_pairs(self, p, q, pairs, rest):
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
+        got, p1, q1 = inst.shift_form
+        assert [(list(g.coeffs), h) for g, h in got] == pairs
+        assert (list(p1.coeffs), list(q1.coeffs)) == rest
+
+    @settings(max_examples=80, deadline=None)
+    @given(shifted_pair(top=200), st.integers(0, 150), st.integers(1, 260))
+    def test_products_are_the_ratio(self, pq, lo, span):
+        # telescoped from 64 terms up, and spans shorter and longer than
+        # each |h| <= 200
+        p, q = pq
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
+        qs, ps = sequence._factor_products(inst, lo, lo + span)
+        values = [(_horner(q, k), _horner(p, k)) for k in range(lo, lo + span)]
+        assert ps != 0
+        if any(qk == 0 for qk, _ in values):
+            assert qs == 0
+        else:
+            want = F(1)
+            for qk, pk in values:
+                want *= F(qk, pk)
+            assert F(qs, ps) == want
 
 
 class TestFirstHit:
@@ -429,3 +519,19 @@ class TestSharedReplay:
         assert len(scans) == 1
         assert scans[0].materialized == 1
         assert scans[0].steps == 3001 + BOUND_RECHECK_SPAN
+
+    def test_witness_pair_is_telescoped(self):
+        # u_n = 2 (n + 3)/3 meets t at 2 * 10^5: the exact pair there is
+        # 2 (2*10^5 + 3) over 3, not products of 2 * 10^5 factors each
+        witness = 2 * 10**5
+        inst = HGInstance(
+            IntPoly.of(3, 1), IntPoly.of(4, 1), F(2), F(2 * (witness + 3), 3), Problem.MEMBERSHIP
+        )
+        config = EngineConfig(scan_cap=3 * 10**5)
+        cert = decide_document(InstanceDocument(inst, "unconditional"), config)
+        assert cert["witness"] == witness
+        assert verify_certificate(cert, config) == []
+        scan = ExactScan(inst, config.scan_cap)
+        assert scan.first_hit() == witness
+        assert scan.materialized >= 1
+        assert scan.num.bit_length() < 128 and scan.den.bit_length() < 128

@@ -15,7 +15,6 @@ from hgdecide.sequence import (
     classify,
     divergence_bound,
     monotonicity_index,
-    nonneg_integer_roots,
     shrink_bound,
     term,
     terms,
@@ -170,9 +169,11 @@ class TestBruteForce:
 
 class TestZeroTail:
     def test_roots_detected(self):
-        assert nonneg_integer_roots(IntPoly.of(-3, 1)) == [3]
-        assert nonneg_integer_roots(IntPoly.of(0, 1)) == [0]
-        assert nonneg_integer_roots(IntPoly.of(1, 1)) == []
+        assert inst([1, 1], [-3, 1], 2, 0).first_zero_of_q == 3
+        assert inst([1, 1], [0, 1], 2, 0).first_zero_of_q == 0
+        assert inst([1, 1], [1, 1], 2, 0).first_zero_of_q is None
+        assert inst([1, 1], [6, -7, 0, 1], 2, 0).q_roots == (-3, 1, 2)
+        assert inst([6, 5, 1], [1], 2, 0).p_roots == (-3, -2)
 
     def test_tail_is_zero_after_root(self):
         i = inst([1, 1], [-3, 1], 2, 0)
