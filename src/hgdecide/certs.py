@@ -39,16 +39,28 @@ class InstanceDocument:
         }
 
 
+def _json_int(val, key: str) -> int:
+    """`val` if it is a JSON integer; true and false are not integers."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ParseError(f"must be an integer, not {val!r}", key)
+    return val
+
+
+def _json_poly(val, key: str) -> IntPoly:
+    """IntPoly from a nonempty JSON list of integer coefficients."""
+    if not isinstance(val, list) or not val:
+        raise ParseError("must be a nonempty list of integers", key)
+    return IntPoly(tuple(_json_int(c, key) for c in val))
+
+
 def parse_instance(doc: dict) -> InstanceDocument:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     for key in ("p", "q", "u0", "t", "problem"):
         if key not in doc:
             raise ParseError("missing field", key)
-    for key in ("p", "q"):
-        val = doc[key]
-        if not isinstance(val, list) or not val or not all(isinstance(c, int) for c in val):
-            raise ParseError("must be a nonempty list of integers", key)
+    p = _json_poly(doc["p"], "p")
+    q = _json_poly(doc["q"], "q")
     try:
         u0 = parse_rat(str(doc["u0"]))
     except (ValueError, ZeroDivisionError) as e:
@@ -66,7 +78,7 @@ def parse_instance(doc: dict) -> InstanceDocument:
     if mode not in ("auto", "unconditional", "conditional"):
         raise ParseError(f"unknown mode {mode!r}", "mode")
     try:
-        inst = HGInstance(IntPoly(tuple(doc["p"])), IntPoly(tuple(doc["q"])), u0, t, problem)
+        inst = HGInstance(p, q, u0, t, problem)
     except DecideError as e:
         raise ParseError(str(e), "p/q") from None
     return InstanceDocument(inst, mode)
@@ -254,19 +266,18 @@ def _verify_bound(
 
 def _verify_canonical(desc: dict) -> list[str]:
     try:
-        c = CanonicalConstant(
+        CanonicalConstant(
             parse_rat(desc["theta"][0]),
             parse_rat(desc["theta"][1]),
-            int(desc["ell"]),
-            IntPoly(tuple(desc["f"])),
-            IntPoly(tuple(desc["g"])),
-            int(desc["m"]),
-            int(desc["D"]),
+            _json_int(desc["ell"], "ell"),
+            _json_poly(desc["f"], "f"),
+            _json_poly(desc["g"], "g"),
+            _json_int(desc["m"], "m"),
+            _json_int(desc["D"], "D"),
             bool(desc["base_trivial"]),
         )
     except (KeyError, ValueError, DecideError) as e:
         return [f"canonical tuple invalid: {e}"]
-    del c
     return []
 
 

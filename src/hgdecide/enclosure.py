@@ -390,7 +390,10 @@ def cos_interval(x: DyadicInterval, prec: int) -> DyadicInterval:
 
 
 def _eval(expr: Expr, prec: int, cache: dict) -> DyadicInterval:
-    hit = cache.get(expr)
+    # keyed by identity: the cache lives for one walk of one tree, whose
+    # nodes all stay alive under the root, so no id is reused meanwhile,
+    # and hashing a frozen dataclass would re-walk its whole subtree
+    hit = cache.get(id(expr))
     if hit is not None:
         return hit
     if isinstance(expr, Rc):
@@ -421,7 +424,7 @@ def _eval(expr: Expr, prec: int, cache: dict) -> DyadicInterval:
         out = cos_interval(_eval(expr.arg, prec, cache), prec)
     else:
         raise DecideError(f"unknown expression node {type(expr).__name__}")
-    cache[expr] = out
+    cache[id(expr)] = out
     return out
 
 

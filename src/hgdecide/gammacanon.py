@@ -7,17 +7,27 @@ quadratic field every conjugate argument pair collapses, through the
 translation and reflection identities, to an explicit algebraic multiple
 of
 
-    pi / (b*sqrt(m) * sinh(pi*b*sqrt(m)))     (integer rational part)
-    pi / cosh(pi*b*sqrt(m))                   (half-integer rational part)
+    pi / (b*sqrt(m) * sinh(pi*b*sqrt(m))) = (pi / (b*sqrt(m))) * 2x^e / (x^2e - 1)
+    pi / cosh(pi*b*sqrt(m))               = pi * 2x^e / (x^2e + 1)
 
-so the whole limit takes the normal form
+(integer and half-integer rational part), with x = exp(pi*sqrt(m)/D) and
+e = b*D, so the whole limit takes the normal form
 
-    theta * pi**ell * f(x) / g(x),   x = exp(pi*sqrt(m)/D),
+    theta * pi**ell * f(x) / g(x),
 
 with theta in Q(sqrt(m)) real, ell an integer, and f, g coprime primitive
-integer polynomials with positive leading coefficients.  The tuple is not
-unique; the contract is the exact value identity, and equality decisions
-never compare tuples structurally.
+integer polynomials with positive leading coefficients.
+
+`canonicalize` never divides polynomials.  It keeps f/g factored as a
+power of x times cyclotomic polynomials, x^2e - 1 = prod_{d | 2e} Phi_d
+and x^2e + 1 = prod_{d | 4e, d not | 2e} Phi_d, cancels by subtracting
+exponents and expands what is left.  x and the Phi_d are distinct monic
+irreducibles, so the cancelled f and g are the unique coprime, monic
+(hence primitive, positive-lead) pair for the quotient, the same tuple a
+gcd over Q followed by content normalisation gives, so certificates
+carry the same bytes.  A value still has other tuples (D = 2 with f and
+g in x^2, for one); the contract is the exact value identity, and
+equality decisions never compare tuples structurally.
 """
 
 from __future__ import annotations
@@ -29,14 +39,15 @@ from fractions import Fraction
 from .enclosure import Exp, Expr, Pi, Rc, Sqrt
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
-from .polys import IntPoly, RootMultiset, poly_gcd
+from .numutil import divisors
+from .polys import IntPoly, RootMultiset, coprime, cyclotomic
 from .sequence import classify
 
 GammaArg = Fraction | QuadElem
 
 # largest e in the x^e and x^(2e) +- 1 factors that canonicalize builds (a
 # pair Gamma(rho + w)Gamma(rho - w), w = b*sqrt(-m), has e = b*D); the
-# polynomials are dense, so a larger e is refused as unsupported
+# expanded f and g are dense, so a larger e is refused as unsupported
 X_POWER_CAP = 1024
 
 
@@ -174,17 +185,6 @@ def pair_product(rho: Fraction, w: QuadElem) -> PairForm:
     return PairForm(kind, rho, abs(w.b), -w.d, pref)
 
 
-def pair_value_expr(form: PairForm) -> Expr:
-    """Enclosure expression of the pair value (for audits and tests)."""
-    root = Pi() * Sqrt(form.m) * Rc(form.b)
-    y = Exp(root)
-    if form.kind == PairKind.INTEGER_RHO:
-        core = (2 * y) / (Rc(form.b) * Sqrt(form.m) * (y * y - 1))
-    else:
-        core = (2 * y) / (y * y + 1)
-    return Rc(form.prefactor) * Pi() * core
-
-
 # ---------------------------------------------------------------------------
 # Canonical constant
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ class CanonicalConstant:
                 raise DecideError("f, g must have positive leading coefficients")
             if self.f.content() != 1 or self.g.content() != 1:
                 raise DecideError("f, g must be primitive")
-            if poly_gcd(self.f, self.g).degree > 0:
+            if not coprime(self.f, self.g):
                 raise DecideError("f, g must be coprime")
 
     def x_expr(self) -> Expr:
@@ -314,6 +314,12 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     parts in (1/2)Z; conjugate pairs route through the translation and
     reflection identities.  Raises FieldMismatchError when several d values
     appear (those instances belong to the conditional path).
+
+    Each pair contributes x^e on its own side of f/g and x^2e -+ 1 on the
+    other, as the exponents of x and of each cyclotomic Phi_d; f and g are
+    the factors left with positive and negative exponent, multiplied out.
+    Every factor is monic, so f and g come out coprime, primitive and
+    monic with no gcd or content step, and theta needs no correction.
     """
     if prefactor == 0:
         raise DecideError("zero prefactor")
@@ -350,40 +356,40 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     theta = _Theta(m)
     theta.mul(rational)
     ell = 0
-    f = IntPoly.of(1)
-    g = IntPoly.of(1)
-    for forms, up in ((num_pairs, True), (den_pairs, False)):
+    x_exp = 0  # exponent of x in f/g
+    cyc: dict[int, int] = {}  # exponent of cyclotomic(n) in f/g
+    for forms, side in ((num_pairs, 1), (den_pairs, -1)):
         for form in forms:
             e = int(form.b * D)
-            top = IntPoly.x_power(e)
             if form.kind == PairKind.INTEGER_RHO:
                 # A * pi * 2 x^e / (b sqrt(m) (x^{2e}-1)); 1/sqrt(m) = sqrt(m)/m
                 coef = (Fraction(0), form.prefactor * 2 / (form.b * m))
-                bottom = IntPoly.x_power(2 * e) - IntPoly.of(1)
+                phis = divisors(2 * e)
             else:
                 # A * pi * 2 x^e / (x^{2e}+1)
                 coef = (form.prefactor * 2, Fraction(0))
-                bottom = IntPoly.x_power(2 * e) + IntPoly.of(1)
-            if up:
-                ell += 1
+                phis = [n for n in divisors(4 * e) if (2 * e) % n]
+            ell += side
+            if side > 0:
                 theta.mul(*coef)
-                f, g = f * top, g * bottom
             else:
-                ell -= 1
                 theta.div(*coef)
-                f, g = f * bottom, g * top
+            x_exp += side * e
+            for n in phis:
+                cyc[n] = cyc.get(n, 0) - side
 
-    common = poly_gcd(f, g)
-    if common.degree >= 1:
-        f = f.exact_div(common)
-        g = g.exact_div(common)
-    fc = f.content() * (1 if f.lead > 0 else -1)
-    gc = g.content() * (1 if g.lead > 0 else -1)
-    f = IntPoly(tuple(c // fc for c in f.coeffs))
-    g = IntPoly(tuple(c // gc for c in g.coeffs))
-    theta.mul(Fraction(fc, gc))
-
+    f = _cyclotomic_product(x_exp, {n: k for n, k in cyc.items() if k > 0})
+    g = _cyclotomic_product(-x_exp, {n: -k for n, k in cyc.items() if k < 0})
     return CanonicalConstant(theta.a, theta.b, ell, f, g, m, D, False)
+
+
+def _cyclotomic_product(x_exp: int, powers: dict[int, int]) -> IntPoly:
+    """x^max(x_exp, 0) * prod cyclotomic(n)^k over `powers`."""
+    out = IntPoly.x_power(max(x_exp, 0))
+    for n, k in sorted(powers.items()):
+        for _ in range(k):
+            out = cyclotomic(n) * out  # __mul__ skips the zeros of its left factor
+    return out
 
 
 def _split_args(args):
@@ -414,33 +420,3 @@ def _conjugate_pairs(args: list[QuadElem]) -> list[tuple[Fraction, QuadElem]]:
             raise DecideError(f"argument {x} has no conjugate partner") from None
         pairs.append((x.a, QuadElem(Fraction(0), abs(x.b), x.d)))
     return sorted(pairs, key=lambda t: (t[0], t[1].b))
-
-
-# ---------------------------------------------------------------------------
-# Tail envelope for partial products
-# ---------------------------------------------------------------------------
-
-
-def tail_log_bound(p: IntPoly, q: IntPoly, k: int) -> Fraction:
-    """Bound on |log prod_{j>k} r(j)| for a balanced quotient.
-
-    With h = q - p (degree <= deg p - 2 in the balanced case) and
-    H = sum |h_i|, P = sum of |subleading p_i|:
-
-        |p(j)| >= j^deg/2        for j >= 2P,
-        |h(j)| <= H j^(deg-2)    for j >= 1,
-
-    so |r(j) - 1| <= 2H/j^2 and |log r(j)| <= 4H/j^2 once 2H/j^2 <= 1/2.
-    Summing, |log tail| <= 4H/k for k >= max(2P, 2*sqrt(H), 1).
-    """
-    if not classify(p, q).is_balanced:
-        raise DecideError("tail bound requires the balanced class")
-    h = q - p
-    big_h = sum(abs(c) for c in h.coeffs)
-    if big_h == 0:
-        return Fraction(0)
-    big_p = sum(abs(c) for c in p.coeffs[:-1])
-    threshold = max(1, 2 * big_p, math.isqrt(4 * big_h) + 1)
-    if k < threshold:
-        raise DecideError(f"tail bound valid only for k >= {threshold}")
-    return Fraction(4 * big_h, k)

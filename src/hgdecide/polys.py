@@ -110,13 +110,35 @@ class IntPoly:
             return False
 
     def exact_div(self, d: "IntPoly") -> "IntPoly":
-        """Exact quotient over Z; raises if the division leaves a remainder."""
+        """Exact quotient over Z; raises if the division leaves a remainder.
+
+        A divisor with leading coefficient +-1 (cyclotomics, monic linear
+        factors) divides in integers; any other goes through QPoly.
+        """
+        if d.coeffs and d.coeffs[-1] in (1, -1):
+            return self._div_unit_lead(d)
         q, r = self.to_q().divrem(d.to_q())
         if not r.is_zero:
             raise DecideError("inexact polynomial division")
         if any(c.denominator != 1 for c in q.coeffs):
             raise DecideError("quotient not integral")
         return IntPoly(tuple(c.numerator for c in q.coeffs))
+
+    def _div_unit_lead(self, d: "IntPoly") -> "IntPoly":
+        rem = list(self.coeffs)
+        dd = d.degree
+        lead = d.coeffs[-1]
+        low = [(j, c) for j, c in enumerate(d.coeffs[:-1]) if c]
+        q = [0] * max(0, len(rem) - dd)
+        for i in range(len(rem) - dd - 1, -1, -1):
+            c = rem[i + dd] * lead  # lead is its own inverse
+            if c:
+                q[i] = c
+                for j, dc in low:
+                    rem[i + j] -= c * dc
+        if any(rem[:dd]):
+            raise DecideError("inexact polynomial division")
+        return IntPoly(tuple(q))
 
     def to_q(self) -> "QPoly":
         return QPoly(tuple(Fraction(c) for c in self.coeffs))
@@ -281,6 +303,50 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd over Q, returned as the primitive integer representative."""
     g = a.to_q().gcd(b.to_q())
     return g.clear_denominators()
+
+
+# Mersenne prime modulus of the coprimality filter
+_COPRIME_MODULUS = 2**61 - 1
+
+
+def _rem_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+    """Remainder of a by b in (Z/mod)[x]; b has a unit leading coefficient."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, mod)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % mod
+        if c:
+            base = i - db
+            for j in range(db):
+                rem[base + j] = (rem[base + j] - c * b[j]) % mod
+    rem = rem[:db]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def coprime(a: IntPoly, b: IntPoly) -> bool:
+    """Whether a and b have no common factor of degree >= 1 over Q.
+
+    Runs Euclid mod the prime P = 2^61 - 1 when P divides neither leading
+    coefficient.  A common factor over Q can be taken primitive in Z[x];
+    by Gauss's lemma it divides a and b in Z[x], so its leading coefficient
+    divides theirs and is a unit mod P: the factor keeps its degree mod P
+    and divides both reductions.  A constant gcd mod P therefore proves
+    a and b coprime.  A larger gcd mod P may come from P alone (P divides
+    the resultant), so then the answer is the exact `poly_gcd`; this
+    function never answers differently from `poly_gcd(a, b).degree < 1`.
+    """
+    mod = _COPRIME_MODULUS
+    if not a.is_zero and not b.is_zero and a.lead % mod and b.lead % mod:
+        x = [c % mod for c in a.coeffs]
+        y = [c % mod for c in b.coeffs]
+        while y:
+            x, y = y, _rem_mod(x, y, mod)
+        if len(x) == 1:
+            return True
+    return poly_gcd(a, b).degree < 1
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ class HGInstance:
             if not rs:
                 break
             _, r, s = min(rs)
-            p, q = _drop_root(p, r), _drop_root(q, s)
+            lin = IntPoly.of(-r, 1)
+            p, q = p.exact_div(lin), q.exact_div(IntPoly.of(-s, 1))
             if r != s:
-                pairs.append((IntPoly.of(-r, 1), r - s))
+                pairs.append((lin, r - s))
         d, pd, qd = p.degree, p.coeffs[-1], q.coeffs[-1]
         if d == q.degree and d > 0:
             # q = c p(x + h) has c = q_d/p_d and, at x^(d-1),
@@ -262,13 +263,6 @@ def _product(f: IntPoly, lo: int, hi: int) -> int:
         return math.prod(_values(f, lo, hi))
     mid = (lo + hi) // 2
     return _product(f, lo, mid) * _product(f, mid, hi)
-
-
-def _drop_root(f: IntPoly, r: int) -> IntPoly:
-    """f/(x - r) for an integer root r of f, by synthetic division over Z
-    (IntPoly.exact_div divides over Q, some 30 times slower)."""
-    out = list(itertools.accumulate(reversed(f.coeffs[1:]), lambda acc, c: acc * r + c))
-    return IntPoly(tuple(reversed(out)))
 
 
 def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:

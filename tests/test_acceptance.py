@@ -21,7 +21,7 @@ from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import eval_enclosure
 from hgdecide.equality import _unconditional_oracle, decide
 from hgdecide.errors import UnsupportedInstance
-from hgdecide.gammacanon import canonicalize, limit_as_gamma, tail_log_bound
+from hgdecide.gammacanon import canonicalize, limit_as_gamma
 from hgdecide.polys import IntPoly, QPoly, cyclotomic, roots_quadratic
 from hgdecide.recognize import (
     MatchingCertificate,
@@ -40,6 +40,7 @@ from hgdecide.sequence import (
 )
 from hgdecide.verdicts import Conditionality, Rationale
 
+from gammaforms import tail_log_bound
 from intervals import overlaps
 
 P13 = IntPoly.of(13, -4, 1)

@@ -39,6 +39,8 @@ class TestDocuments:
             ({**WORKED, "problem": "reachability"}, "problem"),
             ({**WORKED, "mode": "magic"}, "mode"),
             ({**WORKED, "p": [-3, 1]}, "p/q"),
+            ({**WORKED, "p": [13, -4, True]}, "p"),
+            ({**WORKED, "q": [5, -4, True]}, "q"),
         ],
     )
     def test_diagnostics_name_the_field(self, broken, needle):
@@ -110,6 +112,29 @@ class TestCertificates:
         cert = decide_document(din, DEFAULT_CONFIG)
         cert["exit_code"] = 11
         assert any("exit code" in p for p in verify_certificate(cert))
+
+    # int() would read each of these as a well-formed tuple of the worked
+    # example (f = x^2 or 1, ell = 1, m = D = 1)
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("f", [0.5, 0, 1.9]),
+            ("f", "100"),
+            ("f", [True, False, True]),
+            ("g", [1, 0, 1, 0, 1.0]),
+            ("ell", 1.7),
+            ("m", True),
+            ("D", 1.0),
+        ],
+    )
+    def test_tampered_canonical_entry_rejected(self, key, value):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        cert["canonical"][key] = value
+        failures = verify_certificate(cert)
+        assert any(f.startswith(f"canonical tuple invalid: {key}:") for f in failures), failures
 
     def test_serialization_deterministic(self):
         from hgdecide.config import DEFAULT_CONFIG

@@ -83,6 +83,22 @@ class TestRefinement:
         with pytest.raises(PrecisionExceeded):
             eval_enclosure(Pi(), 256, cfg)
 
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_shared_and_distinct_nodes_give_equal_intervals(self, bits):
+        # the evaluator memoises by node identity: a tree that reuses one
+        # x node and a structurally equal tree of fresh nodes must agree
+        def x():
+            return Exp(Pi() * Sqrt(3) * Rc(F(1, 2)))
+
+        def value(x1, x2, x3):
+            return (Rc(F(2)) * x1 + x2**3) / (x3**2 + Rc(F(1)))
+
+        shared = x()
+        a = value(shared, shared, shared)
+        b = value(x(), x(), x())
+        assert a == b and a is not b
+        assert eval_enclosure(a, bits) == eval_enclosure(b, bits)
+
     def test_counter_increments(self):
         before = enclosure.evaluation_count()
         eval_enclosure(Pi(), 64)

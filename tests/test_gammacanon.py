@@ -1,20 +1,28 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hgdecide.enclosure import eval_enclosure
 from hgdecide.errors import DecideError, FieldMismatchError
 from hgdecide.exactnum import QuadElem
 from hgdecide.gammacanon import (
+    X_POWER_CAP,
+    CanonicalConstant,
     GammaProduct,
     PairKind,
+    _conjugate_pairs,
+    _split_args,
+    _Theta,
     canonicalize,
+    integer_gamma_ratio,
     limit_as_gamma,
     pair_product,
-    pair_value_expr,
-    tail_log_bound,
 )
 from hgdecide.polys import IntPoly, poly_gcd, roots_quadratic
+
+from gammaforms import pair_value_expr, tail_log_bound
 
 
 def canon_of(p, q, u0=F(1)):
@@ -175,3 +183,106 @@ class TestCanonicalize:
     def test_tail_bound_validity_threshold(self):
         with pytest.raises(DecideError):
             tail_log_bound(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), 3)
+
+
+def dense_canonicalize(gp: GammaProduct) -> CanonicalConstant:
+    """Reference: multiply every pair's x^e and x^2e -+ 1 out densely,
+    cancel by poly_gcd over Q and normalise content and sign into theta
+    (the route canonicalize took before it kept f/g factored)."""
+    num_rat, num_quad = _split_args(gp.num_args)
+    den_rat, den_quad = _split_args(gp.den_args)
+    m = -(num_quad + den_quad)[0].d
+    num_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(num_quad)]
+    den_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(den_quad)]
+    D = 2 if any(p.b.denominator == 2 for p in num_pairs + den_pairs) else 1
+    theta = _Theta(m)
+    theta.mul(gp.prefactor * integer_gamma_ratio(num_rat, den_rat))
+    ell = 0
+    f = g = IntPoly.of(1)
+    for forms, up in ((num_pairs, True), (den_pairs, False)):
+        for form in forms:
+            e = int(form.b * D)
+            top = IntPoly.x_power(e)
+            if form.kind == PairKind.INTEGER_RHO:
+                coef = (F(0), form.prefactor * 2 / (form.b * m))
+                bottom = IntPoly.x_power(2 * e) - IntPoly.of(1)
+            else:
+                coef = (form.prefactor * 2, F(0))
+                bottom = IntPoly.x_power(2 * e) + IntPoly.of(1)
+            if up:
+                ell += 1
+                theta.mul(*coef)
+                f, g = f * top, g * bottom
+            else:
+                ell -= 1
+                theta.div(*coef)
+                f, g = f * bottom, g * top
+    common = poly_gcd(f, g)
+    if common.degree >= 1:
+        f, g = f.exact_div(common), g.exact_div(common)
+    fc = f.content() * (1 if f.lead > 0 else -1)
+    gc = g.content() * (1 if g.lead > 0 else -1)
+    f = IntPoly(tuple(c // fc for c in f.coeffs))
+    g = IntPoly(tuple(c // gc for c in g.coeffs))
+    theta.mul(F(fc, gc))
+    return CanonicalConstant(theta.a, theta.b, ell, f, g, m, D, False)
+
+
+def balanced_product(num_pairs, den_pairs, m) -> GammaProduct:
+    """Conjugate pairs (rho, b) on each side, padded with positive integer
+    arguments to equal counts and equal argument sums."""
+
+    def expand(pairs):
+        return [QuadElem(rho, s * b, -m) for rho, b in pairs for s in (1, -1)]
+
+    num, den = expand(num_pairs), expand(den_pairs)
+    num_rat = [F(1)] * (len(den) + 1)
+    den_rat = [F(1)] * (len(num) + 1)
+    diff = sum(a.a for a in num) + len(num_rat) - sum(a.a for a in den) - len(den_rat)
+    if diff >= 0:
+        den_rat[0] += diff
+    else:
+        num_rat[0] -= diff
+    return GammaProduct(tuple(num + num_rat), tuple(den + den_rat))
+
+
+# (rho, b): rho in (1/2)Z, b a positive half-integer, so e = b*D <= 64
+pair_specs = st.tuples(
+    st.integers(-6, 6).map(lambda n: F(n, 2)), st.integers(1, 64).map(lambda n: F(n, 2))
+)
+
+
+class TestFactoredCanonicalize:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_pairs=st.lists(pair_specs, min_size=0, max_size=2),
+        den_pairs=st.lists(pair_specs, min_size=0, max_size=2),
+        m=st.sampled_from([1, 2, 3, 7, 11]),
+    )
+    def test_matches_dense_gcd_route(self, num_pairs, den_pairs, m):
+        assume(num_pairs or den_pairs)
+        gp = balanced_product(num_pairs, den_pairs, m)
+        assert canonicalize(gp).describe() == dense_canonicalize(gp).describe()
+
+    @pytest.mark.parametrize(
+        "num_pairs,den_pairs,m",
+        [
+            ([(F(0), F(X_POWER_CAP - 1))], [(F(0), F(3))], 1),
+            ([(F(1, 2), F(X_POWER_CAP - 1, 2))], [(F(3, 2), F(5, 2)), (F(1, 2), F(1, 2))], 3),
+        ],
+    )
+    def test_matches_dense_gcd_route_near_cap(self, num_pairs, den_pairs, m):
+        gp = balanced_product(num_pairs, den_pairs, m)
+        assert canonicalize(gp).describe() == dense_canonicalize(gp).describe()
+
+    def test_constant_rejects_common_factor(self):
+        # the second pair has a leading coefficient divisible by 2^61 - 1,
+        # so the coprimality check falls back to the exact gcd
+        p61 = 2**61 - 1
+        for f, g in [
+            (IntPoly.of(-1, 0, 1), IntPoly.of(1, 1)),
+            (IntPoly.of(1, p61), IntPoly.of(1, p61) * IntPoly.of(2, 1)),
+        ]:
+            with pytest.raises(DecideError, match="coprime"):
+                CanonicalConstant(F(1), F(0), 0, f, g, 1, 1, False)
+        CanonicalConstant(F(1), F(0), 0, IntPoly.of(1, p61), IntPoly.of(2, 1), 1, 1, False)

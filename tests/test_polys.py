@@ -13,6 +13,7 @@ from hgdecide.polys import (
     QPoly,
     count_real_roots_below,
     cyclotomic,
+    coprime,
     cyclotomic_index,
     factor_monic,
     has_negative_real_root,
@@ -43,6 +44,75 @@ class TestPolyOps:
         f = IntPoly.of(13, -4, 1)
         assert f.mirror(4) == f.to_q()
         assert f.cauchy_bound() == 14
+
+
+MERSENNE_61 = 2**61 - 1
+
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(lambda c: IntPoly(tuple(c)))
+
+
+def with_lead_multiple_of_p(f: IntPoly, k: int) -> IntPoly:
+    """f plus k*P*x^(deg f + 1): a leading coefficient divisible by P = 2^61 - 1."""
+    return f + IntPoly.x_power(max(f.degree, 0) + 1) * (k * MERSENNE_61)
+
+
+def rational_exact_div(n: IntPoly, d: IntPoly) -> IntPoly:
+    """Quotient by division over Q, raising as IntPoly.exact_div does."""
+    quo, rem = n.to_q().divrem(d.to_q())
+    if not rem.is_zero:
+        raise DecideError("inexact polynomial division")
+    if any(c.denominator != 1 for c in quo.coeffs):
+        raise DecideError("quotient not integral")
+    return IntPoly(tuple(c.numerator for c in quo.coeffs))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecideError as e:
+        return str(e)
+
+
+class TestIntegerKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(a=small_polys, b=small_polys, common=small_polys,
+           p_lead=st.sampled_from([None, (0, 1), (1, 1), (0, -3), (1, 2)]))
+    def test_coprime_matches_exact_gcd(self, a, b, common, p_lead):
+        # a planted common factor (when `common` has degree >= 1), and
+        # sometimes a leading coefficient divisible by P, which skips the
+        # modular test
+        a, b = a * common, b * common
+        if p_lead is not None:
+            side, k = p_lead
+            if side == 0:
+                a = with_lead_multiple_of_p(a, k)
+            else:
+                b = with_lead_multiple_of_p(b, k)
+        assert coprime(a, b) == (poly_gcd(a, b).degree < 1)
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        [
+            # gcd x mod P, coprime over Q: the exact fallback decides
+            (IntPoly.of(0, 1), IntPoly.of(MERSENNE_61, 1), True),
+            (IntPoly.of(-1, 0, 1), IntPoly.of(1 + MERSENNE_61, 1), True),
+            (IntPoly.of(-1, 0, 1), IntPoly.of(1, 1), False),
+            (IntPoly.of(1, MERSENNE_61), IntPoly.of(1, MERSENNE_61) * IntPoly.of(2, 1), False),
+            (IntPoly.of(1, MERSENNE_61), IntPoly.of(2, 1), True),
+            (IntPoly(()), IntPoly.of(3), True),
+            (IntPoly(()), IntPoly.of(1, 1), False),
+        ],
+    )
+    def test_coprime_cases(self, a, b, want):
+        assert coprime(a, b) is want is (poly_gcd(a, b).degree < 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=small_polys, d=small_polys, r=small_polys, lead=st.sampled_from([1, -1]),
+           exact=st.booleans())
+    def test_unit_lead_exact_div_matches_rational_division(self, a, d, r, lead, exact):
+        d = d + IntPoly.x_power(max(d.degree, 0) + 1) * lead
+        n = a * d if exact else a * d + r
+        assert outcome(n.exact_div, d) == outcome(rational_exact_div, n, d)
 
 
 class TestCyclotomic:
