@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
@@ -44,6 +46,23 @@ def _json_int(val, key: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ParseError(f"must be an integer, not {val!r}", key)
     return val
+
+
+def _json_bool(val, key: str) -> bool:
+    """`val` if it is JSON true or false."""
+    if not isinstance(val, bool):
+        raise ParseError(f"must be true or false, not {val!r}", key)
+    return val
+
+
+def _json_rat(val, key: str) -> Fraction:
+    """Fraction from a JSON string 'a' or 'a/b'."""
+    if not isinstance(val, str):
+        raise ParseError(f"must be a rational string, not {val!r}", key)
+    try:
+        return parse_rat(val)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational: {e}", key) from None
 
 
 def _json_poly(val, key: str) -> IntPoly:
@@ -266,15 +285,18 @@ def _verify_bound(
 
 def _verify_canonical(desc: dict) -> list[str]:
     try:
+        theta = desc["theta"]
+        if not isinstance(theta, list) or len(theta) != 2:
+            raise ParseError("must be a list of two rational strings", "theta")
         CanonicalConstant(
-            parse_rat(desc["theta"][0]),
-            parse_rat(desc["theta"][1]),
+            _json_rat(theta[0], "theta"),
+            _json_rat(theta[1], "theta"),
             _json_int(desc["ell"], "ell"),
             _json_poly(desc["f"], "f"),
             _json_poly(desc["g"], "g"),
             _json_int(desc["m"], "m"),
             _json_int(desc["D"], "D"),
-            bool(desc["base_trivial"]),
+            _json_bool(desc["base_trivial"], "base_trivial"),
         )
     except (KeyError, ValueError, DecideError) as e:
         return [f"canonical tuple invalid: {e}"]

@@ -110,28 +110,24 @@ class IntPoly:
             return False
 
     def exact_div(self, d: "IntPoly") -> "IntPoly":
-        """Exact quotient over Z; raises if the division leaves a remainder.
+        """Exact quotient over Z by integer long division; raises unless d
+        divides self with an integral quotient.
 
-        A divisor with leading coefficient +-1 (cyclotomics, monic linear
-        factors) divides in integers; any other goes through QPoly.
+        Each quotient coefficient is the one long division over Q would
+        give, so a step whose top coefficient the lead does not divide
+        proves the quotient over Q is not integral (or a remainder is left).
         """
-        if d.coeffs and d.coeffs[-1] in (1, -1):
-            return self._div_unit_lead(d)
-        q, r = self.to_q().divrem(d.to_q())
-        if not r.is_zero:
-            raise DecideError("inexact polynomial division")
-        if any(c.denominator != 1 for c in q.coeffs):
-            raise DecideError("quotient not integral")
-        return IntPoly(tuple(c.numerator for c in q.coeffs))
-
-    def _div_unit_lead(self, d: "IntPoly") -> "IntPoly":
+        if d.is_zero:
+            raise DecideError("division by zero polynomial")
         rem = list(self.coeffs)
         dd = d.degree
         lead = d.coeffs[-1]
         low = [(j, c) for j, c in enumerate(d.coeffs[:-1]) if c]
         q = [0] * max(0, len(rem) - dd)
         for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] * lead  # lead is its own inverse
+            c, r = divmod(rem[i + dd], lead)
+            if r:
+                raise DecideError("inexact polynomial division")
             if c:
                 q[i] = c
                 for j, dc in low:

@@ -114,7 +114,9 @@ class TestCertificates:
         assert any("exit code" in p for p in verify_certificate(cert))
 
     # int() would read each of these as a well-formed tuple of the worked
-    # example (f = x^2 or 1, ell = 1, m = D = 1)
+    # example (f = x^2 or 1, ell = 1, m = D = 1); the malformed theta and
+    # base_trivial entries once escaped replay as TypeError, AttributeError
+    # or ZeroDivisionError, or read the string "no" as true
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -125,6 +127,11 @@ class TestCertificates:
             ("ell", 1.7),
             ("m", True),
             ("D", 1.0),
+            ("theta", [1, 0]),
+            ("theta", 5),
+            ("theta", ["1", "0", "0"]),
+            ("theta", ["1/0", "0"]),
+            ("base_trivial", "no"),
         ],
     )
     def test_tampered_canonical_entry_rejected(self, key, value):

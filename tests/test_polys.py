@@ -57,7 +57,7 @@ def with_lead_multiple_of_p(f: IntPoly, k: int) -> IntPoly:
 
 
 def rational_exact_div(n: IntPoly, d: IntPoly) -> IntPoly:
-    """Quotient by division over Q, raising as IntPoly.exact_div does."""
+    """Quotient by division over Q; raises unless it is exact and integral."""
     quo, rem = n.to_q().divrem(d.to_q())
     if not rem.is_zero:
         raise DecideError("inexact polynomial division")
@@ -69,8 +69,8 @@ def rational_exact_div(n: IntPoly, d: IntPoly) -> IntPoly:
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except DecideError as e:
-        return str(e)
+    except DecideError:
+        return "raises"
 
 
 class TestIntegerKernels:
@@ -106,13 +106,20 @@ class TestIntegerKernels:
     def test_coprime_cases(self, a, b, want):
         assert coprime(a, b) is want is (poly_gcd(a, b).degree < 1)
 
-    @settings(max_examples=150, deadline=None)
-    @given(a=small_polys, d=small_polys, r=small_polys, lead=st.sampled_from([1, -1]),
-           exact=st.booleans())
-    def test_unit_lead_exact_div_matches_rational_division(self, a, d, r, lead, exact):
+    @settings(max_examples=200, deadline=None)
+    @given(a=small_polys, d=small_polys, r=small_polys, lead=st.sampled_from([1, -1, 2, -3, 6]),
+           form=st.sampled_from(["exact", "remainder", "scaled"]))
+    def test_exact_div_matches_rational_division(self, a, d, r, lead, form):
+        # "scaled" divides a*d by 2*d: exact over Q, integral only when 2 | a
         d = d + IntPoly.x_power(max(d.degree, 0) + 1) * lead
-        n = a * d if exact else a * d + r
+        n = a * d + r if form == "remainder" else a * d
+        if form == "scaled":
+            d = d * 2
         assert outcome(n.exact_div, d) == outcome(rational_exact_div, n, d)
+
+    def test_exact_div_by_zero_raises(self):
+        with pytest.raises(DecideError):
+            IntPoly.of(1, 1).exact_div(IntPoly(()))
 
 
 class TestCyclotomic:
