@@ -18,11 +18,10 @@ from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
-from .sequence import ExactScan, HGInstance, Problem
+from .sequence import ExactScan, HGInstance, Problem, classify, monotonicity_index
 from .verdicts import Conditionality, Verdict
 
-FORMAT = "hgdecide-certificate/1"
-BOUND_RECHECK_SPAN = 50
+FORMAT = "hgdecide-certificate/2"
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         else:
             what, least, rel, not_rel = "violation", "first", "<", ">="
         try:
-            # the scan may go on to a bound's recheck span; the witness
-            # replay itself stays within the scan cap
-            scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
+            scan = ExactScan(inst, config.scan_cap)
             n = scan.first_hit(min(witness, config.scan_cap + 1))
             if n is not None:
                 problems.append(f"{what} {witness} is not {least}: u_{n} {rel} t")
@@ -233,7 +230,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
 
     bound = cert.get("bound")
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, config, scan))
+        problems.extend(_verify_bound(inst, bound, cert.get("compare"), config, scan))
 
     canonical = cert.get("canonical")
     if canonical is not None:
@@ -246,10 +243,23 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
 
 
 def _verify_bound(
-    inst: HGInstance, bound: dict, config: EngineConfig, scan: ExactScan | None = None
+    inst: HGInstance,
+    bound: dict,
+    compare: dict | None,
+    config: EngineConfig,
+    scan: ExactScan | None = None,
 ) -> list[str]:
-    """Replay a bound; `scan`, if given and not past the bound index,
-    carries on from where it is (its exact anchor included)."""
+    """Prove a bound's claim for every n >= n0.
+
+    n0 must be at least k1 = monotonicity_index(p, q): past k1, q, p,
+    q - p and q + p keep their signs, so sign r(k) and the sign of
+    q(k)^2 - p(k)^2, i.e. of |r(k)| - 1, are those at k1 and |u_n| is
+    monotone from n0 on.  One exact comparison of u_{n0} with t then
+    settles the whole tail.  `scan`, if given and not past n0, carries on
+    from where it is (its exact anchor included).
+    """
+    if not isinstance(bound, dict):
+        return ["bound invalid"]
     n0 = bound.get("n")
     just = bound.get("justification")
     if not isinstance(n0, int) or n0 < 0:
@@ -258,29 +268,52 @@ def _verify_bound(
         return [f"unknown bound justification {just!r}"]
     if n0 > config.scan_cap:
         return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
-    # a bound at the cap is rechecked BOUND_RECHECK_SPAN terms beyond it
+    k1 = monotonicity_index(inst.p, inst.q)
+    if n0 < k1:
+        return [f"bound index {n0} is below the monotonicity index {k1}"]
     if scan is None or scan.n > n0:
-        scan = ExactScan(inst, config.scan_cap + BOUND_RECHECK_SPAN)
+        scan = ExactScan(inst, config.scan_cap)
     scan.jump(n0)
     t = inst.t
-    for n in range(n0, n0 + BOUND_RECHECK_SPAN + 1):
-        if n > n0:
-            scan.step()
-        if just == "ratio_exceeds_target":
-            if scan.abs_cmp(t) <= 0:
-                return [f"|u_{n}| <= |t| inside a divergence bound"]
-            if abs(inst.q(n)) <= abs(inst.p(n)):
-                return [f"|r({n})| <= 1 inside a divergence bound"]
-        elif just == "tail_below_target":
-            if scan.abs_cmp(t) >= 0:
-                return [f"|u_{n}| >= |t| inside a shrink bound"]
-            if abs(inst.q(n)) >= abs(inst.p(n)):
-                return [f"|r({n})| >= 1 inside a shrink bound"]
-        elif scan.hit():
-            if inst.problem is Problem.THRESHOLD:
-                return [f"u_{n} < t inside a monotone-tail bound"]
-            return [f"u_{n} = t beyond the exclusion bound"]
-    return []
+    qq_pp = (inst.q * inst.q - inst.p * inst.p)(k1)
+    grow = (qq_pp > 0) - (qq_pp < 0)  # the sign of |r(k)| - 1 for k >= k1
+    if just == "ratio_exceeds_target":
+        if grow <= 0:
+            return [f"|r(k)| <= 1 for k >= {k1} under a divergence bound"]
+        if scan.abs_cmp(t) <= 0:
+            return [f"|u_{n0}| <= |t| at a divergence bound"]
+        return []
+    if just == "tail_below_target":
+        if grow >= 0:
+            return [f"|r(k)| >= 1 for k >= {k1} under a shrink bound"]
+        if scan.abs_cmp(t) >= 0:
+            return [f"|u_{n0}| >= |t| at a shrink bound"]
+        return []
+    # product_monotone_beyond: the terms keep the sign s of u_{n0} (or stay
+    # zero) and move strictly monotonically in `direction`, or stay put
+    if inst.q(k1) * inst.p(k1) < 0:
+        return [f"r(k) < 0 for k >= {k1} under a monotone-tail bound"]
+    if scan.hit():
+        if inst.problem is Problem.THRESHOLD:
+            return [f"u_{n0} < t at a monotone-tail bound"]
+        return [f"u_{n0} = t at the exclusion bound"]
+    s = scan.sign()
+    direction = s * grow
+    if inst.problem is Problem.THRESHOLD:
+        # u_{n0} >= t: a rising tail stays above it, and a tail that keeps a
+        # nonnegative sign stays above t <= 0
+        if direction >= 0 or (s >= 0 and t <= 0):
+            return []
+        return [f"the tail falls from u_{n0} under a monotone-tail bound"]
+    side = scan.cmp(t)
+    if direction == 0 or direction == side or s * t <= 0:
+        return []  # constant, moving away from t, or never of t's sign
+    # the tail moves towards t and misses it only if its limit stays on
+    # u_{n0}'s side of t: the order claim (read here, not replayed)
+    relation = compare.get("relation") if isinstance(compare, dict) else None
+    if classify(inst.p, inst.q).is_balanced and relation == ("less" if side < 0 else "greater"):
+        return []
+    return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
 
 
 def _verify_canonical(desc: dict) -> list[str]:

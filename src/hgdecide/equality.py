@@ -149,13 +149,13 @@ def decide(
     """Full decision pipeline.
 
     The bounded regimes (zero tails, divergence, shrinkage) are decided for
-    arbitrary nonzero coefficients; the balanced branch, which needs the
-    gamma-product machinery, requires monic p and q.  oracle_builder lets
-    the conditional module substitute its own equality oracle for that
-    branch; everything else is shared.
+    arbitrary nonzero coefficients.  The balanced branch scans first and
+    builds the limit oracle only for a verdict that reads the limit; that
+    build needs monic p and q and the gamma-product machinery, so only
+    such verdicts can end as unsupported.  oracle_builder lets the
+    conditional module substitute its own equality oracle for that build;
+    everything else is shared.
     """
-    builder = oracle_builder or _unconditional_oracle
-
     if inst.u0 == 0:
         return _zero_sequence_verdict(inst)
     if inst.t == 0:
@@ -173,10 +173,14 @@ def decide(
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
     if inst.p == inst.q:
         return _constant_sequence_verdict(inst, cls)
-    if not inst.is_monic_pair:
-        raise UnsupportedInstance("balanced instances need monic coefficients")
-    oracle = builder(inst, config)
-    return _balanced_verdict(inst, cls, oracle, config)
+    builder = oracle_builder or _unconditional_oracle
+
+    def build_oracle():
+        if not inst.is_monic_pair:
+            raise UnsupportedInstance("balanced instances need monic coefficients")
+        return builder(inst, config)
+
+    return _balanced_verdict(inst, cls, build_oracle, config)
 
 
 # -- easy regimes ------------------------------------------------------------
@@ -301,42 +305,55 @@ def _constant_sequence_verdict(inst: HGInstance, cls: AsymptoticClass) -> Verdic
 # -- balanced branch ---------------------------------------------------------
 
 
-def _tail_direction(inst: HGInstance, k0: int, config: EngineConfig) -> int:
-    """+1 if u_n strictly increases for n > k0, -1 if it decreases."""
-    scan = ExactScan(inst, config.scan_cap)
-    scan.jump(k0 + 1)
-    s_u = scan.sign()
-    s_diff = (inst.q - inst.p)(k0 + 1)
-    if s_u == 0 or s_diff == 0:
-        raise DecideError("internal: degenerate tail in balanced branch")
-    return 1 if (s_u > 0) == (s_diff > 0) else -1
-
-
 def _balanced_verdict(
     inst: HGInstance,
     cls: AsymptoticClass,
-    oracle,
+    build_oracle,
     config: EngineConfig,
 ) -> Verdict:
+    """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
+
+    Past k0 = monotonicity_index(p, q) the tail is strictly monotone
+    towards L, so the prefix u_0 .. u_{k0+1} is scanned first.  A prefix
+    witness or violation, and an increasing Threshold tail (its minimum
+    u_{k0+1} lies in the prefix), do not depend on L; only the other
+    verdicts call build_oracle() for the equality and order tests.
+    """
     k0 = monotonicity_index(inst.p, inst.q)
-    direction = _tail_direction(inst, k0, config)
+    scan = ExactScan(inst, config.scan_cap)
+    n = scan.first_hit(k0 + 2)
+    membership = inst.problem is Problem.MEMBERSHIP
+    if n is not None:
+        if membership:
+            return Verdict(
+                inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
+                witness=n, asymptotic=cls, scanned_up_to=n,
+            )
+        return Verdict(
+            inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
+            witness=n, asymptotic=cls, scanned_up_to=k0 + 1,
+        )
+    # past k0, u_{n+1} - u_n = u_n (q(n) - p(n))/p(n) keeps its sign
+    m = scan.n
+    slope = scan.sign() * (inst.q - inst.p)(m) * inst.p(m)
+    if slope == 0:
+        raise DecideError("internal: degenerate tail in balanced branch")
+    direction = 1 if slope > 0 else -1
+    if not membership and direction > 0:
+        return Verdict(
+            inst.problem, True, Conditionality.UNCONDITIONAL, "increasing_tail",
+            asymptotic=cls, scanned_up_to=k0 + 1,
+            bound=SearchBound(k0 + 1, "product_monotone_beyond"),
+        )
+
+    oracle = build_oracle()
     eq = oracle.decide_equal(inst.t)
     # captured after the equality decision so oracle traces are complete
     extras = oracle.verdict_extras()
     cond = Conditionality.CONDITIONAL_ON_SCHANUEL if eq.conditional else Conditionality.UNCONDITIONAL
-    scan = ExactScan(inst, config.scan_cap)
-    n = scan.first_hit(k0 + 2)
-
-    if inst.problem is Problem.MEMBERSHIP:
+    if membership:
         if eq.equal:
-            # the limit equals the target; a strictly monotone tail never
-            # attains its limit, so witnesses live in the prefix only
-            if n is not None:
-                return Verdict(
-                    inst.problem, True, Conditionality.UNCONDITIONAL,
-                    "prefix_witness", witness=n, asymptotic=cls,
-                    scanned_up_to=k0 + 1, equality_rationale=eq.rationale, **extras,
-                )
+            # a strictly monotone tail never attains its limit
             return Verdict(
                 inst.problem, False, cond, "limit_equals_target_not_attained",
                 asymptotic=cls, scanned_up_to=k0 + 1,
@@ -344,7 +361,7 @@ def _balanced_verdict(
             )
         side, bits = oracle.compare(inst.t)
         relation = "less" if side < 0 else "greater"
-        if n is None and side == direction and scan.sign() * inst.t > 0:
+        if side == direction and scan.sign() * inst.t > 0:
             # the monotone tail is on the far side of t from the limit: a
             # tail witness is possible until the tail passes t, where
             # direction * (u_n - t) > 0, i.e. |u_n| - |t| has the sign of
@@ -365,20 +382,7 @@ def _balanced_verdict(
             compare_precision_bits=bits, **extras,
         )
 
-    # threshold
-    if n is not None:
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
-            witness=n, asymptotic=cls, scanned_up_to=k0 + 1, **extras,
-        )
-    if direction > 0:
-        # increasing tail: its minimum u_{k0+1} was checked in the prefix
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL, "increasing_tail",
-            asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=SearchBound(k0 + 1, "product_monotone_beyond"), **extras,
-        )
-    # decreasing tail with infimum equal to the limit: holds iff limit >= t
+    # threshold, decreasing tail with infimum L: holds iff L >= t
     if eq.equal:
         return Verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL,

@@ -95,7 +95,7 @@ class TestCertificates:
         cert = decide_document(din, EngineConfig(scan_cap=1000))
         assert cert["bound"]["justification"] == "ratio_exceeds_target"
         n0 = cert["bound"]["n"]
-        # a true bound at the cap still verifies: the recheck runs past it
+        # a true bound at the cap still verifies
         assert verify_certificate(cert, EngineConfig(scan_cap=n0)) == []
         cert["bound"]["n"] = 200_000
         failures = verify_certificate(cert, EngineConfig(scan_cap=1000))
@@ -137,11 +137,81 @@ class TestCertificates:
     def test_tampered_canonical_entry_rejected(self, key, value):
         from hgdecide.config import DEFAULT_CONFIG
 
-        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        # t = 1/2 is no term of the worked pair: the verdict reads the limit
+        # (monotone_tail_excludes_target), so the certificate carries it
+        cert = decide_document(parse_instance({**WORKED, "t": "1/2"}), DEFAULT_CONFIG)
         assert verify_certificate(cert) == []
         cert["canonical"][key] = value
         failures = verify_certificate(cert)
         assert any(f.startswith(f"canonical tuple invalid: {key}:") for f in failures), failures
+
+    @pytest.mark.parametrize(
+        "p,q,t,problem,n,justification,failure",
+        [
+            # q - p = 10^6 (1055 - x) changes sign at 1055: |u_n| exceeds
+            # t = 2^4009 on 1000..1050 but is below it at n = 1133
+            (
+                [1, 0, 0, 1], [1 + 1055 * 10**6, -(10**6), 0, 1], str(2**4009), "threshold",
+                1000, "ratio_exceeds_target", "below the monotonicity index",
+            ),
+            # u_n = 1/(n + 1) falls below 1/1000, u_n = n + 1 passes 1000
+            ([2, 1], [1, 1], "1/1000", "membership", 10, "ratio_exceeds_target", "|r(k)| <= 1"),
+            ([1, 1], [2, 1], "1000", "membership", 10, "tail_below_target", "|r(k)| >= 1"),
+            # u_n = (-1)^n (n + 1): u_4 = 5 >= t, but the odd terms pass -1000
+            ([1, 1], [-2, -1], "-1000", "threshold", 4, "product_monotone_beyond", "r(k) < 0"),
+        ],
+    )
+    def test_forged_bound_rejected(self, p, q, t, problem, n, justification, failure):
+        from hgdecide.sequence import SearchBound
+        from hgdecide.verdicts import Conditionality, Verdict
+
+        din = parse_instance(doc(p, q, "1", t, problem))
+        # holds or not_member: the bound claims no witness from n on
+        result = din.inst.problem.value == "threshold"
+        forged = Verdict(
+            din.inst.problem, result, Conditionality.UNCONDITIONAL, "divergence_bound",
+            bound=SearchBound(n, justification), scanned_up_to=n,
+        )
+        failures = verify_certificate(certificate_dict(din, forged))
+        assert any(failure in f for f in failures), failures
+
+    def test_falling_positive_tail_above_zero_target_verifies(self):
+        # t = 0: the worked pair's tail falls but stays positive
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(
+            parse_instance({**WORKED, "t": "0", "problem": "threshold"}), DEFAULT_CONFIG
+        )
+        assert cert["verdict"] == "holds"
+        assert cert["bound"]["justification"] == "product_monotone_beyond"
+        assert verify_certificate(cert) == []
+
+    def test_tail_moving_towards_target_needs_the_order_claim(self):
+        # the worked pair falls towards its limit, about 4.8e-5 > t = 10^-5:
+        # only the limit's side of t keeps the tail past the bound off t
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance({**WORKED, "t": "1/100000"}), DEFAULT_CONFIG)
+        assert cert["reason"] == "monotone_tail_excludes_target"
+        assert cert["compare"]["relation"] == "greater"
+        assert verify_certificate(cert) == []
+        cert["compare"]["relation"] = "less"
+        assert any("no order claim" in f for f in verify_certificate(cert))
+        for malformed in (None, "greater"):
+            cert["compare"] = malformed
+            assert any("no order claim" in f for f in verify_certificate(cert))
+        cert["bound"] = [cert["bound"]["n"]]
+        assert "bound invalid" in verify_certificate(cert)
+
+    def test_monotone_bound_on_falling_threshold_tail_rejected(self):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(
+            parse_instance({**WORKED, "t": "1/100000", "problem": "threshold"}), DEFAULT_CONFIG
+        )
+        assert cert["reason"] == "decreasing_tail_above_target" and cert["bound"] is None
+        cert["bound"] = {"n": cert["scanned_up_to"], "justification": "product_monotone_beyond"}
+        assert any("the tail falls" in f for f in verify_certificate(cert))
 
     def test_serialization_deterministic(self):
         from hgdecide.config import DEFAULT_CONFIG
@@ -250,14 +320,14 @@ class TestCLI:
         assert "resource limit" in capsys.readouterr().err
 
     def test_oversized_pair_exponent_is_not_a_verdict(self, tmp_path, capsys):
-        # the canonical form would need x^e with e = 2^126: refused as
-        # unsupported before it is built; the conditional engine builds its
-        # oracle and then meets the scan cap
+        # k0 is about 2^252, so the prefix scan meets the scan cap before
+        # either engine builds its oracle (the canonical form would need
+        # x^e with e = 2^126)
         big = doc([2**250, 0, 1], [2**252, 0, 1], "1", "1/1000000", "threshold")
         f = tmp_path / "big.json"
         f.write_text(json.dumps({**big, "mode": "unconditional"}))
-        assert main(["--scan-cap", "1000", "decide", str(f)]) == 2
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert main(["--scan-cap", "1000", "decide", str(f)]) == 4
+        assert "resource limit" in capsys.readouterr().err
         f.write_text(json.dumps(big))
         assert main(["--scan-cap", "1000", "decide", str(f)]) == 4
         capsys.readouterr()

@@ -147,6 +147,55 @@ class TestThresholdPipeline:
         assert not v.result and term(HGInstance(p, q, F(3), F(0), Problem.THRESHOLD), v.witness) < F(101, 100)
 
 
+# p = x^3 + 1, q = x^3 + 1 + 10^6 (1055 - x): q is an irreducible cubic,
+# so the limit lies outside both engines' class; k0 is about 10^9
+CUBIC = ([1, 0, 0, 1], [1 + 1055 * 10**6, -(10**6), 0, 1])
+# p = (6x + 1)(6x + 5), q = (6x + 2)(6x + 4): balanced but not monic
+SIXTHS = ([5, 36, 36], [8, 36, 36])
+
+
+class OracleBuilt(Exception):
+    pass
+
+
+def no_oracle(inst, config):
+    raise OracleBuilt()
+
+
+class TestScanFirst:
+    """The balanced branch builds the limit oracle only for verdicts that
+    read the limit."""
+
+    @pytest.mark.parametrize(
+        "p,q,u0,t,problem,reason,witness",
+        [
+            (*CUBIC, 1, None, Problem.MEMBERSHIP, "prefix_witness", 300),
+            ([13, -4, 1], [5, -4, 1], 1, F(1, 13), Problem.MEMBERSHIP, "prefix_witness", 2),
+            ([13, -4, 1], [5, -4, 1], 1, F(1, 26), Problem.THRESHOLD, "prefix_violation", 3),
+            ([4, 5, 1], [6, 5, 1], 1, 1, Problem.THRESHOLD, "increasing_tail", None),
+            (*SIXTHS, 1, 3, Problem.THRESHOLD, "prefix_violation", 0),
+            (*SIXTHS, 1, F(1, 2), Problem.THRESHOLD, "increasing_tail", None),
+            # negative leads: q(k) - p(k) = -2 < 0, yet
+            # q(k)/p(k) = (k + 2)(k + 3)/((k + 1)(k + 4)) > 1
+            ([-4, -5, -1], [-6, -5, -1], 1, F(1, 2), Problem.THRESHOLD, "increasing_tail", None),
+        ],
+    )
+    def test_limit_free_verdicts_never_build_the_oracle(self, p, q, u0, t, problem, reason, witness):
+        if t is None:
+            t = term(inst(p, q, u0, 0), witness)
+        v = decide(inst(p, q, u0, t, problem), oracle_builder=no_oracle)
+        assert (v.reason, v.witness) == (reason, witness)
+        assert v.result == (reason != "prefix_violation")
+
+    def test_limit_reading_verdicts_build_the_oracle(self):
+        for t, problem in [(F(1, 2), Problem.MEMBERSHIP), (F(1, 10**5), Problem.THRESHOLD)]:
+            with pytest.raises(OracleBuilt):
+                decide(inst([13, -4, 1], [5, -4, 1], 1, t, problem), oracle_builder=no_oracle)
+        # the build needs a monic pair
+        with pytest.raises(UnsupportedInstance):
+            decide(inst(*SIXTHS, 1, F(1, 2)))
+
+
 class TestVerdictOracleConsistency:
     def test_small_random_sweep(self):
         rng = random.Random(5)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide import sequence
-from hgdecide.certs import BOUND_RECHECK_SPAN, InstanceDocument, verify_certificate
+from hgdecide.certs import InstanceDocument, verify_certificate
 from hgdecide.cli import decide_document
 from hgdecide.config import EngineConfig
 from hgdecide.equality import decide
@@ -518,7 +518,7 @@ class TestSharedReplay:
         assert verify_certificate(cert) == []
         assert len(scans) == 1
         assert scans[0].materialized == 1
-        assert scans[0].steps == 3001 + BOUND_RECHECK_SPAN
+        assert scans[0].steps == 3001
 
     def test_witness_pair_is_telescoped(self):
         # u_n = 2 (n + 3)/3 meets t at 2 * 10^5: the exact pair there is
