@@ -47,6 +47,13 @@ def _json_int(val, key: str) -> int:
     return val
 
 
+def _json_index(val, key: str) -> int:
+    """`val` if it is a nonnegative JSON integer (a term index)."""
+    if _json_int(val, key) < 0:
+        raise ParseError(f"must be nonnegative, not {val!r}", key)
+    return val
+
+
 def _json_bool(val, key: str) -> bool:
     """`val` if it is JSON true or false."""
     if not isinstance(val, bool):
@@ -215,6 +222,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         else:
             what, least, rel, not_rel = "violation", "first", "<", ">="
         try:
+            witness = _json_index(witness, "witness")
             scan = ExactScan(inst, config.scan_cap)
             n = scan.first_hit(min(witness, config.scan_cap + 1))
             if n is not None:
@@ -224,6 +232,8 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
             scan.jump(witness)
             if not scan.hit():
                 problems.append(f"claimed {what} u_{witness} {not_rel} t")
+        except ParseError as e:
+            problems.append(f"witness invalid: {e}")
         except DecideError as e:
             problems.append(f"witness replay failed: {e}")
             scan = None
@@ -260,10 +270,11 @@ def _verify_bound(
     """
     if not isinstance(bound, dict):
         return ["bound invalid"]
-    n0 = bound.get("n")
+    try:
+        n0 = _json_index(bound.get("n"), "bound.n")
+    except ParseError as e:
+        return [f"bound index invalid: {e}"]
     just = bound.get("justification")
-    if not isinstance(n0, int) or n0 < 0:
-        return ["bound index invalid"]
     if just not in ("ratio_exceeds_target", "tail_below_target", "product_monotone_beyond"):
         return [f"unknown bound justification {just!r}"]
     if n0 > config.scan_cap:

@@ -47,8 +47,23 @@ def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
 
 
 def _cmp(m1: int, e1: int, m2: int, e2: int) -> int:
+    # equal exponents, and mantissas of different signs (zero counts as a
+    # sign), are ordered by the mantissas alone; only two nonzero mantissas
+    # of one sign at different exponents need aligning
+    if e1 == e2 or (m1 > 0) != (m2 > 0) or (m1 < 0) != (m2 < 0):
+        return (m1 > m2) - (m1 < m2)
     m, _ = _add(m1, e1, -m2, e2)
     return (m > 0) - (m < 0)
+
+
+def _cmp_ratio(m: int, e: int, num: int, den: int) -> int:
+    """Sign of m*2**e - num/den (den > 0), by cross-multiplication."""
+    lhs = m * den
+    if e >= 0:
+        lhs <<= e
+    else:
+        num <<= -e
+    return (lhs > num) - (lhs < num)
 
 
 def _div_down(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
@@ -169,20 +184,49 @@ class DyadicInterval:
         return self.add(other.neg(), prec)
 
     def mul(self, other: "DyadicInterval", prec: int) -> "DyadicInterval":
-        cands = [
-            (self.lo_man * other.lo_man, self.lo_exp + other.lo_exp),
-            (self.lo_man * other.hi_man, self.lo_exp + other.hi_exp),
-            (self.hi_man * other.lo_man, self.hi_exp + other.lo_exp),
-            (self.hi_man * other.hi_man, self.hi_exp + other.hi_exp),
-        ]
-        # exact comparison of the four candidate corners
-        lo = cands[0]
-        hi = cands[0]
-        for c in cands[1:]:
-            if _cmp(c[0], c[1], lo[0], lo[1]) < 0:
-                lo = c
-            if _cmp(c[0], c[1], hi[0], hi[1]) > 0:
-                hi = c
+        """Product, endpoints from Moore's sign table (Interval Analysis, 1966).
+
+        Each factor is nonnegative (lo >= 0), nonpositive (hi <= 0) or
+        straddles zero.  Eight of the nine sign cases name the corner that
+        is the lower and the one that is the upper endpoint, so they take
+        two products and no comparison; only two straddling factors need
+        all four corners and two comparisons:
+
+            a          b >= 0         b <= 0         b straddles
+            a >= 0     [al*bl, ah*bh] [ah*bl, al*bh] [ah*bl, ah*bh]
+            a <= 0     [al*bh, ah*bl] [ah*bh, al*bl] [al*bh, al*bl]
+            straddles  [al*bh, ah*bh] [ah*bl, al*bl] [min(al*bh, ah*bl),
+                                                      max(al*bl, ah*bh)]
+
+        where a = [al, ah] is self and b = [bl, bh] is other.
+        """
+        al, ale, ah, ahe = self.lo_man, self.lo_exp, self.hi_man, self.hi_exp
+        bl, ble, bh, bhe = other.lo_man, other.lo_exp, other.hi_man, other.hi_exp
+        if al >= 0:
+            if bl >= 0:
+                lo, hi = (al * bl, ale + ble), (ah * bh, ahe + bhe)
+            elif bh <= 0:
+                lo, hi = (ah * bl, ahe + ble), (al * bh, ale + bhe)
+            else:
+                lo, hi = (ah * bl, ahe + ble), (ah * bh, ahe + bhe)
+        elif ah <= 0:
+            if bl >= 0:
+                lo, hi = (al * bh, ale + bhe), (ah * bl, ahe + ble)
+            elif bh <= 0:
+                lo, hi = (ah * bh, ahe + bhe), (al * bl, ale + ble)
+            else:
+                lo, hi = (al * bh, ale + bhe), (al * bl, ale + ble)
+        elif bl >= 0:
+            lo, hi = (al * bh, ale + bhe), (ah * bh, ahe + bhe)
+        elif bh <= 0:
+            lo, hi = (ah * bl, ahe + ble), (al * bl, ale + ble)
+        else:
+            lo, alt = (al * bh, ale + bhe), (ah * bl, ahe + ble)
+            if _cmp(*alt, *lo) < 0:
+                lo = alt
+            hi, alt = (al * bl, ale + ble), (ah * bh, ahe + bhe)
+            if _cmp(*alt, *hi) > 0:
+                hi = alt
         return DyadicInterval(*_round_down(*lo, prec), *_round_up(*hi, prec))
 
     def scale(self, q: Fraction, prec: int) -> "DyadicInterval":
@@ -219,9 +263,10 @@ class DyadicInterval:
 
     def compare_fraction(self, q: Fraction) -> int | None:
         """-1 if the whole interval is < q, +1 if > q, None if q is inside."""
-        if self.hi < q:
+        num, den = q.numerator, q.denominator
+        if _cmp_ratio(self.hi_man, self.hi_exp, num, den) < 0:
             return -1
-        if self.lo > q:
+        if _cmp_ratio(self.lo_man, self.lo_exp, num, den) > 0:
             return 1
         return None
 
@@ -250,9 +295,6 @@ class ComplexInterval:
     def neg(self) -> "ComplexInterval":
         return ComplexInterval(self.re.neg(), self.im.neg())
 
-    def conj(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, self.im.neg())
-
     def mul(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         re = self.re.mul(other.re, prec).sub(self.im.mul(other.im, prec), prec)
         im = self.re.mul(other.im, prec).add(self.im.mul(other.re, prec), prec)
@@ -272,8 +314,8 @@ class ComplexInterval:
         d = self.abs2(prec + 8)
         if d.contains_zero():
             raise IntervalStraddlesZero("complex interval reciprocal across zero")
-        c = self.conj()
-        return ComplexInterval(c.re.div(d, prec), c.im.div(d, prec))
+        r = d.inv(prec + 8)  # 1/z = conj(z) * (1/|z|^2)
+        return ComplexInterval(self.re.mul(r, prec), self.im.neg().mul(r, prec))
 
     def div(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         return self.mul(other.inv(prec + 8), prec)

@@ -13,6 +13,11 @@ interval; there is no heuristic rounding anywhere.
 Refinement is monotone by construction: `eval_enclosure` walks the standard
 precision ladder 64, 128, 256, ... intersecting as it goes, so a result at
 higher requested precision is always nested inside the lower-precision one.
+A caller that climbs the ladder hands each result to the next request, which
+then walks only its own new top rung: a compare that separates at rung j
+walks the tree j times, not j(j+1)/2.  A rung whose walk divides by an
+interval straddling zero contributes nothing, so a denominator that only
+separates from zero at a higher rung does not block the rungs above it.
 """
 
 from __future__ import annotations
@@ -432,12 +437,22 @@ def eval_enclosure(
     expr: Expr,
     precision_bits: int,
     config: EngineConfig = DEFAULT_CONFIG,
+    prior: "tuple[int, DyadicInterval | None] | None" = None,
 ) -> DyadicInterval:
     """Interval certain to contain the exact value of `expr`.
 
-    Walks the precision ladder 64, 128, ... up to `precision_bits`,
-    intersecting successive results, which makes refinement nested.  Raises
+    Walks the precision ladder 64, 128, ... up to the first rung at or
+    above `precision_bits`, intersecting successive results, which makes
+    refinement nested.  A rung whose walk meets a divisor straddling zero
+    adds nothing to the intersection; the call raises IntervalStraddlesZero
+    only when no rung up to `precision_bits` evaluated.  Raises
     PrecisionExceeded when `precision_bits` breaches the configured cap.
+
+    `prior` is (bits, result) of an earlier call on the same `expr` with
+    fewer bits: what it returned, or None if it raised
+    IntervalStraddlesZero.  The call then walks only the rungs above that
+    call's top rung and returns what a call without `prior` returns, so a
+    caller that climbs the ladder this way walks each rung once.
     """
     global _evals_done
     if precision_bits > config.precision_cap_bits:
@@ -445,21 +460,44 @@ def eval_enclosure(
             f"requested {precision_bits} bits exceeds cap {config.precision_cap_bits}"
         )
     _evals_done += 1
-    result: DyadicInterval | None = None
-    p = 64
-    while True:
-        step = _eval(expr, p + 32, {})
-        result = step if result is None else result.intersect(step)
-        if p >= precision_bits:
-            return result
+    top = _top_rung(precision_bits)
+    if prior is None:
+        p, result = 64, None
+    else:
+        p, result = 2 * _top_rung(prior[0]), prior[1]
+        if p > 2 * top:
+            raise DecideError(f"prior enclosure at {prior[0]} bits is finer than {precision_bits} bits")
+    while p <= top:
+        try:
+            step = _eval(expr, p + 32, {})
+        except IntervalStraddlesZero:
+            pass
+        else:
+            result = step if result is None else result.intersect(step)
         p *= 2
+    if result is None:
+        raise IntervalStraddlesZero(f"a divisor straddles zero at every rung up to {top} bits")
+    return result
+
+
+def _top_rung(bits: int) -> int:
+    """The rung of the ladder 64, 128, ... where a request for bits stops."""
+    p = 64
+    while p < bits:
+        p *= 2
+    return p
 
 
 def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONFIG):
     """(probe(bits), bits) for the first bits in start_bits, 2*start_bits,
     ... (capped at config.precision_cap_bits) where probe answers, i.e.
     returns anything but None; an IntervalStraddlesZero counts as no
-    answer.  Raises PrecisionExceeded when the cap gives none."""
+    answer.  Raises PrecisionExceeded when the cap gives none.
+
+    The ladder calls probe once per rung, in rising order; a probe over
+    `eval_enclosure` hands each rung's result on as the next call's
+    `prior` so that the expression is walked once per rung (see
+    `equality.compare_expr_zero`)."""
     bits = start_bits
     while True:
         try:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .enclosure import Expr, Rc, eval_enclosure, precision_ladder
-from .errors import DecideError, UnsupportedInstance
+from .errors import DecideError, IntervalStraddlesZero, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
@@ -78,10 +78,21 @@ def compare(
 
 
 def compare_expr_zero(expr: Expr, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int]:
-    return precision_ladder(
-        lambda bits: eval_enclosure(expr, bits, config).sign() or None,
-        config.compare_start_bits, config,
-    )
+    # one eval_enclosure call per rung, each handed the one before it, so
+    # every rung's tree walk happens once
+    prior = None
+
+    def probe(bits: int) -> int | None:
+        nonlocal prior
+        try:
+            iv = eval_enclosure(expr, bits, config, prior)
+        except IntervalStraddlesZero:
+            prior = (bits, None)
+            raise
+        prior = (bits, iv)
+        return iv.sign() or None
+
+    return precision_ladder(probe, config.compare_start_bits, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact interval relations that only the tests need."""
 
+from fractions import Fraction
+
 
 def overlaps(a, b) -> bool:
     """Two DyadicIntervals share a point."""
@@ -9,3 +11,45 @@ def overlaps(a, b) -> bool:
 def contains_interval(outer, inner) -> bool:
     """`inner` lies inside `outer`."""
     return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def corner_product(a, b, prec):
+    """DyadicInterval product from all four corners, picked by exact
+    Fraction comparison (the first of equal corners wins): the reference
+    for the sign-case `DyadicInterval.mul`."""
+    from hgdecide.dyadic import DyadicInterval, _round_down, _round_up
+
+    corners = [
+        (m1 * m2, e1 + e2)
+        for m1, e1 in ((a.lo_man, a.lo_exp), (a.hi_man, a.hi_exp))
+        for m2, e2 in ((b.lo_man, b.lo_exp), (b.hi_man, b.hi_exp))
+    ]
+    values = [Fraction(m) * Fraction(2) ** e for m, e in corners]
+    lo = corners[values.index(min(values))]
+    hi = corners[values.index(max(values))]
+    return DyadicInterval(*_round_down(*lo, prec), *_round_up(*hi, prec))
+
+
+def corner_complex_div(z, w, prec):
+    """`ComplexInterval.div` built on `corner_product`, with the reciprocal
+    of |w|^2 taken once per part as the four-corner kernel did."""
+    from hgdecide.dyadic import ComplexInterval, DyadicInterval
+    from hgdecide.errors import IntervalStraddlesZero
+
+    def cmul(x, y, p):
+        re = corner_product(x.re, y.re, p).sub(corner_product(x.im, y.im, p), p)
+        im = corner_product(x.re, y.im, p).add(corner_product(x.im, y.re, p), p)
+        return ComplexInterval(re, im)
+
+    def square(iv, p):
+        s = corner_product(iv, iv, p)
+        return DyadicInterval(0, 0, s.hi_man, s.hi_exp) if s.lo_man < 0 else s
+
+    p = prec + 8
+    d = square(w.re, p + 8).add(square(w.im, p + 8), p + 8)
+    if d.contains_zero():
+        raise IntervalStraddlesZero("complex interval reciprocal across zero")
+    inv = ComplexInterval(
+        corner_product(w.re, d.inv(p + 8), p), corner_product(w.im.neg(), d.inv(p + 8), p)
+    )
+    return cmul(z, inv, prec)

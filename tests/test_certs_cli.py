@@ -75,6 +75,17 @@ class TestCertificates:
         cert["witness"] = 3
         assert verify_certificate(cert)
 
+    # once a TypeError out of the replay ("2", 2.0) or read as 1 (true)
+    @pytest.mark.parametrize("witness", ["2", 2.0, True, -1])
+    def test_malformed_witness_rejected(self, witness):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert cert["witness"] == 2 and verify_certificate(cert) == []
+        cert["witness"] = witness
+        failures = verify_certificate(cert)
+        assert any(f.startswith("witness invalid: ") for f in failures), failures
+
     def test_tampered_far_witness_ends_at_scan_cap(self):
         # u_0 = t, so the prefix check stops at once; the claimed index
         # 10^8 must then end the replay at the cap, not be scanned to
@@ -159,6 +170,10 @@ class TestCertificates:
             ([1, 1], [2, 1], "1000", "membership", 10, "tail_below_target", "|r(k)| >= 1"),
             # u_n = (-1)^n (n + 1): u_4 = 5 >= t, but the odd terms pass -1000
             ([1, 1], [-2, -1], "-1000", "threshold", 4, "product_monotone_beyond", "r(k) < 0"),
+            # u_n = 2^n passes 50 from n = 6 on, but the index is no integer
+            ([1], [2], "50", "membership", True, "ratio_exceeds_target", "bound index invalid"),
+            ([1], [2], "50", "membership", "10", "ratio_exceeds_target", "bound index invalid"),
+            ([1], [2], "50", "membership", 10.0, "ratio_exceeds_target", "bound index invalid"),
         ],
     )
     def test_forged_bound_rejected(self, p, q, t, problem, n, justification, failure):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide import enclosure
+from hgdecide import enclosure, equality
 from hgdecide.config import EngineConfig
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import (
     Cos,
+    Div,
     Exp,
     Pi,
     Rc,
@@ -24,7 +25,8 @@ from hgdecide.enclosure import (
     sin_interval,
     sinh,
 )
-from hgdecide.errors import PrecisionExceeded
+from hgdecide.equality import compare_expr_zero
+from hgdecide.errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
 from intervals import contains_interval
 
@@ -103,6 +105,75 @@ class TestRefinement:
         before = enclosure.evaluation_count()
         eval_enclosure(Pi(), 64)
         assert enclosure.evaluation_count() == before + 1
+
+
+def pi_below(bits: int) -> F:
+    """The largest multiple of 2**-bits below pi."""
+    with mpmath.workprec(2 * bits + 64):
+        return F(int(mpmath.floor(mpmath.pi * 2**bits)), 2**bits)
+
+
+def record_root_walks(monkeypatch) -> list[int]:
+    """The working precision of every root `_eval` walk from now on."""
+    walks, depth = [], [0]
+    walk = enclosure._eval
+
+    def counting_walk(node, prec, cache):
+        if not depth[0]:
+            walks.append(prec)
+        depth[0] += 1
+        try:
+            return walk(node, prec, cache)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(enclosure, "_eval", counting_walk)
+    return walks
+
+
+class TestLadder:
+    def test_straddling_rung_does_not_block_higher_rungs(self, monkeypatch):
+        # the denominator pi - q < 2**-140 contains zero at the 64-bit rung
+        q = pi_below(140)
+        expr = Div(Rc(1), Pi() - Rc(q))
+        with pytest.raises(IntervalStraddlesZero):
+            eval_enclosure(expr, 64)
+        with mpmath.workprec(1024):
+            ref = as_fraction(1 / (mpmath.pi - mpmath.mpf(q.numerator) / q.denominator))
+        for bits in (128, 256, 512):
+            assert ref in eval_enclosure(expr, bits)
+        walks = record_root_walks(monkeypatch)
+        assert compare_expr_zero(expr) == (1, 128)
+        assert walks == [96, 160]  # the rung that raised is not walked again
+
+    def test_compare_walks_each_rung_once(self, monkeypatch):
+        # pi - q < 2**-1000 first separates from zero at the 1024-bit rung
+        expr = Pi() - Rc(pi_below(1000))
+        walks = record_root_walks(monkeypatch)
+        calls = []
+
+        def recording_eval(*args):
+            out = eval_enclosure(*args)
+            calls.append((args[1], out))
+            return out
+
+        monkeypatch.setattr(equality, "eval_enclosure", recording_eval)
+        assert compare_expr_zero(expr) == (1, 1024)
+        # one root walk per rung, at the rung plus 32 guard bits; walking
+        # the ladder afresh at every rung takes 1 + 2 + 3 + 4 + 5 = 15
+        assert walks == [96, 160, 288, 544, 1056]
+        monkeypatch.undo()
+        assert [bits for bits, _ in calls] == [64, 128, 256, 512, 1024]
+        for bits, out in calls:
+            assert out == eval_enclosure(expr, bits)
+
+    def test_prior_is_threaded_or_refused(self):
+        expr = Exp(Pi() * Sqrt(2))
+        low = eval_enclosure(expr, 100)  # rungs 64 and 128
+        assert eval_enclosure(expr, 512, prior=(100, low)) == eval_enclosure(expr, 512)
+        assert eval_enclosure(expr, 128, prior=(100, low)) == low
+        with pytest.raises(DecideError):
+            eval_enclosure(expr, 64, prior=(100, low))
 
 
 rational = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
