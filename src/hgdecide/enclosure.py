@@ -31,15 +31,6 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
 from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
-# Instrumented counter: number of top-level enclosure evaluations.  Test
-# hooks use this to prove the symbolic equality path never touches numerics.
-_evals_done = 0
-
-
-def evaluation_count() -> int:
-    return _evals_done
-
-
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
@@ -454,12 +445,10 @@ def eval_enclosure(
     call's top rung and returns what a call without `prior` returns, so a
     caller that climbs the ladder this way walks each rung once.
     """
-    global _evals_done
     if precision_bits > config.precision_cap_bits:
         raise PrecisionExceeded(
             f"requested {precision_bits} bits exceeds cap {config.precision_cap_bits}"
         )
-    _evals_done += 1
     top = _top_rung(precision_bits)
     if prior is None:
         p, result = 64, None

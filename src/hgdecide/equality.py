@@ -325,10 +325,14 @@ def _balanced_verdict(
     """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
 
     Past k0 = monotonicity_index(p, q) the tail is strictly monotone
-    towards L, so the prefix u_0 .. u_{k0+1} is scanned first.  A prefix
-    witness or violation, and an increasing Threshold tail (its minimum
-    u_{k0+1} lies in the prefix), do not depend on L; only the other
-    verdicts call build_oracle() for the equality and order tests.
+    towards L, so the prefix u_0 .. u_{k0+1} is scanned first.  These
+    verdicts do not depend on L and build no oracle: a prefix witness or
+    violation; an increasing Threshold tail (its minimum u_{k0+1} lies in
+    the prefix); and a Membership tail that never has t's sign or that
+    u_{k0+2} has already carried past t, moving away from it (the bound
+    replay proves these without an order claim).  Only a tail that moves
+    towards t, and a decreasing Threshold tail, call build_oracle() for
+    the equality and order tests, which need the limit's closed form.
     """
     k0 = monotonicity_index(inst.p, inst.q)
     scan = ExactScan(inst, config.scan_cap)
@@ -356,6 +360,14 @@ def _balanced_verdict(
             asymptotic=cls, scanned_up_to=k0 + 1,
             bound=SearchBound(k0 + 1, "product_monotone_beyond"),
         )
+    if membership and (scan.sign() * inst.t <= 0 or scan.cmp(inst.t) == direction):
+        # the tail never has t's sign, or u_{k0+2} is already past t and
+        # moves away from it
+        return Verdict(
+            inst.problem, False, Conditionality.UNCONDITIONAL, "monotone_tail_excludes_target",
+            asymptotic=cls, scanned_up_to=k0 + 1,
+            bound=SearchBound(k0 + 2, "product_monotone_beyond"),
+        )
 
     oracle = build_oracle()
     eq = oracle.decide_equal(inst.t)
@@ -372,11 +384,11 @@ def _balanced_verdict(
             )
         side, bits = oracle.compare(inst.t)
         relation = "less" if side < 0 else "greater"
-        if side == direction and scan.sign() * inst.t > 0:
-            # the monotone tail is on the far side of t from the limit: a
-            # tail witness is possible until the tail passes t, where
-            # direction * (u_n - t) > 0, i.e. |u_n| - |t| has the sign of
-            # direction * u_n (a tail of the other sign has passed t)
+        if side == direction:
+            # the monotone tail, of t's sign, is on the far side of t from
+            # the limit: a tail witness is possible until the tail passes
+            # t, where direction * (u_n - t) > 0, i.e. |u_n| - |t| has the
+            # sign of direction * u_n
             n = scan.first_hit(past=direction * scan.sign())
         if n is not None:
             return Verdict(

@@ -1,6 +1,28 @@
-"""Exact interval relations that only the tests need."""
+"""Exact interval relations, and an enclosure probe, that only the tests
+need."""
 
 from fractions import Fraction
+
+
+def record_root_walks(monkeypatch) -> list[int]:
+    """The working precision of every root `enclosure._eval` walk from now
+    on (a walk that no other walk called)."""
+    from hgdecide import enclosure
+
+    walks, depth = [], [0]
+    walk = enclosure._eval
+
+    def counting_walk(node, prec, cache):
+        if not depth[0]:
+            walks.append(prec)
+        depth[0] += 1
+        try:
+            return walk(node, prec, cache)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(enclosure, "_eval", counting_walk)
+    return walks
 
 
 def overlaps(a, b) -> bool:

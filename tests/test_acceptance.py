@@ -41,7 +41,7 @@ from hgdecide.sequence import (
 from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import tail_log_bound
-from intervals import overlaps
+from intervals import overlaps, record_root_walks
 
 P13 = IntPoly.of(13, -4, 1)
 Q13 = IntPoly.of(5, -4, 1)
@@ -139,18 +139,18 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def test_equality_is_numerics_free(self):
+    def test_equality_is_numerics_free(self, monkeypatch):
         import random
 
         oracle = _unconditional_oracle(worked_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(20260808)
-        before = enclosure.evaluation_count()
+        walks = record_root_walks(monkeypatch)
         all_not_equal = True
         for _ in range(1000):
             t = F(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
             r = oracle.decide_equal(t)
             all_not_equal &= not r.equal
-        evals = enclosure.evaluation_count() - before
+        evals = len(walks)
         report(
             "criterion-3 equality decisions numerics-free",
             all_not_equal and evals == 0,

@@ -148,9 +148,11 @@ class TestCertificates:
     def test_tampered_canonical_entry_rejected(self, key, value):
         from hgdecide.config import DEFAULT_CONFIG
 
-        # t = 1/2 is no term of the worked pair: the verdict reads the limit
-        # (monotone_tail_excludes_target), so the certificate carries it
-        cert = decide_document(parse_instance({**WORKED, "t": "1/2"}), DEFAULT_CONFIG)
+        # the worked pair falls to L ~ 4.78e-5, so t = 10^-5 below it is
+        # excluded by the limit (monotone_tail_excludes_target), and the
+        # certificate carries it
+        cert = decide_document(parse_instance({**WORKED, "t": "1/100000"}), DEFAULT_CONFIG)
+        assert cert["canonical"] is not None
         assert verify_certificate(cert) == []
         cert["canonical"][key] = value
         failures = verify_certificate(cert)
@@ -268,7 +270,7 @@ class TestCLI:
         f.write_text(json.dumps(doc([13, -4, 1], [5, -4, 1], "1", "1/7")))
         assert main(["decide", str(f)]) == 1
         capsys.readouterr()
-        f.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "3/7")))
+        f.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")))
         assert main(["decide", str(f)]) == 11
         capsys.readouterr()
         f.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "4")))
@@ -277,7 +279,7 @@ class TestCLI:
         f.write_text("{bad json")
         assert main(["decide", str(f)]) == 3
         capsys.readouterr()
-        f.write_text(json.dumps(doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "1/2")))
+        f.write_text(json.dumps(doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "3/2")))
         assert main(["decide", str(f)]) == 2  # no matching: unsupported
         capsys.readouterr()
 
@@ -318,7 +320,7 @@ class TestCLI:
 
     def test_unconditional_mode_rejects_real_quadratic(self, tmp_path, capsys):
         f = tmp_path / "inst.json"
-        f.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "3/7", mode="unconditional")))
+        f.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "-3", mode="unconditional")))
         assert main(["decide", str(f)]) == 2
         capsys.readouterr()
 
@@ -371,9 +373,9 @@ class TestCLI:
         cond = tmp_path / "cond.json"
         bad = tmp_path / "bad.json"
         unsupported = tmp_path / "unsupported.json"
-        cond.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "3/7")))
+        cond.write_text(json.dumps(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")))
         bad.write_text("{bad json")
-        unsupported.write_text(json.dumps(doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "1/2")))
+        unsupported.write_text(json.dumps(doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "3/2")))
         assert main(["decide", str(cond), str(unsupported)]) == 2
         assert main(["decide", str(bad), str(cond)]) == 3
         assert main(["decide", str(unsupported), str(cond), str(bad)]) == 3

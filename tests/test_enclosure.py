@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide import enclosure, equality
+from hgdecide import equality
 from hgdecide.config import EngineConfig
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import (
@@ -28,7 +28,7 @@ from hgdecide.enclosure import (
 from hgdecide.equality import compare_expr_zero
 from hgdecide.errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
-from intervals import contains_interval
+from intervals import contains_interval, record_root_walks
 
 
 def as_fraction(x) -> F:
@@ -101,34 +101,11 @@ class TestRefinement:
         assert a == b and a is not b
         assert eval_enclosure(a, bits) == eval_enclosure(b, bits)
 
-    def test_counter_increments(self):
-        before = enclosure.evaluation_count()
-        eval_enclosure(Pi(), 64)
-        assert enclosure.evaluation_count() == before + 1
-
 
 def pi_below(bits: int) -> F:
     """The largest multiple of 2**-bits below pi."""
     with mpmath.workprec(2 * bits + 64):
         return F(int(mpmath.floor(mpmath.pi * 2**bits)), 2**bits)
-
-
-def record_root_walks(monkeypatch) -> list[int]:
-    """The working precision of every root `_eval` walk from now on."""
-    walks, depth = [], [0]
-    walk = enclosure._eval
-
-    def counting_walk(node, prec, cache):
-        if not depth[0]:
-            walks.append(prec)
-        depth[0] += 1
-        try:
-            return walk(node, prec, cache)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(enclosure, "_eval", counting_walk)
-    return walks
 
 
 class TestLadder:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgdecide import enclosure
+from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
 from hgdecide.config import DEFAULT_CONFIG, EngineConfig
 from hgdecide.equality import (
     _unconditional_oracle,
@@ -16,8 +16,9 @@ from hgdecide.equality import (
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
 from hgdecide.polys import IntPoly
-from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, term
+from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, monotonicity_index, term
 from hgdecide.verdicts import Conditionality, Rationale
+from intervals import record_root_walks
 
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
@@ -44,14 +45,14 @@ class TestDecideEqual:
         r = decide_equal(trivial_const(1, ell=1), F(22, 7))
         assert not r.equal and r.rationale is Rationale.PI_POWER_OBSTRUCTION
 
-    def test_no_interval_evaluations(self, sinh_ratio_instance):
+    def test_no_interval_evaluations(self, sinh_ratio_instance, monkeypatch):
         oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(11)
-        before = enclosure.evaluation_count()
+        walks = record_root_walks(monkeypatch)
         for _ in range(300):
             t = F(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
             oracle.decide_equal(t)
-        assert enclosure.evaluation_count() == before
+        assert walks == []
 
     def test_deterministic(self, sinh_ratio_instance):
         oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
@@ -112,9 +113,21 @@ class TestMembershipPipeline:
         assert not v.result and v.reason == "limit_equals_target_not_attained"
         assert v.equality_rationale is Rationale.RATIONAL_IDENTITY
 
-    def test_non_monic_balanced_unsupported(self):
+    def test_non_monic_tail_moving_away_decides(self):
+        # u_n rises from u_0 = 1 to L ~ 7.52: t = 1/2 lies behind the tail,
+        # so the verdict needs no limit and no monic pair
+        i = inst([1, 1, 2], [3, 1, 2], 1, F(1, 2))
+        v = decide(i, oracle_builder=no_oracle)
+        assert not v.result and v.reason == "monotone_tail_excludes_target"
+        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert v.canonical is None and v.compare_relation is None
+        cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
+        assert verify_certificate(cert) == []
+
+    def test_non_monic_tail_moving_towards_target_unsupported(self):
+        # t = 8 lies beyond L ~ 7.52: only the limit keeps the tail off t
         with pytest.raises(UnsupportedInstance):
-            decide(inst([1, 1, 2], [3, 1, 2], 1, F(1, 2)))
+            decide(inst([1, 1, 2], [3, 1, 2], 1, 8))
 
     def test_non_monic_bounded_regimes_still_decide(self):
         # u_n telescopes to 2n+1, so 7 is reached at n = 3
@@ -152,6 +165,7 @@ class TestThresholdPipeline:
 CUBIC = ([1, 0, 0, 1], [1 + 1055 * 10**6, -(10**6), 0, 1])
 # p = (6x + 1)(6x + 5), q = (6x + 2)(6x + 4): balanced but not monic
 SIXTHS = ([5, 36, 36], [8, 36, 36])
+EXCLUDED = "monotone_tail_excludes_target"
 
 
 class OracleBuilt(Exception):
@@ -178,6 +192,15 @@ class TestScanFirst:
             # negative leads: q(k) - p(k) = -2 < 0, yet
             # q(k)/p(k) = (k + 2)(k + 3)/((k + 1)(k + 4)) > 1
             ([-4, -5, -1], [-6, -5, -1], 1, F(1, 2), Problem.THRESHOLD, "increasing_tail", None),
+            # Membership tails moving away from t (the worked pair falls
+            # from u_17 ~ 8.3e-5, below t = 10^-4; SIXTHS rises from above
+            # t = 1/2), and tails of the other sign than t (the worked pair
+            # with t = -1; the negative tail of x^2 - 2x - 1, x^2 - 2x - 4,
+            # a real quadratic pair, with t = 2)
+            ([13, -4, 1], [5, -4, 1], 1, F(1, 10**4), Problem.MEMBERSHIP, EXCLUDED, None),
+            (*SIXTHS, 1, F(1, 2), Problem.MEMBERSHIP, EXCLUDED, None),
+            ([13, -4, 1], [5, -4, 1], 1, -1, Problem.MEMBERSHIP, EXCLUDED, None),
+            ([-1, -2, 1], [-4, -2, 1], 1, 2, Problem.MEMBERSHIP, EXCLUDED, None),
         ],
     )
     def test_limit_free_verdicts_never_build_the_oracle(self, p, q, u0, t, problem, reason, witness):
@@ -185,15 +208,30 @@ class TestScanFirst:
             t = term(inst(p, q, u0, 0), witness)
         v = decide(inst(p, q, u0, t, problem), oracle_builder=no_oracle)
         assert (v.reason, v.witness) == (reason, witness)
-        assert v.result == (reason != "prefix_violation")
+        assert v.result == (reason not in ("prefix_violation", EXCLUDED))
+        assert v.conditionality is Conditionality.UNCONDITIONAL
 
     def test_limit_reading_verdicts_build_the_oracle(self):
-        for t, problem in [(F(1, 2), Problem.MEMBERSHIP), (F(1, 10**5), Problem.THRESHOLD)]:
+        # the worked pair falls to L ~ 4.78e-5: t = 10^-5 lies beyond it
+        for t, problem in [(F(1, 10**5), Problem.MEMBERSHIP), (F(1, 10**5), Problem.THRESHOLD)]:
             with pytest.raises(OracleBuilt):
                 decide(inst([13, -4, 1], [5, -4, 1], 1, t, problem), oracle_builder=no_oracle)
-        # the build needs a monic pair
+        # the build needs a monic pair; SIXTHS rises to L = sqrt(3) < 2
         with pytest.raises(UnsupportedInstance):
-            decide(inst(*SIXTHS, 1, F(1, 2)))
+            decide(inst(*SIXTHS, 1, 2))
+
+    def test_tail_moving_away_is_bounded_past_the_prefix(self):
+        # the worked pair falls past t between u_{k0+1} and u_{k0+2}: the
+        # tail moves away from t only from k0 + 2 on, where the bound lies
+        p, q = [13, -4, 1], [5, -4, 1]
+        k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        t = (term(inst(p, q, 1, 0), k0 + 1) + term(inst(p, q, 1, 0), k0 + 2)) / 2
+        v = decide(inst(p, q, 1, t), oracle_builder=no_oracle)
+        assert (v.reason, v.scanned_up_to, v.bound.n) == (EXCLUDED, k0 + 1, k0 + 2)
+        cert = certificate_dict(InstanceDocument(inst(p, q, 1, t), "unconditional"), v)
+        assert verify_certificate(cert) == []
+        cert["bound"]["n"] = k0 + 1  # u_{k0+1} is above t: the tail moves towards it
+        assert verify_certificate(cert)
 
 
 class TestVerdictOracleConsistency:

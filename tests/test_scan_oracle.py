@@ -6,16 +6,17 @@ and compares by exact cross-multiplication.  ExactScan's float filter
 (log-magnitude plus a counted error bound) must agree with it at every
 index, including targets a few ulps away from a term.  The deep tests run
 the searches about 3000 terms into monotone tails, which the scan skips
-in blocks of 64, with crossings placed at and next to block boundaries.
-Instances whose q is p shifted by an integer, up to cofactors, exercise
-the telescoped exact products, including shifts longer than a block and
-than the span of a product.
+in galloping blocks, with crossings placed at and next to block
+boundaries.  Instances whose q is p shifted by an integer, up to
+cofactors, exercise the telescoped exact products, including shifts
+longer than a block and than the span of a product.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgdecide import sequence
@@ -36,6 +37,20 @@ from hgdecide.sequence import (
 )
 
 DEPTH = 300
+
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    """One entry per float log ratio (`sequence._log_ratio`) from now on."""
+    calls = []
+    log_ratio = sequence._log_ratio
+
+    def counted(a, b):
+        calls.append((a, b))
+        return log_ratio(a, b)
+
+    monkeypatch.setattr(sequence, "_log_ratio", counted)
+    return calls
 
 
 def _horner(coeffs, x):
@@ -454,32 +469,26 @@ class TestDeepScan:
                 assert cert["bound"]["n"] == c + 1 and cert["scanned_up_to"] == c
             assert verify_certificate(cert) == []
 
-    def test_tail_is_skipped_in_blocks(self, monkeypatch):
-        # u_n = n + 1 never equals 1/2: 10^5 indices, about one float log
+    def test_tail_is_skipped_in_blocks(self, log_calls):
+        # u_n = n + 1 never equals 1/2: 10^5 indices, at most one float log
         # per block of 64 past the monotonicity index
-        logs = []
-        log_ratio = sequence._log_ratio
-
-        def counted(a, b):
-            logs.append(1)
-            return log_ratio(a, b)
-
-        monkeypatch.setattr(sequence, "_log_ratio", counted)
         inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
         scan = ExactScan(inst, cap=10**5)
         with pytest.raises(ScanCapExceeded):
             scan.first_hit()
         assert scan.n == 10**5 + 1 and scan.materialized == 0
-        assert len(logs) < 10**5 // 64 + 10
+        assert len(log_calls) < 10**5 // 64 + 10
 
-    def test_error_bound_covers_block_logs(self):
+    def test_error_bound_covers_block_logs(self, log_calls):
         # |u_n| stays 1: each float update of logabs is charged the 12u of
-        # its two logs, so err keeps at least 12u per block moved past
+        # its two logs, so err keeps at least 12u per log taken; the one
+        # log of the target is charged to the target's own bound
         inst = HGInstance(IntPoly.of(1), IntPoly.of(-1), F(1), F(1, 2), Problem.MEMBERSHIP)
         scan = ExactScan(inst)
         assert scan.first_hit(64 * 50) is None
         assert scan.n == 64 * 50 and scan.logabs == 0.0
-        assert scan.err >= 12 * 2.0**-53 * 50
+        assert log_calls.count((1, 2)) == 1 and len(log_calls) > 5
+        assert scan.err >= 12 * 2.0**-53 * (len(log_calls) - 1)
 
     @pytest.mark.parametrize("family", sorted(DEEP_FAMILIES))
     def test_float_state_within_its_bound(self, family, mp):
@@ -495,6 +504,159 @@ class TestDeepScan:
             assert abs(scan.logabs - exact) <= scan.err
             assert scan.sign() == _sgn(num) * _sgn(den)
         assert scan.materialized == 0
+
+
+@st.composite
+def gallop_family(draw):
+    """(p, q, grows): q's linear factors are p's shifted by h, 1 <= |h| <=
+    70, all of one sign, so |u_n| grows or shrinks like n^(sum h) (with
+    the sign of u_n fixed or alternating); with a lead 2, or with x^2 + a
+    in p and x^2 + b in q, a != b, the shift form leaves a residual other
+    than +-1."""
+    sign = draw(st.sampled_from([1, -1]))
+    lead = draw(st.sampled_from([1, 1, 2]))
+    p, q = IntPoly.of(lead), IntPoly.of(lead * draw(st.sampled_from([1, -1])))
+    for top in (70, 8)[: draw(st.integers(1, 2))]:
+        h = sign * draw(st.integers(1, top))
+        r = max(1, 1 - h) + draw(st.integers(0, 9))
+        p, q = p * IntPoly.of(r, 1), q * IntPoly.of(r + h, 1)
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 9))
+        b = draw(st.integers(1, 12).filter(lambda b: b != a))
+        p, q = p * IntPoly.of(a, 0, 1), q * IntPoly.of(b, 0, 1)
+    return p, q, sign > 0
+
+
+def record_products(monkeypatch) -> list[int]:
+    """The span hi - lo of every exact block product from now on."""
+    spans = []
+    products = sequence._factor_products
+
+    def recording(inst, lo, hi):
+        spans.append(hi - lo)
+        return products(inst, lo, hi)
+
+    monkeypatch.setattr(sequence, "_factor_products", recording)
+    return spans
+
+
+class TestGallop:
+    """The tail search doubles its block span after each committed block
+    and halves it after a refused one; spans pass 64 only where the shift
+    form leaves the residuals +-1."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gallop_family(),
+        st.sampled_from(
+            [("k1", 2**j + e) for j in range(5, 11) for e in (-1, 0, 1)] + [("cap", -1), ("cap", 0)]
+        ),
+        st.sampled_from([F(1), F(-2), F(5, 3), F(-7, 11)]),
+    )
+    def test_searches_agree_with_reference(self, family, where, u0):
+        # crossings at and next to k1 + 2^j, where the doubling blocks
+        # started at the monotonicity index k1 end, and next to the cap
+        p, q, grows = family
+        k1 = monotonicity_index(p, q)
+        assume(k1 <= 800)
+        cap = k1 + 2**10 + 40
+        c = (k1 if where[0] == "k1" else cap) + where[1]
+        pairs = list(reference_pairs(p.coeffs, q.coeffs, u0, cap + 1))
+        assume(abs(F(*pairs[c])) != abs(F(*pairs[c - 1])))
+        signs = [_sgn(num) * _sgn(den) for num, den in pairs]
+        side = 1 if grows else -1
+        alternates = q.lead < 0
+        for size in _deep_targets(pairs, c):
+            sides = [_abs_cmp_fast(num, den, size) for num, den in pairs]
+            bound = next((n for n in range(k1, cap + 1) if sides[n] == side), None)
+            for t in (size, -size):
+                for problem in Problem:
+                    inst = HGInstance(p, q, u0, t, problem)
+                    hits = [n for n in range(cap + 1) if _is_hit(problem, signs[n], sides[n], t)]
+                    here = (c, t, problem)
+
+                    scan = ExactScan(inst, cap)
+                    if hits:
+                        assert scan.first_hit() == hits[0], here
+                    else:
+                        with pytest.raises(ScanCapExceeded):
+                            scan.first_hit()
+                    assert scan.n == scan.steps == (hits[0] if hits else cap + 1), here
+
+                    scan = ExactScan(inst, cap)
+                    if bound is None:
+                        with pytest.raises(ScanCapExceeded):
+                            scan.first_past(k1, side)
+                    else:
+                        want = next((n for n in hits if n <= bound), None)
+                        assert scan.first_past(k1, side) == want, here
+                        assert scan.n == scan.steps == bound, here
+                    if alternates:  # r -> -1: no bound search of its own
+                        continue
+                    find = divergence_bound if grows else shrink_bound
+                    config = EngineConfig(scan_cap=cap)
+                    if bound is None:
+                        with pytest.raises(ScanCapExceeded):
+                            find(inst, config=config)
+                    else:
+                        found = find(inst, config=config)
+                        assert (found.n, found.first_hit) == (bound, want), here
+            for start, stop in ((0, c), (k1, cap), (c - 1, cap)):
+                scan = ExactScan(HGInstance(p, q, u0, size, Problem.MEMBERSHIP), cap)
+                for _ in range(start):
+                    scan.step()
+                scan.jump(stop)
+                assert scan.n == scan.steps == stop
+                assert scan.fraction() == F(*pairs[stop])
+                assert scan.sign() == signs[stop]
+
+    def test_search_to_the_cap_takes_few_logs(self, log_calls):
+        # u_n = n + 1 never equals 1/2: the span doubles up to the cap
+        inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
+        scan = ExactScan(inst, cap=10**6)
+        with pytest.raises(ScanCapExceeded):
+            scan.first_hit()
+        assert scan.n == scan.steps == 10**6 + 1 and scan.materialized == 0
+        assert len(log_calls) <= 4 * math.log2(10**6)
+
+    def test_far_member_witness_takes_few_logs(self, log_calls):
+        # u_n = (n + 3)/3 meets t at 999 999: the span doubles towards the
+        # witness, then halves at each refused block down to it
+        witness = 999_999
+        inst = HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(1), F(witness + 3, 3), Problem.MEMBERSHIP)
+        scan = ExactScan(inst, cap=10**6)
+        assert scan.first_hit() == witness
+        assert scan.n == scan.steps == witness
+        assert len(log_calls) <= 4 * math.log2(10**6)
+
+    def test_unit_residual_jump_is_one_product(self, monkeypatch):
+        spans = record_products(monkeypatch)
+        inst = HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(1), F(0), Problem.MEMBERSHIP)
+        scan = ExactScan(inst)
+        scan.jump(10**6)
+        assert spans == [10**6]
+        assert scan.fraction() == F(10**6 + 3, 3)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ([1, 0, 1], [3, 2, 1]),  # no shift pair: the residual is p, q
+            ([6, 2], [8, 2]),  # the pair x + 3, h = 1, leaves p1 = q1 = 2
+        ],
+    )
+    def test_other_residual_multiplies_at_most_a_block(self, monkeypatch, p, q):
+        # |u_n| grows like n^2 or n and is above |t| = 1 past u_0, so the
+        # search skips the tail in blocks, none longer than 64 indices
+        spans = record_products(monkeypatch)
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(-1), Problem.MEMBERSHIP)
+        scan = ExactScan(inst)
+        assert scan.first_hit(20000) is None
+        assert scan.n == scan.steps == 20000 and scan.materialized == 0
+        assert max(spans) == sequence._BLOCK and len(spans) < 20000 // 64 + 20
+        spans.clear()
+        scan.jump(30000)
+        assert max(spans) == sequence._BLOCK and len(spans) == -(-10000 // 64)
+        assert scan.n == scan.steps == 30000
 
 
 class TestSharedReplay:

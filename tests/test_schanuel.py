@@ -181,7 +181,9 @@ class TestConditionalDecider:
         assert not v2.result and v2.conditionality is Conditionality.UNCONDITIONAL
 
     def test_real_quadratic_not_member_is_conditional(self):
-        i = inst([-1, -2, 1], [-4, -2, 1], 1, F(3, 7))
+        # the negative tail rises to L ~ -4.43, so t = -3 is never reached
+        # only because L < t: the verdict reads the limit
+        i = inst([-1, -2, 1], [-4, -2, 1], 1, F(-3))
         v = decide_conditional(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
@@ -204,7 +206,7 @@ class TestConditionalDecider:
             "from hgdecide.schanuel import decide_conditional\n"
             "from hgdecide.sequence import HGInstance, Problem\n"
             "mpmath.mp.dps = 23\n"
-            "i = HGInstance(IntPoly((-1, -2, 1)), IntPoly((-4, -2, 1)), F(1), F(3, 7),"
+            "i = HGInstance(IntPoly((-1, -2, 1)), IntPoly((-4, -2, 1)), F(1), F(-3),"
             " Problem.MEMBERSHIP)\n"
             "v = decide_conditional(i)\n"
             "print(mpmath.mp.dps, numeric_roots.cache_info().misses, v.conditionality.value)\n"
@@ -235,10 +237,11 @@ class TestConditionalDecider:
         assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
 
     def test_matching_failure_reported_with_evidence(self):
-        # x^4-4x^2-8x+2 has no matching: conditional decider refuses
+        # x^4-4x^2-8x+2 has no matching: conditional decider refuses.  The
+        # tail rises to L ~ 1.4565, so t = 3/2 needs the limit
         p = IntPoly((2, -8, -4, 0, 1))
         q = IntPoly((6, -8, -4, 0, 1))
-        i = HGInstance(p, q, F(1), F(1, 2), Problem.MEMBERSHIP)
+        i = HGInstance(p, q, F(1), F(3, 2), Problem.MEMBERSHIP)
         with pytest.raises(UnsupportedInstance) as exc:
             decide_conditional(i)
         assert "matching" in str(exc.value)
@@ -335,8 +338,9 @@ class TestConditionalDecider:
         # gamma-pair centers are half-integers, exercising the cosine form.
         # The limit is negative: the factor at k = 2 is q(2)/p(2) = -1/1, and
         # every factor from k = 3 on is positive, so the envelope check below
-        # compares signs and magnitudes separately
-        i = inst([-1, -1, 1], [-3, -1, 1], 1, F(5, 3))
+        # compares signs and magnitudes separately.  The tail rises to
+        # L ~ -2.62, so t = -5/3 above it needs the limit
+        i = inst([-1, -1, 1], [-3, -1, 1], 1, F(-5, 3))
         v = decide_conditional(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
@@ -362,10 +366,11 @@ class TestConditionalDecider:
 
     def test_cyclotomic_identity_path(self):
         # same pair but a target the sequence never attains: the equality
-        # step runs through the cyclotomic tower with i and sqrt(-1) mixed in
+        # step runs through the cyclotomic tower with i and sqrt(-1) mixed in.
+        # The tail rises to L ~ 24.41, so t = 25 above it needs the limit
         p = IntPoly.of(1, 0, -1, 0, 1)
         q = IntPoly.of(1, 0, 1) * IntPoly.of(1, 0, 1)
-        i = HGInstance(p, q, F(1), F(22, 7), Problem.MEMBERSHIP)
+        i = HGInstance(p, q, F(1), F(25), Problem.MEMBERSHIP)
         v = decide_conditional(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -147,6 +148,23 @@ class TestMonotonicityIndex:
         sign = i.ratio(k0) < 1
         for k in range(k0, k0 + 20):
             assert (i.ratio(k) < 1) == sign
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)), min_size=1, max_size=6),
+        st.lists(st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)), min_size=1, max_size=6),
+    )
+    def test_integer_ceiling_matches_fraction_formula(self, p, q):
+        # 1 + ceil of the largest Cauchy bound 1 + max |c_i|/|lead| among
+        # p, q, q - p and q + p of degree >= 1, in Fractions
+        p[-1] = p[-1] or 1
+        q[-1] = q[-1] or 1
+        p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
+        bound = F(0)
+        for f in (p, q, q - p, q + p):
+            if not f.is_zero and f.degree >= 1:
+                bound = max(bound, 1 + max(F(abs(c), abs(f.lead)) for c in f.coeffs[:-1]))
+        assert monotonicity_index(p, q) == 1 + math.ceil(bound)
 
 
 class TestBruteForce:
