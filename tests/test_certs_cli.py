@@ -406,3 +406,108 @@ class TestCLI:
         # every emitted file is accepted by decide
         cert = decide_document(load_instance(paths[0]), DEFAULT_CONFIG)
         assert verify_certificate(cert) == []
+
+
+# the worked pair's limit times 1 + 2^-60, rounded down: the decreasing
+# tail drops below it only about 2^60 terms in
+NEAR_TIE = doc(
+    [13, -4, 1], [5, -4, 1], "1",
+    "66614734727671937059123508434769531341/1393796574908163946345982392040522594123776",
+    "threshold",
+)
+NO_MATCHING = doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "3/2")
+# balanced, monic, degree 17: the verdict reads L, whose oracle factors p
+DEGREE_17 = doc([7] + [0] * 16 + [1], [5] + [0] * 16 + [1], "1", "1/2", "threshold")
+X17_PLUS_7 = ",".join(map(str, [7] + [0] * 16 + [1]))
+X33_PLUS_1 = ",".join(map(str, [1] + [0] * 32 + [1]))
+
+
+class TestExitCodes:
+    """Subcommand x {ok, bad JSON, missing file, unsupported, resource cap};
+    `{f}` is a file holding the row's content, `{missing}` a path that does
+    not exist.  A verify row with an instance as content gets that
+    instance's certificate."""
+
+    @pytest.mark.parametrize(
+        "argv,content,code",
+        [
+            pytest.param(["decide", "{f}"], WORKED, 0, id="decide-ok"),
+            pytest.param(["decide", "{f}"], "{bad json", 3, id="decide-bad-json"),
+            pytest.param(["decide", "{missing}"], None, 5, id="decide-missing"),
+            pytest.param(["decide", "{f}"], NO_MATCHING, 2, id="decide-unsupported"),
+            pytest.param(["decide", "{f}"], DEGREE_17, 5, id="decide-unsupported-degree-17"),
+            pytest.param(
+                ["--scan-cap", "3000", "decide", "{f}"], NEAR_TIE, 4, id="decide-resource"
+            ),
+            pytest.param(["eval", "{f}"], WORKED, 0, id="eval-ok"),
+            pytest.param(["eval", "{f}"], "{bad json", 3, id="eval-bad-json"),
+            pytest.param(["eval", "{missing}"], None, 5, id="eval-missing"),
+            pytest.param(
+                ["--scan-cap", "10", "eval", "{f}", "--terms", "20"], WORKED, 4,
+                id="eval-resource",
+            ),
+            pytest.param(["oracle", "{f}"], WORKED, 0, id="oracle-ok"),
+            pytest.param(["oracle", "{f}"], "{bad json", 3, id="oracle-bad-json"),
+            pytest.param(["oracle", "{missing}"], None, 5, id="oracle-missing"),
+            pytest.param(
+                ["--scan-cap", "10", "oracle", "{f}", "--upto", "20"], WORKED, 4,
+                id="oracle-resource",
+            ),
+            pytest.param(["canon", "{f}"], WORKED, 0, id="canon-ok"),
+            pytest.param(["canon", "{f}"], "{bad json", 3, id="canon-bad-json"),
+            pytest.param(["canon", "{missing}"], None, 5, id="canon-missing"),
+            pytest.param(
+                ["canon", "{f}"], doc([1, 1], [1, 0, 1], "1", "1"), 2,
+                id="canon-unsupported-not-balanced",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([6, 2], [8, 2], "1", "1"), 2,
+                id="canon-unsupported-not-monic",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([1, 1], [-3, 1], "1", "1"), 2,
+                id="canon-unsupported-zero-tail",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([-1, -2, 1], [-4, -2, 1], "1", "1"), 2,
+                id="canon-unsupported-real-quadratic",
+            ),
+            pytest.param(["canon", "{f}"], NO_MATCHING, 2, id="canon-unsupported-quartic"),
+            pytest.param(
+                ["--precision-cap", "64", "canon", "{f}", "--bits", "4096"], WORKED, 4,
+                id="canon-resource",
+            ),
+            pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
+            pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),
+            pytest.param(["recognize", "{f}"], "{bad json", 3, id="recognize-bad-json"),
+            pytest.param(["recognize", "{missing}"], None, 5, id="recognize-missing"),
+            pytest.param(["recognize", "--coeffs", "1,2"], None, 3, id="recognize-not-monic"),
+            pytest.param(
+                ["recognize", "--coeffs", X17_PLUS_7], None, 2, id="recognize-unsupported-degree-17"
+            ),
+            pytest.param(
+                ["recognize", "--coeffs", X33_PLUS_1], None, 2, id="recognize-unsupported-degree-33"
+            ),
+            pytest.param(["verify", "{f}"], WORKED, 0, id="verify-ok"),
+            pytest.param(["verify", "{f}"], "{bad json", 3, id="verify-bad-json"),
+            pytest.param(["verify", "{missing}"], None, 3, id="verify-missing"),
+            pytest.param(
+                ["corpus", "--seed", "1", "--count", "1", "--family", "sextic", "--outdir", "{d}"],
+                None, 3, id="corpus-unknown-family",
+            ),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, argv, content, code):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        f = tmp_path / "in.json"
+        if isinstance(content, str):
+            f.write_text(content)
+        elif content is not None and argv[0] == "verify":
+            cert = decide_document(parse_instance(content), DEFAULT_CONFIG)
+            f.write_text(serialize_certificate(cert))
+        elif content is not None:
+            f.write_text(json.dumps(content))
+        args = [a.format(f=f, missing=tmp_path / "missing.json", d=tmp_path / "out") for a in argv]
+        assert main(args) == code
+        capsys.readouterr()
