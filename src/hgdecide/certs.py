@@ -109,13 +109,20 @@ def parse_instance(doc: dict) -> InstanceDocument:
     return InstanceDocument(inst, mode)
 
 
-def load_instance(path: str) -> InstanceDocument:
+def read_json(path: str):
+    """The JSON document in a file; an unreadable file or invalid JSON is a
+    ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", path) from None
-    return parse_instance(doc)
+    except OSError as e:
+        raise ParseError(f"cannot read: {e.strerror or e}", path) from None
+
+
+def load_instance(path: str) -> InstanceDocument:
+    return parse_instance(read_json(path))
 
 
 # ---------------------------------------------------------------------------

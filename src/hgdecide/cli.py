@@ -1,42 +1,43 @@
 """Command-line front end.
 
-Exit codes for `decide`: 0 member/holds and 1 not-member/fails when the
-verdict is unconditional; 10/11 for the same outcomes conditional on
-Schanuel's Conjecture; 2 unsupported instance class; 3 parse error; 4
-resource cap exceeded; 5 internal error.  With several files an error
-code wins over every verdict code.
+Exit codes, shared by every subcommand:
+
+  0 / 1    member or holds / not member or fails, unconditionally (for
+           `verify`: the certificate replays / a claim fails)
+  10 / 11  the same verdicts, conditional on Schanuel's Conjecture
+  2        the instance is outside the class a decider handles
+  3        parse error: bad JSON, a bad field, or an unreadable file
+  4        resource cap exceeded (scan cap or precision cap)
+  5        internal error, i.e. a crash; never a verdict
+
+Subcommands raise; `_exit_code` maps the error to its code and label.
+With several files `decide` goes on past a failed file, and an error code
+wins over every verdict code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from fractions import Fraction
 
 from .certs import (
     InstanceDocument,
     certificate_dict,
     load_instance,
-    parse_instance,
+    read_json,
     serialize_certificate,
     verify_certificate,
 )
 from .config import EngineConfig
 from .corpus import FAMILIES, generate_documents
 from .enclosure import eval_enclosure
-from .equality import decide
-from .errors import (
-    DecideError,
-    ParseError,
-    PrecisionExceeded,
-    ScanCapExceeded,
-    UnsupportedInstance,
-)
+from .equality import _unconditional_oracle, decide
+from .errors import ParseError, PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from .exactnum import format_rat
-from .gammacanon import canonicalize, limit_as_gamma
-from .polys import IntPoly, NotSplitting, roots_quadratic
+from .polys import IntPoly
 from .recognize import (
     MatchingCertificate,
     check_radical_family,
@@ -60,6 +61,34 @@ def _config(args) -> EngineConfig:
     )
 
 
+# error type -> (exit code, stderr label); anything else is a crash
+_ERRORS = (
+    (ParseError, EXIT_PARSE, "parse error"),
+    (UnsupportedInstance, EXIT_UNSUPPORTED, "unsupported instance"),
+    ((PrecisionExceeded, ScanCapExceeded), EXIT_RESOURCE, "resource limit"),
+)
+
+
+def _exit_code(e: Exception) -> tuple[int, str]:
+    """The exit code and stderr label of an error, for every subcommand.
+
+    A crash exits 5, never 1, which would read as a "not member" or
+    "fails" verdict.
+    """
+    for kind, code, label in _ERRORS:
+        if isinstance(e, kind):
+            return code, label
+    return EXIT_INTERNAL, "internal error"
+
+
+def _report(e: Exception) -> int:
+    """Print an error's one-line diagnostic and return its exit code."""
+    code, label = _exit_code(e)
+    detail = f"{type(e).__name__}: {e}" if code == EXIT_INTERNAL else str(e)
+    print(f"{label}: {detail}".splitlines()[0], file=sys.stderr)
+    return code
+
+
 def decide_document(docin: InstanceDocument, config: EngineConfig) -> dict:
     """Decide one parsed instance and wrap the verdict as a certificate."""
     start = time.perf_counter()
@@ -77,29 +106,14 @@ def _cmd_decide(args) -> int:
     """Decide each file in turn.  Several files exit with the largest error
     code (2-5) if any file failed, else with the largest verdict code."""
     if args.out and len(args.files) > 1:
-        print("parse error: --out takes a single instance file", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--out takes a single instance file")
     config = _config(args)
     codes = []
     for path in args.files:
         try:
-            docin = load_instance(path)
-            cert = decide_document(docin, config)
-        except ParseError as e:
-            print(f"parse error: {e}", file=sys.stderr)
-            codes.append(EXIT_PARSE)
-            continue
-        except UnsupportedInstance as e:
-            print(f"unsupported instance: {e}", file=sys.stderr)
-            codes.append(EXIT_UNSUPPORTED)
-            continue
-        except (PrecisionExceeded, ScanCapExceeded) as e:
-            print(f"resource limit: {e}", file=sys.stderr)
-            codes.append(EXIT_RESOURCE)
-            continue
-        except DecideError as e:
-            print(f"internal error: {e}", file=sys.stderr)
-            codes.append(EXIT_INTERNAL)
+            cert = decide_document(load_instance(path), config)
+        except Exception as e:
+            codes.append(_report(e))
             continue
         text = serialize_certificate(cert)
         if args.out:
@@ -113,31 +127,14 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _config(args)
-    try:
-        docin = load_instance(args.file)
-        values = list(terms(docin.inst, args.terms, config))
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScanCapExceeded as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    docin = load_instance(args.file)
+    values = list(terms(docin.inst, args.terms, _config(args)))
     print(", ".join(format_rat(v) for v in values))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    config = _config(args)
-    try:
-        docin = load_instance(args.file)
-        result = brute_force(docin.inst, args.upto, config)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScanCapExceeded as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    result = brute_force(load_instance(args.file).inst, args.upto, _config(args))
     out = {"kind": result.kind.value, "index": result.index, "up_to": result.up_to}
     print(json.dumps(out, sort_keys=True))
     return 0
@@ -145,32 +142,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_canon(args) -> int:
     config = _config(args)
-    try:
-        docin = load_instance(args.file)
-        inst = docin.inst
-        rp = roots_quadratic(inst.p)
-        rq = roots_quadratic(inst.q)
-        if isinstance(rp, NotSplitting) or isinstance(rq, NotSplitting):
-            print("unsupported: coefficients do not split over a quadratic field", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        constant = canonicalize(limit_as_gamma(inst.p, inst.q, rp, rq)).scale(inst.u0)
-        enclosure = eval_enclosure(constant.value_expr(), args.bits, config)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedInstance as e:
-        print(f"unsupported instance: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except PrecisionExceeded as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except DecideError as e:
-        print(f"cannot canonicalize: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    constant = _unconditional_oracle(load_instance(args.file).inst, config).constant
+    enclosure = eval_enclosure(constant.value_expr(), args.bits, config)
     doc = constant.describe()
     doc["enclosure"] = {
-        "lo": _frac_str(enclosure.lo),
-        "hi": _frac_str(enclosure.hi),
+        "lo": format_rat(enclosure.lo),
+        "hi": format_rat(enclosure.hi),
         "approx": float(enclosure.mid()),
         "bits": args.bits,
     }
@@ -178,29 +155,20 @@ def _cmd_canon(args) -> int:
     return 0
 
 
-def _frac_str(q: Fraction) -> str:
-    return format_rat(q)
-
-
 def _cmd_recognize(args) -> int:
+    if args.coeffs is None and args.file is None:
+        raise ParseError("give a JSON file or --coeffs")
     try:
         if args.coeffs:
-            coeffs = tuple(int(c) for c in args.coeffs.split(","))
+            coeffs = [int(c) for c in args.coeffs.split(",")]
         else:
-            with open(args.file) as fh:
-                doc = json.load(fh)
-            coeffs = tuple(doc["coeffs"])
-        poly = IntPoly(coeffs)
-        if not poly.is_monic:
-            raise ParseError("polynomial must be monic")
-    except (ParseError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        matching = find_symmetric_matching(poly)
-    except DecideError as e:
-        print(f"cannot analyze: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+            coeffs = read_json(args.file)["coeffs"]
+        poly = IntPoly(tuple(coeffs))
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"bad coefficients: {e}") from None
+    if poly.degree < 1 or not poly.is_monic:
+        raise ParseError("polynomial must be monic of degree >= 1")
+    matching = find_symmetric_matching(poly)
     if isinstance(matching, MatchingCertificate):
         print(f"symmetric pairing: YES ({len(matching.pairs)} pairs)")
         for p in matching.pairs:
@@ -234,9 +202,7 @@ def _cmd_corpus(args) -> int:
     try:
         docs = generate_documents(args.seed, args.count, args.family)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    import os
+        raise ParseError(str(e)) from None
 
     os.makedirs(args.outdir, exist_ok=True)
     for i, doc in enumerate(docs):
@@ -249,14 +215,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args)
-    try:
-        with open(args.file) as fh:
-            cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    failures = verify_certificate(cert, config)
+    failures = verify_certificate(read_json(args.file), _config(args))
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
@@ -317,9 +276,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as e:
-        # a crash must not exit 1, which reads as a "not member"/"fails" verdict
-        print(f"internal error: {type(e).__name__}: {e}".splitlines()[0], file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(e)
 
 
 if __name__ == "__main__":

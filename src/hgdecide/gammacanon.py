@@ -64,7 +64,7 @@ class GammaProduct:
             raise DecideError("gamma product must have equal argument counts")
         for arg in self.num_args + self.den_args:
             if isinstance(arg, Fraction) and arg.denominator == 1 and arg <= 0:
-                raise DecideError(f"gamma argument {arg} is a nonpositive integer")
+                raise UnsupportedInstance(f"gamma argument {arg} is a nonpositive integer")
         s_num = _arg_sum(self.num_args)
         s_den = _arg_sum(self.den_args)
         if s_num != s_den:
@@ -96,7 +96,7 @@ def limit_as_gamma(
     are handled before this point).
     """
     if not classify(p, q).is_balanced:
-        raise DecideError("limit_as_gamma needs a balanced shift quotient")
+        raise UnsupportedInstance("limit_as_gamma needs a balanced shift quotient")
 
     def negate_all(rm: RootMultiset):
         out = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DecideError
+from .errors import DecideError, UnsupportedInstance
 from .exactnum import QuadElem
 from .numutil import divisors, euler_phi, factorize, perfect_power_root, squarefree_decompose
 
@@ -67,9 +67,9 @@ class IntPoly:
 
     def check_caps(self) -> "IntPoly":
         if self.degree > DEGREE_CAP:
-            raise DecideError(f"degree {self.degree} exceeds cap {DEGREE_CAP}")
+            raise UnsupportedInstance(f"degree {self.degree} exceeds cap {DEGREE_CAP}")
         if any(abs(c).bit_length() > COEFF_BIT_CAP for c in self.coeffs):
-            raise DecideError(f"coefficient exceeds {COEFF_BIT_CAP} bits")
+            raise UnsupportedInstance(f"coefficient exceeds {COEFF_BIT_CAP} bits")
         return self
 
     def __call__(self, x):
@@ -561,7 +561,7 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
         raise DecideError("factor_monic expects a monic polynomial")
     f.check_caps()
     if f.degree > _FACTOR_DEGREE_CAP:
-        raise DecideError(
+        raise UnsupportedInstance(
             f"factorization supported up to degree {_FACTOR_DEGREE_CAP}; got {f.degree}"
         )
     factors: list[IntPoly] = []
@@ -645,7 +645,7 @@ def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
     d = 1 mod 4); every factor is verified by exact expansion.
     """
     if not f.is_monic or f.degree < 1:
-        raise DecideError("roots_quadratic expects a monic polynomial of degree >= 1")
+        raise UnsupportedInstance("roots_quadratic expects a monic polynomial of degree >= 1")
     entries: list[RootEntry] = []
     for g, mult in factor_monic(f):
         if g.degree == 1:

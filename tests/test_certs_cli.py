@@ -433,29 +433,29 @@ class TestExitCodes:
         [
             pytest.param(["decide", "{f}"], WORKED, 0, id="decide-ok"),
             pytest.param(["decide", "{f}"], "{bad json", 3, id="decide-bad-json"),
-            pytest.param(["decide", "{missing}"], None, 5, id="decide-missing"),
+            pytest.param(["decide", "{missing}"], None, 3, id="decide-missing"),
             pytest.param(["decide", "{f}"], NO_MATCHING, 2, id="decide-unsupported"),
-            pytest.param(["decide", "{f}"], DEGREE_17, 5, id="decide-unsupported-degree-17"),
+            pytest.param(["decide", "{f}"], DEGREE_17, 2, id="decide-unsupported-degree-17"),
             pytest.param(
                 ["--scan-cap", "3000", "decide", "{f}"], NEAR_TIE, 4, id="decide-resource"
             ),
             pytest.param(["eval", "{f}"], WORKED, 0, id="eval-ok"),
             pytest.param(["eval", "{f}"], "{bad json", 3, id="eval-bad-json"),
-            pytest.param(["eval", "{missing}"], None, 5, id="eval-missing"),
+            pytest.param(["eval", "{missing}"], None, 3, id="eval-missing"),
             pytest.param(
                 ["--scan-cap", "10", "eval", "{f}", "--terms", "20"], WORKED, 4,
                 id="eval-resource",
             ),
             pytest.param(["oracle", "{f}"], WORKED, 0, id="oracle-ok"),
             pytest.param(["oracle", "{f}"], "{bad json", 3, id="oracle-bad-json"),
-            pytest.param(["oracle", "{missing}"], None, 5, id="oracle-missing"),
+            pytest.param(["oracle", "{missing}"], None, 3, id="oracle-missing"),
             pytest.param(
                 ["--scan-cap", "10", "oracle", "{f}", "--upto", "20"], WORKED, 4,
                 id="oracle-resource",
             ),
             pytest.param(["canon", "{f}"], WORKED, 0, id="canon-ok"),
             pytest.param(["canon", "{f}"], "{bad json", 3, id="canon-bad-json"),
-            pytest.param(["canon", "{missing}"], None, 5, id="canon-missing"),
+            pytest.param(["canon", "{missing}"], None, 3, id="canon-missing"),
             pytest.param(
                 ["canon", "{f}"], doc([1, 1], [1, 0, 1], "1", "1"), 2,
                 id="canon-unsupported-not-balanced",
@@ -480,7 +480,7 @@ class TestExitCodes:
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),
             pytest.param(["recognize", "{f}"], "{bad json", 3, id="recognize-bad-json"),
-            pytest.param(["recognize", "{missing}"], None, 5, id="recognize-missing"),
+            pytest.param(["recognize", "{missing}"], None, 3, id="recognize-missing"),
             pytest.param(["recognize", "--coeffs", "1,2"], None, 3, id="recognize-not-monic"),
             pytest.param(
                 ["recognize", "--coeffs", X17_PLUS_7], None, 2, id="recognize-unsupported-degree-17"
@@ -511,3 +511,20 @@ class TestExitCodes:
         args = [a.format(f=f, missing=tmp_path / "missing.json", d=tmp_path / "out") for a in argv]
         assert main(args) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["unconditional", "conditional"])
+    def test_degree_17_is_unsupported_in_both_modes(self, tmp_path, capsys, mode):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({**DEGREE_17, "mode": mode}))
+        assert main(["decide", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("unsupported instance: ")
+
+    def test_missing_file_does_not_stop_the_others(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(WORKED))
+        b.write_text(json.dumps(doc([13, -4, 1], [5, -4, 1], "1", "1/7")))
+        assert main(["decide", str(a), str(tmp_path / "missing.json"), str(b)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: ") and "missing.json" in captured.err
+        assert captured.out.count('"verdict": "member"') == 1
+        assert captured.out.count('"verdict": "not_member"') == 1
