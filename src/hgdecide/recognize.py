@@ -267,59 +267,42 @@ class NoMatching:
         }
 
 
-def _perfect_matching(adj: list[frozenset]) -> list[tuple[int, int]] | None:
-    n = len(adj)
-    if n % 2:
-        return None
-    matched = [-1] * n
-    pairs: list[tuple[int, int]] = []
-
-    def bt() -> bool:
-        u = next((i for i in range(n) if matched[i] < 0), None)
-        if u is None:
-            return True
-        for v in sorted(adj[u]):
-            if matched[v] < 0:
-                matched[u] = v
-                matched[v] = u
-                pairs.append((u, v))
-                if bt():
-                    return True
-                pairs.pop()
-                matched[u] = matched[v] = -1
-        return False
-
-    return pairs if bt() else None
-
-
 def _maximum_matching(adj: list[frozenset]) -> list[tuple[int, int]]:
+    """A maximum matching, by backtracking in one DFS order: the least
+    unmatched vertex u takes each free partner v > u in ascending order,
+    then stays single.  Stops at the first perfect matching, the first in
+    that order, so a perfect matching is the same whatever else the graph
+    holds."""
     n = len(adj)
     best: list[tuple[int, int]] = []
     matched = [False] * n
     current: list[tuple[int, int]] = []
 
-    def bt(start: int):
+    def bt(start: int) -> bool:
+        """Search the matchings extending `current`; True once `best` is
+        perfect."""
         nonlocal best
         remaining = sum(1 for i in range(start, n) if not matched[i])
         if len(current) + remaining // 2 <= len(best):
-            return
+            return False
         u = next((i for i in range(start, n) if not matched[i]), None)
         if u is None:
-            if len(current) > len(best):
-                best = list(current)
-            return
+            best = list(current)  # larger than `best`, or the bound had cut it
+            return 2 * len(best) == n
         for v in sorted(adj[u]):
             if v > u and not matched[v]:
                 matched[u] = matched[v] = True
                 current.append((u, v))
-                bt(u + 1)
+                if bt(u + 1):
+                    return True
                 current.pop()
                 matched[u] = matched[v] = False
         matched[u] = True
-        bt(u + 1)
+        done = bt(u + 1)
         matched[u] = False
         if len(current) > len(best):
             best = list(current)
+        return done
 
     bt(0)
     return best
@@ -333,16 +316,12 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
     irrational offset w with u = rho + w, v = rho - w.
     """
     graph = build_symmetry_graph(f)
-    adj = list(graph.adjacency)
-    result = _perfect_matching(adj)
-    if result is None:
-        best = _maximum_matching(adj)
-        pairs = tuple(
-            (graph.vertices[i], graph.vertices[j]) for i, j in best
-        )
+    best = _maximum_matching(list(graph.adjacency))
+    if 2 * len(best) != len(graph.vertices):
+        pairs = tuple((graph.vertices[i], graph.vertices[j]) for i, j in best)
         return NoMatching(f, len(graph.vertices), len(best), pairs)
     pairs = []
-    for i, j in result:
+    for i, j in best:
         vi, vj = graph.vertices[i], graph.vertices[j]
         rho = graph.edge_center[(min(i, j), max(i, j))]
         u_val = graph.factors[vi.factor].values[vi.root]

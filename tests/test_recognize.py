@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -9,6 +12,7 @@ from hgdecide.errors import DecideError
 from hgdecide.polys import IntPoly, QPoly, cyclotomic
 from hgdecide.recognize import (
     MatchingCertificate,
+    _maximum_matching,
     NoMatching,
     build_symmetry_graph,
     check_radical_family,
@@ -83,6 +87,46 @@ class TestSymmetricMatching:
         f = IntPoly.of(13, -4, 1) * IntPoly.of(2, 1)
         g = build_symmetry_graph(f)
         assert len(g.vertices) == 2
+
+
+@st.composite
+def graphs(draw):
+    """Adjacency sets of a random simple graph on at most 10 vertices."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [set() for _ in range(n)]
+    for (u, v), k in zip(pairs, keep):
+        if k:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [frozenset(a) for a in adj]
+
+
+def brute_maximum_matching_size(adj) -> int:
+    """Largest k such that some k edges are pairwise disjoint."""
+    edges = [1 << u | 1 << v for u in range(len(adj)) for v in adj[u] if u < v]
+    size = 0
+    while any(
+        bin(functools.reduce(operator.or_, c)).count("1") == 2 * (size + 1)
+        for c in itertools.combinations(edges, size + 1)
+    ):
+        size += 1
+    return size
+
+
+class TestMatchingSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_size_is_the_brute_force_maximum(self, adj):
+        best = _maximum_matching(adj)
+        used = [w for pair in best for w in pair]
+        assert len(used) == len(set(used))
+        assert all(v in adj[u] for u, v in best)
+        size = brute_maximum_matching_size(adj)
+        assert len(best) == size
+        # find_symmetric_matching certifies exactly when 2 |best| = n
+        assert (2 * len(best) == len(adj)) == (2 * size == len(adj))
 
 
 class TestEdgeRule:
