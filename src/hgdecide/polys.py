@@ -31,21 +31,26 @@ def _trim(coeffs):
 
 
 @dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, dense ascending coefficients, zero = ()."""
+class _Poly:
+    """Dense ascending coefficients in the ring `_ring`, zero = ().
 
-    coeffs: tuple[int, ...]
+    The arithmetic IntPoly and QPoly share; results are built with
+    type(self)(...), so each keeps its own ring, and `*` takes only the
+    scalars `_scalars` of that ring (an IntPoly times a Fraction is a
+    TypeError, not a truncation).
+    """
+
+    coeffs: tuple
+    _ring = int
+    _scalars = (int,)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in self.coeffs]))
+        ring = self._ring
+        object.__setattr__(self, "coeffs", _trim([ring(c) for c in self.coeffs]))
 
     @classmethod
-    def of(cls, *coeffs) -> "IntPoly":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def x_power(cls, k: int) -> "IntPoly":
-        return cls((0,) * k + (1,))
+    def of(cls, *coeffs):
+        return cls(coeffs)
 
     @property
     def degree(self) -> int:
@@ -56,7 +61,7 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def lead(self) -> int:
+    def lead(self):
         if self.is_zero:
             raise DecideError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -65,42 +70,57 @@ class IntPoly:
     def is_monic(self) -> bool:
         return not self.is_zero and self.coeffs[-1] == 1
 
-    def check_caps(self) -> "IntPoly":
-        if self.degree > DEGREE_CAP:
-            raise UnsupportedInstance(f"degree {self.degree} exceeds cap {DEGREE_CAP}")
-        if any(abs(c).bit_length() > COEFF_BIT_CAP for c in self.coeffs):
-            raise UnsupportedInstance(f"coefficient exceeds {COEFF_BIT_CAP} bits")
-        return self
-
     def __call__(self, x):
         out = 0
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
+    def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly(tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)))
+        return type(self)(tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)))
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+        if isinstance(other, self._scalars):
+            return type(self)(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, _Poly):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return type(self)(tuple(out))
 
     __rmul__ = __mul__
+
+    def derivative(self):
+        return type(self)(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+
+
+class IntPoly(_Poly):
+    """Integer polynomial, dense ascending coefficients, zero = ()."""
+
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def x_power(cls, k: int) -> "IntPoly":
+        return cls((0,) * k + (1,))
+
+    def check_caps(self) -> "IntPoly":
+        if self.degree > DEGREE_CAP:
+            raise UnsupportedInstance(f"degree {self.degree} exceeds cap {DEGREE_CAP}")
+        if any(abs(c).bit_length() > COEFF_BIT_CAP for c in self.coeffs):
+            raise UnsupportedInstance(f"coefficient exceeds {COEFF_BIT_CAP} bits")
+        return self
 
     def divides(self, other: "IntPoly") -> bool:
         try:
@@ -149,9 +169,6 @@ class IntPoly:
         sign = 1 if self.lead > 0 else -1
         return IntPoly(tuple(x // (c * sign) for x in self.coeffs))
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def mirror(self, c: int | Fraction) -> "QPoly":
         """f(c - x)."""
         return self.to_q().compose_linear(Fraction(c), Fraction(-1))
@@ -173,64 +190,12 @@ class IntPoly:
         return "IntPoly(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(_Poly):
+    """Rational polynomial, dense ascending coefficients, zero = ()."""
+
     coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim([Fraction(c) for c in self.coeffs]))
-
-    @classmethod
-    def of(cls, *coeffs) -> "QPoly":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> Fraction:
-        if self.is_zero:
-            raise DecideError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly(tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(tuple(out))
-
-    __rmul__ = __mul__
+    _ring = Fraction
+    _scalars = (int, Fraction)
 
     def divrem(self, d: "QPoly") -> tuple["QPoly", "QPoly"]:
         if d.is_zero:
@@ -282,9 +247,6 @@ class QPoly:
         for c in self.coeffs:
             lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
         return IntPoly(tuple(int(c * lcm) for c in self.coeffs)).primitive_part()
-
-    def derivative(self) -> "QPoly":
-        return QPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __repr__(self):
         return "QPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -617,10 +579,6 @@ class RootEntry:
 class RootMultiset:
     entries: tuple[RootEntry, ...]
     source: IntPoly
-
-    @property
-    def total(self) -> int:
-        return sum(e.mult for e in self.entries)
 
     def fields(self) -> set[int]:
         return {e.root.d for e in self.entries if isinstance(e.root, QuadElem)}

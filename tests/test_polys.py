@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import DecideError
+from hgdecide.errors import DecideError, UnsupportedInstance
 from hgdecide.exactnum import QuadElem
 from hgdecide.numutil import perfect_power_root
 from hgdecide.polys import (
@@ -39,6 +39,19 @@ class TestPolyOps:
     def test_division_by_zero_poly(self):
         with pytest.raises(DecideError):
             IntPoly.of(1, 1).to_q().divrem(IntPoly(()).to_q())
+
+    def test_shared_arithmetic_keeps_each_ring(self):
+        f, g = IntPoly.of(1, 2, 3), QPoly.of(F(1, 2), 1)
+        for a in (f, g):
+            for r in (a + a, a - a, -a, a * a, 2 * a, a * 2, a.derivative()):
+                assert type(r) is type(a)
+        assert g * F(1, 3) == F(1, 3) * g == QPoly.of(F(1, 6), F(1, 3))
+        assert f(2) == 17 and g(F(1, 2)) == 1
+        # an IntPoly takes no rational scalar: no silent truncation
+        with pytest.raises(TypeError):
+            f * F(1, 2)
+        with pytest.raises(TypeError):
+            F(1, 2) * f
 
     def test_mirror_and_cauchy(self):
         f = IntPoly.of(13, -4, 1)
@@ -177,6 +190,10 @@ class TestFactor:
         with pytest.raises(DecideError):
             factor_monic(IntPoly.of(1, 2))
 
+    def test_degree_past_the_search_limit_is_unsupported(self):
+        with pytest.raises(UnsupportedInstance, match="up to degree 16; got 17"):
+            factor_monic(IntPoly.of(7, *[0] * 16, 1))
+
 
 class TestPerfectPowerRoot:
     def test_large_square(self):
@@ -254,7 +271,7 @@ class TestRootsProperty:
         rm = roots_quadratic(f)
         if isinstance(rm, NotSplitting):
             return
-        assert rm.total == f.degree
+        assert sum(e.mult for e in rm.entries) == f.degree
         for e in rm.entries:
             r = e.root
             if isinstance(r, F):
