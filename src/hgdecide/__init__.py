@@ -9,7 +9,7 @@ the document/CLI layer (certs, corpus, cli).
 """
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .equality import compare, decide, decide_equal, decide_membership, decide_threshold
+from .equality import compare, decide, decide_equal
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import IntPoly, QPoly, cyclotomic, roots_quadratic
 from .recognize import (
@@ -57,8 +57,6 @@ __all__ = [
     "decide_conditional",
     "decide_equal",
     "decide_identity",
-    "decide_membership",
-    "decide_threshold",
     "detect_shifted_even",
     "divergence_bound",
     "find_symmetric_matching",

@@ -20,8 +20,6 @@ class EngineConfig:
     precision_cap_bits: int = 1 << 16
     # Ceiling for exact term scans (brute force, tail scans).
     scan_cap: int = 10**6
-    # Starting precision for the order comparison loop.
-    compare_start_bits: int = 64
 
     def __post_init__(self):
         if self.precision_cap_bits < 64:
@@ -30,13 +28,12 @@ class EngineConfig:
             raise ValueError("scan cap must be positive")
 
     @classmethod
-    def from_env(cls, **overrides) -> "EngineConfig":
+    def from_env(cls) -> "EngineConfig":
         kwargs = {}
         if ENV_PRECISION_CAP in os.environ:
             kwargs["precision_cap_bits"] = int(os.environ[ENV_PRECISION_CAP])
         if ENV_SCAN_CAP in os.environ:
             kwargs["scan_cap"] = int(os.environ[ENV_SCAN_CAP])
-        kwargs.update(overrides)
         return cls(**kwargs)
 
     def with_overrides(self, **overrides) -> "EngineConfig":

@@ -127,15 +127,8 @@ class DyadicInterval:
         m, e = self.hi_man, self.hi_exp
         return Fraction(m) * Fraction(2) ** e
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def mag(self) -> Fraction:
-        """max(|x|) over the interval."""
-        return max(abs(self.lo), abs(self.hi))
 
     def __contains__(self, q) -> bool:
         q = Fraction(q)

@@ -1,11 +1,13 @@
 """Rigorous enclosures of constant expressions.
 
-Expression trees over {rationals, sqrt(n), pi, exp, sin, cos} evaluate to
-dyadic intervals guaranteed to contain the exact value.  Every constant is
-summed on plain integers scaled by 2**w (Brent 1976, "Fast multiple-
-precision evaluation of elementary functions"): pi by Machin's formula,
-exp, sin and cos by one Taylor kernel after halving the argument below
-2**-8, then squaring or angle doubling back.  Each kernel counts its error
+Expression trees with the leaves rationals, sqrt(n) and pi, the nodes +,
+-, *, / and integer powers, and exp, evaluate to dyadic intervals
+guaranteed to contain the exact value.  The sin and cos kernels act on
+dyadic intervals directly: `towers` and `schanuel` call them for complex
+values.  Every constant is summed on plain integers scaled by 2**w (Brent
+1976, "Fast multiple-precision evaluation of elementary functions"): pi by
+Machin's formula, exp, sin and cos by one Taylor kernel after halving the
+argument below 2**-8, then squaring or angle doubling back.  Each kernel counts its error
 in ulps of 2**-w (per-term floors, the dropped tail, the rounded input and
 the growth under squaring or doubling) and folds the count into the
 interval; there is no heuristic rounding anywhere.
@@ -123,30 +125,12 @@ class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
-
-
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
         return Rc(Fraction(x))
     raise TypeError(f"cannot use {x!r} in a constant expression")
-
-
-def sinh(x: Expr) -> Expr:
-    return (Exp(x) - Exp(Neg(x))) * Fraction(1, 2)
-
-
-def cosh(x: Expr) -> Expr:
-    return (Exp(x) + Exp(Neg(x))) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +398,6 @@ def _eval(expr: Expr, prec: int, cache: dict) -> DyadicInterval:
         out = _eval(expr.base, prec, cache).pow_int(expr.k, prec)
     elif isinstance(expr, Exp):
         out = exp_interval(_eval(expr.arg, prec, cache), prec)
-    elif isinstance(expr, Sin):
-        out = sin_interval(_eval(expr.arg, prec, cache), prec)
-    elif isinstance(expr, Cos):
-        out = cos_interval(_eval(expr.arg, prec, cache), prec)
     else:
         raise DecideError(f"unknown expression node {type(expr).__name__}")
     cache[id(expr)] = out
@@ -475,6 +455,10 @@ def _top_rung(bits: int) -> int:
     while p < bits:
         p *= 2
     return p
+
+
+# the first rung of every order comparison
+COMPARE_START_BITS = 64
 
 
 def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONFIG):

@@ -20,11 +20,10 @@ termination is guaranteed.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .enclosure import Expr, Rc, eval_enclosure, precision_ladder
+from .enclosure import COMPARE_START_BITS, Expr, Rc, eval_enclosure, precision_ladder
 from .errors import DecideError, IntervalStraddlesZero, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
@@ -92,7 +91,7 @@ def compare_expr_zero(expr: Expr, config: EngineConfig = DEFAULT_CONFIG) -> tupl
         prior = (bits, iv)
         return iv.sign() or None
 
-    return precision_ladder(probe, config.compare_start_bits, config)
+    return precision_ladder(probe, COMPARE_START_BITS, config)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +141,6 @@ def _unconditional_oracle(inst: HGInstance, config: EngineConfig) -> CanonicalLi
 # ---------------------------------------------------------------------------
 # Decision pipeline
 # ---------------------------------------------------------------------------
-
-
-def decide_membership(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> Verdict:
-    return decide(dataclasses.replace(inst, problem=Problem.MEMBERSHIP), config)
-
-
-def decide_threshold(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> Verdict:
-    return decide(dataclasses.replace(inst, problem=Problem.THRESHOLD), config)
 
 
 def decide(

@@ -14,17 +14,6 @@ from fractions import Fraction
 from .errors import DecideError, FieldMismatchError
 from .numutil import is_squarefree
 
-Rat = Fraction
-
-HALF = Fraction(1, 2)
-
-
-def rat(num: int | str | Fraction, den: int | None = None) -> Fraction:
-    if den is not None:
-        return Fraction(num, den)
-    return Fraction(num)
-
-
 def parse_rat(text: str) -> Fraction:
     """Parse 'a/b' or 'a' into a Fraction."""
     return Fraction(text.strip())
@@ -58,10 +47,6 @@ class QuadElem:
             raise DecideError(f"invalid field context d={self.d}")
         if not is_squarefree(self.d):
             raise DecideError(f"d={self.d} is not squarefree")
-
-    @classmethod
-    def of(cls, a, b, d: int) -> "QuadElem":
-        return cls(Fraction(a), Fraction(b), d)
 
     @classmethod
     def rational(cls, a, d: int) -> "QuadElem":
@@ -169,8 +154,3 @@ class QuadElem:
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def conjugate(x: QuadElem) -> QuadElem:
-    """Field conjugate a + b*sqrt(d) -> a - b*sqrt(d); an involution."""
-    return x.conjugate()

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import ComplexInterval, DyadicInterval
 from .enclosure import (
+    COMPARE_START_BITS,
     cos_interval,
     exp_interval,
     pi_interval,
@@ -616,7 +617,7 @@ class ConditionalLimitOracle:
     def compare(self, t: Fraction) -> tuple[int, int]:
         return precision_ladder(
             lambda bits: self.limit_enclosure(bits).compare_fraction(Fraction(t)),
-            self.config.compare_start_bits, self.config,
+            COMPARE_START_BITS, self.config,
         )
 
     def verdict_extras(self) -> dict:

@@ -146,9 +146,6 @@ class HGInstance:
     def is_monic_pair(self) -> bool:
         return self.p.is_monic and self.q.is_monic
 
-    def ratio(self, k: int) -> Fraction:
-        return Fraction(self.q(k), self.p(k))
-
 
 class Variant(enum.Enum):
     DIVERGES_TO_INFINITY = "diverges_to_infinity"

@@ -17,7 +17,6 @@ class Rationale(enum.Enum):
     RATIONAL_IDENTITY = "rational_identity"
     PI_POWER_OBSTRUCTION = "pi_power_obstruction"
     TRANSCENDENCE_OBSTRUCTION = "transcendence_obstruction"
-    INTERVAL_SEPARATION = "interval_separation"
     IDENTITY_CANCELLATION = "identity_cancellation"
     IDENTITY_NONZERO = "identity_nonzero"
 

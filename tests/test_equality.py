@@ -10,8 +10,6 @@ from hgdecide.equality import (
     compare,
     decide,
     decide_equal,
-    decide_membership,
-    decide_threshold,
 )
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, FieldMismatchError
-from hgdecide.exactnum import QuadElem, conjugate, is_half_integer, parse_rat
+from hgdecide.exactnum import QuadElem, is_half_integer, parse_rat
 
 
 def q(a, b, d):
@@ -45,17 +45,17 @@ class TestQuadArith:
 
 class TestConjugate:
     def test_worked_pair(self):
-        assert conjugate(q(-2, 3, -1)) == q(-2, -3, -1)
+        assert q(-2, 3, -1).conjugate() == q(-2, -3, -1)
 
     def test_rational_fixed_point(self):
-        assert conjugate(q(5, 0, -7)) == q(5, 0, -7)
+        assert q(5, 0, -7).conjugate() == q(5, 0, -7)
 
     def test_half_integer_flip(self):
-        assert conjugate(q(F(1, 2), F(3, 2), -3)) == q(F(1, 2), F(-3, 2), -3)
+        assert q(F(1, 2), F(3, 2), -3).conjugate() == q(F(1, 2), F(-3, 2), -3)
 
     def test_involution(self):
         x = q(F(2, 3), F(-5, 7), -11)
-        assert conjugate(conjugate(x)) == x
+        assert x.conjugate().conjugate() == x
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)

@@ -95,7 +95,7 @@ class TestBounds:
         i = inst([1, 1], [3, 1], 1, 7)
         for n in range(b.n, b.n + 51):
             assert abs(term(i, n)) > 7
-            assert abs(i.ratio(n)) > 1
+            assert abs(F(i.q(n), i.p(n))) > 1
         b2 = divergence_bound(inst([1], [2], 1, 1000))
         assert 2**b2.n > 1000
 
@@ -110,7 +110,7 @@ class TestBounds:
         b = shrink_bound(i)
         for n in range(b.n, b.n + 51):
             assert abs(term(i, n)) < F(1, 10)
-            assert abs(i.ratio(n)) < 1
+            assert abs(F(i.q(n), i.p(n))) < 1
         b2 = shrink_bound(inst([2], [1], 1, F(1, 100)))
         assert F(1, 2**b2.n) < F(1, 100)
         i3 = inst([3, 1], [1, 1], 4, F(1, 5))
@@ -139,15 +139,15 @@ class TestMonotonicityIndex:
         # beyond k0: r > 0 and r < 1 (q - p = -8 < 0, both quadratics positive)
         i = inst([13, -4, 1], [5, -4, 1], 1, 0)
         for k in range(k0, k0 + 20):
-            assert 0 < i.ratio(k) < 1
+            assert 0 < F(i.q(k), i.p(k)) < 1
 
     def test_sign_change_case(self):
         p, q = IntPoly.of(1, 0, 1), IntPoly.of(7, -5, 1)
         k0 = monotonicity_index(p, q)
         i = inst(p.coeffs, q.coeffs, 1, 0)
-        sign = i.ratio(k0) < 1
+        sign = F(i.q(k0), i.p(k0)) < 1
         for k in range(k0, k0 + 20):
-            assert (i.ratio(k) < 1) == sign
+            assert (F(i.q(k), i.p(k)) < 1) == sign
 
     @settings(max_examples=300, deadline=None)
     @given(
