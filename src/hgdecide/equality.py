@@ -319,10 +319,11 @@ def _balanced_verdict(
     towards L, so the prefix u_0 .. u_{k0+1} is scanned first.  These
     verdicts do not depend on L and build no oracle: a prefix witness or
     violation; an increasing Threshold tail (its minimum u_{k0+1} lies in
-    the prefix); and a Membership tail that never has t's sign or that
-    u_{k0+2} has already carried past t, moving away from it (the bound
-    replay proves these without an order claim).  Only a tail that moves
-    towards t, and a decreasing Threshold tail, call build_oracle() for
+    the prefix); a positive Threshold tail over a negative t; and a
+    Membership tail that never has t's sign or that u_{k0+2} has already
+    carried past t, moving away from it (the bound replay proves these
+    without an order claim).  Only a tail that moves towards t, and a
+    decreasing Threshold tail that can reach t, call build_oracle() for
     the equality and order tests, which need the limit's closed form.
     """
     k0 = monotonicity_index(inst.p, inst.q)
@@ -350,6 +351,13 @@ def _balanced_verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL, "increasing_tail",
             asymptotic=cls, scanned_up_to=k0 + 1,
             bound=SearchBound(k0 + 1, "product_monotone_beyond"),
+        )
+    if not membership and scan.sign() > 0 and inst.t < 0:
+        # a positive tail stays above its limit L >= 0 > t
+        return Verdict(
+            inst.problem, True, Conditionality.UNCONDITIONAL, "decreasing_tail_above_target",
+            asymptotic=cls, scanned_up_to=k0 + 1,
+            bound=SearchBound(k0 + 2, "product_monotone_beyond"),
         )
     if membership and (scan.sign() * inst.t <= 0 or scan.cmp(inst.t) == direction):
         # the tail never has t's sign, or u_{k0+2} is already past t and

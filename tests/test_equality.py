@@ -14,6 +14,7 @@ from hgdecide.equality import (
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
 from hgdecide.polys import IntPoly
+from hgdecide.schanuel import decide_conditional
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, monotonicity_index, term
 from hgdecide.verdicts import Conditionality, Rationale
 from intervals import record_root_walks
@@ -164,6 +165,7 @@ CUBIC = ([1, 0, 0, 1], [1 + 1055 * 10**6, -(10**6), 0, 1])
 # p = (6x + 1)(6x + 5), q = (6x + 2)(6x + 4): balanced but not monic
 SIXTHS = ([5, 36, 36], [8, 36, 36])
 EXCLUDED = "monotone_tail_excludes_target"
+FALLING_ABOVE = "decreasing_tail_above_target"
 
 
 class OracleBuilt(Exception):
@@ -199,6 +201,11 @@ class TestScanFirst:
             (*SIXTHS, 1, F(1, 2), Problem.MEMBERSHIP, EXCLUDED, None),
             ([13, -4, 1], [5, -4, 1], 1, -1, Problem.MEMBERSHIP, EXCLUDED, None),
             ([-1, -2, 1], [-4, -2, 1], 1, 2, Problem.MEMBERSHIP, EXCLUDED, None),
+            # positive Threshold tails falling to L >= 0 over t < 0: the
+            # worked pair, a non-monic pair, a real quadratic pair
+            ([13, -4, 1], [5, -4, 1], 1, -1, Problem.THRESHOLD, FALLING_ABOVE, None),
+            ([3, 1, 2], [1, 1, 2], 1, F(-1, 2), Problem.THRESHOLD, FALLING_ABOVE, None),
+            ([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD, FALLING_ABOVE, None),
         ],
     )
     def test_limit_free_verdicts_never_build_the_oracle(self, p, q, u0, t, problem, reason, witness):
@@ -230,6 +237,25 @@ class TestScanFirst:
         assert verify_certificate(cert) == []
         cert["bound"]["n"] = k0 + 1  # u_{k0+1} is above t: the tail moves towards it
         assert verify_certificate(cert)
+
+
+    def test_positive_tail_over_negative_target_is_bounded(self):
+        # u_n > L >= 0 > t from k0 + 2 on: the bound replay proves it
+        p, q = [13, -4, 1], [5, -4, 1]
+        k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        i = inst(p, q, 1, -1, Problem.THRESHOLD)
+        v = decide(i, oracle_builder=no_oracle)
+        assert (v.reason, v.scanned_up_to, v.bound.n) == (FALLING_ABOVE, k0 + 1, k0 + 2)
+        assert v.canonical is None and v.compare_relation is None and v.equality_rationale is None
+        cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
+        assert verify_certificate(cert) == []
+        cert["instance"]["t"] = "1/100000"  # beyond L ~ 4.78e-5: the tail reaches it
+        assert any("the tail falls" in f for f in verify_certificate(cert))
+
+    def test_real_quadratic_positive_tail_over_negative_target_is_unconditional(self):
+        v = decide_conditional(inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD))
+        assert v.result and v.reason == FALLING_ABOVE
+        assert v.conditionality is Conditionality.UNCONDITIONAL and v.identity is None
 
 
 class TestVerdictOracleConsistency:
