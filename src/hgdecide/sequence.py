@@ -107,9 +107,10 @@ class HGInstance:
         First pairs x - r, x - s of linear factors, r and s integer roots
         of p and q matched closest first and counting multiplicity; then
         one pair q1 = c * p1(x + h) from what is left, h read off the top
-        two coefficients, which leaves the constants q1/p1 = c.  Factors
-        nothing beyond the two root lists, and searches q's only when p
-        has integer roots.
+        two coefficients, which leaves the constants q1/p1 = c.  Constant
+        residuals are divided by their positive gcd, so 2x + 6, 2x + 8
+        leaves 1, 1 as x + 3, x + 4 does.  Factors nothing beyond the two
+        root lists, and searches q's only when p has integer roots.
         """
         p, q = self.p, self.q
         pairs = []
@@ -140,6 +141,9 @@ class HGInstance:
                     if h:
                         pairs.append((p, h))
                     p, q = IntPoly.of(pd), IntPoly.of(qd)
+        if p.degree == q.degree == 0:
+            g = math.gcd(p.lead, q.lead)
+            p, q = IntPoly.of(p.lead // g), IntPoly.of(q.lead // g)
         return tuple(pairs), p, q
 
     @property

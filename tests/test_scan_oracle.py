@@ -224,7 +224,7 @@ class TestShiftForm:
             ([12, 7, 1], [15, 8, 1], [([4, 1], 1)], ([1], [1])),  # common root x + 3
             ([6, 2], [-15, -5], [], ([2], [-5])),  # only the constant -5/2
             ([3, 1, 1], [5, 3, 1], [([3, 1, 1], 1)], ([1], [1])),  # q = p(x + 1)
-            ([6, 2, 2], [-10, -6, -2], [([6, 2, 2], 1)], ([2], [-2])),  # q = -p(x + 1)
+            ([6, 2, 2], [-10, -6, -2], [([6, 2, 2], 1)], ([1], [-1])),  # q = -p(x + 1)
             ([3, 2], [4, 2], [], ([3, 2], [4, 2])),  # q = p(x + 1/2): no pair
             ([1, 0, 1], [2, 3, 1], [], ([1, 0, 1], [2, 3, 1])),  # p has no integer root
             ([2, 1], [-5, 1], [([2, 1], -7)], ([1], [1])),  # q vanishes at 5
@@ -629,6 +629,17 @@ class TestGallop:
         assert scan.n == scan.steps == witness
         assert len(log_calls) <= 4 * math.log2(10**6)
 
+    @pytest.mark.parametrize("p,q", [([3, 1], [4, 1]), ([6, 2], [8, 2])])
+    def test_shift_pair_search_to_the_cap_takes_few_logs(self, log_calls, p, q):
+        # u_n = (n + 3)/3 never equals 1/2; 2x + 6, 2x + 8 leaves the
+        # residuals 2, 2, divided down to 1, 1, and gallops as x + 3, x + 4
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(1, 2), Problem.MEMBERSHIP)
+        scan = ExactScan(inst, cap=10**6)
+        with pytest.raises(ScanCapExceeded):
+            scan.first_hit()
+        assert scan.n == scan.steps == 10**6 + 1
+        assert len(log_calls) <= 4 * math.log2(10**6)
+
     def test_unit_residual_jump_is_one_product(self, monkeypatch):
         spans = record_products(monkeypatch)
         inst = HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(1), F(0), Problem.MEMBERSHIP)
@@ -641,12 +652,12 @@ class TestGallop:
         "p,q",
         [
             ([1, 0, 1], [3, 2, 1]),  # no shift pair: the residual is p, q
-            ([6, 2], [8, 2]),  # the pair x + 3, h = 1, leaves p1 = q1 = 2
+            ([6, 2], [12, 3]),  # the pair x + 3, h = 1, leaves p1, q1 = 2, 3
         ],
     )
     def test_other_residual_multiplies_at_most_a_block(self, monkeypatch, p, q):
-        # |u_n| grows like n^2 or n and is above |t| = 1 past u_0, so the
-        # search skips the tail in blocks, none longer than 64 indices
+        # |u_n| grows like n^2 or (3/2)^n n and is above |t| = 1 past u_0,
+        # so the search skips the tail in blocks, none longer than 64 indices
         spans = record_products(monkeypatch)
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(-1), Problem.MEMBERSHIP)
         scan = ExactScan(inst)
