@@ -17,30 +17,19 @@ sys.path.insert(0, "src")
 from hgdecide.certs import parse_instance, serialize_certificate, verify_certificate
 from hgdecide.cli import decide_document
 from hgdecide.config import EngineConfig
-from hgdecide.corpus import generate_documents
-from hgdecide.sequence import BruteKind, Problem, brute_force
+from hgdecide.corpus import cross_check, generate_documents
+
+# brute-force depth of the consistency check
+ORACLE_DEPTH = 10**4
 
 
 def run_one(doc: dict) -> tuple[dict, str]:
     config = EngineConfig.from_env()
     docin = parse_instance(doc)
     cert = decide_document(docin, config)
-    inst = docin.inst
-    oracle = brute_force(inst, 10**4, config)
-    if inst.problem is Problem.MEMBERSHIP:
-        if cert["verdict"] == "member":
-            consistent = oracle.kind is BruteKind.FOUND_MEMBERSHIP and oracle.index == cert["witness"]
-        else:
-            consistent = oracle.kind is BruteKind.NONE_UP_TO
-    else:
-        if cert["verdict"] == "holds":
-            consistent = oracle.kind is BruteKind.THRESHOLD_HOLDS_UP_TO
-        else:
-            consistent = (
-                oracle.kind is BruteKind.THRESHOLD_VIOLATION and oracle.index == cert["witness"]
-            )
-    status = "consistent" if consistent else f"MISMATCH oracle={oracle.kind.value}"
-    return cert, status
+    result = cert["verdict"] in ("member", "holds")
+    mismatch = cross_check(docin.inst, result, cert["witness"], ORACLE_DEPTH, config)
+    return cert, "consistent" if mismatch is None else f"MISMATCH {mismatch}"
 
 
 def main() -> int:

@@ -18,9 +18,10 @@ import math
 import random
 from fractions import Fraction
 
+from .config import DEFAULT_CONFIG, EngineConfig
 from .exactnum import format_rat
 from .polys import IntPoly
-from .sequence import HGInstance, Problem, classify, monotonicity_index, term
+from .sequence import HGInstance, Problem, brute_force, classify, monotonicity_index, term
 
 _PROBE_LIMIT = 24000
 _ADMIT_DEPTH = 8000
@@ -207,3 +208,26 @@ def generate_documents(seed: int, count: int, family: str) -> list[dict]:
             }
         )
     return docs
+
+
+def cross_check(
+    inst: HGInstance,
+    result: bool,
+    witness: int | None,
+    depth: int,
+    config: EngineConfig = DEFAULT_CONFIG,
+) -> str | None:
+    """None when a verdict agrees with `brute_force` over u_0 .. u_{depth-1},
+    else what the brute-force scan saw.
+
+    `result` is true for member and holds.  A member or fails verdict
+    names its least witness, which the scan must find; a witness at or
+    past `depth` (or none named) agrees with a scan that finds none, as
+    does a not_member or holds verdict.
+    """
+    oracle = brute_force(inst, depth, config)
+    names_witness = result == (inst.problem is Problem.MEMBERSHIP)
+    expected = witness if names_witness and witness is not None and witness < depth else None
+    if oracle.index == expected:
+        return None
+    return f"oracle={oracle.kind.value}" + (f" at {oracle.index}" if oracle.index is not None else "")

@@ -16,7 +16,7 @@ from hgdecide import enclosure
 from hgdecide.certs import parse_instance, serialize_certificate, verify_certificate
 from hgdecide.cli import decide_document
 from hgdecide.config import DEFAULT_CONFIG
-from hgdecide.corpus import generate_documents
+from hgdecide.corpus import cross_check, generate_documents
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import eval_enclosure
 from hgdecide.equality import _unconditional_oracle, decide
@@ -31,13 +31,7 @@ from hgdecide.recognize import (
     validate_matching,
 )
 from hgdecide.schanuel import decide_conditional
-from hgdecide.sequence import (
-    BruteKind,
-    ExactScan,
-    HGInstance,
-    Problem,
-    brute_force,
-)
+from hgdecide.sequence import ExactScan, HGInstance, Problem
 from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import tail_log_bound
@@ -217,27 +211,9 @@ class TestCriterion5and6:
             v = _decide_auto(inst)
             if v.bound is not None:
                 bounds.append((inst, v))
-            bf = brute_force(inst, ORACLE_DEPTH)
-            if inst.problem is Problem.MEMBERSHIP:
-                if v.result:
-                    good = (
-                        (v.witness <= ORACLE_DEPTH and bf.kind is BruteKind.FOUND_MEMBERSHIP
-                         and bf.index == v.witness)
-                        or (v.witness > ORACLE_DEPTH and bf.kind is BruteKind.NONE_UP_TO)
-                    )
-                else:
-                    good = bf.kind is BruteKind.NONE_UP_TO
-            else:
-                if v.result:
-                    good = bf.kind is BruteKind.THRESHOLD_HOLDS_UP_TO
-                else:
-                    good = (
-                        (v.witness <= ORACLE_DEPTH and bf.kind is BruteKind.THRESHOLD_VIOLATION
-                         and bf.index == v.witness)
-                        or (v.witness > ORACLE_DEPTH and bf.kind is BruteKind.THRESHOLD_HOLDS_UP_TO)
-                    )
-            if not good:
-                mismatches.append((idx, doc, v.reason, bf.kind.value))
+            mismatch = cross_check(inst, v.result, v.witness, ORACLE_DEPTH)
+            if mismatch is not None:
+                mismatches.append((idx, doc, v.reason, mismatch))
         report(
             "criterion-5 oracle equivalence on 500 corpus instances",
             not mismatches,

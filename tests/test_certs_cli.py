@@ -11,8 +11,10 @@ from hgdecide.certs import (
     verify_certificate,
 )
 from hgdecide.cli import decide_document, main
-from hgdecide.corpus import FAMILIES, generate_documents
+from hgdecide.corpus import FAMILIES, cross_check, generate_documents
 from hgdecide.errors import ParseError
+from hgdecide.polys import IntPoly
+from hgdecide.sequence import HGInstance, Problem
 
 
 def doc(p, q, u0, t, problem="membership", mode="auto"):
@@ -259,6 +261,32 @@ class TestCorpus:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_documents(1, 1, "sextic")
+
+
+class TestCrossCheck:
+    # u_n = n + 1 (Membership t = 51: witness 50) and u_n = 1/(n + 1)
+    # (Threshold t = 1/10: first violation 10)
+    RISING = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(51), Problem.MEMBERSHIP)
+    FALLING = HGInstance(IntPoly.of(2, 1), IntPoly.of(1, 1), F(1), F(1, 10), Problem.THRESHOLD)
+
+    @pytest.mark.parametrize(
+        "which,result,witness,depth,consistent",
+        [
+            ("RISING", True, 50, 100, True),
+            ("RISING", True, 49, 100, False),
+            ("RISING", False, None, 100, False),
+            ("RISING", True, 50, 50, True),  # past the depth: the scan sees none
+            ("RISING", False, None, 50, True),
+            ("FALLING", False, 10, 20, True),
+            ("FALLING", False, 11, 20, False),
+            ("FALLING", True, None, 20, False),
+            ("FALLING", False, 10, 10, True),
+            ("FALLING", True, None, 10, True),
+        ],
+    )
+    def test_rules(self, which, result, witness, depth, consistent):
+        mismatch = cross_check(getattr(self, which), result, witness, depth)
+        assert (mismatch is None) == consistent, mismatch
 
 
 class TestCLI:
