@@ -10,6 +10,10 @@ exact scans stay at desk depth (a few thousand terms); candidates whose
 search bounds would land near the scan cap are regenerated
 deterministically.  The engine itself accepts any instance and reports a
 resource error at its caps; this filter is about corpus ergonomics.
+
+`cross_check` holds the one rule by which a verdict agrees with the
+brute-force reference; scripts/run_corpus.py and the acceptance tests
+both apply it.
 """
 
 from __future__ import annotations

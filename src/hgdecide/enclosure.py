@@ -7,10 +7,10 @@ dyadic intervals directly: `towers` and `schanuel` call them for complex
 values.  Every constant is summed on plain integers scaled by 2**w (Brent
 1976, "Fast multiple-precision evaluation of elementary functions"): pi by
 Machin's formula, exp, sin and cos by one Taylor kernel after halving the
-argument below 2**-8, then squaring or angle doubling back.  Each kernel counts its error
-in ulps of 2**-w (per-term floors, the dropped tail, the rounded input and
-the growth under squaring or doubling) and folds the count into the
-interval; there is no heuristic rounding anywhere.
+argument below 2**-8, then squaring or angle doubling back.  Each kernel
+counts its error in ulps of 2**-w (per-term floors, the dropped tail, the
+rounded input and the growth under squaring or doubling) and folds the
+count into the interval; there is no heuristic rounding anywhere.
 
 Refinement is monotone by construction: `eval_enclosure` walks the standard
 precision ladder 64, 128, 256, ... intersecting as it goes, so a result at

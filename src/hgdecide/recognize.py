@@ -14,6 +14,12 @@ and one exact polynomial identity per factor pair, and needs no root
 representation at all.  Representations (quadratic elements, cyclotomic
 or radical tower elements) are attached where available because the
 conditional decider consumes the matched pairs.
+
+One backtracking search finds a maximum matching and stops at the first
+perfect one; the polynomial is in the class exactly when it returns n/2
+pairs for n vertices.  A polynomial past the degree caps (32 overall, 16
+for the factor search) raises UnsupportedInstance, which `hgdecide
+recognize` reports with exit code 2 (see `cli` for the whole table).
 """
 
 from __future__ import annotations

@@ -757,8 +757,8 @@ def brute_force(
 ) -> BruteResult:
     """Exhaustive exact scan of u_0 .. u_{up_to - 1}.
 
-    The reference the deciders are checked against (the test suite,
-    scripts/run_corpus.py and `hgdecide oracle`); no decider calls it.
+    The reference the deciders are checked against (`corpus.cross_check`,
+    the test suite and `hgdecide oracle`); no decider calls it.
     Membership reports the least witness.
     """
     if up_to > config.scan_cap:
