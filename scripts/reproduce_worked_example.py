@@ -27,7 +27,7 @@ Q = IntPoly.of(5, -4, 1)
 def main() -> int:
     constant = canonicalize(limit_as_gamma(P, Q, roots_quadratic(P), roots_quadratic(Q)))
     print("canonical tuple:", json.dumps(constant.describe()))
-    iv = eval_enclosure(constant.value_expr(), 192)
+    iv = eval_enclosure(constant, 192)
     print(f"enclosure at 192 bits: [{float(iv.lo):.17e}, {float(iv.hi):.17e}]")
     print(f"limit ~ {float(iv.mid()):.12e}  (sinh(pi)/(39 sinh 3pi))")
     print()

@@ -255,7 +255,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
 
     matching = cert.get("matching")
     if matching is not None:
-        problems.extend(_verify_matching(matching))
+        problems.extend(_verify_matching(matching, inst))
     return problems
 
 
@@ -354,23 +354,39 @@ def _verify_canonical(desc: dict) -> list[str]:
     return []
 
 
-def _verify_matching(desc: dict) -> list[str]:
-    from .recognize import MatchingCertificate, NoMatching, find_symmetric_matching
+def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:
+    """Each side's matching names the instance's own p or q as its source,
+    which still admits a perfect matching of the claimed size."""
+    from .recognize import NoMatching, find_symmetric_matching
 
+    if not isinstance(desc, dict):
+        return ["matching invalid: must be an object"]
     out = []
-    for side in ("p", "q"):
+    for side, poly in (("p", inst.p), ("q", inst.q)):
         entry = desc.get(side)
         if entry is None:
             continue
         try:
-            poly = IntPoly(tuple(entry["source"]))
+            if not isinstance(entry, dict):
+                raise ParseError("must be an object", side)
+            source = _json_poly(entry.get("source"), f"{side}.source")
+            pairs = entry.get("pairs", [])
+            if not isinstance(pairs, list):
+                raise ParseError("must be a list", f"{side}.pairs")
+        except ParseError as e:
+            out.append(f"matching invalid: {e}")
+            continue
+        if source != poly:
+            out.append(f"matching source for {side} is not the instance's {side}")
+            continue
+        try:
             fresh = find_symmetric_matching(poly)
-        except (KeyError, DecideError) as e:
+        except DecideError as e:
             out.append(f"matching for {side} not replayable: {e}")
             continue
         if isinstance(fresh, NoMatching):
             out.append(f"{side} no longer admits a perfect matching")
             continue
-        if len(fresh.pairs) != len(entry.get("pairs", [])):
+        if len(fresh.pairs) != len(pairs):
             out.append(f"{side} matching size mismatch")
     return out

@@ -6,7 +6,9 @@ Exit codes, shared by every subcommand:
            `verify`: the certificate replays / a claim fails)
   10 / 11  the same verdicts, conditional on Schanuel's Conjecture
   2        the instance is outside the class a decider handles
-  3        parse error: bad JSON, a bad field, or an unreadable file
+  3        parse error: bad JSON, a bad field, an unreadable file, or a
+           bad command line (a usage error, a bad cap in a flag or in
+           HG_PRECISION_CAP / HG_SCAN_CAP)
   4        resource cap exceeded (scan cap or precision cap)
   5        internal error, i.e. a crash; never a verdict
 
@@ -25,6 +27,7 @@ import time
 
 from .certs import (
     InstanceDocument,
+    _json_poly,
     certificate_dict,
     load_instance,
     read_json,
@@ -55,10 +58,12 @@ EXIT_INTERNAL = 5
 
 
 def _config(args) -> EngineConfig:
-    return EngineConfig.from_env().with_overrides(
-        precision_cap_bits=getattr(args, "precision_cap", None),
-        scan_cap=getattr(args, "scan_cap", None),
-    )
+    try:
+        return EngineConfig.from_env().with_overrides(
+            precision_cap_bits=args.precision_cap, scan_cap=args.scan_cap
+        )
+    except ValueError as e:
+        raise ParseError(f"bad engine configuration: {e}") from None
 
 
 # error type -> (exit code, stderr label); anything else is a crash
@@ -107,11 +112,10 @@ def _cmd_decide(args) -> int:
     code (2-5) if any file failed, else with the largest verdict code."""
     if args.out and len(args.files) > 1:
         raise ParseError("--out takes a single instance file")
-    config = _config(args)
     codes = []
     for path in args.files:
         try:
-            cert = decide_document(load_instance(path), config)
+            cert = decide_document(load_instance(path), args.config)
         except Exception as e:
             codes.append(_report(e))
             continue
@@ -128,22 +132,21 @@ def _cmd_decide(args) -> int:
 
 def _cmd_eval(args) -> int:
     docin = load_instance(args.file)
-    values = list(terms(docin.inst, args.terms, _config(args)))
+    values = list(terms(docin.inst, args.terms, args.config))
     print(", ".join(format_rat(v) for v in values))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    result = brute_force(load_instance(args.file).inst, args.upto, _config(args))
+    result = brute_force(load_instance(args.file).inst, args.upto, args.config)
     out = {"kind": result.kind.value, "index": result.index, "up_to": result.up_to}
     print(json.dumps(out, sort_keys=True))
     return 0
 
 
 def _cmd_canon(args) -> int:
-    config = _config(args)
-    constant = _unconditional_oracle(load_instance(args.file).inst, config).constant
-    enclosure = eval_enclosure(constant.value_expr(), args.bits, config)
+    constant = _unconditional_oracle(load_instance(args.file).inst, args.config).constant
+    enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     doc["enclosure"] = {
         "lo": format_rat(enclosure.lo),
@@ -158,14 +161,16 @@ def _cmd_canon(args) -> int:
 def _cmd_recognize(args) -> int:
     if args.coeffs is None and args.file is None:
         raise ParseError("give a JSON file or --coeffs")
-    try:
-        if args.coeffs:
-            coeffs = [int(c) for c in args.coeffs.split(",")]
-        else:
-            coeffs = read_json(args.file)["coeffs"]
-        poly = IntPoly(tuple(coeffs))
-    except (ValueError, KeyError, TypeError) as e:
-        raise ParseError(f"bad coefficients: {e}") from None
+    if args.coeffs:
+        try:
+            poly = IntPoly(tuple(int(c) for c in args.coeffs.split(",")))
+        except ValueError as e:
+            raise ParseError(f"bad coefficients: {e}", "--coeffs") from None
+    else:
+        doc = read_json(args.file)
+        if not isinstance(doc, dict) or "coeffs" not in doc:
+            raise ParseError('must be a JSON object {"coeffs": [...]}', args.file)
+        poly = _json_poly(doc["coeffs"], "coeffs")
     if poly.degree < 1 or not poly.is_monic:
         raise ParseError("polynomial must be monic of degree >= 1")
     matching = find_symmetric_matching(poly)
@@ -215,7 +220,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failures = verify_certificate(read_json(args.file), _config(args))
+    failures = verify_certificate(read_json(args.file), args.config)
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
@@ -224,8 +229,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises ParseError, so it exits 3 like any other bad
+    input instead of argparse's 2, which would read as "unsupported"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="hgdecide",
         description="Membership and Threshold decisions for hypergeometric sequences",
     )
@@ -272,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        args.config = _config(args)
         return args.func(args)
     except Exception as e:
         return _report(e)

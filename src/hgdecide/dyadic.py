@@ -143,16 +143,6 @@ class DyadicInterval:
     def is_negative(self) -> bool:
         return self.hi_man < 0
 
-    def sign(self) -> int | None:
-        """Definite sign of every point, or None if 0 is inside."""
-        if self.is_positive():
-            return 1
-        if self.is_negative():
-            return -1
-        if self.lo_man == 0 and self.hi_man == 0:
-            return 0
-        return None
-
     def __repr__(self):
         return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r})"
 
@@ -244,15 +234,6 @@ class DyadicInterval:
         for _ in range(abs(k)):
             out = out.mul(base, prec + 8)
         return out.round(prec)
-
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval":
-        lo = (self.lo_man, self.lo_exp)
-        if _cmp(other.lo_man, other.lo_exp, *lo) > 0:
-            lo = (other.lo_man, other.lo_exp)
-        hi = (self.hi_man, self.hi_exp)
-        if _cmp(other.hi_man, other.hi_exp, *hi) < 0:
-            hi = (other.hi_man, other.hi_exp)
-        return DyadicInterval(*lo, *hi)
 
     def compare_fraction(self, q: Fraction) -> int | None:
         """-1 if the whole interval is < q, +1 if > q, None if q is inside."""

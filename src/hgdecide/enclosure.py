@@ -1,137 +1,31 @@
-"""Rigorous enclosures of constant expressions.
+"""Rigorous enclosures of constants, and the precision ladder.
 
-Expression trees with the leaves rationals, sqrt(n) and pi, the nodes +,
--, *, / and integer powers, and exp, evaluate to dyadic intervals
-guaranteed to contain the exact value.  The sin and cos kernels act on
-dyadic intervals directly: `towers` and `schanuel` call them for complex
-values.  Every constant is summed on plain integers scaled by 2**w (Brent
-1976, "Fast multiple-precision evaluation of elementary functions"): pi by
-Machin's formula, exp, sin and cos by one Taylor kernel after halving the
-argument below 2**-8, then squaring or angle doubling back.  Each kernel
-counts its error in ulps of 2**-w (per-term floors, the dropped tail, the
-rounded input and the growth under squaring or doubling) and folds the
-count into the interval; there is no heuristic rounding anywhere.
+The kernels return dyadic intervals guaranteed to contain the exact value:
+pi, sqrt(n), and exp, sin and cos over a dyadic interval.  `gammacanon`
+and `schanuel` build each limit's enclosure from them directly, and
+`towers` calls sin and cos for complex values.  Every constant is summed
+on plain integers scaled by 2**w (Brent 1976, "Fast multiple-precision
+evaluation of elementary functions"): pi by Machin's formula, exp, sin and
+cos by one Taylor kernel after halving the argument below 2**-8, then
+squaring or angle doubling back.  Each kernel counts its error in ulps of
+2**-w (per-term floors, the dropped tail, the rounded input and the growth
+under squaring or doubling) and folds the count into the interval; there
+is no heuristic rounding anywhere.
 
-Refinement is monotone by construction: `eval_enclosure` walks the standard
-precision ladder 64, 128, 256, ... intersecting as it goes, so a result at
-higher requested precision is always nested inside the lower-precision one.
-A caller that climbs the ladder hands each result to the next request, which
-then walks only its own new top rung: a compare that separates at rung j
-walks the tree j times, not j(j+1)/2.  A rung whose walk divides by an
-interval straddling zero contributes nothing, so a denominator that only
-separates from zero at a higher rung does not block the rungs above it.
+An order test climbs the ladder 64, 128, 256, ... bits.  `eval_enclosure`
+is one rung: it asks the limit for its enclosure at that many bits, once.
+A rung whose enclosure divides by an interval straddling zero answers
+nothing, and the ladder goes on to the next.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
-from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
-
-# ---------------------------------------------------------------------------
-# Expression nodes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Expr:
-    def __add__(self, other):
-        return Add((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Add((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Add((self, Neg(_coerce(other))))
-
-    def __rsub__(self, other):
-        return Add((_coerce(other), Neg(self)))
-
-    def __mul__(self, other):
-        return Mul((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Mul((_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, k: int):
-        return Pow(self, k)
-
-
-@dataclass(frozen=True)
-class Rc(Expr):
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    n: int  # positive integer radicand
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise DecideError("Sqrt expects a positive integer")
-
-
-@dataclass(frozen=True)
-class Pi(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    k: int
-
-
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
-
-
-def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rc(Fraction(x))
-    raise TypeError(f"cannot use {x!r} in a constant expression")
-
+from .errors import IntervalStraddlesZero, PrecisionExceeded
 
 # ---------------------------------------------------------------------------
 # Constants with explicit error terms
@@ -365,96 +259,24 @@ def cos_interval(x: DyadicInterval, prec: int) -> DyadicInterval:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Rungs of the precision ladder
 # ---------------------------------------------------------------------------
 
 
-def _eval(expr: Expr, prec: int, cache: dict) -> DyadicInterval:
-    # keyed by identity: the cache lives for one walk of one tree, whose
-    # nodes all stay alive under the root, so no id is reused meanwhile,
-    # and hashing a frozen dataclass would re-walk its whole subtree
-    hit = cache.get(id(expr))
-    if hit is not None:
-        return hit
-    if isinstance(expr, Rc):
-        out = DyadicInterval.from_fraction(expr.value, prec)
-    elif isinstance(expr, Sqrt):
-        out = sqrt_int_interval(expr.n, prec)
-    elif isinstance(expr, Pi):
-        out = pi_interval(prec)
-    elif isinstance(expr, Add):
-        out = DyadicInterval.from_int(0)
-        for a in expr.args:
-            out = out.add(_eval(a, prec, cache), prec)
-    elif isinstance(expr, Neg):
-        out = _eval(expr.arg, prec, cache).neg()
-    elif isinstance(expr, Mul):
-        out = DyadicInterval.from_int(1)
-        for a in expr.args:
-            out = out.mul(_eval(a, prec, cache), prec)
-    elif isinstance(expr, Div):
-        out = _eval(expr.num, prec, cache).div(_eval(expr.den, prec, cache), prec)
-    elif isinstance(expr, Pow):
-        out = _eval(expr.base, prec, cache).pow_int(expr.k, prec)
-    elif isinstance(expr, Exp):
-        out = exp_interval(_eval(expr.arg, prec, cache), prec)
-    else:
-        raise DecideError(f"unknown expression node {type(expr).__name__}")
-    cache[id(expr)] = out
-    return out
+def eval_enclosure(value, precision_bits: int, config: EngineConfig = DEFAULT_CONFIG) -> DyadicInterval:
+    """Interval certain to contain `value` at one rung of the ladder.
 
-
-def eval_enclosure(
-    expr: Expr,
-    precision_bits: int,
-    config: EngineConfig = DEFAULT_CONFIG,
-    prior: "tuple[int, DyadicInterval | None] | None" = None,
-) -> DyadicInterval:
-    """Interval certain to contain the exact value of `expr`.
-
-    Walks the precision ladder 64, 128, ... up to the first rung at or
-    above `precision_bits`, intersecting successive results, which makes
-    refinement nested.  A rung whose walk meets a divisor straddling zero
-    adds nothing to the intersection; the call raises IntervalStraddlesZero
-    only when no rung up to `precision_bits` evaluated.  Raises
-    PrecisionExceeded when `precision_bits` breaches the configured cap.
-
-    `prior` is (bits, result) of an earlier call on the same `expr` with
-    fewer bits: what it returned, or None if it raised
-    IntervalStraddlesZero.  The call then walks only the rungs above that
-    call's top rung and returns what a call without `prior` returns, so a
-    caller that climbs the ladder this way walks each rung once.
+    `value` is a limit that encloses itself, `CanonicalConstant` or
+    `ConditionalLimitOracle`; this returns `value.limit_enclosure(bits)`.
+    Raises PrecisionExceeded when `precision_bits` breaches the configured
+    cap, and IntervalStraddlesZero when the value divides by an interval
+    that contains zero at this rung.
     """
     if precision_bits > config.precision_cap_bits:
         raise PrecisionExceeded(
             f"requested {precision_bits} bits exceeds cap {config.precision_cap_bits}"
         )
-    top = _top_rung(precision_bits)
-    if prior is None:
-        p, result = 64, None
-    else:
-        p, result = 2 * _top_rung(prior[0]), prior[1]
-        if p > 2 * top:
-            raise DecideError(f"prior enclosure at {prior[0]} bits is finer than {precision_bits} bits")
-    while p <= top:
-        try:
-            step = _eval(expr, p + 32, {})
-        except IntervalStraddlesZero:
-            pass
-        else:
-            result = step if result is None else result.intersect(step)
-        p *= 2
-    if result is None:
-        raise IntervalStraddlesZero(f"a divisor straddles zero at every rung up to {top} bits")
-    return result
-
-
-def _top_rung(bits: int) -> int:
-    """The rung of the ladder 64, 128, ... where a request for bits stops."""
-    p = 64
-    while p < bits:
-        p *= 2
-    return p
+    return value.limit_enclosure(precision_bits)
 
 
 # the first rung of every order comparison
@@ -467,10 +289,7 @@ def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONF
     returns anything but None; an IntervalStraddlesZero counts as no
     answer.  Raises PrecisionExceeded when the cap gives none.
 
-    The ladder calls probe once per rung, in rising order; a probe over
-    `eval_enclosure` hands each rung's result on as the next call's
-    `prior` so that the expression is walked once per rung (see
-    `equality.compare_expr_zero`)."""
+    The ladder calls probe once per rung, in rising order."""
     bits = start_bits
     while True:
         try:

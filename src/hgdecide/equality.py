@@ -13,9 +13,10 @@ transcendence degree below 2).  The case split:
     coefficients, so it cannot vanish at the transcendental x (ell = 0),
     and with ell != 0 a relation would contradict Nesterenko.
 
-Order (`compare`) is the recursively enumerable side: interval refinement
-with doubling precision, run only with a NotEqual proof in hand so
-termination is guaranteed.
+Order (`compare`) is the recursively enumerable side, and one test serves
+both limit oracles: climb the precision ladder, asking the limit for its
+enclosure once per rung, until the enclosure excludes t.  It runs only
+with a NotEqual proof in hand, so termination is guaranteed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .enclosure import COMPARE_START_BITS, Expr, Rc, eval_enclosure, precision_ladder
-from .errors import DecideError, IntervalStraddlesZero, UnsupportedInstance
+from .enclosure import COMPARE_START_BITS, eval_enclosure, precision_ladder
+from .errors import DecideError, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
@@ -61,37 +62,21 @@ def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
     return EqualityDecision(False, Rationale.TRANSCENDENCE_OBSTRUCTION)
 
 
-def compare(
-    c: CanonicalConstant,
-    t: Fraction,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> tuple[int, int]:
+def compare(value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int]:
     """Sign of (value - t) by interval refinement; returns (sign, bits).
 
-    Callers must hold a NotEqual decision, which guarantees termination;
-    the precision cap turns pathological closeness into a resource error,
-    never a wrong answer.
+    The one order test of both limit oracles: `value` is a
+    `CanonicalConstant` or a `ConditionalLimitOracle`, and the ladder asks
+    for its enclosure at 64, 128, ... bits, once per rung, until t lies
+    outside it.  Callers must hold a NotEqual decision, which guarantees
+    termination; the precision cap turns pathological closeness into a
+    resource error, never a wrong answer.
     """
-    expr = c.value_expr() - Rc(Fraction(t))
-    return compare_expr_zero(expr, config)
-
-
-def compare_expr_zero(expr: Expr, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int]:
-    # one eval_enclosure call per rung, each handed the one before it, so
-    # every rung's tree walk happens once
-    prior = None
-
-    def probe(bits: int) -> int | None:
-        nonlocal prior
-        try:
-            iv = eval_enclosure(expr, bits, config, prior)
-        except IntervalStraddlesZero:
-            prior = (bits, None)
-            raise
-        prior = (bits, iv)
-        return iv.sign() or None
-
-    return precision_ladder(probe, COMPARE_START_BITS, config)
+    t = Fraction(t)
+    return precision_ladder(
+        lambda bits: eval_enclosure(value, bits, config).compare_fraction(t),
+        COMPARE_START_BITS, config,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ gcd over Q followed by content normalisation gives, so certificates
 carry the same bytes.  A value still has other tuples (D = 2 with f and
 g in x^2, for one); the contract is the exact value identity, and
 equality decisions never compare tuples structurally.
+
+`CanonicalConstant.limit_enclosure` encloses the value straight from the
+`enclosure` kernels, the rung that `equality.compare` asks for.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import Exp, Expr, Pi, Rc, Sqrt
+from .dyadic import DyadicInterval
+from .enclosure import exp_interval, pi_interval, sqrt_int_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
 from .numutil import divisors
@@ -229,24 +233,19 @@ class CanonicalConstant:
             if not coprime(self.f, self.g):
                 raise DecideError("f, g must be coprime")
 
-    def x_expr(self) -> Expr:
-        return Exp(Pi() * Sqrt(self.m) * Rc(Fraction(1, self.D)))
-
-    def theta_expr(self) -> Expr:
-        out: Expr = Rc(self.theta_a)
+    def limit_enclosure(self, prec: int) -> DyadicInterval:
+        """Enclosure of the value, worked at prec + 32 bits: theta, then
+        pi**ell, then x once, then f(x) and g(x) by Horner."""
+        w = prec + 32
+        out = DyadicInterval.from_fraction(self.theta_a, w)
         if self.theta_b:
-            out = out + Rc(self.theta_b) * Sqrt(self.m)
-        return out
-
-    def value_expr(self) -> Expr:
-        out = self.theta_expr()
+            out = out.add(sqrt_int_interval(self.m, w).scale(self.theta_b, w), w)
         if self.ell:
-            out = out * Pi() ** self.ell
+            out = out.mul(pi_interval(w).pow_int(self.ell, w), w)
         if not self.base_trivial:
-            x = self.x_expr()
-            fx = _poly_expr(self.f, x)
-            gx = _poly_expr(self.g, x)
-            out = out * fx / gx
+            root = pi_interval(w).mul(sqrt_int_interval(self.m, w), w)
+            x = exp_interval(root.scale(Fraction(1, self.D), w), w)
+            out = out.mul(_horner(self.f, x, w), w).div(_horner(self.g, x, w), w)
         return out
 
     def scale(self, c: Fraction) -> "CanonicalConstant":
@@ -271,11 +270,10 @@ class CanonicalConstant:
         }
 
 
-def _poly_expr(f: IntPoly, x: Expr) -> Expr:
-    out: Expr = Rc(Fraction(f.coeffs[0]))
-    for i, c in enumerate(f.coeffs[1:], start=1):
-        if c:
-            out = out + Rc(Fraction(c)) * x**i
+def _horner(f: IntPoly, x: DyadicInterval, prec: int) -> DyadicInterval:
+    out = DyadicInterval.from_int(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
+        out = out.mul(x, prec).add(DyadicInterval.from_int(c), prec)
     return out
 
 

@@ -28,14 +28,13 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import ComplexInterval, DyadicInterval
 from .enclosure import (
-    COMPARE_START_BITS,
     cos_interval,
     exp_interval,
     pi_interval,
     precision_ladder,
     sin_interval,
 )
-from .equality import _unconditional_oracle, decide
+from .equality import _unconditional_oracle, compare, decide
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import QuadElem, is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
@@ -480,7 +479,8 @@ def _rational_gamma_args(f: IntPoly) -> list[int]:
 
 
 class ConditionalLimitOracle:
-    """Equality via the symbolic identity; order via pair-value enclosures."""
+    """Equality via the symbolic identity; order by `equality.compare` over
+    `limit_enclosure`, the product of the pair-value enclosures."""
 
     def __init__(self, inst: HGInstance, config: EngineConfig):
         self.inst = inst
@@ -615,10 +615,7 @@ class ConditionalLimitOracle:
         return total.re
 
     def compare(self, t: Fraction) -> tuple[int, int]:
-        return precision_ladder(
-            lambda bits: self.limit_enclosure(bits).compare_fraction(Fraction(t)),
-            COMPARE_START_BITS, self.config,
-        )
+        return compare(self, t, self.config)
 
     def verdict_extras(self) -> dict:
         extras = {

@@ -4,22 +4,30 @@ the tests need: independent references for the canonical constant."""
 import math
 from fractions import Fraction
 
-from hgdecide.enclosure import Exp, Expr, Pi, Rc, Sqrt
+from hgdecide.dyadic import DyadicInterval
+from hgdecide.enclosure import exp_interval, pi_interval, sqrt_int_interval
 from hgdecide.errors import DecideError
 from hgdecide.gammacanon import PairForm, PairKind
 from hgdecide.polys import IntPoly
 from hgdecide.sequence import classify
 
 
-def pair_value_expr(form: PairForm) -> Expr:
-    """Enclosure expression of the pair value."""
-    root = Pi() * Sqrt(form.m) * Rc(form.b)
-    y = Exp(root)
+def pair_value_enclosure(form: PairForm, prec: int) -> DyadicInterval:
+    """Enclosure of the pair value from the kernels, worked at prec + 32
+    bits: prefactor * pi * 2y / (b sqrt(m) (y^2 - 1)) for integer rho and
+    prefactor * pi * 2y / (y^2 + 1) for half-integer rho, with
+    y = exp(pi b sqrt(m))."""
+    w = prec + 32
+    pi = pi_interval(w)
+    sqrt_m = sqrt_int_interval(form.m, w)
+    y = exp_interval(pi.mul(sqrt_m, w).scale(form.b, w), w)
+    y2 = y.mul(y, w)
+    one = DyadicInterval.from_int(1)
     if form.kind == PairKind.INTEGER_RHO:
-        core = (2 * y) / (Rc(form.b) * Sqrt(form.m) * (y * y - 1))
+        den = sqrt_m.scale(form.b, w).mul(y2.sub(one, w), w)
     else:
-        core = (2 * y) / (y * y + 1)
-    return Rc(form.prefactor) * Pi() * core
+        den = y2.add(one, w)
+    return pi.scale(2 * form.prefactor, w).mul(y, w).div(den, w)
 
 
 def tail_log_bound(p: IntPoly, q: IntPoly, k: int) -> Fraction:

@@ -4,35 +4,33 @@ need."""
 from fractions import Fraction
 
 
-def record_root_walks(monkeypatch) -> list[int]:
-    """The working precision of every root `enclosure._eval` walk from now
-    on (a walk that no other walk called)."""
-    from hgdecide import enclosure
+def record_enclosures(monkeypatch) -> list[str]:
+    """The name of every `CanonicalConstant.limit_enclosure` and enclosure
+    kernel call from now on, wherever the kernel is bound."""
+    from hgdecide import enclosure, gammacanon, schanuel, towers
 
-    walks, depth = [], [0]
-    walk = enclosure._eval
+    calls = []
 
-    def counting_walk(node, prec, cache):
-        if not depth[0]:
-            walks.append(prec)
-        depth[0] += 1
-        try:
-            return walk(node, prec, cache)
-        finally:
-            depth[0] -= 1
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(enclosure, "_eval", counting_walk)
-    return walks
+        return wrapper
+
+    cls = gammacanon.CanonicalConstant
+    monkeypatch.setattr(cls, "limit_enclosure", counting("limit_enclosure", cls.limit_enclosure))
+    for name in ("pi_interval", "sqrt_int_interval", "exp_interval", "sin_interval", "cos_interval"):
+        kernel = getattr(enclosure, name)
+        for module in (enclosure, gammacanon, schanuel, towers):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counting(name, kernel))
+    return calls
 
 
 def overlaps(a, b) -> bool:
     """Two DyadicIntervals share a point."""
     return a.lo <= b.hi and b.lo <= a.hi
-
-
-def contains_interval(outer, inner) -> bool:
-    """`inner` lies inside `outer`."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def corner_product(a, b, prec):

@@ -12,13 +12,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgdecide import enclosure
 from hgdecide.certs import parse_instance, serialize_certificate, verify_certificate
 from hgdecide.cli import decide_document
 from hgdecide.config import DEFAULT_CONFIG
 from hgdecide.corpus import cross_check, generate_documents
 from hgdecide.dyadic import DyadicInterval
-from hgdecide.enclosure import eval_enclosure
+from hgdecide.enclosure import eval_enclosure, exp_interval
 from hgdecide.equality import _unconditional_oracle, decide
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.gammacanon import canonicalize, limit_as_gamma
@@ -35,7 +34,7 @@ from hgdecide.sequence import ExactScan, HGInstance, Problem
 from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import tail_log_bound
-from intervals import overlaps, record_root_walks
+from intervals import overlaps, record_enclosures
 
 P13 = IntPoly.of(13, -4, 1)
 Q13 = IntPoly.of(5, -4, 1)
@@ -83,9 +82,14 @@ class TestCriterion1:
             den *= P13(k)
         partial = F(num, den)
         tail = tail_log_bound(P13, Q13, k_terms)
-        tuple_iv = eval_enclosure(c.value_expr(), 128)
-        env_lo = eval_enclosure(enclosure.Rc(partial) * enclosure.Exp(enclosure.Rc(-tail)), 128)
-        env_hi = eval_enclosure(enclosure.Rc(partial) * enclosure.Exp(enclosure.Rc(tail)), 128)
+        tuple_iv = eval_enclosure(c, 128)
+
+        def partial_times_exp(r):  # partial * exp(r) at 160 bits
+            exp_r = exp_interval(DyadicInterval.from_fraction(r, 160), 160)
+            return DyadicInterval.from_fraction(partial, 160).mul(exp_r, 160)
+
+        env_lo = partial_times_exp(-tail)
+        env_hi = partial_times_exp(tail)
         envelope = DyadicInterval(
             env_lo.lo_man, env_lo.lo_exp, env_hi.hi_man, env_hi.hi_exp
         )
@@ -138,13 +142,13 @@ class TestCriterion3:
 
         oracle = _unconditional_oracle(worked_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(20260808)
-        walks = record_root_walks(monkeypatch)
+        calls = record_enclosures(monkeypatch)
         all_not_equal = True
         for _ in range(1000):
             t = F(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
             r = oracle.decide_equal(t)
             all_not_equal &= not r.equal
-        evals = len(walks)
+        evals = len(calls)
         report(
             "criterion-3 equality decisions numerics-free",
             all_not_equal and evals == 0,

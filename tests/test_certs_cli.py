@@ -160,6 +160,28 @@ class TestCertificates:
         failures = verify_certificate(cert)
         assert any(f.startswith(f"canonical tuple invalid: {key}:") for f in failures), failures
 
+    # the conditional certificate of p = x^2 - 2x - 1, q = x^2 - 2x - 4,
+    # t = -3 carries a matching per side; a malformed source once crashed
+    # replay (exit 5), a float was truncated, and any source verified
+    @pytest.mark.parametrize(
+        "side,entry,needle",
+        [
+            ("p", {"source": ["x", 1]}, "matching invalid: p.source:"),
+            ("p", 5, "matching invalid: p:"),
+            ("p", {"source": [-1.5, -2, 1]}, "matching invalid: p.source:"),
+            ("q", {"source": [1, 0, 1]}, "matching source for q is not the instance's q"),
+        ],
+    )
+    def test_tampered_matching_entry_rejected(self, side, entry, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")), DEFAULT_CONFIG)
+        assert cert["matching"] is not None
+        assert verify_certificate(cert) == []
+        cert["matching"][side] = {**cert["matching"][side], **entry} if isinstance(entry, dict) else entry
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
     @pytest.mark.parametrize(
         "p,q,t,problem,n,justification,failure",
         [
@@ -451,10 +473,12 @@ X33_PLUS_1 = ",".join(map(str, [1] + [0] * 32 + [1]))
 
 
 class TestExitCodes:
-    """Subcommand x {ok, bad JSON, missing file, unsupported, resource cap};
-    `{f}` is a file holding the row's content, `{missing}` a path that does
-    not exist.  A verify row with an instance as content gets that
-    instance's certificate."""
+    """Subcommand x {ok, bad JSON, missing file, unsupported, resource cap},
+    plus bad command lines; `{f}` is a file holding the row's content,
+    `{missing}` a path that does not exist.  A verify row with an instance
+    as content gets that instance's certificate.  Leading NAME=value items
+    set environment variables for the row; a row that exits through
+    SystemExit (--help) reads its code."""
 
     @pytest.mark.parametrize(
         "argv,content,code",
@@ -501,6 +525,9 @@ class TestExitCodes:
                 id="canon-unsupported-real-quadratic",
             ),
             pytest.param(["canon", "{f}"], NO_MATCHING, 2, id="canon-unsupported-quartic"),
+            # g has degree 2046: an expression tree of its terms once
+            # overflowed the interpreter's recursion (exit 5)
+            pytest.param(["canon", "{f}"], doc([2**20, 0, 1], [1, 0, 1], "1", "1"), 0, id="canon-ok-degree-2046"),
             pytest.param(
                 ["--precision-cap", "64", "canon", "{f}", "--bits", "4096"], WORKED, 4,
                 id="canon-resource",
@@ -523,11 +550,28 @@ class TestExitCodes:
                 ["corpus", "--seed", "1", "--count", "1", "--family", "sextic", "--outdir", "{d}"],
                 None, 3, id="corpus-unknown-family",
             ),
+            pytest.param(["recognize", "{f}"], {"coeffs": [1.5, 0, 1]}, 3, id="recognize-float-coefficient"),
+            pytest.param(["recognize", "{f}"], [13, -4, 1], 3, id="recognize-not-an-object"),
+            pytest.param(["--precision-cap", "10", "decide", "{f}"], WORKED, 3, id="precision-cap-below-64"),
+            pytest.param(["--scan-cap", "0", "decide", "{f}"], WORKED, 3, id="scan-cap-zero"),
+            pytest.param(["--scan-cap", "abc", "decide", "{f}"], WORKED, 3, id="scan-cap-not-an-integer"),
+            pytest.param(["HG_SCAN_CAP=abc", "decide", "{f}"], WORKED, 3, id="env-scan-cap-not-an-integer"),
+            pytest.param(["HG_PRECISION_CAP=10", "eval", "{f}"], WORKED, 3, id="env-precision-cap-below-64"),
+            pytest.param(["decide"], None, 3, id="decide-no-file"),
+            pytest.param(["canon", "{f}", "--bits", "many"], WORKED, 3, id="canon-bits-not-an-integer"),
+            pytest.param(["frobnicate"], None, 3, id="unknown-subcommand"),
+            pytest.param([], None, 3, id="no-subcommand"),
+            pytest.param(["--help"], None, 0, id="help"),
+            pytest.param(["decide", "--help"], None, 0, id="decide-help"),
         ],
     )
-    def test_exit_code(self, tmp_path, capsys, argv, content, code):
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, argv, content, code):
         from hgdecide.config import DEFAULT_CONFIG
 
+        while argv and "=" in argv[0]:
+            name, value = argv[0].split("=", 1)
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         f = tmp_path / "in.json"
         if isinstance(content, str):
             f.write_text(content)
@@ -537,7 +581,11 @@ class TestExitCodes:
         elif content is not None:
             f.write_text(json.dumps(content))
         args = [a.format(f=f, missing=tmp_path / "missing.json", d=tmp_path / "out") for a in argv]
-        assert main(args) == code
+        try:
+            got = main(args)
+        except SystemExit as e:
+            got = e.code
+        assert got == code
         capsys.readouterr()
 
     @pytest.mark.parametrize("mode", ["unconditional", "conditional"])

@@ -9,30 +9,18 @@ from hgdecide import equality
 from hgdecide.config import EngineConfig
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import (
-    Div,
-    Exp,
-    Pi,
-    Rc,
-    Sqrt,
     _cos_sin_point,
     _exp_point,
     cos_interval,
     eval_enclosure,
     exp_interval,
+    pi_interval,
     sin_interval,
+    sqrt_int_interval,
 )
-from hgdecide.equality import compare_expr_zero
-from hgdecide.errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
-
-from intervals import contains_interval, record_root_walks
-
-
-def sinh(x):
-    return (Exp(x) - Exp(-x)) * F(1, 2)
-
-
-def cosh(x):
-    return (Exp(x) + Exp(-x)) * F(1, 2)
+from hgdecide.errors import IntervalStraddlesZero, PrecisionExceeded
+from hgdecide.gammacanon import CanonicalConstant
+from hgdecide.polys import IntPoly
 
 
 def as_fraction(x) -> F:
@@ -40,72 +28,69 @@ def as_fraction(x) -> F:
     return (-1 if x < 0 else 1) * F(man) * F(2) ** exp
 
 
+class Value:
+    """A test-local limit: `fn(bits)` at every rung, with each request
+    recorded."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.asked = []
+
+    def limit_enclosure(self, prec: int) -> DyadicInterval:
+        self.asked.append(prec)
+        return self.fn(prec + 32)
+
+
+# the worked example's limit sinh(pi) / (39 sinh(3 pi)), canonically
+# (1/39) x^2 / (x^4 + x^2 + 1) with x = exp(pi)
+SINH_RATIO = CanonicalConstant(F(1, 39), F(0), 0, IntPoly.of(0, 0, 1), IntPoly.of(1, 0, 1, 0, 1), 1, 1, False)
+
+
+def pi_sqrt(n: int, prec: int) -> DyadicInterval:
+    return pi_interval(prec).mul(sqrt_int_interval(n, prec), prec)
+
+
 class TestKnownConstants:
     def test_pi(self, mp, mpref):
-        iv = eval_enclosure(Pi(), 64)
+        iv = pi_interval(64)
         assert mpref(mp.pi) in iv
         assert (iv.hi - iv.lo) <= F(1, 2 ** (64 - 4))
 
     def test_exp_pi(self, mp, mpref):
-        iv = eval_enclosure(Exp(Pi()), 128)
+        iv = exp_interval(pi_interval(128), 128)
         assert mpref(mp.exp(mp.pi)) in iv
 
     def test_x_minus_x_contains_zero(self):
-        iv = eval_enclosure(Exp(Pi()) - Exp(Pi()), 32)
-        assert iv.contains_zero()
+        x = exp_interval(pi_interval(32), 32)
+        assert x.sub(x, 32).contains_zero()
 
     def test_sinh_ratio(self, mp, mpref):
-        expr = sinh(Pi()) / (39 * sinh(3 * Pi()))
-        iv = eval_enclosure(expr, 128)
+        iv = eval_enclosure(SINH_RATIO, 128)
         assert mpref(mp.sinh(mp.pi) / (39 * mp.sinh(3 * mp.pi))) in iv
         assert abs(float(iv.mid()) - 4.779e-5) < 1e-7
 
     def test_exp_3pi_at_4096_bits(self):
-        iv = eval_enclosure(Exp(3 * Pi()), 4096)
+        iv = exp_interval(pi_interval(4096).scale(3, 4096), 4096)
         with mpmath.workprec(2 * 4096):
             ref = as_fraction(mpmath.exp(3 * mpmath.pi))
         assert ref in iv
         assert (iv.hi - iv.lo) <= F(1, 2 ** (4096 - 8)) * ref
 
     def test_sin_cos_sqrt(self, mp, mpref):
-        assert mpref(mp.sin(mp.pi * mp.sqrt(2))) in sin_interval(
-            eval_enclosure(Pi() * Sqrt(2), 96), 96
-        )
+        assert mpref(mp.sin(mp.pi * mp.sqrt(2))) in sin_interval(pi_sqrt(2, 128), 96)
         assert mpref(mp.cos(mp.pi * mp.sqrt(3) / 2)) in cos_interval(
-            eval_enclosure(Pi() * Sqrt(3) * F(1, 2), 96), 96
+            pi_sqrt(3, 128).scale(F(1, 2), 128), 96
         )
-        assert mpref(mp.cosh(mp.pi)) in eval_enclosure(cosh(Pi()), 96)
+        x = exp_interval(pi_interval(128), 128)
+        cosh = x.add(x.inv(128), 128).scale(F(1, 2), 128)
+        assert mpref(mp.cosh(mp.pi)) in cosh
 
 
 class TestRefinement:
-    def test_monotone_nested(self):
-        expr = sinh(Pi()) / (39 * sinh(3 * Pi()))
-        prev = eval_enclosure(expr, 64)
-        for bits in (128, 256, 512):
-            cur = eval_enclosure(expr, bits)
-            assert contains_interval(prev, cur)
-            prev = cur
-
     def test_precision_cap(self):
         cfg = EngineConfig(precision_cap_bits=128)
         with pytest.raises(PrecisionExceeded):
-            eval_enclosure(Pi(), 256, cfg)
-
-    @pytest.mark.parametrize("bits", [64, 256, 1024])
-    def test_shared_and_distinct_nodes_give_equal_intervals(self, bits):
-        # the evaluator memoises by node identity: a tree that reuses one
-        # x node and a structurally equal tree of fresh nodes must agree
-        def x():
-            return Exp(Pi() * Sqrt(3) * Rc(F(1, 2)))
-
-        def value(x1, x2, x3):
-            return (Rc(F(2)) * x1 + x2**3) / (x3**2 + Rc(F(1)))
-
-        shared = x()
-        a = value(shared, shared, shared)
-        b = value(x(), x(), x())
-        assert a == b and a is not b
-        assert eval_enclosure(a, bits) == eval_enclosure(b, bits)
+            eval_enclosure(SINH_RATIO, 256, cfg)
 
 
 def pi_below(bits: int) -> F:
@@ -115,24 +100,28 @@ def pi_below(bits: int) -> F:
 
 
 class TestLadder:
-    def test_straddling_rung_does_not_block_higher_rungs(self, monkeypatch):
+    def test_straddling_rung_does_not_block_higher_rungs(self):
         # the denominator pi - q < 2**-140 contains zero at the 64-bit rung
         q = pi_below(140)
-        expr = Div(Rc(1), Pi() - Rc(q))
+
+        def fn(w):
+            return pi_interval(w).sub(DyadicInterval.from_fraction(q, w), w).inv(w)
+
+        value = Value(fn)
         with pytest.raises(IntervalStraddlesZero):
-            eval_enclosure(expr, 64)
+            eval_enclosure(value, 64)
         with mpmath.workprec(1024):
             ref = as_fraction(1 / (mpmath.pi - mpmath.mpf(q.numerator) / q.denominator))
         for bits in (128, 256, 512):
-            assert ref in eval_enclosure(expr, bits)
-        walks = record_root_walks(monkeypatch)
-        assert compare_expr_zero(expr) == (1, 128)
-        assert walks == [96, 160]  # the rung that raised is not walked again
+            assert ref in eval_enclosure(value, bits)
+        value.asked.clear()
+        assert equality.compare(value, 0) == (1, 128)
+        assert value.asked == [64, 128]  # the rung that raised is not asked again
 
     def test_compare_walks_each_rung_once(self, monkeypatch):
         # pi - q < 2**-1000 first separates from zero at the 1024-bit rung
-        expr = Pi() - Rc(pi_below(1000))
-        walks = record_root_walks(monkeypatch)
+        q = pi_below(1000)
+        value = Value(pi_interval)
         calls = []
 
         def recording_eval(*args):
@@ -141,22 +130,12 @@ class TestLadder:
             return out
 
         monkeypatch.setattr(equality, "eval_enclosure", recording_eval)
-        assert compare_expr_zero(expr) == (1, 1024)
-        # one root walk per rung, at the rung plus 32 guard bits; walking
-        # the ladder afresh at every rung takes 1 + 2 + 3 + 4 + 5 = 15
-        assert walks == [96, 160, 288, 544, 1056]
+        assert equality.compare(value, q) == (1, 1024)
+        assert value.asked == [64, 128, 256, 512, 1024]
         monkeypatch.undo()
         assert [bits for bits, _ in calls] == [64, 128, 256, 512, 1024]
         for bits, out in calls:
-            assert out == eval_enclosure(expr, bits)
-
-    def test_prior_is_threaded_or_refused(self):
-        expr = Exp(Pi() * Sqrt(2))
-        low = eval_enclosure(expr, 100)  # rungs 64 and 128
-        assert eval_enclosure(expr, 512, prior=(100, low)) == eval_enclosure(expr, 512)
-        assert eval_enclosure(expr, 128, prior=(100, low)) == low
-        with pytest.raises(DecideError):
-            eval_enclosure(expr, 64, prior=(100, low))
+            assert out == eval_enclosure(value, bits)
 
 
 rational = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
@@ -164,29 +143,31 @@ rational = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 
 @st.composite
 def rational_exprs(draw, depth=0):
+    """(evaluate, value): evaluate(bits) encloses the rational value by
+    the DyadicInterval operations the limit enclosures use."""
     if depth >= 3 or draw(st.booleans()):
         val = draw(rational)
-        return Rc(val), val
+        return (lambda bits: DyadicInterval.from_fraction(val, bits)), val
     op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
     e1, v1 = draw(rational_exprs(depth=depth + 1))
     e2, v2 = draw(rational_exprs(depth=depth + 1))
     if op == "add":
-        return e1 + e2, v1 + v2
+        return (lambda bits: e1(bits).add(e2(bits), bits)), v1 + v2
     if op == "sub":
-        return e1 - e2, v1 - v2
+        return (lambda bits: e1(bits).sub(e2(bits), bits)), v1 - v2
     if op == "mul":
-        return e1 * e2, v1 * v2
+        return (lambda bits: e1(bits).mul(e2(bits), bits)), v1 * v2
     if v2 == 0:
         return e1, v1
-    return e1 / e2, v1 / v2
+    return (lambda bits: e1(bits).div(e2(bits), bits)), v1 / v2
 
 
 class TestIntervalSoundness:
     @given(rational_exprs())
     def test_rational_value_always_enclosed(self, pair):
-        expr, value = pair
+        evaluate, value = pair
         for bits in (64, 128):
-            assert value in eval_enclosure(expr, bits)
+            assert value in evaluate(bits + 32)
 
     @given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
     def test_from_fraction_round_trip(self, v):

@@ -17,7 +17,7 @@ from hgdecide.polys import IntPoly
 from hgdecide.schanuel import decide_conditional
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, monotonicity_index, term
 from hgdecide.verdicts import Conditionality, Rationale
-from intervals import record_root_walks
+from intervals import record_enclosures
 
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
@@ -47,11 +47,13 @@ class TestDecideEqual:
     def test_no_interval_evaluations(self, sinh_ratio_instance, monkeypatch):
         oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(11)
-        walks = record_root_walks(monkeypatch)
+        calls = record_enclosures(monkeypatch)
         for _ in range(300):
             t = F(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
             oracle.decide_equal(t)
-        assert walks == []
+        assert calls == []
+        oracle.compare(F(1, 26))  # the probe sees an order test
+        assert "limit_enclosure" in calls and "exp_interval" in calls
 
     def test_deterministic(self, sinh_ratio_instance):
         oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgdecide.enclosure import eval_enclosure
 from hgdecide.errors import DecideError, FieldMismatchError
 from hgdecide.exactnum import QuadElem
 from hgdecide.gammacanon import (
@@ -22,7 +21,7 @@ from hgdecide.gammacanon import (
 )
 from hgdecide.polys import IntPoly, poly_gcd, roots_quadratic
 
-from gammaforms import pair_value_expr, tail_log_bound
+from gammaforms import pair_value_enclosure, tail_log_bound
 
 
 def canon_of(p, q, u0=F(1)):
@@ -55,18 +54,18 @@ class TestPairProduct:
     def test_value_pi_over_390_sinh3pi(self, mp, mpref):
         form = pair_product(F(-2), QuadElem(0, 3, -1))
         assert form.prefactor == F(1, 130) and form.kind == PairKind.INTEGER_RHO
-        iv = eval_enclosure(pair_value_expr(form), 96)
+        iv = pair_value_enclosure(form, 96)
         assert mpref(mp.pi / (390 * mp.sinh(3 * mp.pi))) in iv
 
     def test_value_pi_over_10_sinhpi(self, mp, mpref):
         form = pair_product(F(-2), QuadElem(0, 1, -1))
-        iv = eval_enclosure(pair_value_expr(form), 96)
+        iv = pair_value_enclosure(form, 96)
         assert mpref(mp.pi / (10 * mp.sinh(mp.pi))) in iv
 
     def test_half_integer_cosh_form(self, mp, mpref):
         form = pair_product(F(1, 2), QuadElem(0, F(1, 2), -3))
         assert form.kind == PairKind.HALF_INTEGER_RHO
-        iv = eval_enclosure(pair_value_expr(form), 96)
+        iv = pair_value_enclosure(form, 96)
         ref = mpref(2 * mp.pi / (mp.exp(mp.pi * mp.sqrt(3) / 2) + mp.exp(-mp.pi * mp.sqrt(3) / 2)))
         assert ref in iv
 
@@ -100,7 +99,7 @@ class TestCanonicalize:
 
     def test_worked_example_value(self, mp, mpref):
         c = canon_of(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1))
-        iv = eval_enclosure(c.value_expr(), 128)
+        iv = c.limit_enclosure(128)
         assert mpref(mp.sinh(mp.pi) / (39 * mp.sinh(3 * mp.pi))) in iv
 
     def test_all_rational_trivial_base(self):
@@ -116,7 +115,7 @@ class TestCanonicalize:
             (F(1), F(1), F(1)),
         )
         c = canonicalize(gp)
-        iv = eval_enclosure(c.value_expr(), 96)
+        iv = c.limit_enclosure(96)
         assert mpref(2 * mp.pi / mp.sinh(mp.pi)) in iv
         assert c.ell == 1 and c.f == IntPoly.of(0, 1) and c.g == IntPoly.of(-1, 0, 1)
 
@@ -133,7 +132,7 @@ class TestCanonicalize:
     def test_half_integer_base(self, mp, mpref):
         c = canon_of(IntPoly.of(1, -1, 1), IntPoly.of(7, -1, 1))
         assert c.m == 3 and c.D == 2
-        iv = eval_enclosure(c.value_expr(), 160)
+        iv = c.limit_enclosure(160)
         prod = mp.mpf(1)
         for k in range(3000):
             prod *= mp.mpf(k * k - k + 7) / (k * k - k + 1)
@@ -160,7 +159,7 @@ class TestCanonicalize:
     def test_even_pair_counts_keep_theta_rational(self, mp, mpref):
         c = canon_of(IntPoly.of(2, 0, 1), IntPoly.of(8, 0, 1))
         assert c.m == 2 and c.theta_b == 0
-        iv = eval_enclosure(c.value_expr(), 128)
+        iv = c.limit_enclosure(128)
         prod = mp.mpf(1)
         for k in range(4000):
             prod *= mp.mpf(k * k + 8) / (k * k + 2)
@@ -173,7 +172,7 @@ class TestCanonicalize:
         q = IntPoly.of(3, -2, 1) * IntPoly.of(1, 1) * IntPoly.of(1, 1)
         c = canon_of(p, q)
         assert c.m == 2 and c.theta_b != 0
-        iv = eval_enclosure(c.value_expr(), 128)
+        iv = c.limit_enclosure(128)
         prod = mp.mpf(1)
         for k in range(4000):
             prod *= mp.mpf((k * k - 2 * k + 3) * (k + 1) * (k + 1))

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgdecide.config import DEFAULT_CONFIG
-from hgdecide.enclosure import eval_enclosure
 from hgdecide.equality import _unconditional_oracle, decide
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.polys import IntPoly
@@ -309,7 +310,7 @@ class TestConditionalDecider:
             canon = _unconditional_oracle(i, DEFAULT_CONFIG)
             ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
             iv = ident.limit_enclosure(96)
-            assert overlaps(eval_enclosure(canon.constant.value_expr(), 96), iv)
+            assert overlaps(canon.constant.limit_enclosure(96), iv)
             targets = [
                 F(rng.randint(1, 40), rng.randint(1, 40)),
                 F(f"{float(iv.mid()):.6g}"),  # near the limit
@@ -386,3 +387,52 @@ class TestConditionalDecider:
         # tail envelope: |log tail| <= 4*sum|q-p| / terms
         envelope = math.exp(4 * 3 / terms)
         assert_within_envelope(prod, float(iv.mid()), envelope)
+
+
+@st.composite
+def imaginary_quadratic_pairs(draw):
+    """(instance, prec): p and q each a conjugate root pair rho +- b sqrt(d)
+    about one center rho, so the pair is balanced and its limit is
+    u0 |Gamma(-rho + i b_p sqrt|d|)|^2 / |Gamma(-rho + i b_q sqrt|d|)|^2."""
+    half = draw(st.booleans())
+    d = draw(st.sampled_from([-3, -7, -11] if half else [-1, -2, -3, -5]))
+    shift = F(1, 2) if half else F(0)
+    rho = draw(st.integers(-3, 3)) + shift
+    b_p, b_q = (b - shift for b in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)))
+    u0 = F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+
+    def pair(b):
+        return [int(rho * rho - b * b * d), int(-2 * rho), 1]
+
+    return inst(pair(b_p), pair(b_q), u0, 1), draw(st.sampled_from([64, 128, 256]))
+
+
+def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
+    """The limit as a gamma ratio in mpmath at 2 * prec bits."""
+    import mpmath
+
+    with mpmath.workprec(2 * prec):
+        value = mpmath.mpf(i.u0.numerator) / i.u0.denominator
+        for poly, power in ((i.p, 1), (i.q, -1)):
+            c, b = poly.coeffs[0], poly.coeffs[1]  # x^2 + b x + c
+            # roots -b/2 +- sqrt(b^2/4 - c); Gamma at both negated roots
+            z = mpmath.mpc(mpmath.mpf(b) / 2, mpmath.sqrt(c - mpmath.mpf(b * b) / 4))
+            value *= (mpmath.gamma(z) * mpmath.gamma(mpmath.conj(z))).real ** power
+        man, exp = value.man_exp
+        return F(man) * F(2) ** exp
+
+
+class TestOneOrderTest:
+    @settings(max_examples=30, deadline=None)
+    @given(imaginary_quadratic_pairs(), st.fractions(min_value=-50, max_value=50, max_denominator=50))
+    def test_limit_enclosures_contain_the_gamma_ratio_and_compares_agree(self, drawn, t):
+        i, prec = drawn
+        canon = _unconditional_oracle(i, DEFAULT_CONFIG)
+        ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        limit = gamma_ratio_limit(i, prec)
+        assert limit in canon.constant.limit_enclosure(prec)
+        assert limit in ident.limit_enclosure(prec)
+        for target in (t, F(f"{float(limit):.12g}")):
+            if target == 0 or canon.decide_equal(target).equal:
+                continue
+            assert canon.compare(target)[0] == ident.compare(target)[0] == (1 if limit > target else -1)
