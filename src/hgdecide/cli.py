@@ -9,7 +9,8 @@ Exit codes, shared by every subcommand:
   3        parse error: bad JSON, a bad field, an unreadable file, or a
            bad command line (a usage error, a bad cap in a flag or in
            HG_PRECISION_CAP / HG_SCAN_CAP)
-  4        resource cap exceeded (scan cap or precision cap)
+  4        resource cap exceeded (scan cap or precision cap), or a number
+           too large to align or to print
   5        internal error, i.e. a crash; never a verdict
 
 Subcommands raise; `_exit_code` maps the error to its code and label.
@@ -148,12 +149,12 @@ def _cmd_canon(args) -> int:
     constant = _unconditional_oracle(load_instance(args.file).inst, args.config).constant
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
-    doc["enclosure"] = {
-        "lo": format_rat(enclosure.lo),
-        "hi": format_rat(enclosure.hi),
-        "approx": float(enclosure.mid()),
-        "bits": args.bits,
-    }
+    lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)
+    try:
+        approx = float(enclosure.mid())
+    except OverflowError:
+        raise PrecisionExceeded("the limit is past the float range of 'approx'") from None
+    doc["enclosure"] = {"lo": lo, "hi": hi, "approx": approx, "bits": args.bits}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

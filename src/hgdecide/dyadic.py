@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DecideError, IntervalStraddlesZero
+from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
-# Exponent gap beyond which an addend is absorbed into a one-ulp bump.
+# Exponent gap past which an exact sum is refused as a resource error: the
+# aligned mantissa would pass a million bits.
 _MAX_ALIGN = 1 << 20
 
 
@@ -37,12 +38,10 @@ def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
         return m2, e2
     if m2 == 0:
         return m1, e1
+    if abs(e1 - e2) > _MAX_ALIGN:
+        raise PrecisionExceeded(f"dyadic alignment overflow: exponent gap {abs(e1 - e2)}")
     if e1 < e2:
-        if e2 - e1 > _MAX_ALIGN:
-            raise DecideError("dyadic alignment overflow")
         return m1 + (m2 << (e2 - e1)), e1
-    if e1 - e2 > _MAX_ALIGN:
-        raise DecideError("dyadic alignment overflow")
     return (m1 << (e1 - e2)) + m2, e2
 
 

@@ -10,7 +10,10 @@ class FieldMismatchError(DecideError):
 
 
 class PrecisionExceeded(DecideError):
-    """An interval refinement hit the configured precision cap.
+    """A number outgrew the precision or size the engine handles: an
+    interval refinement hit the configured precision cap, a dyadic sum
+    needed an exponent gap past the alignment limit, or a rational was too
+    long to print.
 
     Raised as a resource error; callers must never turn this into a verdict.
     """

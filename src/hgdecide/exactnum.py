@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DecideError, FieldMismatchError
+from .errors import DecideError, FieldMismatchError, PrecisionExceeded
 from .numutil import is_squarefree
 
 def parse_rat(text: str) -> Fraction:
@@ -20,7 +20,13 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """'a/b' or 'a'; a resource error past the interpreter's limit on
+    integer string conversion (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise PrecisionExceeded(f"a {bits}-bit rational is too long to print") from None
 
 
 def is_half_integer(q: Fraction) -> bool:
@@ -32,7 +38,7 @@ def is_half_integer(q: Fraction) -> bool:
 class QuadElem:
     """a + b*sqrt(d) with a, b rational and d a squarefree integer != 0, 1.
 
-    Immutable; field arithmetic via the usual operators.  Mixing two
+    Immutable; ring arithmetic (+, -, *) via the usual operators.  Mixing two
     elements requires equal d; plain ints/Fractions coerce freely.
     """
 
@@ -65,10 +71,6 @@ class QuadElem:
 
     def conjugate(self) -> "QuadElem":
         return QuadElem(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        """x * conjugate(x) = a^2 - b^2 d, always rational."""
-        return self.a * self.a - self.b * self.b * self.d
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -115,30 +117,6 @@ class QuadElem:
         )
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic element")
-        return QuadElem(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        out = QuadElem.rational(1, self.d)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -24,6 +24,7 @@ recognize` reports with exit code 2 (see `cli` for the whole table).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,20 +74,25 @@ class FactorRoots:
 
 @lru_cache(maxsize=256)
 def _factor_root_values(g: IntPoly):
-    """Exact root representations for one irreducible monic factor."""
-    approx = tuple(complex(r) for r in numeric_roots(g))
+    """Root representations of one irreducible monic factor, with complex
+    approximations in the same order.  Exact roots approximate themselves;
+    only a factor with no exact representation is solved numerically."""
+    vals = _exact_roots(g)
+    if vals is None:
+        return (None,) * g.degree, tuple(complex(r) for r in numeric_roots(g))
+    return vals, tuple(_value_approx(v) for v in vals)
+
+
+def _exact_roots(g: IntPoly) -> tuple | None:
+    """Quadratic, cyclotomic or radical roots of g, or None when g has no
+    exact representation."""
     if g.degree == 2:
         rm = roots_quadratic(g)
-        vals = sorted((e.root for e in rm.entries), key=lambda x: (x.a, x.b))
-        return tuple(vals), tuple(_match_approx(vals, approx))
+        return tuple(sorted((e.root for e in rm.entries), key=lambda x: (x.a, x.b)))
     n = cyclotomic_index(g)
     if n is not None and n <= CYCLOTOMIC_CONDUCTOR_CAP:
         tower = _cyclo_tower(n)
-        import math
-
-        ks = [k for k in range(1, n) if math.gcd(k, n) == 1]
-        vals = tuple(tower.root_of_unity(k) for k in ks)
-        return vals, tuple(_match_approx(vals, approx))
+        return tuple(tower.root_of_unity(k) for k in range(1, n) if math.gcd(k, n) == 1)
     pa = x_power_minus_a(g)
     if pa is not None and pa[0] <= RADICAL_INDEX_CAP:
         d, a = pa
@@ -94,12 +100,11 @@ def _factor_root_values(g: IntPoly):
             tower = _radical_tower(d, a)
         except UnsupportedInstance:
             # irreducible over Q but the Kummer presentation is not a
-            # field (e.g. x^8 - 2): fall back to opaque roots; the graph
-            # never needed representations, only the conditional decider
-            return (None,) * g.degree, approx
-        vals = tuple(tower.radical_root(j) for j in range(d))
-        return vals, tuple(_match_approx(vals, approx))
-    return (None,) * g.degree, approx
+            # field (e.g. x^8 - 2): opaque roots; the graph never needed
+            # representations, only the conditional decider
+            return None
+        return tuple(tower.radical_root(j) for j in range(d))
+    return None
 
 
 def _value_approx(v) -> complex:
@@ -110,17 +115,6 @@ def _value_approx(v) -> complex:
         return complex(float(v.a), float(v.b) * root)
     emb = v.embed(64)
     return complex(float(emb.re.mid()), float(emb.im.mid()))
-
-
-def _match_approx(vals, approx):
-    """Order numeric roots to align with the exact representations."""
-    remaining = list(approx)
-    out = []
-    for v in vals:
-        target = _value_approx(v)
-        best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
-        out.append(remaining.pop(best))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -357,11 +357,12 @@ class RadicalTower(Tower):
     Constructed only for x^n - a irreducible over Q(zeta_n) (otherwise
     UnsupportedInstance), so the presented ring is a field: no product of
     nonzero elements is zero, which is what the division-free identity
-    build in `schanuel` relies on.
+    build in `schanuel` relies on.  The index n is at least 3: square
+    roots are `QuadElem`s.
     """
 
     def __init__(self, n: int, a: int):
-        if n < 2 or a in (0, 1):
+        if n < 3 or a in (0, 1):
             raise DecideError("invalid radical tower parameters")
         if n > RADICAL_INDEX_CAP:
             raise UnsupportedInstance(f"radical index {n} exceeds cap {RADICAL_INDEX_CAP}")
@@ -370,8 +371,7 @@ class RadicalTower(Tower):
         self.phi = euler_phi(n)
         self.degree = self.phi * n
         self.key = ("radical", n, a)
-        self._cyclo = CyclotomicTower(n) if n >= 3 else None
-        self._min_poly = cyclotomic(max(n, 1)).to_q() if n >= 3 else None
+        self._cyclo = CyclotomicTower(n)
         # the presented ring is a field iff Y^n - a stays irreducible over
         # Q(zeta_n); otherwise coordinates are ambiguous and even zero tests
         # would lie (e.g. Y^4 - sqrt(2) inside Q(zeta_8, 2^(1/8)))
@@ -408,11 +408,6 @@ class RadicalTower(Tower):
                 )
 
     # basis index: k = s * phi + j  <->  zeta^j * Y^s   (j < phi, s < n)
-    def _zeta_coords(self, e: int) -> tuple[Fraction, ...]:
-        if self.n <= 2:
-            return (Fraction(1 if e % max(self.n, 1) == 0 else -1),)
-        return self._cyclo._power_coords(e)
-
     def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
         s1, j1 = divmod(i, self.phi)
         s2, j2 = divmod(j, self.phi)
@@ -420,7 +415,7 @@ class RadicalTower(Tower):
         scalar = Fraction(self.a) ** (s // self.n)
         s %= self.n
         out: dict[int, Fraction] = {}
-        for jj, c in enumerate(self._zeta_coords(j1 + j2)):
+        for jj, c in enumerate(self._cyclo._power_coords(j1 + j2)):
             if c:
                 out[s * self.phi + jj] = c * scalar
         return out
@@ -444,16 +439,12 @@ class RadicalTower(Tower):
                 cos_interval(angle, prec).mul(mag, prec),
                 sin_interval(angle, prec).mul(mag, prec),
             )
-        if self.n <= 2:
-            zc = ComplexInterval.from_real(DyadicInterval.from_int(1 if j == 0 else -1))
-        else:
-            zc = self._cyclo.embed_basis(j, prec)
-        return zc.mul(rad, prec)
+        return self._cyclo.embed_basis(j, prec).mul(rad, prec)
 
     def coords_of_i(self):
         if self.n % 4 != 0:
             return None
-        zi = self._zeta_coords(self.n // 4)
+        zi = self._cyclo._power_coords(self.n // 4)
         out = [Fraction(0)] * self.degree
         for jj, c in enumerate(zi):
             out[jj] = c
@@ -462,6 +453,6 @@ class RadicalTower(Tower):
     def radical_root(self, zeta_power: int) -> TowerElem:
         """The root zeta^zeta_power * a^(1/n) of x^n - a."""
         out = [Fraction(0)] * self.degree
-        for jj, c in enumerate(self._zeta_coords(zeta_power)):
+        for jj, c in enumerate(self._cyclo._power_coords(zeta_power)):
             out[self.phi + jj] = c
         return self.element(out)

@@ -182,6 +182,28 @@ class TestCertificates:
         failures = verify_certificate(cert)
         assert any(f.startswith(needle) for f in failures), failures
 
+    # the same certificate; a matching once verified on its pair count alone
+    @pytest.mark.parametrize(
+        "side,tamper",
+        [
+            ("p", lambda pairs: [{**pairs[0], "rho": "7/2"}]),
+            ("q", lambda pairs: [{**pairs[0], "u": "f0.r0.c1"}]),
+            ("p", lambda pairs: [{**pairs[0], "v": "bogus"}]),
+            ("q", lambda pairs: pairs[1:]),
+            ("p", lambda pairs: 5),
+        ],
+        ids=["rho", "label", "bogus-label", "dropped-pair", "not-a-list"],
+    )
+    def test_tampered_matching_pairs_rejected(self, side, tamper):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")), DEFAULT_CONFIG)
+        entry = cert["matching"][side]
+        assert len(entry["pairs"]) == 1 and verify_certificate(cert) == []
+        entry["pairs"] = tamper(entry["pairs"])
+        failures = verify_certificate(cert)
+        assert f"{side} matching pairs differ from the replayed matching" in failures, failures
+
     @pytest.mark.parametrize(
         "p,q,t,problem,n,justification,failure",
         [
@@ -531,6 +553,22 @@ class TestExitCodes:
             pytest.param(
                 ["--precision-cap", "64", "canon", "{f}", "--bits", "4096"], WORKED, 4,
                 id="canon-resource",
+            ),
+            # limits of huge magnitude once crashed (exit 5): an endpoint
+            # past the interpreter's 4300-digit string conversion, a Horner
+            # sum past the dyadic alignment limit, and a limit past the
+            # float range of "approx"
+            pytest.param(
+                ["canon", "{f}"], doc([2**20 * 11701, 0, 1], [11701, 0, 1], "1", "1"), 4,
+                id="canon-resource-too-long-to-print",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([2**20 * 13003, 0, 1], [13003, 0, 1], "1", "1"), 4,
+                id="canon-resource-alignment-overflow",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([1001, 0, 1], [2**8 * 1001, 0, 1], "1", "1"), 4,
+                id="canon-resource-past-float-range",
             ),
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),

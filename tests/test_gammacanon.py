@@ -69,17 +69,19 @@ class TestPairProduct:
         ref = mpref(2 * mp.pi / (mp.exp(mp.pi * mp.sqrt(3) / 2) + mp.exp(-mp.pi * mp.sqrt(3) / 2)))
         assert ref in iv
 
-    # the prefactor is the norm of the translation factor A in
+    # the prefactor is the norm A * conj(A) of the translation factor A in
     # Gamma(rho + w) = A * Gamma(rho0 + w), rho0 in {0, 1/2}
     def test_two_falling_steps(self):
         form = pair_product(F(-2), QuadElem(0, 3, -1))
-        a = 1 / (QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1))
-        assert form.kind == PairKind.INTEGER_RHO and form.prefactor == a.norm()
+        b = QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1)  # A = 1/b
+        assert form.kind == PairKind.INTEGER_RHO
+        assert form.prefactor == 1 / (b * b.conjugate()).as_rational()
 
     def test_one_rising_step_half(self):
         form = pair_product(F(3, 2), QuadElem(0, F(1, 2), -3))
         a = QuadElem(F(1, 2), F(1, 2), -3)
-        assert form.kind == PairKind.HALF_INTEGER_RHO and form.prefactor == a.norm()
+        assert form.kind == PairKind.HALF_INTEGER_RHO
+        assert form.prefactor == (a * a.conjugate()).as_rational()
 
     def test_non_half_integer_rejected(self):
         with pytest.raises(DecideError):

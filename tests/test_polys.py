@@ -237,7 +237,7 @@ class TestRootsQuadratic:
         while pool:
             r = pool.pop()
             pool.remove(r.conjugate())
-            prod = prod * QPoly.of(r.norm(), -2 * r.a, 1)
+            prod = prod * QPoly.of((r * r.conjugate()).as_rational(), -2 * r.a, 1)
         assert prod == f.to_q()
 
     def test_conjugate_closure(self):

@@ -5,13 +5,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError
-from hgdecide.polys import IntPoly, QPoly, cyclotomic
+from hgdecide.numutil import perfect_power_root
+from hgdecide.polys import IntPoly, QPoly, capelli_irreducible, cyclotomic
 from hgdecide.recognize import (
     MatchingCertificate,
+    _exact_roots,
+    _factor_root_values,
     _maximum_matching,
     NoMatching,
     build_symmetry_graph,
@@ -87,6 +90,73 @@ class TestSymmetricMatching:
         f = IntPoly.of(13, -4, 1) * IntPoly.of(2, 1)
         g = build_symmetry_graph(f)
         assert len(g.vertices) == 2
+
+
+@st.composite
+def in_class_factors(draw):
+    """Irreducible factors with exact roots: real and imaginary quadratics,
+    cyclotomic polynomials, and Kummer-irreducible x^d - a."""
+    kind = draw(st.sampled_from(["quadratic", "cyclotomic", "radical"]))
+    if kind == "quadratic":
+        b, c = draw(st.integers(-30, 30)), draw(st.integers(-200, 200))
+        assume(b * b - 4 * c < 0 or perfect_power_root(b * b - 4 * c, 2) is None)
+        return IntPoly.of(c, b, 1)
+    if kind == "cyclotomic":
+        return cyclotomic(draw(st.sampled_from([8, 12, 16, 20, 24])))
+    d, a = draw(st.sampled_from([4, 6, 8])), draw(st.integers(-200, 200))
+    g = IntPoly((-a,) + (0,) * (d - 1) + (1,))
+    assume(capelli_irreducible(d, a))
+    assume(_exact_roots(g) is not None)  # the tower rejects Kummer-reducible a
+    return g
+
+
+class TestRootApproximations:
+    @settings(max_examples=80, deadline=None)
+    @given(in_class_factors())
+    def test_exact_roots_approximate_the_numeric_roots(self, g):
+        """The approximations an in-class factor derives from its exact
+        roots are mpmath's roots at 60 digits, as a multiset, to 1e-12
+        relative."""
+        import mpmath
+
+        vals, approx = _factor_root_values(g)
+        assert None not in vals and len(approx) == g.degree
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
+            ref = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)]
+        for z in approx:
+            k = min(range(len(ref)), key=lambda i: abs(ref[i] - z))
+            assert abs(ref[k] - z) <= 1e-12 * abs(ref[k]), (g.coeffs, z, ref[k])
+            ref.pop(k)
+
+    def test_corpus_never_loads_mpmath(self):
+        """Deciding and replaying the fixed-seed corpus of every family, in a
+        fresh interpreter, solves no polynomial numerically: exact roots
+        approximate themselves, and mpmath is never imported."""
+        import os
+        import subprocess
+        import sys
+
+        import hgdecide
+
+        script = (
+            "import sys\n"
+            "from hgdecide.certs import parse_instance, verify_certificate\n"
+            "from hgdecide.cli import decide_document\n"
+            "from hgdecide.config import DEFAULT_CONFIG\n"
+            "from hgdecide.corpus import FAMILIES, generate_documents\n"
+            "for family in FAMILIES:\n"
+            "    for d in generate_documents(7, 40, family):\n"
+            "        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)\n"
+            "        assert verify_certificate(cert) == [], (family, d)\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hgdecide.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["False"]
 
 
 @st.composite

@@ -193,7 +193,10 @@ class TestConditionalDecider:
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
 
     def test_decide_leaves_mpmath_precision_alone(self):
-        # a fresh interpreter, so no cache hides the numeric root finder
+        # a fresh interpreter, so no cache hides the numeric root finder;
+        # p = (x^2 - 2x - 1)(x^2 - 2x - 2) and q = (x^2 - 2x - 4)(x^2 - 2x - 5)
+        # are products of two quadratics, so factor_monic solves them
+        # numerically to propose the quadratic factors
         import os
         import subprocess
         import sys
@@ -207,7 +210,7 @@ class TestConditionalDecider:
             "from hgdecide.schanuel import decide_conditional\n"
             "from hgdecide.sequence import HGInstance, Problem\n"
             "mpmath.mp.dps = 23\n"
-            "i = HGInstance(IntPoly((-1, -2, 1)), IntPoly((-4, -2, 1)), F(1), F(-3),"
+            "i = HGInstance(IntPoly((2, 6, 1, -4, 1)), IntPoly((20, 18, -5, -4, 1)), F(1), F(3),"
             " Problem.MEMBERSHIP)\n"
             "v = decide_conditional(i)\n"
             "print(mpmath.mp.dps, numeric_roots.cache_info().misses, v.conditionality.value)\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import UnsupportedInstance
+from hgdecide.errors import DecideError, UnsupportedInstance
 from hgdecide.exactnum import QuadElem
 from hgdecide.towers import (
     CyclotomicTower,
@@ -91,6 +91,12 @@ class TestRadical:
     def test_index_cap(self):
         with pytest.raises(UnsupportedInstance):
             RadicalTower(9, 2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_index_below_three_rejected(self, n):
+        # degree-2 factors take the QuadElem path; no tower serves them
+        with pytest.raises(DecideError):
+            RadicalTower(n, 3)
 
     @pytest.mark.parametrize(
         "n, a",
