@@ -325,12 +325,7 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
         vi, vj = graph.vertices[i], graph.vertices[j]
         rho = graph.edge_center[(min(i, j), max(i, j))]
         u_val = graph.factors[vi.factor].values[vi.root]
-        w = None
-        if u_val is not None:
-            if isinstance(u_val, QuadElem):
-                w = QuadElem(u_val.a - rho, u_val.b, u_val.d)
-            else:
-                w = u_val - rho
+        w = None if u_val is None else u_val - rho
         pairs.append(MatchedPair(vi, vj, rho, w))
     cert = MatchingCertificate(f, tuple(pairs))
     validate_matching(f, cert)
@@ -356,16 +351,9 @@ def validate_matching(f: IntPoly, cert: MatchingCertificate) -> None:
         if p.w is not None:
             u_val = fu.values[p.u.root]
             v_val = fv.values[p.v.root]
-            if isinstance(u_val, QuadElem):
-                s = u_val + v_val
-                diff = u_val - v_val
-                if s.b != 0 or s.a != 2 * p.rho or diff.b == 0:
-                    raise DecideError("quadratic pair violates u+v in Z, u-v irrational")
-            else:
-                s = u_val + v_val
-                diff = u_val - v_val
-                if not s.is_rational or s.as_rational() != 2 * p.rho or diff.is_rational:
-                    raise DecideError("tower pair violates u+v in Z, u-v irrational")
+            s = u_val + v_val
+            if not s.is_rational or s.as_rational() != 2 * p.rho or (u_val - v_val).is_rational:
+                raise DecideError("pair violates u+v in Z, u-v irrational")
     if len(seen) != len(graph.vertices):
         raise DecideError("matching does not cover every vertex")
 

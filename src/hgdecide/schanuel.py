@@ -235,34 +235,30 @@ class _Laurent:
     @classmethod
     def constant(cls, nvars: int, tower: Tower, c: CElem) -> "_Laurent":
         out = cls(nvars, tower)
-        if not c.is_zero:
-            out.terms[(0,) * nvars] = c
+        out.add((0,) * nvars, c)
         return out
+
+    def add(self, exps: tuple[int, ...], c: CElem) -> None:
+        """Add the term c * X^exps; a sum that cancels leaves no term."""
+        acc = self.terms.get(exps)
+        total = c if acc is None else acc.add(c)
+        if total.is_zero:
+            self.terms.pop(exps, None)
+        else:
+            self.terms[exps] = total
 
     def mul(self, other: "_Laurent") -> "_Laurent":
         out = _Laurent(self.nvars, self.tower)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                ne = tuple(a + b for a, b in zip(e1, e2))
-                nc = c1.mul(c2)
-                acc = out.terms.get(ne)
-                s = nc if acc is None else acc.add(nc)
-                if s.is_zero:
-                    out.terms.pop(ne, None)
-                else:
-                    out.terms[ne] = s
+                out.add(tuple(a + b for a, b in zip(e1, e2)), c1.mul(c2))
         return out
 
     def sub(self, other: "_Laurent") -> "_Laurent":
         out = _Laurent(self.nvars, self.tower)
         out.terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.terms.get(e)
-            s = c.neg() if acc is None else acc.add(c.neg())
-            if s.is_zero:
-                out.terms.pop(e, None)
-            else:
-                out.terms[e] = s
+            out.add(e, c.neg())
         return out
 
 
@@ -299,41 +295,26 @@ def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: in
     exps = (1, -ri) + cs
     coeff = CElem.make(tower, a_elem * 2).mul_i_power((int(2 * r) + (1 if integer_rho else 0)) % 4)
     out = _Laurent(nvars, tower)
-    if not coeff.is_zero:
-        out.terms[exps] = coeff
+    out.add(exps, coeff)
     return out
 
 
 def _pair_denominator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
     """B * w*(1 - M^2) for integer rho, B * (1 + M^2) for half-integer rho,
     where B is the translation factor when it divides and 1 otherwise."""
-    rho = pair.rho
-    integer_rho = rho.denominator == 1
-    b_c = CElem.make(tower, _translation_factor(pair, tower, rising=False))
+    integer_rho = pair.rho.denominator == 1
+    base = CElem.make(tower, _translation_factor(pair, tower, rising=False))
+    if integer_rho:
+        base = CElem.make(tower, pair.w).mul(base)
     r = basis.one_part[pair.index]
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
+    # M^2 = (-1)^(2r) * E^(-2 ri) * prod Y_j^(2 c_j), entering as -M^2 or +M^2
     msq_exps = (0, -2 * ri) + tuple(2 * c for c in cs)
-    msq_coeff = CElem.make(tower, tower.rational(-1 if int(2 * r) % 2 else 1))  # (-1)^(2r)
+    msq_sign = (-1 if int(2 * r) % 2 else 1) * (-1 if integer_rho else 1)
     out = _Laurent(nvars, tower)
-    zero_exps = (0,) * nvars
-    if integer_rho:
-        w_c = CElem.make(tower, pair.w).mul(b_c)
-        out.terms[zero_exps] = w_c
-        m2 = w_c.mul(msq_coeff).neg()
-        acc = out.terms.get(msq_exps)
-        out.terms[msq_exps] = m2 if acc is None else acc.add(m2)
-        if out.terms[msq_exps].is_zero:
-            del out.terms[msq_exps]
-    else:
-        out.terms[zero_exps] = b_c
-        m2 = msq_coeff.mul(b_c)
-        acc = out.terms.get(msq_exps)
-        s = m2 if acc is None else acc.add(m2)
-        if s.is_zero:
-            out.terms.pop(msq_exps, None)
-        else:
-            out.terms[msq_exps] = s
+    out.add((0,) * nvars, base)
+    out.add(msq_exps, base.mul(CElem.make(tower, tower.rational(msq_sign))))
     return out
 
 
@@ -579,27 +560,26 @@ class ConditionalLimitOracle:
     # -- numeric limit value ------------------------------------------------
 
     def _pair_value(self, pair: GammaPair, prec: int) -> ComplexInterval:
-        """Gamma(rho+w)Gamma(rho-w) enclosure via the reflection formulas."""
-        rho, w = pair.rho, pair.w
-        integer_rho = rho.denominator == 1
-        wv = w.embed(prec + 8)
-        pi_iv = pi_interval(prec + 8)
-        pi_c = ComplexInterval.from_real(pi_iv)
-        pw = ComplexInterval(
-            pi_iv.mul(wv.re, prec + 8), pi_iv.mul(wv.im, prec + 8)
-        )
-        squares, rising = translation_squares(rho)
-        a_val = ComplexInterval.from_real(DyadicInterval.from_int(1))
+        """Gamma(rho+w)Gamma(rho-w) enclosure from M = exp(i*pi*w), by the
+        module docstring's formulas: A * 2*pi*i * M / (w (1 - M^2)) for
+        integer rho, A * 2*pi * M / (1 + M^2) for half-integer rho."""
+        wv = pair.w.embed(prec + 8)
+        one = ComplexInterval.from_real(DyadicInterval.from_int(1))
+        squares, rising = translation_squares(pair.rho)
+        a_val = one
         for c in squares:
             # exact for every c: integers and quarters are dyadic
             sq = ComplexInterval.from_real(DyadicInterval.from_fraction(c, prec + 8))
             f = sq.sub(wv.mul(wv, prec), prec)
             a_val = a_val.mul(f, prec) if rising else a_val.div(f, prec)
-        if integer_rho:
-            sin_pw = _complex_sin_or_cos(pw, prec, cos=False)
-            core = pi_c.div(wv.mul(sin_pw, prec + 8), prec).neg()
+        m = _exp_i_pi_times(wv, prec + 8)
+        m2 = m.mul(m, prec + 8)
+        two_pi = ComplexInterval.from_real(pi_interval(prec + 8).scale(Fraction(2), prec + 8))
+        if pair.rho.denominator == 1:
+            two_pi_i_m = two_pi.mul(ComplexInterval(m.im.neg(), m.re), prec + 8)
+            core = two_pi_i_m.div(wv.mul(one.sub(m2, prec + 8), prec + 8), prec)
         else:
-            core = pi_c.div(_complex_sin_or_cos(pw, prec, cos=True), prec)
+            core = two_pi.mul(m, prec + 8).div(one.add(m2, prec + 8), prec)
         return a_val.mul(core, prec)
 
     def limit_enclosure(self, prec: int) -> DyadicInterval:
@@ -630,20 +610,6 @@ class ConditionalLimitOracle:
                 ident["stress_separated"] = self.stress_ok
             extras["identity"] = ident
         return extras
-
-
-def _complex_sin_or_cos(z: ComplexInterval, prec: int, cos: bool) -> ComplexInterval:
-    """sin(x+iy) = sin x cosh y + i cos x sinh y, or
-    cos(x+iy) = cos x cosh y - i sin x sinh y."""
-    ey = exp_interval(z.im, prec + 8)
-    ey_inv = ey.inv(prec + 8)
-    half = Fraction(1, 2)
-    cosh = ey.add(ey_inv, prec + 8).scale(half, prec + 8)
-    sinh = ey.sub(ey_inv, prec + 8).scale(half, prec + 8)
-    sin_x, cos_x = sin_interval(z.re, prec), cos_interval(z.re, prec)
-    if cos:
-        return ComplexInterval(cos_x.mul(cosh, prec), sin_x.mul(sinh, prec).neg())
-    return ComplexInterval(sin_x.mul(cosh, prec), cos_x.mul(sinh, prec))
 
 
 def conditional_oracle_builder(inst: HGInstance, config: EngineConfig):

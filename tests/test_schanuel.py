@@ -410,6 +410,24 @@ def imaginary_quadratic_pairs(draw):
     return inst(pair(b_p), pair(b_q), u0, 1), draw(st.sampled_from([64, 128, 256]))
 
 
+@st.composite
+def real_quadratic_pairs(draw):
+    """An instance as imaginary_quadratic_pairs draws, with d > 0: the
+    corpus-conditional shape.  A half-integer rho takes d = 1 (mod 4) and
+    a half-integral b, so that rho^2 - b^2 d stays an integer."""
+    half = draw(st.booleans())
+    d = draw(st.sampled_from([5, 13, 17] if half else [2, 3, 5, 6, 7]))
+    shift = F(1, 2) if half else F(0)
+    rho = draw(st.integers(-3, 3)) + shift
+    b_p, b_q = (b - shift for b in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)))
+    u0 = F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+
+    def pair(b):
+        return [int(rho * rho - b * b * d), int(-2 * rho), 1]
+
+    return inst(pair(b_p), pair(b_q), u0, 1)
+
+
 def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
     """The limit as a gamma ratio in mpmath at 2 * prec bits."""
     import mpmath
@@ -418,11 +436,14 @@ def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
         value = mpmath.mpf(i.u0.numerator) / i.u0.denominator
         for poly, power in ((i.p, 1), (i.q, -1)):
             c, b = poly.coeffs[0], poly.coeffs[1]  # x^2 + b x + c
-            # roots -b/2 +- sqrt(b^2/4 - c); Gamma at both negated roots
-            z = mpmath.mpc(mpmath.mpf(b) / 2, mpmath.sqrt(c - mpmath.mpf(b * b) / 4))
-            value *= (mpmath.gamma(z) * mpmath.gamma(mpmath.conj(z))).real ** power
-        man, exp = value.man_exp
-        return F(man) * F(2) ** exp
+            # roots -b/2 +- sqrt(b^2/4 - c); Gamma at both negated roots,
+            # real when the discriminant is positive
+            disc = mpmath.mpf(b * b) / 4 - c
+            root = mpmath.sqrt(disc) if disc > 0 else mpmath.mpc(0, mpmath.sqrt(-disc))
+            z, z_bar = mpmath.mpf(b) / 2 + root, mpmath.mpf(b) / 2 - root
+            value *= (mpmath.gamma(z) * mpmath.gamma(z_bar)).real ** power
+        man, exp = value.man_exp  # man is |mantissa|: a real pair may be negative
+        return (-1 if value < 0 else 1) * F(man) * F(2) ** exp
 
 
 class TestOneOrderTest:
@@ -439,3 +460,17 @@ class TestOneOrderTest:
             if target == 0 or canon.decide_equal(target).equal:
                 continue
             assert canon.compare(target)[0] == ident.compare(target)[0] == (1 if limit > target else -1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(real_quadratic_pairs(), st.fractions(min_value=-50, max_value=50, max_denominator=50))
+    def test_real_quadratic_enclosures_contain_the_gamma_ratio_and_compares_agree(self, i, t):
+        """The conditional oracle's own traffic: no canonical form exists
+        for d > 0, so mpmath's gamma ratio is the only reference."""
+        ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        limit = gamma_ratio_limit(i, 256)
+        for bits in (64, 128, 256):
+            assert limit in ident.limit_enclosure(bits)
+        for target in (t, F(f"{float(limit):.12g}")):
+            if target == 0 or ident.decide_equal(target).equal:
+                continue
+            assert ident.compare(target)[0] == (1 if limit > target else -1)
