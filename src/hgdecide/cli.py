@@ -150,10 +150,13 @@ def _cmd_canon(args) -> int:
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)
+    mid = enclosure.mid()
     try:
-        approx = float(enclosure.mid())
+        approx = float(mid)
     except OverflowError:
-        raise PrecisionExceeded("the limit is past the float range of 'approx'") from None
+        approx = None
+    if approx is None or (approx == 0 and mid != 0):
+        raise PrecisionExceeded("the limit is outside the float range of 'approx'")
     doc["enclosure"] = {"lo": lo, "hi": hi, "approx": approx, "bits": args.bits}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0

@@ -323,7 +323,7 @@ def _balanced_verdict(
             )
         return Verdict(
             inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
-            witness=n, asymptotic=cls, scanned_up_to=k0 + 1,
+            witness=n, asymptotic=cls, scanned_up_to=n,
         )
     # past k0, u_{n+1} - u_n = u_n (q(n) - p(n))/p(n) keeps its sign
     m = scan.n

@@ -61,7 +61,6 @@ class GammaProduct:
 
     num_args: tuple[GammaArg, ...]
     den_args: tuple[GammaArg, ...]
-    prefactor: Fraction = Fraction(1)
 
     def __post_init__(self):
         if len(self.num_args) != len(self.den_args):
@@ -304,7 +303,7 @@ class _Theta:
         self.mul(x / norm, -y / norm)
 
 
-def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> CanonicalConstant:
+def canonicalize(gp: GammaProduct) -> CanonicalConstant:
     """Collapse a conjugate-closed gamma ratio into the canonical tuple.
 
     Rational arguments become exact factorials in theta.  Irrational
@@ -319,8 +318,6 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     Every factor is monic, so f and g come out coprime, primitive and
     monic with no gcd or content step, and theta needs no correction.
     """
-    if prefactor == 0:
-        raise DecideError("zero prefactor")
     num_rat, num_quad = _split_args(gp.num_args)
     den_rat, den_quad = _split_args(gp.den_args)
 
@@ -330,7 +327,7 @@ def canonicalize(gp: GammaProduct, prefactor: Fraction = Fraction(1)) -> Canonic
     if ds and next(iter(ds)) >= 0:
         raise FieldMismatchError("real quadratic arguments need the conditional path")
 
-    rational = Fraction(prefactor) * gp.prefactor * integer_gamma_ratio(num_rat, den_rat)
+    rational = integer_gamma_ratio(num_rat, den_rat)
     if not ds:
         return CanonicalConstant(
             rational, Fraction(0), 0, IntPoly.of(1), IntPoly.of(1), 1, 1, True

@@ -317,8 +317,7 @@ class ExactScan:
     is brought up to n by one telescoped product (`_factor_products`: the
     shift-form pairs cancel, the residual goes through a balanced product
     tree) when a comparison falls inside the error bound, or when a
-    caller asks for fraction(), num or den; logabs and err are then
-    re-anchored on it.
+    caller asks for fraction(); logabs and err are then re-anchored on it.
     `steps` counts the indices the scan has moved past, by step() or jump().
     The scan never goes past index `cap`: step() raises ScanCapExceeded on
     moving to cap + 1, and jump(n) raises before any work when n > cap.
@@ -565,16 +564,6 @@ class ExactScan:
         self._den *= ps
         self._sign = 1 if (self._num > 0) == (self._den > 0) else -1
         self.logabs, self.err = _log_ratio(self._num, self._den)
-
-    @property
-    def num(self) -> int:
-        self._materialize()
-        return self._num
-
-    @property
-    def den(self) -> int:
-        self._materialize()
-        return self._den
 
     def fraction(self) -> Fraction:
         self._materialize()

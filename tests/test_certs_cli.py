@@ -302,6 +302,18 @@ class TestCorpus:
             cert = decide_document(din, DEFAULT_CONFIG)
             assert cert["verdict"] in ("member", "not_member", "holds", "fails")
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_certificates_claim_no_more_scanning_than_was_done(self, family):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        for d in generate_documents(7, 40, family):
+            cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+            scanned = cert["scanned_up_to"]
+            # constant and zero sequences scan nothing and claim nothing
+            assert scanned is None or scanned <= DEFAULT_CONFIG.scan_cap, d
+            if cert["reason"] in ("prefix_witness", "prefix_violation"):
+                assert scanned == cert["witness"], d
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_documents(1, 1, "sextic")
@@ -548,8 +560,11 @@ class TestExitCodes:
             ),
             pytest.param(["canon", "{f}"], NO_MATCHING, 2, id="canon-unsupported-quartic"),
             # g has degree 2046: an expression tree of its terms once
-            # overflowed the interpreter's recursion (exit 5)
-            pytest.param(["canon", "{f}"], doc([2**20, 0, 1], [1, 0, 1], "1", "1"), 0, id="canon-ok-degree-2046"),
+            # overflowed the interpreter's recursion (exit 5); q = x^2 +
+            # 1023^2 keeps the limit, (1023/1024) e^-pi, in the float range
+            pytest.param(
+                ["canon", "{f}"], doc([2**20, 0, 1], [1023**2, 0, 1], "1", "1"), 0, id="canon-ok-degree-2046"
+            ),
             pytest.param(
                 ["--precision-cap", "64", "canon", "{f}", "--bits", "4096"], WORKED, 4,
                 id="canon-resource",
@@ -557,7 +572,8 @@ class TestExitCodes:
             # limits of huge magnitude once crashed (exit 5): an endpoint
             # past the interpreter's 4300-digit string conversion, a Horner
             # sum past the dyadic alignment limit, and a limit past the
-            # float range of "approx"
+            # float range of "approx"; a nonzero limit below that range
+            # once printed "approx": 0.0
             pytest.param(
                 ["canon", "{f}"], doc([2**20 * 11701, 0, 1], [11701, 0, 1], "1", "1"), 4,
                 id="canon-resource-too-long-to-print",
@@ -569,6 +585,10 @@ class TestExitCodes:
             pytest.param(
                 ["canon", "{f}"], doc([1001, 0, 1], [2**8 * 1001, 0, 1], "1", "1"), 4,
                 id="canon-resource-past-float-range",
+            ),
+            pytest.param(
+                ["canon", "{f}"], doc([2**8 * 1001, 0, 1], [1001, 0, 1], "1", "1"), 4,
+                id="canon-resource-below-float-range",
             ),
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),

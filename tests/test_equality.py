@@ -218,6 +218,14 @@ class TestScanFirst:
         assert v.result == (reason not in ("prefix_violation", EXCLUDED))
         assert v.conditionality is Conditionality.UNCONDITIONAL
 
+    def test_prefix_violation_scans_to_the_violation(self):
+        # u_1 = 11701 / (2^20 * 11701) = 2^-20 < 1/2, while k0 + 1 is past
+        # the scan cap: the certificate claims the scan up to the witness
+        i = inst([2**20 * 11701, 0, 1], [11701, 0, 1], 1, F(1, 2), Problem.THRESHOLD)
+        v = decide(i, oracle_builder=no_oracle)
+        assert (v.reason, v.witness, v.scanned_up_to) == ("prefix_violation", 1, 1)
+        assert verify_certificate(certificate_dict(InstanceDocument(i, "unconditional"), v)) == []
+
     def test_limit_reading_verdicts_build_the_oracle(self):
         # the worked pair falls to L ~ 4.78e-5: t = 10^-5 lies beyond it
         for t, problem in [(F(1, 10**5), Problem.MEMBERSHIP), (F(1, 10**5), Problem.THRESHOLD)]:

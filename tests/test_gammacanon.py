@@ -197,7 +197,7 @@ def dense_canonicalize(gp: GammaProduct) -> CanonicalConstant:
     den_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(den_quad)]
     D = 2 if any(p.b.denominator == 2 for p in num_pairs + den_pairs) else 1
     theta = _Theta(m)
-    theta.mul(gp.prefactor * integer_gamma_ratio(num_rat, den_rat))
+    theta.mul(integer_gamma_ratio(num_rat, den_rat))
     ell = 0
     f = g = IntPoly.of(1)
     for forms, up in ((num_pairs, True), (den_pairs, False)):

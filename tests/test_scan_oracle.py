@@ -707,4 +707,6 @@ class TestSharedReplay:
         scan = ExactScan(inst, config.scan_cap)
         assert scan.first_hit() == witness
         assert scan.materialized >= 1
-        assert scan.num.bit_length() < 128 and scan.den.bit_length() < 128
+        assert scan.fraction() == inst.t
+        # the unreduced pair that fraction() materialized
+        assert scan._num.bit_length() < 128 and scan._den.bit_length() < 128

@@ -428,6 +428,12 @@ def real_quadratic_pairs(draw):
     return inst(pair(b_p), pair(b_q), u0, 1)
 
 
+def mpf_fraction(x) -> F:
+    """An mpmath mpf as the exact Fraction it stores."""
+    man, exp = x.man_exp  # man is |mantissa|: a real pair may be negative
+    return (-1 if x < 0 else 1) * F(man) * F(2) ** exp
+
+
 def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
     """The limit as a gamma ratio in mpmath at 2 * prec bits."""
     import mpmath
@@ -442,8 +448,37 @@ def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
             root = mpmath.sqrt(disc) if disc > 0 else mpmath.mpc(0, mpmath.sqrt(-disc))
             z, z_bar = mpmath.mpf(b) / 2 + root, mpmath.mpf(b) / 2 - root
             value *= (mpmath.gamma(z) * mpmath.gamma(z_bar)).real ** power
-        man, exp = value.man_exp  # man is |mantissa|: a real pair may be negative
-        return (-1 if value < 0 else 1) * F(man) * F(2) ** exp
+        return mpf_fraction(value)
+
+
+both_quadratic_pairs = st.one_of(imaginary_quadratic_pairs().map(lambda drawn: drawn[0]), real_quadratic_pairs())
+
+
+class TestOnePairFormula:
+    """Gamma(rho+w)Gamma(rho-w) in M = exp(i*pi*w), numeric and symbolic,
+    pair by pair against mpmath's gamma function."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(both_quadratic_pairs)
+    def test_pair_values_contain_the_gamma_products(self, i):
+        import mpmath
+
+        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        for pair in orc.num_pairs + orc.den_pairs:
+            w = pair.w.embed(600)
+            with mpmath.workprec(512):
+                wm = mpmath.mpc(*(mpmath.mpf(x.numerator) / x.denominator for x in (w.re.mid(), w.im.mid())))
+                rho = mpmath.mpf(pair.rho.numerator) / pair.rho.denominator
+                value = mpmath.gamma(rho + wm) * mpmath.gamma(rho - wm)
+            re, im = mpf_fraction(value.real), mpf_fraction(value.imag)
+            box = orc._pair_value(pair, 128)
+            assert re in box.re and im in box.im
+            # the identity for "pair value == t" is N - t * D, so the value
+            # N / D is I(0) / (I(0) - I(1))
+            i0, i1 = (
+                evaluate_identity(build_identity([pair], [], F(1), t, orc.basis), 256) for t in (F(0), F(1))
+            )
+            assert re in i0.div(i0.sub(i1, 256), 256).re
 
 
 class TestOneOrderTest:
