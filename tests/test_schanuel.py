@@ -392,31 +392,13 @@ class TestConditionalDecider:
         assert_within_envelope(prod, float(iv.mid()), envelope)
 
 
-@st.composite
-def imaginary_quadratic_pairs(draw):
-    """(instance, prec): p and q each a conjugate root pair rho +- b sqrt(d)
-    about one center rho, so the pair is balanced and its limit is
-    u0 |Gamma(-rho + i b_p sqrt|d|)|^2 / |Gamma(-rho + i b_q sqrt|d|)|^2."""
+def _conjugate_pair_instance(draw, whole_ds, half_ds) -> HGInstance:
+    """p and q each a conjugate root pair rho +- b sqrt(d) about one center
+    rho, so the pair is balanced.  A half-integer rho takes d = 1 (mod 4)
+    from half_ds and a half-integral b, so that rho^2 - b^2 d stays an
+    integer."""
     half = draw(st.booleans())
-    d = draw(st.sampled_from([-3, -7, -11] if half else [-1, -2, -3, -5]))
-    shift = F(1, 2) if half else F(0)
-    rho = draw(st.integers(-3, 3)) + shift
-    b_p, b_q = (b - shift for b in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)))
-    u0 = F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
-
-    def pair(b):
-        return [int(rho * rho - b * b * d), int(-2 * rho), 1]
-
-    return inst(pair(b_p), pair(b_q), u0, 1), draw(st.sampled_from([64, 128, 256]))
-
-
-@st.composite
-def real_quadratic_pairs(draw):
-    """An instance as imaginary_quadratic_pairs draws, with d > 0: the
-    corpus-conditional shape.  A half-integer rho takes d = 1 (mod 4) and
-    a half-integral b, so that rho^2 - b^2 d stays an integer."""
-    half = draw(st.booleans())
-    d = draw(st.sampled_from([5, 13, 17] if half else [2, 3, 5, 6, 7]))
+    d = draw(st.sampled_from(half_ds if half else whole_ds))
     shift = F(1, 2) if half else F(0)
     rho = draw(st.integers(-3, 3)) + shift
     b_p, b_q = (b - shift for b in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)))
@@ -426,6 +408,19 @@ def real_quadratic_pairs(draw):
         return [int(rho * rho - b * b * d), int(-2 * rho), 1]
 
     return inst(pair(b_p), pair(b_q), u0, 1)
+
+
+@st.composite
+def imaginary_quadratic_pairs(draw):
+    """(instance, prec) with d < 0: the limit is
+    u0 |Gamma(-rho + i b_p sqrt|d|)|^2 / |Gamma(-rho + i b_q sqrt|d|)|^2."""
+    return _conjugate_pair_instance(draw, [-1, -2, -3, -5], [-3, -7, -11]), draw(st.sampled_from([64, 128, 256]))
+
+
+@st.composite
+def real_quadratic_pairs(draw):
+    """An instance with d > 0: the corpus-conditional shape."""
+    return _conjugate_pair_instance(draw, [2, 3, 5, 6, 7], [5, 13, 17])
 
 
 def mpf_fraction(x) -> F:
