@@ -61,10 +61,15 @@ def _json_bool(val, key: str) -> bool:
     return val
 
 
-def _json_rat(val, key: str) -> Fraction:
-    """Fraction from a JSON string 'a' or 'a/b'."""
+def _json_rat(val, key: str, integers: bool = False) -> Fraction:
+    """Fraction from a JSON string 'a' or 'a/b', or, with `integers`, from a
+    JSON integer.  A float is refused: it has already rounded the rational
+    it stands for."""
+    if integers and isinstance(val, int) and not isinstance(val, bool):
+        return Fraction(val)
     if not isinstance(val, str):
-        raise ParseError(f"must be a rational string, not {val!r}", key)
+        kinds = "a rational string or an integer" if integers else "a rational string"
+        raise ParseError(f"must be {kinds}, not {val!r}", key)
     try:
         return parse_rat(val)
     except (ValueError, ZeroDivisionError) as e:
@@ -86,14 +91,8 @@ def parse_instance(doc: dict) -> InstanceDocument:
             raise ParseError("missing field", key)
     p = _json_poly(doc["p"], "p")
     q = _json_poly(doc["q"], "q")
-    try:
-        u0 = parse_rat(str(doc["u0"]))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational: {e}", "u0") from None
-    try:
-        t = parse_rat(str(doc["t"]))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational: {e}", "t") from None
+    u0 = _json_rat(doc["u0"], "u0", integers=True)
+    t = _json_rat(doc["t"], "t", integers=True)
     problem_raw = doc["problem"]
     try:
         problem = Problem(problem_raw)

@@ -7,8 +7,8 @@ Exit codes, shared by every subcommand:
   10 / 11  the same verdicts, conditional on Schanuel's Conjecture
   2        the instance is outside the class a decider handles
   3        parse error: bad JSON, a bad field, an unreadable file, or a
-           bad command line (a usage error, a bad cap in a flag or in
-           HG_PRECISION_CAP / HG_SCAN_CAP)
+           bad command line (a usage error, a negative count, a bad cap in
+           a flag or in HG_PRECISION_CAP / HG_SCAN_CAP)
   4        resource cap exceeded (scan cap or precision cap), or a number
            too large to align or to print
   5        internal error, i.e. a crash; never a verdict
@@ -233,6 +233,15 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of the count flags (--terms, --upto, --bits, --count):
+    a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """A usage error raises ParseError, so it exits 3 like any other bad
     input instead of argparse's 2, which would read as "unsupported"."""
@@ -258,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="print exact initial terms")
     e.add_argument("file")
-    e.add_argument("--terms", type=int, default=8)
+    e.add_argument("--terms", type=nonnegative_int, default=8)
     e.set_defaults(func=_cmd_eval)
 
     o = sub.add_parser("oracle", help="brute-force scan result")
     o.add_argument("file")
-    o.add_argument("--upto", type=int, default=1000)
+    o.add_argument("--upto", type=nonnegative_int, default=1000)
     o.set_defaults(func=_cmd_oracle)
 
     c = sub.add_parser("canon", help="canonical constant of the sequence limit")
     c.add_argument("file")
-    c.add_argument("--bits", type=int, default=128)
+    c.add_argument("--bits", type=nonnegative_int, default=128)
     c.set_defaults(func=_cmd_canon)
 
     r = sub.add_parser("recognize", help="root-symmetry recognizers for a polynomial")
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("corpus", help="emit deterministic instance files")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--count", type=int, required=True)
+    g.add_argument("--count", type=nonnegative_int, required=True)
     g.add_argument("--family", default="all", help=f"one of {FAMILIES + ('all',)}")
     g.add_argument("--outdir", default="corpus")
     g.set_defaults(func=_cmd_corpus)

@@ -114,11 +114,6 @@ def _unconditional_oracle(inst: HGInstance, config: EngineConfig) -> CanonicalLi
         raise UnsupportedInstance(
             f"q has an irreducible factor of degree {rq.blocker.degree}", rq
         )
-    fields = rp.fields() | rq.fields()
-    if len(fields) > 1:
-        raise UnsupportedInstance(f"roots span several quadratic fields {sorted(fields)}")
-    if fields and next(iter(fields)) > 0:
-        raise UnsupportedInstance("roots lie in a real quadratic field")
     limit = canonicalize(limit_as_gamma(inst.p, inst.q, rp, rq))
     return CanonicalLimitOracle(limit.scale(inst.u0), config)
 

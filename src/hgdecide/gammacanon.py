@@ -3,7 +3,8 @@
 A balanced shift quotient r(k) = q(k)/p(k) has a finite nonzero limit
 prod_{k>=0} r(k) equal to a ratio of gamma values at the negated roots of
 p and q (classical infinite-product identity).  Over an imaginary
-quadratic field every conjugate argument pair collapses, through the
+quadratic field every conjugate argument pair Gamma(rho + w)Gamma(rho - w),
+w = b*sqrt(-m), carried as the record (rho, b, -m), collapses, through the
 translation and reflection identities, to an explicit algebraic multiple
 of
 
@@ -15,7 +16,7 @@ e = b*D, so the whole limit takes the normal form
 
     theta * pi**ell * f(x) / g(x),
 
-with theta in Q(sqrt(m)) real, ell an integer, and f, g coprime primitive
+with theta a rational or a rational times sqrt(m), ell an integer, and f, g coprime primitive
 integer polynomials with positive leading coefficients.
 
 `canonicalize` never divides polynomials.  It keeps f/g factored as a
@@ -41,51 +42,30 @@ from fractions import Fraction
 
 from .dyadic import DyadicInterval
 from .enclosure import exp_interval, pi_interval, sqrt_int_interval
-from .errors import DecideError, FieldMismatchError, UnsupportedInstance
-from .exactnum import QuadElem, is_half_integer
+from .errors import DecideError, UnsupportedInstance
+from .exactnum import is_half_integer
 from .numutil import divisors
 from .polys import IntPoly, RootMultiset, coprime, cyclotomic
 from .sequence import classify
-
-GammaArg = Fraction | QuadElem
 
 # largest e in the x^e and x^(2e) +- 1 factors that canonicalize builds (a
 # pair Gamma(rho + w)Gamma(rho - w), w = b*sqrt(-m), has e = b*D); the
 # expanded f and g are dense, so a larger e is refused as unsupported
 X_POWER_CAP = 1024
 
+# a conjugate pair Gamma(rho + w)*Gamma(rho - w), w = b*sqrt(d), b > 0
+Pair = tuple[Fraction, Fraction, int]
+
 
 @dataclass(frozen=True)
 class GammaProduct:
-    """prod Gamma(num)/prod Gamma(den), argument multisets expanded."""
+    """prod Gamma(num)/prod Gamma(den): rational arguments and conjugate
+    pairs (rho, b, d), each repeated with its multiplicity."""
 
-    num_args: tuple[GammaArg, ...]
-    den_args: tuple[GammaArg, ...]
-
-    def __post_init__(self):
-        if len(self.num_args) != len(self.den_args):
-            raise DecideError("gamma product must have equal argument counts")
-        for arg in self.num_args + self.den_args:
-            if isinstance(arg, Fraction) and arg.denominator == 1 and arg <= 0:
-                raise UnsupportedInstance(f"gamma argument {arg} is a nonpositive integer")
-        s_num = _arg_sum(self.num_args)
-        s_den = _arg_sum(self.den_args)
-        if s_num != s_den:
-            raise DecideError("argument sums differ: shift quotient not balanced")
-
-
-def _arg_sum(args) -> QuadElem | Fraction:
-    total = Fraction(0)
-    quad = {}
-    for a in args:
-        if isinstance(a, Fraction):
-            total += a
-        else:
-            total += a.a
-            quad[a.d] = quad.get(a.d, Fraction(0)) + a.b
-    if any(v != 0 for v in quad.values()):
-        raise DecideError("gamma arguments not conjugate-closed")
-    return total
+    num_rat: tuple[Fraction, ...]
+    den_rat: tuple[Fraction, ...]
+    num_pairs: tuple[Pair, ...]
+    den_pairs: tuple[Pair, ...]
 
 
 def limit_as_gamma(
@@ -94,49 +74,33 @@ def limit_as_gamma(
     """Express prod_{k>=0} q(k)/p(k) as a gamma ratio.
 
     Numerator arguments are the negated roots of p, denominator arguments
-    the negated roots of q.  Requires the balanced class and that no
-    argument is a nonpositive integer (zero tails and invalid instances
-    are handled before this point).
+    the negated roots of q; a root a + b*sqrt(d) with b > 0 gives the pair
+    (-a, b, d), and its conjugate adds nothing.  Requires the balanced
+    class; a rational argument that is a nonpositive integer (a root of q
+    at 0, 1, 2, ..., which `decide` handles before as a zero tail) is
+    unsupported.
     """
     if not classify(p, q).is_balanced:
         raise UnsupportedInstance("limit_as_gamma needs a balanced shift quotient")
 
     def negate_all(rm: RootMultiset):
-        out = []
+        rat, pairs = [], []
         for e in rm.entries:
-            val = -e.root if isinstance(e.root, Fraction) else QuadElem(-e.root.a, -e.root.b, e.root.d)
-            out.extend([val] * e.mult)
-        return tuple(out)
+            if isinstance(e.root, Fraction):
+                if e.root.denominator == 1 and e.root >= 0:
+                    raise UnsupportedInstance(f"gamma argument {-e.root} is a nonpositive integer")
+                rat += [-e.root] * e.mult
+            elif e.root.b > 0:
+                pairs += [(-e.root.a, e.root.b, e.root.d)] * e.mult
+        return tuple(rat), tuple(pairs)
 
-    return GammaProduct(negate_all(roots_p), negate_all(roots_q))
+    (num_rat, num_pairs), (den_rat, den_pairs) = negate_all(roots_p), negate_all(roots_q)
+    return GammaProduct(num_rat, den_rat, num_pairs, den_pairs)
 
 
 # ---------------------------------------------------------------------------
-# Pair products
+# Translation steps and factorials
 # ---------------------------------------------------------------------------
-
-
-class PairKind:
-    INTEGER_RHO = "integer_rho"
-    HALF_INTEGER_RHO = "half_integer_rho"
-
-
-@dataclass(frozen=True)
-class PairForm:
-    """Gamma(rho+w)*Gamma(rho-w) = prefactor * pi * core(kind, b, m).
-
-    core is 1/(b*sqrt(m)*sinh(pi*b*sqrt(m))) for integer rho and
-    1/cosh(pi*b*sqrt(m)) for half-integer rho, with w = b*sqrt(-m).
-    The algebraic prefactor is the exact product of the translation steps
-    down to the base argument (w or 1/2 + w); for conjugate pairs it is
-    rational.
-    """
-
-    kind: str
-    rho: Fraction
-    b: Fraction  # positive
-    m: int  # |d|, positive squarefree
-    prefactor: Fraction
 
 
 def translation_squares(rho: Fraction) -> tuple[tuple[Fraction, ...], bool]:
@@ -170,22 +134,6 @@ def integer_gamma_ratio(num_args, den_args) -> Fraction:
         math.prod(math.factorial(int(a) - 1) for a in num_args),
         math.prod(math.factorial(int(b) - 1) for b in den_args),
     )
-
-
-def pair_product(rho: Fraction, w: QuadElem) -> PairForm:
-    """Closed form of Gamma(rho+w)*Gamma(rho-w) for imaginary quadratic w."""
-    rho = Fraction(rho)
-    if w.b == 0 or w.a != 0:
-        raise DecideError("w must be purely irrational")
-    if w.d >= 0:
-        raise DecideError("pair_product handles imaginary quadratic fields only")
-    squares, rising = translation_squares(rho)
-    wsq = w.b * w.b * w.d  # w^2, rational and negative
-    pref = Fraction(1)
-    for c in squares:
-        pref = pref * (c - wsq) if rising else pref / (c - wsq)
-    kind = PairKind.INTEGER_RHO if rho.denominator == 1 else PairKind.HALF_INTEGER_RHO
-    return PairForm(kind, rho, abs(w.b), -w.d, pref)
 
 
 # ---------------------------------------------------------------------------
@@ -276,41 +224,18 @@ def _horner(f: IntPoly, x: DyadicInterval, prec: int) -> DyadicInterval:
     return out
 
 
-class _Theta:
-    """Accumulator for theta = a + b*sqrt(m); folds sqrt(1) immediately."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.a = Fraction(1)
-        self.b = Fraction(0)
-
-    def mul(self, x: Fraction, y: Fraction = Fraction(0)):
-        """theta *= x + y*sqrt(m)."""
-        if self.m == 1:
-            x = x + y
-            y = Fraction(0)
-        a = self.a * x + self.b * y * self.m
-        b = self.a * y + self.b * x
-        self.a, self.b = a, b
-
-    def div(self, x: Fraction, y: Fraction = Fraction(0)):
-        if self.m == 1:
-            x = x + y
-            y = Fraction(0)
-        norm = x * x - y * y * self.m
-        if norm == 0:
-            raise ZeroDivisionError("theta division by zero")
-        self.mul(x / norm, -y / norm)
-
-
 def canonicalize(gp: GammaProduct) -> CanonicalConstant:
-    """Collapse a conjugate-closed gamma ratio into the canonical tuple.
+    """Collapse a gamma ratio of rational arguments and conjugate pairs
+    into the canonical tuple.
 
-    Rational arguments become exact factorials in theta.  Irrational
-    arguments must all live in one imaginary quadratic field with rational
-    parts in (1/2)Z; conjugate pairs route through the translation and
-    reflection identities.  Raises FieldMismatchError when several d values
-    appear (those instances belong to the conditional path).
+    Rational arguments become exact factorials in theta.  The pairs must
+    all live in one imaginary quadratic field Q(sqrt(-m)); any other
+    field class raises UnsupportedInstance (those instances belong to the
+    conditional path).  Each pair routes through the translation and
+    reflection identities: the translation factor A is the norm
+    prod (c + b^2 m)^(+-1) over `translation_squares`, and an integer-rho
+    pair brings 1/sqrt(m) = sqrt(m)/m, so theta is a rational times
+    sqrt(m)^k with k the net count of integer-rho pairs.
 
     Each pair contributes x^e on its own side of f/g and x^2e -+ 1 on the
     other, as the exponents of x and of each cyclotomic Phi_d; f and g are
@@ -318,64 +243,56 @@ def canonicalize(gp: GammaProduct) -> CanonicalConstant:
     Every factor is monic, so f and g come out coprime, primitive and
     monic with no gcd or content step, and theta needs no correction.
     """
-    num_rat, num_quad = _split_args(gp.num_args)
-    den_rat, den_quad = _split_args(gp.den_args)
-
-    ds = {a.d for a in num_quad} | {a.d for a in den_quad}
+    pairs = gp.num_pairs + gp.den_pairs
+    ds = {d for _, _, d in pairs}
     if len(ds) > 1:
-        raise FieldMismatchError(f"mixed quadratic fields {sorted(ds)}")
-    if ds and next(iter(ds)) >= 0:
-        raise FieldMismatchError("real quadratic arguments need the conditional path")
+        raise UnsupportedInstance(f"roots span several quadratic fields {sorted(ds)}")
+    if ds and next(iter(ds)) > 0:
+        raise UnsupportedInstance("roots lie in a real quadratic field")
 
-    rational = integer_gamma_ratio(num_rat, den_rat)
+    theta = integer_gamma_ratio(gp.num_rat, gp.den_rat)
     if not ds:
-        return CanonicalConstant(
-            rational, Fraction(0), 0, IntPoly.of(1), IntPoly.of(1), 1, 1, True
-        )
+        return CanonicalConstant(theta, Fraction(0), 0, IntPoly.of(1), IntPoly.of(1), 1, 1, True)
 
-    d = next(iter(ds))
-    m = -d
-    num_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(num_quad)]
-    den_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(den_quad)]
-
-    denominators = {(p.b).denominator for p in num_pairs + den_pairs}
-    D = 2 if 2 in denominators else 1
-    if not denominators <= {1, 2}:
+    m = -ds.pop()
+    D = max(b.denominator for _, b, _ in pairs)
+    if D > 2:
         raise DecideError("pair coordinates outside the half-integer lattice")
-    e_max = max(int(p.b * D) for p in num_pairs + den_pairs)
+    e_max = max(int(b * D) for _, b, _ in pairs)
     if e_max > X_POWER_CAP:
         raise UnsupportedInstance(
             f"pair exponent {e_max} exceeds the cap {X_POWER_CAP} on x^e in the canonical form"
         )
 
-    theta = _Theta(m)
-    theta.mul(rational)
-    ell = 0
+    ell = k = 0
     x_exp = 0  # exponent of x in f/g
     cyc: dict[int, int] = {}  # exponent of cyclotomic(n) in f/g
-    for forms, side in ((num_pairs, 1), (den_pairs, -1)):
-        for form in forms:
-            e = int(form.b * D)
-            if form.kind == PairKind.INTEGER_RHO:
+    for side, side_pairs in ((1, gp.num_pairs), (-1, gp.den_pairs)):
+        for rho, b, _ in side_pairs:
+            e = int(b * D)
+            squares, rising = translation_squares(rho)
+            norm = math.prod((c + b * b * m for c in squares), start=Fraction(1))
+            coef = 2 * (norm if rising else 1 / norm)
+            if rho.denominator == 1:
                 # A * pi * 2 x^e / (b sqrt(m) (x^{2e}-1)); 1/sqrt(m) = sqrt(m)/m
-                coef = (Fraction(0), form.prefactor * 2 / (form.b * m))
+                coef /= b * m
+                k += side
                 phis = divisors(2 * e)
             else:
                 # A * pi * 2 x^e / (x^{2e}+1)
-                coef = (form.prefactor * 2, Fraction(0))
                 phis = [n for n in divisors(4 * e) if (2 * e) % n]
+            theta *= coef**side
             ell += side
-            if side > 0:
-                theta.mul(*coef)
-            else:
-                theta.div(*coef)
             x_exp += side * e
             for n in phis:
                 cyc[n] = cyc.get(n, 0) - side
 
-    f = _cyclotomic_product(x_exp, {n: k for n, k in cyc.items() if k > 0})
-    g = _cyclotomic_product(-x_exp, {n: -k for n, k in cyc.items() if k < 0})
-    return CanonicalConstant(theta.a, theta.b, ell, f, g, m, D, False)
+    # sqrt(m)^k = m^(k // 2) * sqrt(m)^(k % 2); sqrt(1) folds into theta_a
+    theta *= Fraction(m) ** (k // 2)
+    theta_a, theta_b = (Fraction(0), theta) if k % 2 and m != 1 else (theta, Fraction(0))
+    f = _cyclotomic_product(x_exp, {n: c for n, c in cyc.items() if c > 0})
+    g = _cyclotomic_product(-x_exp, {n: -c for n, c in cyc.items() if c < 0})
+    return CanonicalConstant(theta_a, theta_b, ell, f, g, m, D, False)
 
 
 def _cyclotomic_product(x_exp: int, powers: dict[int, int]) -> IntPoly:
@@ -385,33 +302,3 @@ def _cyclotomic_product(x_exp: int, powers: dict[int, int]) -> IntPoly:
         for _ in range(k):
             out = cyclotomic(n) * out  # __mul__ skips the zeros of its left factor
     return out
-
-
-def _split_args(args):
-    rat, quad = [], []
-    for a in args:
-        if isinstance(a, Fraction):
-            rat.append(a)
-        elif isinstance(a, QuadElem):
-            if a.b == 0:
-                raise DecideError("rational argument disguised as quadratic")
-            if not is_half_integer(a.a):
-                raise DecideError(f"rational part {a.a} not in (1/2)Z")
-            quad.append(a)
-        else:
-            raise DecideError(f"unsupported gamma argument {a!r}")
-    return rat, quad
-
-
-def _conjugate_pairs(args: list[QuadElem]) -> list[tuple[Fraction, QuadElem]]:
-    """Group a conjugate-closed multiset into (rho, w) with w = |b|*sqrt(d)."""
-    pool = list(args)
-    pairs = []
-    while pool:
-        x = pool.pop()
-        try:
-            pool.remove(x.conjugate())
-        except ValueError:
-            raise DecideError(f"argument {x} has no conjugate partner") from None
-        pairs.append((x.a, QuadElem(Fraction(0), abs(x.b), x.d)))
-    return sorted(pairs, key=lambda t: (t[0], t[1].b))

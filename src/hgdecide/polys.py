@@ -580,9 +580,6 @@ class RootMultiset:
     entries: tuple[RootEntry, ...]
     source: IntPoly
 
-    def fields(self) -> set[int]:
-        return {e.root.d for e in self.entries if isinstance(e.root, QuadElem)}
-
 
 class NotSplitting:
     """Sentinel: an irreducible factor of degree >= 3 blocks quadratic roots."""

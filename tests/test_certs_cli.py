@@ -54,6 +54,18 @@ class TestDocuments:
         with pytest.raises(ParseError):
             parse_instance({"p": [1, 1]})
 
+    # a JSON float has already rounded the rational it stands for: 1/13
+    # read through str() became 7692307692307693/10^17, a "not member"
+    @pytest.mark.parametrize("key", ["u0", "t"])
+    @pytest.mark.parametrize("val", [0.07692307692307692, 1.0, True])
+    def test_float_or_bool_rational_refused(self, key, val):
+        with pytest.raises(ParseError, match=f"{key}: must be a rational string or an integer"):
+            parse_instance({**WORKED, key: val})
+
+    def test_integer_rationals_parse(self):
+        d = parse_instance({**WORKED, "u0": 3, "t": -2})
+        assert d.inst.u0 == 3 and d.inst.t == -2
+
 
 class TestCertificates:
     def test_engine_output_verifies(self):
@@ -559,6 +571,11 @@ class TestExitCodes:
                 id="canon-unsupported-real-quadratic",
             ),
             pytest.param(["canon", "{f}"], NO_MATCHING, 2, id="canon-unsupported-quartic"),
+            # balanced, and q(0) = 0 puts Gamma(0) among the gamma arguments
+            pytest.param(
+                ["canon", "{f}"], doc([2, 3, 1], [0, 3, 1], "1", "1"), 2,
+                id="canon-unsupported-nonpositive-gamma-argument",
+            ),
             # g has degree 2046: an expression tree of its terms once
             # overflowed the interpreter's recursion (exit 5); q = x^2 +
             # 1023^2 keeps the limit, (1023/1024) e^-pi, in the float range
@@ -617,6 +634,13 @@ class TestExitCodes:
             pytest.param(["HG_PRECISION_CAP=10", "eval", "{f}"], WORKED, 3, id="env-precision-cap-below-64"),
             pytest.param(["decide"], None, 3, id="decide-no-file"),
             pytest.param(["canon", "{f}", "--bits", "many"], WORKED, 3, id="canon-bits-not-an-integer"),
+            pytest.param(["canon", "{f}", "--bits", "-40"], WORKED, 3, id="canon-bits-negative"),
+            pytest.param(["oracle", "{f}", "--upto", "-3"], WORKED, 3, id="oracle-upto-negative"),
+            pytest.param(["eval", "{f}", "--terms", "-3"], WORKED, 3, id="eval-terms-negative"),
+            pytest.param(
+                ["corpus", "--seed", "1", "--count", "-2", "--outdir", "{d}"], None, 3, id="corpus-count-negative"
+            ),
+            pytest.param(["decide", "{f}"], {**WORKED, "t": 0.07692307692307692}, 3, id="decide-float-target"),
             pytest.param(["frobnicate"], None, 3, id="unknown-subcommand"),
             pytest.param([], None, 3, id="no-subcommand"),
             pytest.param(["--help"], None, 0, id="help"),

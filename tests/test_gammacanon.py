@@ -1,27 +1,24 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import DecideError, FieldMismatchError
+from hgdecide.errors import DecideError, UnsupportedInstance
 from hgdecide.exactnum import QuadElem
 from hgdecide.gammacanon import (
     X_POWER_CAP,
     CanonicalConstant,
     GammaProduct,
-    PairKind,
-    _conjugate_pairs,
-    _split_args,
-    _Theta,
     canonicalize,
     integer_gamma_ratio,
     limit_as_gamma,
-    pair_product,
+    translation_squares,
 )
 from hgdecide.polys import IntPoly, poly_gcd, roots_quadratic
 
-from gammaforms import pair_value_enclosure, tail_log_bound
+from gammaforms import gamma_ratio_limit, pair_value_enclosure, tail_log_bound
 
 
 def canon_of(p, q, u0=F(1)):
@@ -33,16 +30,22 @@ class TestLimitAsGamma:
     def test_worked_example_arguments(self):
         p, q = IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1)
         gp = limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q))
-        num = sorted((a.a, a.b) for a in gp.num_args)
-        den = sorted((a.a, a.b) for a in gp.den_args)
-        assert num == [(F(-2), F(-3)), (F(-2), F(3))]
-        assert den == [(F(-2), F(-1)), (F(-2), F(1))]
+        assert gp.num_pairs == ((F(-2), F(3), -1),) and gp.den_pairs == ((F(-2), F(1), -1),)
+        assert gp.num_rat == gp.den_rat == ()
+
+    def test_pairs_repeat_with_multiplicity(self):
+        p = IntPoly.of(1, 0, 1) * IntPoly.of(1, 0, 1) * IntPoly.of(3, 1)  # (x^2+1)^2 (x+3)
+        q = IntPoly.of(4, 0, 1) * IntPoly.of(1, 3, 3, 1)  # (x^2+4) (x+1)^3
+        gp = limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q))
+        assert gp.num_pairs == ((F(0), F(1), -1),) * 2 and gp.num_rat == (F(3),)
+        assert gp.den_pairs == ((F(0), F(2), -1),) and gp.den_rat == (F(1),) * 3
 
     def test_rational_arguments(self):
         p = IntPoly.of(2, 1) * IntPoly.of(2, 1)  # (x+2)^2: roots -2,-2
         q = IntPoly.of(1, 1) * IntPoly.of(3, 1)
         gp = limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q))
-        assert sorted(gp.num_args) == [2, 2] and sorted(gp.den_args) == [1, 3]
+        assert sorted(gp.num_rat) == [2, 2] and sorted(gp.den_rat) == [1, 3]
+        assert gp.num_pairs == gp.den_pairs == ()
 
     def test_unbalanced_rejected(self):
         p, q = IntPoly.of(1, 1), IntPoly.of(2, 1)
@@ -50,46 +53,43 @@ class TestLimitAsGamma:
             limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q))
 
 
+def pair_prefactor(rho: F, b: F, m: int) -> F:
+    """The norm A * conj(A) of the translation factor A in
+    Gamma(rho + w) = A * Gamma(rho0 + w), w = b*sqrt(-m), rho0 in {0, 1/2}:
+    Gamma(rho + w)Gamma(rho - w) is prefactor * pi times the sinh or cosh
+    core of its base pair."""
+    squares, rising = translation_squares(rho)
+    return math.prod((c + b * b * m for c in squares), start=F(1)) ** (1 if rising else -1)
+
+
 class TestPairProduct:
     def test_value_pi_over_390_sinh3pi(self, mp, mpref):
-        form = pair_product(F(-2), QuadElem(0, 3, -1))
-        assert form.prefactor == F(1, 130) and form.kind == PairKind.INTEGER_RHO
-        iv = pair_value_enclosure(form, 96)
+        pref = pair_prefactor(F(-2), F(3), 1)
+        assert pref == F(1, 130)
+        iv = pair_value_enclosure(F(-2), F(3), 1, pref, 96)
         assert mpref(mp.pi / (390 * mp.sinh(3 * mp.pi))) in iv
 
     def test_value_pi_over_10_sinhpi(self, mp, mpref):
-        form = pair_product(F(-2), QuadElem(0, 1, -1))
-        iv = pair_value_enclosure(form, 96)
+        iv = pair_value_enclosure(F(-2), F(1), 1, pair_prefactor(F(-2), F(1), 1), 96)
         assert mpref(mp.pi / (10 * mp.sinh(mp.pi))) in iv
 
     def test_half_integer_cosh_form(self, mp, mpref):
-        form = pair_product(F(1, 2), QuadElem(0, F(1, 2), -3))
-        assert form.kind == PairKind.HALF_INTEGER_RHO
-        iv = pair_value_enclosure(form, 96)
+        iv = pair_value_enclosure(F(1, 2), F(1, 2), 3, pair_prefactor(F(1, 2), F(1, 2), 3), 96)
         ref = mpref(2 * mp.pi / (mp.exp(mp.pi * mp.sqrt(3) / 2) + mp.exp(-mp.pi * mp.sqrt(3) / 2)))
         assert ref in iv
 
-    # the prefactor is the norm A * conj(A) of the translation factor A in
-    # Gamma(rho + w) = A * Gamma(rho0 + w), rho0 in {0, 1/2}
+    # the prefactor against the norm of A computed in Q(sqrt(-m))
     def test_two_falling_steps(self):
-        form = pair_product(F(-2), QuadElem(0, 3, -1))
         b = QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1)  # A = 1/b
-        assert form.kind == PairKind.INTEGER_RHO
-        assert form.prefactor == 1 / (b * b.conjugate()).as_rational()
+        assert pair_prefactor(F(-2), F(3), 1) == 1 / (b * b.conjugate()).as_rational()
 
     def test_one_rising_step_half(self):
-        form = pair_product(F(3, 2), QuadElem(0, F(1, 2), -3))
         a = QuadElem(F(1, 2), F(1, 2), -3)
-        assert form.kind == PairKind.HALF_INTEGER_RHO
-        assert form.prefactor == (a * a.conjugate()).as_rational()
+        assert pair_prefactor(F(3, 2), F(1, 2), 3) == (a * a.conjugate()).as_rational()
 
     def test_non_half_integer_rejected(self):
         with pytest.raises(DecideError):
-            pair_product(F(1, 3), QuadElem(0, 1, -1))
-
-    def test_rejects_half_integer_w(self):
-        with pytest.raises(DecideError):
-            pair_product(F(1), QuadElem(F(1, 2), F(0), -1))
+            translation_squares(F(1, 3))
 
 
 class TestCanonicalize:
@@ -112,10 +112,7 @@ class TestCanonicalize:
 
     def test_single_pair_reflection_value(self, mp, mpref):
         # Gamma(i)Gamma(-i)Gamma(3) / (Gamma(1)^3) = 2 pi/sinh(pi), balanced
-        gp = GammaProduct(
-            (QuadElem(0, 1, -1), QuadElem(0, -1, -1), F(3)),
-            (F(1), F(1), F(1)),
-        )
+        gp = GammaProduct((F(3),), (F(1), F(1), F(1)), ((F(0), F(1), -1),), ())
         c = canonicalize(gp)
         iv = c.limit_enclosure(96)
         assert mpref(2 * mp.pi / mp.sinh(mp.pi)) in iv
@@ -123,12 +120,12 @@ class TestCanonicalize:
 
     def test_mixed_fields_rejected(self):
         p, q = IntPoly.of(1, -1, 1), IntPoly.of(3, -1, 1)
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(UnsupportedInstance):
             canon_of(p, q)
 
     def test_real_quadratic_rejected(self):
         p, q = IntPoly.of(-1, -2, 1), IntPoly.of(-4, -2, 1)
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(UnsupportedInstance):
             canon_of(p, q)
 
     def test_half_integer_base(self, mp, mpref):
@@ -186,29 +183,54 @@ class TestCanonicalize:
             tail_log_bound(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), 3)
 
 
+class _Theta:
+    """Accumulator for theta = a + b*sqrt(m) in Q(sqrt(m)); folds sqrt(1)
+    immediately."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.a = F(1)
+        self.b = F(0)
+
+    def mul(self, x: F, y: F = F(0)):
+        """theta *= x + y*sqrt(m)."""
+        if self.m == 1:
+            x = x + y
+            y = F(0)
+        a = self.a * x + self.b * y * self.m
+        b = self.a * y + self.b * x
+        self.a, self.b = a, b
+
+    def div(self, x: F, y: F = F(0)):
+        if self.m == 1:
+            x = x + y
+            y = F(0)
+        norm = x * x - y * y * self.m
+        self.mul(x / norm, -y / norm)
+
+
 def dense_canonicalize(gp: GammaProduct) -> CanonicalConstant:
     """Reference: multiply every pair's x^e and x^2e -+ 1 out densely,
-    cancel by poly_gcd over Q and normalise content and sign into theta
-    (the route canonicalize took before it kept f/g factored)."""
-    num_rat, num_quad = _split_args(gp.num_args)
-    den_rat, den_quad = _split_args(gp.den_args)
-    m = -(num_quad + den_quad)[0].d
-    num_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(num_quad)]
-    den_pairs = [pair_product(rho, w) for rho, w in _conjugate_pairs(den_quad)]
-    D = 2 if any(p.b.denominator == 2 for p in num_pairs + den_pairs) else 1
+    accumulate theta in Q(sqrt(m)), cancel by poly_gcd over Q and
+    normalise content and sign into theta (the route canonicalize took
+    before it kept f/g factored)."""
+    pairs = gp.num_pairs + gp.den_pairs
+    m = -pairs[0][2]
+    D = 2 if any(b.denominator == 2 for _, b, _ in pairs) else 1
     theta = _Theta(m)
-    theta.mul(integer_gamma_ratio(num_rat, den_rat))
+    theta.mul(integer_gamma_ratio(gp.num_rat, gp.den_rat))
     ell = 0
     f = g = IntPoly.of(1)
-    for forms, up in ((num_pairs, True), (den_pairs, False)):
-        for form in forms:
-            e = int(form.b * D)
+    for side_pairs, up in ((gp.num_pairs, True), (gp.den_pairs, False)):
+        for rho, b, _ in side_pairs:
+            e = int(b * D)
             top = IntPoly.x_power(e)
-            if form.kind == PairKind.INTEGER_RHO:
-                coef = (F(0), form.prefactor * 2 / (form.b * m))
+            prefactor = pair_prefactor(rho, b, m)
+            if rho.denominator == 1:
+                coef = (F(0), prefactor * 2 / (b * m))
                 bottom = IntPoly.x_power(2 * e) - IntPoly.of(1)
             else:
-                coef = (form.prefactor * 2, F(0))
+                coef = (prefactor * 2, F(0))
                 bottom = IntPoly.x_power(2 * e) + IntPoly.of(1)
             if up:
                 ell += 1
@@ -232,19 +254,17 @@ def dense_canonicalize(gp: GammaProduct) -> CanonicalConstant:
 def balanced_product(num_pairs, den_pairs, m) -> GammaProduct:
     """Conjugate pairs (rho, b) on each side, padded with positive integer
     arguments to equal counts and equal argument sums."""
-
-    def expand(pairs):
-        return [QuadElem(rho, s * b, -m) for rho, b in pairs for s in (1, -1)]
-
-    num, den = expand(num_pairs), expand(den_pairs)
-    num_rat = [F(1)] * (len(den) + 1)
-    den_rat = [F(1)] * (len(num) + 1)
-    diff = sum(a.a for a in num) + len(num_rat) - sum(a.a for a in den) - len(den_rat)
+    num_rat = [F(1)] * (2 * len(den_pairs) + 1)
+    den_rat = [F(1)] * (2 * len(num_pairs) + 1)
+    diff = 2 * sum(rho for rho, _ in num_pairs) + len(num_rat) - 2 * sum(rho for rho, _ in den_pairs) - len(den_rat)
     if diff >= 0:
         den_rat[0] += diff
     else:
         num_rat[0] -= diff
-    return GammaProduct(tuple(num + num_rat), tuple(den + den_rat))
+    return GammaProduct(
+        tuple(num_rat), tuple(den_rat),
+        tuple((rho, b, -m) for rho, b in num_pairs), tuple((rho, b, -m) for rho, b in den_pairs),
+    )
 
 
 # (rho, b): rho in (1/2)Z, b a positive half-integer, so e = b*D <= 64
@@ -287,3 +307,46 @@ class TestFactoredCanonicalize:
             with pytest.raises(DecideError, match="coprime"):
                 CanonicalConstant(F(1), F(0), 0, f, g, 1, 1, False)
         CanonicalConstant(F(1), F(0), 0, IntPoly.of(1, p61), IntPoly.of(2, 1), 1, 1, False)
+
+
+@st.composite
+def pair_count_imbalances(draw):
+    """(p factors, q factors, prec): conjugate-pair factors in one imaginary
+    quadratic field, a different number on each side, with integer and
+    half-integer rho mixed where d = 1 mod 4, padded with linear factors
+    x + c (c >= 1) to equal degrees and equal root sums."""
+    d = draw(st.sampled_from([-1, -2, -3, -7, -11]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+
+    def pair_factor():
+        # roots -(rho +- b sqrt(d)): x^2 + 2 rho x + rho^2 - b^2 d
+        shift = F(1, 2) if d % 4 == 1 and draw(st.booleans()) else F(0)
+        rho = draw(st.integers(-3, 3)) + shift
+        b = draw(st.integers(1, 3)) - shift
+        return rho, IntPoly.of(int(rho * rho - b * b * d), int(2 * rho), 1)
+
+    (num, den) = ([pair_factor() for _ in range(n)] for n in counts)
+    num_lin = [1] * (2 * len(den) + 1)
+    den_lin = [1] * (2 * len(num) + 1)
+    diff = 2 * sum(rho for rho, _ in num) + len(num_lin) - 2 * sum(rho for rho, _ in den) - len(den_lin)
+    if diff >= 0:
+        den_lin[0] += int(diff)
+    else:
+        num_lin[0] -= int(diff)
+
+    def factors(pairs, lin):
+        return [f for _, f in pairs] + [IntPoly.of(c, 1) for c in lin]
+
+    return factors(num, num_lin), factors(den, den_lin), draw(st.sampled_from([64, 128]))
+
+
+class TestThetaAgainstGammaRatio:
+    @settings(max_examples=40, deadline=None)
+    @given(pair_count_imbalances())
+    def test_limit_enclosure_contains_the_gamma_ratio(self, drawn):
+        """An odd net count of integer-rho pairs puts theta in sqrt(m)*Q;
+        mpmath's gamma ratio at 2 * prec bits checks both parts."""
+        p_factors, q_factors, prec = drawn
+        p, q = (math.prod(fs, start=IntPoly.of(1)) for fs in (p_factors, q_factors))
+        c = canonicalize(limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q)))
+        assert gamma_ratio_limit(F(1), p_factors, q_factors, prec) in c.limit_enclosure(prec)

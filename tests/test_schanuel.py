@@ -24,6 +24,7 @@ from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
 from hgdecide.towers import MultiquadraticTower
 from hgdecide.verdicts import Conditionality, Rationale
 
+from gammaforms import gamma_ratio_limit, mpf_fraction
 from intervals import overlaps
 
 
@@ -423,29 +424,6 @@ def real_quadratic_pairs(draw):
     return _conjugate_pair_instance(draw, [2, 3, 5, 6, 7], [5, 13, 17])
 
 
-def mpf_fraction(x) -> F:
-    """An mpmath mpf as the exact Fraction it stores."""
-    man, exp = x.man_exp  # man is |mantissa|: a real pair may be negative
-    return (-1 if x < 0 else 1) * F(man) * F(2) ** exp
-
-
-def gamma_ratio_limit(i: HGInstance, prec: int) -> F:
-    """The limit as a gamma ratio in mpmath at 2 * prec bits."""
-    import mpmath
-
-    with mpmath.workprec(2 * prec):
-        value = mpmath.mpf(i.u0.numerator) / i.u0.denominator
-        for poly, power in ((i.p, 1), (i.q, -1)):
-            c, b = poly.coeffs[0], poly.coeffs[1]  # x^2 + b x + c
-            # roots -b/2 +- sqrt(b^2/4 - c); Gamma at both negated roots,
-            # real when the discriminant is positive
-            disc = mpmath.mpf(b * b) / 4 - c
-            root = mpmath.sqrt(disc) if disc > 0 else mpmath.mpc(0, mpmath.sqrt(-disc))
-            z, z_bar = mpmath.mpf(b) / 2 + root, mpmath.mpf(b) / 2 - root
-            value *= (mpmath.gamma(z) * mpmath.gamma(z_bar)).real ** power
-        return mpf_fraction(value)
-
-
 both_quadratic_pairs = st.one_of(imaginary_quadratic_pairs().map(lambda drawn: drawn[0]), real_quadratic_pairs())
 
 
@@ -483,7 +461,7 @@ class TestOneOrderTest:
         i, prec = drawn
         canon = _unconditional_oracle(i, DEFAULT_CONFIG)
         ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
-        limit = gamma_ratio_limit(i, prec)
+        limit = gamma_ratio_limit(i.u0, [i.p], [i.q], prec)
         assert limit in canon.constant.limit_enclosure(prec)
         assert limit in ident.limit_enclosure(prec)
         for target in (t, F(f"{float(limit):.12g}")):
@@ -497,7 +475,7 @@ class TestOneOrderTest:
         """The conditional oracle's own traffic: no canonical form exists
         for d > 0, so mpmath's gamma ratio is the only reference."""
         ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
-        limit = gamma_ratio_limit(i, 256)
+        limit = gamma_ratio_limit(i.u0, [i.p], [i.q], 256)
         for bits in (64, 128, 256):
             assert limit in ident.limit_enclosure(bits)
         for target in (t, F(f"{float(limit):.12g}")):
