@@ -43,7 +43,7 @@ from fractions import Fraction
 from .dyadic import DyadicInterval
 from .enclosure import exp_interval, pi_interval, sqrt_int_interval
 from .errors import DecideError, UnsupportedInstance
-from .exactnum import is_half_integer
+from .exactnum import format_rat, is_half_integer
 from .numutil import divisors
 from .polys import IntPoly, RootMultiset, coprime, cyclotomic
 from .sequence import classify
@@ -207,7 +207,7 @@ class CanonicalConstant:
 
     def describe(self) -> dict:
         return {
-            "theta": [str(self.theta_a), str(self.theta_b)],
+            "theta": [format_rat(self.theta_a), format_rat(self.theta_b)],
             "ell": self.ell,
             "f": list(self.f.coeffs),
             "g": list(self.g.coeffs),

@@ -94,12 +94,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return squarefree_decompose(n)[0] == 1
-
-
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n| (n nonzero)."""
     fac = factorize(n)

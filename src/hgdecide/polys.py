@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DecideError, UnsupportedInstance
-from .exactnum import QuadElem
 from .numutil import divisors, euler_phi, factorize, perfect_power_root, squarefree_decompose
 
 DEGREE_CAP = 32
@@ -569,9 +569,18 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
 # ---------------------------------------------------------------------------
 
 
+class QuadRoot(NamedTuple):
+    """The root a + b*sqrt(d) of an irreducible quadratic, d squarefree;
+    a record only, with no arithmetic."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+
 @dataclass(frozen=True)
 class RootEntry:
-    root: object  # Fraction | QuadElem | tower root (recognize module)
+    root: Fraction | QuadRoot
     mult: int
 
 
@@ -592,7 +601,7 @@ class NotSplitting:
 
 
 def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
-    """All roots of monic f as rationals and a+b*sqrt(d) quadratic elements.
+    """All roots of monic f as rationals and `QuadRoot` records a + b*sqrt(d).
 
     Succeeds exactly when f splits into linear and quadratic irreducible
     factors over Q.  Reported roots satisfy the integral-basis shape of
@@ -611,16 +620,14 @@ def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
             s, d = squarefree_decompose(disc)
             a = Fraction(-b_coef, 2)
             b = Fraction(s, 2)
-            r1 = QuadElem(a, b, d)
-            r2 = QuadElem(a, -b, d)
-            # verify by exact expansion: (x-r1)(x-r2) == g
-            if (r1 + r2).as_rational() != -b_coef or (r1 * r2).as_rational() != c_coef:
+            # verify by exact expansion: (x - a - b*sqrt(d))(x - a + b*sqrt(d)) == g
+            if 2 * a != -b_coef or a * a - b * b * d != c_coef:
                 raise DecideError(f"internal: quadratic roots of {g} fail expansion")
             # integral-basis sanity: full integers, or half-integers with d = 1 mod 4
             if (a.denominator == 2 or b.denominator == 2) and d % 4 != 1:
                 raise DecideError(f"internal: half-integral roots of {g} with d = {d}")
-            entries.append(RootEntry(r1, mult))
-            entries.append(RootEntry(r2, mult))
+            entries.append(RootEntry(QuadRoot(a, b, d), mult))
+            entries.append(RootEntry(QuadRoot(a, -b, d), mult))
         else:
             return NotSplitting(g)
     return RootMultiset(tuple(entries), f)

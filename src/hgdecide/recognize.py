@@ -11,8 +11,8 @@ divides f2(c - x), which forces deg f1 = deg f2 and f2(c - x) =
 (-1)^deg * f1(x); comparing subleading coefficients pins c =
 -(a1 + a2)/deg uniquely.  So adjacency reduces to one integrality test
 and one exact polynomial identity per factor pair, and needs no root
-representation at all.  Representations (quadratic elements, cyclotomic
-or radical tower elements) are attached where available because the
+representation at all.  Representations (elements of a quadratic,
+cyclotomic or radical tower) are attached where available because the
 conditional decider consumes the matched pairs.
 
 One backtracking search finds a maximum matching and stops at the first
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DecideError, UnsupportedInstance
-from .exactnum import QuadElem, is_half_integer
+from .exactnum import is_half_integer
 from .polys import (
     IntPoly,
     QPoly,
@@ -46,8 +46,15 @@ from .towers import (
     CYCLOTOMIC_CONDUCTOR_CAP,
     RADICAL_INDEX_CAP,
     CyclotomicTower,
+    MultiquadraticTower,
     RadicalTower,
+    TowerElem,
 )
+
+@lru_cache(maxsize=64)
+def _quad_tower(d: int) -> MultiquadraticTower:
+    return MultiquadraticTower((d,))
+
 
 @lru_cache(maxsize=64)
 def _cyclo_tower(n: int) -> CyclotomicTower:
@@ -68,7 +75,7 @@ def _radical_tower(n: int, a: int) -> RadicalTower:
 class FactorRoots:
     poly: IntPoly
     mult: int
-    values: tuple  # QuadElem | TowerElem | None per root, conjugate-consistent order
+    values: tuple  # TowerElem | None per root, conjugate-consistent order
     approx: tuple  # complex approximations aligned with `values`
 
 
@@ -87,8 +94,9 @@ def _exact_roots(g: IntPoly) -> tuple | None:
     """Quadratic, cyclotomic or radical roots of g, or None when g has no
     exact representation."""
     if g.degree == 2:
-        rm = roots_quadratic(g)
-        return tuple(sorted((e.root for e in rm.entries), key=lambda x: (x.a, x.b)))
+        roots = sorted((e.root for e in roots_quadratic(g).entries), key=lambda r: (r.a, r.b))
+        tower = _quad_tower(roots[0].d)
+        return tuple(tower.element((r.a, r.b)) for r in roots)
     n = cyclotomic_index(g)
     if n is not None and n <= CYCLOTOMIC_CONDUCTOR_CAP:
         tower = _cyclo_tower(n)
@@ -107,12 +115,7 @@ def _exact_roots(g: IntPoly) -> tuple | None:
     return None
 
 
-def _value_approx(v) -> complex:
-    if isinstance(v, QuadElem):
-        root = abs(v.d) ** 0.5
-        if v.d > 0:
-            return complex(float(v.a) + float(v.b) * root, 0.0)
-        return complex(float(v.a), float(v.b) * root)
+def _value_approx(v: TowerElem) -> complex:
     emb = v.embed(64)
     return complex(float(emb.re.mid()), float(emb.im.mid()))
 
@@ -159,19 +162,12 @@ def _mirror_center(f1: IntPoly, f2: IntPoly) -> Fraction | None:
 def _root_partner(fr: FactorRoots, partner: FactorRoots, c: Fraction, idx: int) -> int:
     """Index in `partner` of the root c - u where u = fr root #idx."""
     u = fr.values[idx]
-    if u is not None and partner.values[0] is not None:
-        if isinstance(u, QuadElem):
-            target = QuadElem(Fraction(c) - u.a, -u.b, u.d)
-            for k, v in enumerate(partner.values):
-                if isinstance(v, QuadElem) and v == target:
-                    return k
-            raise DecideError("mirror root missing from quadratic factor")
-        if getattr(u, "tower", None) is not None and getattr(partner.values[0], "tower", None) == u.tower:
-            target = u.tower.rational(c) - u
-            for k, v in enumerate(partner.values):
-                if v == target:
-                    return k
-            raise DecideError("mirror root missing from tower factor")
+    if u is not None and partner.values[0] is not None and partner.values[0].tower == u.tower:
+        target = u.tower.rational(c) - u
+        for k, v in enumerate(partner.values):
+            if v == target:
+                return k
+        raise DecideError("mirror root missing from tower factor")
     # opaque factors: the mirror map permutes roots; pick the numerically
     # nearest, which is exact at desk-scale separations
     target = complex(float(c)) - fr.approx[idx]
@@ -234,7 +230,7 @@ class MatchedPair:
     u: Vertex
     v: Vertex
     rho: Fraction
-    w: object  # QuadElem | TowerElem | None: u = rho + w, v = rho - w
+    w: TowerElem | None  # u = rho + w, v = rho - w
 
 
 @dataclass(frozen=True)

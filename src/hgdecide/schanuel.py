@@ -36,13 +36,13 @@ from .enclosure import (
 )
 from .equality import _unconditional_oracle, compare, decide
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
-from .exactnum import QuadElem, is_half_integer
+from .exactnum import is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
 from .recognize import MatchingCertificate, NoMatching, find_symmetric_matching
 from .sequence import HGInstance
-from .towers import MultiquadraticTower, Tower, TowerElem
+from .towers import CyclotomicTower, MultiquadraticTower, Tower, TowerElem
 from .verdicts import EqualityDecision, Rationale, Verdict
 
 logger = logging.getLogger("hgdecide.schanuel")
@@ -352,27 +352,12 @@ def build_identity(
 @dataclass(frozen=True)
 class IdentityVerdict:
     holds: bool
-    unconditional_reason: str | None = None  # fast-path transcendence note
 
 
 def decide_identity(ident: SymbolicIdentity) -> IdentityVerdict:
-    """Zero iff all terms cancelled (exact tower arithmetic).
-
-    A nonzero identity cannot hold under Schanuel's Conjecture; when it
-    mentions only PI (or only PI and E) the failure is already
-    unconditional by classical transcendence, recorded as a note.
-    """
-    if ident.is_zero:
-        return IdentityVerdict(True)
-    used = set(ident.symbols_used())
-    reason = None
-    if used <= {"PI"}:
-        reason = "pi_transcendence"
-    elif used <= {"E"}:
-        reason = "gelfond_schneider"
-    elif used <= {"PI", "E"}:
-        reason = "nesterenko_pi_exp_pi"
-    return IdentityVerdict(False, reason)
+    """Holds iff all terms cancelled (exact tower arithmetic); a nonzero
+    identity cannot hold under Schanuel's Conjecture."""
+    return IdentityVerdict(ident.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +480,14 @@ class ConditionalLimitOracle:
         self.last_identity: SymbolicIdentity | None = None
         self.stress_ok: bool | None = None
 
-    def _common_tower(self, ws: list) -> Tower:
-        from .towers import CyclotomicTower
-
+    def _common_tower(self, ws: list[TowerElem]) -> Tower:
         quad_ds = set()
         towers = set()
         for w in ws:
-            if isinstance(w, QuadElem):
-                quad_ds.add(w.d)
-            elif isinstance(w, TowerElem):
-                towers.add(w.tower)
+            if isinstance(w.tower, MultiquadraticTower):
+                quad_ds.update(w.tower.radicands[1:])
             else:
-                raise UnsupportedInstance(f"unrepresentable pair offset {w!r}")
+                towers.add(w.tower)
         if len(towers) > 1:
             raise UnsupportedInstance("pair offsets span several towers")
         if towers:
@@ -524,21 +505,30 @@ class ConditionalLimitOracle:
             return tower
         return MultiquadraticTower(tuple(sorted(quad_ds | {-1})))
 
-    def _lift(self, w) -> TowerElem:
-        if isinstance(w, QuadElem):
-            if isinstance(self.tower, MultiquadraticTower):
-                return self.tower.from_quad(w)
-            root = self.tower.sqrt_of(w.d)
-            # match the quadratic embedding convention (positive real branch
-            # for d > 0, positive imaginary for d < 0)
-            emb = root.embed(64)
-            coord = emb.re if w.d > 0 else emb.im
-            if coord.is_negative():
-                root = -root
-            elif not coord.is_positive():
-                raise DecideError("internal: ambiguous sqrt branch at 64 bits")
-            return self.tower.rational(w.a) + root * w.b
-        return w
+    def _lift(self, w: TowerElem) -> TowerElem:
+        """w in the common tower; an offset outside it is multiquadratic and
+        is rewritten one radicand at a time."""
+        if w.tower == self.tower:
+            return w
+        radicands = w.tower.radicands
+        return sum(
+            (self._sqrt(d) * c for d, c in zip(radicands[1:], w.coords[1:])),
+            self.tower.rational(w.coords[0]),
+        )
+
+    def _sqrt(self, d: int) -> TowerElem:
+        """sqrt(d) in the common tower, on the multiquadratic embedding's
+        branch (positive real for d > 0, positive imaginary for d < 0)."""
+        if isinstance(self.tower, MultiquadraticTower):
+            return self.tower.sqrt_elem(d)
+        root = self.tower.sqrt_of(d)
+        emb = root.embed(64)
+        coord = emb.re if d > 0 else emb.im
+        if coord.is_negative():
+            return -root
+        if not coord.is_positive():
+            raise DecideError("internal: ambiguous sqrt branch at 64 bits")
+        return root
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
         ident = build_identity(

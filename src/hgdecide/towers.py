@@ -13,7 +13,6 @@ root for a > 0, the real negative root for a < 0 with n odd, and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,6 @@ from fractions import Fraction
 from .dyadic import ComplexInterval, DyadicInterval
 from .enclosure import cos_interval, pi_interval, sin_interval, sqrt_int_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
-from .exactnum import QuadElem
 from .numutil import euler_phi, int_nthroot_floor, squarefree_decompose
 from .polys import QPoly, cyclotomic
 
@@ -205,19 +203,11 @@ class MultiquadraticTower(Tower):
             s, d = squarefree_decompose(g)
             if s != 1:
                 raise DecideError(f"radicand {g} not squarefree")
+        # doubling per generator yields the product of every subset of the
+        # generators: the whole subgroup
         group = {1}
-        frontier = [1]
         for g in gens:
-            group |= {_mul_sqrt(g, c)[1] for c in list(group)}
-        # close under products
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.product(list(group), repeat=2):
-                c = _mul_sqrt(a, b)[1]
-                if c not in group:
-                    group.add(c)
-                    changed = True
+            group |= {_mul_sqrt(g, c)[1] for c in group}
         if len(group) > 2**MULTIQUAD_GENERATOR_CAP:
             raise UnsupportedInstance(
                 f"multiquadratic tower needs more than {MULTIQUAD_GENERATOR_CAP} generators"
@@ -253,9 +243,6 @@ class MultiquadraticTower(Tower):
         out = [Fraction(0)] * self.degree
         out[self.index[d]] = Fraction(1)
         return self.element(out)
-
-    def from_quad(self, x: QuadElem) -> TowerElem:
-        return self.rational(x.a) + self.sqrt_elem(x.d) * x.b
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +345,7 @@ class RadicalTower(Tower):
     UnsupportedInstance), so the presented ring is a field: no product of
     nonzero elements is zero, which is what the division-free identity
     build in `schanuel` relies on.  The index n is at least 3: square
-    roots are `QuadElem`s.
+    roots live in a `MultiquadraticTower`.
     """
 
     def __init__(self, n: int, a: int):

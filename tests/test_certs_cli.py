@@ -607,6 +607,12 @@ class TestExitCodes:
                 ["canon", "{f}"], doc([2**8 * 1001, 0, 1], [1001, 0, 1], "1", "1"), 4,
                 id="canon-resource-below-float-range",
             ),
+            # p = (x + 1)(x + 20000), q = (x + 10000)(x + 10001): theta is
+            # about 2^19992, whose str() once crashed `describe` (exit 5)
+            pytest.param(
+                ["canon", "{f}"], doc([20000, 20001, 1], [100010000, 20001, 1], "1", "1"), 4,
+                id="canon-resource-theta-too-long-to-print",
+            ),
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),
             pytest.param(["recognize", "{f}"], "{bad json", 3, id="recognize-bad-json"),

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, UnsupportedInstance
-from hgdecide.exactnum import QuadElem
 from hgdecide.gammacanon import (
     X_POWER_CAP,
     CanonicalConstant,
@@ -17,6 +16,7 @@ from hgdecide.gammacanon import (
     translation_squares,
 )
 from hgdecide.polys import IntPoly, poly_gcd, roots_quadratic
+from hgdecide.towers import MultiquadraticTower
 
 from gammaforms import gamma_ratio_limit, pair_value_enclosure, tail_log_bound
 
@@ -79,13 +79,19 @@ class TestPairProduct:
         assert ref in iv
 
     # the prefactor against the norm of A computed in Q(sqrt(-m))
+    @staticmethod
+    def norm(x):
+        """x times its conjugate, for x in Q(sqrt(d))."""
+        return (x * x.tower.element((x.coords[0], -x.coords[1]))).as_rational()
+
     def test_two_falling_steps(self):
-        b = QuadElem(F(-1), F(3), -1) * QuadElem(F(-2), F(3), -1)  # A = 1/b
-        assert pair_prefactor(F(-2), F(3), 1) == 1 / (b * b.conjugate()).as_rational()
+        t = MultiquadraticTower((-1,))
+        b = t.element((F(-1), F(3))) * t.element((F(-2), F(3)))  # A = 1/b
+        assert pair_prefactor(F(-2), F(3), 1) == 1 / self.norm(b)
 
     def test_one_rising_step_half(self):
-        a = QuadElem(F(1, 2), F(1, 2), -3)
-        assert pair_prefactor(F(3, 2), F(1, 2), 3) == (a * a.conjugate()).as_rational()
+        a = MultiquadraticTower((-3,)).element((F(1, 2), F(1, 2)))
+        assert pair_prefactor(F(3, 2), F(1, 2), 3) == self.norm(a)
 
     def test_non_half_integer_rejected(self):
         with pytest.raises(DecideError):

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, UnsupportedInstance
-from hgdecide.exactnum import QuadElem
 from hgdecide.numutil import perfect_power_root
 from hgdecide.polys import (
     IntPoly,
     NotSplitting,
     QPoly,
+    QuadRoot,
     count_real_roots_below,
     cyclotomic,
     coprime,
@@ -20,6 +20,7 @@ from hgdecide.polys import (
     poly_gcd,
     roots_quadratic,
 )
+from hgdecide.towers import MultiquadraticTower
 
 
 class TestPolyOps:
@@ -208,6 +209,11 @@ class TestPerfectPowerRoot:
         assert perfect_power_root(r**3 - 1, 3) is None
 
 
+def tower_elem(r: QuadRoot):
+    """a + b*sqrt(d) as an element of Q(sqrt(d))."""
+    return MultiquadraticTower((r.d,)).element((r.a, r.b))
+
+
 class TestRootsQuadratic:
     def test_worked_example_roots(self):
         rm = roots_quadratic(IntPoly.of(13, -4, 1))
@@ -230,22 +236,28 @@ class TestRootsQuadratic:
         pool = []
         for e in rm.entries:
             for _ in range(e.mult):
-                if isinstance(e.root, QuadElem):
+                if isinstance(e.root, QuadRoot):
                     pool.append(e.root)
                 else:
                     prod = prod * QPoly.of(-e.root, 1)
         while pool:
             r = pool.pop()
-            pool.remove(r.conjugate())
-            prod = prod * QPoly.of((r * r.conjugate()).as_rational(), -2 * r.a, 1)
+            pool.remove(r._replace(b=-r.b))
+            x, xbar = tower_elem(r), tower_elem(r._replace(b=-r.b))
+            prod = prod * QPoly.of((x * xbar).as_rational(), -(x + xbar).as_rational(), 1)
         assert prod == f.to_q()
 
     def test_conjugate_closure(self):
         f = IntPoly.of(13, -4, 1) * IntPoly.of(1, -1, 1)
         rm = roots_quadratic(f)
-        quads = [e.root for e in rm.entries if isinstance(e.root, QuadElem)]
-        for r in quads:
-            assert any(s == r.conjugate() for s in quads)
+        quads = [tower_elem(e.root) for e in rm.entries if isinstance(e.root, QuadRoot)]
+        # y != x in the same field with x + y and x * y rational is the
+        # conjugate of x
+        for x in quads:
+            assert any(
+                y.tower == x.tower and y != x and (x + y).is_rational and (x * y).is_rational
+                for y in quads
+            )
 
 
 coef = st.integers(min_value=-9, max_value=9)
@@ -277,11 +289,12 @@ class TestRootsProperty:
             if isinstance(r, F):
                 assert f(r) == 0
             else:
-                # evaluate f at a + b sqrt(d) exactly
-                acc = QuadElem.rational(0, r.d)
+                # evaluate f at a + b sqrt(d) exactly, by Horner's rule
+                x = tower_elem(r)
+                acc = x.tower.zero()
                 for cc in reversed(f.coeffs):
-                    acc = acc * r + cc
-                assert not acc
+                    acc = acc * x + cc
+                assert acc.is_zero
 
 
 class TestSturm:

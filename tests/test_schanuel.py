@@ -21,7 +21,7 @@ from hgdecide.schanuel import (
     evaluate_identity,
 )
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
-from hgdecide.towers import MultiquadraticTower
+from hgdecide.towers import CyclotomicTower, MultiquadraticTower
 from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import gamma_ratio_limit, mpf_fraction
@@ -107,7 +107,7 @@ class TestIdentity:
         )
         assert not ident.is_zero
         v = decide_identity(ident)
-        assert not v.holds and v.unconditional_reason is None
+        assert not v.holds
         assert "Y1" in ident.symbols_used()
 
     @pytest.mark.parametrize(
@@ -391,6 +391,26 @@ class TestConditionalDecider:
         # tail envelope: |log tail| <= 4*sum|q-p| / terms
         envelope = math.exp(4 * 3 / terms)
         assert_within_envelope(prod, float(iv.mid()), envelope)
+
+    def test_real_quadratic_lifted_into_cyclotomic_tower(self):
+        # p = Phi_12(x)(x^2 + 3), q = (x^2 + 1)^2 (x^2 - 3): the offsets i,
+        # sqrt(-3) and sqrt(3) meet in Q(zeta_12), and sqrt(3) takes the
+        # positive real branch there
+        p = IntPoly.of(3, 0, -2, 0, 2, 0, 1)
+        q = IntPoly.of(-3, 0, -5, 0, -1, 0, 1)
+        i = HGInstance(p, q, F(1), F(1, 5), Problem.MEMBERSHIP)
+        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        assert orc.tower == CyclotomicTower(12)
+        iv = orc.limit_enclosure(96)
+        prod = 1.0
+        terms = 20000
+        for k in range(terms):
+            prod *= q(k) / p(k)
+        assert_within_envelope(prod, float(iv.mid()), math.exp(4 * 12 / terms))
+        v = decide_conditional(i)
+        assert not v.result and v.reason == "monotone_tail_excludes_target"
+        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
 
 
 def _conjugate_pair_instance(draw, whole_ds, half_ds) -> HGInstance:

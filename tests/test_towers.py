@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, UnsupportedInstance
-from hgdecide.exactnum import QuadElem
 from hgdecide.towers import (
     CyclotomicTower,
     MultiquadraticTower,
@@ -35,10 +34,10 @@ class TestMultiquadratic:
         with pytest.raises(UnsupportedInstance):
             MultiquadraticTower((2, 3, 5, 7, 11))
 
-    def test_from_quad(self):
-        t = MultiquadraticTower((-3,))
-        x = t.from_quad(QuadElem(F(1, 2), F(3, 2), -3))
-        assert x.coords[0] == F(1, 2)
+    def test_radicand_must_be_squarefree_and_not_unit(self):
+        for d in (4, 1, 0):
+            with pytest.raises(DecideError):
+                MultiquadraticTower((d,))
 
     def test_embedding_agreement(self, mp, mpref):
         t = MultiquadraticTower((2, -3))
@@ -94,7 +93,7 @@ class TestRadical:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_index_below_three_rejected(self, n):
-        # degree-2 factors take the QuadElem path; no tower serves them
+        # square roots live in multiquadratic towers
         with pytest.raises(DecideError):
             RadicalTower(n, 3)
 
@@ -127,6 +126,9 @@ def _plain_mul(tower, x, y):
 
 FIELDS = [
     MultiquadraticTower((2, 3, -1)),
+    # the towers of quadratic roots, as `recognize` builds them
+    MultiquadraticTower((-3,)),
+    MultiquadraticTower((5,)),
     CyclotomicTower(12),
     RadicalTower(4, 2),
     RadicalTower(3, 2),
