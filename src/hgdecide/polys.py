@@ -76,6 +76,17 @@ class _Poly:
             out = out * x + c
         return out
 
+    def compose_linear(self, alpha, beta):
+        """f(alpha + beta*x), by Horner's rule over coefficient lists; alpha
+        and beta must be scalars of the ring, as for `*`."""
+        if not (isinstance(alpha, self._scalars) and isinstance(beta, self._scalars)):
+            raise TypeError(f"{type(self).__name__} substitutes only {self._scalars} values")
+        out = []
+        for c in reversed(self.coeffs):
+            out = [alpha * a + beta * b for a, b in zip(out + [0], [0] + out)]
+            out[0] += c
+        return type(self)(out)
+
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -169,10 +180,6 @@ class IntPoly(_Poly):
         sign = 1 if self.lead > 0 else -1
         return IntPoly(tuple(x // (c * sign) for x in self.coeffs))
 
-    def mirror(self, c: int | Fraction) -> "QPoly":
-        """f(c - x)."""
-        return self.to_q().compose_linear(Fraction(c), Fraction(-1))
-
     def cauchy_bound(self) -> Fraction:
         """All complex roots have |z| < this bound."""
         if self.degree < 1:
@@ -223,14 +230,6 @@ class QPoly(_Poly):
         while not b.is_zero:
             a, b = b, a.divrem(b)[1]
         return a.monic() if not a.is_zero else a
-
-    def compose_linear(self, alpha: Fraction, beta: Fraction) -> "QPoly":
-        """f(alpha + beta*x), exact."""
-        out = QPoly.of(0)
-        lin = QPoly.of(alpha, beta)
-        for c in reversed(self.coeffs):
-            out = out * lin + QPoly.of(c)
-        return out
 
     def substitute_square(self) -> "QPoly":
         """g(x) -> g(x^2)."""
@@ -367,12 +366,11 @@ def count_real_roots_below(f: QPoly, bound: Fraction) -> int:
 
 def has_negative_real_root(f: QPoly) -> bool:
     # roots exactly at 0 do not count as negative
-    k = 0
-    g = f
-    while not g.is_zero and g.coeffs and g.coeffs[0] == 0:
-        g = QPoly(g.coeffs[1:])
-        k += 1
-    return count_real_roots_below(g, Fraction(0)) > 0 if not g.is_zero else False
+    if f.is_zero:
+        return False
+    while f.coeffs[0] == 0:
+        f = QPoly(f.coeffs[1:])
+    return count_real_roots_below(f, Fraction(0)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -48,22 +48,15 @@ from .towers import (
     CyclotomicTower,
     MultiquadraticTower,
     RadicalTower,
+    Tower,
     TowerElem,
 )
 
-@lru_cache(maxsize=64)
-def _quad_tower(d: int) -> MultiquadraticTower:
-    return MultiquadraticTower((d,))
 
-
-@lru_cache(maxsize=64)
-def _cyclo_tower(n: int) -> CyclotomicTower:
-    return CyclotomicTower(n)
-
-
-@lru_cache(maxsize=64)
-def _radical_tower(n: int, a: int) -> RadicalTower:
-    return RadicalTower(n, a)
+@lru_cache(maxsize=192)
+def _tower(kind: type, *params) -> Tower:
+    """One tower object per field, so its product table is built once."""
+    return kind(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -92,26 +85,38 @@ def _factor_root_values(g: IntPoly):
 
 def _exact_roots(g: IntPoly) -> tuple | None:
     """Quadratic, cyclotomic or radical roots of g, or None when g has no
-    exact representation."""
+    exact representation.
+
+    Each field has one tower, so the roots of g and of g(-x) (the factors
+    that mirror at c = 0) share it: Phi_2m, m odd, takes its roots
+    zeta_2m^k = -zeta_m^((k+m)/2) in Q(zeta_m), and x^d + a, d odd, its
+    roots -zeta_d^j * a^(1/d) in the tower of x^d - a.
+    """
     if g.degree == 2:
         roots = sorted((e.root for e in roots_quadratic(g).entries), key=lambda r: (r.a, r.b))
-        tower = _quad_tower(roots[0].d)
+        tower = _tower(MultiquadraticTower, (roots[0].d,))
         return tuple(tower.element((r.a, r.b)) for r in roots)
     n = cyclotomic_index(g)
     if n is not None and n <= CYCLOTOMIC_CONDUCTOR_CAP:
-        tower = _cyclo_tower(n)
-        return tuple(tower.root_of_unity(k) for k in range(1, n) if math.gcd(k, n) == 1)
+        units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+        if n % 4 != 2:
+            tower = _tower(CyclotomicTower, n)
+            return tuple(tower.root_of_unity(k) for k in units)
+        m = n // 2
+        tower = _tower(CyclotomicTower, m)
+        return tuple(-tower.root_of_unity((k + m) // 2) for k in units)
     pa = x_power_minus_a(g)
     if pa is not None and pa[0] <= RADICAL_INDEX_CAP:
         d, a = pa
+        sign = -1 if d % 2 and a < 0 else 1
         try:
-            tower = _radical_tower(d, a)
+            tower = _tower(RadicalTower, d, sign * a)
         except UnsupportedInstance:
             # irreducible over Q but the Kummer presentation is not a
             # field (e.g. x^8 - 2): opaque roots; the graph never needed
             # representations, only the conditional decider
             return None
-        return tuple(tower.radical_root(j) for j in range(d))
+        return tuple(sign * tower.radical_root(j) for j in range(d))
     return None
 
 
@@ -144,33 +149,30 @@ class SymmetryGraph:
     edge_center: dict  # (vi, vj) i<j -> rho (Fraction)
 
 
-def _mirror_center(f1: IntPoly, f2: IntPoly) -> Fraction | None:
+def _mirror_center(f1: IntPoly, f2: IntPoly) -> int | None:
     """c with f2(c - x) = (-1)^deg f1(x), or None; c is unique if it exists."""
     d = f1.degree
     if d != f2.degree or d < 1:
         return None
-    a1 = f1.coeffs[d - 1] if d >= 1 else 0
-    a2 = f2.coeffs[d - 1] if d >= 1 else 0
-    c = Fraction(-(a1 + a2), d)
-    if c.denominator != 1:
+    c, rem = divmod(-(f1.coeffs[d - 1] + f2.coeffs[d - 1]), d)
+    if rem or f2.compose_linear(c, -1) != f1 * (-1) ** d:
         return None
-    mirrored = f2.mirror(int(c))  # f2(c - x), rational coefficients
-    target = f1.to_q() * ((-1) ** d)
-    return c if mirrored == target else None
+    return c
 
 
-def _root_partner(fr: FactorRoots, partner: FactorRoots, c: Fraction, idx: int) -> int:
+def _root_partner(fr: FactorRoots, partner: FactorRoots, c: int, idx: int) -> int:
     """Index in `partner` of the root c - u where u = fr root #idx."""
     u = fr.values[idx]
-    if u is not None and partner.values[0] is not None and partner.values[0].tower == u.tower:
-        target = u.tower.rational(c) - u
+    if u is not None and partner.values[0] is not None:
+        # mirrored exact factors share a tower (`_exact_roots`)
+        target = c - u
         for k, v in enumerate(partner.values):
             if v == target:
                 return k
         raise DecideError("mirror root missing from tower factor")
-    # opaque factors: the mirror map permutes roots; pick the numerically
+    # an opaque factor: the mirror map permutes roots; pick the numerically
     # nearest, which is exact at desk-scale separations
-    target = complex(float(c)) - fr.approx[idx]
+    target = complex(c) - fr.approx[idx]
     return min(range(len(partner.approx)), key=lambda k: abs(partner.approx[k] - target))
 
 
@@ -321,7 +323,8 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
         vi, vj = graph.vertices[i], graph.vertices[j]
         rho = graph.edge_center[(min(i, j), max(i, j))]
         u_val = graph.factors[vi.factor].values[vi.root]
-        w = None if u_val is None else u_val - rho
+        v_val = graph.factors[vj.factor].values[vj.root]
+        w = None if u_val is None or v_val is None else u_val - rho
         pairs.append(MatchedPair(vi, vj, rho, w))
     cert = MatchingCertificate(f, tuple(pairs))
     validate_matching(f, cert)
@@ -331,22 +334,23 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
 def validate_matching(f: IntPoly, cert: MatchingCertificate) -> None:
     """Standalone check, independent of the search that produced the pairs."""
     graph = build_symmetry_graph(f)
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
     seen = set()
     for p in cert.pairs:
         for v in (p.u, p.v):
             if v in seen:
                 raise DecideError(f"vertex {v.label()} matched twice")
             seen.add(v)
-        if (2 * p.rho).denominator != 1:
-            raise DecideError("pair center is not a half-integer")
-        fu = graph.factors[p.u.factor]
-        fv = graph.factors[p.v.factor]
-        c = _mirror_center(fu.poly, fv.poly)
-        if c is None or Fraction(c, 2) != p.rho:
-            raise DecideError("pair fails the exact mirror identity")
+        # an edge joins roots u, v = c - u of factors that pass the exact
+        # mirror identity, and its center is c/2
+        key = tuple(sorted(vindex.get(v, -1) for v in (p.u, p.v)))
+        if graph.edge_center.get(key) != p.rho:
+            raise DecideError("pair is not an edge of the symmetry graph with center rho")
         if p.w is not None:
-            u_val = fu.values[p.u.root]
-            v_val = fv.values[p.v.root]
+            u_val = graph.factors[p.u.factor].values[p.u.root]
+            v_val = graph.factors[p.v.factor].values[p.v.root]
+            if u_val is None or v_val is None or p.w != u_val - p.rho:
+                raise DecideError("pair offset is not u - rho for exact roots u, v")
             s = u_val + v_val
             if not s.is_rational or s.as_rational() != 2 * p.rho or (u_val - v_val).is_rational:
                 raise DecideError("pair violates u+v in Z, u-v irrational")
@@ -359,21 +363,23 @@ def validate_matching(f: IntPoly, cert: MatchingCertificate) -> None:
 # ---------------------------------------------------------------------------
 
 
-def detect_shifted_even(f: IntPoly) -> Fraction | None:
-    """rho in (1/2)Z with f(rho+x) = f(rho-x) identically, else None.
-
-    The only candidate is rho = -a_{d-1}/(d*lead); verified exactly.
-    """
+def _even_center(f: QPoly) -> tuple[Fraction, QPoly] | None:
+    """(rho, f(rho + x)) when f(rho + x) = f(rho - x) identically, else
+    None.  The only candidate is rho = -a_{d-1}/(d*lead); verified exactly."""
     d = f.degree
     if d < 1 or d % 2:
         return None
-    rho = Fraction(-f.coeffs[d - 1], d * f.lead)
-    if not is_half_integer(rho):
+    rho = -f.coeffs[d - 1] / (d * f.lead)
+    shifted = f.compose_linear(rho, 1)
+    if any(shifted.coeffs[1::2]):
         return None
-    left = f.to_q().compose_linear(rho, Fraction(1))
-    if any(c != 0 for i, c in enumerate(left.coeffs) if i % 2):
-        return None
-    return rho
+    return rho, shifted
+
+
+def detect_shifted_even(f: IntPoly) -> Fraction | None:
+    """rho in (1/2)Z with f(rho+x) = f(rho-x) identically, else None."""
+    found = _even_center(f.to_q())
+    return found[0] if found is not None and is_half_integer(found[0]) else None
 
 
 @dataclass(frozen=True)
@@ -393,18 +399,15 @@ def recognize_shifted_square(f: IntPoly | QPoly) -> ShiftedSquareWitness | None:
     rational outright and carries no witness of this shape).
     """
     fq = f.to_q() if isinstance(f, IntPoly) else f
-    d = fq.degree
-    if d < 2 or d % 2 or not fq.is_monic:
+    found = _even_center(fq) if fq.degree >= 2 and fq.is_monic else None
+    if found is None:
         return None
-    rho = Fraction(-fq.coeffs[d - 1], d)
-    shifted = fq.compose_linear(rho, Fraction(1))
-    if any(c != 0 for i, c in enumerate(shifted.coeffs) if i % 2):
-        return None
-    g = QPoly(tuple(shifted.coeffs[0::2]))
+    rho, shifted = found
+    g = QPoly(shifted.coeffs[0::2])
     if not has_negative_real_root(g):
         return None
     # round-trip: g((x-rho)^2) must reproduce f exactly
-    expanded = g.substitute_square().compose_linear(-rho, Fraction(1))
+    expanded = g.substitute_square().compose_linear(-rho, 1)
     if expanded != fq:
         raise DecideError("internal: shifted-square reconstruction failed")
     return ShiftedSquareWitness(rho, g)

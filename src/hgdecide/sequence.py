@@ -133,14 +133,10 @@ class HGInstance:
             # q = c p(x + h) has c = q_d/p_d and, at x^(d-1),
             # q_{d-1} = c (p_{d-1} + d h p_d)
             h, rem = divmod(q.coeffs[d - 1] * pd - p.coeffs[d - 1] * qd, d * pd * qd)
-            if not rem:
-                shifted = []  # p(x + h), by Horner's rule in x + h
-                for c in reversed(p.coeffs):
-                    shifted = [h * a + b for a, b in zip(shifted + [0], [c] + shifted)]
-                if [a * pd for a in q.coeffs] == [b * qd for b in shifted]:
-                    if h:
-                        pairs.append((p, h))
-                    p, q = IntPoly.of(pd), IntPoly.of(qd)
+            if not rem and q * pd == p.compose_linear(h, 1) * qd:
+                if h:
+                    pairs.append((p, h))
+                p, q = IntPoly.of(pd), IntPoly.of(qd)
         if p.degree == q.degree == 0:
             g = math.gcd(p.lead, q.lead)
             p, q = IntPoly.of(p.lead // g), IntPoly.of(q.lead // g)
@@ -434,18 +430,14 @@ class ExactScan:
         _, p1, q1 = self.inst.shift_form
         return p1.coeffs in _UNITS and q1.coeffs in _UNITS
 
-    def _witness_test(self):
-        """(comparison, result): u_n is a witness exactly when
-        comparison(t) == result, i.e. u_n = t for Membership and u_n < t
-        for Threshold."""
-        if self.inst.problem is Problem.MEMBERSHIP:
-            return self.equals, True
-        return self.cmp, -1
+    def _witness_test(self) -> int:
+        """u_n is a witness exactly when cmp(t) is this: 0 for Membership
+        (u_n = t), -1 for Threshold (u_n < t)."""
+        return 0 if self.inst.problem is Problem.MEMBERSHIP else -1
 
     def hit(self) -> bool:
         """Whether u_n is a witness for inst.problem and inst.t."""
-        comparison, result = self._witness_test()
-        return comparison(self.inst.t) == result
+        return self.cmp(self.inst.t) == self._witness_test()
 
     def first_hit(self, stop: int | None = None, past: int = 0) -> int | None:
         """Least n in [self.n, stop) with a witness u_n, the scan left there;
@@ -469,13 +461,13 @@ class ExactScan:
     def _search(self, end: int, k1: int, past: int, through: bool) -> int | None:
         """The search loop of first_hit and first_past: per index below k1,
         skipping committed blocks past it (class docstring)."""
-        comparison, result = self._witness_test()
+        result = self._witness_test()
         t = self.inst.t
-        step = self.step
+        cmp, step = self.cmp, self.step
         hit = None
         low = min(end, k1)
         while self.n < low:
-            if hit is None and comparison(t) == result:
+            if hit is None and cmp(t) == result:
                 if not through:
                     return self.n
                 hit = self.n
@@ -484,7 +476,7 @@ class ExactScan:
         span = 1  # length of the next block tried
         while self.n < end:
             n = self.n
-            if hit is None and comparison(t) == result:
+            if hit is None and cmp(t) == result:
                 if not through:
                     return n
                 hit = n
@@ -586,14 +578,7 @@ class ExactScan:
         )
 
     def equals(self, t: Fraction) -> bool:
-        if self.zero_since is not None:
-            return t.numerator == 0
-        if t.numerator == 0 or (self._sign > 0) != (t.numerator > 0):
-            return False
-        if self._far(t):
-            return False
-        self._materialize()
-        return self._num * t.denominator == t.numerator * self._den
+        return self.cmp(t) == 0
 
     def cmp(self, t: Fraction) -> int:
         """sign(u_n - t), exact."""

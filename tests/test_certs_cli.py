@@ -297,6 +297,9 @@ class TestCertificates:
         assert serialize_certificate(a) == serialize_certificate(b)
 
 
+GOLDEN_SEED_11 = "a2f16c8a6ea623409b6fcb731d8ee34ecd894fc429c4c48ecac2689769391595"
+
+
 class TestCorpus:
     def test_deterministic(self):
         a = generate_documents(7, 20, "all")
@@ -329,6 +332,23 @@ class TestCorpus:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_documents(1, 1, "sextic")
+
+    def test_golden_certificate_digest(self):
+        """sha256 of the seed-11 certificates (20 per family, each decided
+        in its own mode, timing_ms dropped): a refactor leaves it alone.  A
+        deliberate change to verdicts or the certificate format updates the
+        pin and says why in CHANGES.md."""
+        import hashlib
+
+        from hgdecide.config import DEFAULT_CONFIG
+
+        digest = hashlib.sha256()
+        for family in FAMILIES:
+            for d in generate_documents(11, 20, family):
+                cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+                del cert["timing_ms"]
+                digest.update(serialize_certificate(cert).encode())
+        assert digest.hexdigest() == GOLDEN_SEED_11
 
 
 class TestCrossCheck:
@@ -514,6 +534,16 @@ NEAR_TIE = doc(
 NO_MATCHING = doc([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "1", "3/2")
 # balanced, monic, degree 17: the verdict reads L, whose oracle factors p
 DEGREE_17 = doc([7] + [0] * 16 + [1], [5] + [0] * 16 + [1], "1", "1/2", "threshold")
+# p = Phi5 * Phi10 and q = x^8 - 6x^6 + 11x^4 - 6x^2 + 1, L ~ 7.75455e-4:
+# the roots of Phi5 and Phi10 once sat in two towers of one field (exit 5)
+PHI5_PHI10 = [1, 0, 1, 0, 1, 0, 1, 0, 1]
+ONE_FIELD_Q = [1, 0, -6, 0, 11, 0, -6, 0, 1]
+ONE_FIELD_HOLDS = doc(PHI5_PHI10, ONE_FIELD_Q, "1", "7/10000", "threshold")
+ONE_FIELD_FAILS = doc(PHI5_PHI10, ONE_FIELD_Q, "1", "1/1000", "threshold")
+ONE_FIELD_NOT_MEMBER = doc(PHI5_PHI10, ONE_FIELD_Q, "1", "7/10000")
+# p = x^4 + x^2 + 2 has no exact roots; t is near the limit, so the
+# verdict reads it
+OPAQUE_ROOTS = doc([2, 0, 1, 0, 1], [6, 0, -5, 0, 1], "1", "10233/961898")
 X17_PLUS_7 = ",".join(map(str, [7] + [0] * 16 + [1]))
 X33_PLUS_1 = ",".join(map(str, [1] + [0] * 32 + [1]))
 
@@ -616,6 +646,15 @@ class TestExitCodes:
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),
             pytest.param(["recognize", "{f}"], "{bad json", 3, id="recognize-bad-json"),
+            pytest.param(["recognize", "--coeffs", "1,0,1,0,1,0,1,0,1"], None, 0, id="recognize-phi5-phi10"),
+            pytest.param(["recognize", "--coeffs=-4,0,0,0,0,0,1"], None, 0, id="recognize-x6-minus-4"),
+            pytest.param(
+                ["recognize", "--coeffs", "5,-5,5,0,1,-4,6,-4,1"], None, 0, id="recognize-phi5-mirrored"
+            ),
+            pytest.param(["decide", "{f}"], ONE_FIELD_HOLDS, 10, id="decide-one-field-holds"),
+            pytest.param(["decide", "{f}"], ONE_FIELD_FAILS, 11, id="decide-one-field-fails"),
+            pytest.param(["decide", "{f}"], ONE_FIELD_NOT_MEMBER, 11, id="decide-one-field-not-member"),
+            pytest.param(["decide", "{f}"], OPAQUE_ROOTS, 2, id="decide-unsupported-opaque-roots"),
             pytest.param(["recognize", "{missing}"], None, 3, id="recognize-missing"),
             pytest.param(["recognize", "--coeffs", "1,2"], None, 3, id="recognize-not-monic"),
             pytest.param(
@@ -682,6 +721,37 @@ class TestExitCodes:
         f.write_text(json.dumps({**DEGREE_17, "mode": mode}))
         assert main(["decide", str(f)]) == 2
         assert capsys.readouterr().err.startswith("unsupported instance: ")
+
+    def test_opaque_roots_name_the_missing_representation(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(OPAQUE_ROOTS))
+        assert main(["decide", str(f)]) == 2
+        assert "matched roots lack an exact tower representation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [ONE_FIELD_HOLDS, ONE_FIELD_FAILS, ONE_FIELD_NOT_MEMBER])
+    def test_one_field_verdicts_agree_with_the_gamma_limit(self, d):
+        """Each certificate verifies, agrees with brute force, and sides
+        with the mpmath gamma-product limit L = prod Gamma(-a) / prod
+        Gamma(-b) over the roots a of p and b of q."""
+        import mpmath
+
+        from hgdecide.config import DEFAULT_CONFIG
+
+        din = parse_instance(d)
+        cert = decide_document(din, DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        result = cert["verdict"] in ("member", "holds")
+        assert cross_check(din.inst, result, cert["witness"], 2000) is None
+        with mpmath.workdps(30):
+            limit = mpmath.mpf(1)
+            for f, e in ((d["p"], 1), (d["q"], -1)):
+                for r in mpmath.polyroots(f[::-1], maxsteps=200, extraprec=200):
+                    limit *= mpmath.gamma(-r) ** e
+            assert abs(limit.imag) < 1e-20 and abs(limit.real - 7.75455e-4) < 1e-9
+            t = mpmath.mpf(din.inst.t.numerator) / din.inst.t.denominator
+            # the sequence falls to L, so Threshold holds exactly when L >= t
+            expected = limit.real > t if din.inst.problem is Problem.THRESHOLD else False
+        assert result == expected
 
     def test_missing_file_does_not_stop_the_others(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -56,8 +56,24 @@ class TestPolyOps:
 
     def test_mirror_and_cauchy(self):
         f = IntPoly.of(13, -4, 1)
-        assert f.mirror(4) == f.to_q()
+        assert f.compose_linear(4, -1) == f
         assert f.cauchy_bound() == 14
+
+    def test_compose_linear_keeps_each_ring(self):
+        f = IntPoly.of(1, 2, 3)
+        assert f.compose_linear(2, 3) == IntPoly.of(17, 42, 27)
+        assert f.to_q().compose_linear(F(1, 2), 1) == QPoly.of(F(11, 4), 5, 3)
+        assert IntPoly(()).compose_linear(5, 1).is_zero
+        # an IntPoly substitutes integers only: no silent truncation
+        with pytest.raises(TypeError):
+            f.compose_linear(F(1, 2), 1)
+
+    @given(
+        st.lists(st.integers(-50, 50), max_size=7).map(lambda c: IntPoly(tuple(c))),
+        st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+    )
+    def test_compose_linear_evaluates_the_substitution(self, f, alpha, beta, x):
+        assert f.compose_linear(alpha, beta)(x) == f(alpha + beta * x)
 
 
 MERSENNE_61 = 2**61 - 1

@@ -1,5 +1,8 @@
+import cmath
+import dataclasses
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -16,6 +19,7 @@ from hgdecide.recognize import (
     _exact_roots,
     _factor_root_values,
     _maximum_matching,
+    _value_approx,
     NoMatching,
     build_symmetry_graph,
     check_radical_family,
@@ -102,8 +106,8 @@ def in_class_factors(draw):
         assume(b * b - 4 * c < 0 or perfect_power_root(b * b - 4 * c, 2) is None)
         return IntPoly.of(c, b, 1)
     if kind == "cyclotomic":
-        return cyclotomic(draw(st.sampled_from([8, 12, 16, 20, 24])))
-    d, a = draw(st.sampled_from([4, 6, 8])), draw(st.integers(-200, 200))
+        return cyclotomic(draw(st.sampled_from([8, 10, 12, 14, 16, 18, 20, 22, 24])))
+    d, a = draw(st.sampled_from([3, 4, 5, 6, 7, 8])), draw(st.integers(-200, 200))
     g = IntPoly((-a,) + (0,) * (d - 1) + (1,))
     assume(capelli_irreducible(d, a))
     assume(_exact_roots(g) is not None)  # the tower rejects Kummer-reducible a
@@ -157,6 +161,75 @@ class TestRootApproximations:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.split() == ["False"]
+
+
+# products whose mirrored exact factors once sat in two towers of one
+# field (or beside an opaque factor), so that matching them crashed
+ONE_FIELD_TWO_FACTORS = {
+    "phi5*phi10": cyclotomic(5) * cyclotomic(10),
+    "phi7*phi14": cyclotomic(7) * cyclotomic(14),
+    "phi9*phi18": cyclotomic(9) * cyclotomic(18),
+    "x^6-4": IntPoly((-4,) + (0,) * 5 + (1,)),
+    "x^10-4": IntPoly((-4,) + (0,) * 9 + (1,)),
+    "phi5(x)*phi5(1-x)": IntPoly((5, -5, 5, 0, 1, -4, 6, -4, 1)),
+}
+
+
+class TestOneTowerPerField:
+    @pytest.mark.parametrize("f", ONE_FIELD_TWO_FACTORS.values(), ids=ONE_FIELD_TWO_FACTORS.keys())
+    def test_mirrored_factors_match(self, f):
+        cert = find_symmetric_matching(f)
+        assert isinstance(cert, MatchingCertificate)
+        validate_matching(f, cert)
+        assert 2 * len(cert.pairs) == f.degree
+
+    @pytest.mark.parametrize(
+        "f", [IntPoly((2, 0, 1, 0, 1)), ONE_FIELD_TWO_FACTORS["phi5(x)*phi5(1-x)"]],
+        ids=["x^4+x^2+2", "phi5(x)*phi5(1-x)"],
+    )
+    def test_pairs_with_an_opaque_root_carry_no_offset(self, f):
+        """x^4 + x^2 + 2 is opaque and mirrors itself at c = 0; Phi5(1 - x)
+        is opaque and mirrors Phi5 at c = 1: partners found by floats."""
+        cert = find_symmetric_matching(f)
+        assert isinstance(cert, MatchingCertificate)
+        validate_matching(f, cert)
+        graph = build_symmetry_graph(f)
+        assert any(fr.values[0] is None for fr in graph.factors)
+        for p in cert.pairs:
+            exact = all(graph.factors[v.factor].values[v.root] is not None for v in (p.u, p.v))
+            assert (p.w is not None) == exact
+
+    def test_offset_needs_both_roots_exact(self):
+        f = ONE_FIELD_TWO_FACTORS["phi5(x)*phi5(1-x)"]
+        cert = find_symmetric_matching(f)
+        p0 = cert.pairs[0]
+        u_val = build_symmetry_graph(f).factors[p0.u.factor].values[p0.u.root]
+        forged = dataclasses.replace(p0, w=u_val - p0.rho)
+        with pytest.raises(DecideError, match="exact roots"):
+            validate_matching(f, MatchingCertificate(f, (forged,) + cert.pairs[1:]))
+
+    def test_validator_rejects_a_pair_of_opaque_roots_that_do_not_mirror(self):
+        """x^4 + x^2 + 2 mirrors r0 to r3 and r1 to r2 (its roots are +-z,
+        +-conj(z)); pairing r0 with r1 passes the factor's mirror identity
+        but is no edge."""
+        f = IntPoly((2, 0, 1, 0, 1))
+        p0, p1 = find_symmetric_matching(f).pairs
+        swapped = (dataclasses.replace(p0, v=p1.u), dataclasses.replace(p1, u=p0.v))
+        with pytest.raises(DecideError, match="not an edge"):
+            validate_matching(f, MatchingCertificate(f, swapped))
+
+    @pytest.mark.parametrize("n", [10, 14, 18, 22])
+    def test_phi_2m_roots_in_order_and_in_the_tower_of_phi_m(self, n):
+        vals = _exact_roots(cyclotomic(n))
+        ref = [cmath.exp(2j * cmath.pi * k / n) for k in range(1, n) if math.gcd(k, n) == 1]
+        assert [abs(_value_approx(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * len(ref)
+        assert vals[0].tower == _exact_roots(cyclotomic(n // 2))[0].tower
+
+    def test_x3_plus_2_roots_in_order_and_in_the_tower_of_x3_minus_2(self):
+        vals = _exact_roots(IntPoly.of(2, 0, 0, 1))
+        ref = [-cmath.exp(2j * cmath.pi * j / 3) * 2 ** (1 / 3) for j in range(3)]
+        assert [abs(_value_approx(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * 3
+        assert vals[0].tower == _exact_roots(IntPoly.of(-2, 0, 0, 1))[0].tower
 
 
 @st.composite
