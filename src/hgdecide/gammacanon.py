@@ -36,15 +36,15 @@ equality decisions never compare tuples structurally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import DyadicInterval
 from .enclosure import exp_interval, pi_interval, sqrt_int_interval
-from .errors import DecideError, UnsupportedInstance
+from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import format_rat, is_half_integer
-from .numutil import divisors
 from .polys import IntPoly, RootMultiset, coprime, cyclotomic
 from .sequence import classify
 
@@ -125,15 +125,30 @@ def translation_squares(rho: Fraction) -> tuple[tuple[Fraction, ...], bool]:
     return squares, n >= 0
 
 
+# bits either side of `integer_gamma_ratio` may have before it is multiplied
+GAMMA_RATIO_BITS = 2**18
+
+
 def integer_gamma_ratio(num_args, den_args) -> Fraction:
-    """prod Gamma(a) / prod Gamma(b) for integer arguments a, b >= 1."""
+    """prod Gamma(a) / prod Gamma(b) for integer arguments a, b >= 1.
+
+    The sorted arguments are paired, an unpaired one with 1, and
+    Gamma(a)/Gamma(b) is the rising product over range(min, max) on the
+    side of the larger.  k factors below c have at most k * bit_length(c)
+    bits, so a side past GAMMA_RATIO_BITS raises PrecisionExceeded before
+    anything is multiplied.
+    """
     for a in (*num_args, *den_args):
         if Fraction(a).denominator != 1 or a < 1:
             raise DecideError(f"rational gamma argument {a} out of range")
-    return Fraction(
-        math.prod(math.factorial(int(a) - 1) for a in num_args),
-        math.prod(math.factorial(int(b) - 1) for b in den_args),
-    )
+    sides = ([], [])  # the ranges multiplied into the numerator, the denominator
+    for a, b in itertools.zip_longest(sorted(num_args), sorted(den_args), fillvalue=1):
+        sides[a < b].append(range(int(min(a, b)), int(max(a, b))))
+    bits = max(sum((r.stop - r.start) * r.stop.bit_length() for r in side) for side in sides)
+    if bits > GAMMA_RATIO_BITS:
+        raise PrecisionExceeded("a rational gamma ratio too large to multiply out")
+    num, den = (math.prod(math.perm(r.stop - 1, r.stop - r.start) for r in side) for side in sides)
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +292,10 @@ def canonicalize(gp: GammaProduct) -> CanonicalConstant:
                 # A * pi * 2 x^e / (b sqrt(m) (x^{2e}-1)); 1/sqrt(m) = sqrt(m)/m
                 coef /= b * m
                 k += side
-                phis = divisors(2 * e)
+                phis = [n for n in range(1, 2 * e + 1) if (2 * e) % n == 0]
             else:
                 # A * pi * 2 x^e / (x^{2e}+1)
-                phis = [n for n in divisors(4 * e) if (2 * e) % n]
+                phis = [n for n in range(1, 4 * e + 1) if (4 * e) % n == 0 and (2 * e) % n]
             theta *= coef**side
             ell += side
             x_exp += side * e

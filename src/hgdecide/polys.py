@@ -1,26 +1,32 @@
 """Polynomials over Z and Q: exact arithmetic, factorization into
-irreducibles at desk scale, quadratic-field root extraction, cyclotomics.
+irreducibles, quadratic-field root extraction, cyclotomics.
 
 IntPoly/QPoly are dense ascending coefficient tuples.  Degree is capped at
 32 and input coefficients at 256 bits; beyond the caps operations reject
 with a diagnostic instead of risking unbounded searches.
+
+Integer roots and irreducible factors come from one exact modular kernel
+(Zassenhaus: factor mod a prime, Hensel-lift, recombine; Cantor and
+Zassenhaus, Math. Comp. 36, 1981; von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 14-15).  Nothing here is numeric.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DecideError, UnsupportedInstance
-from .numutil import divisors, euler_phi, factorize, perfect_power_root, squarefree_decompose
+from .numutil import euler_phi, factorize, perfect_power_root, squarefree_decompose
 
 DEGREE_CAP = 32
 COEFF_BIT_CAP = 256
-_FACTOR_DEGREE_CAP = 16  # completeness limit of the subset factor search
+_FACTOR_DEGREE_CAP = 16  # factor_monic's limit; recombination then tries <= 39202 subsets
 
 
 def _trim(coeffs):
@@ -180,13 +186,6 @@ class IntPoly(_Poly):
         sign = 1 if self.lead > 0 else -1
         return IntPoly(tuple(x // (c * sign) for x in self.coeffs))
 
-    def cauchy_bound(self) -> Fraction:
-        """All complex roots have |z| < this bound."""
-        if self.degree < 1:
-            return Fraction(0)
-        lead = abs(self.lead)
-        return 1 + max(Fraction(abs(c), lead) for c in self.coeffs[:-1])
-
     def __repr__(self):
         if self.is_zero:
             return "IntPoly(0)"
@@ -219,33 +218,12 @@ class QPoly(_Poly):
                     rem[i + j] -= c * dc
         return QPoly(tuple(q)), QPoly(tuple(rem[:dd]))
 
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lead)
-
-    def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic gcd over Q."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divrem(b)[1]
-        return a.monic() if not a.is_zero else a
-
     def substitute_square(self) -> "QPoly":
         """g(x) -> g(x^2)."""
         out = [Fraction(0)] * (2 * len(self.coeffs) - 1) if self.coeffs else []
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
         return QPoly(tuple(out))
-
-    def clear_denominators(self) -> IntPoly:
-        """Primitive integer polynomial with the same roots, positive lead."""
-        if self.is_zero:
-            return IntPoly(())
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        return IntPoly(tuple(int(c * lcm) for c in self.coeffs)).primitive_part()
 
     def __repr__(self):
         return "QPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -257,30 +235,84 @@ class QPoly(_Poly):
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """gcd over Q, returned as the primitive integer representative."""
-    g = a.to_q().gcd(b.to_q())
-    return g.clear_denominators()
+    """gcd over Q as its primitive integer representative with positive lead,
+    by Euclid over Z on pseudo-remainders made primitive (Gauss's lemma)."""
+    a, b = a.primitive_part(), b.primitive_part()
+    while not b.is_zero:
+        rem, db, lb = list(a.coeffs), b.degree, b.lead
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem.pop()
+            rem = [r * lb for r in rem]
+            for j in range(db):
+                rem[i - db + j] -= c * b.coeffs[j]
+        a, b = b, IntPoly(rem).primitive_part()
+    return a
+
+
+# ---------------------------------------------------------------------------
+# (Z/m)[x]: ascending coefficient lists, entries in [0, m), no high zeros
+# ---------------------------------------------------------------------------
+
+
+def _trim_mod(a, m: int) -> list[int]:
+    a = [c % m for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _add_mod(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    """a + sign*b."""
+    return _trim_mod([x + sign * y for x, y in itertools.zip_longest(a, b, fillvalue=0)], m)
+
+
+def _mul_mod(polys, m: int) -> list[int]:
+    """The product of the lists in `polys`."""
+    out = [1]
+    for b in polys:
+        prod = [0] * (len(out) + len(b) - 1) if b else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = _trim_mod(prod, m)
+    return out
+
+
+def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, whose lead is a unit mod m."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = q[i - db] = rem[i] * inv % m
+        if c:
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return _trim_mod(q, m), _trim_mod(rem[:db], m)
+
+
+def _pow_mod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod f."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod((out, a), m), f, m)[1]
+        e >>= 1
+        a = _divmod_mod(_mul_mod((a, a), m), f, m)[1] if e else a
+    return out
+
+
+def _gcd_mod(a: list[int], b: list[int], l: int) -> list[int]:
+    """Monic gcd, l prime, a nonzero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, l)[1]
+    inv = pow(a[-1], -1, l)
+    return [c * inv % l for c in a]
 
 
 # Mersenne prime modulus of the coprimality filter
 _COPRIME_MODULUS = 2**61 - 1
-
-
-def _rem_mod(a: list[int], b: list[int], mod: int) -> list[int]:
-    """Remainder of a by b in (Z/mod)[x]; b has a unit leading coefficient."""
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, mod)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % mod
-        if c:
-            base = i - db
-            for j in range(db):
-                rem[base + j] = (rem[base + j] - c * b[j]) % mod
-    rem = rem[:db]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
 
 
 def coprime(a: IntPoly, b: IntPoly) -> bool:
@@ -297,11 +329,7 @@ def coprime(a: IntPoly, b: IntPoly) -> bool:
     """
     mod = _COPRIME_MODULUS
     if not a.is_zero and not b.is_zero and a.lead % mod and b.lead % mod:
-        x = [c % mod for c in a.coeffs]
-        y = [c % mod for c in b.coeffs]
-        while y:
-            x, y = y, _rem_mod(x, y, mod)
-        if len(x) == 1:
+        if len(_gcd_mod(_trim_mod(a.coeffs, mod), _trim_mod(b.coeffs, mod), mod)) == 1:
             return True
     return poly_gcd(a, b).degree < 1
 
@@ -378,104 +406,126 @@ def has_negative_real_root(f: QPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def integer_roots(f: IntPoly) -> list[int]:
+@lru_cache(maxsize=1024)
+def _squarefree_part(f: IntPoly) -> IntPoly:
+    """f over gcd(f, f'): the same roots, each once."""
+    df = f.derivative()
+    return f if coprime(f, df) else f.exact_div(poly_gcd(f, df))
+
+
+def _good_prime(f: IntPoly, df: IntPoly) -> int:
+    """The least odd prime l dividing neither the lead nor the (nonzero)
+    discriminant of f, squarefree with derivative df: f stays so mod l."""
+    l = 3
+    while True:
+        if f.lead % l and all(l % k for k in range(3, math.isqrt(l) + 1, 2)):
+            if len(_gcd_mod(_trim_mod(f.coeffs, l), _trim_mod(df.coeffs, l), l)) == 1:
+                return l
+        l += 2
+
+
+def _modular_factors(f: list[int], l: int) -> list[list[int]]:
+    """The monic irreducible factors of f, monic and squarefree mod l odd:
+    distinct-degree splitting by gcd(x^(l^d) - x, f), then Cantor-Zassenhaus
+    on each product g of degree-d factors, where gcd(a^((l^d - 1)/2) - 1, g)
+    splits g for about half of all a, drawn from a fixed seed."""
+    rng = random.Random(l)
+    out, split = [], []
+    h = [0, 1]  # x^(l^d) mod f
+    d = 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _pow_mod(h, l, f, l)
+        g = _gcd_mod(f, _add_mod(h, [0, 1], l, -1), l)
+        if len(g) > 1:
+            split.append((g, d))
+            f = _divmod_mod(f, g, l)[0]
+            h = _divmod_mod(h, f, l)[1]
+    split += [(f, len(f) - 1)] if len(f) > 1 else []
+    while split:
+        g, d = split.pop()
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        a = _trim_mod([rng.randrange(l) for _ in range(len(g) - 1)], l)
+        s = _gcd_mod(g, _add_mod(_pow_mod(a, (l**d - 1) // 2, g, l), [1], l, -1), l)
+        split += [(s, d), (_divmod_mod(g, s, l)[0], d)] if 1 < len(s) < len(g) else [(g, d)]
+    return out
+
+
+def _hensel(f, g: list[int], l: int, M: int) -> list[int]:
+    """The monic factor mod M = l^(2^j) of f that is g mod l, for g monic
+    irreducible mod l and f squarefree mod l with a unit lead: Newton steps
+    m -> m^2, where f = q*g + r with r = 0 mod m and u = 1/q mod g (kept by
+    u <- u*(2 - q*u); at first q^(l^d - 2) in the field (Z/l)[x]/(g) of
+    l^d elements) make g + (r*u mod g) divide f mod m^2."""
+    u = _pow_mod(_divmod_mod(f, g, l)[0], l ** (len(g) - 1) - 2, g, l)
+    m = l
+    while m < M:
+        m *= m
+        q, r = _divmod_mod(f, g, m)
+        u = _divmod_mod(_mul_mod((u, _add_mod([2], _mul_mod((q, u), m), m, -1)), m), g, m)[1]
+        g = _add_mod(g, _divmod_mod(_mul_mod((r, u), m), g, m)[1], m)
+    return g
+
+
+def _irreducible_factors(f: IntPoly) -> list[IntPoly]:
+    """The irreducible factors over Q of f, monic and squarefree (Zassenhaus):
+    a monic factor of f has coefficients below B = 2^n * ||f||_2 (Mignotte),
+    so mod M > 2B it is the symmetric residue of a product of lifted modular
+    factors.  Subsets are tried by increasing size, each checked by exact
+    division, until what is left has no factor from half its lifts or fewer."""
+    l = _good_prime(f, f.derivative())
+    factors = _modular_factors(_trim_mod(f.coeffs, l), l)
+    if len(factors) == 1:
+        return [f]
+    bound = 2 * ((math.isqrt(sum(c * c for c in f.coeffs)) + 1) << f.degree)
+    M = l
+    while M <= bound:
+        M *= M
+    lifts = [_hensel(f.coeffs, g, l, M) for g in factors]
+    out = []
+    size = 1
+    while 2 * size <= len(lifts):
+        for subset in itertools.combinations(range(len(lifts)), size):
+            prod = _mul_mod((lifts[i] for i in subset), M)
+            g = IntPoly(tuple(c - M if 2 * c > M else c for c in prod))
+            if g.divides(f):
+                out.append(g)
+                f = f.exact_div(g)
+                lifts = [h for i, h in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+@lru_cache(maxsize=1024)
+def integer_roots(f: IntPoly) -> tuple[int, ...]:
     """Sorted distinct integer roots of a nonzero integer polynomial.
 
-    A nonzero integer root divides the constant term once the factor x^k
-    at zero is removed, so the candidates are the signed divisors of it.
-    """
+    An integer root of the squarefree part g is 0 or divides its lowest
+    nonzero coefficient, so it is at most c = max |coefficient|.  Roots of g
+    mod l (`_good_prime`) are simple, so Newton steps lift each past 2c, and
+    its symmetric residue, the only integer root it can be, is tested."""
     if f.is_zero:
         raise DecideError("zero polynomial")
-    roots = set()
-    g = f
-    if g.coeffs[0] == 0:
-        roots.add(0)
-        while g.coeffs[0] == 0:
-            g = IntPoly(g.coeffs[1:])
-    if g.degree >= 1:
-        for d in divisors(g.coeffs[0]):
-            for r in (d, -d):
-                if g(r) == 0:
-                    roots.add(r)
-    return sorted(roots)
-
-
-# working precision of the numeric root proposals, in decimal digits
-_ROOT_DIGITS = 60
-
-
-@lru_cache(maxsize=512)
-def numeric_roots(f: IntPoly) -> tuple:
-    """All complex roots of f as mpmath numbers, to _ROOT_DIGITS digits.
-
-    Runs under `mpmath.workdps`, so mpmath's global precision is untouched.
-    """
-    import mpmath
-
-    with mpmath.workdps(_ROOT_DIGITS):
-        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
-        return tuple(mpmath.polyroots(coeffs, maxsteps=200, extraprec=400))
-
-
-def _integer_root_product(roots: tuple, subset: tuple) -> tuple[int, ...] | None:
-    """Descending coefficients of prod (x - roots[i]) over `subset`, rounded
-    to integers, or None when some coefficient is not within 0.01 of one.
-
-    A function of its own so that the `workdps` block never spans a yield
-    of `_candidate_factors`, which would leak the precision to the caller.
-    """
-    import mpmath
-
-    with mpmath.workdps(_ROOT_DIGITS):
-        poly = [mpmath.mpc(1)]
-        for idx in subset:
-            r = roots[idx]
-            poly = (
-                [poly[0]]
-                + [poly[i] - r * poly[i - 1] for i in range(1, len(poly))]
-                + [-r * poly[-1]]
-            )
-        cand = []
-        for c in poly:
-            if abs(mpmath.im(c)) > 0.01:
-                return None
-            n = int(mpmath.nint(mpmath.re(c)))
-            if abs(mpmath.re(c) - n) > 0.01:
-                return None
-            cand.append(n)
-    return tuple(cand)
-
-
-def _candidate_factors(f: IntPoly, k: int):
-    """Degree-k monic integer candidate divisors of f, numerically proposed.
-
-    Candidates come from subsets of the numeric roots; callers verify each
-    one by exact division, so precision only affects completeness, and 60
-    digits is far beyond what desk-scale separations need.
-    """
-    roots = numeric_roots(f)
-    seen = set()
-    for subset in itertools.combinations(range(len(roots)), k):
-        key = _integer_root_product(roots, subset)
-        if key is None or key in seen:
+    g = _squarefree_part(f)
+    dg = g.derivative()
+    l = _good_prime(g, dg)
+    bound = 2 * max(abs(c) for c in g.coeffs)
+    roots = []
+    for r in range(l):
+        if g(r) % l:
             continue
-        seen.add(key)
-        yield IntPoly(tuple(reversed(key)))
-
-
-def _quadratic_candidates_from_constant(f: IntPoly):
-    """x^2 + B*x + C with C | f(0): exact fallback for quadratic factors."""
-    if not f.coeffs or f.coeffs[0] == 0:
-        return
-    const = abs(f.coeffs[0])
-    bound = f.cauchy_bound()
-    bmax = int(2 * bound) + 1
-    if bmax > 1000 or len(divisors(const)) > 2000:
-        return
-    for c in divisors(const):
-        for cc in (c, -c):
-            for b in range(-bmax, bmax + 1):
-                yield IntPoly.of(cc, b, 1)
+        m = l
+        while m <= bound:
+            m *= m
+            r = (r - g(r) * pow(dg(r), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if g(r) == 0:
+            roots.append(r)
+    return tuple(sorted(roots))
 
 
 def x_power_minus_a(f: IntPoly) -> tuple[int, int] | None:
@@ -499,24 +549,13 @@ def capelli_irreducible(d: int, a: int) -> bool:
     return True
 
 
-def _known_irreducible(f: IntPoly) -> bool:
-    """Cheap certified-irreducibility shapes: cyclotomic and x^d - a."""
-    if cyclotomic_index(f) is not None:
-        return True
-    shape = x_power_minus_a(f)
-    return shape is not None and capelli_irreducible(*shape)
-
-
 @lru_cache(maxsize=1024)
 def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Irreducible factorization of a monic integer polynomial over Q.
-
-    Rational roots come from divisor search; higher-degree factors from
-    numeric root clustering verified by exact division.  Searching degrees
-    in increasing order certifies irreducibility of everything reported: a
-    degree-k divisor found after all smaller degrees were exhausted can
-    have no proper factor, and the final remainder has none either.
-    """
+    """Irreducible factorization of a monic integer polynomial over Q, as
+    (factor, multiplicity) sorted by degree and coefficients: the roots of
+    `integer_roots`, then the rest of the squarefree part, irreducible up to
+    degree 3 and else split by `_irreducible_factors`; multiplicities are
+    counted by exact division."""
     if not f.is_monic:
         raise DecideError("factor_monic expects a monic polynomial")
     f.check_caps()
@@ -524,42 +563,19 @@ def factor_monic(f: IntPoly) -> list[tuple[IntPoly, int]]:
         raise UnsupportedInstance(
             f"factorization supported up to degree {_FACTOR_DEGREE_CAP}; got {f.degree}"
         )
-    factors: list[IntPoly] = []
-    rest = f
-    for r in integer_roots(f):
-        lin = IntPoly.of(-r, 1)
-        while lin.divides(rest):
-            rest = rest.exact_div(lin)
-            factors.append(lin)
-    if rest.degree >= 2 and _known_irreducible(rest):
-        return sorted(
-            {g: factors.count(g) for g in factors}.items() | {(rest, 1)},
-            key=lambda t: (t[0].degree, t[0].coeffs),
-        )
-    k = 2
-    while 2 * k <= rest.degree:
-        gcd_der = poly_gcd(rest, rest.derivative())
-        squarefree = rest.exact_div(gcd_der) if gcd_der.degree >= 1 else rest
-        found = None
-        for cand in itertools.chain(
-            _candidate_factors(squarefree, k),
-            _quadratic_candidates_from_constant(rest) if k == 2 else (),
-        ):
-            if cand.degree == k and cand.is_monic and cand.divides(rest):
-                found = cand
-                break
-        if found is None:
-            k += 1
-            continue
-        while found.divides(rest):
-            rest = rest.exact_div(found)
-            factors.append(found)
-    if rest.degree >= 1:
-        factors.append(rest)
-    out: dict[IntPoly, int] = {}
+    factors = [IntPoly.of(-r, 1) for r in integer_roots(f)]
+    rest = _squarefree_part(f)
     for g in factors:
-        out[g] = out.get(g, 0) + 1
-    return sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+        rest = rest.exact_div(g)
+    factors += _irreducible_factors(rest) if rest.degree > 3 else [rest] if rest.degree else []
+    out = []
+    for g in factors:
+        k = 0
+        while g.divides(f):
+            f = f.exact_div(g)
+            k += 1
+        out.append((g, k))
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
 # ---------------------------------------------------------------------------

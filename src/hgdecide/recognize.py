@@ -38,7 +38,6 @@ from .polys import (
     cyclotomic_index,
     factor_monic,
     has_negative_real_root,
-    numeric_roots,
     roots_quadratic,
     x_power_minus_a,
 )
@@ -62,6 +61,17 @@ def _tower(kind: type, *params) -> Tower:
 # ---------------------------------------------------------------------------
 # Per-factor root representations
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=512)
+def numeric_roots(f: IntPoly) -> tuple:
+    """The complex roots of an opaque factor f, one with no exact tower, as
+    60-digit mpmath numbers; mpmath's global precision is left alone."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
+        return tuple(mpmath.polyroots(coeffs, maxsteps=200, extraprec=400))
 
 
 @dataclass(frozen=True)

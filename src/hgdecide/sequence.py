@@ -83,12 +83,12 @@ class HGInstance:
     @functools.cached_property
     def p_roots(self) -> tuple[int, ...]:
         """Sorted distinct integer roots of p, all negative (validated)."""
-        return tuple(integer_roots(self.p))
+        return integer_roots(self.p)
 
     @functools.cached_property
     def q_roots(self) -> tuple[int, ...]:
         """Sorted distinct integer roots of q, searched on first use."""
-        return tuple(integer_roots(self.q))
+        return integer_roots(self.q)
 
     @property
     def first_zero_of_q(self) -> int | None:

@@ -22,6 +22,8 @@ def doc(p, q, u0, t, problem="membership", mode="auto"):
 
 
 WORKED = doc([13, -4, 1], [5, -4, 1], "1", "1/13")
+# the product of two primes near 2^100
+PQ = (2**100 + 277) * (2**100 + 331)
 
 
 class TestDocuments:
@@ -65,6 +67,20 @@ class TestDocuments:
     def test_integer_rationals_parse(self):
         d = parse_instance({**WORKED, "u0": 3, "t": -2})
         assert d.inst.u0 == 3 and d.inst.t == -2
+
+    # p = x - PQ: its root is found without factoring PQ
+    def test_root_at_a_large_semiprime_is_refused(self, tmp_path, capsys):
+        bad = {**WORKED, "p": [-PQ, 1]}
+        with pytest.raises(ParseError, match=f"p vanishes at nonnegative integer {PQ}"):
+            parse_instance(bad)
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(bad))
+        assert main(["decide", str(f)]) == 3
+        capsys.readouterr()
+
+    def test_negative_root_at_a_large_semiprime_parses(self):
+        d = parse_instance({**WORKED, "p": [3 * PQ, PQ + 3, 1]})
+        assert d.inst.p_roots == (-PQ, -3)
 
 
 class TestCertificates:
@@ -643,7 +659,29 @@ class TestExitCodes:
                 ["canon", "{f}"], doc([20000, 20001, 1], [100010000, 20001, 1], "1", "1"), 4,
                 id="canon-resource-theta-too-long-to-print",
             ),
+            # p = (x + 1)(x + 2N), q = (x + N)(x + N + 1): theta is about
+            # 2^(2N), refused before it is multiplied
+            *(
+                pytest.param(
+                    ["canon", "{f}"],
+                    doc([2 * n, 2 * n + 1, 1], [n * (n + 1), 2 * n + 1, 1], "1", "1"),
+                    4,
+                    id=f"canon-resource-gamma-ratio-{label}",
+                )
+                for n, label in ((10**6, "1e6"), (2**100, "2-to-100"))
+            ),
             pytest.param(["recognize", "--coeffs", "13,-4,1"], None, 0, id="recognize-ok"),
+            # a degree-16 product of two octics
+            pytest.param(
+                ["recognize", "--coeffs", "1,0,-1,0,0,0,1,0,-1,0,1,0,0,0,-1,0,1"], None, 0,
+                id="recognize-phi15-phi30",
+            ),
+            # x^2 + x + (PQ + 1)/4: the discriminant -PQ has no factor
+            # within the Pollard rho budget
+            pytest.param(
+                ["recognize", "--coeffs", f"{(PQ + 1) // 4},1,1"], None, 4,
+                id="recognize-resource-semiprime-discriminant",
+            ),
             pytest.param(["recognize", "{f}"], {"coeffs": [13, -4, 1]}, 0, id="recognize-ok-file"),
             pytest.param(["recognize", "{f}"], "{bad json", 3, id="recognize-bad-json"),
             pytest.param(["recognize", "--coeffs", "1,0,1,0,1,0,1,0,1"], None, 0, id="recognize-phi5-phi10"),

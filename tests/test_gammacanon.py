@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import DecideError, UnsupportedInstance
+from hgdecide.errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from hgdecide.gammacanon import (
     X_POWER_CAP,
     CanonicalConstant,
@@ -356,3 +356,36 @@ class TestThetaAgainstGammaRatio:
         p, q = (math.prod(fs, start=IntPoly.of(1)) for fs in (p_factors, q_factors))
         c = canonicalize(limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q)))
         assert gamma_ratio_limit(F(1), p_factors, q_factors, prec) in c.limit_enclosure(prec)
+
+
+class TestIntegerGammaRatio:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 200), max_size=5), st.lists(st.integers(1, 200), max_size=5))
+    def test_rising_products_are_the_factorial_ratio(self, num, den):
+        want = F(
+            math.prod(math.factorial(a - 1) for a in num),
+            math.prod(math.factorial(b - 1) for b in den),
+        )
+        assert integer_gamma_ratio(num, den) == want
+
+    def test_each_side_is_bounded_at_2_to_the_18_bits(self):
+        # (a - 1)! is bounded by (a - 1) * bit_length(a) bits: 16999 * 15
+        # = 254985 is under 2^18 = 262144, and 17999 * 15 = 269985 over it
+        assert integer_gamma_ratio([17000], [1]) == math.factorial(16999)
+        for num, den in (([18000], [1]), ([2], [18000])):
+            with pytest.raises(PrecisionExceeded):
+                integer_gamma_ratio(num, den)
+
+    @pytest.mark.parametrize("n", [10**6, 2**100], ids=["1e6", "2^100"])
+    def test_far_apart_arguments_are_a_resource_error(self, n):
+        # p = (x + 1)(x + 2n), q = (x + n)(x + n + 1): theta is
+        # Gamma(1) Gamma(2n) / (Gamma(n) Gamma(n + 1)), about 2^(2n) at n = 10^6
+        p, q = IntPoly.of(2 * n, 2 * n + 1, 1), IntPoly.of(n * (n + 1), 2 * n + 1, 1)
+        with pytest.raises(PrecisionExceeded, match="gamma ratio"):
+            canon_of(p, q)
+
+    def test_ten_thousand_apart_still_multiplies(self):
+        # the canon-resource-theta-too-long-to-print instance: each side
+        # is under the bound, and theta comes out at about 2^19992
+        p, q = IntPoly.of(20000, 20001, 1), IntPoly.of(100010000, 20001, 1)
+        assert canon_of(p, q).theta_a.numerator.bit_length() > 19000

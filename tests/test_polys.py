@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import DecideError, UnsupportedInstance
-from hgdecide.numutil import perfect_power_root
+from hgdecide.errors import DecideError, PrecisionExceeded, UnsupportedInstance
+from hgdecide.numutil import factorize, perfect_power_root
 from hgdecide.polys import (
+    COEFF_BIT_CAP,
     IntPoly,
     NotSplitting,
     QPoly,
@@ -17,6 +19,7 @@ from hgdecide.polys import (
     cyclotomic_index,
     factor_monic,
     has_negative_real_root,
+    integer_roots,
     poly_gcd,
     roots_quadratic,
 )
@@ -57,7 +60,6 @@ class TestPolyOps:
     def test_mirror_and_cauchy(self):
         f = IntPoly.of(13, -4, 1)
         assert f.compose_linear(4, -1) == f
-        assert f.cauchy_bound() == 14
 
     def test_compose_linear_keeps_each_ring(self):
         f = IntPoly.of(1, 2, 3)
@@ -210,6 +212,116 @@ class TestFactor:
     def test_degree_past_the_search_limit_is_unsupported(self):
         with pytest.raises(UnsupportedInstance, match="up to degree 16; got 17"):
             factor_monic(IntPoly.of(7, *[0] * 16, 1))
+
+
+# the product of the first 40 primes, with 2^40 divisors
+C40 = math.prod(p for p in range(2, 174) if all(p % d for d in range(2, p)))
+# primes near 2^100: Pollard rho finds no factor of P100 * Q100 in its budget
+P100, Q100 = 2**100 + 277, 2**100 + 331
+X8_MINUS_2 = IntPoly((-2,) + (0,) * 7 + (1,))
+
+
+def sympy_factors(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    """sympy's factorization over Z of f (content dropped), as factor_monic
+    sorts it."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    out = [(IntPoly(tuple(int(c) for c in reversed(g.all_coeffs()))), m) for g, m in factors]
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def within_caps(factors: list[IntPoly]) -> IntPoly:
+    """The product of the longest prefix of factors within the coefficient cap."""
+    out = IntPoly.of(1)
+    for g in factors:
+        if any(abs(c).bit_length() > COEFF_BIT_CAP for c in (out * g).coeffs):
+            break
+        out = out * g
+    return out
+
+
+@st.composite
+def monic_products(draw):
+    """Monic products of degree <= 16, factor coefficients up to 2^64, some
+    factors repeated."""
+    factors, degree = [], 0
+    while degree < 16 and (not factors or draw(st.booleans())):
+        d = draw(st.integers(1, min(8, 16 - degree)))
+        bound = 2 ** draw(st.sampled_from([1, 4, 16, 64]))
+        g = IntPoly(tuple(draw(st.integers(-bound, bound)) for _ in range(d)) + (1,))
+        factors += [g] * (2 if degree + 2 * d <= 16 and draw(st.booleans()) else 1)
+        degree = sum(h.degree for h in factors)
+    return within_caps(factors)
+
+
+@st.composite
+def nonmonic_with_roots(draw):
+    """Non-monic polynomials of degree <= 32: linear factors a*x - b (b up
+    to 2^100, a | b or not), some repeated, times a random cofactor."""
+    factors = []
+    for _ in range(draw(st.integers(1, 8))):
+        a, b = draw(st.integers(1, 6)), draw(st.integers(-(2**100), 2**100))
+        b = b * a if draw(st.booleans()) else b
+        factors += [IntPoly.of(-b, a)] * draw(st.integers(1, 3))
+    cofactor = [draw(st.integers(-1000, 1000)) for _ in range(draw(st.integers(1, 13)))]
+    factors.append(IntPoly(tuple(cofactor) + (draw(st.integers(-9, 9)) or 1,)))
+    while sum(g.degree for g in factors) > 32:
+        factors.pop(0)
+    return within_caps(draw(st.permutations(factors)))
+
+
+class TestModularKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(monic_products())
+    def test_factor_monic_matches_sympy(self, f):
+        assert factor_monic(f) == sympy_factors(f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nonmonic_with_roots())
+    def test_integer_roots_match_sympy(self, f):
+        want = {-g.coeffs[0] // g.coeffs[1] for g, _ in sympy_factors(f)
+                if g.degree == 1 and g.coeffs[0] % g.coeffs[1] == 0}
+        assert integer_roots(f) == tuple(sorted(want))
+
+    def test_root_of_many_divisors(self):
+        assert integer_roots(IntPoly.of(-C40, 1)) == (C40,)
+
+    def test_root_of_a_large_semiprime(self):
+        assert integer_roots(IntPoly.of(-P100 * Q100, 1)) == (P100 * Q100,)
+        assert integer_roots(IntPoly.of(3, 1) * IntPoly.of(P100 * Q100, 1)) == (-P100 * Q100, -3)
+
+    def test_integer_roots_is_a_tuple_with_zero_and_repeats(self):
+        f = IntPoly.of(0, 0, 1) * IntPoly.of(-4, 2) * IntPoly.of(-4, 2) * IntPoly.of(3, 2)
+        assert integer_roots(f) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            cyclotomic(15) * cyclotomic(30),
+            X8_MINUS_2 * X8_MINUS_2.compose_linear(1, -1),
+            cyclotomic(16) * cyclotomic(16).compose_linear(1, -1),
+            cyclotomic(20) * cyclotomic(20).compose_linear(1, -1),
+        ],
+        ids=["phi15*phi30", "(x^8-2)((1-x)^8-2)", "phi16(x)phi16(1-x)", "phi20(x)phi20(1-x)"],
+    )
+    def test_two_irreducible_octics(self, f):
+        factors = factor_monic(f)
+        assert [(g.degree, m) for g, m in factors] == [(8, 1), (8, 1)]
+        assert factors[0][0] * factors[1][0] == f
+
+
+class TestPollardRhoBudget:
+    def test_semiprime_discriminant_is_a_resource_error(self):
+        # x^2 + x + (PQ + 1)/4 is irreducible with discriminant -PQ, whose
+        # squarefree part needs the factors of PQ
+        with pytest.raises(PrecisionExceeded):
+            roots_quadratic(IntPoly.of((P100 * Q100 + 1) // 4, 1, 1))
+
+    def test_primes_near_2_to_31_still_factor(self):
+        a, b = 2147483659, 2147484679
+        assert factorize(a * b) == {a: 1, b: 1}
 
 
 class TestPerfectPowerRoot:

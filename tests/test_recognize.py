@@ -41,6 +41,15 @@ MATCHING_NO = [
     IntPoly((-17, 37, -16, -1, 1)),
 ]
 
+X8_MINUS_2 = IntPoly((-2,) + (0,) * 7 + (1,))
+# degree-16 products of two irreducible octics, once a 5-11 s numeric search
+TWO_OCTICS = {
+    "phi15*phi30": cyclotomic(15) * cyclotomic(30),
+    "(x^8-2)((1-x)^8-2)": X8_MINUS_2 * X8_MINUS_2.compose_linear(1, -1),
+    "phi16(x)phi16(1-x)": cyclotomic(16) * cyclotomic(16).compose_linear(1, -1),
+    "phi20(x)phi20(1-x)": cyclotomic(20) * cyclotomic(20).compose_linear(1, -1),
+}
+
 
 class TestSymmetricMatching:
     @pytest.mark.parametrize("f", MATCHING_YES, ids=lambda f: str(f.coeffs))
@@ -134,9 +143,11 @@ class TestRootApproximations:
             ref.pop(k)
 
     def test_corpus_never_loads_mpmath(self):
-        """Deciding and replaying the fixed-seed corpus of every family, in a
-        fresh interpreter, solves no polynomial numerically: exact roots
-        approximate themselves, and mpmath is never imported."""
+        """Deciding and replaying the fixed-seed corpus of every family,
+        factoring four degree-16 products of two octics and deciding a pair
+        of products of two quadratics, in a fresh interpreter, solves no
+        polynomial numerically: factors come from the modular kernel, exact
+        roots approximate themselves, and mpmath is never imported."""
         import os
         import subprocess
         import sys
@@ -145,14 +156,23 @@ class TestRootApproximations:
 
         script = (
             "import sys\n"
+            "from fractions import Fraction as F\n"
             "from hgdecide.certs import parse_instance, verify_certificate\n"
             "from hgdecide.cli import decide_document\n"
             "from hgdecide.config import DEFAULT_CONFIG\n"
             "from hgdecide.corpus import FAMILIES, generate_documents\n"
+            "from hgdecide.polys import IntPoly, factor_monic\n"
+            "from hgdecide.schanuel import decide_conditional\n"
+            "from hgdecide.sequence import HGInstance, Problem\n"
             "for family in FAMILIES:\n"
             "    for d in generate_documents(7, 40, family):\n"
             "        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)\n"
             "        assert verify_certificate(cert) == [], (family, d)\n"
+            f"for f in {[f.coeffs for f in TWO_OCTICS.values()]}:\n"
+            "    assert [g.degree for g, _ in factor_monic(IntPoly(f))] == [8, 8], f\n"
+            "i = HGInstance(IntPoly((2, 6, 1, -4, 1)), IntPoly((20, 18, -5, -4, 1)), F(1), F(3),"
+            " Problem.MEMBERSHIP)\n"
+            "decide_conditional(i)\n"
             "print('mpmath' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(hgdecide.__file__))
