@@ -18,7 +18,7 @@ from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
-from .sequence import ExactScan, HGInstance, Problem, classify, monotonicity_index
+from .sequence import ExactScan, HGInstance, Problem, classify
 from .verdicts import Conditionality, Verdict
 
 FORMAT = "hgdecide-certificate/2"
@@ -267,7 +267,8 @@ def _verify_bound(
 ) -> list[str]:
     """Prove a bound's claim for every n >= n0.
 
-    n0 must be at least k1 = monotonicity_index(p, q): past k1, q, p,
+    n0 must be at least the certified index k1 = inst.monotonicity_index
+    (the Cauchy bound, never the scan's skip index): past k1, q, p,
     q - p and q + p keep their signs, so sign r(k) and the sign of
     q(k)^2 - p(k)^2, i.e. of |r(k)| - 1, are those at k1 and |u_n| is
     monotone from n0 on.  One exact comparison of u_{n0} with t then
@@ -285,7 +286,7 @@ def _verify_bound(
         return [f"unknown bound justification {just!r}"]
     if n0 > config.scan_cap:
         return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
-    k1 = monotonicity_index(inst.p, inst.q)
+    k1 = inst.monotonicity_index
     if n0 < k1:
         return [f"bound index {n0} is below the monotonicity index {k1}"]
     if scan is None or scan.n > n0:

@@ -36,7 +36,6 @@ from .sequence import (
     SearchBound,
     classify,
     divergence_bound,
-    monotonicity_index,
     shrink_bound,
 )
 from .verdicts import Conditionality, EqualityDecision, Rationale, Verdict
@@ -194,7 +193,7 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
             inst.problem, False, Conditionality.UNCONDITIONAL,
             "terms_never_zero",
         )
-    k1 = monotonicity_index(inst.p, inst.q)
+    k1 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k1 + 1)  # t = 0: the first negative term
     if n is not None:
@@ -295,18 +294,19 @@ def _balanced_verdict(
 ) -> Verdict:
     """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
 
-    Past k0 = monotonicity_index(p, q) the tail is strictly monotone
-    towards L, so the prefix u_0 .. u_{k0+1} is scanned first.  These
-    verdicts do not depend on L and build no oracle: a prefix witness or
-    violation; an increasing Threshold tail (its minimum u_{k0+1} lies in
-    the prefix); a positive Threshold tail over a negative t; and a
-    Membership tail that never has t's sign or that u_{k0+2} has already
-    carried past t, moving away from it (the bound replay proves these
-    without an order claim).  Only a tail that moves towards t, and a
+    Past the certified index k0 = inst.monotonicity_index the tail is
+    strictly monotone towards L, so the prefix u_0 .. u_{k0+1} is scanned
+    first (per index only below the scan's skip index, in blocks from
+    there).  These verdicts do not depend on L and build no oracle: a
+    prefix witness or violation; an increasing Threshold tail (its minimum
+    u_{k0+1} lies in the prefix); a positive Threshold tail over a
+    negative t; and a Membership tail that never has t's sign or that
+    u_{k0+2} has already carried past t, moving away from it (the bound
+    replay proves these without an order claim).  Only a tail that moves towards t, and a
     decreasing Threshold tail that can reach t, call build_oracle() for
     the equality and order tests, which need the limit's closed form.
     """
-    k0 = monotonicity_index(inst.p, inst.q)
+    k0 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k0 + 2)
     membership = inst.problem is Problem.MEMBERSHIP

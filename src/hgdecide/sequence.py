@@ -21,9 +21,15 @@ Membership, u_n < t for Threshold): hit() and first_hit() are the prefix
 search of every decision and replay.  divergence_bound and shrink_bound
 find the search bound N and the least witness in the same single scan.
 
-Past k1 = monotonicity_index(p, q) the tail is monotone: |r(k)| - 1 and
-sign r(k) are constant, so |u_n| is monotone and the signs of u_n are
-constant or alternate.  The search therefore skips the tail in blocks:
+The scan reads two indices of an instance.  The certified index k1 =
+`HGInstance.monotonicity_index` is the Cauchy bound that certificates,
+bounds and replay use: a bound search ends at some N >= k1, and a balanced
+verdict scans its prefix to k1 + 2.  The skip index
+(`HGInstance.skip_index`, at most k1) is Cauchy's rule for positive roots,
+past every nonnegative root of p, q, q - p and q + p; only the scan reads
+it.  Past the skip index the tail is monotone: |r(k)| - 1 and sign r(k)
+are constant, so |u_n| is monotone and the signs of u_n are constant or
+alternate.  The search therefore skips the tail in blocks from there:
 one telescoped exact product of q(k) and of p(k) over the block
 (`_factor_products`, values by forward differences in `_values`) and one
 float log of their ratio move the log-magnitude to the block's end.  If
@@ -53,6 +59,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ScanCapExceeded
+from .numutil import int_nthroot_floor
 from .polys import IntPoly, integer_roots
 
 
@@ -145,6 +152,23 @@ class HGInstance:
     @property
     def is_monic_pair(self) -> bool:
         return self.p.is_monic and self.q.is_monic
+
+    @functools.cached_property
+    def _tails(self) -> tuple[tuple[int, ...], ...]:
+        return _tail_coeffs(self.p, self.q)
+
+    @functools.cached_property
+    def monotonicity_index(self) -> int:
+        """The certified index k1 (module function `monotonicity_index`)."""
+        return _cauchy_index(self._tails)
+
+    @functools.cached_property
+    def skip_index(self) -> int:
+        """1 + the largest Cauchy's-rule bound (`_positive_root_bound`) of
+        p, q, q - p and q + p, capped at k1: past it the tail is monotone.
+        Only ExactScan reads it; certificates use k1."""
+        bound = max(_positive_root_bound(c) for c in self._tails)
+        return min(1 + bound, self.monotonicity_index)
 
 
 class Variant(enum.Enum):
@@ -341,32 +365,40 @@ class ExactScan:
     floats only when |logabs - log|t|| > (err + err_t) * _SAFETY, err_t
     the same bound for log|t|; otherwise it is exact.
 
-    Monotone tail.  Past k1 = monotonicity_index(p, q), q(k), p(k) and
-    q(k)^2 - p(k)^2 keep their signs, so |u_n| is monotone and sign(u_n)
-    is constant or alternates.  The witness test then depends only on
-    sign(u_n) and on the side of |t| that |u_n| lies on: two consecutive
-    misses on one side cover both signs of the pattern, so no index on
-    that side is a witness.  From there the search tries a block [n, hi),
-    hi = n + span (or the search end, or the cap): with (Q, P) the
-    telescoped pair of the block, Q/P = prod q(k)/p(k), P nonzero and Q
-    zero only at a zero of q, logabs moves by the d of _log_ratio(Q, P)
-    and err by its bound (12 + 6(log|Q| + log|P|) + |d|)u plus u|logabs|
-    for the running sum, the same derivation with a = Q, b = P, so the
-    12u is paid once per block, not per index.  If the block's end is
-    float-settled on the side its start is on, every index in between is
-    on that side too (monotone |u|), so none is a witness and none passes
-    a bound: the block is committed (n and steps move by hi - n, the sign
-    flips when Q*P < 0) and never materializes, and the span doubles.
-    Otherwise the span halves and the block is tried again at n; at span
-    one the scan steps instead, and the span is two again after the step.
-    Spans pass _BLOCK only once a _BLOCK-long block has committed (its
-    product built the shift form) and the shift form leaves the residuals
-    +-1; spans start at one, so a short search multiplies directly and
-    never builds the shift form.  A bound search (first_past) that has
-    recorded its witness needs only the magnitude, so it tries blocks
-    without waiting for two misses.  jump(n) moves the float state,
-    unchecked, by one product when the residuals are +-1, else by one per
-    _BLOCK indices.
+    Monotone tail.  Two indices bound the prefix.  The certified index
+    k1 = inst.monotonicity_index (the Cauchy bound 1 + max|c_i|/|lead| of
+    p, q, q - p and q + p) is the one certificates and replay use: the
+    past exit of a search fires only at n >= k1.  The skip index
+    inst.skip_index <= k1 (Cauchy's rule for positive roots,
+    `_positive_root_bound`) lies past every nonnegative root of the same
+    four polynomials; the scan reads it only to start skipping.  Past the
+    skip index q(k), p(k) and q(k)^2 - p(k)^2 keep their signs, so |u_n|
+    is monotone and sign(u_n) is constant or alternates (on
+    p = x^2 - 6x + 108, q = x^2 - 6x + 284, k1 is 286 and the skip index
+    7).  The witness test then depends only on sign(u_n) and on the side
+    of |t| that |u_n| lies on: two consecutive misses on one side cover
+    both signs of the pattern, so no index on that side is a witness.
+    From there the search tries a block [n, hi), hi = n + span (or the
+    search end, or the cap, or k1 while the past exit is pending): with
+    (Q, P) the telescoped pair of the block, Q/P = prod q(k)/p(k), P
+    nonzero and Q zero only at a zero of q, logabs moves by the d of
+    _log_ratio(Q, P) and err by its bound (12 + 6(log|Q| + log|P|) + |d|)u
+    plus u|logabs| for the running sum, the same derivation with a = Q,
+    b = P, so the 12u is paid once per block, not per index.  If the
+    block's end is float-settled on the side its start is on, every index
+    in between is on that side too (monotone |u|), so none is a witness
+    and none passes a bound: the block is committed (n and steps move by
+    hi - n, the sign flips when Q*P < 0) and never materializes, and the
+    span doubles.  Otherwise the span halves and the block is tried again
+    at n; at span one the scan steps instead, and the span is two again
+    after the step.  Spans pass _BLOCK only once a _BLOCK-long block has
+    committed (its product built the shift form) and the shift form
+    leaves the residuals +-1; spans start at one, so a short search
+    multiplies directly and never builds the shift form.  A bound search
+    (first_past) that has recorded its witness needs only the magnitude,
+    so it tries blocks without waiting for two misses.  jump(n) moves the
+    float state, unchecked, by one product when the residuals are +-1,
+    else by one per _BLOCK indices.
     """
 
     __slots__ = (
@@ -444,28 +476,47 @@ class ExactScan:
         None with the scan at stop if there is none.  Without stop the
         search ends only at a witness or at the cap (ScanCapExceeded).
         With past = +-1 (t nonzero) it also ends, returning None, at the
-        first n >= monotonicity_index(p, q) with sign(|u_n| - |t|) = past.
+        first n >= k1 = inst.monotonicity_index, the certified index, with
+        sign(|u_n| - |t|) = past.  Blocks may start below k1, at the skip
+        index inst.skip_index (`_search`); where they start moves only the
+        work, never the result or where the scan is left.
         """
         end = self.cap + 1 if stop is None else stop
-        k1 = end  # too short a search to skip any block
-        if past or (self.inst.t and end - self.n > 2 * _BLOCK):
-            k1 = monotonicity_index(self.inst.p, self.inst.q)
-        return self._search(end, k1, past, through=False)
+        return self._search(end, self.inst.monotonicity_index if past else 0, past, through=False)
 
     def first_past(self, k1: int, side: int) -> int | None:
-        """Move to the first N >= k1 (k1 at least monotonicity_index(p, q))
-        with sign(|u_N| - |t|) = side, t nonzero, and return the least
-        witness n <= N met on the way, or None."""
+        """Move to the first N >= k1 (k1 at least the certified index
+        inst.monotonicity_index) with sign(|u_N| - |t|) = side, t nonzero,
+        and return the least witness n <= N met on the way, or None.
+        Blocks may start below k1, as in first_hit."""
         return self._search(self.cap + 1, k1, side, through=True)
 
     def _search(self, end: int, k1: int, past: int, through: bool) -> int | None:
-        """The search loop of first_hit and first_past: per index below k1,
-        skipping committed blocks past it (class docstring)."""
+        """The search loop of first_hit and first_past: per index below the
+        skip index, skipping committed blocks from there (class docstring).
+        The past exit fires only at n >= k1, and while it is pending no
+        block crosses k1, so the exit index is the one a per-index scan
+        finds.  Stretches of at most _BLOCK indices are too short to pay
+        for what a skip costs: a search that short with no past exit steps
+        throughout, and one whose certified index inst.monotonicity_index
+        is that close starts its blocks there, never computing the skip
+        index.  Nor does a search whose k1 lies past the cap: it can end
+        only at a witness or at the cap, and such a k1 comes from
+        coefficients that are huge next to the lead, whose wide values make
+        a block's exact product cost more per index than a step
+        (p = x^2 + 2^250, q = x^2 + 2^252 galloped from skip index 1 to the
+        10^6 cap in 6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86
+        host)."""
+        inst = self.inst
         result = self._witness_test()
-        t = self.inst.t
+        t = inst.t
         cmp, step = self.cmp, self.step
         hit = None
-        low = min(end, k1)
+        low = end
+        if past or (t and end - self.n > _BLOCK):
+            low = min(end, inst.monotonicity_index)
+            if low - self.n > _BLOCK and inst.monotonicity_index <= self.cap:
+                low = min(end, inst.skip_index)
         while self.n < low:
             if hit is None and cmp(t) == result:
                 if not through:
@@ -481,14 +532,18 @@ class ExactScan:
                     return n
                 hit = n
             side = self._side(t)
-            if past and (side or self.abs_cmp(t)) == past:
-                return hit
+            if n >= k1:
+                if past and (side or self.abs_cmp(t)) == past:
+                    return hit
+                top = min(end, self.cap)
+            else:
+                top = min(end, self.cap, k1)
             if side and (side == prev or hit is not None):
                 # once a witness is recorded only the magnitude matters;
                 # a refused block is retried here at half the span, and a
                 # block of one index is the step below
                 while span > 1:
-                    hi = min(n + span, end, self.cap)
+                    hi = min(n + span, top)
                     if hi > n + 1 and self._advance(hi, side):
                         break
                     span //= 2
@@ -649,14 +704,50 @@ def monotonicity_index(p: IntPoly, q: IntPoly) -> int:
 
     Uses the Cauchy root bound 1 + max |c_i|/|lead| of p, q, q-p and q+p,
     rounded up in integers: past every real root of those, none of them
-    changes sign.  Not minimal; soundness only.
+    changes sign.  Not minimal; soundness only.  An instance caches it
+    as `HGInstance.monotonicity_index`.
     """
+    return _cauchy_index(_tail_coeffs(p, q))
+
+
+def _tail_coeffs(p: IntPoly, q: IntPoly) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of p, q, q - p and q + p: past their positive real
+    roots r(k) and |r(k)| - 1 keep their signs."""
+    out = [p.coeffs, q.coeffs]
+    for sign in (-1, 1):
+        c = [b + sign * a for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0)]
+        while c and not c[-1]:
+            c.pop()
+        out.append(tuple(c))
+    return tuple(out)
+
+
+def _cauchy_index(tails) -> int:
     bound = 0
-    for f in (p, q, q - p, q + p):
-        if f.degree >= 1:
-            top = max(abs(c) for c in f.coeffs[:-1])
-            bound = max(bound, 1 - (-top // abs(f.lead)))
+    for c in tails:
+        if len(c) >= 2:
+            top = max(map(abs, c[:-1]))
+            bound = max(bound, 1 - (-top // abs(c[-1])))
     return 1 + bound
+
+
+def _positive_root_bound(c: tuple[int, ...]) -> int:
+    """floor(B) for Cauchy's rule bound B on the positive roots of f
+    (Akritas, Strzebonski and Vigklas, Nonlinear Analysis: Modelling and
+    Control 13(3), 2008).  With the lead a_n made positive and lam
+    coefficients a_i < 0 below it, B is the largest
+    (lam |a_i| / a_n)^(1/(n - i)), 0 when lam = 0: past B each
+    a_n x^n / lam exceeds its |a_i| x^i, so f has its lead's sign at every
+    integer above floor(B).  Exact, as floor(floor(y)^(1/k)) is
+    floor(y^(1/k)).  c is the coefficient tuple of f, lowest first."""
+    if len(c) < 2:
+        return 0
+    if c[-1] < 0:
+        c = [-a for a in c]
+    n, lead = len(c) - 1, c[-1]
+    negative = [(i, -a) for i, a in enumerate(c) if a < 0]
+    lam = len(negative)
+    return max((int_nthroot_floor(lam * a // lead, n - i) for i, a in negative), default=0)
 
 
 def divergence_bound(
@@ -672,9 +763,8 @@ def divergence_bound(
         raise DecideError("target must be nonzero")
     if inst.u0 == 0:
         raise DecideError("zero initial value never grows")
-    k1 = monotonicity_index(inst.p, inst.q)
-    qq_pp = inst.q * inst.q - inst.p * inst.p
-    if qq_pp(k1) <= 0:
+    k1 = inst.monotonicity_index
+    if abs(inst.q(k1)) <= abs(inst.p(k1)):
         raise DecideError("internal: |r| not above 1 past the root bound")
     return _bound_scan(inst, k1, 1, "ratio_exceeds_target", config)
 
@@ -690,9 +780,8 @@ def shrink_bound(
         raise DecideError("shrink_bound needs a shrinking class")
     if inst.t == 0:
         raise DecideError("target must be nonzero")
-    k1 = monotonicity_index(inst.p, inst.q)
-    qq_pp = inst.q * inst.q - inst.p * inst.p
-    if qq_pp(k1) >= 0:
+    k1 = inst.monotonicity_index
+    if abs(inst.q(k1)) >= abs(inst.p(k1)):
         raise DecideError("internal: |r| not below 1 past the root bound")
     return _bound_scan(inst, k1, -1, "tail_below_target", config)
 

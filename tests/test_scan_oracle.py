@@ -295,6 +295,88 @@ class TestFirstHit:
             ExactScan(inst, cap=50).jump(51)
 
 
+def _three_searches(inst, cap, stop, side):
+    """(result, n, sign, fraction) after first_hit(stop), first_hit(past=side)
+    and first_past(k1, side), each on a fresh scan; a search that reaches
+    the cap gives ScanCapExceeded as its result."""
+    k1 = inst.monotonicity_index
+    out = []
+    for search in (
+        lambda scan: scan.first_hit(stop),
+        lambda scan: scan.first_hit(past=side),
+        lambda scan: scan.first_past(k1, side),
+    ):
+        scan = ExactScan(inst, cap)
+        try:
+            got = search(scan)
+        except ScanCapExceeded:
+            got = ScanCapExceeded
+        out.append((got, scan.n, scan.sign(), scan.fraction()))
+    return out
+
+
+class TestSkipIndex:
+    """Blocks start at the skip index, the certified index k1 stays where
+    the past exit fires: moving the skip index up to k1 changes nothing a
+    search returns or leaves behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instances(),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50),
+        st.sampled_from(list(Problem)),
+        st.integers(0, DEPTH),
+        st.sampled_from([1, -1]),
+        st.data(),
+    )
+    def test_searches_as_from_the_certified_index(self, pq, u0, problem, stop, side, data):
+        p, q = pq
+        pairs = list(reference_pairs(p, q, u0, DEPTH + 1))
+        t = data.draw(st.sampled_from(_targets(data.draw, pairs)))
+        assume(t != 0)
+        fields = (IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem)
+        got = _three_searches(HGInstance(*fields), DEPTH, stop, side)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(HGInstance, "skip_index", property(lambda inst: inst.monotonicity_index))
+            want = _three_searches(HGInstance(*fields), DEPTH, stop, side)
+        assert got == want
+
+    def test_prefix_skips_from_the_sharp_index(self, monkeypatch):
+        # k1 = 286 and skip index 7: u_n rises from u_0 = 1 towards its
+        # limit, and the prefix to k1 + 2 is mostly committed blocks
+        p, q = [108, -6, 1], [284, -6, 1]
+        pairs = list(reference_pairs(p, q, F(1), 289))
+        steps = record_steps(monkeypatch)
+        for t, problem in (
+            (F(1, 2), Problem.MEMBERSHIP),
+            (F(*pairs[150]), Problem.MEMBERSHIP),
+            (F(1), Problem.THRESHOLD),
+            ((F(*pairs[200]) + F(*pairs[201])) / 2, Problem.THRESHOLD),
+        ):
+            inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), t, problem)
+            assert (inst.monotonicity_index, inst.skip_index) == (286, 7)
+            if problem is Problem.MEMBERSHIP:
+                want = next((n for n, (a, b) in enumerate(pairs[:288]) if F(a, b) == t), None)
+            else:
+                want = next((n for n, (a, b) in enumerate(pairs[:288]) if F(a, b) < t), None)
+            steps.clear()
+            scan = ExactScan(inst)
+            assert scan.first_hit(288) == want, t
+            assert scan.fraction() == F(*pairs[scan.n])
+            assert len(steps) < 40, (t, len(steps))
+
+    def test_certified_index_past_the_cap_steps(self, monkeypatch):
+        # k1 = 2^252 + 1 and skip index 1: the search can only end at the
+        # cap, and blocks of these 252-bit values cost more than steps
+        inst = HGInstance(
+            IntPoly.of(2**250, 0, 1), IntPoly.of(2**252, 0, 1), F(1), F(1, 10**6), Problem.THRESHOLD
+        )
+        steps = record_steps(monkeypatch)
+        with pytest.raises(ScanCapExceeded):
+            ExactScan(inst, cap=300).first_hit(inst.monotonicity_index + 2)
+        assert len(steps) == 301 and inst.skip_index == 1
+
+
 class TestScanCapReachable:
     def test_far_side_near_tie_ends_at_scan_cap(self, monkeypatch):
         # worked example, t = L(1 + 2^-60) (see test_certs_cli): the
@@ -525,6 +607,19 @@ def gallop_family(draw):
         b = draw(st.integers(1, 12).filter(lambda b: b != a))
         p, q = p * IntPoly.of(a, 0, 1), q * IntPoly.of(b, 0, 1)
     return p, q, sign > 0
+
+
+def record_steps(monkeypatch) -> list[int]:
+    """The index of every ExactScan.step call from now on."""
+    steps = []
+    step = ExactScan.step
+
+    def counted(self):
+        steps.append(self.n)
+        step(self)
+
+    monkeypatch.setattr(ExactScan, "step", counted)
+    return steps
 
 
 def record_products(monkeypatch) -> list[int]:

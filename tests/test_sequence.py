@@ -2,11 +2,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, ScanCapExceeded
-from hgdecide.polys import IntPoly
+from hgdecide.polys import IntPoly, integer_roots
 from hgdecide.sequence import (
     BruteKind,
     HGInstance,
@@ -165,6 +165,46 @@ class TestMonotonicityIndex:
             if not f.is_zero and f.degree >= 1:
                 bound = max(bound, 1 + max(F(abs(c), abs(f.lead)) for c in f.coeffs[:-1]))
         assert monotonicity_index(p, q) == 1 + math.ceil(bound)
+
+
+def _coefficient_lists():
+    """Degree <= 6, coefficients up to 2^70, leads of either sign."""
+    return st.lists(
+        st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)), min_size=1, max_size=7
+    )
+
+
+class TestSkipIndex:
+    def test_worked_pair(self):
+        # Cauchy: 1 + 284 for q; Cauchy's rule: 6 for p, q and q + p
+        i = inst([108, -6, 1], [284, -6, 1], 1, 0)
+        assert (i.monotonicity_index, i.skip_index) == (286, 7)
+
+    def test_no_sign_variation_is_one(self):
+        # no coefficient of p, q, q - p = 1 or q + p opposes its lead
+        assert inst([1, 2, 1], [2, 2, 1], 1, 0).skip_index == 1
+        assert inst([1, 1], [1, 1], 1, 0).skip_index == 1  # q - p = 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_lists(), _coefficient_lists())
+    def test_past_every_positive_root(self, p, q):
+        import sympy
+
+        p[-1] = p[-1] or 1
+        q[-1] = q[-1] or -1
+        p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
+        assume(all(r < 0 for r in integer_roots(p)))
+        i = inst(p.coeffs, q.coeffs, 1, 0)
+        skip = i.skip_index
+        assert 1 <= skip <= i.monotonicity_index == monotonicity_index(p, q)
+        x = sympy.Symbol("x")
+        for f in (p, q, q - p, q + p):
+            if f.degree < 1:
+                continue
+            roots = sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x))
+            assert all(r < skip for r in roots if r > 0), (f, skip)
+            for k in range(skip, skip + 65):
+                assert (f(k) > 0) == (f.lead > 0), (f, k)
 
 
 class TestBruteForce:
