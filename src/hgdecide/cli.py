@@ -21,6 +21,7 @@ wins over every verdict code.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -150,13 +151,8 @@ def _cmd_canon(args) -> int:
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)
-    mid = enclosure.mid()
-    try:
-        approx = float(mid)
-    except OverflowError:
-        approx = None
-    if approx is None or (approx == 0 and mid != 0):
-        raise PrecisionExceeded("the limit is outside the float range of 'approx'")
+    mid = enclosure.mid()  # to 17 significant digits, correctly rounded: no float range
+    approx = f"{decimal.Context(prec=17).divide(mid.numerator, mid.denominator):.16e}"
     doc["enclosure"] = {"lo": lo, "hi": hi, "approx": approx, "bits": args.bits}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0

@@ -10,10 +10,12 @@ root of irreducible f1 and c - u is a root of irreducible f2, then f1
 divides f2(c - x), which forces deg f1 = deg f2 and f2(c - x) =
 (-1)^deg * f1(x); comparing subleading coefficients pins c =
 -(a1 + a2)/deg uniquely.  So adjacency reduces to one integrality test
-and one exact polynomial identity per factor pair, and needs no root
-representation at all.  Representations (elements of a quadratic,
-cyclotomic or radical tower) are attached where available because the
-conditional decider consumes the matched pairs.
+and one exact polynomial identity per factor pair.  Roots need no values
+either: in a component of the factor graph the mirror maps compose to
+x -> +-x + h, so each root is labelled as the image of a root of one base
+factor, and a partner's label follows from the two maps.  Tower values
+(quadratic, cyclotomic or radical) are attached where available, for the
+conditional decider; no root is ever approximated.
 
 One backtracking search finds a maximum matching and stops at the first
 perfect one; the polynomial is in the class exactly when it returns n/2
@@ -63,36 +65,14 @@ def _tower(kind: type, *params) -> Tower:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def numeric_roots(f: IntPoly) -> tuple:
-    """The complex roots of an opaque factor f, one with no exact tower, as
-    60-digit mpmath numbers; mpmath's global precision is left alone."""
-    import mpmath
-
-    with mpmath.workdps(60):
-        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
-        return tuple(mpmath.polyroots(coeffs, maxsteps=200, extraprec=400))
-
-
 @dataclass(frozen=True)
 class FactorRoots:
     poly: IntPoly
     mult: int
-    values: tuple  # TowerElem | None per root, conjugate-consistent order
-    approx: tuple  # complex approximations aligned with `values`
+    values: tuple  # TowerElem per root in tower order; None per opaque root
 
 
 @lru_cache(maxsize=256)
-def _factor_root_values(g: IntPoly):
-    """Root representations of one irreducible monic factor, with complex
-    approximations in the same order.  Exact roots approximate themselves;
-    only a factor with no exact representation is solved numerically."""
-    vals = _exact_roots(g)
-    if vals is None:
-        return (None,) * g.degree, tuple(complex(r) for r in numeric_roots(g))
-    return vals, tuple(_value_approx(v) for v in vals)
-
-
 def _exact_roots(g: IntPoly) -> tuple | None:
     """Quadratic, cyclotomic or radical roots of g, or None when g has no
     exact representation.
@@ -130,11 +110,6 @@ def _exact_roots(g: IntPoly) -> tuple | None:
     return None
 
 
-def _value_approx(v: TowerElem) -> complex:
-    emb = v.embed(64)
-    return complex(float(emb.re.mid()), float(emb.im.mid()))
-
-
 # ---------------------------------------------------------------------------
 # Symmetry graph
 # ---------------------------------------------------------------------------
@@ -170,20 +145,29 @@ def _mirror_center(f1: IntPoly, f2: IntPoly) -> int | None:
     return c
 
 
-def _root_partner(fr: FactorRoots, partner: FactorRoots, c: int, idx: int) -> int:
-    """Index in `partner` of the root c - u where u = fr root #idx."""
-    u = fr.values[idx]
-    if u is not None and partner.values[0] is not None:
-        # mirrored exact factors share a tower (`_exact_roots`)
-        target = c - u
-        for k, v in enumerate(partner.values):
-            if v == target:
-                return k
-        raise DecideError("mirror root missing from tower factor")
-    # an opaque factor: the mirror map permutes roots; pick the numerically
-    # nearest, which is exact at desk-scale separations
-    target = complex(c) - fr.approx[idx]
-    return min(range(len(partner.approx)), key=lambda k: abs(partner.approx[k] - target))
+def _orient(factors: list, mirrors: list) -> list[tuple[int, int, int]]:
+    """(b, s, h) per factor: its roots are s*r + h for the roots r of factor b.
+
+    A factor mirrors onto itself at one center at most (no finite root set
+    is invariant under a nonzero shift), so along any path of the mirror
+    graph the maps x -> c - x compose to x -> +-x + h, and a spanning tree
+    of each component fixes them.  The tree is rooted at an exact factor
+    when the component has one.
+    """
+    orient = [None] * len(factors)
+    for b in sorted(range(len(factors)), key=lambda i: factors[i].values[0] is None):
+        if orient[b] is not None:
+            continue
+        orient[b], todo = (b, 1, 0), [b]
+        while todo:
+            i = todo.pop()
+            s, h = orient[i][1:]
+            for fi, fj, c in mirrors:
+                j = fj if fi == i else fi if fj == i else None
+                if j is not None and orient[j] is None:
+                    orient[j] = (b, -s, c - h)
+                    todo.append(j)
+    return orient
 
 
 @lru_cache(maxsize=256)
@@ -191,41 +175,59 @@ def build_symmetry_graph(f: IntPoly) -> SymmetryGraph:
     """Graph on the irrational roots of f; exact edges, multiset vertices."""
     if not f.is_monic or f.degree < 1:
         raise DecideError("symmetry graph needs a monic polynomial of degree >= 1")
-    factors = []
-    for g, mult in factor_monic(f):
-        if g.degree == 1:
-            continue  # rational roots are not vertices
-        vals, approx = _factor_root_values(g)
-        factors.append(FactorRoots(g, mult, vals, approx))
-    vertices = []
-    for fi, fr in enumerate(factors):
-        for ri in range(fr.poly.degree):
-            for copy in range(fr.mult):
-                vertices.append(Vertex(fi, ri, copy))
+    factors = [  # rational roots are not vertices
+        FactorRoots(g, mult, _exact_roots(g) or (None,) * g.degree)
+        for g, mult in factor_monic(f) if g.degree > 1
+    ]
+    mirrors = [
+        (fi, fj, c)
+        for fi in range(len(factors))
+        for fj in range(fi, len(factors))
+        if (c := _mirror_center(factors[fi].poly, factors[fj].poly)) is not None
+    ]
+    orient = _orient(factors, mirrors)
+    # root k of a factor oriented (b, s, h) is s*r_l + h for the root r_l
+    # of factor b with label l: opaque roots are labelled in order, exact
+    # ones by their value
+    labels = []
+    for fr, (b, s, h) in zip(factors, orient):
+        if fr.values[0] is None:
+            labels.append(tuple(range(fr.poly.degree)))
+        else:
+            image = tuple((r if s > 0 else -r) + h for r in factors[b].values)
+            labels.append(tuple(map(image.index, fr.values)))
+    vertices = [
+        Vertex(fi, ri, copy)
+        for fi, fr in enumerate(factors) for ri in range(fr.poly.degree) for copy in range(fr.mult)
+    ]
     vindex = {v: i for i, v in enumerate(vertices)}
     adjacency = [set() for _ in vertices]
     edge_center = {}
-    for fi, fr in enumerate(factors):
-        for fj in range(fi, len(factors)):
-            other = factors[fj]
-            c = _mirror_center(fr.poly, other.poly)
-            if c is None:
-                continue
-            rho = Fraction(c, 2)
-            for ri in range(fr.poly.degree):
-                rj = _root_partner(fr, other, c, ri)
-                if fi == fj and ri == rj:
-                    raise DecideError("internal: root mirrored to itself")
-                for c1 in range(fr.mult):
-                    for c2 in range(other.mult):
-                        vi = vindex[Vertex(fi, ri, c1)]
-                        vj = vindex[Vertex(fj, rj, c2)]
-                        if vi == vj:
-                            continue
-                        adjacency[vi].add(vj)
-                        adjacency[vj].add(vi)
-                        key = (min(vi, vj), max(vi, vj))
-                        edge_center[key] = rho
+    for fi, fj, c in mirrors:
+        (b, si, hi), (_, sj, hj) = orient[fi], orient[fj]
+        base = factors[b].values
+        rho = Fraction(c, 2)
+        for ri, label in enumerate(labels[fi]):
+            # c - (si*r + hi) is sj*r' + hj with r' = r when si = -sj, else
+            # the base's self-mirror of r; an opaque base's roots are
+            # labelled so that this involution pairs 2j, 2j + 1 (it has no
+            # fixed point: its center c/2 is rational)
+            if si != sj:
+                mirror = label
+            elif base[0] is None:
+                mirror = label ^ 1
+            else:
+                mirror = base.index(si * (c - hi - hj) - base[label])
+            rj = labels[fj].index(mirror)
+            if fi == fj and ri == rj:
+                raise DecideError("internal: root mirrored to itself")
+            for c1 in range(factors[fi].mult):
+                for c2 in range(factors[fj].mult):
+                    vi = vindex[Vertex(fi, ri, c1)]
+                    vj = vindex[Vertex(fj, rj, c2)]
+                    adjacency[vi].add(vj)
+                    adjacency[vj].add(vi)
+                    edge_center[min(vi, vj), max(vi, vj)] = rho
     return SymmetryGraph(
         f, tuple(factors), tuple(vertices),
         tuple(frozenset(s) for s in adjacency), edge_center,

@@ -439,7 +439,19 @@ class TestCLI:
         assert main(["canon", str(f), "--bits", "96"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["theta"] == ["1/39", "0"] and out["f"] == [0, 0, 1]
-        assert abs(out["enclosure"]["approx"] - 4.7793728e-05) < 1e-10
+        assert abs(float(out["enclosure"]["approx"]) - 4.7793728e-05) < 1e-10
+
+    @pytest.mark.parametrize("p, q", [([1001, 0, 1], [2**8 * 1001, 0, 1]), ([2**20, 0, 1], [1, 0, 1])])
+    def test_canon_prints_limits_past_the_double_range(self, tmp_path, capsys, p, q):
+        """Limits near 2^2154 and 2^-4647: "approx" is the midpoint to 17
+        significant digits."""
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc(p, q, "1", "1")))
+        assert main(["canon", str(f)]) == 0
+        out = json.loads(capsys.readouterr().out)["enclosure"]
+        mid = (F(out["lo"]) + F(out["hi"])) / 2
+        assert abs(F(out["approx"]) - mid) <= abs(mid) / 10**16
+        assert len(out["approx"].split("e")[0]) == 18
 
     def test_recognize(self, capsys):
         assert main(["recognize", "--coeffs", "1,0,0,-1,0,0,1"]) == 0
@@ -633,10 +645,8 @@ class TestExitCodes:
                 id="canon-resource",
             ),
             # limits of huge magnitude once crashed (exit 5): an endpoint
-            # past the interpreter's 4300-digit string conversion, a Horner
-            # sum past the dyadic alignment limit, and a limit past the
-            # float range of "approx"; a nonzero limit below that range
-            # once printed "approx": 0.0
+            # past the interpreter's 4300-digit string conversion and a
+            # Horner sum past the dyadic alignment limit are refused
             pytest.param(
                 ["canon", "{f}"], doc([2**20 * 11701, 0, 1], [11701, 0, 1], "1", "1"), 4,
                 id="canon-resource-too-long-to-print",
@@ -645,12 +655,14 @@ class TestExitCodes:
                 ["canon", "{f}"], doc([2**20 * 13003, 0, 1], [13003, 0, 1], "1", "1"), 4,
                 id="canon-resource-alignment-overflow",
             ),
+            # limits past the double range (about 2^2154 and 2^-2154) print:
+            # "approx" is a decimal string
             pytest.param(
-                ["canon", "{f}"], doc([1001, 0, 1], [2**8 * 1001, 0, 1], "1", "1"), 4,
+                ["canon", "{f}"], doc([1001, 0, 1], [2**8 * 1001, 0, 1], "1", "1"), 0,
                 id="canon-resource-past-float-range",
             ),
             pytest.param(
-                ["canon", "{f}"], doc([2**8 * 1001, 0, 1], [1001, 0, 1], "1", "1"), 4,
+                ["canon", "{f}"], doc([2**8 * 1001, 0, 1], [1001, 0, 1], "1", "1"), 0,
                 id="canon-resource-below-float-range",
             ),
             # p = (x + 1)(x + 20000), q = (x + 10000)(x + 10001): theta is

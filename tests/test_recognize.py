@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError
 from hgdecide.numutil import perfect_power_root
-from hgdecide.polys import IntPoly, QPoly, capelli_irreducible, cyclotomic
+from hgdecide.polys import IntPoly, QPoly, capelli_irreducible, cyclotomic, factor_monic
 from hgdecide.recognize import (
     MatchingCertificate,
     _exact_roots,
-    _factor_root_values,
     _maximum_matching,
-    _value_approx,
     NoMatching,
     build_symmetry_graph,
     check_radical_family,
@@ -123,17 +121,23 @@ def in_class_factors(draw):
     return g
 
 
+def embedded(v) -> complex:
+    """An exact root as a complex float, from its 64-bit enclosure."""
+    emb = v.embed(64)
+    return complex(float(emb.re.mid()), float(emb.im.mid()))
+
+
 class TestRootApproximations:
     @settings(max_examples=80, deadline=None)
     @given(in_class_factors())
     def test_exact_roots_approximate_the_numeric_roots(self, g):
-        """The approximations an in-class factor derives from its exact
-        roots are mpmath's roots at 60 digits, as a multiset, to 1e-12
-        relative."""
+        """The exact roots of an in-class factor, embedded, are mpmath's
+        roots at 60 digits, as a multiset, to 1e-12 relative."""
         import mpmath
 
-        vals, approx = _factor_root_values(g)
-        assert None not in vals and len(approx) == g.degree
+        vals = _exact_roots(g)
+        assert vals is not None and len(vals) == g.degree
+        approx = [embedded(v) for v in vals]
         with mpmath.workdps(60):
             coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
             ref = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)]
@@ -142,26 +146,35 @@ class TestRootApproximations:
             assert abs(ref[k] - z) <= 1e-12 * abs(ref[k]), (g.coeffs, z, ref[k])
             ref.pop(k)
 
-    def test_corpus_never_loads_mpmath(self):
-        """Deciding and replaying the fixed-seed corpus of every family,
-        factoring four degree-16 products of two octics and deciding a pair
-        of products of two quadratics, in a fresh interpreter, solves no
-        polynomial numerically: factors come from the modular kernel, exact
-        roots approximate themselves, and mpmath is never imported."""
+    def test_corpus_never_loads_mpmath(self, tmp_path):
+        """No engine path loads mpmath, in a fresh interpreter: deciding and
+        replaying the fixed-seed corpus of every family, factoring four
+        degree-16 products of two octics, deciding a pair of products of
+        two quadratics, refusing a pair of opaque quartics, matching the
+        opaque roots of x^8 - 2 and of Phi5(x) * Phi5(1 - x), and `hgdecide
+        canon` on the worked pair.  Factors come from the modular kernel,
+        opaque roots are labels and enclosures are dyadic."""
+        import json
         import os
         import subprocess
         import sys
 
         import hgdecide
 
+        worked = tmp_path / "worked.json"
+        worked.write_text(json.dumps(
+            {"p": [13, -4, 1], "q": [5, -4, 1], "u0": "1", "t": "1/13", "problem": "membership"}
+        ))
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "from fractions import Fraction as F\n"
             "from hgdecide.certs import parse_instance, verify_certificate\n"
-            "from hgdecide.cli import decide_document\n"
+            "from hgdecide.cli import decide_document, main\n"
             "from hgdecide.config import DEFAULT_CONFIG\n"
             "from hgdecide.corpus import FAMILIES, generate_documents\n"
+            "from hgdecide.errors import UnsupportedInstance\n"
             "from hgdecide.polys import IntPoly, factor_monic\n"
+            "from hgdecide.recognize import MatchingCertificate, find_symmetric_matching\n"
             "from hgdecide.schanuel import decide_conditional\n"
             "from hgdecide.sequence import HGInstance, Problem\n"
             "for family in FAMILIES:\n"
@@ -173,6 +186,17 @@ class TestRootApproximations:
             "i = HGInstance(IntPoly((2, 6, 1, -4, 1)), IntPoly((20, 18, -5, -4, 1)), F(1), F(3),"
             " Problem.MEMBERSHIP)\n"
             "decide_conditional(i)\n"
+            "i = HGInstance(IntPoly((2, 0, 1, 0, 1)), IntPoly((3, 0, 1, 0, 1)), F(1), F(3),"
+            " Problem.MEMBERSHIP)\n"
+            "try:\n"
+            "    decide_conditional(i)\n"
+            "    raise AssertionError('opaque quartics decided')\n"
+            "except UnsupportedInstance:\n"
+            "    pass\n"
+            f"for f in {[X8_MINUS_2.coeffs, ONE_FIELD_TWO_FACTORS['phi5(x)*phi5(1-x)'].coeffs]}:\n"
+            "    assert isinstance(find_symmetric_matching(IntPoly(f)), MatchingCertificate), f\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['canon', {str(worked)!r}]) == 0\n"
             "print('mpmath' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(hgdecide.__file__))
@@ -181,6 +205,17 @@ class TestRootApproximations:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.split() == ["False"]
+
+    def test_no_engine_module_imports_mpmath(self):
+        import pathlib
+
+        import hgdecide
+
+        modules = sorted(pathlib.Path(hgdecide.__file__).parent.glob("*.py"))
+        assert len(modules) > 10
+        for path in modules:
+            for line in path.read_text().splitlines():
+                assert not line.lstrip().startswith(("import mpmath", "from mpmath")), (path, line)
 
 
 # products whose mirrored exact factors once sat in two towers of one
@@ -209,7 +244,7 @@ class TestOneTowerPerField:
     )
     def test_pairs_with_an_opaque_root_carry_no_offset(self, f):
         """x^4 + x^2 + 2 is opaque and mirrors itself at c = 0; Phi5(1 - x)
-        is opaque and mirrors Phi5 at c = 1: partners found by floats."""
+        is opaque and mirrors Phi5 at c = 1: partners found by root labels."""
         cert = find_symmetric_matching(f)
         assert isinstance(cert, MatchingCertificate)
         validate_matching(f, cert)
@@ -229,9 +264,10 @@ class TestOneTowerPerField:
             validate_matching(f, MatchingCertificate(f, (forged,) + cert.pairs[1:]))
 
     def test_validator_rejects_a_pair_of_opaque_roots_that_do_not_mirror(self):
-        """x^4 + x^2 + 2 mirrors r0 to r3 and r1 to r2 (its roots are +-z,
-        +-conj(z)); pairing r0 with r1 passes the factor's mirror identity
-        but is no edge."""
+        """x^4 + x^2 + 2 mirrors itself at c = 0, and its opaque roots are
+        labelled so that the mirror pairs r0 with r1 and r2 with r3;
+        pairing r0 with r2 passes the factor's mirror identity but is no
+        edge."""
         f = IntPoly((2, 0, 1, 0, 1))
         p0, p1 = find_symmetric_matching(f).pairs
         swapped = (dataclasses.replace(p0, v=p1.u), dataclasses.replace(p1, u=p0.v))
@@ -242,14 +278,144 @@ class TestOneTowerPerField:
     def test_phi_2m_roots_in_order_and_in_the_tower_of_phi_m(self, n):
         vals = _exact_roots(cyclotomic(n))
         ref = [cmath.exp(2j * cmath.pi * k / n) for k in range(1, n) if math.gcd(k, n) == 1]
-        assert [abs(_value_approx(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * len(ref)
+        assert [abs(embedded(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * len(ref)
         assert vals[0].tower == _exact_roots(cyclotomic(n // 2))[0].tower
 
     def test_x3_plus_2_roots_in_order_and_in_the_tower_of_x3_minus_2(self):
         vals = _exact_roots(IntPoly.of(2, 0, 0, 1))
         ref = [-cmath.exp(2j * cmath.pi * j / 3) * 2 ** (1 / 3) for j in range(3)]
-        assert [abs(_value_approx(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * 3
+        assert [abs(embedded(v) - z) < 1e-12 for v, z in zip(vals, ref)] == [True] * 3
         assert vals[0].tower == _exact_roots(IntPoly.of(-2, 0, 0, 1))[0].tower
+
+
+# irreducible bases of the affine images g(+-x + h) below: opaque ones
+# (x^4 + x^2 + 2 mirrors itself at 0; x^4 - x - 1 and x^3 + x + 3 do not
+# mirror at all) and exact ones (Phi5, a Gaussian quadratic)
+LABEL_BASES = [
+    IntPoly((2, 0, 1, 0, 1)), X8_MINUS_2, IntPoly((-1, -1, 0, 0, 1)),
+    IntPoly((3, 1, 0, 1)), cyclotomic(5), IntPoly((5, -4, 1)),
+]
+G = LABEL_BASES[0]
+# g(x) g(x - 1) g(x - 2): each factor mirrors itself and both others
+TRIANGLE = G * G.compose_linear(-1, 1) * G.compose_linear(-2, 1)
+
+
+def affine_image(g: IntPoly, s: int, h: int) -> IntPoly:
+    """The monic g(s*x + h) for s = +-1."""
+    return g.compose_linear(h, s) * s**g.degree
+
+
+def numeric_graph(f: IntPoly):
+    """The root graph of f from mpmath `polyroots` at 60 digits: one vertex
+    per irrational root and copy, an edge wherever u + v is within 1e-20 of
+    an integer and u != v.  Returns the factor of each vertex and the
+    center of each edge, keyed by both orientations."""
+    import mpmath
+
+    roots, factor = [], []
+    with mpmath.workdps(60):
+        irreducible = [(g, mult) for g, mult in factor_monic(f) if g.degree > 1]
+        for fi, (g, mult) in enumerate(irreducible):
+            coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
+            for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=400):
+                roots += [r] * mult
+                factor += [fi] * mult
+        centers = {}
+        for i, j in itertools.permutations(range(len(roots)), 2):
+            total = roots[i] + roots[j]
+            k = mpmath.nint(mpmath.re(total))
+            if abs(total - k) < 1e-20 and abs(roots[i] - roots[j]) > 1e-20:
+                centers[i, j] = F(int(k), 2)
+    return factor, centers
+
+
+def labelled_graph(f: IntPoly):
+    """`build_symmetry_graph` in the shape of `numeric_graph`."""
+    graph = build_symmetry_graph(f)
+    centers = {(j, i): rho for (i, j), rho in graph.edge_center.items()}
+    return [v.factor for v in graph.vertices], {**graph.edge_center, **centers}
+
+
+def isomorphic(one, two) -> bool:
+    """Whether some bijection of vertices keeps factors, edges and centers,
+    by backtracking over the vertices of `one` in order."""
+    (factor1, center1), (factor2, center2) = one, two
+    image = []
+
+    def extend() -> bool:
+        v = len(image)
+        if v == len(factor1):
+            return True
+        for w in range(len(factor2)):
+            if w not in image and factor2[w] == factor1[v] and all(
+                center1.get((u, v)) == center2.get((image[u], w)) for u in range(v)
+            ):
+                image.append(w)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return len(factor1) == len(factor2) and extend()
+
+
+def graph_invariants(factor, centers) -> tuple:
+    """Maximum matching size, degree multiset, component sizes and edge
+    center multiset."""
+    adj = [frozenset(j for i, j in centers if i == v) for v in range(len(factor))]
+    seen, sizes = set(), []
+    for v in range(len(adj)):
+        if v not in seen:
+            comp, todo = {v}, [v]
+            while todo:
+                new = adj[todo.pop()] - comp
+                comp |= new
+                todo += new
+            seen |= comp
+            sizes.append(len(comp))
+    edge_centers = sorted(rho for (i, j), rho in centers.items() if i < j)
+    return len(_maximum_matching(adj)), sorted(map(len, adj)), sorted(sizes), edge_centers
+
+
+@st.composite
+def affine_products(draw):
+    """Products of one to four images g(+-x + h) of the bases, of degree at
+    most 16 (the factor search's cap)."""
+    images = draw(st.lists(
+        st.tuples(st.sampled_from(LABEL_BASES), st.sampled_from([1, -1]), st.integers(-3, 3)),
+        min_size=1, max_size=4,
+    ))
+    assume(sum(g.degree for g, _, _ in images) <= 16)
+    return functools.reduce(operator.mul, (affine_image(*im) for im in images))
+
+
+class TestLabelledGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(affine_products())
+    def test_labelled_graph_is_the_numeric_graph(self, f):
+        """Root labels give the graph that numeric roots give, up to an
+        isomorphism that keeps factors and edge centers, and every perfect
+        matching validates."""
+        labelled, numeric = labelled_graph(f), numeric_graph(f)
+        assert graph_invariants(*labelled) == graph_invariants(*numeric)
+        assert isomorphic(labelled, numeric)
+        cert = find_symmetric_matching(f)
+        if isinstance(cert, MatchingCertificate):
+            validate_matching(f, cert)
+
+    def test_triangle_of_self_mirrored_opaque_factors(self):
+        """In g(x) g(x - 1) g(x - 2), g = x^4 + x^2 + 2, g(x - 1) and g(x - 2)
+        both take the roots of g negated, so their mirror at c = 3 is g's
+        self-mirror.  Pairing equal labels there instead still gives a
+        3-regular graph on 12 roots with the same invariants, but not the
+        numeric one."""
+        labelled, numeric = labelled_graph(TRIANGLE), numeric_graph(TRIANGLE)
+        assert graph_invariants(*labelled)[:2] == (6, [3] * 12)
+        assert graph_invariants(*labelled) == graph_invariants(*numeric)
+        assert isomorphic(labelled, numeric)
+        cert = find_symmetric_matching(TRIANGLE)
+        assert isinstance(cert, MatchingCertificate) and len(cert.pairs) == 6
+        validate_matching(TRIANGLE, cert)
 
 
 @st.composite

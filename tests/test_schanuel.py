@@ -193,44 +193,6 @@ class TestConditionalDecider:
         assert v.identity["stress_separated"] is True
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
 
-    def test_decide_leaves_mpmath_precision_alone(self):
-        # a fresh interpreter, so no cache hides the numeric root finder;
-        # p = x^4 + x^2 + 2 and q = x^4 + x^2 + 3 are irreducible with no
-        # exact tower, so their roots are solved numerically and matched as
-        # floats, and the decider refuses the pair (no offset w to write)
-        import os
-        import subprocess
-        import sys
-
-        import hgdecide
-
-        script = (
-            "import mpmath\n"
-            "from fractions import Fraction as F\n"
-            "from hgdecide.errors import UnsupportedInstance\n"
-            "from hgdecide.polys import IntPoly\n"
-            "from hgdecide.recognize import numeric_roots\n"
-            "from hgdecide.schanuel import decide_conditional\n"
-            "from hgdecide.sequence import HGInstance, Problem\n"
-            "mpmath.mp.dps = 23\n"
-            "i = HGInstance(IntPoly((2, 0, 1, 0, 1)), IntPoly((3, 0, 1, 0, 1)), F(1), F(3),"
-            " Problem.MEMBERSHIP)\n"
-            "try:\n"
-            "    decide_conditional(i)\n"
-            "    outcome = 'decided'\n"
-            "except UnsupportedInstance:\n"
-            "    outcome = 'unsupported'\n"
-            "print(mpmath.mp.dps, numeric_roots.cache_info().misses, outcome)\n"
-        )
-        src = os.path.dirname(os.path.dirname(hgdecide.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout.split()
-        assert out[0] == "23"
-        assert int(out[1]) == 2  # the root finder ran, once per opaque factor
-        assert out[2] == "unsupported"
-
     def test_real_quadratic_witness_is_unconditional(self):
         i = inst([-1, -2, 1], [-4, -2, 1], 1, 4)  # u_1 = q(0)/p(0) = 4
         v = decide_conditional(i)
