@@ -293,8 +293,8 @@ def _verify_bound(
         scan = ExactScan(inst, config.scan_cap)
     scan.jump(n0)
     t = inst.t
-    qq_pp = (inst.q * inst.q - inst.p * inst.p)(k1)
-    grow = (qq_pp > 0) - (qq_pp < 0)  # the sign of |r(k)| - 1 for k >= k1
+    q_abs, p_abs = abs(inst.q(k1)), abs(inst.p(k1))
+    grow = (q_abs > p_abs) - (q_abs < p_abs)  # the sign of |r(k)| - 1 for k >= k1
     if just == "ratio_exceeds_target":
         if grow <= 0:
             return [f"|r(k)| <= 1 for k >= {k1} under a divergence bound"]

@@ -12,6 +12,9 @@ Exit codes, shared by every subcommand:
   4        resource cap exceeded (scan cap or precision cap), or a number
            too large to align or to print
   5        internal error, i.e. a crash; never a verdict
+  141      standard output was closed by its reader (`... | head -1`): the
+           command stops writing, as a filter ended by SIGPIPE does, and
+           exits with the status a shell gives one (128 + SIGPIPE)
 
 Subcommands raise; `_exit_code` maps the error to its code and label.
 With several files `decide` goes on past a failed file, and an error code
@@ -57,6 +60,7 @@ EXIT_UNSUPPORTED = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
+EXIT_CLOSED_PIPE = 141
 
 
 def _config(args) -> EngineConfig:
@@ -294,11 +298,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_coeffs(argv: list[str]) -> list[str]:
+    """`--coeffs -2,0,1` as `--coeffs=-2,0,1`: argparse takes a value with
+    a leading minus for an option unless it is a single number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--coeffs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_coeffs(sys.argv[1:] if argv is None else argv))
         args.config = _config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to /dev/null, so the flush at exit
+        # cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except Exception as e:
         return _report(e)
 

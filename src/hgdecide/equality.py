@@ -21,6 +21,7 @@ with a NotEqual proof in hand, so termination is guaranteed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -91,13 +92,10 @@ class CanonicalLimitOracle:
         self.config = config
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
-        return decide_equal(self.constant, t)
+        return replace(decide_equal(self.constant, t), canonical=self.constant.describe())
 
     def compare(self, t: Fraction) -> tuple[int, int]:
         return compare(self.constant, t, self.config)
-
-    def verdict_extras(self) -> dict:
-        return {"canonical": self.constant.describe()}
 
 
 def _unconditional_oracle(inst: HGInstance, config: EngineConfig) -> CanonicalLimitOracle:
@@ -350,8 +348,7 @@ def _balanced_verdict(
 
     oracle = build_oracle()
     eq = oracle.decide_equal(inst.t)
-    # captured after the equality decision so oracle traces are complete
-    extras = oracle.verdict_extras()
+    extras = dict(canonical=eq.canonical, matching=eq.matching, identity=eq.identity)
     cond = Conditionality.CONDITIONAL_ON_SCHANUEL if eq.conditional else Conditionality.UNCONDITIONAL
     if membership:
         if eq.equal:

@@ -12,19 +12,23 @@ from functools import lru_cache
 from .errors import PrecisionExceeded
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: no composite below psi_13 = 3317044064679887385961981
+# is a strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017); the first 12 stop at psi_12 = 318665857834031151167461
+_WITNESSES = _SMALL_PRIMES + (41,)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
+    """Deterministic Miller-Rabin for n < psi_13 ~ 3.3e24 (`_WITNESSES`)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

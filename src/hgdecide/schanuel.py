@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -264,30 +264,35 @@ class _Laurent:
 
 @dataclass(frozen=True)
 class GammaPair:
-    """One Gamma(rho+w)Gamma(rho-w) factor with w expanded over the basis."""
+    """One Gamma(rho+w)Gamma(rho-w) factor with w expanded over the basis.
+
+    `translation` is the exact factor prod_j (c_j - w^2) over
+    `translation_squares(rho)` that takes the pair down to its base center;
+    it multiplies the pair's value when `rising` and divides it otherwise.
+    """
 
     rho: Fraction  # in (1/2)Z
     w: TowerElem
     index: int  # row in the basis tables
+    translation: TowerElem = field(init=False, compare=False)
+    rising: bool = field(init=False, compare=False)
 
-
-def _translation_factor(pair: GammaPair, tower: Tower, rising: bool) -> TowerElem:
-    """prod_j (c_j - w^2) if the pair's translation factor multiplies
-    (rising) or divides (not rising) its value as asked, else 1."""
-    squares, pair_rising = translation_squares(pair.rho)
-    out = tower.one()
-    if pair_rising == rising and squares:
-        w2 = pair.w * pair.w
+    def __post_init__(self):
+        squares, rising = translation_squares(self.rho)
+        tower = self.w.tower
+        w2 = self.w * self.w
+        factor = tower.one()
         for c in squares:
-            out = out * (tower.rational(c) - w2)
-    return out
+            factor = factor * (tower.rational(c) - w2)
+        object.__setattr__(self, "translation", factor)
+        object.__setattr__(self, "rising", rising)
 
 
 def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
     """A * 2 * pi * i^delta * M as a one-term Laurent polynomial, where A
     is the translation factor when it multiplies and 1 otherwise."""
     integer_rho = pair.rho.denominator == 1
-    a_elem = _translation_factor(pair, tower, rising=True)
+    a_elem = pair.translation if pair.rising else tower.one()
     r = basis.one_part[pair.index]
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
@@ -303,7 +308,7 @@ def _pair_denominator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: 
     """B * w*(1 - M^2) for integer rho, B * (1 + M^2) for half-integer rho,
     where B is the translation factor when it divides and 1 otherwise."""
     integer_rho = pair.rho.denominator == 1
-    base = CElem.make(tower, _translation_factor(pair, tower, rising=False))
+    base = CElem.make(tower, tower.one() if pair.rising else pair.translation)
     if integer_rho:
         base = CElem.make(tower, pair.w).mul(base)
     r = basis.one_part[pair.index]
@@ -349,15 +354,10 @@ def build_identity(
     return SymbolicIdentity(tower, basis, t, diff.terms)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    holds: bool
-
-
-def decide_identity(ident: SymbolicIdentity) -> IdentityVerdict:
-    """Holds iff all terms cancelled (exact tower arithmetic); a nonzero
+def decide_identity(ident: SymbolicIdentity) -> bool:
+    """True iff all terms cancelled (exact tower arithmetic); a nonzero
     identity cannot hold under Schanuel's Conjecture."""
-    return IdentityVerdict(ident.is_zero)
+    return ident.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -446,39 +446,32 @@ def _rational_gamma_args(f: IntPoly) -> list[int]:
 
 class ConditionalLimitOracle:
     """Equality via the symbolic identity; order by `equality.compare` over
-    `limit_enclosure`, the product of the pair-value enclosures."""
+    `limit_enclosure`, the product of the pair-value enclosures.
+
+    A pure function of its instance: nothing is stored after construction,
+    so every call answers the same in any order.
+    """
 
     def __init__(self, inst: HGInstance, config: EngineConfig):
         self.inst = inst
         self.config = config
-        cert_p = find_symmetric_matching(inst.p)
-        if isinstance(cert_p, NoMatching):
-            raise UnsupportedInstance("p lacks a perfect root matching", cert_p.describe())
-        cert_q = find_symmetric_matching(inst.q)
-        if isinstance(cert_q, NoMatching):
-            raise UnsupportedInstance("q lacks a perfect root matching", cert_q.describe())
-        self.cert_p, self.cert_q = cert_p, cert_q
-
-        num_raw = matched_gamma_pairs(cert_p)  # numerator: Gamma at -roots(p)
-        den_raw = matched_gamma_pairs(cert_q)
-        self.tower = self._common_tower(
-            [w for _, w in num_raw] + [w for _, w in den_raw]
-        )
-        num_lift = [(rho, self._lift(w)) for rho, w in num_raw]
-        den_lift = [(rho, self._lift(w)) for rho, w in den_raw]
-        ws = [w for _, w in num_lift] + [w for _, w in den_lift]
-        self.basis = build_basis(ws, self.tower)
-        self.num_pairs = [
-            GammaPair(rho, w, k) for k, (rho, w) in enumerate(num_lift)
-        ]
-        self.den_pairs = [
-            GammaPair(rho, w, len(num_lift) + k) for k, (rho, w) in enumerate(den_lift)
-        ]
+        certs = []
+        for side, poly in (("p", inst.p), ("q", inst.q)):
+            cert = find_symmetric_matching(poly)
+            if isinstance(cert, NoMatching):
+                raise UnsupportedInstance(f"{side} lacks a perfect root matching", cert.describe())
+            certs.append(cert)
+        self.cert_p, self.cert_q = certs
+        # Gamma at -roots(p) over Gamma at -roots(q), one basis row per pair
+        raw = matched_gamma_pairs(self.cert_p) + matched_gamma_pairs(self.cert_q)
+        self.tower = self._common_tower([w for _, w in raw])
+        pairs = [GammaPair(rho, self._lift(w), k) for k, (rho, w) in enumerate(raw)]
+        self.basis = build_basis([pair.w for pair in pairs], self.tower)
+        split = len(self.cert_p.pairs)
+        self.num_pairs, self.den_pairs = pairs[:split], pairs[split:]
         self.rational_factor = Fraction(inst.u0) * integer_gamma_ratio(
             _rational_gamma_args(inst.p), _rational_gamma_args(inst.q)
         )
-        self.last_identity: SymbolicIdentity | None = None
-        self.stress_ok: bool | None = None
 
     def _common_tower(self, ws: list[TowerElem]) -> Tower:
         quad_ds = set()
@@ -492,16 +485,8 @@ class ConditionalLimitOracle:
             raise UnsupportedInstance("pair offsets span several towers")
         if towers:
             tower = next(iter(towers))
-            if quad_ds:
-                if not isinstance(tower, CyclotomicTower):
-                    raise UnsupportedInstance(
-                        "quadratic offsets mix only into cyclotomic towers"
-                    )
-                for d in quad_ds:
-                    if tower.sqrt_of(d) is None:
-                        raise UnsupportedInstance(
-                            f"sqrt({d}) does not embed in the conductor-{tower.n} tower"
-                        )
+            if quad_ds and not isinstance(tower, CyclotomicTower):
+                raise UnsupportedInstance("quadratic offsets mix only into cyclotomic towers")
             return tower
         return MultiquadraticTower(tuple(sorted(quad_ds | {-1})))
 
@@ -522,46 +507,41 @@ class ConditionalLimitOracle:
         if isinstance(self.tower, MultiquadraticTower):
             return self.tower.sqrt_elem(d)
         root = self.tower.sqrt_of(d)
-        emb = root.embed(64)
-        coord = emb.re if d > 0 else emb.im
-        if coord.is_negative():
-            return -root
-        if not coord.is_positive():
-            raise DecideError("internal: ambiguous sqrt branch at 64 bits")
+        if root is None:
+            raise UnsupportedInstance(f"sqrt({d}) does not embed in the conductor-{self.tower.n} tower")
         return root
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
+        """The identity's verdict with the matching and identity it rests
+        on; a nonzero identity also records its stress check."""
         ident = build_identity(
             self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
         )
-        self.last_identity = ident
-        verdict = decide_identity(ident)
-        if verdict.holds:
+        matching = {"p": self.cert_p.describe(), "q": self.cert_q.describe()}
+        if decide_identity(ident):
             # replay with freshly constructed terms before trusting Equal
             replay = build_identity(
                 self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
             )
             if not replay.is_zero:
                 raise DecideError("internal: identity cancellation not reproducible")
-            return EqualityDecision(True, Rationale.IDENTITY_CANCELLATION, conditional=False)
-        self.stress_ok = stress_check_identity(ident, self.config)
-        return EqualityDecision(False, Rationale.IDENTITY_NONZERO, conditional=True)
+            return EqualityDecision(
+                True, Rationale.IDENTITY_CANCELLATION, matching=matching, identity=ident.describe()
+            )
+        identity = {**ident.describe(), "stress_separated": stress_check_identity(ident, self.config)}
+        return EqualityDecision(
+            False, Rationale.IDENTITY_NONZERO, conditional=True, matching=matching, identity=identity
+        )
 
     # -- numeric limit value ------------------------------------------------
 
     def _pair_value(self, pair: GammaPair, prec: int) -> ComplexInterval:
         """Gamma(rho+w)Gamma(rho-w) enclosure from M = exp(i*pi*w), by the
         module docstring's formulas: A * 2*pi*i * M / (w (1 - M^2)) for
-        integer rho, A * 2*pi * M / (1 + M^2) for half-integer rho."""
+        integer rho, A * 2*pi * M / (1 + M^2) for half-integer rho, with A
+        the embedded translation factor (or 1/A when it divides)."""
         wv = pair.w.embed(prec + 8)
         one = ComplexInterval.from_real(DyadicInterval.from_int(1))
-        squares, rising = translation_squares(pair.rho)
-        a_val = one
-        for c in squares:
-            # exact for every c: integers and quarters are dyadic
-            sq = ComplexInterval.from_real(DyadicInterval.from_fraction(c, prec + 8))
-            f = sq.sub(wv.mul(wv, prec), prec)
-            a_val = a_val.mul(f, prec) if rising else a_val.div(f, prec)
         m = _exp_i_pi_times(wv, prec + 8)
         m2 = m.mul(m, prec + 8)
         two_pi = ComplexInterval.from_real(pi_interval(prec + 8).scale(Fraction(2), prec + 8))
@@ -570,7 +550,8 @@ class ConditionalLimitOracle:
             core = two_pi_i_m.div(wv.mul(one.sub(m2, prec + 8), prec + 8), prec)
         else:
             core = two_pi.mul(m, prec + 8).div(one.add(m2, prec + 8), prec)
-        return a_val.mul(core, prec)
+        a_val = pair.translation.embed(prec + 8)
+        return a_val.mul(core, prec) if pair.rising else core.div(a_val, prec)
 
     def limit_enclosure(self, prec: int) -> DyadicInterval:
         total = ComplexInterval.from_real(
@@ -586,20 +567,6 @@ class ConditionalLimitOracle:
 
     def compare(self, t: Fraction) -> tuple[int, int]:
         return compare(self, t, self.config)
-
-    def verdict_extras(self) -> dict:
-        extras = {
-            "matching": {
-                "p": self.cert_p.describe(),
-                "q": self.cert_q.describe(),
-            },
-        }
-        if self.last_identity is not None:
-            ident = self.last_identity.describe()
-            if self.stress_ok is not None:
-                ident["stress_separated"] = self.stress_ok
-            extras["identity"] = ident
-        return extras
 
 
 def conditional_oracle_builder(inst: HGInstance, config: EngineConfig):

@@ -517,12 +517,6 @@ class ExactScan:
             low = min(end, inst.monotonicity_index)
             if low - self.n > _BLOCK and inst.monotonicity_index <= self.cap:
                 low = min(end, inst.skip_index)
-        while self.n < low:
-            if hit is None and cmp(t) == result:
-                if not through:
-                    return self.n
-                hit = self.n
-            step()
         prev = 0  # side of the last index when it was a float-settled miss
         span = 1  # length of the next block tried
         while self.n < end:
@@ -531,17 +525,14 @@ class ExactScan:
                 if not through:
                     return n
                 hit = n
-            side = self._side(t)
-            if n >= k1:
-                if past and (side or self.abs_cmp(t)) == past:
-                    return hit
-                top = min(end, self.cap)
-            else:
-                top = min(end, self.cap, k1)
+            side = self._side(t) if n >= low else 0  # below low: per index
+            if past and n >= k1 and (side or self.abs_cmp(t)) == past:
+                return hit
             if side and (side == prev or hit is not None):
                 # once a witness is recorded only the magnitude matters;
                 # a refused block is retried here at half the span, and a
                 # block of one index is the step below
+                top = min(end, self.cap) if n >= k1 else min(end, self.cap, k1)
                 while span > 1:
                     hi = min(n + span, top)
                     if hi > n + 1 and self._advance(hi, side):

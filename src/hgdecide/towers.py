@@ -285,6 +285,8 @@ class CyclotomicTower(Tower):
         return {k: c for k, c in enumerate(coords) if c}
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
+        if k == 0:  # zeta^0 = 1 exactly: rational elements embed with no slack
+            return ComplexInterval.from_real(DyadicInterval.from_int(1))
         angle = pi_interval(prec + 8).scale(Fraction(2 * k, self.n), prec + 8)
         return ComplexInterval(cos_interval(angle, prec), sin_interval(angle, prec))
 
@@ -297,13 +299,16 @@ class CyclotomicTower(Tower):
         return self.element(self._power_coords(e))
 
     def sqrt_of(self, d: int) -> TowerElem | None:
-        """An element whose square is the squarefree integer d, or None.
+        """The principal sqrt(d) for a squarefree integer d, or None.
 
         sqrt(d) lies in Q(zeta_n) iff the conductor of Q(sqrt(d)) divides n
-        (|d| for d = 1 mod 4, else 4|d|).  Built from quadratic Gauss sums
-        g_p = sum over k of legendre(k, p) * zeta_p^k (with g_p^2 = p for
-        p = 1 mod 4 and -p otherwise), sqrt(2) = zeta_8 + zeta_8^-1, and
-        i = zeta_4; the construction is verified by exact squaring.
+        (|d| for d = 1 mod 4, else 4|d|).  Built from sqrt(2) = zeta_8 +
+        zeta_8^-1, i = zeta_4 and the quadratic Gauss sums g_p = sum over k
+        of legendre(k, p) * zeta_p^k, which Gauss evaluated as sqrt(p) for
+        p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.  Counting those powers
+        of i gives the embedded value i^turns * sqrt(|d|) exactly, and the
+        sign is set so that the result is sqrt(d) > 0 for d > 0 and
+        i*sqrt(|d|) for d < 0; the square is still checked exactly.
         """
         conductor = abs(d) if d % 4 == 1 else 4 * abs(d)
         if d in (0, 1) or self.n % conductor:
@@ -311,23 +316,24 @@ class CyclotomicTower(Tower):
         from .numutil import factorize
 
         val = self.one()
-        square = 1  # exact value of val^2, tracked alongside
+        turns = 0  # val embeds as i^turns times a positive real
         rem = d
         if rem % 2 == 0:
             z8 = self.root_of_unity(self.n // 8)
             val = val * (z8 + self.root_of_unity(self.n - self.n // 8))
-            square *= 2
             rem //= 2
         for p in sorted(factorize(abs(rem))):
             g = self.zero()
             for k in range(1, p):
-                sign = 1 if pow(k, (p - 1) // 2, p) == 1 else p - 1
-                g = g + self.root_of_unity(k * self.n // p) * (1 if sign == 1 else -1)
+                sign = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+                g = g + self.root_of_unity(k * self.n // p) * sign
             val = val * g
-            square *= p if p % 4 == 1 else -p
-        if (square > 0) != (d > 0):
-            val = val * self.element(self._power_coords(self.n // 4))
-            square = -square
+            turns += p % 4 == 3
+        if turns % 2 != (d < 0):
+            val = val * self.root_of_unity(self.n // 4)
+            turns += 1
+        if turns % 4 >= 2:
+            val = -val
         if (val * val).as_rational() != d:
             raise DecideError(f"internal: gauss-sum sqrt({d}) failed verification")
         return val

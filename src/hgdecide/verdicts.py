@@ -23,9 +23,16 @@ class Rationale(enum.Enum):
 
 @dataclass(frozen=True)
 class EqualityDecision:
+    """An oracle's equality verdict with the certificate fields it rests
+    on: `canonical` for the canonical constant, `matching` and `identity`
+    for the symbolic identity."""
+
     equal: bool
     rationale: Rationale
     conditional: bool = False
+    canonical: dict | None = None
+    matching: dict | None = None
+    identity: dict | None = None
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,10 @@ def mpf_fraction(x) -> Fraction:
 
 def gamma_ratio_limit(u0: Fraction, p_factors, q_factors, prec: int) -> Fraction:
     """u0 * prod_{k>=0} q(k)/p(k) as a gamma ratio in mpmath at 2 * prec
-    bits, for p and q given as products of monic linear and quadratic
-    factors: Gamma at the negated roots of p over Gamma at those of q."""
+    bits, for p and q given as products of monic factors: Gamma at the
+    negated roots of p over Gamma at those of q.  Linear and quadratic
+    factors take their roots in closed form, higher degrees from
+    `mpmath.polyroots`."""
     import mpmath
 
     with mpmath.workprec(2 * prec):
@@ -73,6 +75,10 @@ def gamma_ratio_limit(u0: Fraction, p_factors, q_factors, prec: int) -> Fraction
             for poly in factors:
                 if poly.degree == 1:  # x + c: Gamma(c)
                     value *= mpmath.gamma(poly.coeffs[0]) ** power
+                    continue
+                if poly.degree > 2:  # conjugate-closed roots: a real product
+                    roots = mpmath.polyroots(poly.coeffs[::-1], maxsteps=200, extraprec=2 * prec)
+                    value *= mpmath.fprod(mpmath.gamma(-r) for r in roots).real ** power
                     continue
                 c, b = poly.coeffs[0], poly.coeffs[1]  # x^2 + b x + c
                 # roots -b/2 +- sqrt(b^2/4 - c); Gamma at both negated roots,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import hgdecide
 from hgdecide.certs import (
     certificate_dict,
     load_instance,
@@ -461,6 +465,33 @@ class TestCLI:
         assert main(["recognize", "--coeffs", "13,-4,1"]) == 0
         out = capsys.readouterr().out
         assert "symmetric pairing: YES (1 pairs)" in out
+
+    def test_recognize_negative_leading_coefficient(self, capsys):
+        # x^8 - 2: the value of --coeffs starts with a minus sign
+        assert main(["recognize", "--coeffs=-2,0,0,0,0,0,0,0,1"]) == 0
+        joined = capsys.readouterr()
+        assert main(["recognize", "--coeffs", "-2,0,0,0,0,0,0,0,1"]) == 0
+        assert capsys.readouterr() == joined
+        assert "radical family: x^8 - (2)" in joined.out
+
+    def test_closed_pipe_is_not_a_crash(self, tmp_path):
+        # the reader takes one line and closes the pipe while decide still
+        # has certificates to write (more than a pipe buffer holds)
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc([1, 1], [2, 1], "1", "3")))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hgdecide.__file__))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hgdecide.cli", "decide", *[str(f)] * 400],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().strip() == b"{"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_unconditional_mode_rejects_real_quadratic(self, tmp_path, capsys):
         f = tmp_path / "inst.json"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, PrecisionExceeded, UnsupportedInstance
-from hgdecide.numutil import factorize, perfect_power_root
+from hgdecide.numutil import factorize, is_probable_prime, perfect_power_root
 from hgdecide.polys import (
     COEFF_BIT_CAP,
     IntPoly,
@@ -322,6 +323,28 @@ class TestPollardRhoBudget:
     def test_primes_near_2_to_31_still_factor(self):
         a, b = 2147483659, 2147484679
         assert factorize(a * b) == {a: 1, b: 1}
+
+
+class TestMillerRabin:
+    # the least strong pseudoprime to the first 12 prime bases
+    PSI_12 = 318665857834031151167461
+
+    def test_psi_12_is_composite(self):
+        assert 399165290221 * 798330580441 == self.PSI_12
+        assert not is_probable_prime(self.PSI_12)
+
+    def test_factorize_never_calls_psi_12_prime(self):
+        # its factors lie past the rho budget: a resource error, not {psi_12: 1}
+        with pytest.raises(PrecisionExceeded):
+            factorize(self.PSI_12)
+
+    def test_agrees_with_sympy(self):
+        import sympy
+
+        rng = random.Random(41)
+        draws = list(range(2000)) + [rng.randrange(2**80) | 1 for _ in range(300)]
+        for n in draws:
+            assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 class TestPerfectPowerRoot:

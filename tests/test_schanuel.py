@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from hgdecide.schanuel import (
     evaluate_identity,
 )
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
-from hgdecide.towers import CyclotomicTower, MultiquadraticTower
+from hgdecide.towers import CyclotomicTower, MultiquadraticTower, TowerElem
 from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import gamma_ratio_limit, mpf_fraction
@@ -95,7 +96,7 @@ class TestIdentity:
         pair_d = GammaPair(F(1), w, 1)
         ident = build_identity([pair_n], [pair_d], F(1), F(1), basis)
         assert ident.is_zero
-        assert decide_identity(ident).holds
+        assert decide_identity(ident) is True
 
     def test_nonzero_identity_distinct_radicals(self):
         t = MultiquadraticTower((2, -1))
@@ -106,8 +107,7 @@ class TestIdentity:
             [GammaPair(F(0), w1, 0)], [GammaPair(F(0), w2, 1)], F(1), F(3, 7), basis
         )
         assert not ident.is_zero
-        v = decide_identity(ident)
-        assert not v.holds
+        assert decide_identity(ident) is False
         assert "Y1" in ident.symbols_used()
 
     @pytest.mark.parametrize(
@@ -127,9 +127,9 @@ class TestIdentity:
         basis = build_basis([w, w], t)
         num, den = [GammaPair(rho_num, w, 0)], [GammaPair(rho_den, w, 1)]
         equal = build_identity(num, den, F(1), t_equal, basis)
-        assert equal.is_zero and decide_identity(equal).holds
+        assert equal.is_zero and decide_identity(equal) is True
         unequal = build_identity(num, den, F(1), F(1), basis)
-        assert not unequal.is_zero and not decide_identity(unequal).holds
+        assert not unequal.is_zero and decide_identity(unequal) is False
         assert not evaluate_identity(unequal, 128).contains_zero()
         # the same pairs with the sides swapped put the factor on the left
         swapped = build_identity(den, num, F(1), 1 / t_equal, basis)
@@ -140,7 +140,7 @@ class TestIdentity:
         basis = build_basis([], t)
         ident = build_identity([], [], F(1), F(22, 7), basis)
         # 1 - 22/7 as a constant: nonzero, no symbols at all
-        assert not decide_identity(ident).holds
+        assert decide_identity(ident) is False
 
     def test_identity_value_matches_gamma_product(self, mp, mpref):
         # worked Gaussian example assembled through the identity machinery
@@ -380,6 +380,18 @@ class TestConditionalDecider:
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
 
+    def test_building_the_oracle_embeds_nothing(self, monkeypatch):
+        # the lifted sqrt(3) takes Gauss's branch and the translation factors
+        # are exact, so the build needs no enclosure of any tower element
+        calls = []
+        embed = TowerElem.embed
+        monkeypatch.setattr(TowerElem, "embed", lambda self, prec: calls.append(prec) or embed(self, prec))
+        p = IntPoly.of(3, 0, -2, 0, 2, 0, 1)
+        q = IntPoly.of(-3, 0, -5, 0, -1, 0, 1)
+        orc = ConditionalLimitOracle(HGInstance(p, q, F(1), F(1, 5), Problem.MEMBERSHIP), DEFAULT_CONFIG)
+        assert orc.tower == CyclotomicTower(12)
+        assert calls == []
+
 
 def _conjugate_pair_instance(draw, whole_ds, half_ds) -> HGInstance:
     """p and q each a conjugate root pair rho +- b sqrt(d) about one center
@@ -442,6 +454,69 @@ class TestOnePairFormula:
             assert re in i0.div(i0.sub(i1, 256), 256).re
 
 
+class TestStatelessOracles:
+    """An oracle is a function of its instance: decide_equal, compare and
+    the limit enclosure answer the same whatever was asked before, on the
+    same oracle or on a fresh one."""
+
+    @staticmethod
+    def _conditional_equal_instance():
+        # L = 6 exactly: the identity cancels for t = 6
+        f = IntPoly.of(-1, -2, 1)
+        p = f * IntPoly.of(1, 1) * IntPoly.of(4, 1)
+        q = f * IntPoly.of(2, 1) * IntPoly.of(3, 1)
+        return HGInstance(p, q, F(2), F(6), Problem.MEMBERSHIP)
+
+    @staticmethod
+    def _answer(oracle, call):
+        kind, arg = call
+        if kind == "equal":
+            return oracle.decide_equal(arg)
+        if kind == "compare":
+            return oracle.compare(arg)
+        limit = getattr(oracle, "limit_enclosure", None) or oracle.constant.limit_enclosure
+        return limit(arg)
+
+    @pytest.mark.parametrize(
+        "build, targets",
+        [
+            (lambda: ConditionalLimitOracle(TestStatelessOracles._conditional_equal_instance(), DEFAULT_CONFIG),
+             [F(6), F(5), F(61, 10)]),
+            (lambda: ConditionalLimitOracle(inst([-1, -1, 1], [-3, -1, 1], 1, 1), DEFAULT_CONFIG),
+             [F(-5, 3), F(-3), F(-262, 100)]),
+            (lambda: ConditionalLimitOracle(
+                inst([3, 0, -2, 0, 2, 0, 1], [-3, 0, -5, 0, -1, 0, 1], 1, 1), DEFAULT_CONFIG),
+             [F(1, 5), F(1, 7), F(158, 1000)]),
+            (lambda: _unconditional_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG),
+             [F(1, 13), F(1, 7), F(1, 10**6)]),
+        ],
+    )
+    def test_answers_do_not_depend_on_call_order(self, build, targets):
+        first = build()
+        calls = [("equal", t) for t in targets]
+        calls += [("compare", t) for t in targets if not first.decide_equal(t).equal]
+        calls += [("enclosure", bits) for bits in (64, 256)]
+        reference = {call: self._answer(build(), call) for call in calls}
+        rng = random.Random(len(targets))
+        for oracle in (first, first, build()):
+            order = calls[:]
+            rng.shuffle(order)
+            assert {call: self._answer(oracle, call) for call in order} == reference
+
+    def test_decisions_carry_their_certificate_fields(self):
+        orc = ConditionalLimitOracle(self._conditional_equal_instance(), DEFAULT_CONFIG)
+        equal, unequal = orc.decide_equal(F(6)), orc.decide_equal(F(5))
+        assert equal.equal and not unequal.equal
+        for eq in (equal, unequal):
+            assert set(eq.matching) == {"p", "q"} and eq.canonical is None
+        assert "stress_separated" not in equal.identity
+        assert unequal.identity["stress_separated"] is True
+        canon = _unconditional_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG)
+        eq = canon.decide_equal(F(1, 13))
+        assert eq.canonical == canon.constant.describe()
+        assert eq.matching is None and eq.identity is None
+
+
 class TestOneOrderTest:
     @settings(max_examples=30, deadline=None)
     @given(imaginary_quadratic_pairs(), st.fractions(min_value=-50, max_value=50, max_denominator=50))
@@ -470,3 +545,64 @@ class TestOneOrderTest:
             if target == 0 or ident.decide_equal(target).equal:
                 continue
             assert ident.compare(target)[0] == (1 if limit > target else -1)
+
+
+# (p factors, q factors) of in-class pairs whose verdicts read the limit:
+# three real-quadratic pairs (integer and half-integer centers, a falling
+# translation factor) and the pair whose offsets meet in Q(zeta_12)
+CONDITIONAL_PAIRS = {
+    "neg-center": ([(7, 6, 1)], [(4, 6, 1)]),
+    "golden": ([(-1, -1, 1)], [(-3, -1, 1)]),
+    "half-center": ([(1, 5, 1)], [(-1, 5, 1)]),
+    "phi12": ([(1, 0, -1, 0, 1), (3, 0, 1)], [(1, 0, 1), (1, 0, 1), (-3, 0, 1)]),
+}
+_M, _T = Problem.MEMBERSHIP, Problem.THRESHOLD
+# (pair, problem, k, sign of the 2^-k offset): (result, reason, relation, bits).
+# Each target lies 2^-k from L (relatively) on the side where no scan to
+# the cap follows, except at k = 6, where both sides end.  k stays a few
+# bits inside a rung (k = 40 at 64 bits, 100 or 120 at 128, 250 at 256);
+# right at a rung's edge the rung follows the enclosure's last few bits
+CONDITIONAL_RUNGS = [
+    ("neg-center", _T, 6, 1, (False, "decreasing_tail_below_target", "less", 64)),
+    ("neg-center", _T, 6, -1, (True, "decreasing_tail_above_target", "greater", 64)),
+    ("neg-center", _T, 40, -1, (True, "decreasing_tail_above_target", "greater", 64)),
+    ("neg-center", _T, 100, -1, (True, "decreasing_tail_above_target", "greater", 128)),
+    ("neg-center", _T, 250, -1, (True, "decreasing_tail_above_target", "greater", 256)),
+    ("neg-center", _M, 6, 1, (False, "monotone_tail_excludes_target", "less", 64)),
+    ("neg-center", _M, 120, -1, (False, "monotone_tail_excludes_target", "greater", 128)),
+    ("golden", _M, 6, 1, (False, "monotone_tail_excludes_target", "greater", 64)),
+    ("golden", _M, 6, -1, (False, "monotone_tail_excludes_target", "less", 64)),
+    ("golden", _M, 40, -1, (False, "monotone_tail_excludes_target", "less", 64)),
+    ("golden", _M, 100, -1, (False, "monotone_tail_excludes_target", "less", 128)),
+    ("golden", _M, 250, -1, (False, "monotone_tail_excludes_target", "less", 256)),
+    ("half-center", _M, 6, 1, (False, "monotone_tail_excludes_target", "greater", 64)),
+    ("half-center", _M, 120, -1, (False, "monotone_tail_excludes_target", "less", 128)),
+    ("half-center", _M, 250, -1, (False, "monotone_tail_excludes_target", "less", 256)),
+    ("phi12", _M, 6, 1, (False, "monotone_tail_excludes_target", "less", 64)),
+    ("phi12", _M, 6, -1, (False, "monotone_tail_excludes_target", "greater", 64)),
+    ("phi12", _M, 60, -1, (False, "monotone_tail_excludes_target", "greater", 128)),
+    ("phi12", _M, 120, -1, (False, "monotone_tail_excludes_target", "greater", 128)),
+    ("phi12", _M, 250, -1, (False, "monotone_tail_excludes_target", "greater", 256)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _conditional_limit(name):
+    p_factors, q_factors = ([IntPoly(c) for c in fs] for fs in CONDITIONAL_PAIRS[name])
+    return math.prod(p_factors, start=IntPoly.of(1)), math.prod(q_factors, start=IntPoly.of(1)), gamma_ratio_limit(
+        F(1), p_factors, q_factors, 400
+    )
+
+
+class TestConditionalRungs:
+    """Conditional verdicts at targets L(1 +- 2^-k): the compare rung
+    grows with k, past the 64 bits that corpus documents reach."""
+
+    @pytest.mark.parametrize("name, problem, k, sign, expected", CONDITIONAL_RUNGS)
+    def test_verdict_relation_and_rung(self, name, problem, k, sign, expected):
+        p, q, limit = _conditional_limit(name)
+        v = decide_conditional(HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem))
+        assert (v.result, v.reason, v.compare_relation, v.compare_precision_bits) == expected
+        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert v.equality_rationale is Rationale.IDENTITY_NONZERO
+        assert v.identity["stress_separated"] is True

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, UnsupportedInstance
+from hgdecide.numutil import squarefree_decompose
 from hgdecide.towers import (
     CyclotomicTower,
     MultiquadraticTower,
@@ -71,6 +73,28 @@ class TestCyclotomic:
     def test_conductor_cap(self):
         with pytest.raises(UnsupportedInstance):
             CyclotomicTower(36)
+
+    def test_sqrt_takes_the_principal_branch(self):
+        # the branch comes from Gauss's signs of the quadratic Gauss sums,
+        # with no numerics: sqrt(d) > 0 for d > 0 and i*sqrt(|d|) for d < 0,
+        # checked here against the embedding for every squarefree |d| <= 100
+        # whose conductor divides a conductor n <= 24
+        cases = 0
+        for n in range(3, 25):
+            t = CyclotomicTower(n)
+            for d in (sign * a for a in range(1, 101) for sign in (1, -1)):
+                if d == 1 or squarefree_decompose(d)[0] != 1:
+                    continue
+                root = t.sqrt_of(d)
+                if root is None:
+                    continue
+                cases += 1
+                emb = root.embed(64)
+                along, across = (emb.re, emb.im) if d > 0 else (emb.im, emb.re)
+                assert along.is_positive() and across.contains_zero(), (n, d)
+                low = F(math.isqrt(abs(d) << 120), 1 << 60)
+                assert along.lo <= low + F(1, 1 << 60) and low <= along.hi, (n, d)
+        assert cases == 40
 
 
 class TestRadical:
