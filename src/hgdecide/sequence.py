@@ -46,6 +46,16 @@ product over any other residual costs more per index the longer the span
 (products of 2x + 3 and 2x + 4 and their log over 10^5 indices past 10^5,
 on a 2-core x86 host: 22 ms at span 64, 40 ms at 1024, 150 ms at 16384;
 a constant c != +-1 makes a c^span of span * log2|c| bits).
+
+Blocks are needed only while |u_n| moves towards |t|.  Once it lies on
+one side of |t| and moves away from it, monotonicity alone says that no
+later index is a witness and where the past exit fires, so the search
+takes its tail exit: it moves n to where it would end (the search end,
+the cap, or k1 when the pending past exit is on that side) with no
+product at all, and the sign by the stretch's parity.  The float pair is
+left at the exit's index: readers against the same target answer from
+the side it proved, and any other reader (a step, a jump, a new target,
+logabs or err) first catches it up with jump's products.
 """
 
 from __future__ import annotations
@@ -399,11 +409,27 @@ class ExactScan:
     so it tries blocks without waiting for two misses.  jump(n) moves the
     float state, unchecked, by one product when the residuals are +-1,
     else by one per _BLOCK indices.
+
+    Tail exit.  Where a block would be tried and |q(k)| - |p(k)|, constant
+    past the skip index, has the sign of the side |u_n| is on, |u_m| stays
+    strictly on that side for every m >= n.  No later index is a witness,
+    and the past exit fires at k1 if it is on that side and never
+    otherwise; so the search moves n, with `steps`, straight to the search
+    end, the cap or k1, builds no product, and flips the sign when
+    r(k) < 0 and the stretch is odd.  The float pair stays at the exit's
+    index (`_lag`) and proves the side for its target `_t`: cmp, abs_cmp
+    and _side against that target read the same settled logs as at the
+    exit.  step, jump, a new target in _far, and the logabs and err
+    properties first catch the pair up (`_catch_up`, jump's products);
+    _materialize needs no catch-up, as the exact pair re-anchors the
+    float pair.  On p = x^3 + 87x + 412, q = x^3 + 164x + 720, u0 = 1 and
+    Threshold t = 1/2, first_hit(k1 + 2) steps at 0 and 1 and exits, where
+    galloping took 16 products over 721 indices.
     """
 
     __slots__ = (
-        "inst", "cap", "n", "logabs", "err", "steps", "materialized", "zero_since",
-        "_sign", "_num", "_den", "_at", "_t", "_tlog", "_terr",
+        "inst", "cap", "n", "steps", "materialized", "zero_since",
+        "_logabs", "_err", "_lag", "_sign", "_num", "_den", "_at", "_t", "_tlog", "_terr",
     )
 
     def __init__(self, inst: HGInstance, cap: int = DEFAULT_CONFIG.scan_cap):
@@ -417,15 +443,33 @@ class ExactScan:
         self._at = 0
         self._sign = (self._num > 0) - (self._num < 0)
         self.zero_since: int | None = 0 if self._num == 0 else None
-        self.logabs, self.err = _log_ratio(self._num, self._den) if self._num else (0.0, 0.0)
+        self._logabs, self._err = _log_ratio(self._num, self._den) if self._num else (0.0, 0.0)
+        self._lag: int | None = None
         self._t = None
+
+    @property
+    def logabs(self) -> float:
+        """The float log|u_n|, caught up first if a tail exit left it behind."""
+        if self._lag is not None:
+            self._catch_up()
+        return self._logabs
+
+    @property
+    def err(self) -> float:
+        """The bound on |logabs - log|u_n||, caught up first like logabs."""
+        if self._lag is not None:
+            self._catch_up()
+        return self._err
 
     def step(self):
         k = self.n
+        if k >= self.cap:
+            self.n, self.steps = k + 1, self.steps + 1
+            raise ScanCapExceeded(f"scan index {k + 1} exceeds cap {self.cap}")
+        if self._lag is not None:
+            self._catch_up()
         self.n = k + 1
         self.steps += 1
-        if k >= self.cap:
-            raise ScanCapExceeded(f"scan index {k + 1} exceeds cap {self.cap}")
         if self.zero_since is not None:
             return
         # p has no nonnegative integer roots (validated); q may hit zero
@@ -437,8 +481,8 @@ class ExactScan:
         if (qk < 0) != (pk < 0):
             self._sign = -self._sign
         d, e = _log_ratio(qk, pk)
-        self.logabs += d
-        self.err += e + abs(self.logabs) * _U
+        self._logabs += d
+        self._err += e + abs(self._logabs) * _U
 
     def jump(self, n: int):
         """Go straight to index n >= self.n.  The float state moves by one
@@ -449,11 +493,26 @@ class ExactScan:
             raise ScanCapExceeded(f"scan index {n} exceeds cap {self.cap}")
         if n < self.n:
             raise DecideError("ExactScan.jump cannot go back")
+        if self._lag is not None:
+            self._catch_up()
         self.steps += n - self.n
+        self._floats_to(n)
+
+    def _floats_to(self, n: int):
+        """jump's float move from self.n to n; `steps` is the caller's."""
         whole = n - self.n < _BLOCK or self._telescoped()
         while self.n < n and self.zero_since is None:
             self._advance(n if whole else min(self.n + _BLOCK, n))
         self.n = n
+
+    def _catch_up(self):
+        """Bring the float pair from index _lag, where a tail exit left it,
+        up to n by jump's products.  The sign is n's already: the exit
+        moved it by parity."""
+        n, sign = self.n, self._sign
+        self.n, self._lag = self._lag, None
+        self._floats_to(n)
+        self._sign = sign
 
     def _telescoped(self) -> bool:
         """Whether the shift form leaves the residuals p1, q1 = +-1, so that
@@ -493,30 +552,38 @@ class ExactScan:
 
     def _search(self, end: int, k1: int, past: int, through: bool) -> int | None:
         """The search loop of first_hit and first_past: per index below the
-        skip index, skipping committed blocks from there (class docstring).
-        The past exit fires only at n >= k1, and while it is pending no
-        block crosses k1, so the exit index is the one a per-index scan
-        finds.  Stretches of at most _BLOCK indices are too short to pay
-        for what a skip costs: a search that short with no past exit steps
-        throughout, and one whose certified index inst.monotonicity_index
-        is that close starts its blocks there, never computing the skip
-        index.  Nor does a search whose k1 lies past the cap: it can end
-        only at a witness or at the cap, and such a k1 comes from
-        coefficients that are huge next to the lead, whose wide values make
-        a block's exact product cost more per index than a step
-        (p = x^2 + 2^250, q = x^2 + 2^252 galloped from skip index 1 to the
-        10^6 cap in 6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86
-        host)."""
+        skip index, from there skipping committed blocks, or the whole
+        rest of the search at the tail exit (class docstring).  The past
+        exit fires only at n >= k1, and while it is pending neither a block
+        nor the tail exit crosses k1, so the exit index is the one a
+        per-index scan finds.  Stretches of at most _BLOCK indices are too
+        short to pay for what a skip costs: a search that short with no
+        past exit steps throughout, and one whose certified index
+        inst.monotonicity_index is that close reads sides from there,
+        never computing the skip index.  A search whose k1 lies past the
+        cap reads sides from the skip index, so the tail exit can take it
+        to the cap, but tries no blocks: such a k1 comes from coefficients
+        that are huge next to the lead, whose wide values make a block's
+        exact product cost more per index than a step (p = x^2 + 2^250,
+        q = x^2 + 2^252 galloped from skip index 1 to the 10^6 cap in
+        6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86 host; with
+        Threshold t = 10^-6 the tail exit takes it there after steps at 0
+        and 1)."""
         inst = self.inst
         result = self._witness_test()
         t = inst.t
         cmp, step = self.cmp, self.step
         hit = None
         low = end
+        reopen = 2  # the span after a step; 1, no block ever, where k1 lies past the cap
         if past or (t and end - self.n > _BLOCK):
-            low = min(end, inst.monotonicity_index)
-            if low - self.n > _BLOCK and inst.monotonicity_index <= self.cap:
+            certified = inst.monotonicity_index
+            low = min(end, certified)
+            if low - self.n > _BLOCK:
                 low = min(end, inst.skip_index)
+            if certified > self.cap:
+                reopen = 1
+        away = None  # sign of |q(k)| - |p(k)|, constant past low
         prev = 0  # side of the last index when it was a float-settled miss
         span = 1  # length of the next block tried
         while self.n < end:
@@ -529,7 +596,22 @@ class ExactScan:
             if past and n >= k1 and (side or self.abs_cmp(t)) == past:
                 return hit
             if side and (side == prev or hit is not None):
-                # once a witness is recorded only the magnitude matters;
+                # once a witness is recorded only the magnitude matters
+                if away is None:
+                    qn, pn = abs(inst.q(n)), abs(inst.p(n))
+                    away = (qn > pn) - (qn < pn)
+                # the tail exit: |u_n| moves away from |t|, so there is no
+                # witness from here on, and the past exit fires at k1 if
+                # it is on this side, else never
+                stop = min(end, self.cap, k1) if past == side else min(end, self.cap)
+                if side == away and stop > n:
+                    if inst.q(n) * inst.p(n) < 0 and (stop - n) % 2:
+                        self._sign = -self._sign
+                    if self._lag is None:
+                        self._lag = n
+                    self.steps += stop - n
+                    self.n = stop
+                    continue
                 # a refused block is retried here at half the span, and a
                 # block of one index is the step below
                 top = min(end, self.cap) if n >= k1 else min(end, self.cap, k1)
@@ -544,7 +626,7 @@ class ExactScan:
                     if span > _BLOCK and (hi - n < _BLOCK or not self._telescoped()):
                         span = _BLOCK
                     continue
-                span = 2
+                span = reopen
             prev = side
             step()
         return hit
@@ -553,13 +635,15 @@ class ExactScan:
         """sign(|u_n| - |t|) when the floats settle it, else 0."""
         if self.zero_since is not None or not t or not self._far(t):
             return 0
-        return 1 if self.logabs > self._tlog else -1
+        return 1 if self._logabs > self._tlog else -1
 
     def _advance(self, hi: int, side: int = 0) -> bool:
         """Move the float state from n to hi by one product of q(k) and of
         p(k) over [n, hi); with side != 0 only if |u_hi| is then
         float-settled on that side of |t| (class docstring).  Returns
-        whether it moved; `steps` is the caller's."""
+        whether it moved; `steps` is the caller's.  Never called while the
+        float pair lags: jump catches it up first, and a search tries no
+        block where its tail exit has nowhere left to go."""
         lo = self.n
         qs, ps = _factor_products(self.inst, lo, hi)
         if qs == 0:  # a jump over a zero of q; past k1 q has none
@@ -567,8 +651,8 @@ class ExactScan:
             self.n = hi
             return True
         d, e = _log_ratio(qs, ps)
-        logabs = self.logabs + d
-        err = self.err + e + abs(logabs) * _U
+        logabs = self._logabs + d
+        err = self._err + e + abs(logabs) * _U
         if side:
             gap = logabs - self._tlog
             if (
@@ -578,7 +662,7 @@ class ExactScan:
             ):
                 return False
         self.n = hi
-        self.logabs, self.err = logabs, err
+        self._logabs, self._err = logabs, err
         if (qs < 0) != (ps < 0):
             self._sign = -self._sign
         return True
@@ -589,6 +673,7 @@ class ExactScan:
         if lo == hi:
             return
         self._at = hi
+        self._lag = None  # the exact pair re-anchors the float pair at n
         self.materialized += 1
         if self.zero_since is not None:
             self._num, self._den = 0, 1
@@ -601,7 +686,7 @@ class ExactScan:
         self._num *= qs
         self._den *= ps
         self._sign = 1 if (self._num > 0) == (self._den > 0) else -1
-        self.logabs, self.err = _log_ratio(self._num, self._den)
+        self._logabs, self._err = _log_ratio(self._num, self._den)
 
     def fraction(self) -> Fraction:
         self._materialize()
@@ -616,11 +701,13 @@ class ExactScan:
     def _far(self, t: Fraction) -> bool:
         """Whether the floats alone settle |u_n| against |t| (both nonzero)."""
         if t is not self._t:
+            if self._lag is not None:
+                self._catch_up()
             self._t = t
             self._tlog, self._terr = _log_ratio(t.numerator, t.denominator)
         return (
             self.n - self._at < _MAX_PENDING
-            and abs(self.logabs - self._tlog) > (self.err + self._terr) * _SAFETY
+            and abs(self._logabs - self._tlog) > (self._err + self._terr) * _SAFETY
         )
 
     def equals(self, t: Fraction) -> bool:
@@ -634,7 +721,7 @@ class ExactScan:
         if t.numerator == 0 or (t.numerator > 0) != (s > 0):
             return s
         if self._far(t):
-            return s if self.logabs > self._tlog else -s
+            return s if self._logabs > self._tlog else -s
         self._materialize()
         diff = self._num * t.denominator - t.numerator * self._den
         return ((diff > 0) - (diff < 0)) * (1 if self._den > 0 else -1)
@@ -646,7 +733,7 @@ class ExactScan:
         if t.numerator == 0:
             return 1
         if self._far(t):
-            return 1 if self.logabs > self._tlog else -1
+            return 1 if self._logabs > self._tlog else -1
         self._materialize()
         diff = abs(self._num) * t.denominator - abs(t.numerator) * abs(self._den)
         return (diff > 0) - (diff < 0)

@@ -7,11 +7,13 @@ and compares by exact cross-multiplication.  ExactScan's float filter
 index, including targets a few ulps away from a term.  The deep tests run
 the searches about 3000 terms into monotone tails, which the scan skips
 in galloping blocks, with crossings placed at and next to block
-boundaries.  Instances whose q is p shifted by an integer, up to
+boundaries, or leaves through its tail exit once |u_n| moves away from
+|t|.  Instances whose q is p shifted by an integer, up to
 cofactors, exercise the telescoped exact products, including shifts
 longer than a block and than the span of a product.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from hgdecide import sequence
 from hgdecide.certs import InstanceDocument, verify_certificate
-from hgdecide.cli import decide_document
+from hgdecide.cli import decide_document, main
 from hgdecide.config import EngineConfig
 from hgdecide.equality import decide
 from hgdecide.errors import ScanCapExceeded
@@ -367,14 +369,54 @@ class TestSkipIndex:
 
     def test_certified_index_past_the_cap_steps(self, monkeypatch):
         # k1 = 2^252 + 1 and skip index 1: the search can only end at the
-        # cap, and blocks of these 252-bit values cost more than steps
+        # cap.  u_n rises from u_0 = 1 > t, so two misses above |t| at 1
+        # and 2 prove there is no witness: the tail exit goes to the cap
+        # with no product, and the step there raises
         inst = HGInstance(
             IntPoly.of(2**250, 0, 1), IntPoly.of(2**252, 0, 1), F(1), F(1, 10**6), Problem.THRESHOLD
         )
         steps = record_steps(monkeypatch)
+        spans = record_products(monkeypatch)
+        scan = ExactScan(inst, cap=300)
         with pytest.raises(ScanCapExceeded):
-            ExactScan(inst, cap=300).first_hit(inst.monotonicity_index + 2)
-        assert len(steps) == 301 and inst.skip_index == 1
+            scan.first_hit(inst.monotonicity_index + 2)
+        assert steps == [0, 1, 300] and spans == [] and inst.skip_index == 1
+        assert scan.n == scan.steps == 301
+
+
+def _linear_product(*shifts):
+    """prod (x + s) over the shifts."""
+    poly = IntPoly.of(1)
+    for c in shifts:
+        poly = poly * IntPoly.of(c, 1)
+    return poly
+
+
+# balanced pairs whose certified index k1 lies past the default 10^6 cap
+# and whose |u_n| moves away from |t| from the start (u0 = 1)
+PAST_THE_CAP = [
+    # no real root of p, q, q - p or q + p above -1, yet k1 = 5 010 007;
+    # every term is positive
+    pytest.param(
+        _linear_product(1, 2001) * IntPoly.of(13, -4, 1),
+        _linear_product(1001, 1001) * IntPoly.of(5, -4, 1),
+        F(-1), Problem.THRESHOLD, id="k1-5010007-threshold",
+    ),
+    # k1 = 2^252 + 1; none of the four polynomials has a real root
+    pytest.param(
+        IntPoly.of(2**250, 0, 1), IntPoly.of(2**252, 0, 1), F(1, 10**6), Problem.THRESHOLD,
+        id="k1-2-to-252-threshold",
+    ),
+    # p = (x + 1)(x + 2N), q = (x + N)(x + N + 1): k1 is about N^2
+    *(
+        pytest.param(
+            _linear_product(1, 2 * n), _linear_product(n, n + 1), t, problem,
+            id=f"gamma-ratio-{label}-{problem.value}",
+        )
+        for n, label in ((10**4, "1e4"), (10**5, "1e5"), (10**6, "1e6"))
+        for t, problem in ((F(1, 2), Problem.THRESHOLD), (F(3), Problem.MEMBERSHIP))
+    ),
+]
 
 
 class TestScanCapReachable:
@@ -420,6 +462,24 @@ class TestScanCapReachable:
         )
         with pytest.raises(ScanCapExceeded):
             decide(inst, EngineConfig(scan_cap=1000))
+
+    @pytest.mark.parametrize("p,q,t,problem", PAST_THE_CAP)
+    def test_certified_index_past_the_cap_ends_at_once(
+        self, monkeypatch, tmp_path, capsys, p, q, t, problem
+    ):
+        # two misses past the skip index, on the side of |t| that |u_n|
+        # moves away from, prove there is no witness: the prefix scan goes
+        # straight to the cap with no block product, and exits 4 there
+        inst = HGInstance(p, q, F(1), t, problem)
+        assert inst.monotonicity_index > EngineConfig().scan_cap
+        steps, spans = record_steps(monkeypatch), record_products(monkeypatch)
+        with pytest.raises(ScanCapExceeded):
+            decide(inst, EngineConfig())
+        assert spans == [] and len(steps) < inst.skip_index + 10
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
+        assert main(["decide", str(f)]) == 4
+        assert "resource limit" in capsys.readouterr().err
 
 
 class TestValues:
@@ -609,6 +669,30 @@ def gallop_family(draw):
     return p, q, sign > 0
 
 
+def _outcome(search):
+    """What search() returns, or ScanCapExceeded if it raises that."""
+    try:
+        return search()
+    except ScanCapExceeded:
+        return ScanCapExceeded
+
+
+def _stepping_search(scan, stop, k1, past, through):
+    """first_hit(stop, past) or, with through, first_past(k1, past), by a
+    scan that steps index by index and tests every index exactly as the
+    search docstrings state."""
+    t, hit = scan.inst.t, None
+    while scan.n < stop:
+        if hit is None and scan.hit():
+            if not through:
+                return scan.n
+            hit = scan.n
+        if past and scan.n >= k1 and scan.abs_cmp(t) == past:
+            return hit
+        scan.step()
+    return hit
+
+
 def record_steps(monkeypatch) -> list[int]:
     """The index of every ExactScan.step call from now on."""
     steps = []
@@ -705,6 +789,78 @@ class TestGallop:
                 assert scan.fraction() == F(*pairs[stop])
                 assert scan.sign() == signs[stop]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gallop_family(),
+        st.sampled_from([F(1), F(-2), F(5, 3), F(-7, 11)]),
+        st.sampled_from(list(Problem)),
+        st.data(),
+    )
+    def test_tail_exit_leaves_a_stepping_scans_state(self, mp, family, u0, problem, data):
+        # a search that leaves the tail through the exit (no product, the
+        # float pair left behind) ends where a scan that steps index by
+        # index ends, and every reader sees the same term there: the lazy
+        # answers against the search target, a second target and the float
+        # pair, each caught up on first read
+        p, q, grows = family
+        k1 = monotonicity_index(p, q)
+        assume(k1 <= 400)
+        cap = k1 + 200
+        pairs = list(reference_pairs(p.coeffs, q.coeffs, u0, cap + 1))
+        c = data.draw(st.integers(1, cap), label="crossing")
+        assume(abs(F(*pairs[c])) != abs(F(*pairs[c - 1])))
+        sizes = _deep_targets(pairs, c)
+        t = data.draw(st.sampled_from(sizes + [-size for size in sizes]), label="t")
+        t2 = data.draw(st.sampled_from([-t, 2 * t, t / 3] + sizes), label="t2")
+        side = data.draw(st.sampled_from([1, -1]), label="side")
+        stop, past, through = data.draw(
+            st.sampled_from(
+                [(stop, 0, False) for stop in (c, c + 1, cap, cap + 1)]
+                + [(cap + 1, side, False), (cap + 1, side, True)]
+            ),
+            label="search",
+        )
+        floats_first = data.draw(st.booleans(), label="floats_first")
+        inst = HGInstance(p, q, u0, t, problem)
+        scan, stepped = ExactScan(inst, cap), ExactScan(inst, cap)
+        if through:
+            got = _outcome(lambda: scan.first_past(k1, side))
+        else:
+            got = _outcome(lambda: scan.first_hit(stop, past))
+        want = _outcome(lambda: _stepping_search(stepped, stop, k1, past, through))
+        here = (c, t, problem, stop, past, through)
+        assert (got, scan.n, scan.steps) == (want, stepped.n, stepped.steps), here
+        if scan.n > cap:
+            return
+        num, den = pairs[scan.n]
+        assert scan.sign() == stepped.sign() == _sgn(num) * _sgn(den), here
+        assert scan.hit() == stepped.hit(), here
+        assert scan.cmp(t) == stepped.cmp(t) == ref_cmp(num, den, t), here
+        assert scan.abs_cmp(t) == stepped.abs_cmp(t) == ref_abs_cmp(num, den, t), here
+        for read_floats in (floats_first, not floats_first):
+            if read_floats and num:
+                exact = mp.log(abs(mp.mpf(num))) - mp.log(abs(mp.mpf(den)))
+                assert abs(scan.logabs - exact) <= scan.err, here
+            elif not read_floats:
+                assert scan.cmp(t2) == stepped.cmp(t2) == ref_cmp(num, den, t2), here
+                assert scan.abs_cmp(t2) == ref_abs_cmp(num, den, t2), here
+        assert scan.fraction() == stepped.fraction() == F(num, den), here
+
+    def test_tail_exit_takes_no_product(self, monkeypatch):
+        # k1 = 722 and skip index 1: u_n rises from u_0 = 1 > t = 1/2, so the
+        # misses at 1 and 2 prove the prefix to k1 + 2 clean, and the search
+        # goes there without the 16 block products over 721 indices that
+        # galloping takes
+        inst = HGInstance(
+            IntPoly.of(412, 87, 0, 1), IntPoly.of(720, 164, 0, 1), F(1), F(1, 2), Problem.THRESHOLD
+        )
+        assert (inst.monotonicity_index, inst.skip_index) == (722, 1)
+        spans, steps = record_products(monkeypatch), record_steps(monkeypatch)
+        scan = ExactScan(inst)
+        assert scan.first_hit(inst.monotonicity_index + 2) is None
+        assert scan.n == scan.steps == 724 and spans == [] and steps == [0, 1]
+        assert scan.sign() == 1 and scan.cmp(inst.t) == 1 and spans == []
+
     def test_search_to_the_cap_takes_few_logs(self, log_calls):
         # u_n = n + 1 never equals 1/2: the span doubles up to the cap
         inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
@@ -751,18 +907,23 @@ class TestGallop:
         ],
     )
     def test_other_residual_multiplies_at_most_a_block(self, monkeypatch, p, q):
-        # |u_n| grows like n^2 or (3/2)^n n and is above |t| = 1 past u_0,
-        # so the search skips the tail in blocks, none longer than 64 indices
+        # |u_n| grows like n^2 or (3/2)^n n and is above |t| = 1 past u_0.
+        # k1 is 5 or 8, within 64 of the start, so sides are read from k1 on
+        # (the skip index is not computed): the misses at k1 and k1 + 1
+        # prove there is no witness, the search exits there with no
+        # product, and the float pair stays at k1 + 1 until jump catches it
+        # up, in blocks of at most 64 indices like its own
         spans = record_products(monkeypatch)
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(-1), Problem.MEMBERSHIP)
+        lag = inst.monotonicity_index + 1
         scan = ExactScan(inst)
         assert scan.first_hit(20000) is None
         assert scan.n == scan.steps == 20000 and scan.materialized == 0
-        assert max(spans) == sequence._BLOCK and len(spans) < 20000 // 64 + 20
-        spans.clear()
+        assert spans == []
         scan.jump(30000)
-        assert max(spans) == sequence._BLOCK and len(spans) == -(-10000 // 64)
-        assert scan.n == scan.steps == 30000
+        assert max(spans) == sequence._BLOCK and sum(spans) == 30000 - lag
+        assert len(spans) == -(-(20000 - lag) // 64) + -(-10000 // 64)
+        assert scan.n == scan.steps == 30000 and scan.materialized == 0
 
 
 class TestSharedReplay:
