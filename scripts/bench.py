@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Record the benchmark in BENCH_<pr>.json.
+
+    python3 scripts/bench.py --pr 26
+    python3 scripts/bench.py --smoke --out /tmp/bench.json
+
+Runs `hgbench/run.py --workload all` at seeds 11 and 53 for the end-to-end
+metrics and the certificate-stream digests, then once more at seed 11 with
+`--trace 1` for the per-layer metrics.  Each run's report is parsed: the
+digest and the host's pace from every `workload ... trace 0:` block, the
+metrics from its last line.  Metric names and units are BENCHMARK.json's.
+`--smoke` runs hgbench's tiny plans once, at seed 11 (both trace modes in
+one run), to check the plumbing; its numbers are no baseline.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (11, 53)
+TRACE_SEED = 11
+
+HEADER = re.compile(r"^workload (\S+) seed (\d+) trace (\d):")
+DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})")
+PACE = re.compile(r"the kernel ran ([0-9.]+)x its reference time")
+
+
+def run_hgbench(seed: int, trace: int, smoke: bool) -> tuple[dict, dict, dict, bool]:
+    """(digests, pace, metrics, correct) of one `--workload all` run: the
+    trace-0 digest and kernel slowdown per workload, and every metric as
+    {workload: {name: value}}."""
+    cmd = [sys.executable, "hgbench/run.py", "--workload", "all", "--seed", str(seed), "--trace", str(trace)]
+    proc = subprocess.run(cmd + (["--smoke"] if smoke else []), cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    digests, pace, block = {}, {}, None
+    for line in lines[:-1]:
+        head = HEADER.match(line)
+        if head:
+            block = head.group(1) if head.group(3) == "0" else None
+            continue
+        if block is None:
+            continue
+        found = DIGEST.match(line)
+        if found:
+            digests[block] = found.group(1)
+        found = PACE.search(line)
+        if found:
+            pace[block] = float(found.group(1))
+    merged = json.loads(lines[-1])
+    metrics = {}
+    for key, val in merged["metrics"].items():
+        workload, name = key.split("/", 1)
+        metrics.setdefault(workload, {})[name] = val["value"]
+    return digests, pace, metrics, proc.returncode == 0 and merged["correct"]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pr", type=int, help="writes BENCH_<pr>.json at the repository root")
+    ap.add_argument("--out", help="output path (default BENCH_<pr>.json)")
+    ap.add_argument("--smoke", action="store_true", help="tiny plans at seed 11 only")
+    args = ap.parse_args()
+    if args.out is None and args.pr is None:
+        ap.error("give --pr or --out")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
+    e2e_names = {m["name"] for m in bench["end_to_end"]}
+
+    seeds = (TRACE_SEED,) if args.smoke else SEEDS
+    record = {
+        "pr": args.pr, "smoke": args.smoke, "seeds": list(seeds),
+        "python": platform.python_version(), "cpu_count": os.cpu_count(),
+        "cert_stream_sha256": {}, "pace_slowdown": {}, "end_to_end": {}, "per_layer": {},
+        "per_layer_seed": TRACE_SEED, "units": units, "correct": True,
+    }
+    runs = [(seed, 0) for seed in seeds] + ([] if args.smoke else [(TRACE_SEED, 1)])
+    for seed, trace in runs:
+        digests, pace, metrics, correct = run_hgbench(seed, trace, args.smoke)
+        record["correct"] &= correct
+        if trace == 0:
+            record["cert_stream_sha256"][str(seed)] = digests
+            record["pace_slowdown"][str(seed)] = pace
+        for workload, values in metrics.items():
+            e2e = {k: v for k, v in values.items() if k in e2e_names}
+            layer = {k: v for k, v in values.items() if k not in e2e_names}
+            if e2e:
+                record["end_to_end"].setdefault(str(seed), {})[workload] = e2e
+            if layer:
+                record["per_layer"][workload] = layer
+    with open(out, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for seed, digests in record["cert_stream_sha256"].items():
+        print(f"seed {seed}: " + " / ".join(d[:8] for d in digests.values()))
+    print(f"wrote {out}" + ("" if record["correct"] else " (some verdicts were wrong)"))
+    return 0 if record["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
-from .sequence import ExactScan, HGInstance, Problem, classify
+from .sequence import ExactScan, HGInstance, Problem
 from .verdicts import Conditionality, Verdict
 
 FORMAT = "hgdecide-certificate/2"
@@ -269,11 +269,11 @@ def _verify_bound(
 
     n0 must be at least the certified index k1 = inst.monotonicity_index
     (the Cauchy bound, never the scan's skip index): past k1, q, p,
-    q - p and q + p keep their signs, so sign r(k) and the sign of
-    q(k)^2 - p(k)^2, i.e. of |r(k)| - 1, are those at k1 and |u_n| is
-    monotone from n0 on.  One exact comparison of u_{n0} with t then
-    settles the whole tail.  `scan`, if given and not past n0, carries on
-    from where it is (its exact anchor included).
+    q - p and q + p keep their signs, so sign r(k) and sign(|r(k)| - 1)
+    are those at k1, the record inst.tail_signs that the decision read,
+    and |u_n| is monotone from n0 on.  One exact comparison of u_{n0}
+    with t then settles the whole tail.  `scan`, if given and not past
+    n0, carries on from where it is (its exact anchor included).
     """
     if not isinstance(bound, dict):
         return ["bound invalid"]
@@ -293,8 +293,7 @@ def _verify_bound(
         scan = ExactScan(inst, config.scan_cap)
     scan.jump(n0)
     t = inst.t
-    q_abs, p_abs = abs(inst.q(k1)), abs(inst.p(k1))
-    grow = (q_abs > p_abs) - (q_abs < p_abs)  # the sign of |r(k)| - 1 for k >= k1
+    ratio, grow = inst.tail_signs
     if just == "ratio_exceeds_target":
         if grow <= 0:
             return [f"|r(k)| <= 1 for k >= {k1} under a divergence bound"]
@@ -309,7 +308,7 @@ def _verify_bound(
         return []
     # product_monotone_beyond: the terms keep the sign s of u_{n0} (or stay
     # zero) and move strictly monotonically in `direction`, or stay put
-    if inst.q(k1) * inst.p(k1) < 0:
+    if ratio < 0:
         return [f"r(k) < 0 for k >= {k1} under a monotone-tail bound"]
     if scan.hit():
         if inst.problem is Problem.THRESHOLD:
@@ -329,7 +328,7 @@ def _verify_bound(
     # the tail moves towards t and misses it only if its limit stays on
     # u_{n0}'s side of t: the order claim (read here, not replayed)
     relation = compare.get("relation") if isinstance(compare, dict) else None
-    if classify(inst.p, inst.q).is_balanced and relation == ("less" if side < 0 else "greater"):
+    if inst.asymptotic.is_balanced and relation == ("less" if side < 0 else "greater"):
         return []
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
 

@@ -136,12 +136,6 @@ class DyadicInterval:
     def contains_zero(self) -> bool:
         return self.lo_man <= 0 <= self.hi_man
 
-    def is_positive(self) -> bool:
-        return self.lo_man > 0
-
-    def is_negative(self) -> bool:
-        return self.hi_man < 0
-
     def __repr__(self):
         return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r})"
 

@@ -30,12 +30,10 @@ from .errors import DecideError, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
-    AsymptoticClass,
     ExactScan,
     HGInstance,
     Problem,
     SearchBound,
-    classify,
     divergence_bound,
     shrink_bound,
 )
@@ -143,15 +141,15 @@ def decide(
     if ztail is not None:
         return _zero_tail_verdict(inst, ztail, config)
 
-    cls = classify(inst.p, inst.q)
+    cls = inst.asymptotic
     if cls.grows:
-        return _growing_verdict(inst, cls, config)
+        return _bounded_verdict(inst, divergence_bound(inst, config), "divergence_bound")
     if cls.shrinks:
-        return _shrinking_verdict(inst, cls, config)
+        return _bounded_verdict(inst, shrink_bound(inst, config), "shrink_bound")
     if not cls.is_balanced:
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
     if inst.p == inst.q:
-        return _constant_sequence_verdict(inst, cls)
+        return _constant_sequence_verdict(inst)
     builder = oracle_builder or _unconditional_oracle
 
     def build_oracle():
@@ -159,7 +157,7 @@ def decide(
             raise UnsupportedInstance("balanced instances need monic coefficients")
         return builder(inst, config)
 
-    return _balanced_verdict(inst, cls, build_oracle, config)
+    return _balanced_verdict(inst, build_oracle, config)
 
 
 # -- easy regimes ------------------------------------------------------------
@@ -205,7 +203,7 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
             inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
             scanned_up_to=k1, notes=("tail identically zero",),
         )
-    if inst.q(k1) * inst.p(k1) > 0:
+    if inst.tail_signs[0] > 0:
         return Verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
             scanned_up_to=k1, bound=SearchBound(k1, "product_monotone_beyond"),
@@ -234,19 +232,10 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
     )
 
 
-def _growing_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    bound = divergence_bound(inst, cls, config)
-    return _bounded_verdict(inst, cls, bound, "divergence_bound")
-
-
-def _shrinking_verdict(inst: HGInstance, cls: AsymptoticClass, config: EngineConfig) -> Verdict:
-    bound = shrink_bound(inst, cls, config)
-    return _bounded_verdict(inst, cls, bound, "shrink_bound")
-
-
-def _bounded_verdict(inst: HGInstance, cls: AsymptoticClass, bound: SearchBound, reason: str) -> Verdict:
+def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: str) -> Verdict:
     """Verdict from a divergence or shrink bound N whose scan looked for a
     witness at every n <= N (u_N itself is never a member: |u_N| != |t|)."""
+    cls = inst.asymptotic
     common = dict(bound=bound, asymptotic=cls, scanned_up_to=bound.n)
     witness = bound.first_hit
     if inst.problem is Problem.MEMBERSHIP:
@@ -254,7 +243,7 @@ def _bounded_verdict(inst: HGInstance, cls: AsymptoticClass, bound: SearchBound,
             inst.problem, witness is not None, Conditionality.UNCONDITIONAL, reason,
             witness=witness, **common,
         )
-    if witness is None and cls.grows and inst.q(bound.n) * inst.p(bound.n) < 0:
+    if witness is None and cls.grows and inst.tail_signs[0] < 0:
         # clean prefix forces u_N > |t| (a negative u_N would already
         # violate); an alternating growing tail puts u_{N+1} below -|t| < t
         witness = bound.n + 1
@@ -267,7 +256,8 @@ def _bounded_verdict(inst: HGInstance, cls: AsymptoticClass, bound: SearchBound,
     )
 
 
-def _constant_sequence_verdict(inst: HGInstance, cls: AsymptoticClass) -> Verdict:
+def _constant_sequence_verdict(inst: HGInstance) -> Verdict:
+    cls = inst.asymptotic
     if inst.problem is Problem.MEMBERSHIP:
         ok = inst.u0 == inst.t
         return Verdict(
@@ -284,12 +274,7 @@ def _constant_sequence_verdict(inst: HGInstance, cls: AsymptoticClass) -> Verdic
 # -- balanced branch ---------------------------------------------------------
 
 
-def _balanced_verdict(
-    inst: HGInstance,
-    cls: AsymptoticClass,
-    build_oracle,
-    config: EngineConfig,
-) -> Verdict:
+def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> Verdict:
     """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
 
     Past the certified index k0 = inst.monotonicity_index the tail is
@@ -300,10 +285,14 @@ def _balanced_verdict(
     u_{k0+1} lies in the prefix); a positive Threshold tail over a
     negative t; and a Membership tail that never has t's sign or that
     u_{k0+2} has already carried past t, moving away from it (the bound
-    replay proves these without an order claim).  Only a tail that moves towards t, and a
-    decreasing Threshold tail that can reach t, call build_oracle() for
-    the equality and order tests, which need the limit's closed form.
+    replay proves these without an order claim).  The tail's direction is
+    the sign of u_{k0+2} times the second of inst.tail_signs, the record
+    the scan and the bound replay read too.  Only a tail that moves
+    towards t, and a decreasing Threshold tail that can reach t, call
+    build_oracle() for the equality and order tests, which need the
+    limit's closed form.
     """
+    cls = inst.asymptotic
     k0 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k0 + 2)
@@ -318,12 +307,11 @@ def _balanced_verdict(
             inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
             witness=n, asymptotic=cls, scanned_up_to=n,
         )
-    # past k0, u_{n+1} - u_n = u_n (q(n) - p(n))/p(n) keeps its sign
-    m = scan.n
-    slope = scan.sign() * (inst.q - inst.p)(m) * inst.p(m)
-    if slope == 0:
+    # past k0, r(k) > 0 tends to 1, so u_{n+1} - u_n = u_n (r(n) - 1) has
+    # the sign of u_n times sign(|r(k)| - 1)
+    direction = scan.sign() * inst.tail_signs[1]
+    if direction == 0:
         raise DecideError("internal: degenerate tail in balanced branch")
-    direction = 1 if slope > 0 else -1
     if not membership and direction > 0:
         return Verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL, "increasing_tail",

@@ -47,8 +47,11 @@ product over any other residual costs more per index the longer the span
 on a 2-core x86 host: 22 ms at span 64, 40 ms at 1024, 150 ms at 16384;
 a constant c != +-1 makes a c^span of span * log2|c| bits).
 
-Blocks are needed only while |u_n| moves towards |t|.  Once it lies on
-one side of |t| and moves away from it, monotonicity alone says that no
+Blocks are needed only while |u_n| moves towards |t|.  Which way |u_n|
+moves, and whether its sign alternates, is one record of the instance,
+`HGInstance.tail_signs`, read once at k1 and shared by the scan, the
+decisions and the bound replay.  Once |u_n| lies on one side of |t| and
+the record says it moves away from it, monotonicity alone says that no
 later index is a witness and where the past exit fires, so the search
 takes its tail exit: it moves n to where it would end (the search end,
 the cap, or k1 when the pending past exit is on that side) with no
@@ -179,6 +182,24 @@ class HGInstance:
         Only ExactScan reads it; certificates use k1."""
         bound = max(_positive_root_bound(c) for c in self._tails)
         return min(1 + bound, self.monotonicity_index)
+
+    @functools.cached_property
+    def asymptotic(self) -> AsymptoticClass:
+        """classify(p, q)."""
+        return classify(self.p, self.q)
+
+    @functools.cached_property
+    def tail_signs(self) -> tuple[int, int]:
+        """(sign r(k), sign(|r(k)| - 1)), the same for every k >= skip_index:
+        past it none of p, q, q - p and q + p changes sign.  Read once, at
+        k1 = monotonicity_index, which is safe to evaluate at: q(k1) and
+        p(k1) are nonzero, as k1 lies past every nonnegative root of p and
+        q.  From the skip index on, sign(u_n) is constant or alternates and
+        |u_n| rises, falls or stays put.  The scan, the decisions and the
+        bound replay all read this one record."""
+        k1 = self.monotonicity_index
+        qk, pk = self.q(k1), self.p(k1)
+        return (1 if (qk > 0) == (pk > 0) else -1), (abs(qk) > abs(pk)) - (abs(qk) < abs(pk))
 
 
 class Variant(enum.Enum):
@@ -410,21 +431,22 @@ class ExactScan:
     float state, unchecked, by one product when the residuals are +-1,
     else by one per _BLOCK indices.
 
-    Tail exit.  Where a block would be tried and |q(k)| - |p(k)|, constant
-    past the skip index, has the sign of the side |u_n| is on, |u_m| stays
-    strictly on that side for every m >= n.  No later index is a witness,
-    and the past exit fires at k1 if it is on that side and never
-    otherwise; so the search moves n, with `steps`, straight to the search
-    end, the cap or k1, builds no product, and flips the sign when
-    r(k) < 0 and the stretch is odd.  The float pair stays at the exit's
-    index (`_lag`) and proves the side for its target `_t`: cmp, abs_cmp
-    and _side against that target read the same settled logs as at the
-    exit.  step, jump, a new target in _far, and the logabs and err
-    properties first catch the pair up (`_catch_up`, jump's products);
-    _materialize needs no catch-up, as the exact pair re-anchors the
-    float pair.  On p = x^3 + 87x + 412, q = x^3 + 164x + 720, u0 = 1 and
-    Threshold t = 1/2, first_hit(k1 + 2) steps at 0 and 1 and exits, where
-    galloping took 16 products over 721 indices.
+    Tail exit.  Where a block would be tried and sign(|r(k)| - 1), the
+    second of inst.tail_signs and the same at every k past the skip index,
+    is the side |u_n| is on, |u_m| stays strictly on that side for every
+    m >= n.  No later index is a witness, and the past exit fires at k1 if
+    it is on that side and never otherwise; so the search moves n, with
+    `steps`, straight to the search end, the cap or k1, builds no product,
+    and flips the sign when r(k) < 0 (the first of inst.tail_signs) and
+    the stretch is odd.  The float pair stays at the exit's index (`_lag`)
+    and proves the side for its target `_t`: cmp, abs_cmp and _side
+    against that target read the same settled logs as at the exit.  step,
+    jump, a new target in _far, and the logabs and err properties first
+    catch the pair up (`_catch_up`, jump's products); _materialize needs
+    no catch-up, as the exact pair re-anchors the float pair.  On
+    p = x^3 + 87x + 412, q = x^3 + 164x + 720, u0 = 1 and Threshold
+    t = 1/2, first_hit(k1 + 2) steps at 0 and 1 and exits, where galloping
+    took 16 products over 721 indices.
     """
 
     __slots__ = (
@@ -541,24 +563,27 @@ class ExactScan:
         work, never the result or where the scan is left.
         """
         end = self.cap + 1 if stop is None else stop
-        return self._search(end, self.inst.monotonicity_index if past else 0, past, through=False)
+        return self._search(end, past, through=False)
 
-    def first_past(self, k1: int, side: int) -> int | None:
-        """Move to the first N >= k1 (k1 at least the certified index
-        inst.monotonicity_index) with sign(|u_N| - |t|) = side, t nonzero,
-        and return the least witness n <= N met on the way, or None.
-        Blocks may start below k1, as in first_hit."""
-        return self._search(self.cap + 1, k1, side, through=True)
+    def first_past(self, side: int) -> int | None:
+        """Move to the first N >= k1 = inst.monotonicity_index, the
+        certified index, with sign(|u_N| - |t|) = side, t nonzero, and
+        return the least witness n <= N met on the way, or None.  Blocks
+        may start below k1, as in first_hit."""
+        return self._search(self.cap + 1, side, through=True)
 
-    def _search(self, end: int, k1: int, past: int, through: bool) -> int | None:
+    def _search(self, end: int, past: int, through: bool) -> int | None:
         """The search loop of first_hit and first_past: per index below the
         skip index, from there skipping committed blocks, or the whole
-        rest of the search at the tail exit (class docstring).  The past
-        exit fires only at n >= k1, and while it is pending neither a block
-        nor the tail exit crosses k1, so the exit index is the one a
-        per-index scan finds.  Stretches of at most _BLOCK indices are too
-        short to pay for what a skip costs: a search that short with no
-        past exit steps throughout, and one whose certified index
+        rest of the search at the tail exit (class docstring).  With a past
+        exit, k1 = inst.monotonicity_index is read first; it fires only at
+        n >= k1, and while it is pending neither a block nor the tail exit
+        crosses k1, so the exit index is the one a per-index scan finds.
+        inst.tail_signs is read only where a block or the tail exit is
+        considered, past the prologue that computes k1, so a short witness
+        replay computes neither.  Stretches of at most _BLOCK indices are
+        too short to pay for what a skip costs: a search that short with
+        no past exit steps throughout, and one whose certified index
         inst.monotonicity_index is that close reads sides from there,
         never computing the skip index.  A search whose k1 lies past the
         cap reads sides from the skip index, so the tail exit can take it
@@ -573,6 +598,7 @@ class ExactScan:
         result = self._witness_test()
         t = inst.t
         cmp, step = self.cmp, self.step
+        k1 = inst.monotonicity_index if past else 0
         hit = None
         low = end
         reopen = 2  # the span after a step; 1, no block ever, where k1 lies past the cap
@@ -583,7 +609,6 @@ class ExactScan:
                 low = min(end, inst.skip_index)
             if certified > self.cap:
                 reopen = 1
-        away = None  # sign of |q(k)| - |p(k)|, constant past low
         prev = 0  # side of the last index when it was a float-settled miss
         span = 1  # length of the next block tried
         while self.n < end:
@@ -597,15 +622,13 @@ class ExactScan:
                 return hit
             if side and (side == prev or hit is not None):
                 # once a witness is recorded only the magnitude matters
-                if away is None:
-                    qn, pn = abs(inst.q(n)), abs(inst.p(n))
-                    away = (qn > pn) - (qn < pn)
+                ratio, away = inst.tail_signs
                 # the tail exit: |u_n| moves away from |t|, so there is no
                 # witness from here on, and the past exit fires at k1 if
                 # it is on this side, else never
                 stop = min(end, self.cap, k1) if past == side else min(end, self.cap)
                 if side == away and stop > n:
-                    if inst.q(n) * inst.p(n) < 0 and (stop - n) % 2:
+                    if ratio < 0 and (stop - n) % 2:
                         self._sign = -self._sign
                     if self._lag is None:
                         self._lag = n
@@ -828,47 +851,35 @@ def _positive_root_bound(c: tuple[int, ...]) -> int:
     return max((int_nthroot_floor(lam * a // lead, n - i) for i, a in negative), default=0)
 
 
-def divergence_bound(
-    inst: HGInstance,
-    cls: AsymptoticClass | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> SearchBound:
+def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> SearchBound:
     """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
-    cls = cls or classify(inst.p, inst.q)
-    if not cls.grows:
+    if not inst.asymptotic.grows:
         raise DecideError("divergence_bound needs a growing class")
     if inst.t == 0:
         raise DecideError("target must be nonzero")
     if inst.u0 == 0:
         raise DecideError("zero initial value never grows")
-    k1 = inst.monotonicity_index
-    if abs(inst.q(k1)) <= abs(inst.p(k1)):
+    if inst.tail_signs[1] <= 0:
         raise DecideError("internal: |r| not above 1 past the root bound")
-    return _bound_scan(inst, k1, 1, "ratio_exceeds_target", config)
+    return _bound_scan(inst, 1, "ratio_exceeds_target", config)
 
 
-def shrink_bound(
-    inst: HGInstance,
-    cls: AsymptoticClass | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> SearchBound:
+def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> SearchBound:
     """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
-    cls = cls or classify(inst.p, inst.q)
-    if not cls.shrinks:
+    if not inst.asymptotic.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
     if inst.t == 0:
         raise DecideError("target must be nonzero")
-    k1 = inst.monotonicity_index
-    if abs(inst.q(k1)) >= abs(inst.p(k1)):
+    if inst.tail_signs[1] >= 0:
         raise DecideError("internal: |r| not below 1 past the root bound")
-    return _bound_scan(inst, k1, -1, "tail_below_target", config)
+    return _bound_scan(inst, -1, "tail_below_target", config)
 
 
-def _bound_scan(inst, k1, side, justification, config) -> SearchBound:
+def _bound_scan(inst, side, justification, config) -> SearchBound:
     """First N >= k1 with sign(|u_N| - |t|) = side (a zero term counts as
     below), and the least witness n <= N on the way."""
     scan = ExactScan(inst, config.scan_cap)
-    hit = scan.first_past(k1, side)
+    hit = scan.first_past(side)
     return SearchBound(scan.n, justification, first_hit=hit)
 
 

@@ -306,7 +306,7 @@ def _three_searches(inst, cap, stop, side):
     for search in (
         lambda scan: scan.first_hit(stop),
         lambda scan: scan.first_hit(past=side),
-        lambda scan: scan.first_past(k1, side),
+        lambda scan: scan.first_past(side),
     ):
         scan = ExactScan(inst, cap)
         try:
@@ -582,7 +582,7 @@ class TestDeepScan:
 
                     want = next((n for n in hits if n <= bound), None)
                     scan = ExactScan(inst)
-                    assert scan.first_past(k1, side) == want, where
+                    assert scan.first_past(side) == want, where
                     assert scan.n == scan.steps == bound, where
                     if cls.grows or cls.shrinks:  # not for r -> -1
                         found = (divergence_bound if grows else shrink_bound)(inst)
@@ -765,10 +765,10 @@ class TestGallop:
                     scan = ExactScan(inst, cap)
                     if bound is None:
                         with pytest.raises(ScanCapExceeded):
-                            scan.first_past(k1, side)
+                            scan.first_past(side)
                     else:
                         want = next((n for n in hits if n <= bound), None)
-                        assert scan.first_past(k1, side) == want, here
+                        assert scan.first_past(side) == want, here
                         assert scan.n == scan.steps == bound, here
                     if alternates:  # r -> -1: no bound search of its own
                         continue
@@ -824,7 +824,7 @@ class TestGallop:
         inst = HGInstance(p, q, u0, t, problem)
         scan, stepped = ExactScan(inst, cap), ExactScan(inst, cap)
         if through:
-            got = _outcome(lambda: scan.first_past(k1, side))
+            got = _outcome(lambda: scan.first_past(side))
         else:
             got = _outcome(lambda: scan.first_hit(stop, past))
         want = _outcome(lambda: _stepping_search(stepped, stop, k1, past, through))

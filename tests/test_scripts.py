@@ -47,3 +47,26 @@ def test_every_traced_function_resolves(monkeypatch):
     tracer = tracing.Tracer()
     tracer.resolve()
     assert tracer.missing == []
+
+
+def test_bench_records_digests_and_every_metric(tmp_path):
+    # the tiny plans at seed 11: four digests, and every metric
+    # BENCHMARK.json names, end to end per workload and per layer
+    import json
+
+    out = tmp_path / "bench.json"
+    proc = run_script("scripts/bench.py", "--smoke", "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(out.read_text())
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    workloads = {w["name"] for w in bench["workloads"]}
+    assert record["seeds"] == [11]
+    digests = record["cert_stream_sha256"]["11"]
+    assert set(digests) == workloads
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    e2e = {m["name"] for m in bench["end_to_end"]}
+    layer = {m["name"] for m in bench["per_layer"]}
+    assert {w: set(m) for w, m in record["end_to_end"]["11"].items()} == {w: e2e for w in workloads}
+    assert {w: set(m) for w, m in record["per_layer"].items()} == {w: layer for w in workloads}
+    assert record["python"] and record["cpu_count"] >= 1

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hgdecide import polys
+from hgdecide.certs import InstanceDocument, verify_certificate
+from hgdecide.cli import decide_document
+from hgdecide.config import DEFAULT_CONFIG
 from hgdecide.errors import DecideError, ScanCapExceeded
 from hgdecide.polys import IntPoly, integer_roots
 from hgdecide.sequence import (
@@ -205,6 +209,47 @@ class TestSkipIndex:
             assert all(r < skip for r in roots if r > 0), (f, skip)
             for k in range(skip, skip + 65):
                 assert (f(k) > 0) == (f.lead > 0), (f, k)
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestTailRecord:
+    """An instance works out its class and the two signs of its tail once;
+    the scan, the decisions and the bound replay read that record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_lists(), _coefficient_lists())
+    def test_signs_hold_from_the_skip_index(self, p, q):
+        p[-1] = p[-1] or 1
+        q[-1] = q[-1] or -1
+        p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
+        assume(all(r < 0 for r in integer_roots(p)))
+        i = inst(p.coeffs, q.coeffs, 1, 0)
+        assert i.asymptotic == classify(p, q)
+        skip, k1 = i.skip_index, i.monotonicity_index
+        for k in [k1, *range(skip, skip + 65)]:
+            qk, pk = q(k), p(k)
+            assert i.tail_signs == (_sgn(qk * pk), _sgn(abs(qk) - abs(pk))), (p, q, k)
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    def test_worked_pair_builds_no_difference_polynomial(self, sinh_ratio_instance, problem, monkeypatch):
+        # the balanced tail's direction comes from the record, not from a
+        # fresh q - p, in the decision and in its replay
+        calls = []
+        sub = polys._Poly.__sub__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return sub(self, other)
+
+        monkeypatch.setattr(polys._Poly, "__sub__", counted)
+        docin = InstanceDocument(sinh_ratio_instance(F(1, 100000), problem), "auto")
+        cert = decide_document(docin, DEFAULT_CONFIG)
+        assert cert["reason"] in ("monotone_tail_excludes_target", "decreasing_tail_above_target")
+        assert verify_certificate(cert) == []
+        assert calls == []
 
 
 class TestBruteForce:

@@ -91,7 +91,7 @@ class TestCyclotomic:
                 cases += 1
                 emb = root.embed(64)
                 along, across = (emb.re, emb.im) if d > 0 else (emb.im, emb.re)
-                assert along.is_positive() and across.contains_zero(), (n, d)
+                assert along.lo_man > 0 and across.contains_zero(), (n, d)
                 low = F(math.isqrt(abs(d) << 120), 1 << 60)
                 assert along.lo <= low + F(1, 1 << 60) and low <= along.hi, (n, d)
         assert cases == 40
