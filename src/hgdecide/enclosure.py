@@ -285,12 +285,13 @@ COMPARE_START_BITS = 64
 
 def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONFIG):
     """(probe(bits), bits) for the first bits in start_bits, 2*start_bits,
-    ... (capped at config.precision_cap_bits) where probe answers, i.e.
-    returns anything but None; an IntervalStraddlesZero counts as no
-    answer.  Raises PrecisionExceeded when the cap gives none.
+    ... (every rung, the first too, capped at config.precision_cap_bits)
+    where probe answers, i.e. returns anything but None; an
+    IntervalStraddlesZero counts as no answer.  Raises PrecisionExceeded
+    when the cap gives none.
 
     The ladder calls probe once per rung, in rising order."""
-    bits = start_bits
+    bits = min(start_bits, config.precision_cap_bits)
     while True:
         try:
             answer = probe(bits)

@@ -30,6 +30,7 @@ from .errors import DecideError, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
+    AsymptoticClass,
     ExactScan,
     HGInstance,
     Problem,
@@ -134,7 +135,7 @@ def decide(
     everything else is shared.
     """
     if inst.u0 == 0:
-        return _zero_sequence_verdict(inst)
+        return _constant_verdict(inst, "zero_sequence", None)
     if inst.t == 0:
         return _zero_target_verdict(inst, config)
     ztail = inst.first_zero_of_q
@@ -149,7 +150,7 @@ def decide(
     if not cls.is_balanced:
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
     if inst.p == inst.q:
-        return _constant_sequence_verdict(inst)
+        return _constant_verdict(inst, "constant_sequence", cls)
     builder = oracle_builder or _unconditional_oracle
 
     def build_oracle():
@@ -161,19 +162,6 @@ def decide(
 
 
 # -- easy regimes ------------------------------------------------------------
-
-
-def _zero_sequence_verdict(inst: HGInstance) -> Verdict:
-    if inst.problem is Problem.MEMBERSHIP:
-        ok = inst.t == 0
-        return Verdict(
-            inst.problem, ok, Conditionality.UNCONDITIONAL, "zero_sequence",
-            witness=0 if ok else None,
-        )
-    return Verdict(
-        inst.problem, inst.t <= 0, Conditionality.UNCONDITIONAL, "zero_sequence",
-        witness=None if inst.t <= 0 else 0,
-    )
 
 
 def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
@@ -256,18 +244,13 @@ def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: str) -> Verdi
     )
 
 
-def _constant_sequence_verdict(inst: HGInstance) -> Verdict:
-    cls = inst.asymptotic
-    if inst.problem is Problem.MEMBERSHIP:
-        ok = inst.u0 == inst.t
-        return Verdict(
-            inst.problem, ok, Conditionality.UNCONDITIONAL, "constant_sequence",
-            witness=0 if ok else None, asymptotic=cls,
-        )
-    ok = inst.u0 >= inst.t
+def _constant_verdict(inst: HGInstance, reason: str, asymptotic: AsymptoticClass | None) -> Verdict:
+    """u_n = u0 for every n: p = q, or u0 = 0 (the zero sequence)."""
+    membership = inst.problem is Problem.MEMBERSHIP
+    ok = inst.u0 == inst.t if membership else inst.u0 >= inst.t
     return Verdict(
-        inst.problem, ok, Conditionality.UNCONDITIONAL, "constant_sequence",
-        witness=None if ok else 0, asymptotic=cls,
+        inst.problem, ok, Conditionality.UNCONDITIONAL, reason,
+        witness=0 if ok == membership else None, asymptotic=asymptotic,
     )
 
 
@@ -281,16 +264,18 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
     strictly monotone towards L, so the prefix u_0 .. u_{k0+1} is scanned
     first (per index only below the scan's skip index, in blocks from
     there).  These verdicts do not depend on L and build no oracle: a
-    prefix witness or violation; an increasing Threshold tail (its minimum
-    u_{k0+1} lies in the prefix); a positive Threshold tail over a
-    negative t; and a Membership tail that never has t's sign or that
-    u_{k0+2} has already carried past t, moving away from it (the bound
-    replay proves these without an order claim).  The tail's direction is
-    the sign of u_{k0+2} times the second of inst.tail_signs, the record
-    the scan and the bound replay read too.  Only a tail that moves
-    towards t, and a decreasing Threshold tail that can reach t, call
-    build_oracle() for the equality and order tests, which need the
-    limit's closed form.
+    prefix witness or violation, and every tail that scan.tail_misses()
+    shows to miss t from u_{k0+2} on.  The bound replay accepts their
+    bounds with that same test, without an order claim.  The tail's
+    direction, scan.tail_direction(), names the reason: an increasing
+    Threshold tail (its minimum u_{k0+1} lies in the prefix), a decreasing
+    positive Threshold tail over a negative t, and a Membership tail that
+    never has t's sign or that u_{k0+2} has already carried past t,
+    moving away from it.  Only a tail that moves towards t, and a
+    decreasing Threshold tail that can reach t, call build_oracle() for
+    the equality and order tests, which need the limit's closed form; the
+    Membership crossing then searches with scan.first_past, which stops
+    where the tail has passed t.
     """
     cls = inst.asymptotic
     k0 = inst.monotonicity_index
@@ -307,31 +292,20 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
             inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
             witness=n, asymptotic=cls, scanned_up_to=n,
         )
-    # past k0, r(k) > 0 tends to 1, so u_{n+1} - u_n = u_n (r(n) - 1) has
-    # the sign of u_n times sign(|r(k)| - 1)
-    direction = scan.sign() * inst.tail_signs[1]
+    direction = scan.tail_direction()
     if direction == 0:
         raise DecideError("internal: degenerate tail in balanced branch")
-    if not membership and direction > 0:
+    if scan.tail_misses():
+        if membership:
+            reason, at = "monotone_tail_excludes_target", k0 + 2
+        elif direction > 0:
+            reason, at = "increasing_tail", k0 + 1
+        else:  # a positive tail stays above its limit L >= 0 > t
+            reason, at = "decreasing_tail_above_target", k0 + 2
         return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL, "increasing_tail",
+            inst.problem, not membership, Conditionality.UNCONDITIONAL, reason,
             asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=SearchBound(k0 + 1, "product_monotone_beyond"),
-        )
-    if not membership and scan.sign() > 0 and inst.t < 0:
-        # a positive tail stays above its limit L >= 0 > t
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL, "decreasing_tail_above_target",
-            asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=SearchBound(k0 + 2, "product_monotone_beyond"),
-        )
-    if membership and (scan.sign() * inst.t <= 0 or scan.cmp(inst.t) == direction):
-        # the tail never has t's sign, or u_{k0+2} is already past t and
-        # moves away from it
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "monotone_tail_excludes_target",
-            asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=SearchBound(k0 + 2, "product_monotone_beyond"),
+            bound=SearchBound(at, "product_monotone_beyond"),
         )
 
     oracle = build_oracle()
@@ -353,7 +327,7 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
             # the limit: a tail witness is possible until the tail passes
             # t, where direction * (u_n - t) > 0, i.e. |u_n| - |t| has the
             # sign of direction * u_n
-            n = scan.first_hit(past=direction * scan.sign())
+            n = scan.first_past(direction * scan.sign())
         if n is not None:
             return Verdict(
                 inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",

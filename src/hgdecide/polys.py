@@ -601,7 +601,6 @@ class RootEntry:
 @dataclass(frozen=True)
 class RootMultiset:
     entries: tuple[RootEntry, ...]
-    source: IntPoly
 
 
 class NotSplitting:
@@ -644,4 +643,4 @@ def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
             entries.append(RootEntry(QuadRoot(a, -b, d), mult))
         else:
             return NotSplitting(g)
-    return RootMultiset(tuple(entries), f)
+    return RootMultiset(tuple(entries))

@@ -267,7 +267,6 @@ class NoMatching:
     source: IntPoly
     vertex_count: int
     best_size: int
-    best: tuple[tuple[Vertex, Vertex], ...]
 
     def describe(self) -> dict:
         return {
@@ -328,8 +327,7 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
     graph = build_symmetry_graph(f)
     best = _maximum_matching(list(graph.adjacency))
     if 2 * len(best) != len(graph.vertices):
-        pairs = tuple((graph.vertices[i], graph.vertices[j]) for i, j in best)
-        return NoMatching(f, len(graph.vertices), len(best), pairs)
+        return NoMatching(f, len(graph.vertices), len(best))
     pairs = []
     for i, j in best:
         vi, vj = graph.vertices[i], graph.vertices[j]

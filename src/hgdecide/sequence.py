@@ -17,9 +17,11 @@ about as much as building the shift form, are multiplied directly.  For
 p = x + 3, q = x + 4 the pair brought from 0 to n is
 (n + 3) * u0.numerator over 3 * u0.denominator, not two products of n
 factors.  The scan owns the scan cap and the witness test (u_n = t for
-Membership, u_n < t for Threshold): hit() and first_hit() are the prefix
-search of every decision and replay.  divergence_bound and shrink_bound
-find the search bound N and the least witness in the same single scan.
+Membership, u_n < t for Threshold), and searches in two modes: first_hit
+returns at the first witness, the prefix search of every decision and
+replay; first_past records it and runs on to the past exit, so the bound
+searches and the balanced Membership crossing find N and the least
+witness in one scan.
 
 The scan reads two indices of an instance.  The certified index k1 =
 `HGInstance.monotonicity_index` is the Cauchy bound that certificates,
@@ -50,7 +52,8 @@ a constant c != +-1 makes a c^span of span * log2|c| bits).
 Blocks are needed only while |u_n| moves towards |t|.  Which way |u_n|
 moves, and whether its sign alternates, is one record of the instance,
 `HGInstance.tail_signs`, read once at k1 and shared by the scan, the
-decisions and the bound replay.  Once |u_n| lies on one side of |t| and
+decisions and the bound replay, which share one test on it,
+ExactScan.tail_misses().  Once |u_n| lies on one side of |t| and
 the record says it moves away from it, monotonicity alone says that no
 later index is a witness and where the past exit fires, so the search
 takes its tail exit: it moves n to where it would end (the search end,
@@ -425,9 +428,9 @@ class ExactScan:
     after the step.  Spans pass _BLOCK only once a _BLOCK-long block has
     committed (its product built the shift form) and the shift form
     leaves the residuals +-1; spans start at one, so a short search
-    multiplies directly and never builds the shift form.  A bound search
-    (first_past) that has recorded its witness needs only the magnitude,
-    so it tries blocks without waiting for two misses.  jump(n) moves the
+    multiplies directly and never builds the shift form.  A first_past
+    search that has recorded its witness needs only the magnitude, so it
+    tries blocks without waiting for two misses.  jump(n) moves the
     float state, unchecked, by one product when the residuals are +-1,
     else by one per _BLOCK indices.
 
@@ -446,7 +449,8 @@ class ExactScan:
     no catch-up, as the exact pair re-anchors the float pair.  On
     p = x^3 + 87x + 412, q = x^3 + 164x + 720, u0 = 1 and Threshold
     t = 1/2, first_hit(k1 + 2) steps at 0 and 1 and exits, where galloping
-    took 16 products over 721 indices.
+    took 16 products over 721 indices.  Outside a search, tail_misses()
+    asks the same of one term: whether it settles every later index.
     """
 
     __slots__ = (
@@ -552,31 +556,49 @@ class ExactScan:
         """Whether u_n is a witness for inst.problem and inst.t."""
         return self.cmp(self.inst.t) == self._witness_test()
 
-    def first_hit(self, stop: int | None = None, past: int = 0) -> int | None:
+    def first_hit(self, stop: int | None = None) -> int | None:
         """Least n in [self.n, stop) with a witness u_n, the scan left there;
         None with the scan at stop if there is none.  Without stop the
         search ends only at a witness or at the cap (ScanCapExceeded).
-        With past = +-1 (t nonzero) it also ends, returning None, at the
-        first n >= k1 = inst.monotonicity_index, the certified index, with
-        sign(|u_n| - |t|) = past.  Blocks may start below k1, at the skip
+        Blocks may start below k1 = inst.monotonicity_index, at the skip
         index inst.skip_index (`_search`); where they start moves only the
         work, never the result or where the scan is left.
         """
-        end = self.cap + 1 if stop is None else stop
-        return self._search(end, past, through=False)
+        return self._search(self.cap + 1 if stop is None else stop, 0)
 
     def first_past(self, side: int) -> int | None:
         """Move to the first N >= k1 = inst.monotonicity_index, the
         certified index, with sign(|u_N| - |t|) = side, t nonzero, and
         return the least witness n <= N met on the way, or None.  Blocks
         may start below k1, as in first_hit."""
-        return self._search(self.cap + 1, side, through=True)
+        return self._search(self.cap + 1, side)
 
-    def _search(self, end: int, past: int, through: bool) -> int | None:
-        """The search loop of first_hit and first_past: per index below the
-        skip index, from there skipping committed blocks, or the whole
-        rest of the search at the tail exit (class docstring).  With a past
-        exit, k1 = inst.monotonicity_index is read first; it fires only at
+    def tail_direction(self) -> int:
+        """sign(u_{m+1} - u_m) for every m >= n, for n past the skip index
+        and r(k) > 0 there: u_{m+1} - u_m = u_m (r(m) - 1) has the sign of
+        u_n times the second of inst.tail_signs (0: the terms stay put)."""
+        return self.sign() * self.inst.tail_signs[1]
+
+    def tail_misses(self) -> bool:
+        """Whether monotonicity alone rules out a witness after n, for n
+        past the skip index, r(k) > 0 there and u_n no witness (the
+        balanced verdicts and the bound replay check these first).  The
+        terms keep the sign s of u_n and move in tail_direction().  A
+        Threshold tail misses t if it does not fall, or stays nonnegative
+        over t <= 0; a Membership tail if it stays put, never has t's
+        sign, or has passed t already."""
+        s, t, direction = self.sign(), self.inst.t, self.tail_direction()
+        if self.inst.problem is Problem.THRESHOLD:
+            return direction >= 0 or (s >= 0 and t <= 0)
+        return direction == 0 or s * t <= 0 or self.cmp(t) == direction
+
+    def _search(self, end: int, past: int) -> int | None:
+        """The search loop of first_hit (past = 0: it returns at the first
+        witness) and first_past (past = side: it records the first witness
+        and runs on to the past exit): per index below the skip index,
+        from there skipping committed blocks, or the whole rest of the
+        search at the tail exit (class docstring).  With a past exit,
+        k1 = inst.monotonicity_index is read first; it fires only at
         n >= k1, and while it is pending neither a block nor the tail exit
         crosses k1, so the exit index is the one a per-index scan finds.
         inst.tail_signs is read only where a block or the tail exit is
@@ -614,7 +636,7 @@ class ExactScan:
         while self.n < end:
             n = self.n
             if hit is None and cmp(t) == result:
-                if not through:
+                if not past:
                     return n
                 hit = n
             side = self._side(t) if n >= low else 0  # below low: per index
@@ -670,7 +692,8 @@ class ExactScan:
         lo = self.n
         qs, ps = _factor_products(self.inst, lo, hi)
         if qs == 0:  # a jump over a zero of q; past k1 q has none
-            self.zero_since = 1 + next(k for k in range(lo, hi) if self.inst.q(k) == 0)
+            # no zero lies below lo: every move past one records it
+            self.zero_since = 1 + self.inst.first_zero_of_q
             self.n = hi
             return True
         d, e = _log_ratio(qs, ps)
@@ -701,11 +724,10 @@ class ExactScan:
         if self.zero_since is not None:
             self._num, self._den = 0, 1
             return
+        # q has no zero in [lo, hi), so qs != 0: a step, a block, a jump and
+        # a catch-up each record a zero they move past, and the tail exit
+        # starts past the skip index, beyond every root of q
         qs, ps = _factor_products(self.inst, lo, hi)
-        if qs == 0:
-            self.zero_since = 1 + next(k for k in range(lo, hi) if self.inst.q(k) == 0)
-            self._num, self._den, self._sign = 0, 1, 0
-            return
         self._num *= qs
         self._den *= ps
         self._sign = 1 if (self._num > 0) == (self._den > 0) else -1

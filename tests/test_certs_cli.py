@@ -192,6 +192,60 @@ class TestCertificates:
         failures = verify_certificate(cert)
         assert any(f.startswith(f"canonical tuple invalid: {key}:") for f in failures), failures
 
+    # each of these once crashed `verify` (exit 5): a top-level value that
+    # is not an object (AttributeError), no instance (KeyError), a verdict
+    # that cannot be hashed (TypeError) and a canonical entry that is not
+    # an object (TypeError in the canonical replay)
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda cert: None,
+            lambda cert: [cert],
+            lambda cert: {k: v for k, v in cert.items() if k != "instance"},
+            lambda cert: {**cert, "verdict": ["member"]},
+            lambda cert: {**cert, "verdict": {"member": True}},
+            lambda cert: {**cert, "canonical": "theta"},
+            lambda cert: {**cert, "canonical": ["1", "0"]},
+        ],
+        ids=["null", "list", "no-instance", "verdict-list", "verdict-object", "canonical-string", "canonical-list"],
+    )
+    def test_malformed_certificate_fails(self, tmp_path, capsys, tamper):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert cert["verdict"] == "member" and verify_certificate(cert) == []
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(tamper(cert)))
+        assert main(["verify", str(f)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: ")
+
+    def test_no_field_value_crashes_the_replay(self):
+        # a member, a canonical and a matching certificate, each field in
+        # turn (the top-level ones and those of instance, bound, compare
+        # and canonical) replaced by each JSON kind
+        from hgdecide.config import DEFAULT_CONFIG
+
+        certs = [
+            decide_document(parse_instance(d), DEFAULT_CONFIG)
+            for d in (WORKED, {**WORKED, "t": "1/100000"}, doc([-1, -2, 1], [-4, -2, 1], "1", "-3"))
+        ]
+        assert certs[1]["canonical"] and certs[1]["compare"] and certs[1]["bound"] and certs[2]["matching"]
+        for cert in certs:
+            paths = [(key,) for key in cert] + [
+                (key, sub)
+                for key in ("instance", "bound", "compare", "canonical")
+                if isinstance(cert[key], dict)
+                for sub in cert[key]
+            ]
+            for path in paths:
+                for value in (None, 0, -1, "x", [], {}, True, 1.5):
+                    tampered = json.loads(json.dumps(cert))
+                    entry = tampered
+                    for key in path[:-1]:
+                        entry = entry[key]
+                    entry[path[-1]] = value
+                    assert isinstance(verify_certificate(tampered), list), (cert["verdict"], path, value)
+
     # the conditional certificate of p = x^2 - 2x - 1, q = x^2 - 2x - 4,
     # t = -3 carries a matching per side; a malformed source once crashed
     # replay (exit 5), a float was truncated, and any source verified

@@ -378,18 +378,61 @@ def graph_invariants(factor, centers) -> tuple:
 
 
 @st.composite
-def affine_products(draw):
+def affine_products(draw, bases=st.sampled_from(LABEL_BASES)):
     """Products of one to four images g(+-x + h) of the bases, of degree at
     most 16 (the factor search's cap)."""
     images = draw(st.lists(
-        st.tuples(st.sampled_from(LABEL_BASES), st.sampled_from([1, -1]), st.integers(-3, 3)),
+        st.tuples(bases, st.sampled_from([1, -1]), st.integers(-3, 3)),
         min_size=1, max_size=4,
     ))
     assume(sum(g.degree for g, _, _ in images) <= 16)
     return functools.reduce(operator.mul, (affine_image(*im) for im in images))
 
 
+# Phi_n for n <= 24 of degree 2 to 8
+SMALL_CYCLOTOMICS = [cyclotomic(n) for n in range(3, 25) if cyclotomic(n).degree <= 8]
+
+
+@st.composite
+def random_base_products(draw):
+    """Products of images of random bases: monic quadratics with a
+    nonsquare discriminant, Phi_n, Capelli-irreducible x^d - a (d <= 8),
+    and one random irreducible quartic drawn per example, opaque unless it
+    happens to lie in a class."""
+    quartic = IntPoly((*draw(st.lists(st.integers(-5, 5), min_size=4, max_size=4)), 1))
+    assume(factor_monic(quartic) == [(quartic, 1)])
+
+    @st.composite
+    def base(draw):
+        kind = draw(st.sampled_from(["quadratic", "cyclotomic", "radical", "quartic"]))
+        if kind == "quadratic":
+            b, c = draw(st.integers(-6, 6)), draw(st.integers(-30, 30))
+            assume(b * b - 4 * c < 0 or perfect_power_root(b * b - 4 * c, 2) is None)
+            return IntPoly.of(c, b, 1)
+        if kind == "cyclotomic":
+            return draw(st.sampled_from(SMALL_CYCLOTOMICS))
+        if kind == "radical":
+            d, a = draw(st.integers(2, 8)), draw(st.integers(-50, 50))
+            assume(capelli_irreducible(d, a))
+            return IntPoly((-a,) + (0,) * (d - 1) + (1,))
+        return quartic
+
+    return draw(affine_products(base()))
+
+
 class TestLabelledGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(random_base_products())
+    def test_labelled_graph_on_random_bases(self, f):
+        """The labelled graph is the numeric one, as below, on images of
+        random bases."""
+        labelled, numeric = labelled_graph(f), numeric_graph(f)
+        assert graph_invariants(*labelled) == graph_invariants(*numeric)
+        assert isomorphic(labelled, numeric)
+        cert = find_symmetric_matching(f)
+        if isinstance(cert, MatchingCertificate):
+            validate_matching(f, cert)
+
     @settings(max_examples=60, deadline=None)
     @given(affine_products())
     def test_labelled_graph_is_the_numeric_graph(self, f):

@@ -298,14 +298,13 @@ class TestFirstHit:
 
 
 def _three_searches(inst, cap, stop, side):
-    """(result, n, sign, fraction) after first_hit(stop), first_hit(past=side)
-    and first_past(k1, side), each on a fresh scan; a search that reaches
-    the cap gives ScanCapExceeded as its result."""
-    k1 = inst.monotonicity_index
+    """(result, n, sign, fraction) after first_hit(stop), first_hit() and
+    first_past(side), each on a fresh scan; a search that reaches the cap
+    gives ScanCapExceeded as its result."""
     out = []
     for search in (
         lambda scan: scan.first_hit(stop),
-        lambda scan: scan.first_hit(past=side),
+        lambda scan: scan.first_hit(),
         lambda scan: scan.first_past(side),
     ):
         scan = ExactScan(inst, cap)
@@ -677,14 +676,14 @@ def _outcome(search):
         return ScanCapExceeded
 
 
-def _stepping_search(scan, stop, k1, past, through):
-    """first_hit(stop, past) or, with through, first_past(k1, past), by a
-    scan that steps index by index and tests every index exactly as the
-    search docstrings state."""
+def _stepping_search(scan, stop, k1, past):
+    """first_hit(stop), or with past = side first_past(side) (stop the cap
+    plus one), by a scan that steps index by index and tests every index
+    exactly as the search docstrings state."""
     t, hit = scan.inst.t, None
     while scan.n < stop:
         if hit is None and scan.hit():
-            if not through:
+            if not past:
                 return scan.n
             hit = scan.n
         if past and scan.n >= k1 and scan.abs_cmp(t) == past:
@@ -813,22 +812,19 @@ class TestGallop:
         t = data.draw(st.sampled_from(sizes + [-size for size in sizes]), label="t")
         t2 = data.draw(st.sampled_from([-t, 2 * t, t / 3] + sizes), label="t2")
         side = data.draw(st.sampled_from([1, -1]), label="side")
-        stop, past, through = data.draw(
-            st.sampled_from(
-                [(stop, 0, False) for stop in (c, c + 1, cap, cap + 1)]
-                + [(cap + 1, side, False), (cap + 1, side, True)]
-            ),
+        stop, past = data.draw(
+            st.sampled_from([(stop, 0) for stop in (c, c + 1, cap, cap + 1)] + [(cap + 1, side)]),
             label="search",
         )
         floats_first = data.draw(st.booleans(), label="floats_first")
         inst = HGInstance(p, q, u0, t, problem)
         scan, stepped = ExactScan(inst, cap), ExactScan(inst, cap)
-        if through:
+        if past:
             got = _outcome(lambda: scan.first_past(side))
         else:
-            got = _outcome(lambda: scan.first_hit(stop, past))
-        want = _outcome(lambda: _stepping_search(stepped, stop, k1, past, through))
-        here = (c, t, problem, stop, past, through)
+            got = _outcome(lambda: scan.first_hit(stop))
+        want = _outcome(lambda: _stepping_search(stepped, stop, k1, past))
+        here = (c, t, problem, stop, past)
         assert (got, scan.n, scan.steps) == (want, stepped.n, stepped.steps), here
         if scan.n > cap:
             return

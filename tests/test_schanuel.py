@@ -193,6 +193,24 @@ class TestConditionalDecider:
         assert v.identity["stress_separated"] is True
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
 
+    def test_precision_cap_limits_the_first_rung(self, monkeypatch):
+        # the stress check starts its ladder at 256 bits; under a 128-bit
+        # cap no rung, the first included, asks for more
+        from hgdecide import schanuel
+        from hgdecide.config import EngineConfig
+
+        rungs = []
+        evaluate = schanuel.evaluate_identity
+
+        def recording(ident, prec):
+            rungs.append(prec)
+            return evaluate(ident, prec)
+
+        monkeypatch.setattr(schanuel, "evaluate_identity", recording)
+        v = decide_conditional(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)), EngineConfig(precision_cap_bits=128))
+        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert rungs and max(rungs) <= 128
+
     def test_real_quadratic_witness_is_unconditional(self):
         i = inst([-1, -2, 1], [-4, -2, 1], 1, 4)  # u_1 = q(0)/p(0) = 4
         v = decide_conditional(i)

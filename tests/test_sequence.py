@@ -13,6 +13,7 @@ from hgdecide.errors import DecideError, ScanCapExceeded
 from hgdecide.polys import IntPoly, integer_roots
 from hgdecide.sequence import (
     BruteKind,
+    ExactScan,
     HGInstance,
     Problem,
     Variant,
@@ -250,6 +251,54 @@ class TestTailRecord:
         assert cert["reason"] in ("monotone_tail_excludes_target", "decreasing_tail_above_target")
         assert verify_certificate(cert) == []
         assert calls == []
+
+
+@st.composite
+def _balanced_pairs(draw):
+    """Monic p, q of degree 2 or 3 with the same top two coefficients (a
+    balanced pair), p without nonnegative integer roots."""
+    d = draw(st.integers(2, 3))
+    top = draw(st.integers(-6, 6))
+    low = st.lists(st.integers(-12, 12), min_size=d - 1, max_size=d - 1)
+    p, q = (IntPoly((*draw(low), top, 1)) for _ in range(2))
+    assume(all(r < 0 for r in integer_roots(p)))
+    return p, q
+
+
+class TestTailMisses:
+    """The one monotone-tail test of the balanced verdicts and the bound
+    replay, against a plain Fraction scan of the terms after it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _balanced_pairs(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+        st.sampled_from(list(Problem)),
+        st.data(),
+    )
+    def test_no_witness_after_a_missing_tail(self, pq, u0, problem, data):
+        p, q = pq
+        k0 = monotonicity_index(p, q)
+        us = [u0]
+        for k in range(k0 + 201):
+            us.append(us[-1] * F(q(k), p(k)))
+        # a later term (a tail moving towards it meets it), a near one, or any
+        kind = data.draw(st.sampled_from(["term", "near", "any"]), label="kind")
+        if kind == "any":
+            t = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=50), label="t")
+        else:
+            t = us[data.draw(st.integers(k0 + 2, k0 + 201), label="m")]
+            t = t if kind == "term" else t * (1 + data.draw(st.sampled_from([F(1, 10**6), F(-1, 10**6)])))
+        i = HGInstance(p, q, u0, t, problem)
+        assert i.asymptotic.is_balanced and i.tail_signs[0] > 0
+        scan = ExactScan(i)
+        if scan.first_hit(k0 + 2) is not None or scan.hit() or not scan.tail_misses():
+            return
+        if problem is Problem.MEMBERSHIP:
+            hits = [n for n in range(k0 + 2, k0 + 202) if us[n] == t]
+        else:
+            hits = [n for n in range(k0 + 2, k0 + 202) if us[n] < t]
+        assert hits == [], (p, q, u0, t, problem)
 
 
 class TestBruteForce:
