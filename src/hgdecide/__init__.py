@@ -3,9 +3,10 @@ hypergeometric sequences p(n) u_{n+1} = q(n) u_n with quadratic parameters.
 
 Public surface: exact scalars and intervals (exactnum, dyadic, enclosure),
 polynomial algebra (polys, towers), sequence analysis (sequence), the
-gamma-product canonicalizer (gammacanon), the unconditional and
-conditional deciders (equality, schanuel), recognizers (recognize), and
-the document/CLI layer (certs, corpus, cli).
+gamma-product canonicalizer (gammacanon), the one decider `decide`
+(equality; `conditional=False` keeps it unconditional) and the symbolic
+identities of its conditional oracle (schanuel), recognizers
+(recognize), and the document/CLI layer (certs, corpus, cli).
 """
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -18,7 +19,7 @@ from .recognize import (
     find_symmetric_matching,
     recognize_shifted_square,
 )
-from .schanuel import build_basis, build_identity, decide_conditional, decide_identity
+from .schanuel import build_basis, build_identity, decide_identity
 from .sequence import (
     AsymptoticClass,
     HGInstance,
@@ -54,7 +55,6 @@ __all__ = [
     "compare",
     "cyclotomic",
     "decide",
-    "decide_conditional",
     "decide_equal",
     "decide_identity",
     "detect_shifted_even",

@@ -217,7 +217,11 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     except ValueError:
         problems.append(f"unknown conditionality {cert.get('conditionality')!r}")
         cond = Conditionality.UNCONDITIONAL
-    if cert.get("exit_code") != Verdict(inst.problem, result, cond, "").exit_code:
+    conditional_oracle = cond is not Conditionality.UNCONDITIONAL or cert.get("matching") is not None
+    if docin.mode == "unconditional" and conditional_oracle:
+        problems.append("mode 'unconditional' never builds the conditional oracle")
+    code = cert.get("exit_code")  # a JSON integer: true and 1.0 compare equal to 1
+    if type(code) is not int or code != Verdict(inst.problem, result, cond, "").exit_code:
         problems.append("exit code inconsistent with verdict/conditionality")
 
     witness = cert.get("witness")

@@ -42,7 +42,7 @@ from .certs import (
 from .config import EngineConfig
 from .corpus import FAMILIES, generate_documents
 from .enclosure import eval_enclosure
-from .equality import _unconditional_oracle, decide
+from .equality import CanonicalLimitOracle, decide
 from .errors import ParseError, PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from .exactnum import format_rat
 from .polys import IntPoly
@@ -53,7 +53,6 @@ from .recognize import (
     find_symmetric_matching,
     recognize_shifted_square,
 )
-from .schanuel import decide_conditional
 from .sequence import brute_force, terms
 
 EXIT_UNSUPPORTED = 2
@@ -103,12 +102,8 @@ def _report(e: Exception) -> int:
 def decide_document(docin: InstanceDocument, config: EngineConfig) -> dict:
     """Decide one parsed instance and wrap the verdict as a certificate."""
     start = time.perf_counter()
-    if docin.mode == "unconditional":
-        verdict = decide(docin.inst, config)
-    else:
-        # "auto" is "conditional": its oracle builder tries the
-        # unconditional oracle first
-        verdict = decide_conditional(docin.inst, config)
+    # "auto" is "conditional": the canonical oracle is tried first either way
+    verdict = decide(docin.inst, config, conditional=docin.mode != "unconditional")
     elapsed = (time.perf_counter() - start) * 1000.0
     return certificate_dict(docin, verdict, timing_ms=elapsed)
 
@@ -151,7 +146,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    constant = _unconditional_oracle(load_instance(args.file).inst, args.config).constant
+    constant = CanonicalLimitOracle(load_instance(args.file).inst, args.config).constant
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)

@@ -266,8 +266,9 @@ def cos_interval(x: DyadicInterval, prec: int) -> DyadicInterval:
 def eval_enclosure(value, precision_bits: int, config: EngineConfig = DEFAULT_CONFIG) -> DyadicInterval:
     """Interval certain to contain `value` at one rung of the ladder.
 
-    `value` is a limit that encloses itself, `CanonicalConstant` or
-    `ConditionalLimitOracle`; this returns `value.limit_enclosure(bits)`.
+    `value` is a limit that encloses itself, the `CanonicalConstant` or the
+    `ConditionalLimitOracle` that `equality.limit_oracle` built; this
+    returns `value.limit_enclosure(bits)`.
     Raises PrecisionExceeded when `precision_bits` breaches the configured
     cap, and IntervalStraddlesZero when the value divides by an interval
     that contains zero at this rung.

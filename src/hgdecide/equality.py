@@ -1,4 +1,7 @@
-"""Unconditional equality and order decisions, and the decision pipeline.
+"""The decision core: `decide`, the one decider of both results, and its
+limit oracles.  `limit_oracle` alone picks the equality test on the limit:
+the canonical oracle below (unconditional) or, when `conditional`, the
+schanuel module's identity oracle.
 
 decide_equal is purely symbolic.  The canonical value is
 theta * pi**ell * f(x)/g(x) with x = exp(pi*sqrt(m)/D) transcendental
@@ -84,10 +87,19 @@ def compare(value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG) -> tuple[
 
 
 class CanonicalLimitOracle:
-    """Equality/order oracle backed by the canonical constant (unconditional)."""
+    """Equality/order oracle backed by the canonical constant (unconditional);
+    raises UnsupportedInstance outside the rational / single imaginary quadratic class."""
 
-    def __init__(self, constant: CanonicalConstant, config: EngineConfig):
-        self.constant = constant
+    def __init__(self, inst: HGInstance, config: EngineConfig):
+        roots = []
+        for side, poly in (("p", inst.p), ("q", inst.q)):
+            r = roots_quadratic(poly)
+            if isinstance(r, NotSplitting):
+                raise UnsupportedInstance(
+                    f"{side} has an irreducible factor of degree {r.blocker.degree}", r
+                )
+            roots.append(r)
+        self.constant = canonicalize(limit_as_gamma(inst.p, inst.q, *roots)).scale(inst.u0)
         self.config = config
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
@@ -97,21 +109,20 @@ class CanonicalLimitOracle:
         return compare(self.constant, t, self.config)
 
 
-def _unconditional_oracle(inst: HGInstance, config: EngineConfig) -> CanonicalLimitOracle:
-    """Build the canonical oracle; raises UnsupportedInstance outside the
-    rational / single imaginary quadratic class."""
-    rp = roots_quadratic(inst.p)
-    if isinstance(rp, NotSplitting):
-        raise UnsupportedInstance(
-            f"p has an irreducible factor of degree {rp.blocker.degree}", rp
-        )
-    rq = roots_quadratic(inst.q)
-    if isinstance(rq, NotSplitting):
-        raise UnsupportedInstance(
-            f"q has an irreducible factor of degree {rq.blocker.degree}", rq
-        )
-    limit = canonicalize(limit_as_gamma(inst.p, inst.q, rp, rq))
-    return CanonicalLimitOracle(limit.scale(inst.u0), config)
+def limit_oracle(inst: HGInstance, config: EngineConfig, conditional: bool):
+    """The one place a limit oracle is chosen: the canonical oracle where it
+    applies, else, when `conditional`, the symbolic-identity oracle of the
+    schanuel module.  Raises UnsupportedInstance for a non-monic pair and
+    for a limit outside the allowed oracles' class."""
+    if not inst.is_monic_pair:
+        raise UnsupportedInstance("balanced instances need monic coefficients")
+    try:
+        return CanonicalLimitOracle(inst, config)
+    except UnsupportedInstance:
+        if not conditional:
+            raise
+    from .schanuel import ConditionalLimitOracle  # schanuel imports compare from here
+    return ConditionalLimitOracle(inst, config)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +130,15 @@ def _unconditional_oracle(inst: HGInstance, config: EngineConfig) -> CanonicalLi
 # ---------------------------------------------------------------------------
 
 
-def decide(
-    inst: HGInstance,
-    config: EngineConfig = DEFAULT_CONFIG,
-    oracle_builder=None,
-) -> Verdict:
-    """Full decision pipeline.
+def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional: bool = True) -> Verdict:
+    """Full decision pipeline, the only decider.
 
     The bounded regimes (zero tails, divergence, shrinkage) are decided for
     arbitrary nonzero coefficients.  The balanced branch scans first and
     builds the limit oracle only for a verdict that reads the limit; that
     build needs monic p and q and the gamma-product machinery, so only
-    such verdicts can end as unsupported.  oracle_builder lets the
-    conditional module substitute its own equality oracle for that build;
+    such verdicts can end as unsupported.  `conditional` lets that build
+    fall back to the Schanuel-conditional oracle (`limit_oracle`);
     everything else is shared.
     """
     if inst.u0 == 0:
@@ -151,14 +158,7 @@ def decide(
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
     if inst.p == inst.q:
         return _constant_verdict(inst, "constant_sequence", cls)
-    builder = oracle_builder or _unconditional_oracle
-
-    def build_oracle():
-        if not inst.is_monic_pair:
-            raise UnsupportedInstance("balanced instances need monic coefficients")
-        return builder(inst, config)
-
-    return _balanced_verdict(inst, build_oracle, config)
+    return _balanced_verdict(inst, config, conditional)
 
 
 # -- easy regimes ------------------------------------------------------------
@@ -257,7 +257,7 @@ def _constant_verdict(inst: HGInstance, reason: str, asymptotic: AsymptoticClass
 # -- balanced branch ---------------------------------------------------------
 
 
-def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> Verdict:
+def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool) -> Verdict:
     """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
 
     Past the certified index k0 = inst.monotonicity_index the tail is
@@ -272,10 +272,11 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
     positive Threshold tail over a negative t, and a Membership tail that
     never has t's sign or that u_{k0+2} has already carried past t,
     moving away from it.  Only a tail that moves towards t, and a
-    decreasing Threshold tail that can reach t, call build_oracle() for
-    the equality and order tests, which need the limit's closed form; the
-    Membership crossing then searches with scan.first_past, which stops
-    where the tail has passed t.
+    decreasing Threshold tail that can reach t, build the limit oracle
+    (`limit_oracle`, once) for the equality and order tests, which need
+    the limit's closed form; every verdict after that carries the
+    oracle's certificate fields.  The Membership crossing then searches
+    with scan.first_past, which stops where the tail has passed t.
     """
     cls = inst.asymptotic
     k0 = inst.monotonicity_index
@@ -308,20 +309,25 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
             bound=SearchBound(at, "product_monotone_beyond"),
         )
 
-    oracle = build_oracle()
+    oracle = limit_oracle(inst, config, conditional)
     eq = oracle.decide_equal(inst.t)
-    extras = dict(canonical=eq.canonical, matching=eq.matching, identity=eq.identity)
+    fields = dict(asymptotic=cls, equality_rationale=eq.rationale, canonical=eq.canonical,
+                  matching=eq.matching, identity=eq.identity)
     cond = Conditionality.CONDITIONAL_ON_SCHANUEL if eq.conditional else Conditionality.UNCONDITIONAL
-    if membership:
-        if eq.equal:
-            # a strictly monotone tail never attains its limit
+    if eq.equal:
+        if membership:  # a strictly monotone tail never attains its limit
             return Verdict(
                 inst.problem, False, cond, "limit_equals_target_not_attained",
-                asymptotic=cls, scanned_up_to=k0 + 1,
-                equality_rationale=eq.rationale, **extras,
+                scanned_up_to=k0 + 1, **fields,
             )
-        side, bits = oracle.compare(inst.t)
-        relation = "less" if side < 0 else "greater"
+        # threshold, decreasing tail with infimum L = t
+        return Verdict(
+            inst.problem, True, Conditionality.UNCONDITIONAL,
+            "decreasing_tail_limit_equals_target", scanned_up_to=k0 + 1, **fields,
+        )
+    side, bits = oracle.compare(inst.t)
+    fields.update(compare_relation="less" if side < 0 else "greater", compare_precision_bits=bits)
+    if membership:
         if side == direction:
             # the monotone tail, of t's sign, is on the far side of t from
             # the limit: a tail witness is possible until the tail passes
@@ -331,36 +337,21 @@ def _balanced_verdict(inst: HGInstance, build_oracle, config: EngineConfig) -> V
         if n is not None:
             return Verdict(
                 inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
-                witness=n, asymptotic=cls, scanned_up_to=n,
-                equality_rationale=eq.rationale, compare_relation=relation,
-                compare_precision_bits=bits, **extras,
+                witness=n, scanned_up_to=n, **fields,
             )
         return Verdict(
             inst.problem, False, cond, "monotone_tail_excludes_target",
-            asymptotic=cls, scanned_up_to=scan.n - 1,
-            bound=SearchBound(scan.n, "product_monotone_beyond"),
-            equality_rationale=eq.rationale, compare_relation=relation,
-            compare_precision_bits=bits, **extras,
+            scanned_up_to=scan.n - 1, bound=SearchBound(scan.n, "product_monotone_beyond"), **fields,
         )
 
-    # threshold, decreasing tail with infimum L: holds iff L >= t
-    if eq.equal:
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL,
-            "decreasing_tail_limit_equals_target", asymptotic=cls,
-            scanned_up_to=k0 + 1, equality_rationale=eq.rationale, **extras,
-        )
-    side, bits = oracle.compare(inst.t)
+    # threshold, decreasing tail with infimum L != t: holds iff L > t
     if side > 0:
         return Verdict(
             inst.problem, True, cond, "decreasing_tail_above_target",
-            asymptotic=cls, scanned_up_to=k0 + 1, equality_rationale=eq.rationale,
-            compare_relation="greater", compare_precision_bits=bits, **extras,
+            scanned_up_to=k0 + 1, **fields,
         )
     n = scan.first_hit()
     return Verdict(
         inst.problem, False, cond, "decreasing_tail_below_target",
-        witness=n, asymptotic=cls, scanned_up_to=n,
-        equality_rationale=eq.rationale, compare_relation="less",
-        compare_precision_bits=bits, **extras,
+        witness=n, scanned_up_to=n, **fields,
     )

@@ -1,4 +1,6 @@
-"""Conditional decision procedure for root-symmetric instances.
+"""The conditional limit oracle for root-symmetric instances, which
+`equality.limit_oracle` builds for a `conditional` decision (the one
+decider, `equality.decide`) where the canonical oracle does not apply.
 
 For balanced instances whose polynomials admit a perfect matching on the
 root-symmetry graph, the limit is a product of conjugate-style pair values
@@ -34,7 +36,7 @@ from .enclosure import (
     precision_ladder,
     sin_interval,
 )
-from .equality import _unconditional_oracle, compare, decide
+from .equality import compare
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
@@ -43,7 +45,7 @@ from .polys import IntPoly, factor_monic
 from .recognize import MatchingCertificate, NoMatching, find_symmetric_matching
 from .sequence import HGInstance
 from .towers import CyclotomicTower, MultiquadraticTower, Tower, TowerElem
-from .verdicts import EqualityDecision, Rationale, Verdict
+from .verdicts import EqualityDecision, Rationale
 
 logger = logging.getLogger("hgdecide.schanuel")
 
@@ -567,19 +569,3 @@ class ConditionalLimitOracle:
 
     def compare(self, t: Fraction) -> tuple[int, int]:
         return compare(self, t, self.config)
-
-
-def conditional_oracle_builder(inst: HGInstance, config: EngineConfig):
-    """Route to the unconditional machinery when it applies (the imaginary
-    quadratic degeneration), otherwise build the identity oracle."""
-    try:
-        return _unconditional_oracle(inst, config)
-    except UnsupportedInstance:
-        return ConditionalLimitOracle(inst, config)
-
-
-def decide_conditional(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> Verdict:
-    """Same pipeline as the unconditional decider with the equality oracle
-    swapped; only NotEqual outcomes that came from the symbolic-identity
-    path carry the conditional label."""
-    return decide(inst, config, oracle_builder=conditional_oracle_builder)

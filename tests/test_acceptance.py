@@ -18,7 +18,7 @@ from hgdecide.config import DEFAULT_CONFIG
 from hgdecide.corpus import cross_check, generate_documents
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import eval_enclosure, exp_interval
-from hgdecide.equality import _unconditional_oracle, decide
+from hgdecide.equality import CanonicalLimitOracle, decide
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.gammacanon import canonicalize, limit_as_gamma
 from hgdecide.polys import IntPoly, QPoly, cyclotomic, roots_quadratic
@@ -29,7 +29,6 @@ from hgdecide.recognize import (
     recognize_shifted_square,
     validate_matching,
 )
-from hgdecide.schanuel import decide_conditional
 from hgdecide.sequence import ExactScan, HGInstance, Problem
 from hgdecide.verdicts import Conditionality, Rationale
 
@@ -140,7 +139,7 @@ class TestCriterion3:
     def test_equality_is_numerics_free(self, monkeypatch):
         import random
 
-        oracle = _unconditional_oracle(worked_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = CanonicalLimitOracle(worked_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(20260808)
         calls = record_enclosures(monkeypatch)
         all_not_equal = True
@@ -199,9 +198,9 @@ def _corpus_500():
 
 def _decide_auto(inst):
     try:
-        return decide(inst, DEFAULT_CONFIG)
+        return decide(inst, DEFAULT_CONFIG, conditional=False)
     except UnsupportedInstance:
-        return decide_conditional(inst, DEFAULT_CONFIG)
+        return decide(inst, DEFAULT_CONFIG)
 
 
 class TestCriterion5and6:
@@ -310,10 +309,10 @@ class TestCriterion8:
         for doc in imag_docs:
             inst = parse_instance(doc).inst
             try:
-                v1 = decide(inst, DEFAULT_CONFIG)
+                v1 = decide(inst, DEFAULT_CONFIG, conditional=False)
             except UnsupportedInstance:
                 v1 = None
-            v2 = decide_conditional(inst, DEFAULT_CONFIG)
+            v2 = decide(inst, DEFAULT_CONFIG)
             if v1 is not None:
                 same = (
                     v1.result == v2.result
@@ -351,7 +350,7 @@ class TestCriterion8:
         for doc in real_docs:
             inst = parse_instance(doc).inst
             try:
-                v = decide_conditional(inst, DEFAULT_CONFIG)
+                v = decide(inst, DEFAULT_CONFIG)
             except UnsupportedInstance:
                 continue
             if v.equality_rationale is Rationale.IDENTITY_NONZERO:

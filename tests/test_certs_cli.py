@@ -158,6 +158,37 @@ class TestCertificates:
         cert["exit_code"] = 11
         assert any("exit code" in p for p in verify_certificate(cert))
 
+    # JSON true and 1.0 compare equal to 1, false and 0.0 to 0: the worked
+    # pair's not_member (t = 1/7) and member (t = 1/13) certificates once
+    # verified with these in place of their exit codes
+    @pytest.mark.parametrize("t,value", [("1/7", True), ("1/7", 1.0), ("1/13", False), ("1/13", 0.0)])
+    def test_exit_code_must_be_a_json_integer(self, t, value):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance({**WORKED, "t": t}), DEFAULT_CONFIG)
+        assert cert["exit_code"] == value and verify_certificate(cert) == []
+        cert["exit_code"] = value
+        assert any("exit code" in p for p in verify_certificate(cert))
+
+    def test_conditional_oracle_under_unconditional_mode_rejected(self):
+        # a decision under mode "unconditional" never builds the
+        # conditional oracle, so no such certificate is conditional or
+        # carries a matching: two seed-11 conditional verdicts, and an
+        # unconditional Equal of that oracle, p = f (x + 1)(x + 4),
+        # q = f (x + 2)(x + 3), f = x^2 - 2x - 1, with the limit 3 u0 = t
+        from hgdecide.config import DEFAULT_CONFIG
+
+        docs = generate_documents(11, 20, "real-quadratic")
+        docs.append(doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"))
+        certs = [decide_document(parse_instance(d), DEFAULT_CONFIG) for d in docs]
+        built = [c for c in certs if c["matching"] is not None]
+        assert [c["exit_code"] for c in built] == [11, 11, 1]
+        assert built[-1]["equality_rationale"] == "identity_cancellation"
+        for cert in built:
+            assert verify_certificate(cert) == []
+            cert["instance"]["mode"] = "unconditional"
+            assert "mode 'unconditional' never builds the conditional oracle" in verify_certificate(cert)
+
     # int() would read each of these as a well-formed tuple of the worked
     # example (f = x^2 or 1, ell = 1, m = D = 1); the malformed theta and
     # base_trivial entries once escaped replay as TypeError, AttributeError
@@ -402,6 +433,33 @@ class TestCorpus:
             assert scanned is None or scanned <= DEFAULT_CONFIG.scan_cap, d
             if cert["reason"] in ("prefix_witness", "prefix_violation"):
                 assert scanned == cert["witness"], d
+
+    def test_modes_share_one_decider(self):
+        # "conditional" and "auto" give one certificate; "unconditional"
+        # gives it too, or is unsupported exactly where the conditional
+        # oracle was built (the certificate carries a matching)
+        from hgdecide.config import DEFAULT_CONFIG
+        from hgdecide.errors import UnsupportedInstance
+
+        def decide_as(d, mode):
+            cert = decide_document(parse_instance({**d, "mode": mode}), DEFAULT_CONFIG)
+            del cert["timing_ms"], cert["instance"]["mode"]
+            return serialize_certificate(cert)
+
+        unsupported = 0
+        for family in FAMILIES:
+            for d in generate_documents(11, 20, family):
+                auto = decide_as(d, "auto")
+                assert decide_as(d, "conditional") == auto, d
+                built = json.loads(auto)["matching"] is not None
+                try:
+                    assert decide_as(d, "unconditional") == auto, d
+                except UnsupportedInstance:
+                    assert built, d
+                    unsupported += 1
+                else:
+                    assert not built, d
+        assert unsupported == 2
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

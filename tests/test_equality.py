@@ -5,8 +5,9 @@ import pytest
 
 from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
 from hgdecide.config import DEFAULT_CONFIG, EngineConfig
+from hgdecide import equality
 from hgdecide.equality import (
-    _unconditional_oracle,
+    CanonicalLimitOracle,
     compare,
     decide,
     decide_equal,
@@ -14,7 +15,6 @@ from hgdecide.equality import (
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
 from hgdecide.polys import IntPoly
-from hgdecide.schanuel import decide_conditional
 from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, monotonicity_index, term
 from hgdecide.verdicts import Conditionality, Rationale
 from intervals import record_enclosures
@@ -30,7 +30,7 @@ def trivial_const(theta, ell=0):
 
 class TestDecideEqual:
     def test_worked_example_never_rational(self, sinh_ratio_instance):
-        oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         for t in (F(1, 13), F(22, 7), F(-3), F(10**6, 999983)):
             r = oracle.decide_equal(t)
             assert not r.equal and r.rationale is Rationale.TRANSCENDENCE_OBSTRUCTION
@@ -45,7 +45,7 @@ class TestDecideEqual:
         assert not r.equal and r.rationale is Rationale.PI_POWER_OBSTRUCTION
 
     def test_no_interval_evaluations(self, sinh_ratio_instance, monkeypatch):
-        oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         rng = random.Random(11)
         calls = record_enclosures(monkeypatch)
         for _ in range(300):
@@ -56,7 +56,7 @@ class TestDecideEqual:
         assert "limit_enclosure" in calls and "exp_interval" in calls
 
     def test_deterministic(self, sinh_ratio_instance):
-        oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         a = [oracle.decide_equal(F(5, 7)) for _ in range(3)]
         assert all(x == a[0] for x in a)
 
@@ -68,7 +68,7 @@ class TestDecideEqual:
 
 class TestCompare:
     def test_worked_example_sides(self, sinh_ratio_instance):
-        oracle = _unconditional_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
         assert oracle.compare(F(1, 26))[0] < 0  # limit ~ 4.78e-5 < 1/26
         assert oracle.compare(F(1, 10**5))[0] > 0
 
@@ -114,11 +114,11 @@ class TestMembershipPipeline:
         assert not v.result and v.reason == "limit_equals_target_not_attained"
         assert v.equality_rationale is Rationale.RATIONAL_IDENTITY
 
-    def test_non_monic_tail_moving_away_decides(self):
+    def test_non_monic_tail_moving_away_decides(self, no_oracle):
         # u_n rises from u_0 = 1 to L ~ 7.52: t = 1/2 lies behind the tail,
         # so the verdict needs no limit and no monic pair
         i = inst([1, 1, 2], [3, 1, 2], 1, F(1, 2))
-        v = decide(i, oracle_builder=no_oracle)
+        v = decide(i)
         assert not v.result and v.reason == "monotone_tail_excludes_target"
         assert v.conditionality is Conditionality.UNCONDITIONAL
         assert v.canonical is None and v.compare_relation is None
@@ -174,8 +174,12 @@ class OracleBuilt(Exception):
     pass
 
 
-def no_oracle(inst, config):
-    raise OracleBuilt()
+@pytest.fixture
+def no_oracle(monkeypatch):
+    def build(inst, config, conditional):
+        raise OracleBuilt()
+
+    monkeypatch.setattr(equality, "limit_oracle", build)
 
 
 class TestScanFirst:
@@ -210,38 +214,39 @@ class TestScanFirst:
             ([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD, FALLING_ABOVE, None),
         ],
     )
-    def test_limit_free_verdicts_never_build_the_oracle(self, p, q, u0, t, problem, reason, witness):
+    def test_limit_free_verdicts_never_build_the_oracle(self, no_oracle, p, q, u0, t, problem, reason, witness):
         if t is None:
             t = term(inst(p, q, u0, 0), witness)
-        v = decide(inst(p, q, u0, t, problem), oracle_builder=no_oracle)
+        v = decide(inst(p, q, u0, t, problem))
         assert (v.reason, v.witness) == (reason, witness)
         assert v.result == (reason not in ("prefix_violation", EXCLUDED))
         assert v.conditionality is Conditionality.UNCONDITIONAL
 
-    def test_prefix_violation_scans_to_the_violation(self):
+    def test_prefix_violation_scans_to_the_violation(self, no_oracle):
         # u_1 = 11701 / (2^20 * 11701) = 2^-20 < 1/2, while k0 + 1 is past
         # the scan cap: the certificate claims the scan up to the witness
         i = inst([2**20 * 11701, 0, 1], [11701, 0, 1], 1, F(1, 2), Problem.THRESHOLD)
-        v = decide(i, oracle_builder=no_oracle)
+        v = decide(i)
         assert (v.reason, v.witness, v.scanned_up_to) == ("prefix_violation", 1, 1)
         assert verify_certificate(certificate_dict(InstanceDocument(i, "unconditional"), v)) == []
 
-    def test_limit_reading_verdicts_build_the_oracle(self):
+    def test_limit_reading_verdicts_build_the_oracle(self, no_oracle, monkeypatch):
         # the worked pair falls to L ~ 4.78e-5: t = 10^-5 lies beyond it
         for t, problem in [(F(1, 10**5), Problem.MEMBERSHIP), (F(1, 10**5), Problem.THRESHOLD)]:
             with pytest.raises(OracleBuilt):
-                decide(inst([13, -4, 1], [5, -4, 1], 1, t, problem), oracle_builder=no_oracle)
+                decide(inst([13, -4, 1], [5, -4, 1], 1, t, problem))
         # the build needs a monic pair; SIXTHS rises to L = sqrt(3) < 2
+        monkeypatch.undo()
         with pytest.raises(UnsupportedInstance):
             decide(inst(*SIXTHS, 1, 2))
 
-    def test_tail_moving_away_is_bounded_past_the_prefix(self):
+    def test_tail_moving_away_is_bounded_past_the_prefix(self, no_oracle):
         # the worked pair falls past t between u_{k0+1} and u_{k0+2}: the
         # tail moves away from t only from k0 + 2 on, where the bound lies
         p, q = [13, -4, 1], [5, -4, 1]
         k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
         t = (term(inst(p, q, 1, 0), k0 + 1) + term(inst(p, q, 1, 0), k0 + 2)) / 2
-        v = decide(inst(p, q, 1, t), oracle_builder=no_oracle)
+        v = decide(inst(p, q, 1, t))
         assert (v.reason, v.scanned_up_to, v.bound.n) == (EXCLUDED, k0 + 1, k0 + 2)
         cert = certificate_dict(InstanceDocument(inst(p, q, 1, t), "unconditional"), v)
         assert verify_certificate(cert) == []
@@ -249,12 +254,12 @@ class TestScanFirst:
         assert verify_certificate(cert)
 
 
-    def test_positive_tail_over_negative_target_is_bounded(self):
+    def test_positive_tail_over_negative_target_is_bounded(self, no_oracle):
         # u_n > L >= 0 > t from k0 + 2 on: the bound replay proves it
         p, q = [13, -4, 1], [5, -4, 1]
         k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
         i = inst(p, q, 1, -1, Problem.THRESHOLD)
-        v = decide(i, oracle_builder=no_oracle)
+        v = decide(i)
         assert (v.reason, v.scanned_up_to, v.bound.n) == (FALLING_ABOVE, k0 + 1, k0 + 2)
         assert v.canonical is None and v.compare_relation is None and v.equality_rationale is None
         cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
@@ -263,7 +268,7 @@ class TestScanFirst:
         assert any("the tail falls" in f for f in verify_certificate(cert))
 
     def test_real_quadratic_positive_tail_over_negative_target_is_unconditional(self):
-        v = decide_conditional(inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD))
+        v = decide(inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD))
         assert v.result and v.reason == FALLING_ABOVE
         assert v.conditionality is Conditionality.UNCONDITIONAL and v.identity is None
 

@@ -172,10 +172,10 @@ class TestRootApproximations:
             "from hgdecide.cli import decide_document, main\n"
             "from hgdecide.config import DEFAULT_CONFIG\n"
             "from hgdecide.corpus import FAMILIES, generate_documents\n"
+            "from hgdecide.equality import decide\n"
             "from hgdecide.errors import UnsupportedInstance\n"
             "from hgdecide.polys import IntPoly, factor_monic\n"
             "from hgdecide.recognize import MatchingCertificate, find_symmetric_matching\n"
-            "from hgdecide.schanuel import decide_conditional\n"
             "from hgdecide.sequence import HGInstance, Problem\n"
             "for family in FAMILIES:\n"
             "    for d in generate_documents(7, 40, family):\n"
@@ -185,11 +185,11 @@ class TestRootApproximations:
             "    assert [g.degree for g, _ in factor_monic(IntPoly(f))] == [8, 8], f\n"
             "i = HGInstance(IntPoly((2, 6, 1, -4, 1)), IntPoly((20, 18, -5, -4, 1)), F(1), F(3),"
             " Problem.MEMBERSHIP)\n"
-            "decide_conditional(i)\n"
+            "decide(i)\n"
             "i = HGInstance(IntPoly((2, 0, 1, 0, 1)), IntPoly((3, 0, 1, 0, 1)), F(1), F(3),"
             " Problem.MEMBERSHIP)\n"
             "try:\n"
-            "    decide_conditional(i)\n"
+            "    decide(i)\n"
             "    raise AssertionError('opaque quartics decided')\n"
             "except UnsupportedInstance:\n"
             "    pass\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.config import DEFAULT_CONFIG
-from hgdecide.equality import _unconditional_oracle, decide
+from hgdecide.equality import CanonicalLimitOracle, decide
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.polys import IntPoly
 from hgdecide.schanuel import (
@@ -17,7 +17,6 @@ from hgdecide.schanuel import (
     GammaPair,
     build_basis,
     build_identity,
-    decide_conditional,
     decide_identity,
     evaluate_identity,
 )
@@ -177,16 +176,16 @@ class TestCElem:
 
 class TestConditionalDecider:
     def test_gaussian_instances_route_unconditional(self, sinh_ratio_instance):
-        v = decide_conditional(sinh_ratio_instance(F(1, 13)))
+        v = decide(sinh_ratio_instance(F(1, 13)))
         assert v.result and v.witness == 2 and v.conditionality is Conditionality.UNCONDITIONAL
-        v2 = decide_conditional(sinh_ratio_instance(F(1, 7)))
+        v2 = decide(sinh_ratio_instance(F(1, 7)))
         assert not v2.result and v2.conditionality is Conditionality.UNCONDITIONAL
 
     def test_real_quadratic_not_member_is_conditional(self):
         # the negative tail rises to L ~ -4.43, so t = -3 is never reached
         # only because L < t: the verdict reads the limit
         i = inst([-1, -2, 1], [-4, -2, 1], 1, F(-3))
-        v = decide_conditional(i)
+        v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality_rationale is Rationale.IDENTITY_NONZERO
@@ -207,13 +206,13 @@ class TestConditionalDecider:
             return evaluate(ident, prec)
 
         monkeypatch.setattr(schanuel, "evaluate_identity", recording)
-        v = decide_conditional(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)), EngineConfig(precision_cap_bits=128))
+        v = decide(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)), EngineConfig(precision_cap_bits=128))
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert rungs and max(rungs) <= 128
 
     def test_real_quadratic_witness_is_unconditional(self):
         i = inst([-1, -2, 1], [-4, -2, 1], 1, 4)  # u_1 = q(0)/p(0) = 4
-        v = decide_conditional(i)
+        v = decide(i)
         assert v.result and v.witness == 1
         assert v.conditionality is Conditionality.UNCONDITIONAL
 
@@ -222,7 +221,7 @@ class TestConditionalDecider:
         p = f * IntPoly.of(1, 1) * IntPoly.of(4, 1)
         q = f * IntPoly.of(2, 1) * IntPoly.of(3, 1)
         i = HGInstance(p, q, F(2), F(6), Problem.MEMBERSHIP)
-        v = decide_conditional(i)
+        v = decide(i)
         assert not v.result and v.reason == "limit_equals_target_not_attained"
         assert v.conditionality is Conditionality.UNCONDITIONAL
         assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
@@ -234,7 +233,7 @@ class TestConditionalDecider:
         q = IntPoly((6, -8, -4, 0, 1))
         i = HGInstance(p, q, F(1), F(3, 2), Problem.MEMBERSHIP)
         with pytest.raises(UnsupportedInstance) as exc:
-            decide_conditional(i)
+            decide(i)
         assert "matching" in str(exc.value)
 
     def test_degeneration_consistency_random(self):
@@ -253,8 +252,8 @@ class TestConditionalDecider:
                 [a * a - b2 * b2 * d, -2 * a, 1],
                 u0, t, problem,
             )
-            v_uncond = decide(i)
-            v_cond = decide_conditional(i)
+            v_uncond = decide(i, conditional=False)
+            v_cond = decide(i)
             assert v_uncond.result == v_cond.result
             assert v_uncond.witness == v_cond.witness
             assert v_uncond.conditionality == v_cond.conditionality
@@ -262,7 +261,7 @@ class TestConditionalDecider:
         assert agreements == 30
 
     def test_engines_agree_on_imaginary_quadratic_pairs(self):
-        # decide_conditional routes these instances to the canonical engine,
+        # decide routes these instances to the canonical oracle,
         # so both oracles are built directly.  Pair centers run over both
         # signs, so translation factors multiply and divide; half-integer
         # centers need d = 1 mod 4 and half-odd offsets
@@ -297,7 +296,7 @@ class TestConditionalDecider:
                 lin_q = IntPoly.of(a1 + 1, 1) * IntPoly.of(a2 - 1, 1)
             u0 = F(rng.randint(1, 3))
             i = inst((irr_p * lin_p).coeffs, (irr_q * lin_q).coeffs, u0, 1)
-            canon = _unconditional_oracle(i, DEFAULT_CONFIG)
+            canon = CanonicalLimitOracle(i, DEFAULT_CONFIG)
             ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
             iv = ident.limit_enclosure(96)
             assert overlaps(canon.constant.limit_enclosure(96), iv)
@@ -321,7 +320,7 @@ class TestConditionalDecider:
         p = IntPoly.of(1, 0, -1, 0, 1)
         q = IntPoly.of(1, 0, 1) * IntPoly.of(1, 0, 1)
         i = HGInstance(p, q, F(1), F(1), Problem.MEMBERSHIP)
-        v = decide_conditional(i)
+        v = decide(i)
         assert v.result and v.witness == 0  # u_0 = 1 = t short-circuits
 
     def test_half_integer_center_identity_path(self):
@@ -332,7 +331,7 @@ class TestConditionalDecider:
         # compares signs and magnitudes separately.  The tail rises to
         # L ~ -2.62, so t = -5/3 above it needs the limit
         i = inst([-1, -1, 1], [-3, -1, 1], 1, F(-5, 3))
-        v = decide_conditional(i)
+        v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.identity["stress_separated"] is True
@@ -351,7 +350,7 @@ class TestConditionalDecider:
         # answers t = u0 at index 0 without any matching machinery
         p = IntPoly.of(1, 0, -1, 0, 1)
         q = IntPoly.of(-1, 0, 1) * IntPoly.of(-1, 0, 1)
-        v = decide_conditional(HGInstance(p, q, F(1), F(1), Problem.MEMBERSHIP))
+        v = decide(HGInstance(p, q, F(1), F(1), Problem.MEMBERSHIP))
         assert v.result and v.witness == 0
         assert v.conditionality is Conditionality.UNCONDITIONAL
 
@@ -362,7 +361,7 @@ class TestConditionalDecider:
         p = IntPoly.of(1, 0, -1, 0, 1)
         q = IntPoly.of(1, 0, 1) * IntPoly.of(1, 0, 1)
         i = HGInstance(p, q, F(1), F(25), Problem.MEMBERSHIP)
-        v = decide_conditional(i)
+        v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.identity["stress_separated"] is True
@@ -393,7 +392,7 @@ class TestConditionalDecider:
         for k in range(terms):
             prod *= q(k) / p(k)
         assert_within_envelope(prod, float(iv.mid()), math.exp(4 * 12 / terms))
-        v = decide_conditional(i)
+        v = decide(i)
         assert not v.result and v.reason == "monotone_tail_excludes_target"
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
@@ -505,7 +504,7 @@ class TestStatelessOracles:
             (lambda: ConditionalLimitOracle(
                 inst([3, 0, -2, 0, 2, 0, 1], [-3, 0, -5, 0, -1, 0, 1], 1, 1), DEFAULT_CONFIG),
              [F(1, 5), F(1, 7), F(158, 1000)]),
-            (lambda: _unconditional_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG),
+            (lambda: CanonicalLimitOracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG),
              [F(1, 13), F(1, 7), F(1, 10**6)]),
         ],
     )
@@ -529,7 +528,7 @@ class TestStatelessOracles:
             assert set(eq.matching) == {"p", "q"} and eq.canonical is None
         assert "stress_separated" not in equal.identity
         assert unequal.identity["stress_separated"] is True
-        canon = _unconditional_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG)
+        canon = CanonicalLimitOracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG)
         eq = canon.decide_equal(F(1, 13))
         assert eq.canonical == canon.constant.describe()
         assert eq.matching is None and eq.identity is None
@@ -540,7 +539,7 @@ class TestOneOrderTest:
     @given(imaginary_quadratic_pairs(), st.fractions(min_value=-50, max_value=50, max_denominator=50))
     def test_limit_enclosures_contain_the_gamma_ratio_and_compares_agree(self, drawn, t):
         i, prec = drawn
-        canon = _unconditional_oracle(i, DEFAULT_CONFIG)
+        canon = CanonicalLimitOracle(i, DEFAULT_CONFIG)
         ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
         limit = gamma_ratio_limit(i.u0, [i.p], [i.q], prec)
         assert limit in canon.constant.limit_enclosure(prec)
@@ -619,7 +618,7 @@ class TestConditionalRungs:
     @pytest.mark.parametrize("name, problem, k, sign, expected", CONDITIONAL_RUNGS)
     def test_verdict_relation_and_rung(self, name, problem, k, sign, expected):
         p, q, limit = _conditional_limit(name)
-        v = decide_conditional(HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem))
+        v = decide(HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem))
         assert (v.result, v.reason, v.compare_relation, v.compare_precision_bits) == expected
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality_rationale is Rationale.IDENTITY_NONZERO

@@ -65,6 +65,16 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     digests = record["cert_stream_sha256"]["11"]
     assert set(digests) == workloads
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    # the certificate streams of the smoke plans: a refactor leaves them
+    # alone, and a deliberate certificate change updates these pins with
+    # the golden corpus digest (test_certs_cli.py).  The near-tie and
+    # deep-scan plans reach certificates the golden corpus never sees
+    assert digests == {
+        "corpus-unconditional": "b248b42f40ca534157bbca3408495b239f3c4d146675c1a8a74df4a081a232c1",
+        "corpus-conditional": "ecee10627a6220e52fd1d65d1b051679a286e0c0d5f5e663bfee33e0ed4f218f",
+        "near-tie": "4e10d0e35d9f113d1e586cb3ca4f0e7b2aefcdf1c81cc542360ae442b8d1032a",
+        "deep-scan": "4ef3ea081a5033680d14774e9d1b54305c69c516296088c5cf1322d27015f2ff",
+    }
     e2e = {m["name"] for m in bench["end_to_end"]}
     layer = {m["name"] for m in bench["per_layer"]}
     assert {w: set(m) for w, m in record["end_to_end"]["11"].items()} == {w: e2e for w in workloads}
