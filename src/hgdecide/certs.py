@@ -236,14 +236,13 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         try:
             witness = _json_index(witness, "witness")
             scan = ExactScan(inst, config.scan_cap)
-            n = scan.first_hit(min(witness, config.scan_cap + 1))
-            if n is not None:
+            n = scan.first_hit(min(witness, config.scan_cap) + 1)
+            if n is None:
+                problems.append(f"claimed {what} u_{witness} {not_rel} t")
+            elif n < witness:
                 problems.append(f"{what} {witness} is not {least}: u_{n} {rel} t")
             if witness > config.scan_cap:
                 raise ScanCapExceeded(f"scan index {witness} exceeds cap {config.scan_cap}")
-            scan.jump(witness)
-            if not scan.hit():
-                problems.append(f"claimed {what} u_{witness} {not_rel} t")
         except ParseError as e:
             problems.append(f"witness invalid: {e}")
         except DecideError as e:
@@ -302,17 +301,14 @@ def _verify_bound(
     scan.jump(n0)
     t = inst.t
     ratio, grow = inst.tail_signs
-    if just == "ratio_exceeds_target":
-        if grow <= 0:
-            return [f"|r(k)| <= 1 for k >= {k1} under a divergence bound"]
-        if scan.abs_cmp(t) <= 0:
-            return [f"|u_{n0}| <= |t| at a divergence bound"]
-        return []
-    if just == "tail_below_target":
-        if grow >= 0:
-            return [f"|r(k)| >= 1 for k >= {k1} under a shrink bound"]
-        if scan.abs_cmp(t) >= 0:
-            return [f"|u_{n0}| >= |t| at a shrink bound"]
+    if just != "product_monotone_beyond":
+        # the bound search's own past exit: |r| and |u_{n0}| - |t| on `side`
+        side = 1 if just == "ratio_exceeds_target" else -1
+        rel, kind = ("<=", "divergence") if side > 0 else (">=", "shrink")
+        if grow != side:
+            return [f"|r(k)| {rel} 1 for k >= {k1} under a {kind} bound"]
+        if scan.abs_cmp(t) != side:
+            return [f"|u_{n0}| {rel} |t| at a {kind} bound"]
         return []
     # product_monotone_beyond: past k1 r(k) > 0 keeps the sign of the terms
     # and moves them monotonically, which alone may settle the tail

@@ -259,9 +259,6 @@ class ComplexInterval:
     def sub(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         return ComplexInterval(self.re.sub(other.re, prec), self.im.sub(other.im, prec))
 
-    def neg(self) -> "ComplexInterval":
-        return ComplexInterval(self.re.neg(), self.im.neg())
-
     def mul(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         re = self.re.mul(other.re, prec).sub(self.im.mul(other.im, prec), prec)
         im = self.re.mul(other.im, prec).add(self.im.mul(other.re, prec), prec)

@@ -185,21 +185,16 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
             inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
             witness=n, scanned_up_to=n,
         )
-    # beyond k1 the ratio keeps one sign, so term signs are frozen or flip
-    if scan.is_zero():
+    if scan.sign() == 0:
         return Verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
             scanned_up_to=k1, notes=("tail identically zero",),
         )
-    if inst.tail_signs[0] > 0:
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
-            scanned_up_to=k1, bound=SearchBound(k1, "product_monotone_beyond"),
-        )
-    # alternating nonzero tail: u_{k1} > 0 flips negative one step later
+    # u_{k1-1}, u_{k1} > 0, and every real root of p and q lies below
+    # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
     return Verdict(
-        inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
-        witness=k1 + 1, scanned_up_to=k1,
+        inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
+        scanned_up_to=k1, bound=SearchBound(k1, "product_monotone_beyond"),
     )
 
 
@@ -212,8 +207,7 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
             inst.problem, n is not None, Conditionality.UNCONDITIONAL, "zero_tail",
             witness=n, scanned_up_to=last,
         )
-    if n is None and inst.t > 0:
-        n = last + 1  # the zero tail lies below t
+    # a positive t meets u_last = 0 < t in the search
     return Verdict(
         inst.problem, n is None, Conditionality.UNCONDITIONAL, "zero_tail",
         witness=n, scanned_up_to=last,
@@ -332,8 +326,8 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             # the monotone tail, of t's sign, is on the far side of t from
             # the limit: a tail witness is possible until the tail passes
             # t, where direction * (u_n - t) > 0, i.e. |u_n| - |t| has the
-            # sign of direction * u_n
-            n = scan.first_past(direction * scan.sign())
+            # sign of direction * u_n, the second of inst.tail_signs
+            n = scan.first_past()
         if n is not None:
             return Verdict(
                 inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",

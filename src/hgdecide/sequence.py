@@ -566,12 +566,14 @@ class ExactScan:
         """
         return self._search(self.cap + 1 if stop is None else stop, 0)
 
-    def first_past(self, side: int) -> int | None:
+    def first_past(self) -> int | None:
         """Move to the first N >= k1 = inst.monotonicity_index, the
-        certified index, with sign(|u_N| - |t|) = side, t nonzero, and
-        return the least witness n <= N met on the way, or None.  Blocks
+        certified index, where |u_N| has passed |t| (t nonzero) the way the
+        tail moves: sign(|u_N| - |t|) = the second of inst.tail_signs.
+        Return the least witness n <= N met on the way, or None; at the cap
+        a recorded witness ends the search, else ScanCapExceeded.  Blocks
         may start below k1, as in first_hit."""
-        return self._search(self.cap + 1, side)
+        return self._search(self.cap + 1, self.inst.tail_signs[1])
 
     def tail_direction(self) -> int:
         """sign(u_{m+1} - u_m) for every m >= n, for n past the skip index
@@ -594,28 +596,29 @@ class ExactScan:
 
     def _search(self, end: int, past: int) -> int | None:
         """The search loop of first_hit (past = 0: it returns at the first
-        witness) and first_past (past = side: it records the first witness
-        and runs on to the past exit): per index below the skip index,
+        witness) and first_past (past = the tail's side: it records the
+        first witness and runs on to the past exit, or to the cap, where a
+        recorded witness ends it too): per index below the skip index,
         from there skipping committed blocks, or the whole rest of the
         search at the tail exit (class docstring).  With a past exit,
         k1 = inst.monotonicity_index is read first; it fires only at
         n >= k1, and while it is pending neither a block nor the tail exit
         crosses k1, so the exit index is the one a per-index scan finds.
-        inst.tail_signs is read only where a block or the tail exit is
-        considered, past the prologue that computes k1, so a short witness
-        replay computes neither.  Stretches of at most _BLOCK indices are
-        too short to pay for what a skip costs: a search that short with
-        no past exit steps throughout, and one whose certified index
-        inst.monotonicity_index is that close reads sides from there,
-        never computing the skip index.  A search whose k1 lies past the
-        cap reads sides from the skip index, so the tail exit can take it
-        to the cap, but tries no blocks: such a k1 comes from coefficients
-        that are huge next to the lead, whose wide values make a block's
-        exact product cost more per index than a step (p = x^2 + 2^250,
-        q = x^2 + 2^252 galloped from skip index 1 to the 10^6 cap in
-        6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86 host; with
-        Threshold t = 10^-6 the tail exit takes it there after steps at 0
-        and 1)."""
+        first_hit reads inst.tail_signs only where a block or the tail exit
+        is considered, past the prologue that computes k1, so a short
+        witness replay computes neither.  Stretches of at most _BLOCK
+        indices are too short to pay for what a skip costs: a search that
+        short with no past exit steps throughout, and one whose certified
+        index inst.monotonicity_index is that close reads sides from
+        there, never computing the skip index.  A search whose k1 lies past
+        the cap reads sides from the skip index, so the tail exit can take
+        it to the cap, but tries no blocks: such a k1 comes from
+        coefficients that are huge next to the lead, whose wide values make
+        a block's exact product cost more per index than a step
+        (p = x^2 + 2^250, q = x^2 + 2^252 galloped from skip index 1 to the
+        10^6 cap in 6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86
+        host; with Threshold t = 10^-6 the tail exit takes it there after
+        steps at 0 and 1)."""
         inst = self.inst
         result = self._witness_test()
         t = inst.t
@@ -641,6 +644,8 @@ class ExactScan:
                 hit = n
             side = self._side(t) if n >= low else 0  # below low: per index
             if past and n >= k1 and (side or self.abs_cmp(t)) == past:
+                return hit
+            if hit is not None and n == self.cap:  # the cap ends a past search too
                 return hit
             if side and (side == prev or hit is not None):
                 # once a witness is recorded only the magnitude matters
@@ -737,9 +742,6 @@ class ExactScan:
         self._materialize()
         return Fraction(self._num, self._den)
 
-    def is_zero(self) -> bool:
-        return self.zero_since is not None
-
     def sign(self) -> int:
         return 0 if self.zero_since is not None else self._sign
 
@@ -755,21 +757,14 @@ class ExactScan:
             and abs(self._logabs - self._tlog) > (self._err + self._terr) * _SAFETY
         )
 
-    def equals(self, t: Fraction) -> bool:
-        return self.cmp(t) == 0
-
     def cmp(self, t: Fraction) -> int:
-        """sign(u_n - t), exact."""
-        if self.zero_since is not None:
-            return (t.numerator < 0) - (t.numerator > 0)
-        s = self._sign
-        if t.numerator == 0 or (t.numerator > 0) != (s > 0):
-            return s
-        if self._far(t):
-            return s if self._logabs > self._tlog else -s
-        self._materialize()
-        diff = self._num * t.denominator - t.numerator * self._den
-        return ((diff > 0) - (diff < 0)) * (1 if self._den > 0 else -1)
+        """sign(u_n - t), exact: the signs, else sign(u_n) * abs_cmp(t)."""
+        s = 0 if self.zero_since is not None else self._sign
+        num = t.numerator
+        ts = (num > 0) - (num < 0)
+        if s != ts:
+            return 1 if s > ts else -1
+        return s * self.abs_cmp(t)
 
     def abs_cmp(self, t: Fraction) -> int:
         """sign(|u_n| - |t|), exact."""
@@ -877,12 +872,8 @@ def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) ->
     """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
     if not inst.asymptotic.grows:
         raise DecideError("divergence_bound needs a growing class")
-    if inst.t == 0:
-        raise DecideError("target must be nonzero")
     if inst.u0 == 0:
         raise DecideError("zero initial value never grows")
-    if inst.tail_signs[1] <= 0:
-        raise DecideError("internal: |r| not above 1 past the root bound")
     return _bound_scan(inst, 1, "ratio_exceeds_target", config)
 
 
@@ -890,18 +881,22 @@ def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> Sea
     """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
     if not inst.asymptotic.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
-    if inst.t == 0:
-        raise DecideError("target must be nonzero")
-    if inst.tail_signs[1] >= 0:
-        raise DecideError("internal: |r| not below 1 past the root bound")
     return _bound_scan(inst, -1, "tail_below_target", config)
 
 
 def _bound_scan(inst, side, justification, config) -> SearchBound:
-    """First N >= k1 with sign(|u_N| - |t|) = side (a zero term counts as
-    below), and the least witness n <= N on the way."""
+    """first_past() for a tail moving to `side` of |t|: the first N >= k1
+    with sign(|u_N| - |t|) = side (a zero term counts as below) and the
+    least witness n <= N; ScanCapExceeded if the cap comes first, even
+    after a witness (first_past returns below the cap only at N)."""
+    if inst.t == 0:
+        raise DecideError("target must be nonzero")
+    if inst.tail_signs[1] != side:
+        raise DecideError(f"internal: |r| not {'above' if side > 0 else 'below'} 1 past the root bound")
     scan = ExactScan(inst, config.scan_cap)
-    hit = scan.first_past(side)
+    hit = scan.first_past()
+    if scan.n == scan.cap and (scan.cap < inst.monotonicity_index or scan.abs_cmp(inst.t) != side):
+        raise ScanCapExceeded(f"scan index {scan.cap + 1} exceeds cap {scan.cap}")
     return SearchBound(scan.n, justification, first_hit=hit)
 
 
@@ -940,12 +935,9 @@ def brute_force(
     scan = ExactScan(inst, config.scan_cap)
     membership = inst.problem is Problem.MEMBERSHIP
     for n in range(up_to):
-        if membership:
-            if scan.equals(inst.t):
-                return BruteResult(BruteKind.FOUND_MEMBERSHIP, index=n)
-        else:
-            if scan.cmp(inst.t) < 0:
-                return BruteResult(BruteKind.THRESHOLD_VIOLATION, index=n)
+        if scan.hit():
+            kind = BruteKind.FOUND_MEMBERSHIP if membership else BruteKind.THRESHOLD_VIOLATION
+            return BruteResult(kind, index=n)
         scan.step()
     kind = BruteKind.NONE_UP_TO if membership else BruteKind.THRESHOLD_HOLDS_UP_TO
     return BruteResult(kind, up_to=up_to)

@@ -253,7 +253,7 @@ def _bound_holds(inst, verdict) -> bool:
                 if scan.cmp(inst.t) < 0:
                     return False
             else:
-                if scan.equals(inst.t):
+                if scan.cmp(inst.t) == 0:
                     return False
         else:
             return False

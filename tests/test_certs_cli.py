@@ -133,6 +133,27 @@ class TestCertificates:
         assert any("is not least" in f for f in failures)
         assert any("witness replay failed" in f and "exceeds cap" in f for f in failures)
 
+    def test_crossing_witness_at_the_scan_cap(self, tmp_path, capsys):
+        # the worked pair's balanced crossing meets t = u_25 at the cap
+        # itself: the witness ends the search there.  u_n = (n + 3)/3 meets
+        # t = 11 at the cap 30 too, but its divergence bound lies at 31;
+        # u_n = 2^n meets t = 32 at 5, but with p = x + 10^7 its bound lies
+        # past k1 = 10^7 + 2, far past the cap
+        from hgdecide.config import EngineConfig
+        from hgdecide.sequence import BruteKind, BruteResult, brute_force, term
+
+        config = EngineConfig(scan_cap=25)
+        din = parse_instance({**WORKED, "t": str(term(parse_instance(WORKED).inst, 25))})
+        cert = decide_document(din, config)
+        assert (cert["verdict"], cert["witness"]) == ("member", 25)
+        assert brute_force(din.inst, 26) == BruteResult(BruteKind.FOUND_MEMBERSHIP, index=25)
+        assert verify_certificate(cert, config) == []
+        f = tmp_path / "in.json"
+        for p, q, t, cap in (([3, 1], [4, 1], "11", 30), ([10**7, 1], [2 * 10**7, 2], "32", 1000)):
+            f.write_text(json.dumps(doc(p, q, "1", t)))
+            assert main(["--scan-cap", str(cap), "decide", str(f)]) == 4
+            assert f"scan index {cap + 1} exceeds cap {cap}" in capsys.readouterr().err
+
     def test_tampered_far_bound_ends_at_scan_cap(self, tmp_path, capsys):
         from hgdecide.config import EngineConfig
 
@@ -226,7 +247,8 @@ class TestCertificates:
     # each of these once crashed `verify` (exit 5): a top-level value that
     # is not an object (AttributeError), no instance (KeyError), a verdict
     # that cannot be hashed (TypeError) and a canonical entry that is not
-    # an object (TypeError in the canonical replay)
+    # an object (TypeError in the canonical replay); the last row, a
+    # verdict of the other problem, fails only the verdict name check
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -237,8 +259,12 @@ class TestCertificates:
             lambda cert: {**cert, "verdict": {"member": True}},
             lambda cert: {**cert, "canonical": "theta"},
             lambda cert: {**cert, "canonical": ["1", "0"]},
+            lambda cert: {**cert, "verdict": "holds"},
         ],
-        ids=["null", "list", "no-instance", "verdict-list", "verdict-object", "canonical-string", "canonical-list"],
+        ids=[
+            "null", "list", "no-instance", "verdict-list", "verdict-object", "canonical-string",
+            "canonical-list", "verdict-of-the-other-problem",
+        ],
     )
     def test_malformed_certificate_fails(self, tmp_path, capsys, tamper):
         from hgdecide.config import DEFAULT_CONFIG
@@ -335,6 +361,13 @@ class TestCertificates:
             ([1, 1], [2, 1], "1000", "membership", 10, "tail_below_target", "|r(k)| >= 1"),
             # u_n = (-1)^n (n + 1): u_4 = 5 >= t, but the odd terms pass -1000
             ([1, 1], [-2, -1], "-1000", "threshold", 4, "product_monotone_beyond", "r(k) < 0"),
+            # bounds before the crossing: u_n = 2^n passes t = 50 at 6,
+            # u_n = 2^-n passes t = 1/50 at 6
+            ([1], [2], "50", "membership", 3, "ratio_exceeds_target", "|u_3| <= |t| at a divergence bound"),
+            ([2], [1], "1/50", "membership", 3, "tail_below_target", "|u_3| >= |t| at a shrink bound"),
+            # a monotone-tail bound on a witness: u_10 = 11 for u_n = n + 1
+            ([1, 1], [2, 1], "11", "membership", 10, "product_monotone_beyond", "u_10 = t at the exclusion"),
+            ([1, 1], [2, 1], "12", "threshold", 10, "product_monotone_beyond", "u_10 < t at a monotone-tail"),
             # u_n = 2^n passes 50 from n = 6 on, but the index is no integer
             ([1], [2], "50", "membership", True, "ratio_exceeds_target", "bound index invalid"),
             ([1], [2], "50", "membership", "10", "ratio_exceeds_target", "bound index invalid"),
@@ -354,6 +387,29 @@ class TestCertificates:
         )
         failures = verify_certificate(certificate_dict(din, forged))
         assert any(failure in f for f in failures), failures
+
+    # a matching whose source is the instance's own p, but which the
+    # matching search cannot rebuild: p of degree 17 is past its cap, and
+    # x^4 - 4x^2 - 8x + 2 has no perfect matching
+    @pytest.mark.parametrize(
+        "p,q,needle",
+        [
+            ([7] + [0] * 16 + [1], [5] + [0] * 16 + [1], "matching for p not replayable"),
+            ([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "p no longer admits a perfect matching"),
+        ],
+    )
+    def test_matching_the_search_cannot_rebuild_rejected(self, p, q, needle):
+        from hgdecide.verdicts import Conditionality, Verdict
+
+        din = parse_instance(doc(p, q, "1", "1/2"))
+        claimed = Verdict(
+            din.inst.problem, False, Conditionality.CONDITIONAL_ON_SCHANUEL,
+            "limit_equals_target_not_attained",
+        )
+        cert = certificate_dict(din, claimed)
+        cert["matching"] = {"p": {"source": p, "pairs": []}}
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
 
     def test_falling_positive_tail_above_zero_target_verifies(self):
         # t = 0: the worked pair's tail falls but stays positive

@@ -322,6 +322,29 @@ class TestSpecialRegimes:
         v3 = decide(inst([1, 1], [-3, 1], 2, F(1, 10), Problem.THRESHOLD))
         assert not v3.result  # tail of zeros < 1/10
 
+    @pytest.mark.parametrize(
+        "p,q,u0,t,result,witness,reason,notes",
+        [
+            # t = 0: u_1 = 2 * 5 / (-2) < 0
+            ([-2, 2, 1], [5, 1, 3], 2, 0, False, 1, "sign_analysis", ()),
+            # t = 0: u_n = 4/3, 1, 2/5, 1/15, then 0 from q(3) = 0 on
+            ([-4, -1], [-3, 1], F(4, 3), 0, True, None, "sign_analysis", ("tail identically zero",)),
+            # r(k) = -(2k + 2)/(k + 3) -> -2: the negative u_6 = -64/21 is the
+            # first below t = -2, one past the divergence bound N = 5
+            ([-3, -1], [2, 2], F(-4, 3), -2, False, 6, "divergence_bound", ()),
+        ],
+    )
+    def test_threshold_regimes_agree_with_brute_force(self, p, q, u0, t, result, witness, reason, notes):
+        i = inst(p, q, u0, t, Problem.THRESHOLD)
+        v = decide(i)
+        assert (v.result, v.witness, v.reason, v.notes) == (result, witness, reason, notes)
+        bf = brute_force(i, 200)
+        if result:
+            assert bf.kind is BruteKind.THRESHOLD_HOLDS_UP_TO
+        else:
+            assert (bf.kind, bf.index) == (BruteKind.THRESHOLD_VIOLATION, witness)
+        assert verify_certificate(certificate_dict(InstanceDocument(i, "unconditional"), v)) == []
+
     def test_constant_sequence(self):
         assert decide(inst([5, 1], [5, 1], 7, 7)).witness == 0
         assert not decide(inst([5, 1], [5, 1], 7, 8)).result

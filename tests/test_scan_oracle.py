@@ -184,9 +184,9 @@ class TestOracle:
         for n, (num, den) in enumerate(pairs):
             assert scan.n == n
             assert scan.sign() == _sgn(num) * _sgn(den)
-            assert scan.is_zero() == (num == 0)
+            assert (scan.sign() == 0) == (num == 0)
             for t in targets:
-                assert scan.equals(t) == (num * t.denominator == t.numerator * den), (n, t)
+                assert (scan.cmp(t) == 0) == (num * t.denominator == t.numerator * den), (n, t)
                 assert scan.cmp(t) == ref_cmp(num, den, t), (n, t)
                 assert scan.abs_cmp(t) == ref_abs_cmp(num, den, t), (n, t)
             scan.step()
@@ -213,7 +213,7 @@ class TestOracle:
         for _ in range(3):
             scan.step()
         scan.jump(40)
-        assert scan.zero_since == 8 and scan.is_zero() and scan.fraction() == 0 and scan.sign() == 0
+        assert scan.zero_since == 8 and scan.fraction() == 0 and scan.sign() == 0
 
 
 class TestShiftForm:
@@ -297,15 +297,15 @@ class TestFirstHit:
             ExactScan(inst, cap=50).jump(51)
 
 
-def _three_searches(inst, cap, stop, side):
+def _three_searches(inst, cap, stop):
     """(result, n, sign, fraction) after first_hit(stop), first_hit() and
-    first_past(side), each on a fresh scan; a search that reaches the cap
+    first_past(), each on a fresh scan; a search that reaches the cap
     gives ScanCapExceeded as its result."""
     out = []
     for search in (
         lambda scan: scan.first_hit(stop),
         lambda scan: scan.first_hit(),
-        lambda scan: scan.first_past(side),
+        lambda scan: scan.first_past(),
     ):
         scan = ExactScan(inst, cap)
         try:
@@ -327,19 +327,18 @@ class TestSkipIndex:
         st.fractions(min_value=-50, max_value=50, max_denominator=50),
         st.sampled_from(list(Problem)),
         st.integers(0, DEPTH),
-        st.sampled_from([1, -1]),
         st.data(),
     )
-    def test_searches_as_from_the_certified_index(self, pq, u0, problem, stop, side, data):
+    def test_searches_as_from_the_certified_index(self, pq, u0, problem, stop, data):
         p, q = pq
         pairs = list(reference_pairs(p, q, u0, DEPTH + 1))
         t = data.draw(st.sampled_from(_targets(data.draw, pairs)))
         assume(t != 0)
         fields = (IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem)
-        got = _three_searches(HGInstance(*fields), DEPTH, stop, side)
+        got = _three_searches(HGInstance(*fields), DEPTH, stop)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(HGInstance, "skip_index", property(lambda inst: inst.monotonicity_index))
-            want = _three_searches(HGInstance(*fields), DEPTH, stop, side)
+            want = _three_searches(HGInstance(*fields), DEPTH, stop)
         assert got == want
 
     def test_prefix_skips_from_the_sharp_index(self, monkeypatch):
@@ -581,7 +580,7 @@ class TestDeepScan:
 
                     want = next((n for n in hits if n <= bound), None)
                     scan = ExactScan(inst)
-                    assert scan.first_past(side) == want, where
+                    assert scan.first_past() == want, where
                     assert scan.n == scan.steps == bound, where
                     if cls.grows or cls.shrinks:  # not for r -> -1
                         found = (divergence_bound if grows else shrink_bound)(inst)
@@ -677,9 +676,9 @@ def _outcome(search):
 
 
 def _stepping_search(scan, stop, k1, past):
-    """first_hit(stop), or with past = side first_past(side) (stop the cap
-    plus one), by a scan that steps index by index and tests every index
-    exactly as the search docstrings state."""
+    """first_hit(stop), or with past = inst.tail_signs[1] first_past()
+    (stop the cap plus one), by a scan that steps index by index and tests
+    every index exactly as the search docstrings state."""
     t, hit = scan.inst.t, None
     while scan.n < stop:
         if hit is None and scan.hit():
@@ -687,6 +686,8 @@ def _stepping_search(scan, stop, k1, past):
                 return scan.n
             hit = scan.n
         if past and scan.n >= k1 and scan.abs_cmp(t) == past:
+            return hit
+        if hit is not None and scan.n == scan.cap:
             return hit
         scan.step()
     return hit
@@ -762,13 +763,13 @@ class TestGallop:
                     assert scan.n == scan.steps == (hits[0] if hits else cap + 1), here
 
                     scan = ExactScan(inst, cap)
-                    if bound is None:
+                    want = next((n for n in hits if bound is None or n <= bound), None)
+                    if bound is None and want is None:
                         with pytest.raises(ScanCapExceeded):
-                            scan.first_past(side)
-                    else:
-                        want = next((n for n in hits if n <= bound), None)
-                        assert scan.first_past(side) == want, here
-                        assert scan.n == scan.steps == bound, here
+                            scan.first_past()
+                    else:  # the cap ends the search too once it has a witness
+                        assert scan.first_past() == want, here
+                        assert scan.n == scan.steps == (cap if bound is None else bound), here
                     if alternates:  # r -> -1: no bound search of its own
                         continue
                     find = divergence_bound if grows else shrink_bound
@@ -811,16 +812,16 @@ class TestGallop:
         sizes = _deep_targets(pairs, c)
         t = data.draw(st.sampled_from(sizes + [-size for size in sizes]), label="t")
         t2 = data.draw(st.sampled_from([-t, 2 * t, t / 3] + sizes), label="t2")
-        side = data.draw(st.sampled_from([1, -1]), label="side")
         stop, past = data.draw(
-            st.sampled_from([(stop, 0) for stop in (c, c + 1, cap, cap + 1)] + [(cap + 1, side)]),
+            st.sampled_from([(stop, 0) for stop in (c, c + 1, cap, cap + 1)] + [(cap + 1, 1)]),
             label="search",
         )
         floats_first = data.draw(st.booleans(), label="floats_first")
         inst = HGInstance(p, q, u0, t, problem)
+        past = past and inst.tail_signs[1]
         scan, stepped = ExactScan(inst, cap), ExactScan(inst, cap)
         if past:
-            got = _outcome(lambda: scan.first_past(side))
+            got = _outcome(lambda: scan.first_past())
         else:
             got = _outcome(lambda: scan.first_hit(stop))
         want = _outcome(lambda: _stepping_search(stepped, stop, k1, past))

@@ -397,6 +397,33 @@ class TestConditionalDecider:
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
 
+    # f cancels from p = f (x + 2)(x + 3), q = f (x + 1)(x + 4), so
+    # u_n = (n + 3)/(3(n + 1)) falls to L = 1/3; the matching and the
+    # identity still run in the radical tower of f, which holds i for
+    # x^4 - 2 and not for x^6 - 3 (CElem's formal i)
+    @pytest.mark.parametrize("f,has_i", [((-2, 0, 0, 0, 1), True), ((-3, 0, 0, 0, 0, 0, 1), False)])
+    def test_radical_tower_decisions(self, f, has_i):
+        from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
+        from hgdecide.towers import RadicalTower
+
+        f = IntPoly(f)
+        p, q = f * IntPoly.of(2, 1) * IntPoly.of(3, 1), f * IntPoly.of(1, 1) * IntPoly.of(4, 1)
+        tower = ConditionalLimitOracle(inst(p.coeffs, q.coeffs, 1, F(1, 3)), DEFAULT_CONFIG).tower
+        assert isinstance(tower, RadicalTower) and (tower.coords_of_i() is not None) == has_i
+        for t, problem, exit_code, relation in [
+            (F(1, 3), Problem.MEMBERSHIP, 1, None),
+            (F(1, 3) - F(1, 1000), Problem.THRESHOLD, 10, "greater"),
+            (F(1, 3) + F(1, 1000), Problem.THRESHOLD, 11, "less"),
+        ]:
+            i = inst(p.coeffs, q.coeffs, 1, t, problem)
+            v = decide(i)
+            assert v.exit_code == exit_code, t
+            if relation is None:
+                assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
+            else:
+                assert (v.compare_relation, v.compare_precision_bits) == (relation, 64), t
+            assert verify_certificate(certificate_dict(InstanceDocument(i, "auto"), v)) == [], t
+
     def test_building_the_oracle_embeds_nothing(self, monkeypatch):
         # the lifted sqrt(3) takes Gauss's branch and the translation factors
         # are exact, so the build needs no enclosure of any tower element

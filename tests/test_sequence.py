@@ -234,6 +234,24 @@ class TestTailRecord:
             qk, pk = q(k), p(k)
             assert i.tail_signs == (_sgn(qk * pk), _sgn(abs(qk) - abs(pk))), (p, q, k)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_lists(), _coefficient_lists())
+    def test_real_roots_lie_below_the_index_less_one(self, p, q):
+        # so r(k1 - 1) has the sign of r(k1), the first of tail_signs (the
+        # zero-target verdict reads it there): Sturm counts as many real
+        # roots of p and q below k1 - 1 as below 1 + sum |c_i| / |lead|,
+        # which lies above every root
+        p[-1] = p[-1] or 1
+        q[-1] = q[-1] or -1
+        p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
+        k1 = monotonicity_index(p, q)
+        for f in (p, q):
+            if f.degree < 1:
+                continue
+            above = 1 + F(sum(map(abs, f.coeffs[:-1])), abs(f.lead))
+            below = polys.count_real_roots_below(f.to_q(), F(k1 - 1))
+            assert below == polys.count_real_roots_below(f.to_q(), above), (f, k1)
+
     @pytest.mark.parametrize("problem", list(Problem))
     def test_worked_pair_builds_no_difference_polynomial(self, sinh_ratio_instance, problem, monkeypatch):
         # the balanced tail's direction comes from the record, not from a
