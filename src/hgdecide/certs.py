@@ -236,7 +236,10 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         try:
             witness = _json_index(witness, "witness")
             scan = ExactScan(inst, config.scan_cap)
-            n = scan.first_hit(min(witness, config.scan_cap) + 1)
+            # the search stops at the witness, which is tested once
+            n = scan.first_hit(min(witness, config.scan_cap))
+            if n is None and scan.hit():
+                n = scan.n
             if n is None:
                 problems.append(f"claimed {what} u_{witness} {not_rel} t")
             elif n < witness:

@@ -31,25 +31,24 @@ verdict scans its prefix to k1 + 2.  The skip index
 past every nonnegative root of p, q, q - p and q + p; only the scan reads
 it.  Past the skip index the tail is monotone: |r(k)| - 1 and sign r(k)
 are constant, so |u_n| is monotone and the signs of u_n are constant or
-alternate.  The search therefore skips the tail in blocks from there:
-one telescoped exact product of q(k) and of p(k) over the block
-(`_factor_products`, values by forward differences in `_values`) and one
-float log of their ratio move the log-magnitude to the block's end.  If
-|u_n| and |u_{n+B}| are both float-settled on the same side of |t|, so is
-every index between them, and the block is committed without an exact
-term.  The search gallops (Bentley and Yao, IPL 5(3), 1976): the span
-doubles after each committed block and halves after a refused one, which
-is retried at the same index; a block of one index is a step, so the
-exact comparison at a crossing is the one a per-index scan makes.  Block
-starts follow the spans, not multiples of _BLOCK.  The span stays at most
-_BLOCK unless the shift form leaves the residuals p1, q1 = +-1: then a
-block's product is a few values of g at each end at any length, while a
-product over any other residual costs more per index the longer the span
-(products of 2x + 3 and 2x + 4 and their log over 10^5 indices past 10^5,
-on a 2-core x86 host: 22 ms at span 64, 40 ms at 1024, 150 ms at 16384;
-a constant c != +-1 makes a c^span of span * log2|c| bits).
+alternate.  The search therefore skips the tail from there and steps only
+over the index where |u_n| crosses |t|.  Where the shift form leaves the
+residuals p1, q1 = +-1, an exact term at any index is the anchor pair
+times a few values of g at each end (`_windows`), and the search finds
+the crossing by exact terms, an exponential search and then bisection
+(`ExactScan._last_on`).  Elsewhere it gallops (Bentley and Yao, IPL 5(3),
+1976) in float blocks: one telescoped exact product of q(k) and of p(k)
+over the block (`_factor_products`, values by forward differences in
+`_values`) and one float log of their ratio move the log-magnitude to the
+block's end, and a block whose ends are float-settled on one side of |t|
+is committed without an exact term.  A product over a residual other
+than +-1 costs more per index the longer the span (products of 2x + 3
+and 2x + 4 and their log over 10^5 indices past 10^5, on a 2-core x86
+host: 22 ms at span 64, 40 ms at 1024, 150 ms at 16384; a constant
+c != +-1 makes a c^span of span * log2|c| bits), so float blocks span at
+most _BLOCK indices.
 
-Blocks are needed only while |u_n| moves towards |t|.  Which way |u_n|
+Skips are needed only while |u_n| moves towards |t|.  Which way |u_n|
 moves, and whether its sign alternates, is one record of the instance,
 `HGInstance.tail_signs`, read once at k1 and shared by the scan, the
 decisions and the bound replay, which share one test on it,
@@ -280,8 +279,8 @@ _MAX_PENDING = 2**30
 _SAFETY = 1.0 + 2.0**-20
 # product-tree ranges this short are multiplied left to right
 _LEAF = 64
-# the longest block of the monotone tail unless the shift form's
-# residuals are the constants in _UNITS
+# the longest float block of the monotone tail; a longer stretch is
+# searched by exact terms when the shift form's residuals are in _UNITS
 _BLOCK = 64
 _UNITS = ((1,), (-1,))
 
@@ -330,36 +329,43 @@ def _product(f: IntPoly, lo: int, hi: int) -> int:
     return _product(f, lo, mid) * _product(f, mid, hi)
 
 
+def _windows(pairs, m: int) -> tuple[int, int]:
+    """(A, B), the shift-form windows at m: A is the product over the pairs
+    (g, h) with h > 0 of g(k), m <= k < m + h, and B the same over h < 0
+    with m + h <= k < m.  Over lo <= k < hi a pair's g(k + h)/g(k)
+    telescopes to its window at hi over its window at lo (h > 0), or the
+    reverse (h < 0), so the pairs give A(hi) B(lo) / (A(lo) B(hi))."""
+    a = b = 1
+    for g, h in pairs:
+        if h > 0:
+            a *= _product(g, m, m + h)
+        else:
+            b *= _product(g, m + h, m)
+    return a, b
+
+
 def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
     """(Q, P) with Q/P = prod q(k)/p(k) over lo <= k < hi, telescoped by
-    HGInstance.shift_form.
+    HGInstance.shift_form: Q = q1^(hi - lo) A(hi) B(lo) and
+    P = p1^(hi - lo) A(lo) B(hi) (`_windows`), the residuals q1, p1 by
+    product trees.
 
-    A pair (g, h) leaves g over w = min(|h|, hi - lo) indices at each end:
-    [hi, hi + h) in Q and [lo, lo + h) in P for h > 0, [lo + h, lo) in Q
-    and [hi + h, hi) in P for h < 0, each cut to w indices (for hi - lo
-    < |h| nothing cancels and these are the direct products).  Every
-    cancelled value g(k) and every value in P has lo <= k < hi, k >= 0,
-    where g, a factor of p, has no root; so P is nonzero and Q is zero
-    exactly when some q(k) is.
-
-    Ranges shorter than _LEAF are multiplied directly: the shift form
-    costs about as much to build as such a product, and an instance whose
-    products are all short never builds it.
+    With every |h| at most hi - lo, each value g(k) in P, and each one
+    that cancels, has lo <= k < hi, k >= 0, where g, a factor of p, has no
+    root; each g(k) in Q is g(j + h) for some lo <= j < hi, a factor of
+    q(j).  So P is nonzero and Q is zero exactly when some q(k) is.  A
+    shift longer than the range cancels nothing, and ranges shorter than
+    _LEAF, which cost about as much as building the shift form, are
+    multiplied directly: an instance whose products are all short never
+    builds it.
     """
-    if hi - lo < _LEAF:
-        return _product(inst.q, lo, hi), _product(inst.p, lo, hi)
-    pairs, p1, q1 = inst.shift_form
-    qs = _product(q1, lo, hi)
-    ps = _product(p1, lo, hi)
-    for g, h in pairs:
-        w = min(abs(h), hi - lo)
-        if h > 0:
-            qs *= _product(g, hi + h - w, hi + h)
-            ps *= _product(g, lo, lo + w)
-        else:
-            qs *= _product(g, lo + h, lo + h + w)
-            ps *= _product(g, hi - w, hi)
-    return qs, ps
+    if hi - lo >= _LEAF:
+        pairs, p1, q1 = inst.shift_form
+        if all(abs(h) <= hi - lo for _, h in pairs):
+            a_lo, b_lo = _windows(pairs, lo)
+            a_hi, b_hi = _windows(pairs, hi)
+            return _product(q1, lo, hi) * a_hi * b_lo, _product(p1, lo, hi) * a_lo * b_hi
+    return _product(inst.q, lo, hi), _product(inst.p, lo, hi)
 
 
 class ExactScan:
@@ -372,6 +378,7 @@ class ExactScan:
     shift-form pairs cancel, the residual goes through a balanced product
     tree) when a comparison falls inside the error bound, or when a
     caller asks for fraction(); logabs and err are then re-anchored on it.
+    The exact tail search re-anchors both pairs the same way (`_anchor`).
     `steps` counts the indices the scan has moved past, by step() or jump().
     The scan never goes past index `cap`: step() raises ScanCapExceeded on
     moving to cap + 1, and jump(n) raises before any work when n > cap.
@@ -412,29 +419,45 @@ class ExactScan:
     7).  The witness test then depends only on sign(u_n) and on the side
     of |t| that |u_n| lies on: two consecutive misses on one side cover
     both signs of the pattern, so no index on that side is a witness.
-    From there the search tries a block [n, hi), hi = n + span (or the
-    search end, or the cap, or k1 while the past exit is pending): with
-    (Q, P) the telescoped pair of the block, Q/P = prod q(k)/p(k), P
-    nonzero and Q zero only at a zero of q, logabs moves by the d of
-    _log_ratio(Q, P) and err by its bound (12 + 6(log|Q| + log|P|) + |d|)u
-    plus u|logabs| for the running sum, the same derivation with a = Q,
-    b = P, so the 12u is paid once per block, not per index.  If the
-    block's end is float-settled on the side its start is on, every index
-    in between is on that side too (monotone |u|), so none is a witness
-    and none passes a bound: the block is committed (n and steps move by
-    hi - n, the sign flips when Q*P < 0) and never materializes, and the
-    span doubles.  Otherwise the span halves and the block is tried again
-    at n; at span one the scan steps instead, and the span is two again
-    after the step.  Spans pass _BLOCK only once a _BLOCK-long block has
-    committed (its product built the shift form) and the shift form
-    leaves the residuals +-1; spans start at one, so a short search
-    multiplies directly and never builds the shift form.  A first_past
-    search that has recorded its witness needs only the magnitude, so it
-    tries blocks without waiting for two misses.  jump(n) moves the
-    float state, unchecked, by one product when the residuals are +-1,
-    else by one per _BLOCK indices.
+    From there a telescoped instance (`_telescoped`: the shift form leaves
+    the residuals +-1) whose search has more than _BLOCK indices left
+    before its limit (the search end, the cap, or k1 while the past exit
+    is pending) is searched exactly (`_last_on`).  With (num, den) the
+    exact pair at the anchor a, the term at m is num A(m) B(a) over
+    den A(a) B(m) (`_windows`) up to the residuals' sign, which
+    |u_m| - |t| ignores.  No window value is zero: those in A lie at
+    k >= 0, where g, a factor of p, has none, and a zero g(k) in B(m) or
+    B(a) would be a zero of q at k - h >= a, which neither the prefix
+    (zero_since is None) nor the tail past the skip index holds.  Exact
+    terms at n + span, n + 2 span, ... run until one is off the side or
+    the limit is reached, then bisection between the last term on the side
+    and the first off it finds the last index m on the side, in at most
+    2 ceil(log2 d) + 2 terms over d indices.  The scan commits to m in one
+    move (n and steps move by m - n), re-anchors the exact pair there with
+    one float log, and steps across the crossing; every index in between
+    is on the side (monotone |u|), so none is a witness and none passes a
+    bound.  Any other tail, and a telescoped one within _BLOCK of its
+    limit, is skipped in float blocks: the search tries a block [n, hi),
+    hi = n + span or the limit: with (Q, P) the telescoped pair of the
+    block, Q/P = prod q(k)/p(k), P nonzero and Q zero only at a zero of q,
+    logabs moves by the d of _log_ratio(Q, P) and err by its bound
+    (12 + 6(log|Q| + log|P|) + |d|)u plus u|logabs| for the running sum,
+    the same derivation with a = Q, b = P, so the 12u is paid once per
+    block, not per index.  If the block's end is float-settled on the side
+    its start is on, every index in between is on that side too (monotone
+    |u|), so none is a witness and none passes a bound: the block is
+    committed (n and steps move by hi - n, the sign flips when Q*P < 0)
+    and never materializes, and the span doubles, up to _BLOCK.
+    Otherwise the span halves and the block is tried again at n; at span
+    one the scan steps instead, and the span is two again after the step.
+    A search with at most _BLOCK indices left never builds the shift form
+    (spans start at one and `_factor_products` multiplies short ranges
+    directly).  A first_past search that has recorded its witness needs
+    only the magnitude, so it skips without waiting for two misses.
+    jump(n) moves the float state, unchecked, by one product when the
+    residuals are +-1, else by one per _BLOCK indices.
 
-    Tail exit.  Where a block would be tried and sign(|r(k)| - 1), the
+    Tail exit.  Where a skip would be tried and sign(|r(k)| - 1), the
     second of inst.tail_signs and the same at every k past the skip index,
     is the side |u_n| is on, |u_m| stays strictly on that side for every
     m >= n.  No later index is a witness, and the past exit fires at k1 if
@@ -542,8 +565,9 @@ class ExactScan:
 
     def _telescoped(self) -> bool:
         """Whether the shift form leaves the residuals p1, q1 = +-1, so that
-        a block's product costs the same at any length.  Read only where a
-        product over _BLOCK indices has built the shift form or is about to."""
+        a product, and an exact term, costs the same at any length.  Read
+        only where a search has more than _BLOCK indices to skip, or a jump
+        at least _BLOCK, which builds the shift form if no product has."""
         _, p1, q1 = self.inst.shift_form
         return p1.coeffs in _UNITS and q1.coeffs in _UNITS
 
@@ -599,12 +623,14 @@ class ExactScan:
         witness) and first_past (past = the tail's side: it records the
         first witness and runs on to the past exit, or to the cap, where a
         recorded witness ends it too): per index below the skip index,
-        from there skipping committed blocks, or the whole rest of the
-        search at the tail exit (class docstring).  With a past exit,
+        from there skipping to the last index on one side of |t| by exact
+        terms (a telescoped instance with more than _BLOCK indices left)
+        or by committed float blocks, or the whole rest of the search at
+        the tail exit (class docstring).  With a past exit,
         k1 = inst.monotonicity_index is read first; it fires only at
-        n >= k1, and while it is pending neither a block nor the tail exit
-        crosses k1, so the exit index is the one a per-index scan finds.
-        first_hit reads inst.tail_signs only where a block or the tail exit
+        n >= k1, and while it is pending no skip and no tail exit crosses
+        k1, so the exit index is the one a per-index scan finds.
+        first_hit reads inst.tail_signs only where a skip or the tail exit
         is considered, past the prologue that computes k1, so a short
         witness replay computes neither.  Stretches of at most _BLOCK
         indices are too short to pay for what a skip costs: a search that
@@ -612,7 +638,7 @@ class ExactScan:
         index inst.monotonicity_index is that close reads sides from
         there, never computing the skip index.  A search whose k1 lies past
         the cap reads sides from the skip index, so the tail exit can take
-        it to the cap, but tries no blocks: such a k1 comes from
+        it to the cap, but skips nothing else: such a k1 comes from
         coefficients that are huge next to the lead, whose wide values make
         a block's exact product cost more per index than a step
         (p = x^2 + 2^250, q = x^2 + 2^252 galloped from skip index 1 to the
@@ -662,9 +688,17 @@ class ExactScan:
                     self.steps += stop - n
                     self.n = stop
                     continue
+                top = min(end, self.cap) if n >= k1 else min(end, self.cap, k1)
+                if span > 1 and top - n > _BLOCK and self._telescoped():
+                    # exact terms cost the same at any index: move to the
+                    # last one on this side, then step across
+                    self._last_on(t, side, top, span)
+                    self.steps += self.n - n
+                    if self.n == top:
+                        continue
+                    span = 1
                 # a refused block is retried here at half the span, and a
                 # block of one index is the step below
-                top = min(end, self.cap) if n >= k1 else min(end, self.cap, k1)
                 while span > 1:
                     hi = min(n + span, top)
                     if hi > n + 1 and self._advance(hi, side):
@@ -672,9 +706,7 @@ class ExactScan:
                     span //= 2
                 if span > 1:
                     self.steps += hi - n
-                    span = 2 * (hi - n)
-                    if span > _BLOCK and (hi - n < _BLOCK or not self._telescoped()):
-                        span = _BLOCK
+                    span = min(2 * (hi - n), _BLOCK)
                     continue
                 span = reopen
             prev = side
@@ -718,25 +750,57 @@ class ExactScan:
             self._sign = -self._sign
         return True
 
+    def _last_on(self, t: Fraction, side: int, top: int, span: int):
+        """Move to the last m <= top with sign(|u_m| - |t|) = side, u_n on
+        that side past the skip index of a telescoped instance: exact
+        terms at n + span, n + 2 span, ... until one is off the side or
+        top is reached, then bisection (class docstring).  Each term is the
+        anchor pair times the windows at m; the exact and float pairs are
+        re-anchored on the last term on the side.  `steps` is the caller's."""
+        n, lo = self.n, self._at
+        pairs, p1, q1 = self.inst.shift_form
+        a, b = _windows(pairs, lo)
+        num, den = self._num * b, self._den * a
+        good, bad, width, pair = n, top + 1, span, None
+        while bad - good > 1:
+            m = min(n + width, top) if bad > top else (good + bad) // 2
+            a, b = _windows(pairs, m)
+            a, b = num * a, den * b
+            if _abs_side(a, b, t) == side:
+                good, pair = m, (a, b)
+                width *= 2
+            else:
+                bad = m
+        if pair is not None:
+            # the residuals +-1 give only the sign
+            a, b = pair
+            self._anchor(good, a * _product(q1, lo, good), b * _product(p1, lo, good))
+
+    def _anchor(self, n: int, num: int, den: int):
+        """Make num/den = u_n the exact pair at n, and re-anchor the float
+        pair on it."""
+        self.n = self._at = n
+        self._lag = None
+        self.materialized += 1
+        self._num, self._den = num, den
+        self._sign = 1 if (num > 0) == (den > 0) else -1
+        self._logabs, self._err = _log_ratio(num, den)
+
     def _materialize(self):
         """Bring the exact pair from the anchor up to n and re-anchor there."""
         lo, hi = self._at, self.n
         if lo == hi:
             return
-        self._at = hi
-        self._lag = None  # the exact pair re-anchors the float pair at n
-        self.materialized += 1
         if self.zero_since is not None:
+            self._at, self._lag = hi, None
+            self.materialized += 1
             self._num, self._den = 0, 1
             return
         # q has no zero in [lo, hi), so qs != 0: a step, a block, a jump and
         # a catch-up each record a zero they move past, and the tail exit
         # starts past the skip index, beyond every root of q
         qs, ps = _factor_products(self.inst, lo, hi)
-        self._num *= qs
-        self._den *= ps
-        self._sign = 1 if (self._num > 0) == (self._den > 0) else -1
-        self._logabs, self._err = _log_ratio(self._num, self._den)
+        self._anchor(hi, self._num * qs, self._den * ps)
 
     def fraction(self) -> Fraction:
         self._materialize()
@@ -775,8 +839,13 @@ class ExactScan:
         if self._far(t):
             return 1 if self._logabs > self._tlog else -1
         self._materialize()
-        diff = abs(self._num) * t.denominator - abs(t.numerator) * abs(self._den)
-        return (diff > 0) - (diff < 0)
+        return _abs_side(self._num, self._den, t)
+
+
+def _abs_side(num: int, den: int, t: Fraction) -> int:
+    """sign(|num/den| - |t|), by cross-multiplication."""
+    diff = abs(num) * t.denominator - abs(t.numerator) * abs(den)
+    return (diff > 0) - (diff < 0)
 
 
 def term(inst: HGInstance, n: int, config: EngineConfig = DEFAULT_CONFIG) -> Fraction:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdecide import polys
 from hgdecide.errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from hgdecide.numutil import factorize, is_probable_prime, perfect_power_root
 from hgdecide.polys import (
@@ -311,6 +312,37 @@ class TestModularKernel:
         factors = factor_monic(f)
         assert [(g.degree, m) for g, m in factors] == [(8, 1), (8, 1)]
         assert factors[0][0] * factors[1][0] == f
+
+
+    @pytest.mark.parametrize(
+        "f",
+        [X8_MINUS_2 * X8_MINUS_2.compose_linear(1, -1), cyclotomic(5) * cyclotomic(7) * cyclotomic(9)],
+        ids=["(x^8-2)((1-x)^8-2)", "phi5*phi7*phi9"],
+    )
+    def test_lift_modulus_passes_twice_the_mignotte_bound(self, monkeypatch, f):
+        # a monic factor of a degree-n f has coefficients below 2^n ||f||_2
+        # (Mignotte), so the lifts must reach a modulus M > 2^(n+1) ||f||_2
+        # to read each factor off its symmetric residues.  Squaring the
+        # modulus overshoots, so factoring the same with a smaller bound
+        # does not show a missing 2^n; the moduli passed to _hensel do
+        moduli = []
+        hensel = polys._hensel
+
+        def recording(coeffs, g, l, M):
+            moduli.append((coeffs, M))
+            return hensel(coeffs, g, l, M)
+
+        monkeypatch.setattr(polys, "_hensel", recording)
+        for cached in (factor_monic, integer_roots, polys._squarefree_part):
+            cached.cache_clear()
+        product = IntPoly.of(1)
+        for g, m in factor_monic(f):
+            for _ in range(m):
+                product = product * g
+        assert product == f and len(moduli) >= 2
+        for coeffs, M in moduli:
+            n = len(coeffs) - 1
+            assert M * M > sum(c * c for c in coeffs) << (2 * (n + 1)), (n, M)
 
 
 class TestPollardRhoBudget:

@@ -620,15 +620,18 @@ class TestDeepScan:
         assert len(log_calls) < 10**5 // 64 + 10
 
     def test_error_bound_covers_block_logs(self, log_calls):
-        # |u_n| stays 1: each float update of logabs is charged the 12u of
-        # its two logs, so err keeps at least 12u per log taken; the one
-        # log of the target is charged to the target's own bound
+        # |u_n| stays 1: the residuals -1, 1 telescope, so the tail is
+        # searched by exact terms and the float pair re-anchored once, on
+        # the exact pair at the search's end, whose log is the last one
+        # taken and is charged its 12u; the one log of the target is
+        # charged to the target's own bound
         inst = HGInstance(IntPoly.of(1), IntPoly.of(-1), F(1), F(1, 2), Problem.MEMBERSHIP)
         scan = ExactScan(inst)
         assert scan.first_hit(64 * 50) is None
         assert scan.n == 64 * 50 and scan.logabs == 0.0
-        assert log_calls.count((1, 2)) == 1 and len(log_calls) > 5
-        assert scan.err >= 12 * 2.0**-53 * (len(log_calls) - 1)
+        assert log_calls.count((1, 2)) == 1 and scan.materialized == 1
+        assert log_calls[-1] == (1, 1)
+        assert scan.err >= 12 * 2.0**-53
 
     @pytest.mark.parametrize("family", sorted(DEEP_FAMILIES))
     def test_float_state_within_its_bound(self, family, mp):
@@ -643,7 +646,9 @@ class TestDeepScan:
             exact = mp.log(abs(mp.mpf(num))) - mp.log(abs(mp.mpf(den)))
             assert abs(scan.logabs - exact) <= scan.err
             assert scan.sign() == _sgn(num) * _sgn(den)
-        assert scan.materialized == 0
+        # the telescoped families search their tails by exact terms, one
+        # exact anchor per search; the others move by float blocks only
+        assert scan.materialized == (2 if family in ("grow", "grow-alt") else 0)
 
 
 @st.composite
@@ -704,6 +709,33 @@ def record_steps(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ExactScan, "step", counted)
     return steps
+
+
+def record_advances(monkeypatch) -> list[int]:
+    """The end index of every float block move (`ExactScan._advance`)
+    from now on."""
+    ends = []
+    advance = ExactScan._advance
+
+    def counted(self, hi, side=0):
+        ends.append(hi)
+        return advance(self, hi, side)
+
+    monkeypatch.setattr(ExactScan, "_advance", counted)
+    return ends
+
+
+def record_windows(monkeypatch) -> list[int]:
+    """The index of every shift-form window evaluation from now on."""
+    at = []
+    windows = sequence._windows
+
+    def recording(pairs, m):
+        at.append(m)
+        return windows(pairs, m)
+
+    monkeypatch.setattr(sequence, "_windows", recording)
+    return at
 
 
 def record_products(monkeypatch) -> list[int]:
@@ -923,10 +955,63 @@ class TestGallop:
         assert scan.n == scan.steps == 30000 and scan.materialized == 0
 
 
+class TestExactTail:
+    """A telescoped tail past 64 indices is searched by exact terms: an
+    exponential search from the current span, then bisection, for the last
+    index on the side of |t| where the tail starts."""
+
+    @pytest.mark.parametrize(
+        "p,q,u0",
+        [
+            ([3, 1], [4, 1], F(5, 3)),  # u_n = u0 (n + 3)/3
+            ([3, 1], [-4, -1], F(-5, 3)),  # the same, alternating
+            ([4, 1], [3, 1], F(2)),  # u_n = u0 3/(n + 3)
+            ([8, 6, 1], [15, 8, 1], F(1)),  # two pairs with h = 1
+            ([3, 4, 1], [12, 8, 1], F(1)),  # h = -1 and h = 5
+            ([12, 8, 1], [3, 4, 1], F(1)),  # h = 1 and h = -5
+        ],
+    )
+    @pytest.mark.parametrize("witness", [70, 4097, 99_999])
+    def test_search_takes_logarithmically_many_probes(self, monkeypatch, p, q, u0, witness):
+        # the first_hit search and the first_past search, which runs on to
+        # the first index past t
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, F(0), Problem.MEMBERSHIP)
+        t = sequence.term(inst, witness)
+        inst = HGInstance(inst.p, inst.q, u0, t, Problem.MEMBERSHIP)
+        probes, blocks = record_windows(monkeypatch), record_advances(monkeypatch)
+        for past in (0, 1):
+            probes.clear()
+            blocks.clear()
+            scan = ExactScan(inst, 10**5)
+            assert (scan.first_past() if past else scan.first_hit()) == witness
+            # the anchor's windows, then one evaluation per exact term
+            assert len(probes) - 1 <= 2 * math.ceil(math.log2(witness)) + 2, past
+            assert blocks == []
+            assert scan.n == scan.steps == witness + past
+            assert scan.fraction() == sequence.term(inst, witness + past)
+
+    def test_far_member_exits_at_the_cap_after_few_probes(self, monkeypatch, tmp_path, capsys):
+        # u_n = (n + 3)/3 meets t at 10^12, far past the 10^6 cap: every
+        # exact term up to the cap lies below |t|, so the bound search
+        # moves to the cap in O(log cap) exact terms and exits 4 there
+        inst = HGInstance(
+            IntPoly.of(3, 1), IntPoly.of(4, 1), F(1), F(10**12 + 3, 3), Problem.MEMBERSHIP
+        )
+        probes, blocks = record_windows(monkeypatch), record_advances(monkeypatch)
+        with pytest.raises(ScanCapExceeded):
+            decide(inst, EngineConfig())
+        assert len(probes) - 1 <= 2 * math.ceil(math.log2(10**6)) + 2 and blocks == []
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
+        assert main(["decide", str(f)]) == 4
+        assert "resource limit" in capsys.readouterr().err
+
+
 class TestSharedReplay:
     def test_member_certificate_replays_on_one_scan(self, monkeypatch):
         # witness 3000, bound 3001: the bound replay carries on from the
-        # witness scan and its exact anchor, one exact term in all
+        # witness scan and its exact anchor; two exact terms in all, the
+        # exact tail search's last term below t, u_2999, and the witness
         docin = InstanceDocument(
             HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(2), F(2 * 3003, 3), Problem.MEMBERSHIP),
             "unconditional",
@@ -943,8 +1028,22 @@ class TestSharedReplay:
         monkeypatch.setattr(ExactScan, "__init__", recording_init)
         assert verify_certificate(cert) == []
         assert len(scans) == 1
-        assert scans[0].materialized == 1
+        assert scans[0].materialized == 2
         assert scans[0].steps == 3001
+
+    def test_witness_replay_takes_no_more_blocks_than_the_decision(self, monkeypatch):
+        # p = 2x + 3, q = 2x + 4 does not telescope, so both searches
+        # gallop in float blocks; the replay stops at the witness and tests
+        # it once, so its last block is not refused and halved across it
+        inst = HGInstance(IntPoly.of(3, 2), IntPoly.of(4, 2), F(1), F(0), Problem.MEMBERSHIP)
+        inst = HGInstance(inst.p, inst.q, inst.u0, sequence.term(inst, 3000), Problem.MEMBERSHIP)
+        blocks = record_advances(monkeypatch)
+        cert = decide_document(InstanceDocument(inst, "unconditional"), EngineConfig())
+        assert cert["witness"] == 3000 and cert["bound"]["n"] == 3001
+        decided = len(blocks)
+        blocks.clear()
+        assert verify_certificate(cert) == []
+        assert 0 < len(blocks) <= decided
 
     def test_witness_pair_is_telescoped(self):
         # u_n = 2 (n + 3)/3 meets t at 2 * 10^5: the exact pair there is
