@@ -19,7 +19,10 @@ transcendence degree below 2).  The case split:
 Order (`compare`) is the recursively enumerable side, and one test serves
 both limit oracles: climb the precision ladder, asking the limit for its
 enclosure once per rung, until the enclosure excludes t.  It runs only
-with a NotEqual proof in hand, so termination is guaranteed.
+with a NotEqual proof in hand, so termination is guaranteed.  It returns
+the separating rung's enclosure with the sign and the bits, and the
+balanced verdict asks that same enclosure whether the tail's crossing of
+t lies past the scan cap, before any scan looks for it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
+from .dyadic import DyadicInterval
 from .enclosure import COMPARE_START_BITS, eval_enclosure, precision_ladder
-from .errors import DecideError, UnsupportedInstance
+from .errors import DecideError, ScanCapExceeded, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import NotSplitting, roots_quadratic
 from .sequence import (
@@ -64,8 +68,12 @@ def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
     return EqualityDecision(False, Rationale.TRANSCENDENCE_OBSTRUCTION)
 
 
-def compare(value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int]:
-    """Sign of (value - t) by interval refinement; returns (sign, bits).
+def compare(
+    value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG
+) -> tuple[int, int, DyadicInterval]:
+    """Sign of (value - t) by interval refinement; returns (sign, bits,
+    enclosure), the enclosure the rung at `bits` gave, which lies wholly
+    on side `sign` of t.
 
     The one order test of both limit oracles: `value` is a
     `CanonicalConstant` or a `ConditionalLimitOracle`, and the ladder asks
@@ -75,10 +83,14 @@ def compare(value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG) -> tuple[
     resource error, never a wrong answer.
     """
     t = Fraction(t)
-    return precision_ladder(
-        lambda bits: eval_enclosure(value, bits, config).compare_fraction(t),
-        COMPARE_START_BITS, config,
-    )
+
+    def probe(bits):
+        enc = eval_enclosure(value, bits, config)
+        sign = enc.compare_fraction(t)
+        return None if sign is None else (sign, enc)
+
+    (sign, enc), bits = precision_ladder(probe, COMPARE_START_BITS, config)
+    return sign, bits, enc
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +117,7 @@ class CanonicalLimitOracle:
     def decide_equal(self, t: Fraction) -> EqualityDecision:
         return replace(decide_equal(self.constant, t), canonical=self.constant.describe())
 
-    def compare(self, t: Fraction) -> tuple[int, int]:
+    def compare(self, t: Fraction) -> tuple[int, int, DyadicInterval]:
         return compare(self.constant, t, self.config)
 
 
@@ -271,6 +283,25 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     the limit's closed form; every verdict after that carries the
     oracle's certificate fields.  The Membership crossing then searches
     with scan.first_past, which stops where the tail has passed t.
+
+    Crossing past the cap.  Where the order test puts L on the side of t
+    the tail moves towards (side == direction), the tail still has to
+    cross t: a Threshold tail's first violation, a Membership tail's
+    crossing.  Before that scan, with C = config.scan_cap and the
+    enclosure enc of L from the rung that separated L from t: if enc lies
+    wholly on side -direction of t * r(C), r(k) = q(k)/p(k), the crossing
+    lies past C and ScanCapExceeded is raised with no scan.  The scan is
+    at k0 + 2 <= C here (the prefix scan got there below the cap).  Past
+    k0, r(k) > 0 and every r(j) lies strictly on one side of 1, the side
+    the tail's magnitude moves to, so L/u_C = prod_{j >= C} r(j) lies
+    strictly beyond r(C) as seen from 1, and u_C strictly beyond
+    L/r(C) as seen from L, on side -direction.  L/r(C) lies on side
+    -direction of t (r(C) > 0), so u_C has not reached t, and by
+    monotonicity no u_n with k0 + 2 <= n <= C has: none is a witness and
+    none has passed t.  The prefix below k0 + 2 is already scanned, so the
+    scan would end exactly where this does, at the cap.  The test reaches
+    only ties with |L/t - 1| below about |r(C) - 1|, which falls like
+    1/C^2: a crossing between C and about C^2 is still left to the scan.
     """
     cls = inst.asymptotic
     k0 = inst.monotonicity_index
@@ -319,8 +350,13 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             inst.problem, True, Conditionality.UNCONDITIONAL,
             "decreasing_tail_limit_equals_target", scanned_up_to=k0 + 1, **fields,
         )
-    side, bits = oracle.compare(inst.t)
+    side, bits, enc = oracle.compare(inst.t)
     fields.update(compare_relation="less" if side < 0 else "greater", compare_precision_bits=bits)
+    cap = config.scan_cap
+    if side == direction and enc.compare_fraction(inst.t * Fraction(inst.q(cap), inst.p(cap))) == -direction:
+        raise ScanCapExceeded(
+            f"scan index {cap + 1} exceeds cap {cap}: the limit puts the crossing of t past the cap"
+        )
     if membership:
         if side == direction:
             # the monotone tail, of t's sign, is on the far side of t from

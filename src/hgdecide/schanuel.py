@@ -38,7 +38,7 @@ from .enclosure import (
 )
 from .equality import compare
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
-from .exactnum import is_half_integer
+from .exactnum import format_rat, is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
@@ -222,7 +222,7 @@ class SymbolicIdentity:
             "symbols": list(self.symbols_used()),
             "term_count": len(self.terms),
             "basis": self.basis.describe(),
-            "target": str(self.target),
+            "target": format_rat(self.target),
         }
 
 
@@ -567,5 +567,5 @@ class ConditionalLimitOracle:
         # is a valid enclosure regardless of the imaginary slack
         return total.re
 
-    def compare(self, t: Fraction) -> tuple[int, int]:
+    def compare(self, t: Fraction) -> tuple[int, int, DyadicInterval]:
         return compare(self, t, self.config)

@@ -115,8 +115,10 @@ class TestLadder:
         for bits in (128, 256, 512):
             assert ref in eval_enclosure(value, bits)
         value.asked.clear()
-        assert equality.compare(value, 0) == (1, 128)
+        sign, bits, enc = equality.compare(value, 0)
+        assert (sign, bits) == (1, 128)
         assert value.asked == [64, 128]  # the rung that raised is not asked again
+        assert enc == eval_enclosure(value, 128)
 
     def test_compare_walks_each_rung_once(self, monkeypatch):
         # pi - q < 2**-1000 first separates from zero at the 1024-bit rung
@@ -130,12 +132,14 @@ class TestLadder:
             return out
 
         monkeypatch.setattr(equality, "eval_enclosure", recording_eval)
-        assert equality.compare(value, q) == (1, 1024)
+        sign, bits, enc = equality.compare(value, q)
+        assert (sign, bits) == (1, 1024)
         assert value.asked == [64, 128, 256, 512, 1024]
         monkeypatch.undo()
         assert [bits for bits, _ in calls] == [64, 128, 256, 512, 1024]
         for bits, out in calls:
             assert out == eval_enclosure(value, bits)
+        assert enc is calls[-1][1]  # the separating rung's enclosure, not a new one
 
 
 rational = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)

@@ -1,23 +1,28 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
 from hgdecide.config import DEFAULT_CONFIG, EngineConfig
-from hgdecide import equality
+from hgdecide import equality, schanuel
 from hgdecide.equality import (
     CanonicalLimitOracle,
     compare,
     decide,
     decide_equal,
 )
-from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
+from hgdecide.errors import PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
 from hgdecide.polys import IntPoly
-from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, monotonicity_index, term
+from hgdecide.sequence import BruteKind, ExactScan, HGInstance, Problem, brute_force, monotonicity_index, term
 from hgdecide.verdicts import Conditionality, Rationale
+from gammaforms import gamma_ratio_limit
 from intervals import record_enclosures
+from test_schanuel import both_quadratic_pairs
 
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
@@ -73,8 +78,8 @@ class TestCompare:
         assert oracle.compare(F(1, 10**5))[0] > 0
 
     def test_pi_vs_22_7(self):
-        sign, bits = compare(trivial_const(1, ell=1), F(22, 7))
-        assert sign < 0 and bits == 64
+        sign, bits, enc = compare(trivial_const(1, ell=1), F(22, 7))
+        assert sign < 0 and bits == 64 and enc.compare_fraction(F(22, 7)) == sign
 
     def test_cap_is_resource_error(self):
         cfg = EngineConfig(precision_cap_bits=64)
@@ -356,3 +361,98 @@ class TestSpecialRegimes:
         assert v.result and v.witness == 4
         assert not decide(inst([1], [-2], 1, 32)).result
         assert not decide(inst([1], [-2], 1, -100, Problem.THRESHOLD)).result
+
+
+class _Blind:
+    """An enclosure that settles no comparison."""
+
+    def compare_fraction(self, q):
+        return None
+
+
+def _outcome(i, config, shortcut=True):
+    """(outcome, reach, orders): decide's verdict, "cap" for
+    ScanCapExceeded or "precision" for PrecisionExceeded (a target too
+    long to print in the conditional oracle's certificate); the index of
+    the scan that went furthest; and each (sign, bits, enclosure) the
+    order test returned.  Without `shortcut` the order test hands decide
+    an enclosure that proves nothing about where the tail crosses t, so
+    every crossing is searched for."""
+    scans, orders = [], []
+    init = ExactScan.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        scans.append(self)
+
+    def recording_compare(value, t, config=DEFAULT_CONFIG):
+        sign, bits, enc = compare(value, t, config)
+        orders.append((sign, bits, enc))
+        return sign, bits, enc if shortcut else _Blind()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactScan, "__init__", recording_init)
+        mp.setattr(equality, "compare", recording_compare)
+        mp.setattr(schanuel, "compare", recording_compare)
+        try:
+            out = decide(i, config)
+        except ScanCapExceeded:
+            out = "cap"
+        except PrecisionExceeded:
+            out = "precision"
+    return out, max((s.n for s in scans), default=0), orders
+
+
+@st.composite
+def crossing_cases(draw):
+    """(instance, cap, k): an in-class balanced pair (imaginary or real
+    quadratic), either problem, u0 of either sign, and a cap C in
+    50..3000.  k = 0: t lies at or between exact terms so that the tail
+    crosses it at C - 2 .. C + 2.  k > 0: t = L(1 +- 2^-k), two times in
+    three on the side the tail comes from."""
+    i = draw(both_quadratic_pairs)
+    u0 = i.u0 * draw(st.sampled_from([1, -1]))
+    i = replace(i, u0=u0, problem=draw(st.sampled_from([Problem.MEMBERSHIP, Problem.THRESHOLD])))
+    cap = draw(st.integers(50, 3000))
+    if draw(st.booleans()):
+        m = cap + draw(st.integers(-2, 2))
+        config = EngineConfig(scan_cap=m)
+        lo, hi = term(i, m - 1, config), term(i, m, config)
+        # u_m itself, or a short rational strictly between u_{m-1} and u_m
+        if draw(st.booleans()):
+            return replace(i, t=hi), cap, 0
+        t = ((lo + hi) / 2).limit_denominator(10**40)
+        assert min(lo, hi) < t < max(lo, hi)
+        return replace(i, t=t), cap, 0
+    k = draw(st.one_of(st.integers(4, 39), st.integers(40, 120)))
+    limit = gamma_ratio_limit(u0, [i.p], [i.q], k + 64)
+    k0 = i.monotonicity_index
+    scan = ExactScan(i, k0 + 2)
+    scan.jump(k0 + 2)
+    # mostly on the side the tail comes from, where it must cross t
+    towards = -scan.tail_direction() * (1 if limit > 0 else -1)
+    s = draw(st.sampled_from([towards, towards, -towards]))
+    return replace(i, t=limit * (1 + s * F(1, 2**k))), cap, k
+
+
+class TestCrossingPastCap:
+    """A balanced tail that must still cross t exits at the cap without a
+    scan when the limit's enclosure puts the crossing past it, with the
+    outcome a scan to the cap reaches."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(crossing_cases())
+    def test_outcome_is_the_scans(self, case):
+        i, cap, k = case
+        config = EngineConfig(scan_cap=cap)
+        out, reached, orders = _outcome(i, config)
+        assert out == _outcome(i, config, shortcut=False)[0]
+        if out == "cap":
+            assert brute_force(i, cap + 1, EngineConfig(scan_cap=cap + 1)).index is None
+        for sign, bits, enc in orders:
+            assert gamma_ratio_limit(i.u0, [i.p], [i.q], bits + 64) in enc
+            assert enc.compare_fraction(i.t) == sign
+        # |r(C) - 1| >= 2/C^2 > 2^-23 here, so t within 2^-40 of L, on the
+        # side the tail comes from, is proven out of reach without a scan
+        if k >= 40 and out == "cap" and i.monotonicity_index + 2 <= cap:
+            assert reached <= i.monotonicity_index + 2

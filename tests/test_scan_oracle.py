@@ -417,16 +417,18 @@ PAST_THE_CAP = [
 ]
 
 
+# the worked example's limit sinh(pi) / (39 sinh(3 pi)) times 1 + 2^-60,
+# rounded down to a multiple of 2^-140 (see test_certs_cli)
+NEAR_TIE = F(66614734727671937059123508434769531341, 1393796574908163946345982392040522594123776)
+
+
 class TestScanCapReachable:
     def test_far_side_near_tie_ends_at_scan_cap(self, monkeypatch):
         # worked example, t = L(1 + 2^-60) (see test_certs_cli): the
-        # decreasing tail needs about 2^60 terms to drop below t, so the
-        # threshold hunt runs to the cap.  The gap |u_n - t| stays far
-        # above the float error bound, so the scan must not fall back to
-        # exact arithmetic on the way: a handful of materializations, not
-        # one per term.
-        t = F(66614734727671937059123508434769531341, 1393796574908163946345982392040522594123776)
-        inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(1), t, Problem.THRESHOLD)
+        # decreasing tail needs about 2^60 terms to drop below t, and the
+        # limit's enclosure proves the drop lies past the cap, so the
+        # decision exits at the cap with the scan still at k0 + 2.
+        inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(1), NEAR_TIE, Problem.THRESHOLD)
         scans = []
         init = ExactScan.__init__
 
@@ -437,8 +439,45 @@ class TestScanCapReachable:
         monkeypatch.setattr(ExactScan, "__init__", recording_init)
         with pytest.raises(ScanCapExceeded):
             decide(inst, EngineConfig(scan_cap=10**5))
-        assert max(s.n for s in scans) > 10**5
-        assert sum(s.materialized for s in scans) <= 4
+        assert len(scans) == 1 and scans[0].n <= inst.monotonicity_index + 2
+        # the threshold hunt itself runs to the cap.  The gap |u_n - t|
+        # stays far above the float error bound, so the scan must not fall
+        # back to exact arithmetic on the way: a handful of
+        # materializations, not one per term.
+        monkeypatch.undo()
+        scan = ExactScan(inst, 10**5)
+        with pytest.raises(ScanCapExceeded):
+            scan.first_hit()
+        assert scan.n > 10**5
+        assert scan.materialized <= 4
+
+    @pytest.mark.parametrize(
+        "u0,t,problem",
+        [
+            (1, NEAR_TIE, Problem.THRESHOLD),  # falling tail, drop below t past the cap
+            (-1, -NEAR_TIE, Problem.MEMBERSHIP),  # rising tail, crossing of t past the cap
+        ],
+    )
+    def test_far_crossing_exits_at_default_cap_without_a_scan(
+        self, monkeypatch, tmp_path, capsys, u0, t, problem
+    ):
+        # the worked pair with t about L(1 + 2^-60): the order test's
+        # enclosure puts the crossing past 10^6, so nothing is scanned past
+        # the prefix u_0 .. u_{k0+1}
+        inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(u0), t, problem)
+        k0 = inst.monotonicity_index
+        ends = []
+        products = sequence._factor_products
+        monkeypatch.setattr(
+            sequence, "_factor_products", lambda i, lo, hi: ends.append(hi) or products(i, lo, hi)
+        )
+        steps = record_steps(monkeypatch)
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
+        assert main(["decide", str(f)]) == 4
+        err = capsys.readouterr().err
+        assert "resource limit" in err and "the limit puts the crossing of t past the cap" in err
+        assert all(hi <= k0 + 2 for hi in ends) and max(steps) < k0 + 2
 
     @pytest.mark.parametrize(
         "q,t,problem",

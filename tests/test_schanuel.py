@@ -1,15 +1,16 @@
 import functools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide.config import DEFAULT_CONFIG
+from hgdecide.config import DEFAULT_CONFIG, EngineConfig
 from hgdecide.equality import CanonicalLimitOracle, decide
-from hgdecide.errors import UnsupportedInstance
+from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.polys import IntPoly
 from hgdecide.schanuel import (
     CElem,
@@ -20,7 +21,7 @@ from hgdecide.schanuel import (
     decide_identity,
     evaluate_identity,
 )
-from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force
+from hgdecide.sequence import BruteKind, HGInstance, Problem, brute_force, term
 from hgdecide.towers import CyclotomicTower, MultiquadraticTower, TowerElem
 from hgdecide.verdicts import Conditionality, Rationale
 
@@ -650,3 +651,13 @@ class TestConditionalRungs:
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality_rationale is Rationale.IDENTITY_NONZERO
         assert v.identity["stress_separated"] is True
+
+
+def test_unprintable_target_is_a_resource_error():
+    # the identity certificate names t; past the interpreter's limit on
+    # integer string conversion that is a resource error, not a crash
+    i = inst([-2, 0, 1], [-8, 0, 1], 1, 1)
+    t = term(i, 3000, EngineConfig(scan_cap=3000))
+    assert t.numerator.bit_length() > 14_300  # over 4300 decimal digits
+    with pytest.raises(PrecisionExceeded, match="too long to print"):
+        decide(replace(i, t=t), EngineConfig(scan_cap=2000))
