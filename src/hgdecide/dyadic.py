@@ -4,12 +4,23 @@ A dyadic number is man * 2**exp.  An interval stores two dyadics lo <= hi
 and every operation rounds outward, so the exact image is always enclosed.
 Binary endpoints keep precision escalation predictable: re-running at a
 higher working precision tightens, never widens, the usual ladder.
+
+Intervals are immutable tuples of their four integers.  The public
+constructor `DyadicInterval(lo_man, lo_exp, hi_man, hi_exp)` is the one
+checked constructor: it refuses lo > hi.  Every other result is built
+unchecked, because it is ordered by construction: `add`, `sub`, `mul` and
+`round` go through `_outward`, which floors the lower end and ceils the
+upper end of an exact ordered pair; `neg` swaps and negates an ordered
+pair; `inv` divides 1 by the ends of a one-signed interval in reverse
+order, rounding the lower quotient down and the upper one up; and
+`from_int` and `from_fraction` bracket a rational.  `value_type` keeps the
+tuples values: equal only to their own type, with no sequence operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 
@@ -17,20 +28,30 @@ from .errors import DecideError, IntervalStraddlesZero, PrecisionExceeded
 # aligned mantissa would pass a million bits.
 _MAX_ALIGN = 1 << 20
 
-
-def _round_down(man: int, exp: int, prec: int) -> tuple[int, int]:
-    """Largest dyadic with <= prec mantissa bits that is <= man*2**exp."""
-    extra = man.bit_length() - prec
-    if extra <= 0 or man == 0:
-        return man, exp
-    return man >> extra, exp + extra  # >> floors toward -inf
+_new = tuple.__new__  # the unchecked constructor of every tuple-backed value
 
 
-def _round_up(man: int, exp: int, prec: int) -> tuple[int, int]:
-    extra = man.bit_length() - prec
-    if extra <= 0 or man == 0:
-        return man, exp
-    return -((-man) >> extra), exp + extra
+def _refuse(self, *_):
+    raise TypeError(f"{type(self).__name__} is a value, not a sequence")
+
+
+def value_type(cls):
+    """Give a tuple-backed class value semantics: equal (and hashed) by its
+    fields, but only to its own type; and no tuple concatenation,
+    repetition, lexicographic order or component membership, except where
+    the class defines them itself."""
+
+    def eq(self, other):
+        return type(other) is cls and tuple.__eq__(self, other)
+
+    def ne(self, other):
+        return not eq(self, other)
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = eq, ne, tuple.__hash__
+    for name in ("__add__", "__mul__", "__rmul__", "__lt__", "__le__", "__gt__", "__ge__", "__contains__"):
+        if name not in vars(cls):
+            setattr(cls, name, _refuse)
+    return cls
 
 
 def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
@@ -82,33 +103,53 @@ def _div_up(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
     return q, e1 - e2 - shift
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """[lo_man*2**lo_exp, hi_man*2**hi_exp], both endpoints finite, lo <= hi."""
+def _outward(lo_man: int, lo_exp: int, hi_man: int, hi_exp: int, prec: int) -> "DyadicInterval":
+    """The exact ordered pair lo <= hi, lo rounded down and hi rounded up
+    to prec mantissa bits, built unchecked: round_down(lo) <= lo <= hi <=
+    round_up(hi), so the constructor's order check would prove nothing."""
+    extra = lo_man.bit_length() - prec
+    if extra > 0:
+        lo_man >>= extra  # >> floors toward -inf
+        lo_exp += extra
+    extra = hi_man.bit_length() - prec
+    if extra > 0:
+        hi_man = -(-hi_man >> extra)
+        hi_exp += extra
+    return _new(DyadicInterval, (lo_man, lo_exp, hi_man, hi_exp))
 
+
+class _Ends(NamedTuple):
     lo_man: int
     lo_exp: int
     hi_man: int
     hi_exp: int
 
-    def __post_init__(self):
-        if _cmp(self.lo_man, self.lo_exp, self.hi_man, self.hi_exp) > 0:
+
+@value_type
+class DyadicInterval(_Ends):
+    """[lo_man*2**lo_exp, hi_man*2**hi_exp], both endpoints finite, lo <= hi."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo_man: int, lo_exp: int, hi_man: int, hi_exp: int):
+        if _cmp(lo_man, lo_exp, hi_man, hi_exp) > 0:
             raise DecideError("inverted interval")
+        return _new(cls, (lo_man, lo_exp, hi_man, hi_exp))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_int(cls, n: int) -> "DyadicInterval":
-        return cls(n, 0, n, 0)
+        return _new(cls, (n, 0, n, 0))
 
     @classmethod
-    def from_fraction(cls, q: Fraction, prec: int) -> "DyadicInterval":
+    def from_fraction(cls, q: Fraction | int, prec: int) -> "DyadicInterval":
         num, den = q.numerator, q.denominator
         if den == 1:
-            return cls(num, 0, num, 0)
+            return _new(cls, (num, 0, num, 0))
         lo = (num << prec) // den
         exact = lo * den == (num << prec)
-        return cls(lo, -prec, lo if exact else lo + 1, -prec)
+        return _new(cls, (lo, -prec, lo if exact else lo + 1, -prec))
 
     @classmethod
     def bounds(cls, lo: "tuple[int, int]", hi: "tuple[int, int]") -> "DyadicInterval":
@@ -142,22 +183,21 @@ class DyadicInterval:
     # -- arithmetic (outward-rounded at prec) ------------------------------
 
     def round(self, prec: int) -> "DyadicInterval":
-        return DyadicInterval(
-            *_round_down(self.lo_man, self.lo_exp, prec),
-            *_round_up(self.hi_man, self.hi_exp, prec),
-        )
+        return _outward(*self, prec)
 
     def add(self, other: "DyadicInterval", prec: int) -> "DyadicInterval":
-        return DyadicInterval(
-            *_round_down(*_add(self.lo_man, self.lo_exp, other.lo_man, other.lo_exp), prec),
-            *_round_up(*_add(self.hi_man, self.hi_exp, other.hi_man, other.hi_exp), prec),
-        )
+        al, ale, ah, ahe = self
+        bl, ble, bh, bhe = other
+        return _outward(*_add(al, ale, bl, ble), *_add(ah, ahe, bh, bhe), prec)
 
     def neg(self) -> "DyadicInterval":
-        return DyadicInterval(-self.hi_man, self.hi_exp, -self.lo_man, self.lo_exp)
+        lm, le, hm, he = self
+        return _new(DyadicInterval, (-hm, he, -lm, le))
 
     def sub(self, other: "DyadicInterval", prec: int) -> "DyadicInterval":
-        return self.add(other.neg(), prec)
+        al, ale, ah, ahe = self
+        bl, ble, bh, bhe = other
+        return _outward(*_add(al, ale, -bh, bhe), *_add(ah, ahe, -bl, ble), prec)
 
     def mul(self, other: "DyadicInterval", prec: int) -> "DyadicInterval":
         """Product, endpoints from Moore's sign table (Interval Analysis, 1966).
@@ -176,45 +216,41 @@ class DyadicInterval:
 
         where a = [al, ah] is self and b = [bl, bh] is other.
         """
-        al, ale, ah, ahe = self.lo_man, self.lo_exp, self.hi_man, self.hi_exp
-        bl, ble, bh, bhe = other.lo_man, other.lo_exp, other.hi_man, other.hi_exp
+        al, ale, ah, ahe = self
+        bl, ble, bh, bhe = other
         if al >= 0:
             if bl >= 0:
-                lo, hi = (al * bl, ale + ble), (ah * bh, ahe + bhe)
-            elif bh <= 0:
-                lo, hi = (ah * bl, ahe + ble), (al * bh, ale + bhe)
-            else:
-                lo, hi = (ah * bl, ahe + ble), (ah * bh, ahe + bhe)
-        elif ah <= 0:
+                return _outward(al * bl, ale + ble, ah * bh, ahe + bhe, prec)
+            if bh <= 0:
+                return _outward(ah * bl, ahe + ble, al * bh, ale + bhe, prec)
+            return _outward(ah * bl, ahe + ble, ah * bh, ahe + bhe, prec)
+        if ah <= 0:
             if bl >= 0:
-                lo, hi = (al * bh, ale + bhe), (ah * bl, ahe + ble)
-            elif bh <= 0:
-                lo, hi = (ah * bh, ahe + bhe), (al * bl, ale + ble)
-            else:
-                lo, hi = (al * bh, ale + bhe), (al * bl, ale + ble)
-        elif bl >= 0:
-            lo, hi = (al * bh, ale + bhe), (ah * bh, ahe + bhe)
-        elif bh <= 0:
-            lo, hi = (ah * bl, ahe + ble), (al * bl, ale + ble)
-        else:
-            lo, alt = (al * bh, ale + bhe), (ah * bl, ahe + ble)
-            if _cmp(*alt, *lo) < 0:
-                lo = alt
-            hi, alt = (al * bl, ale + ble), (ah * bh, ahe + bhe)
-            if _cmp(*alt, *hi) > 0:
-                hi = alt
-        return DyadicInterval(*_round_down(*lo, prec), *_round_up(*hi, prec))
+                return _outward(al * bh, ale + bhe, ah * bl, ahe + ble, prec)
+            if bh <= 0:
+                return _outward(ah * bh, ahe + bhe, al * bl, ale + ble, prec)
+            return _outward(al * bh, ale + bhe, al * bl, ale + ble, prec)
+        if bl >= 0:
+            return _outward(al * bh, ale + bhe, ah * bh, ahe + bhe, prec)
+        if bh <= 0:
+            return _outward(ah * bl, ahe + ble, al * bl, ale + ble, prec)
+        lo, alt = (al * bh, ale + bhe), (ah * bl, ahe + ble)
+        if _cmp(*alt, *lo) < 0:
+            lo = alt
+        hi, alt = (al * bl, ale + ble), (ah * bh, ahe + bhe)
+        if _cmp(*alt, *hi) > 0:
+            hi = alt
+        return _outward(*lo, *hi, prec)
 
-    def scale(self, q: Fraction, prec: int) -> "DyadicInterval":
+    def scale(self, q: Fraction | int, prec: int) -> "DyadicInterval":
         """Multiply by an exact rational."""
-        return self.mul(DyadicInterval.from_fraction(Fraction(q), prec + 8), prec)
+        return self.mul(DyadicInterval.from_fraction(q, prec + 8), prec)
 
     def inv(self, prec: int) -> "DyadicInterval":
         if self.contains_zero():
             raise IntervalStraddlesZero("interval reciprocal across zero")
-        lo = _div_down(1, 0, self.hi_man, self.hi_exp, prec)
-        hi = _div_up(1, 0, self.lo_man, self.lo_exp, prec)
-        return DyadicInterval(*lo, *hi)
+        lm, le, hm, he = self
+        return _new(DyadicInterval, (*_div_down(1, 0, hm, he, prec), *_div_up(1, 0, lm, le, prec)))
 
     def div(self, other: "DyadicInterval", prec: int) -> "DyadicInterval":
         return self.mul(other.inv(prec + 8), prec)
@@ -242,8 +278,8 @@ ZERO = DyadicInterval.from_int(0)
 ONE = DyadicInterval.from_int(1)
 
 
-@dataclass(frozen=True)
-class ComplexInterval:
+@value_type
+class ComplexInterval(NamedTuple):
     """Rectangular complex enclosure: re + i*im, both dyadic intervals."""
 
     re: DyadicInterval
@@ -251,18 +287,20 @@ class ComplexInterval:
 
     @classmethod
     def from_real(cls, x: DyadicInterval) -> "ComplexInterval":
-        return cls(x, ZERO)
+        return _new(cls, (x, ZERO))
 
     def add(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.add(other.re, prec), self.im.add(other.im, prec))
+        return _new(ComplexInterval, (self.re.add(other.re, prec), self.im.add(other.im, prec)))
 
     def sub(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.sub(other.re, prec), self.im.sub(other.im, prec))
+        return _new(ComplexInterval, (self.re.sub(other.re, prec), self.im.sub(other.im, prec)))
 
     def mul(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
-        re = self.re.mul(other.re, prec).sub(self.im.mul(other.im, prec), prec)
-        im = self.re.mul(other.im, prec).add(self.im.mul(other.re, prec), prec)
-        return ComplexInterval(re, im)
+        a, b = self
+        c, d = other
+        re = a.mul(c, prec).sub(b.mul(d, prec), prec)
+        im = a.mul(d, prec).add(b.mul(c, prec), prec)
+        return _new(ComplexInterval, (re, im))
 
     def abs2(self, prec: int) -> DyadicInterval:
         def square(iv: DyadicInterval) -> DyadicInterval:
@@ -279,13 +317,14 @@ class ComplexInterval:
         if d.contains_zero():
             raise IntervalStraddlesZero("complex interval reciprocal across zero")
         r = d.inv(prec + 8)  # 1/z = conj(z) * (1/|z|^2)
-        return ComplexInterval(self.re.mul(r, prec), self.im.neg().mul(r, prec))
+        return _new(ComplexInterval, (self.re.mul(r, prec), self.im.neg().mul(r, prec)))
 
     def div(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         return self.mul(other.inv(prec + 8), prec)
 
-    def scale(self, q: Fraction, prec: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.scale(q, prec), self.im.scale(q, prec))
+    def scale(self, q: Fraction | int, prec: int) -> "ComplexInterval":
+        f = DyadicInterval.from_fraction(q, prec + 8)
+        return _new(ComplexInterval, (self.re.mul(f, prec), self.im.mul(f, prec)))
 
     def pow_int(self, k: int, prec: int) -> "ComplexInterval":
         if k == 0:

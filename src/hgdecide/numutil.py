@@ -16,10 +16,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # is a strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
 # 86, 2017); the first 12 stop at psi_12 = 318665857834031151167461
 _WITNESSES = _SMALL_PRIMES + (41,)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < psi_13 ~ 3.3e24 (`_WITNESSES`)."""
+    """Miller-Rabin to the `_WITNESSES`, deterministic for n < psi_13; from
+    psi_13 up (psi_13 itself passes them) also a strong Lucas test, which
+    with the base-2 test makes Baillie-PSW, with no known pseudoprime."""
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -38,7 +41,60 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n with no factor below 42,
+    with Selfridge's parameters: the first D of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35,
+    1980).  U and V run over the bits of the odd part d of n + 1."""
+    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_1 = 1, V_1 = P = 1; doubling U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k,
+    # and one step U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 # total steps of `_pollard_rho`: about 0.3 s on a 200-bit n; products of

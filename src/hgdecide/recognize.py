@@ -56,7 +56,12 @@ from .towers import (
 
 @lru_cache(maxsize=192)
 def _tower(kind: type, *params) -> Tower:
-    """One tower object per field, so its product table is built once."""
+    """One tower object per field, so its product table is built once.
+
+    The roots' towers come from here, and so does the conditional
+    oracle's common tower (`ConditionalLimitOracle._common_tower`): the
+    multiquadratic tower of a pair's radicands and i is shared by every
+    oracle over those radicands."""
     return kind(*params)
 
 

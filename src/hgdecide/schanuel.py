@@ -42,7 +42,7 @@ from .exactnum import format_rat, is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
-from .recognize import MatchingCertificate, NoMatching, find_symmetric_matching
+from .recognize import MatchingCertificate, NoMatching, _tower, find_symmetric_matching
 from .sequence import HGInstance
 from .towers import CyclotomicTower, MultiquadraticTower, Tower, TowerElem
 from .verdicts import EqualityDecision, Rationale
@@ -490,7 +490,7 @@ class ConditionalLimitOracle:
             if quad_ds and not isinstance(tower, CyclotomicTower):
                 raise UnsupportedInstance("quadratic offsets mix only into cyclotomic towers")
             return tower
-        return MultiquadraticTower(tuple(sorted(quad_ds | {-1})))
+        return _tower(MultiquadraticTower, tuple(sorted(quad_ds | {-1})))
 
     def _lift(self, w: TowerElem) -> TowerElem:
         """w in the common tower; an offset outside it is multiquadratic and

@@ -1,9 +1,14 @@
 """Tower fields: multiquadratic, cyclotomic, and radical extensions of Q.
 
-Exactly the three families the conditional decider needs.  Elements are
-exact rational coordinate vectors over a closed monomial basis; every
-tower knows its multiplication table and a distinguished complex
-embedding for rigorous enclosures.
+Exactly the three families the conditional decider needs.  Every tower
+knows its multiplication table and a distinguished complex embedding for
+rigorous enclosures.  An element holds integer numerators over one
+positive denominator, in lowest terms, on a closed monomial basis, so
+equal elements have equal fields; `coords` reads them as Fractions.  The
+structure constants are integers in all three families (products of
+square roots, powers of zeta reduced by the monic Phi_n, and Y^n = a), so
+a product is an integer convolution over the table and a sum an integer
+sum over the lcm of the two denominators.
 
 Conventions for the embedding: sqrt(d) = i*sqrt(|d|) for d < 0, zeta_n =
 exp(2*pi*i/n), and the radical generator of x^n = a is the positive real
@@ -14,10 +19,10 @@ root for a > 0, the real negative root for a < 0 with n odd, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .dyadic import ComplexInterval, DyadicInterval
+from .dyadic import ComplexInterval, DyadicInterval, value_type
 from .enclosure import cos_interval, pi_interval, sin_interval, sqrt_int_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .numutil import euler_phi, int_nthroot_floor, squarefree_decompose
@@ -62,13 +67,16 @@ class Tower:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "TowerElem":
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise DecideError("coordinate length != tower degree")
-        return TowerElem(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        return _reduced(self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     def rational(self, q) -> "TowerElem":
-        return self.element([Fraction(q)] + [Fraction(0)] * (self.degree - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return tuple.__new__(TowerElem, (self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator))
 
     def zero(self) -> "TowerElem":
         return self.rational(0)
@@ -82,32 +90,18 @@ class Tower:
             raise UnsupportedInstance("tower does not contain i")
         return self.element(ci)
 
-    def _product_table(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-        """basis_product(i, j) as (k, c) pairs, built once per tower
-        (degree^2 entries, at most 42^2 under the caps)."""
+    def _product_table(self) -> list[list[tuple[tuple[int, int], ...]]]:
+        """basis_product(i, j) as (k, c) pairs with integer c, built once
+        per tower (degree^2 entries, at most 42^2 under the caps)."""
         table = self._table
         if table is None:
             n = self.degree
-            table = [
-                [tuple(self.basis_product(i, j).items()) for j in range(n)]
-                for i in range(n)
-            ]
+            products = [[self.basis_product(i, j).items() for j in range(n)] for i in range(n)]
+            if any(c.denominator != 1 for row in products for entry in row for _, c in entry):
+                raise DecideError(f"internal: {self.key} has non-integral structure constants")
+            table = [[tuple((k, c.numerator) for k, c in entry) for entry in row] for row in products]
             self._table = table
         return table
-
-    def mul_coords(self, x, y) -> tuple[Fraction, ...]:
-        table = self._product_table()
-        out = [Fraction(0)] * self.degree
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in ys:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, Tower) and self.key == other.key
@@ -116,10 +110,29 @@ class Tower:
         return hash(self.key)
 
 
-@dataclass(frozen=True)
-class TowerElem:
+def _reduced(tower: Tower, nums, den: int) -> "TowerElem":
+    """nums/den (den > 0) in lowest terms; zero is 0/1."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    return tuple.__new__(TowerElem, (tower, tuple(nums), den))
+
+
+@value_type
+class TowerElem(NamedTuple):
+    """sum_k nums[k]/den * basis[k], with den > 0 and gcd(den, *nums) = 1;
+    made by `Tower.element`, `Tower.rational` and the arithmetic below."""
+
     tower: Tower
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
 
     def _check(self, other: "TowerElem"):
         if self.tower is not other.tower and self.tower != other.tower:
@@ -127,25 +140,28 @@ class TowerElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise DecideError(f"{self} is irrational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return TowerElem(self.tower, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return _reduced(self.tower, [a * f1 + b * f2 for a, b in zip(self.nums, other.nums)], d1 * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(self.tower, tuple(-a for a in self.coords))
+        return tuple.__new__(TowerElem, (self.tower, tuple(-a for a in self.nums), self.den))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -162,8 +178,21 @@ class TowerElem:
         raise FieldMismatchError(f"cannot coerce {other!r}")
 
     def __mul__(self, other):
+        """The convolution of the numerators over the integer product
+        table, over the product of the denominators."""
         other = self._coerce(other)
-        return TowerElem(self.tower, self.tower.mul_coords(self.coords, other.coords))
+        table = self.tower._product_table()
+        out = [0] * len(self.nums)
+        ys = [(j, b) for j, b in enumerate(other.nums) if b]
+        for i, a in enumerate(self.nums):
+            if not a:
+                continue
+            row = table[i]
+            for j, b in ys:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return _reduced(self.tower, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -177,9 +206,10 @@ class TowerElem:
 
     def embed(self, prec: int) -> ComplexInterval:
         out = ComplexInterval.from_real(DyadicInterval.from_int(0))
-        for k, c in enumerate(self.coords):
-            if c:
-                out = out.add(self.tower.embed_basis(k, prec).scale(c, prec), prec)
+        den = self.den
+        for k, a in enumerate(self.nums):
+            if a:
+                out = out.add(self.tower.embed_basis(k, prec).scale(Fraction(a, den), prec), prec)
         return out
 
     def __repr__(self):

@@ -1,5 +1,5 @@
-"""Exact interval relations, and an enclosure probe, that only the tests
-need."""
+"""Exact interval relations, the interval kernels' reference formulas, and
+an enclosure probe, that only the tests need."""
 
 from fractions import Fraction
 
@@ -33,21 +33,91 @@ def overlaps(a, b) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-def corner_product(a, b, prec):
-    """DyadicInterval product from all four corners, picked by exact
-    Fraction comparison (the first of equal corners wins): the reference
-    for the sign-case `DyadicInterval.mul`."""
-    from hgdecide.dyadic import DyadicInterval, _round_down, _round_up
+def round_down(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """Largest dyadic with <= prec mantissa bits that is <= man*2**exp."""
+    extra = man.bit_length() - prec
+    if extra <= 0 or man == 0:
+        return man, exp
+    return man >> extra, exp + extra  # >> floors toward -inf
 
+
+def round_up(man: int, exp: int, prec: int) -> tuple[int, int]:
+    extra = man.bit_length() - prec
+    if extra <= 0 or man == 0:
+        return man, exp
+    return -((-man) >> extra), exp + extra
+
+
+def outward(lo, hi, prec):
+    """The checked interval of lo rounded down and hi rounded up, each a
+    (mantissa, exponent) pair: the reference for every rounded result."""
+    from hgdecide.dyadic import DyadicInterval
+
+    return DyadicInterval(*round_down(*lo, prec), *round_up(*hi, prec))
+
+
+def reference_round(a, prec):
+    return outward((a.lo_man, a.lo_exp), (a.hi_man, a.hi_exp), prec)
+
+
+def reference_add(a, b, prec):
+    from hgdecide.dyadic import _add
+
+    return outward(
+        _add(a.lo_man, a.lo_exp, b.lo_man, b.lo_exp),
+        _add(a.hi_man, a.hi_exp, b.hi_man, b.hi_exp),
+        prec,
+    )
+
+
+def reference_neg(a):
+    from hgdecide.dyadic import DyadicInterval
+
+    return DyadicInterval(-a.hi_man, a.hi_exp, -a.lo_man, a.lo_exp)
+
+
+def reference_sub(a, b, prec):
+    return reference_add(a, reference_neg(b), prec)
+
+
+def reference_inv(a, prec):
+    from hgdecide.dyadic import DyadicInterval, _div_down, _div_up
+    from hgdecide.errors import IntervalStraddlesZero
+
+    if a.lo_man <= 0 <= a.hi_man:
+        raise IntervalStraddlesZero("interval reciprocal across zero")
+    return DyadicInterval(*_div_down(1, 0, a.hi_man, a.hi_exp, prec), *_div_up(1, 0, a.lo_man, a.lo_exp, prec))
+
+
+def _corners(a, b):
+    """The four corner products as (mantissa, exponent), and their values."""
     corners = [
         (m1 * m2, e1 + e2)
         for m1, e1 in ((a.lo_man, a.lo_exp), (a.hi_man, a.hi_exp))
         for m2, e2 in ((b.lo_man, b.lo_exp), (b.hi_man, b.hi_exp))
     ]
-    values = [Fraction(m) * Fraction(2) ** e for m, e in corners]
+    return corners, [Fraction(m) * Fraction(2) ** e for m, e in corners]
+
+
+def corner_product(a, b, prec):
+    """DyadicInterval product from all four corners, picked by exact
+    Fraction comparison (the first of equal corners wins): the reference
+    for the sign-case `DyadicInterval.mul`."""
+    corners, values = _corners(a, b)
     lo = corners[values.index(min(values))]
     hi = corners[values.index(max(values))]
-    return DyadicInterval(*_round_down(*lo, prec), *_round_up(*hi, prec))
+    return outward(lo, hi, prec)
+
+
+def corner_products(a, b, prec) -> set:
+    """The ends of every product `corner_product` could give under another
+    tie-break: the least and the greatest corner may each be written with
+    more than one exponent (a zero end, or a point written two ways), and
+    the rounded bits follow the representation."""
+    corners, values = _corners(a, b)
+    lows = [c for c, v in zip(corners, values) if v == min(values)]
+    highs = [c for c, v in zip(corners, values) if v == max(values)]
+    return {tuple(outward(lo, hi, prec)) for lo in lows for hi in highs}
 
 
 def corner_complex_div(z, w, prec):

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from hgdecide.dyadic import ComplexInterval, DyadicInterval, _cmp
 from hgdecide.errors import DecideError, IntervalStraddlesZero
 
-from intervals import corner_complex_div, corner_product
+from intervals import (
+    corner_complex_div,
+    corner_product,
+    corner_products,
+    reference_add,
+    reference_inv,
+    reference_neg,
+    reference_round,
+    reference_sub,
+)
 
 
 def value(man, exp) -> F:
@@ -106,6 +115,125 @@ class TestCompare:
     @given(intervals())
     def test_compare_fraction_at_the_endpoints(self, iv):
         assert iv.compare_fraction(iv.lo) is None and iv.compare_fraction(iv.hi) is None
+
+
+def ends(iv):
+    """The four integers, as bits: mantissas and exponents, not values."""
+    return iv.lo_man, iv.lo_exp, iv.hi_man, iv.hi_exp
+
+
+def encloses(iv, exact):
+    return iv.lo <= min(exact) and max(exact) <= iv.hi
+
+
+def nonzero(iv):
+    return not iv.contains_zero()
+
+
+class TestKernelsMatchReference:
+    """Every kernel gives the endpoints of the checked reference formulas
+    in `intervals`, bit for bit, and encloses the exact image.  A product
+    may take any least and any greatest corner (`corner_products`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals(), intervals(), precisions)
+    def test_add_and_sub(self, a, b, prec):
+        assert ends(a.add(b, prec)) == ends(reference_add(a, b, prec))
+        assert ends(a.sub(b, prec)) == ends(reference_sub(a, b, prec))
+        assert encloses(a.add(b, prec), [a.lo + b.lo, a.hi + b.hi])
+        assert encloses(a.sub(b, prec), [a.lo - b.hi, a.hi - b.lo])
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals(), intervals(), precisions)
+    def test_mul(self, a, b, prec):
+        got = a.mul(b, prec)
+        assert ends(got) in corner_products(a, b, prec)
+        assert encloses(got, [x * y for x in values(a) for y in values(b)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals(), precisions)
+    def test_neg_and_round(self, a, prec):
+        assert ends(a.neg()) == ends(reference_neg(a))
+        assert values(a.neg()) == (-a.hi, -a.lo)
+        assert ends(a.round(prec)) == ends(reference_round(a, prec))
+        assert encloses(a.round(prec), values(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals().filter(nonzero), precisions)
+    def test_inv(self, a, prec):
+        got = a.inv(prec)
+        assert ends(got) == ends(reference_inv(a, prec))
+        assert encloses(got, [1 / a.lo, 1 / a.hi])
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals(), intervals().filter(nonzero), precisions)
+    def test_div(self, a, b, prec):
+        got = a.div(b, prec)
+        assert ends(got) in corner_products(a, reference_inv(b, prec + 8), prec)
+        assert encloses(got, [x / y for x in values(a) for y in values(b)])
+
+    @given(intervals().filter(lambda iv: iv.contains_zero()), precisions)
+    def test_inv_across_zero_raises(self, a, prec):
+        with pytest.raises(IntervalStraddlesZero):
+            a.inv(prec)
+
+
+class TestValueSemantics:
+    """Intervals are tuples underneath; they must still behave as values."""
+
+    def test_membership_is_containment(self):
+        iv = DyadicInterval(3, 0, 5, 0)
+        # as a plain tuple, 0 would be "in" it: it is an exponent
+        assert 0 not in iv
+        assert 3 in iv and 4 in iv and F(9, 2) in iv and 5 in iv
+        assert F(11, 2) not in iv and -3 not in iv
+
+    def test_complex_interval_has_no_membership(self):
+        z = ComplexInterval.from_real(DyadicInterval(3, 0, 5, 0))
+        with pytest.raises(TypeError):
+            z.re in z
+
+    def test_equality_and_hash_are_by_fields_and_type(self):
+        iv = DyadicInterval(3, 0, 5, 0)
+        assert iv == DyadicInterval(3, 0, 5, 0) and hash(iv) == hash(DyadicInterval(3, 0, 5, 0))
+        assert not iv != DyadicInterval(3, 0, 5, 0)
+        # the same values written with other exponents are other fields
+        assert iv != DyadicInterval(6, -1, 5, 0)
+        # neither the bare tuple nor a complex interval equals an interval
+        assert iv != (3, 0, 5, 0) and (3, 0, 5, 0) != iv
+        z = ComplexInterval(iv, iv)
+        assert z == ComplexInterval(iv, iv) and hash(z) == hash(ComplexInterval(iv, iv))
+        assert z != (iv, iv) and z != ComplexInterval(iv, iv.neg())
+        assert len({iv, DyadicInterval(3, 0, 5, 0), iv.neg()}) == 2
+
+    def test_repr(self):
+        iv = DyadicInterval(3, 0, 5, 0)
+        assert repr(iv) == "DyadicInterval(3.0, 5.0)"
+        assert repr(ComplexInterval.from_real(iv)) == (
+            "ComplexInterval(re=DyadicInterval(3.0, 5.0), im=DyadicInterval(0.0, 0.0))"
+        )
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a * 2,
+            lambda a, b: 2 * a,
+            lambda a, b: a < b,
+            lambda a, b: a >= b,
+        ],
+    )
+    def test_no_sequence_operators(self, op):
+        a, b = DyadicInterval(1, 0, 2, 0), DyadicInterval(3, 0, 4, 0)
+        with pytest.raises(TypeError):
+            op(a, b)
+        with pytest.raises(TypeError):
+            op(ComplexInterval.from_real(a), ComplexInterval.from_real(b))
+
+    def test_arithmetic_results_are_intervals(self):
+        a, b = DyadicInterval(-3, 0, 5, 0), DyadicInterval(1, -1, 7, 2)
+        for got in (a.add(b, 8), a.sub(b, 8), a.mul(b, 8), a.neg(), a.round(2), b.inv(8), a.div(b, 8)):
+            assert type(got) is DyadicInterval
 
 
 # small rectangles, so that |w|^2 is bounded away from zero often enough

@@ -379,6 +379,43 @@ class TestMillerRabin:
             assert is_probable_prime(n) == sympy.isprime(n), n
 
 
+class TestBailliePSW:
+    # the least strong pseudoprime to the first 13 prime bases, where the
+    # Miller-Rabin bases stop being a proof
+    PSI_13 = 3317044064679887385961981
+
+    def test_psi_13_is_composite(self):
+        assert 1287836182261 * 2575672364521 == self.PSI_13
+        assert not is_probable_prime(self.PSI_13)
+
+    def test_factorize_never_calls_psi_13_prime(self):
+        with pytest.raises(PrecisionExceeded):
+            factorize(self.PSI_13)
+
+    def test_strong_lucas_pseudoprimes_below_20000(self):
+        # the strong Lucas test alone passes exactly the primes and the
+        # five strong Lucas pseudoprimes below 20000 (OEIS A217255)
+        import sympy
+
+        from hgdecide.numutil import _strong_lucas
+
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+        for n in range(43, 20000, 2):
+            if math.gcd(n, math.prod(range(3, 42, 2))) == 1:
+                assert _strong_lucas(n) == (sympy.isprime(n) or n in pseudoprimes), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=80, max_value=256).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b)))
+    def test_agrees_with_sympy(self, n):
+        import sympy
+
+        # odd draws, their next primes, and products of two such primes
+        p = sympy.nextprime(n >> (n.bit_length() // 2))
+        q = sympy.nextprime(p + (n & 0xFFFF))
+        for m in (n | 1, sympy.nextprime(n), p * q):
+            assert is_probable_prime(m) == sympy.isprime(m), m
+
+
 class TestPerfectPowerRoot:
     def test_large_square(self):
         r = 2**100 + 7

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide.errors import DecideError, UnsupportedInstance
+from hgdecide.errors import DecideError, FieldMismatchError, UnsupportedInstance
 from hgdecide.numutil import squarefree_decompose
 from hgdecide.towers import (
     CyclotomicTower,
@@ -159,6 +159,80 @@ FIELDS = [
 ]
 
 
+def _lowest_terms(e) -> bool:
+    return e.den > 0 and math.gcd(e.den, *e.nums) == 1
+
+
+class TestElementArithmetic:
+    """Integer numerators over one denominator, against plain Fraction
+    coordinate arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ring_operations_match_fraction_coordinates(self, data):
+        tower = data.draw(st.sampled_from(FIELDS))
+        x = data.draw(TestFieldArithmetic.elements(tower))
+        y = data.draw(TestFieldArithmetic.elements(tower))
+        k = data.draw(st.integers(min_value=0, max_value=4))
+        power = (F(1),) + (F(0),) * (tower.degree - 1)
+        for _ in range(k):
+            power = _plain_mul(tower, power, x.coords)
+        cases = [
+            (x + y, tuple(a + b for a, b in zip(x.coords, y.coords))),
+            (x - y, tuple(a - b for a, b in zip(x.coords, y.coords))),
+            (-x, tuple(-a for a in x.coords)),
+            (x * y, _plain_mul(tower, x.coords, y.coords)),
+            (x**k, power),
+        ]
+        for got, want in cases:
+            assert got.coords == want
+            assert _lowest_terms(got)
+            assert got == tower.element(want) and hash(got) == hash(tower.element(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rational_operands_coerce(self, data):
+        tower = data.draw(st.sampled_from(FIELDS))
+        x = data.draw(TestFieldArithmetic.elements(tower))
+        q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        assert (x * q).coords == tuple(a * q for a in x.coords) == (q * x).coords
+        assert (x + q) == x + tower.rational(q) == q + x
+        assert (q - x) == tower.rational(q) - x
+        assert _lowest_terms(x * q) and _lowest_terms(x + q)
+
+    def test_equal_elements_have_equal_fields(self):
+        t = MultiquadraticTower((2, 3, -1))
+        half = t.element([F(1, 2)] + [F(0)] * (t.degree - 1))
+        # 1/2 reached two ways, and a sum that cancels to zero
+        assert half + half * 0 == t.one() * F(1, 2) == half
+        assert (half + half) == t.one() and (half + half).den == 1
+        zero = t.sqrt_elem(2) * F(1, 3) - t.sqrt_elem(2) * F(1, 3)
+        assert zero == t.zero() and zero.den == 1 and zero.is_zero
+        assert len({half, t.rational(F(1, 2)), t.one()}) == 2
+
+    def test_value_semantics(self):
+        t = MultiquadraticTower((2,))
+        x = t.element((F(1, 2), F(-3, 4)))
+        assert (x.nums, x.den) == ((2, -3), 4)
+        assert repr(x) == "TowerElem(Fraction(1, 2), Fraction(-3, 4))"
+        # not a tuple to the outside: no equality with its fields, no
+        # membership of a field, no order
+        assert x != (t, (2, -3), 4) and x != t.element((F(1, 2), F(3, 4)))
+        with pytest.raises(TypeError):
+            4 in x
+        with pytest.raises(TypeError):
+            x < x
+        # the same field in another tower object is the same element
+        assert x == MultiquadraticTower((2,)).element((F(1, 2), F(-3, 4)))
+
+    def test_elements_of_other_towers_do_not_mix(self):
+        a, b = MultiquadraticTower((2,)).one(), MultiquadraticTower((3,)).one()
+        with pytest.raises(FieldMismatchError):
+            a + b
+        with pytest.raises(FieldMismatchError):
+            a * b
+
+
 class TestFieldArithmetic:
     """Identity building never divides, so products of nonzero elements
     must stay nonzero: every tower the engine builds is a field."""
@@ -177,7 +251,7 @@ class TestFieldArithmetic:
         tower = data.draw(st.sampled_from(FIELDS))
         x = data.draw(self.elements(tower))
         y = data.draw(self.elements(tower))
-        assert tower.mul_coords(x.coords, y.coords) == _plain_mul(tower, x.coords, y.coords)
+        assert (x * y).coords == _plain_mul(tower, x.coords, y.coords)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
