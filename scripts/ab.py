@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one hgbench workload in alternating pairs.
+
+    python3 scripts/ab.py ../parent . --workload deep-scan --seed 1 --pairs 10
+    python3 scripts/ab.py . . --workload deep-scan --pairs 1 --smoke
+
+Pair k runs `python3 DIR/hgbench/run.py --workload W --seed S` once in each
+checkout, A first in odd pairs and B first in even ones, so that neither
+side always runs second on a warmed host.  A is the baseline and B the
+change.  For every end-to-end metric BENCHMARK.json names, it prints both
+medians, the interquartile distance of A's runs and in how many pairs B
+read lower than A, and whether the two certificate streams are the same.
+Exits 1 when a run fails or reports a wrong verdict.
+"""
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})", re.M)
+
+
+def run_once(checkout: str, args) -> tuple[dict, str]:
+    """(metrics, digest) of one hgbench run in `checkout`."""
+    cmd = [sys.executable, os.path.join(checkout, "hgbench", "run.py"),
+           "--workload", args.workload, "--seed", str(args.seed)]
+    proc = subprocess.run(cmd + (["--smoke"] if args.smoke else []), cwd=checkout,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    if proc.returncode != 0 or result is None or not result["correct"]:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    digest = DIGEST.search(proc.stdout)
+    return {k: v["value"] for k, v in result["metrics"].items()}, digest.group(1) if digest else ""
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", help="baseline checkout")
+    ap.add_argument("b", help="checkout under test")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--smoke", action="store_true", help="hgbench's tiny plans")
+    args = ap.parse_args()
+    dirs = {"A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
+    with open(os.path.join(dirs["A"], "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    runs = {"A": [], "B": []}
+    for k in range(1, args.pairs + 1):
+        for side in ("A", "B") if k % 2 else ("B", "A"):
+            runs[side].append(run_once(dirs[side], args))
+        print(f"pair {k}: " + ", ".join(
+            f"{side} decide_s {runs[side][-1][0]['decide_s']:.4f}" for side in ("A", "B")), flush=True)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, A = {dirs['A']}, B = {dirs['B']}")
+    print(f"  {'metric':<16} {'A median':>12} {'B median':>12} {'A IQR':>10}  B lower")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        a = [m[name] for m, _ in runs["A"]]
+        b = [m[name] for m, _ in runs["B"]]
+        lower = sum(y < x for x, y in zip(a, b))
+        print(f"  {name:<16} {statistics.median(a):12.4f} {statistics.median(b):12.4f} {iqr(a):10.4f}"
+              f"  {lower}/{args.pairs}  ({metric['better']} is better)")
+    digests = {d for side in runs.values() for _, d in side}
+    print("  certificate streams: " + ("identical" if len(digests) == 1 else f"{len(digests)} different"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

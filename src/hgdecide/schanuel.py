@@ -73,8 +73,9 @@ class CElem:
     def make(cls, tower: Tower, re: TowerElem, im: TowerElem | None = None) -> "CElem":
         if im is None:
             im = tower.zero()
-        if not im.is_zero and tower.coords_of_i() is not None:
-            re = re + tower.i_element() * im
+        i = tower.i_element()
+        if not im.is_zero and i is not None:
+            re = re + i * im
             im = tower.zero()
         return cls(re, im)
 
@@ -98,9 +99,9 @@ class CElem:
 
     def mul_i_power(self, k: int) -> "CElem":
         k %= 4
-        tower = self.re.tower
-        if tower.coords_of_i() is not None:
-            return CElem(self.re * tower.i_element() ** k, self.im)
+        i = self.re.tower.i_element()
+        if i is not None:
+            return CElem(self.re * i**k, self.im)
         out = self
         for _ in range(k):
             out = CElem(-out.im, out.re)
@@ -147,19 +148,15 @@ def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
     """Greedy maximal independent subset of the w's over {1, i}, then the
     lcm normalization that makes every reconstruction integral."""
     elim = Eliminator(tower.degree)
-    one = tower.one()
-    elim.try_add(list(one.coords))
-    i_coords = tower.coords_of_i()
-    has_i = i_coords is not None
+    elim.try_add(tower.one().nums)
+    i = tower.i_element()
+    has_i = i is not None
     if has_i:
-        elim.try_add(list(i_coords))
-    sprime: list[TowerElem] = []
-    for w in ws:
-        if elim.try_add(list(w.coords)):
-            sprime.append(w)
+        elim.try_add(i.nums, i.den)
+    sprime = [w for w in ws if elim.try_add(w.nums, w.den)]
     raw_rows = []
     for w in ws:
-        coeffs = elim.express(list(w.coords))
+        coeffs = elim.express(w.nums, w.den)
         if coeffs is None:
             raise DecideError("internal: w outside its own span")
         raw_rows.append(coeffs)

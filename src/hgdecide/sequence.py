@@ -38,15 +38,18 @@ times a few values of g at each end (`_windows`), and the search finds
 the crossing by exact terms, an exponential search and then bisection
 (`ExactScan._last_on`).  Elsewhere it gallops (Bentley and Yao, IPL 5(3),
 1976) in float blocks: one telescoped exact product of q(k) and of p(k)
-over the block (`_factor_products`, values by forward differences in
-`_values`) and one float log of their ratio move the log-magnitude to the
-block's end, and a block whose ends are float-settled on one side of |t|
-is committed without an exact term.  A product over a residual other
-than +-1 costs more per index the longer the span (products of 2x + 3
-and 2x + 4 and their log over 10^5 indices past 10^5, on a 2-core x86
-host: 22 ms at span 64, 40 ms at 1024, 150 ms at 16384; a constant
-c != +-1 makes a c^span of span * log2|c| bits), so float blocks span at
-most _BLOCK indices.
+over the block (`_factor_products`: a linear factor's values are an
+arithmetic progression that `_product` multiplies as a range, others come
+by forward differences in `_values`) and one float log of their ratio
+move the log-magnitude to the block's end, and a block whose ends are
+float-settled on one side of |t| is committed without an exact term.  A
+product over a residual other than +-1 costs more per index the longer
+the span (products of 2x + 3 and 2x + 4 and their log over 10^5 indices
+past 10^5, on a 2-core x86 host: 14 ms at span 64, 33 ms at 1024, 160 ms
+at 16384; a jump over 10^4 indices of the same pair took 1.4 ms with
+blocks of 64, 1.5 ms with 128 and 2.5 ms with 1024; a constant c != +-1
+makes a c^span of span * log2|c| bits), so float blocks span at most
+_BLOCK indices.
 
 Skips are needed only while |u_n| moves towards |t|.  Which way |u_n|
 moves, and whether its sign alternates, is one record of the instance,
@@ -302,7 +305,9 @@ def _values(f: IntPoly, lo: int, hi: int):
     constant, and each lower row is the running sum of the row above
     started at D^j f(lo), so d nested accumulate passes give the values
     with one big-integer addition per value and degree.  Ranges of at
-    most d + 1 values are evaluated by Horner directly.
+    most d + 1 values are evaluated by Horner directly.  A linear factor's
+    values are an arithmetic progression, which `_product` reads off the
+    coefficients as a range instead.
     """
     d = f.degree
     if hi - lo <= d + 1:
@@ -320,10 +325,17 @@ def _values(f: IntPoly, lo: int, hi: int):
 
 
 def _product(f: IntPoly, lo: int, hi: int) -> int:
-    """prod f(k) over lo <= k < hi by a balanced product tree."""
-    if f.degree == 0:
+    """prod f(k) over lo <= k < hi by a balanced product tree.  A linear
+    factor c0 + c1 x takes the values of an arithmetic progression, so a
+    leaf multiplies range(c0 + c1 lo, c0 + c1 hi, c1), read off the
+    coefficients; other leaves multiply `_values`."""
+    d = f.degree
+    if d == 0:
         return f.lead ** (hi - lo)
     if hi - lo <= _LEAF:
+        if d == 1:
+            c0, c1 = f.coeffs
+            return math.prod(range(c0 + c1 * lo, c0 + c1 * hi, c1))
         return math.prod(_values(f, lo, hi))
     mid = (lo + hi) // 2
     return _product(f, lo, mid) * _product(f, mid, hi)
@@ -357,10 +369,12 @@ def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
     shift longer than the range cancels nothing, and ranges shorter than
     _LEAF, which cost about as much as building the shift form, are
     multiplied directly: an instance whose products are all short never
-    builds it.
+    builds it.  A shift form with no pairs has no windows to multiply in.
     """
     if hi - lo >= _LEAF:
         pairs, p1, q1 = inst.shift_form
+        if not pairs:
+            return _product(q1, lo, hi), _product(p1, lo, hi)
         if all(abs(h) <= hi - lo for _, h in pairs):
             a_lo, b_lo = _windows(pairs, lo)
             a_hi, b_hi = _windows(pairs, hi)

@@ -18,6 +18,7 @@ root for a > 0, the real negative root for a < 0 with n odd, and
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,11 +85,15 @@ class Tower:
     def one(self) -> "TowerElem":
         return self.rational(1)
 
-    def i_element(self) -> "TowerElem":
+    def i_element(self) -> "TowerElem | None":
+        """i as an element, or None when the tower does not contain it."""
+        return self._i
+
+    @functools.cached_property
+    def _i(self) -> "TowerElem | None":
+        # built on first use and kept with the tower, like its product table
         ci = self.coords_of_i()
-        if ci is None:
-            raise UnsupportedInstance("tower does not contain i")
-        return self.element(ci)
+        return None if ci is None else self.element(ci)
 
     def _product_table(self) -> list[list[tuple[tuple[int, int], ...]]]:
         """basis_product(i, j) as (k, c) pairs with integer c, built once

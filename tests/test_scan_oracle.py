@@ -519,10 +519,24 @@ class TestScanCapReachable:
         assert "resource limit" in capsys.readouterr().err
 
 
+def _horner_product(coeffs, lo, hi):
+    return math.prod(_horner(coeffs, k) for k in range(lo, hi))
+
+
+# spans below, at and past one leaf of the product tree, and a deep tree
+KERNEL_SPANS = (0, 1, 63, 64, 65, 300)
+
+
 class TestValues:
+    """`_values`, `_product` and `_factor_products` against Horner values."""
+
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.integers(-(2**256), 2**256), min_size=1, max_size=33),
+        st.one_of(
+            st.lists(st.integers(-(2**256), 2**256), min_size=1, max_size=33),
+            # linear factors, which `_product` reads as arithmetic progressions
+            st.lists(st.integers(-(2**64), 2**64), min_size=2, max_size=2),
+        ),
         st.integers(-200, 200),
         st.integers(0, 80),
     )
@@ -532,6 +546,38 @@ class TestValues:
         assert list(sequence._values(f, lo, lo + length)) == [
             _horner(coeffs, k) for k in range(lo, lo + length)
         ]
+        assert sequence._product(f, lo, lo + length) == _horner_product(coeffs, lo, lo + length)
+
+    @pytest.mark.parametrize("span", KERNEL_SPANS)
+    @pytest.mark.parametrize(
+        "coeffs, lo",
+        [
+            ([3, 2], 10**5),  # 2x + 3 deep in a tail
+            ([7, -3], 40),  # negative slope
+            ([-150, 3], 10),  # a zero at x = 50, inside the longer spans
+            ([5, 2], -170),  # lo < 0, values change sign with no zero
+            ([-7, -1], -40),  # negative slope and lo < 0, a zero at -7
+            ([-6], 3),  # constant
+            ([2, -3, 1], -20),  # quadratic (x - 1)(x - 2)
+            ([1, 0, 1], 10**4),  # quadratic with no root
+        ],
+    )
+    def test_product_matches_horner(self, coeffs, lo, span):
+        f = IntPoly(tuple(coeffs))
+        assert sequence._product(f, lo, lo + span) == _horner_product(coeffs, lo, lo + span)
+
+    @pytest.mark.parametrize("span", (1, 63, 64, 65, 300))
+    @pytest.mark.parametrize("p, q", [([3, 2], [4, 2]), ([1, 0, 1], [2, 0, 1])])
+    def test_no_pair_products_are_direct(self, p, q, span):
+        # with no shift pair nothing telescopes: the products are those of
+        # q(k) and p(k) themselves, not only a pair with their ratio
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
+        assert inst.shift_form == ((), inst.p, inst.q)
+        lo = 1000
+        assert sequence._factor_products(inst, lo, lo + span) == (
+            _horner_product(q, lo, lo + span),
+            _horner_product(p, lo, lo + span),
+        )
 
 
 DEEP = 3000

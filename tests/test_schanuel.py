@@ -80,11 +80,11 @@ class TestBuildBasis:
         b = build_basis(ws, t)
         assert len(b.s) == 2
         elim = Eliminator(t.degree)
-        elim.try_add(list(t.one().coords))
+        elim.try_add(t.one().nums)
         for sp in b.sprime:
-            assert elim.try_add(list(sp.coords))
+            assert elim.try_add(sp.nums, sp.den)
         for w in ws:
-            assert elim.express(list(w.coords)) is not None
+            assert elim.express(w.nums, w.den) is not None
 
 
 class TestIdentity:

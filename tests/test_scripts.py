@@ -80,3 +80,13 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     assert {w: set(m) for w, m in record["end_to_end"]["11"].items()} == {w: e2e for w in workloads}
     assert {w: set(m) for w, m in record["per_layer"].items()} == {w: layer for w in workloads}
     assert record["python"] and record["cpu_count"] >= 1
+
+
+def test_ab_compares_two_checkouts():
+    # both sides the repository itself: one pair of smoke runs of one workload
+    out = run_script("scripts/ab.py", ROOT, ROOT, "--workload", "deep-scan", "--pairs", "1", "--smoke")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "pair 1: A decide_s" in out.stdout
+    for name in ("decide_s", "verify_s", "setup_s", "peak_rss_mb", "decided_frac"):
+        assert f"  {name} " in out.stdout
+    assert "certificate streams: identical" in out.stdout

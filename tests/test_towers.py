@@ -225,6 +225,17 @@ class TestElementArithmetic:
         # the same field in another tower object is the same element
         assert x == MultiquadraticTower((2,)).element((F(1, 2), F(-3, 4)))
 
+    @pytest.mark.parametrize("tower", [MultiquadraticTower((2, 3, -1)), CyclotomicTower(12)])
+    def test_i_element_is_built_once(self, tower):
+        i = tower.i_element()
+        assert tower.i_element() is i
+        assert i == tower.element(tower.coords_of_i())
+        assert i * i == tower.rational(-1)
+
+    @pytest.mark.parametrize("tower", [MultiquadraticTower((2, 3)), CyclotomicTower(5)])
+    def test_no_i_element_without_i(self, tower):
+        assert tower.coords_of_i() is None and tower.i_element() is None
+
     def test_elements_of_other_towers_do_not_mix(self):
         a, b = MultiquadraticTower((2,)).one(), MultiquadraticTower((3,)).one()
         with pytest.raises(FieldMismatchError):
