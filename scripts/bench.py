@@ -9,8 +9,14 @@ metrics and the certificate-stream digests, then once more at seed 11 with
 `--trace 1` for the per-layer metrics.  Each run's report is parsed: the
 digest and the host's pace from every `workload ... trace 0:` block, the
 metrics from its last line.  Metric names and units are BENCHMARK.json's.
+The `kernels` table holds the enclosure kernels' cost in this process:
+the least of 5 timed calls, in ms, of `pi_interval`, and of `exp_interval`,
+`sin_interval` and `cos_interval` at 3 * 355/113, at 256, 1024, 4096 and
+16384 bits.  Each call starts with the timed kernel's own cache cleared;
+sin and cos find the pi of their angle reduction cached, as in a decision.
 `--smoke` runs hgbench's tiny plans once, at seed 11 (both trace modes in
-one run), to check the plumbing; its numbers are no baseline.
+one run), and times the kernels at 256 bits only, to check the plumbing;
+its numbers are no baseline.
 """
 
 import argparse
@@ -20,6 +26,8 @@ import platform
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (11, 53)
@@ -28,6 +36,8 @@ TRACE_SEED = 11
 HEADER = re.compile(r"^workload (\S+) seed (\d+) trace (\d):")
 DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})")
 PACE = re.compile(r"the kernel ran ([0-9.]+)x its reference time")
+KERNEL_BITS = (256, 1024, 4096, 16384)
+KERNEL_REPEATS = 5
 
 
 def run_hgbench(seed: int, trace: int, smoke: bool) -> tuple[dict, dict, dict, bool]:
@@ -59,6 +69,32 @@ def run_hgbench(seed: int, trace: int, smoke: bool) -> tuple[dict, dict, dict, b
         workload, name = key.split("/", 1)
         metrics.setdefault(workload, {})[name] = val["value"]
     return digests, pace, metrics, proc.returncode == 0 and merged["correct"]
+
+
+def time_kernels(bits_list) -> dict:
+    """{bits: {kernel: ms}}, the least of KERNEL_REPEATS calls each."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from hgdecide import enclosure
+    from hgdecide.dyadic import DyadicInterval
+
+    table = {}
+    for bits in bits_list:
+        x = DyadicInterval.from_fraction(Fraction(3 * 355, 113), bits)
+        row = {}
+        for name in ("pi_interval", "exp_interval", "sin_interval", "cos_interval"):
+            kernel = getattr(enclosure, name)
+            args = (bits,) if name == "pi_interval" else (x, bits)
+            best = float("inf")
+            for _ in range(KERNEL_REPEATS):
+                enclosure._cos_sin_point.cache_clear()  # sin and cos share it
+                if name == "pi_interval":
+                    enclosure.pi_interval.cache_clear()
+                start = time.perf_counter()
+                kernel(*args)
+                best = min(best, time.perf_counter() - start)
+            row[name] = round(1e3 * best, 4)
+        table[str(bits)] = row
+    return table
 
 
 def main() -> int:
@@ -96,6 +132,7 @@ def main() -> int:
                 record["end_to_end"].setdefault(str(seed), {})[workload] = e2e
             if layer:
                 record["per_layer"][workload] = layer
+    record["kernels"] = time_kernels(KERNEL_BITS[:1] if args.smoke else KERNEL_BITS)
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,16 +1,17 @@
 """Rigorous enclosures of constants, and the precision ladder.
 
 The kernels return dyadic intervals guaranteed to contain the exact value:
-pi, sqrt(n), and exp, sin and cos over a dyadic interval.  `gammacanon`
-and `schanuel` build each limit's enclosure from them directly, and
-`towers` calls sin and cos for complex values.  Every constant is summed
-on plain integers scaled by 2**w (Brent 1976, "Fast multiple-precision
-evaluation of elementary functions"): pi by Machin's formula, exp, sin and
-cos by one Taylor kernel after halving the argument below 2**-8, then
-squaring or angle doubling back.  Each kernel counts its error in ulps of
-2**-w (per-term floors, the dropped tail, the rounded input and the growth
-under squaring or doubling) and folds the count into the interval; there
-is no heuristic rounding anywhere.
+pi, integer roots a**(1/k), and exp, sin and cos over a dyadic interval.
+`gammacanon` and `schanuel` build each limit's enclosure from them
+directly, and `towers` calls them to embed its bases.  Every series is
+summed by one fixed-point term loop on plain integers scaled by 2**w
+(Brent 1976, "Fast multiple-precision evaluation of elementary
+functions"): pi from the powers of Machin's formula, exp, sin and cos from
+the Taylor terms of an argument halved below 2**-R, then squared or
+angle-doubled back.  R grows with the precision.  Each kernel counts its
+error in ulps of 2**-w (per-term floors, the dropped tail, the rounded
+input and the growth under squaring or doubling) and folds the count into
+the interval; there is no heuristic rounding anywhere.
 
 An order test climbs the ladder 64, 128, 256, ... bits.  `eval_enclosure`
 is one rung: it asks the limit for its enclosure at that many bits, once.
@@ -26,71 +27,96 @@ from functools import lru_cache
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
 from .errors import IntervalStraddlesZero, PrecisionExceeded
+from .numutil import int_nthroot_floor
 
 # ---------------------------------------------------------------------------
-# Constants with explicit error terms
+# One fixed-point series loop for pi, exp, sin and cos
+#
+# A kernel value is an integer V standing for V * 2**-w (w-bit fixed point,
+# one ulp = 2**-w) with an error bound E counted in ulps: the exact value
+# lies in [(V - E) * 2**-w, (V + E) * 2**-w].  Every kernel sums its terms
+# from `_series` at w = `_guarded(prec)` bits plus the growth below, and
+# counts the sum's error with `_series_err`.  pi sums Machin's arctangents.
+# exp, sin and cos halve the argument x = man * 2**exp s times so that
+# |r| = |x| / 2**s < 2**-R (`_halvings`), sum the Taylor series of r, and
+# square (exp) or double as (C + iS)**2 (sin, cos) s times.
 # ---------------------------------------------------------------------------
-
-
-def _atan_inv_scaled(x: int, shift: int) -> tuple[int, int]:
-    """(scaled value, error bound) for atan(1/x) * 2**shift, x >= 2.
-
-    Alternating series; per-term floor error <= 1 and the truncation error
-    is below the first dropped term.
-    """
-    total = 0
-    err = 1
-    k = 0
-    xsq = x * x
-    denom_pow = x
-    while True:
-        term = (1 << shift) // ((2 * k + 1) * denom_pow)
-        if term == 0:
-            err += 1
-            break
-        total += -term if k % 2 else term
-        err += 1
-        denom_pow *= xsq
-        k += 1
-    return total, err
-
 
 # Bound on each enclosure cache: one decision asks for a few dozen distinct
 # entries, so this holds every live one and still caps memory.
 _CACHE_MAXSIZE = 256
 
 
+def _series(t: int, num: int, shift: int, den: int, step: int) -> list[int]:
+    """t_0 = t and t_j = floor(t_(j-1) * num / (2**shift * d_j)) with
+    d_j = den + (j - 1) * step, up to the first term that floors to zero.
+
+    (2**w, a, w, 1, 1) gives the Taylor terms a**j / j! of r = a * 2**-w,
+    and (2**w // x, 1, 0, x*x, 0) Machin's powers floor(2**w / x**(2k+1)):
+    nested floors of exact quotients floor the whole quotient once.
+    """
+    terms = []
+    while t:
+        terms.append(t)
+        t = (t * num >> shift) // den
+        den += step
+    return terms
+
+
+def _series_err(terms: list[int]) -> int:
+    """Ulp error of a kernel's signed sum over `terms`: 2 ulps per computed
+    term, 3 for the dropped tail and 2 for the input.
+
+    Taylor (a >= 0 is |r| < 2**-R <= 2**-8, floored to one ulp): term j is
+    off by e_j with |e_j| <= |e_(j-1)| * 2**-8 / j + 1 < 1 / (1 - 2**-8)
+    < 2 ulps.  The first term that floors to zero is below 2 ulps, so the
+    dropped tail, a geometric series of ratio 2**-8 from there, is below
+    2 * 2**8 / 255 < 3 ulps.  exp' = e**r < 1.004 and |sin'|, |cos'| <= 1
+    on |r| < 2**-8 turn the rounded input into at most 2 ulps.
+
+    Machin: each power is within one ulp and its division by 2k + 1
+    floors once more, under 2 ulps per term.  The powers fall, so the
+    alternating tail is below the first dropped term, under one ulp; the
+    input 1/x is exact.
+    """
+    return 2 * len(terms) + 5
+
+
+def _guarded(prec: int) -> int:
+    """Width w of a series sum whose ulp count, below 8w + 200 for Machin
+    and w/4 + 7 for Taylor (each term is 2**8 times below the last),
+    stays below 2**-(prec+8) of the value."""
+    return prec + prec.bit_length() + 16
+
+
+def _pi_point(prec: int) -> tuple[int, int, int]:
+    """(V, E, w): pi is V +- E ulps of 2**-w, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239), where atan(1/x) is the alternating
+    sum of x**-(2k+1) / (2k+1): each power from `_series` is divided by
+    2k + 1 while summing."""
+    w = _guarded(prec)
+    v = err = 0
+    for x, c in ((5, 16), (239, -4)):
+        terms = _series((1 << w) // x, 1, 0, x * x, 0)
+        odd = [t // (2 * k + 1) for k, t in enumerate(terms)]
+        v += c * (sum(odd[0::2]) - sum(odd[1::2]))
+        err += abs(c) * _series_err(terms)
+    return v, err, w
+
+
 @lru_cache(maxsize=_CACHE_MAXSIZE)
 def pi_interval(prec: int) -> DyadicInterval:
-    """Machin: pi = 16*atan(1/5) - 4*atan(1/239)."""
-    shift = prec + 16
-    a5, e5 = _atan_inv_scaled(5, shift)
-    a239, e239 = _atan_inv_scaled(239, shift)
-    man = 16 * a5 - 4 * a239
-    err = 16 * e5 + 4 * e239
-    return DyadicInterval(man - err, -shift, man + err, -shift).round(prec + 8)
+    v, err, w = _pi_point(prec)
+    return DyadicInterval(v - err, -w, v + err, -w).round(prec + 8)
 
 
 @lru_cache(maxsize=_CACHE_MAXSIZE)
-def sqrt_int_interval(n: int, prec: int) -> DyadicInterval:
-    m = math.isqrt(n << (2 * prec))
-    exact = m * m == n << (2 * prec)
-    return DyadicInterval(m, -prec, m if exact else m + 1, -prec)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point series kernel for exp, sin and cos
-#
-# A kernel value is an integer V standing for V * 2**-w (w-bit fixed point,
-# one ulp = 2**-w) with an error bound E counted in ulps: the exact value
-# lies in [(V - E) * 2**-w, (V + E) * 2**-w].  The argument x = man * 2**exp
-# is halved s times so that |r| = |x| / 2**s < 2**-8, the Taylor series of r
-# is summed in fixed point, and the result is squared (exp) or doubled as
-# (C + iS)**2 (sin, cos) s times.
-# ---------------------------------------------------------------------------
-
-# series arguments satisfy |r| < 2**-_REDUCED_BITS
-_REDUCED_BITS = 8
+def root_int_interval(a: int, k: int, prec: int) -> DyadicInterval:
+    """a**(1/k) for integers a >= 0, k >= 1: [m, m + 1] * 2**-prec with
+    m = floor(a**(1/k) * 2**prec), the point m when that is exact."""
+    scaled = a << (k * prec)
+    m = int_nthroot_floor(scaled, k)
+    return DyadicInterval(m, -prec, m if m**k == scaled else m + 1, -prec)
 
 
 def _aligned(x: DyadicInterval) -> tuple[int, int, int]:
@@ -99,46 +125,20 @@ def _aligned(x: DyadicInterval) -> tuple[int, int, int]:
     return x.lo_man << (x.lo_exp - e), x.hi_man << (x.hi_exp - e), e
 
 
-def _halvings(man: int, exp: int) -> int:
-    """A number s >= 0 of halvings that takes |man * 2**exp| below 2**-8."""
+def _halvings(man: int, exp: int, prec: int) -> int:
+    """Halvings s >= 0 that take |man * 2**exp| below 2**-R, where
+    R = max(8, isqrt(prec) // 2), 8 below 324 bits, trades series terms
+    against squarings or doublings near the least cost found by a sweep
+    over 256-16384 bits."""
     if man == 0:
         return 0
-    return max(0, abs(man).bit_length() + exp + _REDUCED_BITS)
+    return max(0, abs(man).bit_length() + exp + max(8, math.isqrt(prec) // 2))
 
 
 def _to_fixed(man: int, exp: int, w: int) -> int:
     """floor(man * 2**(exp + w)): at most one ulp below the exact value."""
     shift = exp + w
     return man << shift if shift >= 0 else man >> -shift
-
-
-def _taylor_terms(a: int, w: int) -> list[int]:
-    """Fixed-point terms a**j / j! (a >= 0 is r in w-bit fixed point).
-
-    Term j is floor(term(j-1) * a / (j * 2**w)), so its error e_j obeys
-    |e_j| <= |e_(j-1)| * 2**-8 / j + 1 < 1 / (1 - 2**-8) < 2 ulps.  The list
-    stops before the first term that floors to zero; that term's exact
-    value is below 2 ulps and the dropped tail, a geometric series of
-    ratio 2**-8 from there, below 2 * 2**8 / 255 < 3 ulps.
-    """
-    terms = []
-    t = 1 << w
-    j = 0
-    while t:
-        terms.append(t)
-        j += 1
-        t = (t * a >> w) // j
-    return terms
-
-
-def _series_err(terms: list[int]) -> int:
-    """Ulp error of a signed sum of `terms` from a rounded argument.
-
-    2 ulps per computed term, 3 for the dropped tail, and 2 for the input:
-    r is floored to within one ulp, and both exp' = e**r < 1.004 and
-    |sin'|, |cos'| <= 1 on |r| < 2**-8 turn that into at most 2 ulps.
-    """
-    return 2 * len(terms) + 5
 
 
 def _exp_point(man: int, exp: int, prec: int) -> tuple[int, int, int]:
@@ -149,14 +149,12 @@ def _exp_point(man: int, exp: int, prec: int) -> tuple[int, int, int]:
     ceils hi after dropping low bits, so the pair stays an enclosure with
     no further ulp accounting.  Its relative width starts at 2E * 2**-w,
     doubles at each squaring and gains at most 2**-(w+1) per rounding, so
-    w = prec + s + bits(prec) + 16 guard bits leave it below 2**-(prec+8)
-    (E < w/4 + 7 since each term is at least 2**8 times smaller than the
-    last).
+    w = `_guarded(prec)` + s leaves it below 2**-(prec+8).
     """
-    s = _halvings(man, exp)
-    w = prec + s + prec.bit_length() + 16
+    s = _halvings(man, exp, prec)
+    w = _guarded(prec) + s
     r = _to_fixed(man, exp - s, w)
-    terms = _taylor_terms(abs(r), w)
+    terms = _series(1 << w, abs(r), w, 1, 1)
     v = sum(terms) if r >= 0 else sum(terms[0::2]) - sum(terms[1::2])
     err = _series_err(terms)
     lo, hi, e = v - err, v + err, -w
@@ -188,20 +186,20 @@ def exp_interval(x: DyadicInterval, prec: int) -> DyadicInterval:
 def _cos_sin_point(man: int, exp: int, prec: int) -> tuple[int, int, int, int]:
     """(C, S, E, w): cos and sin of man * 2**exp are C, S +- E ulps of 2**-w.
 
-    The series of cos r and sin r share the terms of `_taylor_terms` and
-    both start within E0 = `_series_err` ulps.  Each doubling
+    The series of cos r and sin r share the Taylor terms of `_series`
+    and both start within E0 = `_series_err` ulps.  Each doubling
     C' = floor((C**2 - S**2) / 2**w), S' = floor(2CS / 2**w) moves the
     error to E' = E(2|C| + 2|S| + 2E) / 2**w + 1 (|C**2 - c**2| <=
     E(2|C| + E), the same for S, and |2CS - 2cs| <= 2E(|C| + |S| + E)),
     which is computed exactly, rounded up, after every step.  Since
     |C| + |S| <= sqrt(2) * 2**w, E grows by about 2*sqrt(2) < 4 per
-    doubling, so w = prec + 2s + bits(prec) + 16 guard bits leave
-    E * 2**-w below 2**-(prec+8).
+    doubling, so w = `_guarded(prec)` + 2s leaves E * 2**-w below
+    2**-(prec+8).
     """
-    s = _halvings(man, exp)
-    w = prec + 2 * s + prec.bit_length() + 16
+    s = _halvings(man, exp, prec)
+    w = _guarded(prec) + 2 * s
     r = _to_fixed(man, exp - s, w)
-    terms = _taylor_terms(abs(r), w)
+    terms = _series(1 << w, abs(r), w, 1, 1)
     c = sum(terms[0::4]) - sum(terms[2::4])
     sn = sum(terms[1::4]) - sum(terms[3::4])
     if r < 0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import DyadicInterval
-from .enclosure import exp_interval, pi_interval, sqrt_int_interval
+from .enclosure import exp_interval, pi_interval, root_int_interval
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import format_rat, is_half_integer
 from .polys import IntPoly, RootMultiset, coprime, cyclotomic
@@ -201,11 +201,11 @@ class CanonicalConstant:
         w = prec + 32
         out = DyadicInterval.from_fraction(self.theta_a, w)
         if self.theta_b:
-            out = out.add(sqrt_int_interval(self.m, w).scale(self.theta_b, w), w)
+            out = out.add(root_int_interval(self.m, 2, w).scale(self.theta_b, w), w)
         if self.ell:
             out = out.mul(pi_interval(w).pow_int(self.ell, w), w)
         if not self.base_trivial:
-            root = pi_interval(w).mul(sqrt_int_interval(self.m, w), w)
+            root = pi_interval(w).mul(root_int_interval(self.m, 2, w), w)
             x = exp_interval(root.scale(Fraction(1, self.D), w), w)
             out = out.mul(_horner(self.f, x, w), w).div(_horner(self.g, x, w), w)
         return out

@@ -191,6 +191,8 @@ def int_nthroot_floor(a: int, k: int) -> int:
         return 0
     if k == 1:
         return a
+    if k == 2:
+        return math.isqrt(a)
     x = 1 << (-(-a.bit_length() // k))
     while True:
         y = ((k - 1) * x + a // x ** (k - 1)) // k

@@ -124,13 +124,12 @@ class BasisResult:
     """Normalized basis S with integer reconstruction of every w.
 
     w_k = one_part[k] + i_part[k]*i + sum_j coeffs[k][j] * s[j], with
-    one_part in (1/2)Z, i_part in Z, and integer coeffs.  `sprime` and
-    `lcms` record the provenance: s_j = sprime_j / lcms_j.
+    one_part in (1/2)Z, i_part in Z, and integer coeffs.  `lcms` records
+    the provenance: s_j is the j-th independent w over lcms_j.
     """
 
     tower: Tower
     s: tuple[TowerElem, ...]
-    sprime: tuple[TowerElem, ...]
     lcms: tuple[int, ...]
     one_part: tuple[Fraction, ...]
     i_part: tuple[int, ...]
@@ -153,17 +152,17 @@ def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
     has_i = i is not None
     if has_i:
         elim.try_add(i.nums, i.den)
-    sprime = [w for w in ws if elim.try_add(w.nums, w.den)]
+    independent = [w for w in ws if elim.try_add(w.nums, w.den)]
     raw_rows = []
     for w in ws:
         coeffs = elim.express(w.nums, w.den)
         if coeffs is None:
             raise DecideError("internal: w outside its own span")
         raw_rows.append(coeffs)
-    m = len(sprime)
+    m = len(independent)
     base = 2 if has_i else 1
     lcms = [math.lcm(*(row[base + j].denominator for row in raw_rows)) for j in range(m)]
-    s = tuple(sp * Fraction(1, l) for sp, l in zip(sprime, lcms))
+    s = tuple(w * Fraction(1, l) for w, l in zip(independent, lcms))
     one_part = []
     i_part = []
     coeffs = []
@@ -180,10 +179,7 @@ def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
         else:
             i_part.append(0)
         coeffs.append(tuple(int(row[base + j] * lcms[j]) for j in range(m)))
-    return BasisResult(
-        tower, s, tuple(sprime), tuple(lcms),
-        tuple(one_part), tuple(i_part), tuple(coeffs),
-    )
+    return BasisResult(tower, s, tuple(lcms), tuple(one_part), tuple(i_part), tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

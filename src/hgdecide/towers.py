@@ -24,9 +24,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dyadic import ComplexInterval, DyadicInterval, value_type
-from .enclosure import cos_interval, pi_interval, sin_interval, sqrt_int_interval
+from .enclosure import cos_interval, pi_interval, root_int_interval, sin_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
-from .numutil import euler_phi, int_nthroot_floor, squarefree_decompose
+from .numutil import euler_phi, squarefree_decompose
 from .polys import QPoly, cyclotomic
 
 MULTIQUAD_GENERATOR_CAP = 4  # spec cap 3, plus one slot for adjoining i
@@ -260,7 +260,7 @@ class MultiquadraticTower(Tower):
         c = self.radicands[k]
         if c == 1:
             return ComplexInterval.from_real(DyadicInterval.from_int(1))
-        root = sqrt_int_interval(abs(c), prec)
+        root = root_int_interval(abs(c), 2, prec)
         if c > 0:
             return ComplexInterval.from_real(root)
         return ComplexInterval(DyadicInterval.from_int(0), root)
@@ -448,14 +448,9 @@ class RadicalTower(Tower):
                 out[s * self.phi + jj] = c * scalar
         return out
 
-    def _radical_interval(self, prec: int) -> DyadicInterval:
-        m = int_nthroot_floor(abs(self.a) << (self.n * prec), self.n)
-        exact = m**self.n == abs(self.a) << (self.n * prec)
-        return DyadicInterval(m, -prec, m if exact else m + 1, -prec)
-
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         s, j = divmod(k, self.phi)
-        root = self._radical_interval(prec + 8)
+        root = root_int_interval(abs(self.a), self.n, prec + 8)
         if self.a > 0:
             rad = ComplexInterval.from_real(root.pow_int(s, prec + 8))
         elif self.n % 2 == 1:

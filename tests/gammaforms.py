@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from hgdecide.dyadic import DyadicInterval
-from hgdecide.enclosure import exp_interval, pi_interval, sqrt_int_interval
+from hgdecide.enclosure import exp_interval, pi_interval, root_int_interval
 from hgdecide.errors import DecideError
 from hgdecide.polys import IntPoly
 from hgdecide.sequence import classify
@@ -19,7 +19,7 @@ def pair_value_enclosure(rho: Fraction, b: Fraction, m: int, prefactor: Fraction
     half-integer rho, with y = exp(pi b sqrt(m))."""
     w = prec + 32
     pi = pi_interval(w)
-    sqrt_m = sqrt_int_interval(m, w)
+    sqrt_m = root_int_interval(m, 2, w)
     y = exp_interval(pi.mul(sqrt_m, w).scale(b, w), w)
     y2 = y.mul(y, w)
     one = DyadicInterval.from_int(1)

@@ -20,7 +20,7 @@ def record_enclosures(monkeypatch) -> list[str]:
 
     cls = gammacanon.CanonicalConstant
     monkeypatch.setattr(cls, "limit_enclosure", counting("limit_enclosure", cls.limit_enclosure))
-    for name in ("pi_interval", "sqrt_int_interval", "exp_interval", "sin_interval", "cos_interval"):
+    for name in ("pi_interval", "root_int_interval", "exp_interval", "sin_interval", "cos_interval"):
         kernel = getattr(enclosure, name)
         for module in (enclosure, gammacanon, schanuel, towers):
             if getattr(module, name, None) is kernel:

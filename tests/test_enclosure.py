@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -11,16 +12,18 @@ from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import (
     _cos_sin_point,
     _exp_point,
+    _pi_point,
     cos_interval,
     eval_enclosure,
     exp_interval,
     pi_interval,
+    root_int_interval,
     sin_interval,
-    sqrt_int_interval,
 )
 from hgdecide.errors import IntervalStraddlesZero, PrecisionExceeded
 from hgdecide.gammacanon import CanonicalConstant
 from hgdecide.polys import IntPoly
+from hgdecide.sequence import HGInstance, Problem
 
 
 def as_fraction(x) -> F:
@@ -47,14 +50,18 @@ SINH_RATIO = CanonicalConstant(F(1, 39), F(0), 0, IntPoly.of(0, 0, 1), IntPoly.o
 
 
 def pi_sqrt(n: int, prec: int) -> DyadicInterval:
-    return pi_interval(prec).mul(sqrt_int_interval(n, prec), prec)
+    return pi_interval(prec).mul(root_int_interval(n, 2, prec), prec)
 
 
 class TestKnownConstants:
-    def test_pi(self, mp, mpref):
-        iv = pi_interval(64)
-        assert mpref(mp.pi) in iv
-        assert (iv.hi - iv.lo) <= F(1, 2 ** (64 - 4))
+    def test_pi(self):
+        for prec in (64, 256, 1024, 4096, 16384):
+            iv = pi_interval(prec)
+            with mpmath.workprec(2 * prec):
+                ref = as_fraction(mpmath.pi)
+            assert ref in iv, prec
+            # within 2**-(prec+8) relative, then rounded outward to prec + 8 bits
+            assert (iv.hi - iv.lo) <= F(1, 2 ** (prec + 4)), prec
 
     def test_exp_pi(self, mp, mpref):
         iv = exp_interval(pi_interval(128), 128)
@@ -191,45 +198,82 @@ def dyadic_arguments(draw):
     return DyadicInterval(m, e, min(m + width, lim), e), prec
 
 
+def assert_kernels_enclose(x: DyadicInterval, prec: int):
+    """exp, sin and cos over x contain mpmath's values at both ends, at
+    twice the precision, and are no wider than 2**-(prec-8) relative plus
+    the width of x times the slope."""
+    for kernel, ref_fn, slope in (
+        (exp_interval, mpmath.exp, None),
+        (sin_interval, mpmath.sin, 1),
+        (cos_interval, mpmath.cos, 1),
+    ):
+        iv = kernel(x, prec)
+        with mpmath.workprec(2 * prec):
+            refs = [
+                as_fraction(ref_fn(mpmath.ldexp(man, exp)))
+                for man, exp in ((x.lo_man, x.lo_exp), (x.hi_man, x.hi_exp))
+            ]
+        for ref in refs:
+            assert ref in iv, kernel.__name__
+        # exp is increasing, so its derivative on x is at most exp(x.hi)
+        derivative = refs[1] if slope is None else slope
+        size = max(1, *(abs(r) for r in refs))
+        limit = F(1, 2 ** (prec - 8)) * size + (x.hi - x.lo) * derivative
+        assert (iv.hi - iv.lo) <= limit, kernel.__name__
+
+
+def assert_points_meet_their_ulp_bounds(man: int, exp: int, prec: int):
+    """The kernels before the final outward rounding, whose slack would
+    hide an error count that is too small."""
+    c, s, err, w = _cos_sin_point(man, exp, prec)
+    lo, hi, e = _exp_point(man, exp, prec)
+    with mpmath.workprec(2 * w):
+        arg_mp = mpmath.ldexp(man, exp)
+        cos_ref = as_fraction(mpmath.ldexp(mpmath.cos(arg_mp), w))
+        sin_ref = as_fraction(mpmath.ldexp(mpmath.sin(arg_mp), w))
+        exp_ref = as_fraction(mpmath.exp(arg_mp))
+    assert abs(c - cos_ref) <= err and abs(s - sin_ref) <= err
+    assert F(lo) * F(2) ** e <= exp_ref <= F(hi) * F(2) ** e
+
+
 class TestSeriesKernels:
-    """exp, sin and cos enclosures against mpmath at twice the precision."""
+    """The series kernels against mpmath at twice the precision."""
+
+    @pytest.mark.parametrize("prec", [64, 100, 256, 1000, 4096, 16384])
+    def test_machin_sum_meets_its_ulp_bound(self, prec):
+        v, err, w = _pi_point(prec)
+        with mpmath.workprec(2 * w):
+            ref = as_fraction(mpmath.ldexp(mpmath.pi, w))
+        assert abs(v - ref) <= err
 
     @settings(max_examples=100, deadline=None)
     @given(dyadic_arguments())
     def test_contains_reference_and_is_tight(self, arg):
-        x, prec = arg
-        for kernel, ref_fn, slope in (
-            (exp_interval, mpmath.exp, None),
-            (sin_interval, mpmath.sin, 1),
-            (cos_interval, mpmath.cos, 1),
-        ):
-            iv = kernel(x, prec)
-            with mpmath.workprec(2 * prec):
-                refs = [
-                    as_fraction(ref_fn(mpmath.ldexp(man, exp)))
-                    for man, exp in ((x.lo_man, x.lo_exp), (x.hi_man, x.hi_exp))
-                ]
-            for ref in refs:
-                assert ref in iv, kernel.__name__
-            # exp is increasing, so its derivative on x is at most exp(x.hi)
-            derivative = refs[1] if slope is None else slope
-            size = max(1, *(abs(r) for r in refs))
-            limit = F(1, 2 ** (prec - 8)) * size + (x.hi - x.lo) * derivative
-            assert (iv.hi - iv.lo) <= limit, kernel.__name__
+        assert_kernels_enclose(*arg)
 
     @settings(max_examples=100, deadline=None)
     @given(dyadic_arguments())
     def test_point_kernels_meet_their_ulp_bounds(self, arg):
-        # the kernels before the final outward rounding, whose slack would
-        # hide an error count that is too small
         x, prec = arg
-        man, exp = x.lo_man, x.lo_exp
-        c, s, err, w = _cos_sin_point(man, exp, prec)
-        lo, hi, e = _exp_point(man, exp, prec)
-        with mpmath.workprec(2 * w):
-            arg_mp = mpmath.ldexp(man, exp)
-            cos_ref = as_fraction(mpmath.ldexp(mpmath.cos(arg_mp), w))
-            sin_ref = as_fraction(mpmath.ldexp(mpmath.sin(arg_mp), w))
-            exp_ref = as_fraction(mpmath.exp(arg_mp))
-        assert abs(c - cos_ref) <= err and abs(s - sin_ref) <= err
-        assert F(lo) * F(2) ** e <= exp_ref <= F(hi) * F(2) ** e
+        assert_points_meet_their_ulp_bounds(x.lo_man, x.lo_exp, prec)
+
+    @pytest.mark.parametrize("prec", [8192, 16384])
+    def test_deep_halvings(self, prec):
+        # past `dyadic_arguments`: arguments are halved below 2**-45 at
+        # 8192 bits and below 2**-64 at 16384
+        rng = random.Random(prec)
+        m = rng.randrange(-(1 << (prec + 8)), 1 << (prec + 8))
+        for x in (DyadicInterval.from_fraction(F(1065, 113), prec), DyadicInterval(m, -prec, m + 1, -prec)):
+            assert_kernels_enclose(x, prec)
+            assert_points_meet_their_ulp_bounds(x.lo_man, x.lo_exp, prec)
+
+
+def test_worked_pair_decides_at_32768_bits():
+    # t = L - 2**-30000 below the limit L = sinh(pi) / (39 sinh(3 pi)):
+    # the compare ladder separates them at the 32768-bit rung
+    with mpmath.workprec(30200):
+        limit = as_fraction(mpmath.sinh(mpmath.pi) / (39 * mpmath.sinh(3 * mpmath.pi)))
+    t = limit - F(1, 2**30000)
+    inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(1), t, Problem.THRESHOLD)
+    v = equality.decide(inst)
+    assert (v.result, v.reason, v.compare_precision_bits) == (True, "decreasing_tail_above_target", 32768)

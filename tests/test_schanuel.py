@@ -81,8 +81,8 @@ class TestBuildBasis:
         assert len(b.s) == 2
         elim = Eliminator(t.degree)
         elim.try_add(t.one().nums)
-        for sp in b.sprime:
-            assert elim.try_add(sp.nums, sp.den)
+        for s in b.s:
+            assert elim.try_add(s.nums, s.den)
         for w in ws:
             assert elim.express(w.nums, w.den) is not None
 

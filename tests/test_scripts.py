@@ -50,8 +50,9 @@ def test_every_traced_function_resolves(monkeypatch):
 
 
 def test_bench_records_digests_and_every_metric(tmp_path):
-    # the tiny plans at seed 11: four digests, and every metric
-    # BENCHMARK.json names, end to end per workload and per layer
+    # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
+    # names, end to end per workload and per layer, and the 256-bit row of
+    # the enclosure kernels' timings
     import json
 
     out = tmp_path / "bench.json"
@@ -79,6 +80,9 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     layer = {m["name"] for m in bench["per_layer"]}
     assert {w: set(m) for w, m in record["end_to_end"]["11"].items()} == {w: e2e for w in workloads}
     assert {w: set(m) for w, m in record["per_layer"].items()} == {w: layer for w in workloads}
+    kernels = {"pi_interval", "exp_interval", "sin_interval", "cos_interval"}
+    assert {bits: set(row) for bits, row in record["kernels"].items()} == {"256": kernels}
+    assert all(ms > 0 for ms in record["kernels"]["256"].values())
     assert record["python"] and record["cpu_count"] >= 1
 
 
