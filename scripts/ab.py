@@ -10,7 +10,10 @@ side always runs second on a warmed host.  A is the baseline and B the
 change.  For every end-to-end metric BENCHMARK.json names, it prints both
 medians, the interquartile distance of A's runs and in how many pairs B
 read lower than A, and whether the two certificate streams are the same.
-Exits 1 when a run fails or reports a wrong verdict.
+Every run gets a fresh, empty bytecode cache (PYTHONPYCACHEPREFIX, with
+PYTHONDONTWRITEBYTECODE=1), so both sides compile from source as two fresh
+clones do, whatever `__pycache__` a checkout holds.  Exits 1 when a run
+fails or reports a wrong verdict.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})", re.M)
@@ -29,8 +33,10 @@ def run_once(checkout: str, args) -> tuple[dict, str]:
     """(metrics, digest) of one hgbench run in `checkout`."""
     cmd = [sys.executable, os.path.join(checkout, "hgbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed)]
-    proc = subprocess.run(cmd + (["--smoke"] if args.smoke else []), cwd=checkout,
-                          capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(cmd + (["--smoke"] if args.smoke else []), cwd=checkout,
+                              capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     if proc.returncode != 0 or result is None or not result["correct"]:

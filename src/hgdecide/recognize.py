@@ -61,7 +61,7 @@ def _tower(kind: type, *params) -> Tower:
     The roots' towers come from here, and so does the conditional
     oracle's common tower (`ConditionalLimitOracle._common_tower`): the
     multiquadratic tower of a pair's radicands and i is shared by every
-    oracle over those radicands."""
+    oracle over those radicands, and so is a field's `IAdjoinedTower`."""
     return kind(*params)
 
 

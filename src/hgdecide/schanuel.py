@@ -11,7 +11,9 @@ root-symmetry graph, the limit is a product of conjugate-style pair values
 with M = exp(i*pi*w) and A an exact tower element.  Writing every w as an
 integer combination over a normalized basis {1, i} u S with pi*{1, i} u
 pi*S rationally independent turns "limit == t" into a Laurent-polynomial
-identity in the symbols PI, E = exp(pi), Y_j = exp(i*pi*s_j).  The
+identity in the symbols PI, E = exp(pi), Y_j = exp(i*pi*s_j), whose
+coefficients are elements of one tower that holds i: the offsets' common
+tower, with i adjoined (`towers.IAdjoinedTower`) where it lacks it.  The
 identity either cancels to 0 == 0 (an unconditional Equal) or is a
 nonzero polynomial relation that Schanuel's Conjecture rules out, giving
 a NotEqual labeled conditional.  Order comparisons and search bounds stay
@@ -44,74 +46,12 @@ from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
 from .recognize import MatchingCertificate, NoMatching, _tower, find_symmetric_matching
 from .sequence import HGInstance
-from .towers import CyclotomicTower, MultiquadraticTower, Tower, TowerElem
+from .towers import CyclotomicTower, IAdjoinedTower, MultiquadraticTower, Tower, TowerElem
 from .verdicts import EqualityDecision, Rationale
 
 logger = logging.getLogger("hgdecide.schanuel")
 
 STRESS_CHECK_BITS = 256
-
-
-# ---------------------------------------------------------------------------
-# Coefficients: tower elements with an adjoined formal i when needed
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CElem:
-    """re + i*im over a tower.
-
-    When the tower already contains i the imaginary part is folded into
-    `re` eagerly, so the zero test stays a plain coordinate check in both
-    shapes (the fold is what keeps cancellation sound: 1 + i*i must be 0).
-    """
-
-    re: TowerElem
-    im: TowerElem
-
-    @classmethod
-    def make(cls, tower: Tower, re: TowerElem, im: TowerElem | None = None) -> "CElem":
-        if im is None:
-            im = tower.zero()
-        i = tower.i_element()
-        if not im.is_zero and i is not None:
-            re = re + i * im
-            im = tower.zero()
-        return cls(re, im)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re.is_zero and self.im.is_zero
-
-    def add(self, other: "CElem") -> "CElem":
-        return CElem(self.re + other.re, self.im + other.im)
-
-    def neg(self) -> "CElem":
-        return CElem(-self.re, -self.im)
-
-    def mul(self, other: "CElem") -> "CElem":
-        if self.im.is_zero and other.im.is_zero:
-            return CElem(self.re * other.re, self.im)
-        return CElem(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def mul_i_power(self, k: int) -> "CElem":
-        k %= 4
-        i = self.re.tower.i_element()
-        if i is not None:
-            return CElem(self.re * i**k, self.im)
-        out = self
-        for _ in range(k):
-            out = CElem(-out.im, out.re)
-        return out
-
-    def embed(self, prec: int) -> ComplexInterval:
-        re = self.re.embed(prec)
-        im = self.im.embed(prec)
-        rot = ComplexInterval(im.im.neg(), im.re)  # i * im
-        return re.add(rot, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +84,13 @@ class BasisResult:
 
 
 def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
-    """Greedy maximal independent subset of the w's over {1, i}, then the
-    lcm normalization that makes every reconstruction integral."""
+    """Greedy maximal independent subset of the w's over {1, i} (the
+    tower holds i), then the lcm normalization that makes every
+    reconstruction integral."""
     elim = Eliminator(tower.degree)
     elim.try_add(tower.one().nums)
     i = tower.i_element()
-    has_i = i is not None
-    if has_i:
-        elim.try_add(i.nums, i.den)
+    elim.try_add(i.nums, i.den)
     independent = [w for w in ws if elim.try_add(w.nums, w.den)]
     raw_rows = []
     for w in ws:
@@ -160,25 +99,20 @@ def build_basis(ws: list[TowerElem], tower: Tower) -> BasisResult:
             raise DecideError("internal: w outside its own span")
         raw_rows.append(coeffs)
     m = len(independent)
-    base = 2 if has_i else 1
-    lcms = [math.lcm(*(row[base + j].denominator for row in raw_rows)) for j in range(m)]
+    lcms = [math.lcm(*(row[2 + j].denominator for row in raw_rows)) for j in range(m)]
     s = tuple(w * Fraction(1, l) for w, l in zip(independent, lcms))
     one_part = []
     i_part = []
     coeffs = []
     for row in raw_rows:
-        r = row[0]
+        r, ri = row[0], row[1]
         if not is_half_integer(r):
             raise UnsupportedInstance(f"rational offset {r} outside (1/2)Z")
+        if ri.denominator != 1:
+            raise UnsupportedInstance(f"imaginary offset {ri} not integral")
         one_part.append(r)
-        if has_i:
-            ri = row[1]
-            if ri.denominator != 1:
-                raise UnsupportedInstance(f"imaginary offset {ri} not integral")
-            i_part.append(int(ri))
-        else:
-            i_part.append(0)
-        coeffs.append(tuple(int(row[base + j] * lcms[j]) for j in range(m)))
+        i_part.append(int(ri))
+        coeffs.append(tuple(int(row[2 + j] * lcms[j]) for j in range(m)))
     return BasisResult(tower, s, tuple(lcms), tuple(one_part), tuple(i_part), tuple(coeffs))
 
 
@@ -192,10 +126,9 @@ class SymbolicIdentity:
     """Laurent polynomial over symbols (PI, E, Y_1..Y_m) asserting
     "limit - t = 0" after clearing denominators."""
 
-    tower: Tower
     basis: BasisResult
     target: Fraction
-    terms: dict  # tuple[int, ...] -> CElem
+    terms: dict  # tuple[int, ...] -> nonzero TowerElem of basis.tower
 
     @property
     def is_zero(self) -> bool:
@@ -219,42 +152,23 @@ class SymbolicIdentity:
         }
 
 
-class _Laurent:
-    """Mutable helper for building term maps."""
+def _add_term(terms: dict, exps: tuple[int, ...], c: TowerElem) -> None:
+    """Add the term c * X^exps; a sum that cancels leaves no term."""
+    acc = terms.get(exps)
+    total = c if acc is None else acc + c
+    if total.is_zero:
+        terms.pop(exps, None)
+    else:
+        terms[exps] = total
 
-    def __init__(self, nvars: int, tower: Tower):
-        self.nvars = nvars
-        self.tower = tower
-        self.terms: dict = {}
 
-    @classmethod
-    def constant(cls, nvars: int, tower: Tower, c: CElem) -> "_Laurent":
-        out = cls(nvars, tower)
-        out.add((0,) * nvars, c)
-        return out
-
-    def add(self, exps: tuple[int, ...], c: CElem) -> None:
-        """Add the term c * X^exps; a sum that cancels leaves no term."""
-        acc = self.terms.get(exps)
-        total = c if acc is None else acc.add(c)
-        if total.is_zero:
-            self.terms.pop(exps, None)
-        else:
-            self.terms[exps] = total
-
-    def mul(self, other: "_Laurent") -> "_Laurent":
-        out = _Laurent(self.nvars, self.tower)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out.add(tuple(a + b for a, b in zip(e1, e2)), c1.mul(c2))
-        return out
-
-    def sub(self, other: "_Laurent") -> "_Laurent":
-        out = _Laurent(self.nvars, self.tower)
-        out.terms = dict(self.terms)
-        for e, c in other.terms.items():
-            out.add(e, c.neg())
-        return out
+def _times(x: dict, y: dict) -> dict:
+    """The product of two term maps."""
+    out: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -283,39 +197,28 @@ class GammaPair:
         object.__setattr__(self, "rising", rising)
 
 
-def _pair_numerator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
-    """A * 2 * pi * i^delta * M as a one-term Laurent polynomial, where A
-    is the translation factor when it multiplies and 1 otherwise."""
+def _pair_terms(pair: GammaPair, basis: BasisResult, nvars: int) -> tuple[dict, dict]:
+    """The pair value's numerator A * 2 * pi * i^delta * M and denominator
+    B * w*(1 - M^2) (integer rho) or B * (1 + M^2) (half-integer rho) as
+    term maps, where the translation factor is A when it multiplies and B
+    when it divides, and the other is 1."""
+    tower = basis.tower
     integer_rho = pair.rho.denominator == 1
-    a_elem = pair.translation if pair.rising else tower.one()
-    r = basis.one_part[pair.index]
-    ri = basis.i_part[pair.index]
-    cs = basis.coeffs[pair.index]
-    # M = exp(i pi w) = i^(2r) * E^(-ri) * prod Y_j^(c_j)
-    exps = (1, -ri) + cs
-    coeff = CElem.make(tower, a_elem * 2).mul_i_power((int(2 * r) + (1 if integer_rho else 0)) % 4)
-    out = _Laurent(nvars, tower)
-    out.add(exps, coeff)
-    return out
-
-
-def _pair_denominator(pair: GammaPair, basis: BasisResult, tower: Tower, nvars: int) -> _Laurent:
-    """B * w*(1 - M^2) for integer rho, B * (1 + M^2) for half-integer rho,
-    where B is the translation factor when it divides and 1 otherwise."""
-    integer_rho = pair.rho.denominator == 1
-    base = CElem.make(tower, tower.one() if pair.rising else pair.translation)
+    a, b = (pair.translation, tower.one()) if pair.rising else (tower.one(), pair.translation)
     if integer_rho:
-        base = CElem.make(tower, pair.w).mul(base)
-    r = basis.one_part[pair.index]
+        b = pair.w * b
     ri = basis.i_part[pair.index]
     cs = basis.coeffs[pair.index]
-    # M^2 = (-1)^(2r) * E^(-2 ri) * prod Y_j^(2 c_j), entering as -M^2 or +M^2
-    msq_exps = (0, -2 * ri) + tuple(2 * c for c in cs)
-    msq_sign = (-1 if int(2 * r) % 2 else 1) * (-1 if integer_rho else 1)
-    out = _Laurent(nvars, tower)
-    out.add((0,) * nvars, base)
-    out.add(msq_exps, base.mul(CElem.make(tower, tower.rational(msq_sign))))
-    return out
+    # M = exp(i pi w) = i^(2r) * E^(-ri) * prod Y_j^(c_j), so the numerator
+    # carries i^k with k = 2r + delta; M^2 = (-1)^(2r) * E^(-2 ri) * prod
+    # Y_j^(2 c_j) enters the denominator as (-1)^k M^2
+    k = (int(2 * basis.one_part[pair.index]) + integer_rho) % 4
+    num: dict = {}
+    _add_term(num, (1, -ri) + cs, a * 2 * tower.i_element() ** k)
+    den: dict = {}
+    _add_term(den, (0,) * nvars, b)
+    _add_term(den, (0, -2 * ri) + tuple(2 * c for c in cs), b * tower.rational(-1 if k % 2 else 1))
+    return num, den
 
 
 def build_identity(
@@ -331,22 +234,25 @@ def build_identity(
     returned map holds lhs - rhs after multiplying through by every pair
     denominator, with exp(i*pi) = -1 already substituted so only PI, E and
     the Y_j symbols remain.  A translation factor that divides a pair
-    value is multiplied into the other side instead (`_pair_denominator`),
-    so the build never divides: that scales lhs - rhs by a nonzero field
+    value is multiplied into the other side instead (`_pair_terms`), so
+    the build never divides: that scales lhs - rhs by a nonzero field
     element, which keeps its term keys and its zero-ness.
     """
     tower = basis.tower
     nvars = 2 + len(basis.s)
-    lhs = _Laurent.constant(nvars, tower, CElem.make(tower, tower.rational(rational_factor)))
-    rhs = _Laurent.constant(nvars, tower, CElem.make(tower, tower.rational(t)))
+    lhs: dict = {}
+    rhs: dict = {}
+    _add_term(lhs, (0,) * nvars, tower.rational(rational_factor))
+    _add_term(rhs, (0,) * nvars, tower.rational(t))
     for pair in num_pairs:
-        lhs = lhs.mul(_pair_numerator(pair, basis, tower, nvars))
-        rhs = rhs.mul(_pair_denominator(pair, basis, tower, nvars))
+        num, den = _pair_terms(pair, basis, nvars)
+        lhs, rhs = _times(lhs, num), _times(rhs, den)
     for pair in den_pairs:
-        lhs = lhs.mul(_pair_denominator(pair, basis, tower, nvars))
-        rhs = rhs.mul(_pair_numerator(pair, basis, tower, nvars))
-    diff = lhs.sub(rhs)
-    return SymbolicIdentity(tower, basis, t, diff.terms)
+        num, den = _pair_terms(pair, basis, nvars)
+        lhs, rhs = _times(lhs, den), _times(rhs, num)
+    for exps, c in rhs.items():
+        _add_term(lhs, exps, -c)
+    return SymbolicIdentity(basis, t, lhs)
 
 
 def decide_identity(ident: SymbolicIdentity) -> bool:
@@ -460,7 +366,12 @@ class ConditionalLimitOracle:
         # Gamma at -roots(p) over Gamma at -roots(q), one basis row per pair
         raw = matched_gamma_pairs(self.cert_p) + matched_gamma_pairs(self.cert_q)
         self.tower = self._common_tower([w for _, w in raw])
-        pairs = [GammaPair(rho, self._lift(w), k) for k, (rho, w) in enumerate(raw)]
+        ws = [self._lift(w) for _, w in raw]
+        if self.tower.i_element() is None:
+            # the identity's coefficients hold powers of i
+            self.tower = _tower(IAdjoinedTower, self.tower)
+            ws = [self.tower.lift(w) for w in ws]
+        pairs = [GammaPair(rho, w, k) for k, ((rho, _), w) in enumerate(zip(raw, ws))]
         self.basis = build_basis([pair.w for pair in pairs], self.tower)
         split = len(self.cert_p.pairs)
         self.num_pairs, self.den_pairs = pairs[:split], pairs[split:]

@@ -1,19 +1,21 @@
-"""Tower fields: multiquadratic, cyclotomic, and radical extensions of Q.
+"""Tower fields: multiquadratic, cyclotomic and radical extensions of Q,
+and any of them with i adjoined.
 
-Exactly the three families the conditional decider needs.  Every tower
-knows its multiplication table and a distinguished complex embedding for
-rigorous enclosures.  An element holds integer numerators over one
-positive denominator, in lowest terms, on a closed monomial basis, so
-equal elements have equal fields; `coords` reads them as Fractions.  The
-structure constants are integers in all three families (products of
-square roots, powers of zeta reduced by the monic Phi_n, and Y^n = a), so
-a product is an integer convolution over the table and a sum an integer
-sum over the lcm of the two denominators.
+Exactly the four kinds the conditional decider needs: the roots of a
+pair live in one of the first three, and its identity in a tower that
+holds i (`IAdjoinedTower` supplies i where the roots' tower lacks it).
+Every tower knows its multiplication table and a distinguished complex
+embedding for rigorous enclosures.  An element holds integer numerators
+over one positive denominator, in lowest terms, on a closed monomial
+basis, so equal elements have equal fields; `coords` reads them as
+Fractions.  Towers are built on integers: the structure constants are
+products of square roots, powers of zeta reduced by the monic Phi_n,
+Y^n = a and i^2 = -1, so a product is an integer convolution over the
+table and a sum an integer sum over the lcm of the two denominators.
 
 Conventions for the embedding: sqrt(d) = i*sqrt(|d|) for d < 0, zeta_n =
 exp(2*pi*i/n), and the radical generator of x^n = a is the positive real
-root for a > 0, the real negative root for a < 0 with n odd, and
-|a|**(1/n) * exp(i*pi/n) otherwise.
+root for a > 0 and |a|**(1/n) * exp(i*pi/n) for a < 0.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dyadic import ComplexInterval, DyadicInterval, value_type
 from .enclosure import cos_interval, pi_interval, root_int_interval, sin_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
 from .numutil import euler_phi, squarefree_decompose
-from .polys import QPoly, cyclotomic
+from .polys import cyclotomic
 
 MULTIQUAD_GENERATOR_CAP = 4  # spec cap 3, plus one slot for adjoining i
 CYCLOTOMIC_CONDUCTOR_CAP = 24
@@ -56,13 +58,10 @@ class Tower:
     degree: int
     _table: list | None = None
 
-    def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
+    def basis_product(self, i: int, j: int) -> dict[int, int]:
         raise NotImplementedError
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
-        raise NotImplementedError
-
-    def coords_of_i(self) -> tuple[Fraction, ...] | None:
         raise NotImplementedError
 
     # -- elements ----------------------------------------------------------
@@ -85,26 +84,26 @@ class Tower:
     def one(self) -> "TowerElem":
         return self.rational(1)
 
+    def _integral(self, nums) -> "TowerElem":
+        """The element with integer coordinates `nums`."""
+        return tuple.__new__(TowerElem, (self, tuple(nums), 1))
+
+    def _unit(self, k: int) -> "TowerElem":
+        """The k-th basis element."""
+        return self._integral((0,) * k + (1,) + (0,) * (self.degree - k - 1))
+
     def i_element(self) -> "TowerElem | None":
-        """i as an element, or None when the tower does not contain it."""
+        """i as an element, or None when the tower does not contain it;
+        each kind builds it on first use as its cached `_i`."""
         return self._i
 
-    @functools.cached_property
-    def _i(self) -> "TowerElem | None":
-        # built on first use and kept with the tower, like its product table
-        ci = self.coords_of_i()
-        return None if ci is None else self.element(ci)
-
     def _product_table(self) -> list[list[tuple[tuple[int, int], ...]]]:
-        """basis_product(i, j) as (k, c) pairs with integer c, built once
-        per tower (degree^2 entries, at most 42^2 under the caps)."""
+        """basis_product(i, j) as (k, c) pairs, built once per tower
+        (degree^2 entries, at most 84^2 under the caps)."""
         table = self._table
         if table is None:
             n = self.degree
-            products = [[self.basis_product(i, j).items() for j in range(n)] for i in range(n)]
-            if any(c.denominator != 1 for row in products for entry in row for _, c in entry):
-                raise DecideError(f"internal: {self.key} has non-integral structure constants")
-            table = [[tuple((k, c.numerator) for k, c in entry) for entry in row] for row in products]
+            table = [[tuple(self.basis_product(i, j).items()) for j in range(n)] for i in range(n)]
             self._table = table
         return table
 
@@ -252,9 +251,9 @@ class MultiquadraticTower(Tower):
         self.degree = len(self.radicands)
         self.key = ("multiquadratic", self.radicands)
 
-    def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
+    def basis_product(self, i: int, j: int) -> dict[int, int]:
         coef, c = _mul_sqrt(self.radicands[i], self.radicands[j])
-        return {self.index[c]: Fraction(coef)}
+        return {self.index[c]: coef}
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         c = self.radicands[k]
@@ -265,19 +264,14 @@ class MultiquadraticTower(Tower):
             return ComplexInterval.from_real(root)
         return ComplexInterval(DyadicInterval.from_int(0), root)
 
-    def coords_of_i(self):
-        if -1 not in self.index:
-            return None
-        out = [Fraction(0)] * self.degree
-        out[self.index[-1]] = Fraction(1)
-        return tuple(out)
+    @functools.cached_property
+    def _i(self) -> TowerElem | None:
+        return self.sqrt_elem(-1) if -1 in self.index else None
 
     def sqrt_elem(self, d: int) -> TowerElem:
         if d not in self.index:
             raise DecideError(f"sqrt({d}) not in tower {self.radicands}")
-        out = [Fraction(0)] * self.degree
-        out[self.index[d]] = Fraction(1)
-        return self.element(out)
+        return self._unit(self.index[d])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +280,12 @@ class MultiquadraticTower(Tower):
 
 
 class CyclotomicTower(Tower):
-    """Q(zeta_n) with power basis 1, zeta, ..., zeta^(phi(n)-1)."""
+    """Q(zeta_n) with power basis 1, zeta, ..., zeta^(phi(n)-1).
+
+    `_powers[e]` holds the integer coordinates of zeta^e for e < n: each
+    is the one before shifted up a degree, with the top coordinate
+    reduced by the monic Phi_n.
+    """
 
     def __init__(self, n: int):
         if n < 3:
@@ -299,25 +298,16 @@ class CyclotomicTower(Tower):
         self.phi = euler_phi(n)
         self.degree = self.phi
         self.key = ("cyclotomic", n)
-        self._min_poly = cyclotomic(n).to_q()
-        self._power_cache: dict[int, tuple[Fraction, ...]] = {}
+        phi_n = cyclotomic(n).coeffs
+        powers = [(1,) + (0,) * (self.phi - 1)]
+        for _ in range(n - 1):
+            prev = powers[-1]
+            top = prev[-1]
+            powers.append(tuple(a - top * c for a, c in zip((0,) + prev[:-1], phi_n)))
+        self._powers = powers
 
-    def _power_coords(self, e: int) -> tuple[Fraction, ...]:
-        e %= self.n
-        hit = self._power_cache.get(e)
-        if hit is not None:
-            return hit
-        poly = QPoly(tuple([Fraction(0)] * e + [Fraction(1)]))
-        rem = poly.divrem(self._min_poly)[1]
-        coords = tuple(
-            rem.coeffs[k] if k < len(rem.coeffs) else Fraction(0) for k in range(self.degree)
-        )
-        self._power_cache[e] = coords
-        return coords
-
-    def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
-        coords = self._power_coords(i + j)
-        return {k: c for k, c in enumerate(coords) if c}
+    def basis_product(self, i: int, j: int) -> dict[int, int]:
+        return {k: c for k, c in enumerate(self._powers[(i + j) % self.n]) if c}
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         if k == 0:  # zeta^0 = 1 exactly: rational elements embed with no slack
@@ -325,13 +315,12 @@ class CyclotomicTower(Tower):
         angle = pi_interval(prec + 8).scale(Fraction(2 * k, self.n), prec + 8)
         return ComplexInterval(cos_interval(angle, prec), sin_interval(angle, prec))
 
-    def coords_of_i(self):
-        if self.n % 4 != 0:
-            return None
-        return self._power_coords(self.n // 4)
+    @functools.cached_property
+    def _i(self) -> TowerElem | None:
+        return self.root_of_unity(self.n // 4) if self.n % 4 == 0 else None
 
     def root_of_unity(self, e: int) -> TowerElem:
-        return self.element(self._power_coords(e))
+        return self._integral(self._powers[e % self.n])
 
     def sqrt_of(self, d: int) -> TowerElem | None:
         """The principal sqrt(d) for a squarefree integer d, or None.
@@ -382,7 +371,10 @@ class CyclotomicTower(Tower):
 class RadicalTower(Tower):
     """Q(zeta_n, a^(1/n)) with basis zeta^j * Y^s, Y^n = a.
 
-    Constructed only for x^n - a irreducible over Q(zeta_n) (otherwise
+    Y embeds as the positive real root for a > 0 and as |a|^(1/n) *
+    exp(i*pi/n) for a < 0, a root of Y^n = a for every n (`recognize`
+    folds the sign of an odd-index radicand into the roots, so it builds
+    a < 0 only for even n).  Constructed only for x^n - a irreducible over Q(zeta_n) (otherwise
     UnsupportedInstance), so the presented ring is a field: no product of
     nonzero elements is zero, which is what the division-free identity
     build in `schanuel` relies on.  The index n is at least 3: square
@@ -436,25 +428,19 @@ class RadicalTower(Tower):
                 )
 
     # basis index: k = s * phi + j  <->  zeta^j * Y^s   (j < phi, s < n)
-    def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
+    def basis_product(self, i: int, j: int) -> dict[int, int]:
         s1, j1 = divmod(i, self.phi)
         s2, j2 = divmod(j, self.phi)
         s = s1 + s2
-        scalar = Fraction(self.a) ** (s // self.n)
-        s %= self.n
-        out: dict[int, Fraction] = {}
-        for jj, c in enumerate(self._cyclo._power_coords(j1 + j2)):
-            if c:
-                out[s * self.phi + jj] = c * scalar
-        return out
+        scalar = self.a ** (s // self.n)
+        offset = s % self.n * self.phi
+        return {offset + k: c * scalar for k, c in self._cyclo.basis_product(j1, j2).items()}
 
     def embed_basis(self, k: int, prec: int) -> ComplexInterval:
         s, j = divmod(k, self.phi)
         root = root_int_interval(abs(self.a), self.n, prec + 8)
         if self.a > 0:
             rad = ComplexInterval.from_real(root.pow_int(s, prec + 8))
-        elif self.n % 2 == 1:
-            rad = ComplexInterval.from_real(root.neg().pow_int(s, prec + 8))
         else:
             angle = pi_interval(prec + 8).scale(Fraction(s, self.n), prec + 8)
             mag = root.pow_int(s, prec + 8)
@@ -464,18 +450,58 @@ class RadicalTower(Tower):
             )
         return self._cyclo.embed_basis(j, prec).mul(rad, prec)
 
-    def coords_of_i(self):
+    @functools.cached_property
+    def _i(self) -> TowerElem | None:
         if self.n % 4 != 0:
             return None
-        zi = self._cyclo._power_coords(self.n // 4)
-        out = [Fraction(0)] * self.degree
-        for jj, c in enumerate(zi):
-            out[jj] = c
-        return tuple(out)
+        return self._integral(self._cyclo._powers[self.n // 4] + (0,) * (self.degree - self.phi))
 
     def radical_root(self, zeta_power: int) -> TowerElem:
         """The root zeta^zeta_power * a^(1/n) of x^n - a."""
-        out = [Fraction(0)] * self.degree
-        for jj, c in enumerate(self._cyclo._power_coords(zeta_power)):
-            out[self.phi + jj] = c
-        return self.element(out)
+        zeta = self._cyclo._powers[zeta_power % self.n]
+        return self._integral((0,) * self.phi + zeta + (0,) * (self.degree - 2 * self.phi))
+
+
+# ---------------------------------------------------------------------------
+# i adjoined
+# ---------------------------------------------------------------------------
+
+
+class IAdjoinedTower(Tower):
+    """T(i) for a tower T without i, with basis b_0..b_(d-1), i*b_0..i*b_(d-1)
+    over T's basis b_k.
+
+    An element of T keeps its coordinates, padded with zeros (`lift`), and
+    its embedding: i*b_k embeds as i times b_k, so the nonzero coordinates
+    of a lifted element are embedded exactly as in T.  T(i) is a field,
+    since x^2 + 1 stays irreducible over a field that lacks i.
+    """
+
+    def __init__(self, base: Tower):
+        if base.i_element() is not None:
+            raise DecideError(f"{base.key} already holds i")
+        self.base = base
+        self.degree = 2 * base.degree
+        self.key = ("i-adjoined", base.key)
+
+    def basis_product(self, i: int, j: int) -> dict[int, int]:
+        d = self.base.degree
+        (e1, k1), (e2, k2) = divmod(i, d), divmod(j, d)
+        e = e1 + e2  # the power of i
+        offset, sign = (e % 2) * d, -1 if e == 2 else 1
+        return {offset + k: sign * c for k, c in self.base.basis_product(k1, k2).items()}
+
+    def embed_basis(self, k: int, prec: int) -> ComplexInterval:
+        e, k = divmod(k, self.base.degree)
+        z = self.base.embed_basis(k, prec)
+        return ComplexInterval(z.im.neg(), z.re) if e else z
+
+    @functools.cached_property
+    def _i(self) -> TowerElem:
+        return self._unit(self.base.degree)
+
+    def lift(self, x: TowerElem) -> TowerElem:
+        """x, an element of T, as an element of T(i)."""
+        if x.tower != self.base:
+            raise FieldMismatchError(f"{x.tower.key} is not the base of {self.key}")
+        return tuple.__new__(TowerElem, (self, x.nums + (0,) * self.base.degree, x.den))

@@ -13,7 +13,6 @@ from hgdecide.equality import CanonicalLimitOracle, decide
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.polys import IntPoly
 from hgdecide.schanuel import (
-    CElem,
     ConditionalLimitOracle,
     GammaPair,
     build_basis,
@@ -50,12 +49,12 @@ class TestBuildBasis:
         assert len(b.s) == 0 and b.i_part == (3, 1) and b.one_part == (F(0), F(0))
 
     def test_independent_pair(self):
-        t = MultiquadraticTower((-2, -3))
+        t = MultiquadraticTower((-2, -3, -1))
         b = build_basis([t.sqrt_elem(-2), t.sqrt_elem(-3)], t)
         assert len(b.s) == 2 and b.coeffs == ((1, 0), (0, 1))
 
     def test_lcm_normalization(self):
-        t = MultiquadraticTower((-3,))
+        t = MultiquadraticTower((-3, -1))
         w = t.sqrt_elem(-3)
         b = build_basis([w * F(3, 2), w * F(1, 2)], t)
         assert b.lcms == (3,)
@@ -63,7 +62,7 @@ class TestBuildBasis:
         assert b.coeffs == ((3,), (1,))
 
     def test_reconstruction_exact(self):
-        t = MultiquadraticTower((2, 5))
+        t = MultiquadraticTower((2, 5, -1))
         ws = [t.sqrt_elem(2) * F(2, 3) + 1, t.sqrt_elem(5), t.sqrt_elem(10) * F(1, 2)]
         b = build_basis(ws, t)
         for k, w in enumerate(ws):
@@ -75,7 +74,7 @@ class TestBuildBasis:
     def test_maximality(self):
         from hgdecide.linalg import Eliminator
 
-        t = MultiquadraticTower((2, 5))
+        t = MultiquadraticTower((2, 5, -1))
         ws = [t.sqrt_elem(2), t.sqrt_elem(5), t.sqrt_elem(2) * 2 + t.sqrt_elem(5)]
         b = build_basis(ws, t)
         assert len(b.s) == 2
@@ -158,21 +157,26 @@ class TestIdentity:
 
 
 class TestCElem:
+    """The identity's complex coefficients are tower elements: i folds into
+    a tower that holds it and is adjoined to one that lacks it."""
+
     def test_fold_when_i_present(self):
         t = MultiquadraticTower((-1,))
-        x = CElem.make(t, t.one(), t.one())  # 1 + i*1
-        assert x.im.is_zero
-        y = x.mul(CElem.make(t, t.one(), -t.one()))  # (1+i)(1-i) = 2
-        assert y.re.as_rational() == 2
+        i = t.i_element()
+        assert i == t.sqrt_elem(-1)
+        y = (t.one() + i) * (t.one() - i)  # (1+i)(1-i) = 2
+        assert y.as_rational() == 2
 
     def test_formal_i_when_absent(self):
-        t = MultiquadraticTower((2,))
-        x = CElem.make(t, t.one(), t.one())
-        assert not x.im.is_zero
-        sq = x.mul(x)  # (1+i)^2 = 2i
-        assert sq.re.is_zero and sq.im.as_rational() == 2
-        rot = x.mul_i_power(2)
-        assert rot.re.as_rational() == -1
+        from hgdecide.towers import IAdjoinedTower
+
+        base = MultiquadraticTower((2,))
+        assert base.i_element() is None
+        t = IAdjoinedTower(base)
+        i = t.i_element()
+        x = t.one() + i
+        assert x * x == i * 2  # (1+i)^2 = 2i
+        assert x * i**2 == t.rational(-1) - i
 
 
 class TestConditionalDecider:
@@ -398,25 +402,31 @@ class TestConditionalDecider:
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
 
-    # f cancels from p = f (x + 2)(x + 3), q = f (x + 1)(x + 4), so
-    # u_n = (n + 3)/(3(n + 1)) falls to L = 1/3; the matching and the
-    # identity still run in the radical tower of f, which holds i for
-    # x^4 - 2 and not for x^6 - 3 (CElem's formal i)
+    @staticmethod
+    def _cancelling(f: IntPoly, t: F, problem=Problem.MEMBERSHIP) -> HGInstance:
+        """p = f (x + 2)(x + 3), q = f (x + 1)(x + 4): f cancels, so u_n =
+        (n + 3)/(3(n + 1)) falls to L = 1/3, but the matching and the
+        identity still run in the tower of f."""
+        p, q = f * IntPoly.of(2, 1) * IntPoly.of(3, 1), f * IntPoly.of(1, 1) * IntPoly.of(4, 1)
+        return HGInstance(p, q, F(1), t, problem)
+
+    # the radical tower of f holds i for x^4 - 2; for x^6 - 3 the oracle
+    # adjoins i to it
     @pytest.mark.parametrize("f,has_i", [((-2, 0, 0, 0, 1), True), ((-3, 0, 0, 0, 0, 0, 1), False)])
     def test_radical_tower_decisions(self, f, has_i):
         from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
-        from hgdecide.towers import RadicalTower
+        from hgdecide.towers import IAdjoinedTower, RadicalTower
 
         f = IntPoly(f)
-        p, q = f * IntPoly.of(2, 1) * IntPoly.of(3, 1), f * IntPoly.of(1, 1) * IntPoly.of(4, 1)
-        tower = ConditionalLimitOracle(inst(p.coeffs, q.coeffs, 1, F(1, 3)), DEFAULT_CONFIG).tower
-        assert isinstance(tower, RadicalTower) and (tower.coords_of_i() is not None) == has_i
+        tower = ConditionalLimitOracle(self._cancelling(f, F(1, 3)), DEFAULT_CONFIG).tower
+        assert tower == (RadicalTower(4, 2) if has_i else IAdjoinedTower(RadicalTower(6, 3)))
+        assert tower.i_element() is not None
         for t, problem, exit_code, relation in [
             (F(1, 3), Problem.MEMBERSHIP, 1, None),
             (F(1, 3) - F(1, 1000), Problem.THRESHOLD, 10, "greater"),
             (F(1, 3) + F(1, 1000), Problem.THRESHOLD, 11, "less"),
         ]:
-            i = inst(p.coeffs, q.coeffs, 1, t, problem)
+            i = self._cancelling(f, t, problem)
             v = decide(i)
             assert v.exit_code == exit_code, t
             if relation is None:
@@ -424,6 +434,54 @@ class TestConditionalDecider:
             else:
                 assert (v.compare_relation, v.compare_precision_bits) == (relation, 64), t
             assert verify_certificate(certificate_dict(InstanceDocument(i, "auto"), v)) == [], t
+
+    def test_towers_without_i_keep_their_certificates(self):
+        # the same instances over the towers that lack i: Q(zeta_5) with
+        # sqrt(5) lifted into it, the sixth root of 3 and Q(zeta_5) alone;
+        # the nine certificates (timing_ms dropped) are pinned and all verify
+        import hashlib
+
+        from hgdecide.certs import InstanceDocument, certificate_dict, serialize_certificate, verify_certificate
+
+        phi5_phi10 = IntPoly.of(1, 0, 1, 0, 1, 0, 1, 0, 1)
+        digest = hashlib.sha256()
+        for f in (phi5_phi10 * IntPoly.of(-5, 0, 1), IntPoly.of(-3, 0, 0, 0, 0, 0, 1), phi5_phi10):
+            for t, problem in [
+                (F(1, 3), Problem.MEMBERSHIP),
+                (F(1, 3) - F(1, 1000), Problem.THRESHOLD),
+                (F(1, 3) + F(1, 1000), Problem.THRESHOLD),
+            ]:
+                i = self._cancelling(f, t, problem)
+                cert = certificate_dict(InstanceDocument(i, "auto"), decide(i))
+                assert verify_certificate(cert) == [], (f, t)
+                digest.update(serialize_certificate(cert).encode())
+        assert digest.hexdigest() == "023c2fd36cd9063b62cd2ef74c31a2c97b1d374d493e8c47dcd808600711303a"
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            # Phi_8 (x^4 - 2): Q(zeta_8) and the fourth root of 2
+            ((-2, 0, 0, 0, -1, 0, 0, 0, 1), "pair offsets span several towers"),
+            # (x^2 - 2)(x^4 - 2): sqrt(2) beside a radical tower
+            ((4, 0, -2, 0, -2, 0, 1), "quadratic offsets mix only into cyclotomic towers"),
+            # Phi_5 Phi_10 (x^2 - 3): sqrt(3) is not in Q(zeta_5)
+            ((-3, 0, -2, 0, -2, 0, -2, 0, -2, 0, 1), "sqrt\\(3\\) does not embed in the conductor-5 tower"),
+        ],
+    )
+    def test_common_tower_refusals(self, f, message, tmp_path, capsys):
+        import json
+
+        from hgdecide.cli import main
+
+        i = self._cancelling(IntPoly(f), F(1, 3))
+        with pytest.raises(UnsupportedInstance, match=message):
+            ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "p": list(i.p.coeffs), "q": list(i.q.coeffs), "u0": "1", "t": "1/3", "problem": "membership",
+        }))
+        assert main(["decide", str(path)]) == 2
+        capsys.readouterr()
 
     def test_building_the_oracle_embeds_nothing(self, monkeypatch):
         # the lifted sqrt(3) takes Gauss's branch and the translation factors

@@ -94,3 +94,32 @@ def test_ab_compares_two_checkouts():
     for name in ("decide_s", "verify_s", "setup_s", "peak_rss_mb", "decided_frac"):
         assert f"  {name} " in out.stdout
     assert "certificate streams: identical" in out.stdout
+
+
+def test_ab_runs_each_benchmark_on_an_empty_bytecode_cache(monkeypatch):
+    # a checkout's leftover __pycache__ must not reach the import it times:
+    # each run reads bytecode from its own fresh, empty prefix and writes none
+    import argparse
+    import importlib.util
+    import json
+
+    spec = importlib.util.spec_from_file_location("ab_script", os.path.join(ROOT, "scripts", "ab.py"))
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        env = kwargs["env"]
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((prefix, os.path.isdir(prefix) and os.listdir(prefix), env["PYTHONDONTWRITEBYTECODE"]))
+        result = {"correct": True, "metrics": {"decide_s": {"value": 1.0}}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="deep-scan", seed=1, smoke=True)
+    for _ in range(2):
+        assert ab.run_once(ROOT, args) == ({"decide_s": 1.0}, "")
+    assert [(listing, flag) for _, listing, flag in seen] == [([], "1"), ([], "1")]
+    prefixes = [prefix for prefix, _, _ in seen]
+    assert prefixes[0] != prefixes[1] and not any(os.path.exists(p) for p in prefixes)
+    assert not any(p.startswith(ROOT) for p in prefixes)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from hgdecide.errors import DecideError, FieldMismatchError, UnsupportedInstance
 from hgdecide.numutil import squarefree_decompose
+from hgdecide.polys import QPoly, cyclotomic
 from hgdecide.towers import (
     CyclotomicTower,
+    IAdjoinedTower,
     MultiquadraticTower,
     RadicalTower,
 )
@@ -74,6 +76,17 @@ class TestCyclotomic:
         with pytest.raises(UnsupportedInstance):
             CyclotomicTower(36)
 
+    def test_power_table_matches_polynomial_division(self):
+        # zeta^e is x^e mod Phi_n, read off the integer shift-and-reduce table
+        for n in range(3, 25):
+            t = CyclotomicTower(n)
+            phi_n = cyclotomic(n).to_q()
+            for e in range(2 * n):
+                rem = QPoly(tuple([F(0)] * e + [F(1)])).divrem(phi_n)[1].coeffs
+                want = tuple(rem) + (F(0),) * (t.degree - len(rem))
+                got = t.root_of_unity(e)
+                assert got.den == 1 and got.coords == want, (n, e)
+
     def test_sqrt_takes_the_principal_branch(self):
         # the branch comes from Gauss's signs of the quadratic Gauss sums,
         # with no numerics: sqrt(d) > 0 for d > 0 and i*sqrt(|d|) for d < 0,
@@ -111,6 +124,14 @@ class TestRadical:
         emb = r.embed(96)
         assert mpref(mp.root(3, 6)) in emb.re
 
+    def test_negative_radicand_takes_the_rotated_root(self, mp, mpref):
+        # Y = 2^(1/3) * exp(i*pi/3) for x^3 + 2, the same rule as for even n
+        r = RadicalTower(3, -2).radical_root(0)
+        assert (r**3).as_rational() == -2
+        emb = r.embed(96)
+        want = mp.root(2, 3) * mp.exp(1j * mp.pi / 3)
+        assert mpref(want.real) in emb.re and mpref(want.imag) in emb.im
+
     def test_index_cap(self):
         with pytest.raises(UnsupportedInstance):
             RadicalTower(9, 2)
@@ -138,6 +159,36 @@ class TestRadical:
             RadicalTower(4, 2).radical_root(0) ** -1
 
 
+class TestIAdjoined:
+    def test_i_over_a_real_field(self):
+        t = IAdjoinedTower(MultiquadraticTower((2,)))
+        i, one, r2 = t.i_element(), t.one(), t.lift(t.base.sqrt_elem(2))
+        assert i * i == t.rational(-1)
+        assert (one + i) * (one + i) == i * 2
+        assert (one + i) * (one - i) == t.rational(2)
+        assert (r2 + i) ** 2 == one + i * r2 * 2
+        # the distinguished embedding sends i to +i, the i of exp(i*pi*w)
+        emb = i.embed(64)
+        assert emb.re.contains_zero() and emb.im.lo == emb.im.hi == 1
+
+    def test_towers_with_i_are_refused(self):
+        with pytest.raises(DecideError):
+            IAdjoinedTower(CyclotomicTower(12))
+
+    @pytest.mark.parametrize("base", [CyclotomicTower(5), RadicalTower(3, 2)])
+    def test_lift_keeps_coordinates_and_embedding(self, base):
+        t = IAdjoinedTower(base)
+        rng = random.Random(5)
+        for _ in range(5):
+            x = base.element([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(base.degree)])
+            y = t.lift(x)
+            assert y.tower is t and y.nums == x.nums + (0,) * base.degree and y.den == x.den
+            for prec in (64, 256):
+                assert y.embed(prec) == x.embed(prec)
+        with pytest.raises(FieldMismatchError):
+            t.lift(MultiquadraticTower((2,)).one())
+
+
 def _plain_mul(tower, x, y):
     """Reference product: a triple loop over basis_product, no table."""
     out = [F(0)] * tower.degree
@@ -156,6 +207,8 @@ FIELDS = [
     CyclotomicTower(12),
     RadicalTower(4, 2),
     RadicalTower(3, 2),
+    IAdjoinedTower(MultiquadraticTower((2,))),
+    IAdjoinedTower(CyclotomicTower(5)),
 ]
 
 
@@ -229,12 +282,11 @@ class TestElementArithmetic:
     def test_i_element_is_built_once(self, tower):
         i = tower.i_element()
         assert tower.i_element() is i
-        assert i == tower.element(tower.coords_of_i())
         assert i * i == tower.rational(-1)
 
     @pytest.mark.parametrize("tower", [MultiquadraticTower((2, 3)), CyclotomicTower(5)])
     def test_no_i_element_without_i(self, tower):
-        assert tower.coords_of_i() is None and tower.i_element() is None
+        assert tower.i_element() is None
 
     def test_elements_of_other_towers_do_not_mix(self):
         a, b = MultiquadraticTower((2,)).one(), MultiquadraticTower((3,)).one()
