@@ -10,10 +10,12 @@ side always runs second on a warmed host.  A is the baseline and B the
 change.  For every end-to-end metric BENCHMARK.json names, it prints both
 medians, the interquartile distance of A's runs and in how many pairs B
 read lower than A, and whether the two certificate streams are the same.
-Every run gets a fresh, empty bytecode cache (PYTHONPYCACHEPREFIX, with
-PYTHONDONTWRITEBYTECODE=1), so both sides compile from source as two fresh
-clones do, whatever `__pycache__` a checkout holds.  Exits 1 when a run
-fails or reports a wrong verdict.
+Every run reads bytecode from one prefix (PYTHONPYCACHEPREFIX, with
+PYTHONDONTWRITEBYTECODE=1) that holds the standard library's, compiled
+once per invocation, and nothing else: both sides compile the checkout
+from source as two fresh clones do, whatever `__pycache__` a checkout
+holds, and no run times the compilation of the standard library or
+writes anything.  Exits 1 when a run fails or reports a wrong verdict.
 """
 
 import argparse
@@ -23,20 +25,30 @@ import re
 import statistics
 import subprocess
 import sys
+import sysconfig
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})", re.M)
+# standard-library directories no benchmark imports (and lib2to3's test
+# data does not compile)
+STDLIB_SKIP = r"/(test|idlelib|lib2to3|tkinter|ensurepip|site-packages)/"
 
 
-def run_once(checkout: str, args) -> tuple[dict, str]:
-    """(metrics, digest) of one hgbench run in `checkout`."""
+def fill_stdlib_bytecode(prefix: str) -> None:
+    """Compile the standard library's bytecode into the prefix `prefix`."""
+    subprocess.run([sys.executable, "-X", f"pycache_prefix={prefix}", "-m", "compileall", "-q",
+                    "-j", "2", "-x", STDLIB_SKIP, sysconfig.get_paths()["stdlib"]], check=True)
+
+
+def run_once(checkout: str, args, prefix: str) -> tuple[dict, str]:
+    """(metrics, digest) of one hgbench run in `checkout`, reading bytecode
+    from `prefix` and writing none."""
     cmd = [sys.executable, os.path.join(checkout, "hgbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed)]
-    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
-        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(cmd + (["--smoke"] if args.smoke else []), cwd=checkout,
-                              capture_output=True, text=True, env=env)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": prefix, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd + (["--smoke"] if args.smoke else []), cwd=checkout,
+                          capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     if proc.returncode != 0 or result is None or not result["correct"]:
@@ -65,11 +77,13 @@ def main() -> int:
     with open(os.path.join(dirs["A"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     runs = {"A": [], "B": []}
-    for k in range(1, args.pairs + 1):
-        for side in ("A", "B") if k % 2 else ("B", "A"):
-            runs[side].append(run_once(dirs[side], args))
-        print(f"pair {k}: " + ", ".join(
-            f"{side} decide_s {runs[side][-1][0]['decide_s']:.4f}" for side in ("A", "B")), flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as prefix:
+        fill_stdlib_bytecode(prefix)
+        for k in range(1, args.pairs + 1):
+            for side in ("A", "B") if k % 2 else ("B", "A"):
+                runs[side].append(run_once(dirs[side], args, prefix))
+            print(f"pair {k}: " + ", ".join(
+                f"{side} decide_s {runs[side][-1][0]['decide_s']:.4f}" for side in ("A", "B")), flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, A = {dirs['A']}, B = {dirs['B']}")
     print(f"  {'metric':<16} {'A median':>12} {'B median':>12} {'A IQR':>10}  B lower")
     for metric in bench["end_to_end"]:

@@ -10,7 +10,8 @@ identities of its conditional oracle (schanuel), recognizers
 """
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .equality import compare, decide, decide_equal
+from .enclosure import compare
+from .equality import decide, decide_equal
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import IntPoly, QPoly, cyclotomic, roots_quadratic
 from .recognize import (

@@ -18,6 +18,7 @@ from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
+from .recognize import NoMatching, find_symmetric_matching
 from .sequence import ExactScan, HGInstance, Problem
 from .verdicts import Conditionality, Verdict
 
@@ -359,8 +360,6 @@ def _verify_canonical(desc: dict) -> list[str]:
 def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:
     """Each side's matching names the instance's own p or q as its source,
     and its pairs are those the matching search finds for it again."""
-    from .recognize import NoMatching, find_symmetric_matching
-
     if not isinstance(desc, dict):
         return ["matching invalid: must be an object"]
     out = []

@@ -62,8 +62,6 @@ def _real_quad_factor(rng: random.Random, center2: int) -> IntPoly:
     center2 = twice the root center, so odd values exercise the
     half-integer lattice (roots like (1 +- sqrt(5))/2).
     """
-    import math
-
     while True:
         c = rng.randint(-6, max(center2 * center2 // 4 - 1, -1))
         disc = center2 * center2 - 4 * c

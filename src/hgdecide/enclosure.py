@@ -13,15 +13,22 @@ error in ulps of 2**-w (per-term floors, the dropped tail, the rounded
 input and the growth under squaring or doubling) and folds the count into
 the interval; there is no heuristic rounding anywhere.
 
-An order test climbs the ladder 64, 128, 256, ... bits.  `eval_enclosure`
-is one rung: it asks the limit for its enclosure at that many bits, once.
-A rung whose enclosure divides by an interval straddling zero answers
-nothing, and the ladder goes on to the next.
+The order test of both limit oracles, `compare`, climbs the ladder 64,
+128, 256, ... bits.  `eval_enclosure` is one rung: it asks the limit for
+its enclosure at that many bits, once.  A rung whose enclosure divides by
+an interval straddling zero answers nothing, and the ladder goes on to the
+next.  Order is the recursively enumerable side: `compare` runs only with
+a NotEqual proof in hand, so some rung separates the limit from t and the
+climb terminates.  It returns the separating rung's enclosure with the
+sign and the bits, and the balanced verdict asks that same enclosure
+whether the tail's crossing of t lies past the scan cap, before any scan
+looks for it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -301,3 +308,28 @@ def precision_ladder(probe, start_bits: int, config: EngineConfig = DEFAULT_CONF
         if bits >= config.precision_cap_bits:
             raise PrecisionExceeded(f"no separation at {bits} bits (cap {config.precision_cap_bits})")
         bits = min(2 * bits, config.precision_cap_bits)
+
+
+def compare(
+    value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG
+) -> tuple[int, int, DyadicInterval]:
+    """Sign of (value - t) by interval refinement; returns (sign, bits,
+    enclosure), the enclosure the rung at `bits` gave, which lies wholly
+    on side `sign` of t.
+
+    The one order test of both limit oracles: `value` is a
+    `CanonicalConstant` or a `ConditionalLimitOracle`, and the ladder asks
+    for its enclosure at 64, 128, ... bits, once per rung, until t lies
+    outside it.  Callers must hold a NotEqual decision, which guarantees
+    termination; the precision cap turns pathological closeness into a
+    resource error, never a wrong answer.
+    """
+    t = Fraction(t)
+
+    def probe(bits):
+        enc = eval_enclosure(value, bits, config)
+        sign = enc.compare_fraction(t)
+        return None if sign is None else (sign, enc)
+
+    (sign, enc), bits = precision_ladder(probe, COMPARE_START_BITS, config)
+    return sign, bits, enc

@@ -16,13 +16,7 @@ transcendence degree below 2).  The case split:
     coefficients, so it cannot vanish at the transcendental x (ell = 0),
     and with ell != 0 a relation would contradict Nesterenko.
 
-Order (`compare`) is the recursively enumerable side, and one test serves
-both limit oracles: climb the precision ladder, asking the limit for its
-enclosure once per rung, until the enclosure excludes t.  It runs only
-with a NotEqual proof in hand, so termination is guaranteed.  It returns
-the separating rung's enclosure with the sign and the bits, and the
-balanced verdict asks that same enclosure whether the tail's crossing of
-t lies past the scan cap, before any scan looks for it.
+Both oracles order the limit with one test, `enclosure.compare`.
 """
 
 from __future__ import annotations
@@ -32,10 +26,11 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
-from .enclosure import COMPARE_START_BITS, eval_enclosure, precision_ladder
+from .enclosure import compare
 from .errors import DecideError, ScanCapExceeded, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
-from .polys import NotSplitting, roots_quadratic
+from .polys import roots_quadratic
+from .schanuel import ConditionalLimitOracle
 from .sequence import (
     AsymptoticClass,
     ExactScan,
@@ -68,31 +63,6 @@ def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
     return EqualityDecision(False, Rationale.TRANSCENDENCE_OBSTRUCTION)
 
 
-def compare(
-    value, t: Fraction, config: EngineConfig = DEFAULT_CONFIG
-) -> tuple[int, int, DyadicInterval]:
-    """Sign of (value - t) by interval refinement; returns (sign, bits,
-    enclosure), the enclosure the rung at `bits` gave, which lies wholly
-    on side `sign` of t.
-
-    The one order test of both limit oracles: `value` is a
-    `CanonicalConstant` or a `ConditionalLimitOracle`, and the ladder asks
-    for its enclosure at 64, 128, ... bits, once per rung, until t lies
-    outside it.  Callers must hold a NotEqual decision, which guarantees
-    termination; the precision cap turns pathological closeness into a
-    resource error, never a wrong answer.
-    """
-    t = Fraction(t)
-
-    def probe(bits):
-        enc = eval_enclosure(value, bits, config)
-        sign = enc.compare_fraction(t)
-        return None if sign is None else (sign, enc)
-
-    (sign, enc), bits = precision_ladder(probe, COMPARE_START_BITS, config)
-    return sign, bits, enc
-
-
 # ---------------------------------------------------------------------------
 # Limit oracles
 # ---------------------------------------------------------------------------
@@ -103,14 +73,7 @@ class CanonicalLimitOracle:
     raises UnsupportedInstance outside the rational / single imaginary quadratic class."""
 
     def __init__(self, inst: HGInstance, config: EngineConfig):
-        roots = []
-        for side, poly in (("p", inst.p), ("q", inst.q)):
-            r = roots_quadratic(poly)
-            if isinstance(r, NotSplitting):
-                raise UnsupportedInstance(
-                    f"{side} has an irreducible factor of degree {r.blocker.degree}", r
-                )
-            roots.append(r)
+        roots = roots_quadratic(inst.p), roots_quadratic(inst.q)
         self.constant = canonicalize(limit_as_gamma(inst.p, inst.q, *roots)).scale(inst.u0)
         self.config = config
 
@@ -133,7 +96,6 @@ def limit_oracle(inst: HGInstance, config: EngineConfig, conditional: bool):
     except UnsupportedInstance:
         if not conditional:
             raise
-    from .schanuel import ConditionalLimitOracle  # schanuel imports compare from here
     return ConditionalLimitOracle(inst, config)
 
 

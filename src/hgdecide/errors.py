@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.  An error is its message: a
+refusal (UnsupportedInstance) or a bad document (ParseError) carries no
+other field."""
 
 
 class DecideError(Exception):
@@ -33,18 +35,13 @@ class ScanCapExceeded(DecideError):
 class UnsupportedInstance(DecideError):
     """The instance falls outside the class a decider can handle.
 
-    Carries enough context (``detail``) for the CLI to report why and, where
-    relevant, evidence such as a maximal matching.
+    The one refusal of both limit oracles and of the algebra below them;
+    the message says why, and the CLI reports it with exit code 2.
     """
-
-    def __init__(self, message: str, detail: object = None):
-        super().__init__(message)
-        self.detail = detail
 
 
 class ParseError(DecideError):
-    """An instance or certificate document failed validation."""
+    """An instance or certificate document failed validation; the message names where."""
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
-        self.location = location

@@ -31,7 +31,7 @@ g in x^2, for one); the contract is the exact value identity, and
 equality decisions never compare tuples structurally.
 
 `CanonicalConstant.limit_enclosure` encloses the value straight from the
-`enclosure` kernels, the rung that `equality.compare` asks for.
+`enclosure` kernels, the rung that `enclosure.compare` asks for.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .dyadic import DyadicInterval
 from .enclosure import exp_interval, pi_interval, root_int_interval
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import format_rat, is_half_integer
-from .polys import IntPoly, RootMultiset, coprime, cyclotomic
+from .polys import IntPoly, RootEntry, coprime, cyclotomic
 from .sequence import classify
 
 # largest e in the x^e and x^(2e) +- 1 factors that canonicalize builds (a
@@ -69,7 +69,7 @@ class GammaProduct:
 
 
 def limit_as_gamma(
-    p: IntPoly, q: IntPoly, roots_p: RootMultiset, roots_q: RootMultiset
+    p: IntPoly, q: IntPoly, roots_p: tuple[RootEntry, ...], roots_q: tuple[RootEntry, ...]
 ) -> GammaProduct:
     """Express prod_{k>=0} q(k)/p(k) as a gamma ratio.
 
@@ -83,9 +83,9 @@ def limit_as_gamma(
     if not classify(p, q).is_balanced:
         raise UnsupportedInstance("limit_as_gamma needs a balanced shift quotient")
 
-    def negate_all(rm: RootMultiset):
+    def negate_all(roots: tuple[RootEntry, ...]):
         rat, pairs = [], []
-        for e in rm.entries:
+        for e in roots:
             if isinstance(e.root, Fraction):
                 if e.root.denominator == 1 and e.root >= 0:
                     raise UnsupportedInstance(f"gamma argument {-e.root} is a nonpositive integer")

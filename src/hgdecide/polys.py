@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DecideError, UnsupportedInstance
-from .numutil import euler_phi, factorize, perfect_power_root, squarefree_decompose
+from .numutil import euler_phi, factorize, is_probable_prime, perfect_power_root, squarefree_decompose
 
 DEGREE_CAP = 32
 COEFF_BIT_CAP = 256
@@ -418,7 +418,7 @@ def _good_prime(f: IntPoly, df: IntPoly) -> int:
     discriminant of f, squarefree with derivative df: f stays so mod l."""
     l = 3
     while True:
-        if f.lead % l and all(l % k for k in range(3, math.isqrt(l) + 1, 2)):
+        if f.lead % l and is_probable_prime(l):
             if len(_gcd_mod(_trim_mod(f.coeffs, l), _trim_mod(df.coeffs, l), l)) == 1:
                 return l
         l += 2
@@ -594,31 +594,20 @@ class QuadRoot(NamedTuple):
 
 @dataclass(frozen=True)
 class RootEntry:
+    """A root with its multiplicity; `roots_quadratic` returns a tuple of them."""
+
     root: Fraction | QuadRoot
     mult: int
 
 
-@dataclass(frozen=True)
-class RootMultiset:
-    entries: tuple[RootEntry, ...]
-
-
-class NotSplitting:
-    """Sentinel: an irreducible factor of degree >= 3 blocks quadratic roots."""
-
-    def __init__(self, blocker: IntPoly):
-        self.blocker = blocker
-
-    def __repr__(self):
-        return f"NotSplitting({self.blocker!r})"
-
-
-def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
+def roots_quadratic(f: IntPoly) -> tuple[RootEntry, ...]:
     """All roots of monic f as rationals and `QuadRoot` records a + b*sqrt(d).
 
     Succeeds exactly when f splits into linear and quadratic irreducible
-    factors over Q.  Reported roots satisfy the integral-basis shape of
-    quadratic integers (a, b integral, or both half-integral when
+    factors over Q, and raises UnsupportedInstance otherwise: for a
+    non-monic f, past `factor_monic`'s caps, and for an irreducible factor
+    of degree 3 or more.  Reported roots satisfy the integral-basis shape
+    of quadratic integers (a, b integral, or both half-integral when
     d = 1 mod 4); every factor is verified by exact expansion.
     """
     if not f.is_monic or f.degree < 1:
@@ -642,5 +631,5 @@ def roots_quadratic(f: IntPoly) -> RootMultiset | NotSplitting:
             entries.append(RootEntry(QuadRoot(a, b, d), mult))
             entries.append(RootEntry(QuadRoot(a, -b, d), mult))
         else:
-            return NotSplitting(g)
-    return RootMultiset(tuple(entries))
+            raise UnsupportedInstance(f"{f!r} has an irreducible factor of degree {g.degree}")
+    return tuple(entries)

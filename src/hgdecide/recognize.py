@@ -88,7 +88,7 @@ def _exact_roots(g: IntPoly) -> tuple | None:
     roots -zeta_d^j * a^(1/d) in the tower of x^d - a.
     """
     if g.degree == 2:
-        roots = sorted((e.root for e in roots_quadratic(g).entries), key=lambda r: (r.a, r.b))
+        roots = sorted((e.root for e in roots_quadratic(g)), key=lambda r: (r.a, r.b))
         tower = _tower(MultiquadraticTower, (roots[0].d,))
         return tuple(tower.element((r.a, r.b)) for r in roots)
     n = cyclotomic_index(g)
@@ -132,7 +132,6 @@ class Vertex:
 
 @dataclass(frozen=True)
 class SymmetryGraph:
-    source: IntPoly
     factors: tuple[FactorRoots, ...]
     vertices: tuple[Vertex, ...]
     adjacency: tuple[frozenset, ...]  # indices into `vertices`
@@ -234,7 +233,7 @@ def build_symmetry_graph(f: IntPoly) -> SymmetryGraph:
                     adjacency[vj].add(vi)
                     edge_center[min(vi, vj), max(vi, vj)] = rho
     return SymmetryGraph(
-        f, tuple(factors), tuple(vertices),
+        tuple(factors), tuple(vertices),
         tuple(frozenset(s) for s in adjacency), edge_center,
     )
 
@@ -269,16 +268,8 @@ class MatchingCertificate:
 
 @dataclass(frozen=True)
 class NoMatching:
-    source: IntPoly
     vertex_count: int
     best_size: int
-
-    def describe(self) -> dict:
-        return {
-            "source": list(self.source.coeffs),
-            "vertices": self.vertex_count,
-            "max_matching_size": self.best_size,
-        }
 
 
 def _maximum_matching(adj: list[frozenset]) -> list[tuple[int, int]]:
@@ -332,7 +323,7 @@ def find_symmetric_matching(f: IntPoly) -> MatchingCertificate | NoMatching:
     graph = build_symmetry_graph(f)
     best = _maximum_matching(list(graph.adjacency))
     if 2 * len(best) != len(graph.vertices):
-        return NoMatching(f, len(graph.vertices), len(best))
+        return NoMatching(len(graph.vertices), len(best))
     pairs = []
     for i, j in best:
         vi, vj = graph.vertices[i], graph.vertices[j]

@@ -32,13 +32,13 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import ComplexInterval, DyadicInterval
 from .enclosure import (
+    compare,
     cos_interval,
     exp_interval,
     pi_interval,
     precision_ladder,
     sin_interval,
 )
-from .equality import compare
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import format_rat, is_half_integer
 from .gammacanon import integer_gamma_ratio, translation_squares
@@ -330,14 +330,9 @@ def stress_check_identity(ident: SymbolicIdentity, config: EngineConfig = DEFAUL
 def matched_gamma_pairs(cert: MatchingCertificate) -> list[tuple[Fraction, object]]:
     """Gamma-argument pairs from a root matching: roots u = rho + w pair
     into arguments -u = (-rho) - w, so the argument center is -rho."""
-    out = []
-    for p in cert.pairs:
-        if p.w is None:
-            raise UnsupportedInstance(
-                "matched roots lack an exact tower representation", cert.describe()
-            )
-        out.append((-p.rho, p.w))
-    return out
+    if any(p.w is None for p in cert.pairs):
+        raise UnsupportedInstance("matched roots lack an exact tower representation")
+    return [(-p.rho, p.w) for p in cert.pairs]
 
 
 def _rational_gamma_args(f: IntPoly) -> list[int]:
@@ -346,7 +341,7 @@ def _rational_gamma_args(f: IntPoly) -> list[int]:
 
 
 class ConditionalLimitOracle:
-    """Equality via the symbolic identity; order by `equality.compare` over
+    """Equality via the symbolic identity; order by `enclosure.compare` over
     `limit_enclosure`, the product of the pair-value enclosures.
 
     A pure function of its instance: nothing is stored after construction,
@@ -360,7 +355,7 @@ class ConditionalLimitOracle:
         for side, poly in (("p", inst.p), ("q", inst.q)):
             cert = find_symmetric_matching(poly)
             if isinstance(cert, NoMatching):
-                raise UnsupportedInstance(f"{side} lacks a perfect root matching", cert.describe())
+                raise UnsupportedInstance(f"{side} lacks a perfect root matching")
             certs.append(cert)
         self.cert_p, self.cert_q = certs
         # Gamma at -roots(p) over Gamma at -roots(q), one basis row per pair

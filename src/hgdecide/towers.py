@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .dyadic import ComplexInterval, DyadicInterval, value_type
 from .enclosure import cos_interval, pi_interval, root_int_interval, sin_interval
 from .errors import DecideError, FieldMismatchError, UnsupportedInstance
-from .numutil import euler_phi, squarefree_decompose
+from .numutil import euler_phi, factorize, perfect_power_root, squarefree_decompose
 from .polys import cyclotomic
 
 MULTIQUAD_GENERATOR_CAP = 4  # spec cap 3, plus one slot for adjoining i
@@ -337,8 +337,6 @@ class CyclotomicTower(Tower):
         conductor = abs(d) if d % 4 == 1 else 4 * abs(d)
         if d in (0, 1) or self.n % conductor:
             return None
-        from .numutil import factorize
-
         val = self.one()
         turns = 0  # val embeds as i^turns times a positive real
         rem = d
@@ -407,8 +405,6 @@ class RadicalTower(Tower):
         a rational p-th power; and a rational is a square in K exactly
         when the conductor of its squarefree part divides n.
         """
-        from .numutil import factorize, perfect_power_root, squarefree_decompose
-
         n, a = self.n, self.a
         for p in factorize(n):
             if p == 2:

@@ -587,6 +587,20 @@ class TestCLI:
         assert main(["decide", str(f)]) == 2  # no matching: unsupported
         capsys.readouterr()
 
+    def test_cubic_factor_refusal_names_the_polynomial(self, tmp_path, capsys):
+        # monic and balanced, with no violation up to k1 + 2: the verdict
+        # needs the limit, and x^3 - 2 does not split over a quadratic field
+        f = tmp_path / "inst.json"
+        for cmd in ("decide", "canon"):
+            f.write_text(json.dumps(doc([-2, 0, 0, 1], [-3, 0, 0, 1], "1", "1/10", "threshold", "unconditional")))
+            assert main([cmd, str(f)]) == 2
+            err = capsys.readouterr().err
+            assert "IntPoly(-2 + 1*x^3) has an irreducible factor of degree 3" in err
+        # the conditional oracle refuses it for want of a root matching
+        f.write_text(json.dumps(doc([-2, 0, 0, 1], [-3, 0, 0, 1], "1", "1/10", "threshold")))
+        assert main(["decide", str(f)]) == 2
+        assert "p lacks a perfect root matching" in capsys.readouterr().err
+
     def test_decide_verify_round_trip(self, tmp_path, capsys):
         f = tmp_path / "inst.json"
         out = tmp_path / "cert.json"

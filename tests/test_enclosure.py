@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdecide import equality
+from hgdecide import enclosure, equality
 from hgdecide.config import EngineConfig
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import (
@@ -138,7 +138,7 @@ class TestLadder:
             calls.append((args[1], out))
             return out
 
-        monkeypatch.setattr(equality, "eval_enclosure", recording_eval)
+        monkeypatch.setattr(enclosure, "eval_enclosure", recording_eval)
         sign, bits, enc = equality.compare(value, q)
         assert (sign, bits) == (1, 1024)
         assert value.asked == [64, 128, 256, 512, 1024]

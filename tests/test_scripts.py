@@ -49,6 +49,35 @@ def test_every_traced_function_resolves(monkeypatch):
     assert tracer.missing == []
 
 
+def test_package_imports_at_module_top_without_a_cycle():
+    # every import runs when its module loads, and the intra-package
+    # `from .x import` edges form no cycle, so any module can load first
+    import ast
+    import glob
+
+    nested, edges = set(), {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hgdecide", "*.py"))):
+        name = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {
+                    f"{name}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+        edges[name] = {
+            target.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+    assert sorted(nested) == []
+    # strip modules that import no remaining module until none is left
+    graph = {name: deps & edges.keys() for name, deps in edges.items()}
+    while leaves := {name for name, deps in graph.items() if not deps}:
+        graph = {name: deps - leaves for name, deps in graph.items() if name not in leaves}
+    assert graph == {}
+
+
 def test_bench_records_digests_and_every_metric(tmp_path):
     # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
     # names, end to end per workload and per layer, and the 256-bit row of
@@ -96,30 +125,54 @@ def test_ab_compares_two_checkouts():
     assert "certificate streams: identical" in out.stdout
 
 
-def test_ab_runs_each_benchmark_on_an_empty_bytecode_cache(monkeypatch):
-    # a checkout's leftover __pycache__ must not reach the import it times:
-    # each run reads bytecode from its own fresh, empty prefix and writes none
+def test_ab_runs_each_benchmark_on_one_stdlib_bytecode_prefix(monkeypatch, tmp_path):
+    # neither a checkout's leftover __pycache__ nor the compilation of the
+    # standard library may reach the import a run times: every run, on both
+    # sides, reads the one prefix that holds the standard library's
+    # bytecode and nothing of either checkout, and writes nothing to it
     import argparse
     import importlib.util
     import json
+    import shutil
+    import sysconfig
 
     spec = importlib.util.spec_from_file_location("ab_script", os.path.join(ROOT, "scripts", "ab.py"))
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    prefix = str(tmp_path / "prefix")
+    ab.fill_stdlib_bytecode(prefix)
+
+    def listing():
+        return sorted(os.path.join(d, f) for d, _, files in os.walk(prefix) for f in files)
+
+    def under(path, root):
+        return path.startswith(os.path.join(prefix, root.lstrip(os.sep)) + os.sep)
+
+    stdlib = sysconfig.get_paths()["stdlib"]
+    filled = listing()
+    assert os.path.join(prefix, stdlib.lstrip(os.sep), "json", f"__init__.{sys.implementation.cache_tag}.pyc") in filled
+    assert all(under(path, stdlib) for path in filled)
+
+    other = tmp_path / "other"
+    shutil.copytree(os.path.join(ROOT, "src"), other / "src")
+    checkouts = [ROOT, str(other)]
+    real_run = subprocess.run
     seen = []
 
     def fake_run(cmd, **kwargs):
+        # import the engine as the run would, from the checkout's source
         env = kwargs["env"]
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        seen.append((prefix, os.path.isdir(prefix) and os.listdir(prefix), env["PYTHONDONTWRITEBYTECODE"]))
+        seen.append((env["PYTHONPYCACHEPREFIX"], env["PYTHONDONTWRITEBYTECODE"]))
+        src = os.path.join(kwargs["cwd"], "src")
+        code = f"import hgdecide.cli; assert hgdecide.cli.__file__.startswith({src!r})"
+        real_run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, check=True)
         result = {"correct": True, "metrics": {"decide_s": {"value": 1.0}}}
         return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
 
     monkeypatch.setattr(ab.subprocess, "run", fake_run)
     args = argparse.Namespace(workload="deep-scan", seed=1, smoke=True)
-    for _ in range(2):
-        assert ab.run_once(ROOT, args) == ({"decide_s": 1.0}, "")
-    assert [(listing, flag) for _, listing, flag in seen] == [([], "1"), ([], "1")]
-    prefixes = [prefix for prefix, _, _ in seen]
-    assert prefixes[0] != prefixes[1] and not any(os.path.exists(p) for p in prefixes)
-    assert not any(p.startswith(ROOT) for p in prefixes)
+    for checkout in checkouts:
+        assert ab.run_once(checkout, args, prefix) == ({"decide_s": 1.0}, "")
+    assert seen == [(prefix, "1")] * 2
+    assert listing() == filled
+    assert not any(under(path, checkout) for path in filled for checkout in checkouts)

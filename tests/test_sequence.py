@@ -89,8 +89,8 @@ class TestClassify:
         p = IntPoly.of(13, -4, 1)
         q = IntPoly.of(5, -4, 1)
         rp, rq = roots_quadratic(p), roots_quadratic(q)
-        sum_p = sum((e.root.a for e in rp.entries), F(0))
-        sum_q = sum((e.root.a for e in rq.entries), F(0))
+        sum_p = sum((e.root.a for e in rp), F(0))
+        sum_q = sum((e.root.a for e in rq), F(0))
         assert sum_p == sum_q and classify(p, q).is_balanced
 
 
