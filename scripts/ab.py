@@ -8,8 +8,10 @@ Pair k runs `python3 DIR/hgbench/run.py --workload W --seed S` once in each
 checkout, A first in odd pairs and B first in even ones, so that neither
 side always runs second on a warmed host.  A is the baseline and B the
 change.  For every end-to-end metric BENCHMARK.json names, it prints both
-medians, the interquartile distance of A's runs and in how many pairs B
-read lower than A, and whether the two certificate streams are the same.
+sides' median, interquartile distance (IQR) and minimum, in how many pairs
+B read lower than A, and a label: `unresolved` when the medians differ by
+no more than the larger IQR, else `B better` or `B worse`.  Last it says
+whether the two certificate streams are the same.
 Every run reads bytecode from one prefix (PYTHONPYCACHEPREFIX, with
 PYTHONDONTWRITEBYTECODE=1) that holds the standard library's, compiled
 once per invocation, and nothing else: both sides compile the checkout
@@ -64,6 +66,19 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def summary(a: list[float], b: list[float], better: str) -> dict:
+    """Both sides' median, IQR and minimum for one metric, the pairs in
+    which B read lower, and the label of the difference."""
+    out = {"median": (statistics.median(a), statistics.median(b)), "iqr": (iqr(a), iqr(b)),
+           "min": (min(a), min(b)), "lower": sum(y < x for x, y in zip(a, b))}
+    (med_a, med_b), spread = out["median"], max(out["iqr"])
+    if abs(med_b - med_a) <= spread:
+        out["label"] = "unresolved"
+    else:
+        out["label"] = "B better" if (med_b < med_a) == (better == "lower") else "B worse"
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="baseline checkout")
@@ -85,14 +100,14 @@ def main() -> int:
             print(f"pair {k}: " + ", ".join(
                 f"{side} decide_s {runs[side][-1][0]['decide_s']:.4f}" for side in ("A", "B")), flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, A = {dirs['A']}, B = {dirs['B']}")
-    print(f"  {'metric':<16} {'A median':>12} {'B median':>12} {'A IQR':>10}  B lower")
+    print(f"  {'metric':<16} {'A median':>10} {'B median':>10} {'A IQR':>8} {'B IQR':>8} {'A min':>10}"
+          f" {'B min':>10}  B lower  label")
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        a = [m[name] for m, _ in runs["A"]]
-        b = [m[name] for m, _ in runs["B"]]
-        lower = sum(y < x for x, y in zip(a, b))
-        print(f"  {name:<16} {statistics.median(a):12.4f} {statistics.median(b):12.4f} {iqr(a):10.4f}"
-              f"  {lower}/{args.pairs}  ({metric['better']} is better)")
+        s = summary([m[name] for m, _ in runs["A"]], [m[name] for m, _ in runs["B"]], metric["better"])
+        print(f"  {name:<16} {s['median'][0]:10.4f} {s['median'][1]:10.4f} {s['iqr'][0]:8.4f} {s['iqr'][1]:8.4f}"
+              f" {s['min'][0]:10.4f} {s['min'][1]:10.4f}  {s['lower']}/{args.pairs}  {s['label']}"
+              f"  ({metric['better']} is better)")
     digests = {d for side in runs.values() for _, d in side}
     print("  certificate streams: " + ("identical" if len(digests) == 1 else f"{len(digests)} different"))
     return 0

@@ -48,7 +48,7 @@ def main() -> int:
         failures = verify_certificate(cert)
         print(
             f"{problem:10s} t={t:5s} -> {cert['verdict']:10s}"
-            f" witness={cert['witness']} reason={cert['reason']}"
+            f" witness={cert.get('witness')} reason={cert['reason']}"
             f" verify={'ok' if not failures else failures}"
         )
     return 0

@@ -4,7 +4,8 @@ Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
 re-checks every exact claim (witness values, first violations, bound
 guarantees, matching validity, canonical-tuple invariants) without
-re-deriving the decision.
+re-deriving the decision.  A certificate holds only the keys that carry
+a value, on one compact line; replay reads an absent key as no claim.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .recognize import NoMatching, find_symmetric_matching
 from .sequence import ExactScan, HGInstance, Problem
 from .verdicts import Conditionality, Verdict
 
-FORMAT = "hgdecide-certificate/2"
+FORMAT = "hgdecide-certificate/3"
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,12 @@ def parse_instance(doc: dict) -> InstanceDocument:
 
 
 def read_json(path: str):
-    """The JSON document in a file; an unreadable file or invalid JSON is a
-    ParseError."""
+    """The JSON document in a file; an unreadable file, invalid JSON or an
+    integer longer than the interpreter converts is a ParseError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {e}", path) from None
     except OSError as e:
         raise ParseError(f"cannot read: {e.strerror or e}", path) from None
@@ -137,8 +138,19 @@ _VERDICT_NAMES = {
 }
 
 
-def certificate_dict(docin: InstanceDocument, verdict: Verdict, timing_ms: float | None = None) -> dict:
-    out = {
+def _present(fields: dict) -> dict:
+    """The entries of `fields` with a value: not None and not [] (0 stays)."""
+    return {k: v for k, v in fields.items() if v is not None and v != []}
+
+
+def _rat_or_none(q: Fraction | None) -> str | None:
+    return None if q is None else format_rat(q)
+
+
+def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
+    """A verdict's certificate: only the keys that carry a value."""
+    bound, asym, rel = verdict.bound, verdict.asymptotic, verdict.compare_relation
+    return _present({
         "format": FORMAT,
         "instance": docin.to_dict(),
         "verdict": _VERDICT_NAMES[(verdict.problem, verdict.result)],
@@ -146,47 +158,25 @@ def certificate_dict(docin: InstanceDocument, verdict: Verdict, timing_ms: float
         "conditionality": verdict.conditionality.value,
         "witness": verdict.witness,
         "scanned_up_to": verdict.scanned_up_to,
-        "bound": (
-            {"n": verdict.bound.n, "justification": verdict.bound.justification}
-            if verdict.bound
-            else None
-        ),
-        "asymptotic": (
-            {
-                "variant": verdict.asymptotic.variant.value,
-                "ratio_limit": (
-                    format_rat(verdict.asymptotic.ratio_limit)
-                    if verdict.asymptotic.ratio_limit is not None
-                    else None
-                ),
-                "exponent": (
-                    format_rat(verdict.asymptotic.exponent)
-                    if verdict.asymptotic.exponent is not None
-                    else None
-                ),
-            }
-            if verdict.asymptotic
-            else None
-        ),
+        "bound": bound and {"n": bound.n, "justification": bound.justification},
+        "asymptotic": asym and _present({
+            "variant": asym.variant.value,
+            "ratio_limit": _rat_or_none(asym.ratio_limit),
+            "exponent": _rat_or_none(asym.exponent),
+        }),
         "canonical": verdict.canonical,
-        "equality_rationale": verdict.equality_rationale.value if verdict.equality_rationale else None,
-        "compare": (
-            {"relation": verdict.compare_relation, "precision_bits": verdict.compare_precision_bits}
-            if verdict.compare_relation
-            else None
-        ),
+        "equality_rationale": verdict.equality_rationale and verdict.equality_rationale.value,
+        "compare": rel and {"relation": rel, "precision_bits": verdict.compare_precision_bits},
         "matching": verdict.matching,
         "identity": verdict.identity,
         "notes": list(verdict.notes),
         "exit_code": verdict.exit_code,
-    }
-    if timing_ms is not None:
-        out["timing_ms"] = round(timing_ms, 3)
-    return out
+    })
 
 
 def serialize_certificate(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """One compact line: sorted keys, no spaces, a final newline."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

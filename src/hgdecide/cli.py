@@ -6,9 +6,9 @@ Exit codes, shared by every subcommand:
            `verify`: the certificate replays / a claim fails)
   10 / 11  the same verdicts, conditional on Schanuel's Conjecture
   2        the instance is outside the class a decider handles
-  3        parse error: bad JSON, a bad field, an unreadable file, or a
-           bad command line (a usage error, a negative count, a bad cap in
-           a flag or in HG_PRECISION_CAP / HG_SCAN_CAP)
+  3        parse error: bad JSON (or an integer too long to read), a bad
+           field, an unreadable file, or a bad command line (a usage error,
+           a negative count, a bad cap in a flag or in HG_PRECISION_CAP / HG_SCAN_CAP)
   4        resource cap exceeded (scan cap or precision cap), or a number
            too large to align or to print
   5        internal error, i.e. a crash; never a verdict
@@ -17,8 +17,9 @@ Exit codes, shared by every subcommand:
            exits with the status a shell gives one (128 + SIGPIPE)
 
 Subcommands raise; `_exit_code` maps the error to its code and label.
-With several files `decide` goes on past a failed file, and an error code
-wins over every verdict code.
+`decide` writes each certificate on one line, so several files give JSON
+Lines; it goes on past a failed file, and an error code wins over every
+verdict code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import decimal
 import json
 import os
 import sys
-import time
 
 from .certs import (
     InstanceDocument,
@@ -101,11 +101,8 @@ def _report(e: Exception) -> int:
 
 def decide_document(docin: InstanceDocument, config: EngineConfig) -> dict:
     """Decide one parsed instance and wrap the verdict as a certificate."""
-    start = time.perf_counter()
     # "auto" is "conditional": the canonical oracle is tried first either way
-    verdict = decide(docin.inst, config, conditional=docin.mode != "unconditional")
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return certificate_dict(docin, verdict, timing_ms=elapsed)
+    return certificate_dict(docin, decide(docin.inst, config, conditional=docin.mode != "unconditional"))
 
 
 def _cmd_decide(args) -> int:

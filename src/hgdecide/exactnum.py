@@ -7,13 +7,21 @@ the engine computes with are `towers` elements.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import PrecisionExceeded
 
+_RAT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into a Fraction."""
-    return Fraction(text.strip())
+    """Parse 'a/b' or 'a' (ASCII digits) into a Fraction; anything else is a
+    ValueError, so a short text cannot stand for a huge number ("1e10000000")."""
+    m = _RAT.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not 'a' or 'a/b': {text!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def format_rat(q: Fraction) -> str:

@@ -126,7 +126,7 @@ class TestCriterion2:
                 cert["verdict"] in ("member", "holds") if want_result
                 else cert["verdict"] in ("not_member", "fails")
             )
-            good &= cert["witness"] == want_witness
+            good &= cert.get("witness") == want_witness
             good &= cert["conditionality"] == "unconditional"
             good &= elapsed < 1.0
             good &= verify_certificate(cert) == []
@@ -385,15 +385,13 @@ class TestCriterion9:
             blobs = []
             for doc in docs:
                 docin = parse_instance(doc)
-                cert = decide_document(docin, DEFAULT_CONFIG)
-                cert.pop("timing_ms", None)
-                blobs.append(serialize_certificate(cert))
+                blobs.append(serialize_certificate(decide_document(docin, DEFAULT_CONFIG)))
             return "".join(blobs)
 
         a = run()
         b = run()
         report(
-            "criterion-9 byte-identical certificates (timing excluded)",
+            "criterion-9 byte-identical certificates",
             a == b,
             f"{len(docs)} certificates, {len(a)} bytes",
         )

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import hgdecide
 from hgdecide.certs import (
+    FORMAT,
     certificate_dict,
     load_instance,
     parse_instance,
@@ -26,6 +28,11 @@ def doc(p, q, u0, t, problem="membership", mode="auto"):
 
 
 WORKED = doc([13, -4, 1], [5, -4, 1], "1", "1/13")
+# every key certificate_dict can write; a certificate holds those with a value
+CERT_KEYS = (
+    "format", "instance", "verdict", "reason", "conditionality", "witness", "scanned_up_to", "bound",
+    "asymptotic", "canonical", "equality_rationale", "compare", "matching", "identity", "notes", "exit_code",
+)
 # the product of two primes near 2^100
 PQ = (2**100 + 277) * (2**100 + 331)
 
@@ -202,7 +209,7 @@ class TestCertificates:
         docs = generate_documents(11, 20, "real-quadratic")
         docs.append(doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"))
         certs = [decide_document(parse_instance(d), DEFAULT_CONFIG) for d in docs]
-        built = [c for c in certs if c["matching"] is not None]
+        built = [c for c in certs if "matching" in c]
         assert [c["exit_code"] for c in built] == [11, 11, 1]
         assert built[-1]["equality_rationale"] == "identity_cancellation"
         for cert in built:
@@ -278,8 +285,8 @@ class TestCertificates:
 
     def test_no_field_value_crashes_the_replay(self):
         # a member, a canonical and a matching certificate, each field in
-        # turn (the top-level ones and those of instance, bound, compare
-        # and canonical) replaced by each JSON kind
+        # turn (every key a certificate can hold, present or not, and those
+        # of instance, bound, compare and canonical) set to each JSON kind
         from hgdecide.config import DEFAULT_CONFIG
 
         certs = [
@@ -288,10 +295,11 @@ class TestCertificates:
         ]
         assert certs[1]["canonical"] and certs[1]["compare"] and certs[1]["bound"] and certs[2]["matching"]
         for cert in certs:
-            paths = [(key,) for key in cert] + [
+            assert set(cert) <= set(CERT_KEYS)
+            paths = [(key,) for key in CERT_KEYS] + [
                 (key, sub)
                 for key in ("instance", "bound", "compare", "canonical")
-                if isinstance(cert[key], dict)
+                if isinstance(cert.get(key), dict)
                 for sub in cert[key]
             ]
             for path in paths:
@@ -445,7 +453,7 @@ class TestCertificates:
         cert = decide_document(
             parse_instance({**WORKED, "t": "1/100000", "problem": "threshold"}), DEFAULT_CONFIG
         )
-        assert cert["reason"] == "decreasing_tail_above_target" and cert["bound"] is None
+        assert cert["reason"] == "decreasing_tail_above_target" and "bound" not in cert
         cert["bound"] = {"n": cert["scanned_up_to"], "justification": "product_monotone_beyond"}
         assert any("the tail falls" in f for f in verify_certificate(cert))
 
@@ -458,7 +466,7 @@ class TestCertificates:
         assert serialize_certificate(a) == serialize_certificate(b)
 
 
-GOLDEN_SEED_11 = "a2f16c8a6ea623409b6fcb731d8ee34ecd894fc429c4c48ecac2689769391595"
+GOLDEN_SEED_11 = "4c360edf372f438d0904f512122e08ccf89ba1b3dbb17ceb2beb5a62fd8d14fc"
 
 
 class TestCorpus:
@@ -484,11 +492,11 @@ class TestCorpus:
 
         for d in generate_documents(7, 40, family):
             cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
-            scanned = cert["scanned_up_to"]
+            scanned = cert.get("scanned_up_to")
             # constant and zero sequences scan nothing and claim nothing
             assert scanned is None or scanned <= DEFAULT_CONFIG.scan_cap, d
             if cert["reason"] in ("prefix_witness", "prefix_violation"):
-                assert scanned == cert["witness"], d
+                assert scanned == cert.get("witness"), d
 
     def test_modes_share_one_decider(self):
         # "conditional" and "auto" give one certificate; "unconditional"
@@ -499,7 +507,7 @@ class TestCorpus:
 
         def decide_as(d, mode):
             cert = decide_document(parse_instance({**d, "mode": mode}), DEFAULT_CONFIG)
-            del cert["timing_ms"], cert["instance"]["mode"]
+            del cert["instance"]["mode"]
             return serialize_certificate(cert)
 
         unsupported = 0
@@ -507,7 +515,7 @@ class TestCorpus:
             for d in generate_documents(11, 20, family):
                 auto = decide_as(d, "auto")
                 assert decide_as(d, "conditional") == auto, d
-                built = json.loads(auto)["matching"] is not None
+                built = "matching" in json.loads(auto)
                 try:
                     assert decide_as(d, "unconditional") == auto, d
                 except UnsupportedInstance:
@@ -523,7 +531,7 @@ class TestCorpus:
 
     def test_golden_certificate_digest(self):
         """sha256 of the seed-11 certificates (20 per family, each decided
-        in its own mode, timing_ms dropped): a refactor leaves it alone.  A
+        in its own mode): a refactor leaves it alone.  A
         deliberate change to verdicts or the certificate format updates the
         pin and says why in CHANGES.md."""
         import hashlib
@@ -534,9 +542,32 @@ class TestCorpus:
         for family in FAMILIES:
             for d in generate_documents(11, 20, family):
                 cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
-                del cert["timing_ms"]
                 digest.update(serialize_certificate(cert).encode())
         assert digest.hexdigest() == GOLDEN_SEED_11
+
+    def test_certificates_hold_only_present_keys_on_one_line(self):
+        """The worked example and the golden plans: no null and no timing
+        anywhere, one compact line, the same bytes from two decisions, and
+        a format the replay names."""
+        from hgdecide.config import DEFAULT_CONFIG
+
+        def nulls(value):
+            if isinstance(value, dict):
+                return sum(nulls(v) for v in value.values())
+            if isinstance(value, list):
+                return sum(nulls(v) for v in value)
+            return value is None
+
+        docs = [WORKED] + [d for family in FAMILIES for d in generate_documents(11, 20, family)]
+        for d in docs:
+            cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+            text = serialize_certificate(cert)
+            assert nulls(cert) == 0 and "timing_ms" not in cert, d
+            assert text == json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n", d
+            assert text.count("\n") == 1 and json.loads(text) == cert, d
+            assert serialize_certificate(decide_document(parse_instance(d), DEFAULT_CONFIG)) == text, d
+            relabelled = {**cert, "format": "hgdecide-certificate/2"}
+            assert verify_certificate(relabelled) == ["unknown format 'hgdecide-certificate/2'"], d
 
 
 class TestCrossCheck:
@@ -667,7 +698,7 @@ class TestCLI:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         try:
-            assert proc.stdout.readline().strip() == b"{"
+            assert json.loads(proc.stdout.readline())["format"] == FORMAT
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         finally:
@@ -1004,7 +1035,7 @@ class TestExitCodes:
         cert = decide_document(din, DEFAULT_CONFIG)
         assert verify_certificate(cert) == []
         result = cert["verdict"] in ("member", "holds")
-        assert cross_check(din.inst, result, cert["witness"], 2000) is None
+        assert cross_check(din.inst, result, cert.get("witness"), 2000) is None
         with mpmath.workdps(30):
             limit = mpmath.mpf(1)
             for f, e in ((d["p"], 1), (d["q"], -1)):
@@ -1023,5 +1054,31 @@ class TestExitCodes:
         assert main(["decide", str(a), str(tmp_path / "missing.json"), str(b)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("parse error: ") and "missing.json" in captured.err
-        assert captured.out.count('"verdict": "member"') == 1
-        assert captured.out.count('"verdict": "not_member"') == 1
+        assert captured.out.count('"verdict":"member"') == 1
+        assert captured.out.count('"verdict":"not_member"') == 1
+
+    # hostile numbers in a few bytes are bad input, never a crash or a
+    # stall: a JSON integer past the interpreter's 4300-digit conversion
+    # limit, and the target "1e10000000", a 33-million-bit rational
+    @pytest.mark.parametrize("command", ["decide", "verify"])
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys, command):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({**WORKED, "u0": "N"}).replace('"N"', "7" * 5000))
+        assert main([command, str(f)]) == 3
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_an_exponent_target_is_refused_at_once(self, tmp_path, capsys):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({**WORKED, "t": "1e10000000"}))
+        start = time.perf_counter()
+        assert main(["decide", str(f)]) == 3
+        assert "t: bad rational" in capsys.readouterr().err
+        # a certificate whose instance does not parse fails its replay
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        cert["instance"]["t"] = "1e10000000"
+        f.write_text(serialize_certificate(cert))
+        assert main(["verify", str(f)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: instance does not parse: t: bad rational")
+        assert time.perf_counter() - start < 1.0

@@ -438,7 +438,7 @@ class TestConditionalDecider:
     def test_towers_without_i_keep_their_certificates(self):
         # the same instances over the towers that lack i: Q(zeta_5) with
         # sqrt(5) lifted into it, the sixth root of 3 and Q(zeta_5) alone;
-        # the nine certificates (timing_ms dropped) are pinned and all verify
+        # the nine certificates are pinned and all verify
         import hashlib
 
         from hgdecide.certs import InstanceDocument, certificate_dict, serialize_certificate, verify_certificate
@@ -455,7 +455,7 @@ class TestConditionalDecider:
                 cert = certificate_dict(InstanceDocument(i, "auto"), decide(i))
                 assert verify_certificate(cert) == [], (f, t)
                 digest.update(serialize_certificate(cert).encode())
-        assert digest.hexdigest() == "023c2fd36cd9063b62cd2ef74c31a2c97b1d374d493e8c47dcd808600711303a"
+        assert digest.hexdigest() == "9c0bb7388d0d9091f895d8d845c3a1e10942d21f2a74dafd916130418a52598e"
 
     @pytest.mark.parametrize(
         "f, message",

@@ -14,6 +14,15 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def load_script(name: str):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(f"{name}_script", os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_run_corpus_cross_checks_real_quadratic():
     # every verdict against brute_force, every certificate replayed
     out = run_script(
@@ -100,10 +109,10 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     # the golden corpus digest (test_certs_cli.py).  The near-tie and
     # deep-scan plans reach certificates the golden corpus never sees
     assert digests == {
-        "corpus-unconditional": "b248b42f40ca534157bbca3408495b239f3c4d146675c1a8a74df4a081a232c1",
-        "corpus-conditional": "ecee10627a6220e52fd1d65d1b051679a286e0c0d5f5e663bfee33e0ed4f218f",
-        "near-tie": "4e10d0e35d9f113d1e586cb3ca4f0e7b2aefcdf1c81cc542360ae442b8d1032a",
-        "deep-scan": "4ef3ea081a5033680d14774e9d1b54305c69c516296088c5cf1322d27015f2ff",
+        "corpus-unconditional": "48d7ae1f0b99bbabc39f5f11f146d95250172baa61674c4f9aeaf1ce263ab285",
+        "corpus-conditional": "f653314611d28dec44163bfe3b3b91eedcbcdebe22361cf86e876c22f0f1f8e7",
+        "near-tie": "2f1f882871b47b8fda56ebc747e2451296f6b8c36c5c7bbdab08c5971c30050f",
+        "deep-scan": "7f18f99fe7e8fc745574d36f77978ec69664e5663c52a2b39d9edb6b51581530",
     }
     e2e = {m["name"] for m in bench["end_to_end"]}
     layer = {m["name"] for m in bench["per_layer"]}
@@ -125,20 +134,40 @@ def test_ab_compares_two_checkouts():
     assert "certificate streams: identical" in out.stdout
 
 
+def test_ab_labels_a_difference_within_either_sides_spread_unresolved():
+    # a 5-pair deep-scan set read decide_s 0.0352 -> 0.0396 s with A's IQR
+    # 0.0005 s, while a 10-pair rerun of the same code read 0.0369 -> 0.0366
+    # s: B's spread covers the first difference, A's the second
+    summary = load_script("ab").summary
+    a = [0.0348, 0.0350, 0.0352, 0.0355, 0.0360]
+    b = [0.0340, 0.0350, 0.0396, 0.0420, 0.0450]
+    s = summary(a, b, "lower")
+    assert s["median"] == (0.0352, 0.0396) and s["min"] == (0.0348, 0.0340) and s["lower"] == 1
+    assert round(s["iqr"][0], 6) == 0.0005 and round(s["iqr"][1], 6) == 0.0070
+    assert s["label"] == "unresolved"
+    rerun_a = [0.0335, 0.0340, 0.0348, 0.0352, 0.0366, 0.0372, 0.0374, 0.0378, 0.0385, 0.0390]
+    rerun_b = [0.0350, 0.0358, 0.0362, 0.0364, 0.0365, 0.0367, 0.0369, 0.0371, 0.0373, 0.0375]
+    s = summary(rerun_a, rerun_b, "lower")
+    assert (round(s["median"][0], 6), round(s["median"][1], 6)) == (0.0369, 0.0366)
+    assert round(s["iqr"][0], 6) == 0.0028
+    assert s["label"] == "unresolved"
+    # a shift past both spreads is resolved, in the metric's own direction
+    assert summary(a, [x + 0.01 for x in a], "lower")["label"] == "B worse"
+    assert summary(a, [x + 0.01 for x in a], "higher")["label"] == "B better"
+    assert summary(a, [x - 0.01 for x in a], "lower")["label"] == "B better"
+
+
 def test_ab_runs_each_benchmark_on_one_stdlib_bytecode_prefix(monkeypatch, tmp_path):
     # neither a checkout's leftover __pycache__ nor the compilation of the
     # standard library may reach the import a run times: every run, on both
     # sides, reads the one prefix that holds the standard library's
     # bytecode and nothing of either checkout, and writes nothing to it
     import argparse
-    import importlib.util
     import json
     import shutil
     import sysconfig
 
-    spec = importlib.util.spec_from_file_location("ab_script", os.path.join(ROOT, "scripts", "ab.py"))
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = load_script("ab")
     prefix = str(tmp_path / "prefix")
     ab.fill_stdlib_bytecode(prefix)
 
