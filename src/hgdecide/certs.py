@@ -169,7 +169,6 @@ def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
         "compare": rel and {"relation": rel, "precision_bits": verdict.compare_precision_bits},
         "matching": verdict.matching,
         "identity": verdict.identity,
-        "notes": list(verdict.notes),
         "exit_code": verdict.exit_code,
     })
 
@@ -215,9 +214,8 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if type(code) is not int or code != Verdict(inst.problem, result, cond, "").exit_code:
         problems.append("exit code inconsistent with verdict/conditionality")
 
-    witness = cert.get("witness")
     scan = None  # the witness scan, left at the witness for the bound replay
-    if witness is not None and verdict_name in ("member", "fails"):
+    if verdict_name in ("member", "fails"):
         # a member verdict claims the least u_n = t, a fails verdict the
         # first u_n < t: exactly the scan's witness test
         if result:
@@ -225,18 +223,19 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         else:
             what, least, rel, not_rel = "violation", "first", "<", ">="
         try:
-            witness = _json_index(witness, "witness")
+            witness = _json_index(cert.get("witness"), "witness")
             scan = ExactScan(inst, config.scan_cap)
-            # the search stops at the witness, which is tested once
+            # the search stops at the witness, which is tested once; past
+            # the cap it tests u_cap last, so only an earlier hit is known
             n = scan.first_hit(min(witness, config.scan_cap))
             if n is None and scan.hit():
                 n = scan.n
-            if n is None:
-                problems.append(f"claimed {what} u_{witness} {not_rel} t")
-            elif n < witness:
+            if n is not None and n < witness:
                 problems.append(f"{what} {witness} is not {least}: u_{n} {rel} t")
             if witness > config.scan_cap:
                 raise ScanCapExceeded(f"scan index {witness} exceeds cap {config.scan_cap}")
+            if n is None:
+                problems.append(f"claimed {what} u_{witness} {not_rel} t")
         except ParseError as e:
             problems.append(f"witness invalid: {e}")
         except DecideError as e:
@@ -246,6 +245,8 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     bound = cert.get("bound")
     if bound is not None:
         problems.extend(_verify_bound(inst, bound, cert.get("compare"), config, scan))
+    elif cert.get("reason") in ("divergence_bound", "shrink_bound"):
+        problems.append(f"a {cert['reason']} certificate carries no bound")
 
     canonical = cert.get("canonical")
     if canonical is not None:

@@ -108,20 +108,22 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
     """Full decision pipeline, the only decider.
 
     The bounded regimes (zero tails, divergence, shrinkage) are decided for
-    arbitrary nonzero coefficients.  The balanced branch scans first and
-    builds the limit oracle only for a verdict that reads the limit; that
-    build needs monic p and q and the gamma-product machinery, so only
-    such verdicts can end as unsupported.  `conditional` lets that build
-    fall back to the Schanuel-conditional oracle (`limit_oracle`);
-    everything else is shared.
+    arbitrary nonzero coefficients; a zero tail is tested before t = 0, so
+    every instance whose terms vanish, t = 0 included, is one prefix scan.
+    The balanced branch scans first and builds the limit oracle only for a
+    verdict that reads the limit; that build needs monic p and q and the
+    gamma-product machinery, so only such verdicts can end as
+    unsupported.  `conditional` lets that build fall back to the
+    Schanuel-conditional oracle (`limit_oracle`); everything else is
+    shared.
     """
     if inst.u0 == 0:
         return _constant_verdict(inst, "zero_sequence", None)
-    if inst.t == 0:
-        return _zero_target_verdict(inst, config)
     ztail = inst.first_zero_of_q
     if ztail is not None:
         return _zero_tail_verdict(inst, ztail, config)
+    if inst.t == 0:
+        return _zero_target_verdict(inst, config)
 
     cls = inst.asymptotic
     if cls.grows:
@@ -139,14 +141,9 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
 
 
 def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
-    """t = 0: membership is zero-production; threshold is sign analysis."""
+    """t = 0 and q has no nonnegative integer root, so no term vanishes:
+    membership fails, and threshold is sign analysis."""
     if inst.problem is Problem.MEMBERSHIP:
-        root = inst.first_zero_of_q
-        if root is not None:
-            return Verdict(
-                inst.problem, True, Conditionality.UNCONDITIONAL, "zero_tail_membership",
-                witness=root + 1,
-            )
         return Verdict(
             inst.problem, False, Conditionality.UNCONDITIONAL,
             "terms_never_zero",
@@ -159,11 +156,6 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
             inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
             witness=n, scanned_up_to=n,
         )
-    if scan.sign() == 0:
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
-            scanned_up_to=k1, notes=("tail identically zero",),
-        )
     # u_{k1-1}, u_{k1} > 0, and every real root of p and q lies below
     # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
     return Verdict(
@@ -173,18 +165,16 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
 
 
 def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig) -> Verdict:
-    """q(k0) = 0: terms vanish for n > k0 and t != 0 lives in the prefix."""
+    """q(k0) = 0: u_n = 0 for every n > k0, so the prefix through
+    u_{k0+1} = 0 holds every answer.  A Membership t = 0 first meets
+    u_{k0+1}, and a Threshold t > 0 meets it at the latest; past it the
+    zeros equal no other t and fall below no t <= 0."""
     last = first_q_root + 1
     n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
-    if inst.problem is Problem.MEMBERSHIP:
-        return Verdict(
-            inst.problem, n is not None, Conditionality.UNCONDITIONAL, "zero_tail",
-            witness=n, scanned_up_to=last,
-        )
-    # a positive t meets u_last = 0 < t in the search
     return Verdict(
-        inst.problem, n is None, Conditionality.UNCONDITIONAL, "zero_tail",
-        witness=n, scanned_up_to=last,
+        inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP),
+        Conditionality.UNCONDITIONAL, "zero_tail",
+        witness=n, scanned_up_to=last if n is None else n,
     )
 
 

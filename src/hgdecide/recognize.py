@@ -77,7 +77,6 @@ class FactorRoots:
     values: tuple  # TowerElem per root in tower order; None per opaque root
 
 
-@lru_cache(maxsize=256)
 def _exact_roots(g: IntPoly) -> tuple | None:
     """Quadratic, cyclotomic or radical roots of g, or None when g has no
     exact representation.
@@ -305,8 +304,6 @@ def _maximum_matching(adj: list[frozenset]) -> list[tuple[int, int]]:
         matched[u] = True
         done = bt(u + 1)
         matched[u] = False
-        if len(current) > len(best):
-            best = list(current)
         return done
 
     bt(0)

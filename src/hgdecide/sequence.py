@@ -223,7 +223,10 @@ class AsymptoticClass:
     RATIO_LIMIT_ONE, `exponent` is the partial-product growth exponent
     A = (sum of roots of p) - (sum of roots of q), read off the subleading
     coefficients by Vieta; the partial products behave like n**A, so A = 0
-    is exactly the balanced (convergent-product) case.
+    is exactly the balanced (convergent-product) case.  For
+    RATIO_LIMIT_MINUS_ONE it is the same exponent of |r(k)| = -r(k), so
+    |u_n| behaves like n**A while the signs alternate; there A = 0 (p = -q
+    among others) is neither growth nor shrinkage, and stays unsupported.
     """
 
     variant: Variant
@@ -240,7 +243,7 @@ class AsymptoticClass:
             return True
         if self.variant is Variant.CONVERGES_TO and abs(self.ratio_limit) > 1:
             return True
-        return self.variant is Variant.RATIO_LIMIT_ONE and self.exponent > 0
+        return self.exponent is not None and self.exponent > 0
 
     @property
     def shrinks(self) -> bool:
@@ -248,7 +251,7 @@ class AsymptoticClass:
             return True
         if self.variant is Variant.CONVERGES_TO and abs(self.ratio_limit) < 1:
             return True
-        return self.variant is Variant.RATIO_LIMIT_ONE and self.exponent < 0
+        return self.exponent is not None and self.exponent < 0
 
 
 def classify(p: IntPoly, q: IntPoly) -> AsymptoticClass:
@@ -259,15 +262,13 @@ def classify(p: IntPoly, q: IntPoly) -> AsymptoticClass:
         return AsymptoticClass(Variant.DIVERGES_TO_INFINITY)
     if dq < dp:
         return AsymptoticClass(Variant.CONVERGES_TO_ZERO_RATIO)
-    c = Fraction(q.lead, p.lead)
-    if c == 1:
-        if dp == 0:
-            return AsymptoticClass(Variant.RATIO_LIMIT_ONE, exponent=Fraction(0))
-        a = Fraction(q.coeffs[dp - 1] - p.coeffs[dp - 1], p.lead)
-        return AsymptoticClass(Variant.RATIO_LIMIT_ONE, exponent=a)
-    if c == -1:
-        return AsymptoticClass(Variant.RATIO_LIMIT_MINUS_ONE)
-    return AsymptoticClass(Variant.CONVERGES_TO, ratio_limit=c)
+    if abs(q.lead) == abs(p.lead):
+        # |r(k)| = 1 + A/k + O(1/k^2), A from the subleading coefficients
+        s = 1 if q.lead == p.lead else -1
+        a = Fraction(s * q.coeffs[dp - 1] - p.coeffs[dp - 1], p.lead) if dp else Fraction(0)
+        variant = Variant.RATIO_LIMIT_ONE if s == 1 else Variant.RATIO_LIMIT_MINUS_ONE
+        return AsymptoticClass(variant, exponent=a)
+    return AsymptoticClass(Variant.CONVERGES_TO, ratio_limit=Fraction(q.lead, p.lead))
 
 
 # ---------------------------------------------------------------------------

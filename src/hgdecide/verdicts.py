@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sequence import AsymptoticClass, Problem, SearchBound
 
@@ -57,7 +57,6 @@ class Verdict:
     compare_precision_bits: int | None = None
     matching: dict | None = None
     identity: dict | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def exit_code(self) -> int:

@@ -31,7 +31,7 @@ WORKED = doc([13, -4, 1], [5, -4, 1], "1", "1/13")
 # every key certificate_dict can write; a certificate holds those with a value
 CERT_KEYS = (
     "format", "instance", "verdict", "reason", "conditionality", "witness", "scanned_up_to", "bound",
-    "asymptotic", "canonical", "equality_rationale", "compare", "matching", "identity", "notes", "exit_code",
+    "asymptotic", "canonical", "equality_rationale", "compare", "matching", "identity", "exit_code",
 )
 # the product of two primes near 2^100
 PQ = (2**100 + 277) * (2**100 + 331)
@@ -139,6 +139,58 @@ class TestCertificates:
         failures = verify_certificate(cert, EngineConfig(scan_cap=1000))
         assert any("is not least" in f for f in failures)
         assert any("witness replay failed" in f and "exceeds cap" in f for f in failures)
+
+    def test_witness_past_the_cap_is_not_called_unequal(self):
+        # u_n = n + 1 meets t = 1501 at 1500: under cap 1000 the replay
+        # tests u_1000 last, not u_1500, so it can only report the cap
+        from hgdecide.config import EngineConfig
+
+        cert = decide_document(parse_instance(doc([1, 1], [2, 1], "1", "1501")), EngineConfig(scan_cap=2000))
+        assert (cert["verdict"], cert["witness"]) == ("member", 1500)
+        assert verify_certificate(cert, EngineConfig(scan_cap=2000)) == []
+        failures = verify_certificate(cert, EngineConfig(scan_cap=1000))
+        assert any("witness replay failed" in f and "exceeds cap" in f for f in failures), failures
+        assert not any("!= t" in f for f in failures), failures
+
+    @pytest.mark.parametrize(
+        "d,key,needle",
+        [
+            (WORKED, "witness", "witness invalid"),  # member
+            (doc([13, -4, 1], [5, -4, 1], "1", "1/26", "threshold"), "witness", "witness invalid"),  # fails
+            (doc([1], [2], "3", "50"), "bound", "carries no bound"),  # divergence_bound
+            (doc([2, 1], [1, 1], "1", "1/7"), "bound", "carries no bound"),  # shrink_bound
+        ],
+    )
+    def test_a_verdict_carries_what_it_rests_on(self, d, key, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert key in cert and verify_certificate(cert) == []
+        del cert[key]
+        failures = verify_certificate(cert)
+        assert any(needle in f for f in failures), failures
+
+    def test_flipped_and_stripped_certificates_fail(self):
+        # every honest certificate verifies; flip its verdict and exit code
+        # and strip its witness and bound, and it must fail, except for the
+        # reasons whose claims no replay binds yet
+        from hgdecide.config import EngineConfig
+
+        config = EngineConfig(scan_cap=2 * 10**4)
+        flip = {"member": "not_member", "not_member": "member", "holds": "fails", "fails": "holds"}
+        unbound = {"prefix_violation", "prefix_witness", "constant_sequence", "zero_sequence"}
+        still = []
+        for family in FAMILIES:
+            for d in generate_documents(7, 30, family):
+                cert = decide_document(parse_instance(d), config)
+                assert verify_certificate(cert, config) == [], d
+                cert = {**cert, "verdict": flip[cert["verdict"]], "exit_code": cert["exit_code"] ^ 1}
+                cert.pop("witness", None)
+                cert.pop("bound", None)
+                if not verify_certificate(cert, config):
+                    still.append(cert["reason"])
+        assert set(still) <= unbound, sorted(set(still) - unbound)
+        assert len(still) == 57
 
     def test_crossing_witness_at_the_scan_cap(self, tmp_path, capsys):
         # the worked pair's balanced crossing meets t = u_25 at the cap

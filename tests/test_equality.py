@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hgdecide.certs import InstanceDocument, certificate_dict, verify_certificate
 from hgdecide.config import DEFAULT_CONFIG, EngineConfig
+from hgdecide.corpus import cross_check
 from hgdecide import equality, schanuel
 from hgdecide.equality import (
     CanonicalLimitOracle,
@@ -17,8 +18,17 @@ from hgdecide.equality import (
 )
 from hgdecide.errors import PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
-from hgdecide.polys import IntPoly
-from hgdecide.sequence import BruteKind, ExactScan, HGInstance, Problem, brute_force, monotonicity_index, term
+from hgdecide.polys import IntPoly, integer_roots
+from hgdecide.sequence import (
+    BruteKind,
+    ExactScan,
+    HGInstance,
+    Problem,
+    Variant,
+    brute_force,
+    monotonicity_index,
+    term,
+)
 from hgdecide.verdicts import Conditionality, Rationale
 from gammaforms import gamma_ratio_limit
 from intervals import record_enclosures
@@ -143,6 +153,52 @@ class TestMembershipPipeline:
     def test_ratio_minus_one_unsupported(self):
         with pytest.raises(UnsupportedInstance):
             decide(inst([1, 1], [-1, -1], 1, 5))
+
+    def test_alternating_unit_ratio_growth_decides(self):
+        # r(k) = -(k + 2)/(k + 1): u_n = (-1)^n (n + 1), |u_n| grows like n
+        v = decide(inst([1, 1], [-2, -1], 1, 101))
+        assert (v.result, v.reason, v.witness) == (True, "divergence_bound", 100)
+        assert v.asymptotic.exponent == 1
+
+    def test_ratio_minus_one_census(self):
+        # random pairs with q/p -> -1, degree 1-3: every one with a nonzero
+        # magnitude exponent A decides (or meets the scan cap), agrees with
+        # brute force and verifies; A = 0 stays unsupported
+        config = EngineConfig(scan_cap=2 * 10**4)
+        rng = random.Random(5)
+        outcomes = {"decided": 0, "unsupported": 0, "cap": 0}
+        count = 0
+        while count < 499:
+            d = rng.randint(1, 3)
+            lead = rng.choice([1, 1, 2, 3])
+            p = IntPoly(tuple(rng.randint(-9, 9) for _ in range(d)) + (lead,))
+            q = IntPoly(tuple(rng.randint(-9, 9) for _ in range(d)) + (-lead,))
+            u0 = F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+            problem = rng.choice(list(Problem))
+            if any(r >= 0 for r in integer_roots(p)):
+                continue
+            count += 1
+            probe = HGInstance(p, q, u0, F(1), problem)
+            if rng.random() < 0.4:
+                t = term(probe, rng.randint(0, 30)) or F(1, 7)
+            else:
+                t = F(rng.randint(-1000, 1000) or 7, rng.randint(1, 100))
+            i = replace(probe, t=t)
+            assert i.asymptotic.variant is Variant.RATIO_LIMIT_MINUS_ONE
+            try:
+                v = decide(i, config)
+            except UnsupportedInstance:
+                assert i.asymptotic.exponent == 0
+                outcomes["unsupported"] += 1
+                continue
+            except ScanCapExceeded:
+                outcomes["cap"] += 1
+                continue
+            outcomes["decided"] += 1
+            assert cross_check(i, v.result, v.witness, 3000, config) is None, i
+            assert verify_certificate(certificate_dict(InstanceDocument(i, "auto"), v), config) == [], i
+        # one instance, A = -1/2, shrinks too slowly for the cap
+        assert outcomes["unsupported"] == 22 and outcomes["cap"] <= 1
 
 
 class TestThresholdPipeline:
@@ -327,22 +383,67 @@ class TestSpecialRegimes:
         v3 = decide(inst([1, 1], [-3, 1], 2, F(1, 10), Problem.THRESHOLD))
         assert not v3.result  # tail of zeros < 1/10
 
+    def test_zero_target_on_a_zero_tail_past_the_cap_is_a_resource_error(self):
+        # u_n vanishes from n = 2*10^6 + 1 on: t = 0 is a member there, but
+        # no scan within the cap reaches it, and a witness verify cannot
+        # replay is no verdict
+        with pytest.raises(ScanCapExceeded):
+            decide(inst([1, 1], [-2 * 10**6, 1], 1, 0), EngineConfig(scan_cap=1000))
+
+    def test_zero_tail_under_a_zero_threshold_claims_its_scan(self):
+        # u_n = 1, 2, 1, 0, 0, ...: q = 2 - x vanishes at 2, so u_3 = 0 >= 0
+        # closes the prefix and the zeros after it hold too
+        i = inst([1, 1], [2, -1], 1, 0, Problem.THRESHOLD)
+        cert = certificate_dict(InstanceDocument(i, "auto"), decide(i))
+        assert (cert["verdict"], cert["reason"], cert["scanned_up_to"]) == ("holds", "zero_tail", 3)
+        assert "notes" not in cert and "witness" not in cert and "bound" not in cert
+        assert verify_certificate(cert) == []
+
+    def test_zero_tail_witness_claims_the_scan_up_to_it(self):
+        # u_n = 1, -5, 10, -10, 5, -1, then 0 from q(5) = 0: t = u_2
+        v = decide(inst([1, 1], [-5, 1], 1, 10))
+        assert (v.result, v.reason, v.witness, v.scanned_up_to) == (True, "zero_tail", 2, 2)
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    def test_zero_tail_verdicts_agree_with_brute_force_and_verify(self, problem):
+        # q has a first nonnegative root k0 in 0..4; the targets include 0,
+        # every term of the prefix and values the terms never take
+        rng = random.Random(39)
+        for k0 in range(5):
+            for _ in range(6):
+                p = [rng.randint(1, 6), rng.choice([1, 2])]
+                q = [-k0 * (c := rng.choice([1, -1, 2])), c]
+                i = inst(p, q, F(rng.randint(-5, 5) or 1, rng.randint(1, 3)), 1, problem)
+                prefix = [term(i, n) for n in range(k0 + 2)]
+                assert prefix[-1] == 0 and 0 not in prefix[:-1]
+                for t in [F(0), F(1, 7), F(-1, 7), *prefix, prefix[0] + 1, prefix[-2] - 1]:
+                    i = replace(i, t=t)
+                    v = decide(i)
+                    assert v.reason == "zero_tail"
+                    last = k0 + 1
+                    assert v.scanned_up_to == (last if v.witness is None else v.witness)
+                    names_witness = v.result == (problem is Problem.MEMBERSHIP)
+                    assert (v.witness is not None) == names_witness
+                    assert brute_force(i, last + 5).index == v.witness
+                    cert = certificate_dict(InstanceDocument(i, "auto"), v)
+                    assert verify_certificate(cert) == [], cert
+
     @pytest.mark.parametrize(
-        "p,q,u0,t,result,witness,reason,notes",
+        "p,q,u0,t,result,witness,reason",
         [
             # t = 0: u_1 = 2 * 5 / (-2) < 0
-            ([-2, 2, 1], [5, 1, 3], 2, 0, False, 1, "sign_analysis", ()),
+            ([-2, 2, 1], [5, 1, 3], 2, 0, False, 1, "sign_analysis"),
             # t = 0: u_n = 4/3, 1, 2/5, 1/15, then 0 from q(3) = 0 on
-            ([-4, -1], [-3, 1], F(4, 3), 0, True, None, "sign_analysis", ("tail identically zero",)),
+            ([-4, -1], [-3, 1], F(4, 3), 0, True, None, "zero_tail"),
             # r(k) = -(2k + 2)/(k + 3) -> -2: the negative u_6 = -64/21 is the
             # first below t = -2, one past the divergence bound N = 5
-            ([-3, -1], [2, 2], F(-4, 3), -2, False, 6, "divergence_bound", ()),
+            ([-3, -1], [2, 2], F(-4, 3), -2, False, 6, "divergence_bound"),
         ],
     )
-    def test_threshold_regimes_agree_with_brute_force(self, p, q, u0, t, result, witness, reason, notes):
+    def test_threshold_regimes_agree_with_brute_force(self, p, q, u0, t, result, witness, reason):
         i = inst(p, q, u0, t, Problem.THRESHOLD)
         v = decide(i)
-        assert (v.result, v.witness, v.reason, v.notes) == (result, witness, reason, notes)
+        assert (v.result, v.witness, v.reason) == (result, witness, reason)
         bf = brute_force(i, 200)
         if result:
             assert bf.kind is BruteKind.THRESHOLD_HOLDS_UP_TO

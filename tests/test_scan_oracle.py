@@ -975,6 +975,36 @@ class TestGallop:
         assert scan.n == scan.steps == 724 and spans == [] and steps == [0, 1]
         assert scan.sign() == 1 and scan.cmp(inst.t) == 1 and spans == []
 
+    def test_readers_after_a_tail_exit_catch_the_floats_up(self, mp):
+        # the tail exit leaves the float pair at 2 and the scan at 724; the
+        # err property, and a step, each bring it up to n first
+        inst = HGInstance(
+            IntPoly.of(412, 87, 0, 1), IntPoly.of(720, 164, 0, 1), F(1), F(1, 2), Problem.THRESHOLD
+        )
+        stop = inst.monotonicity_index + 2
+
+        def exact_log(n):
+            fresh = ExactScan(inst)
+            fresh.jump(n)
+            u = fresh.fraction()
+            return fresh.sign(), u, mp.log(abs(mp.mpf(u.numerator))) - mp.log(mp.mpf(u.denominator))
+
+        read = ExactScan(inst)
+        assert read.first_hit(stop) is None
+        assert (read.n, read._lag, read.materialized) == (724, 2, 0)
+        err = read.err  # read first: the catch-up runs here
+        assert read._lag is None
+        assert abs(read.logabs - exact_log(724)[2]) <= err
+
+        stepped = ExactScan(inst)
+        assert stepped.first_hit(stop) is None and stepped._lag == 2
+        stepped.step()  # the catch-up runs in the step
+        stepped.step()
+        assert stepped.n == 726 and stepped._lag is None
+        sign, u, log_u = exact_log(726)
+        assert abs(stepped.logabs - log_u) <= stepped.err
+        assert stepped.sign() == sign and stepped.fraction() == u
+
     def test_search_to_the_cap_takes_few_logs(self, log_calls):
         # u_n = n + 1 never equals 1/2: the span doubles up to the cap
         inst = HGInstance(IntPoly.of(1, 1), IntPoly.of(2, 1), F(1), F(1, 2), Problem.MEMBERSHIP)
