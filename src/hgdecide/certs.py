@@ -138,6 +138,18 @@ _VERDICT_NAMES = {
 }
 
 
+# every reason `equality.decide` writes, with the one result it gives, or
+# None where it gives either
+_REASON_RESULTS = {
+    "zero_sequence": None, "constant_sequence": None, "zero_tail": None, "sign_analysis": None,
+    "divergence_bound": None, "shrink_bound": None,
+    "prefix_witness": True, "increasing_tail": True, "decreasing_tail_above_target": True,
+    "decreasing_tail_limit_equals_target": True,
+    "terms_never_zero": False, "prefix_violation": False, "decreasing_tail_below_target": False,
+    "monotone_tail_excludes_target": False, "limit_equals_target_not_attained": False,
+}
+
+
 def _present(fields: dict) -> dict:
     """The entries of `fields` with a value: not None and not [] (0 stays)."""
     return {k: v for k, v in fields.items() if v is not None and v != []}
@@ -214,6 +226,18 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if type(code) is not int or code != Verdict(inst.problem, result, cond, "").exit_code:
         problems.append("exit code inconsistent with verdict/conditionality")
 
+    reason = cert.get("reason")
+    if not isinstance(reason, str) or reason not in _REASON_RESULTS:
+        problems.append(f"unknown reason {reason!r}")
+    elif _REASON_RESULTS[reason] not in (None, result):
+        problems.append(f"reason {reason} never gives a {verdict_name} verdict")
+    elif reason in ("zero_sequence", "constant_sequence"):
+        # u_n = u0 for every n, so u0 alone gives the result
+        constant = inst.u0 == 0 if reason == "zero_sequence" else inst.u0 != 0 and inst.p == inst.q
+        held = inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t
+        if not constant or result != held:
+            problems.append(f"the instance gives no {reason} {verdict_name} verdict")
+
     scan = None  # the witness scan, left at the witness for the bound replay
     if verdict_name in ("member", "fails"):
         # a member verdict claims the least u_n = t, a fails verdict the
@@ -245,8 +269,8 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     bound = cert.get("bound")
     if bound is not None:
         problems.extend(_verify_bound(inst, bound, cert.get("compare"), config, scan))
-    elif cert.get("reason") in ("divergence_bound", "shrink_bound"):
-        problems.append(f"a {cert['reason']} certificate carries no bound")
+    elif reason in ("divergence_bound", "shrink_bound"):
+        problems.append(f"a {reason} certificate carries no bound")
 
     canonical = cert.get("canonical")
     if canonical is not None:
@@ -349,25 +373,12 @@ def _verify_canonical(desc: dict) -> list[str]:
 
 
 def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:
-    """Each side's matching names the instance's own p or q as its source,
-    and its pairs are those the matching search finds for it again."""
+    """Each side's entry is the record the matching search writes again for
+    the instance's own p or q, compared as JSON text (1.0 is not 1)."""
     if not isinstance(desc, dict):
         return ["matching invalid: must be an object"]
     out = []
     for side, poly in (("p", inst.p), ("q", inst.q)):
-        entry = desc.get(side)
-        if entry is None:
-            continue
-        try:
-            if not isinstance(entry, dict):
-                raise ParseError("must be an object", side)
-            source = _json_poly(entry.get("source"), f"{side}.source")
-        except ParseError as e:
-            out.append(f"matching invalid: {e}")
-            continue
-        if source != poly:
-            out.append(f"matching source for {side} is not the instance's {side}")
-            continue
         try:
             fresh = find_symmetric_matching(poly)
         except DecideError as e:
@@ -375,7 +386,6 @@ def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:
             continue
         if isinstance(fresh, NoMatching):
             out.append(f"{side} no longer admits a perfect matching")
-            continue
-        if entry.get("pairs") != fresh.describe()["pairs"]:
-            out.append(f"{side} matching pairs differ from the replayed matching")
+        elif json.dumps(desc.get(side), sort_keys=True) != json.dumps(fresh.describe(), sort_keys=True):
+            out.append(f"{side} matching differs from the replayed matching")
     return out

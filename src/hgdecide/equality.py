@@ -290,7 +290,8 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     eq = oracle.decide_equal(inst.t)
     fields = dict(asymptotic=cls, equality_rationale=eq.rationale, canonical=eq.canonical,
                   matching=eq.matching, identity=eq.identity)
-    cond = Conditionality.CONDITIONAL_ON_SCHANUEL if eq.conditional else Conditionality.UNCONDITIONAL
+    conjectural = eq.rationale is Rationale.IDENTITY_NONZERO
+    cond = Conditionality.CONDITIONAL_ON_SCHANUEL if conjectural else Conditionality.UNCONDITIONAL
     if eq.equal:
         if membership:  # a strictly monotone tail never attains its limit
             return Verdict(

@@ -136,12 +136,7 @@ class SymbolicIdentity:
 
     def symbols_used(self) -> tuple[str, ...]:
         names = ["PI", "E"] + [f"Y{j+1}" for j in range(len(self.basis.s))]
-        used = set()
-        for exps in self.terms:
-            for k, e in enumerate(exps):
-                if e:
-                    used.add(names[k])
-        return tuple(sorted(used))
+        return tuple(sorted({names[k] for exps in self.terms for k, e in enumerate(exps) if e}))
 
     def describe(self) -> dict:
         return {
@@ -349,7 +344,6 @@ class ConditionalLimitOracle:
     """
 
     def __init__(self, inst: HGInstance, config: EngineConfig):
-        self.inst = inst
         self.config = config
         certs = []
         for side, poly in (("p", inst.p), ("q", inst.q)):
@@ -419,20 +413,11 @@ class ConditionalLimitOracle:
             self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
         )
         matching = {"p": self.cert_p.describe(), "q": self.cert_q.describe()}
+        identity = ident.describe()
         if decide_identity(ident):
-            # replay with freshly constructed terms before trusting Equal
-            replay = build_identity(
-                self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
-            )
-            if not replay.is_zero:
-                raise DecideError("internal: identity cancellation not reproducible")
-            return EqualityDecision(
-                True, Rationale.IDENTITY_CANCELLATION, matching=matching, identity=ident.describe()
-            )
-        identity = {**ident.describe(), "stress_separated": stress_check_identity(ident, self.config)}
-        return EqualityDecision(
-            False, Rationale.IDENTITY_NONZERO, conditional=True, matching=matching, identity=identity
-        )
+            return EqualityDecision(True, Rationale.IDENTITY_CANCELLATION, matching=matching, identity=identity)
+        identity["stress_separated"] = stress_check_identity(ident, self.config)
+        return EqualityDecision(False, Rationale.IDENTITY_NONZERO, matching=matching, identity=identity)
 
     # -- numeric limit value ------------------------------------------------
 

@@ -29,7 +29,6 @@ class EqualityDecision:
 
     equal: bool
     rationale: Rationale
-    conditional: bool = False
     canonical: dict | None = None
     matching: dict | None = None
     identity: dict | None = None

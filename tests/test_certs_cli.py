@@ -172,13 +172,12 @@ class TestCertificates:
 
     def test_flipped_and_stripped_certificates_fail(self):
         # every honest certificate verifies; flip its verdict and exit code
-        # and strip its witness and bound, and it must fail, except for the
-        # reasons whose claims no replay binds yet
+        # and strip its witness and bound, and it must fail: a reason binds
+        # its verdict, and the constant sequences are recomputed
         from hgdecide.config import EngineConfig
 
         config = EngineConfig(scan_cap=2 * 10**4)
         flip = {"member": "not_member", "not_member": "member", "holds": "fails", "fails": "holds"}
-        unbound = {"prefix_violation", "prefix_witness", "constant_sequence", "zero_sequence"}
         still = []
         for family in FAMILIES:
             for d in generate_documents(7, 30, family):
@@ -189,8 +188,48 @@ class TestCertificates:
                 cert.pop("bound", None)
                 if not verify_certificate(cert, config):
                     still.append(cert["reason"])
-        assert set(still) <= unbound, sorted(set(still) - unbound)
-        assert len(still) == 57
+        assert still == []
+
+    # each once verified: a prefix witness claims a member, p != q is no
+    # constant sequence, and no decision writes the reason "bogus"
+    @pytest.mark.parametrize(
+        "d,reason,needle",
+        [
+            ({**WORKED, "t": "1/7"}, "prefix_witness", "reason prefix_witness never gives a not_member verdict"),
+            ({**WORKED, "t": "1/7"}, "constant_sequence", "the instance gives no constant_sequence"),
+            (doc([5, 1], [5, 1], "7", "8"), "bogus", "unknown reason 'bogus'"),
+            (doc([5, 1], [5, 1], "0", "8"), "constant_sequence", "the instance gives no constant_sequence"),
+            (doc([5, 1], [5, 1], "7", "8"), "zero_sequence", "the instance gives no zero_sequence"),
+        ],
+    )
+    def test_reason_binds_its_verdict(self, d, reason, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert cert["verdict"] == "not_member" and verify_certificate(cert) == []
+        cert["reason"] = reason
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
+    @pytest.mark.parametrize(
+        "p,u0,t,problem,verdict",
+        [
+            ([5, 1], "7", "7", "membership", "member"),
+            ([5, 1], "7", "8", "threshold", "fails"),
+            ([5, 1], "-7", "-8", "threshold", "holds"),
+        ],
+    )
+    def test_constant_sequence_verdict_is_recomputed(self, p, u0, t, problem, verdict):
+        # u_n = u0: the flipped verdict, with its witness 0 kept where it
+        # needs one, fails against u0 itself
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(doc(p, p, u0, t, problem)), DEFAULT_CONFIG)
+        assert (cert["reason"], cert["verdict"]) == ("constant_sequence", verdict)
+        assert verify_certificate(cert) == []
+        flip = {"member": "not_member", "holds": "fails", "fails": "holds"}[verdict]
+        cert = {**cert, "verdict": flip, "exit_code": cert["exit_code"] ^ 1, "witness": 0}
+        assert "the instance gives no constant_sequence " + flip + " verdict" in verify_certificate(cert)
 
     def test_crossing_witness_at_the_scan_cap(self, tmp_path, capsys):
         # the worked pair's balanced crossing meets t = u_25 at the cap
@@ -365,25 +404,22 @@ class TestCertificates:
 
     # the conditional certificate of p = x^2 - 2x - 1, q = x^2 - 2x - 4,
     # t = -3 carries a matching per side; a malformed source once crashed
-    # replay (exit 5), a float was truncated, and any source verified
+    # replay (exit 5), a float was truncated, and any source verified.
+    # Each entry is the record the search writes again, so a bad source
+    # is a record that differs
     @pytest.mark.parametrize(
-        "side,entry,needle",
-        [
-            ("p", {"source": ["x", 1]}, "matching invalid: p.source:"),
-            ("p", 5, "matching invalid: p:"),
-            ("p", {"source": [-1.5, -2, 1]}, "matching invalid: p.source:"),
-            ("q", {"source": [1, 0, 1]}, "matching source for q is not the instance's q"),
-        ],
+        "side,entry",
+        [("p", {"source": ["x", 1]}), ("p", 5), ("p", {"source": [-1.5, -2, 1]}), ("q", {"source": [1, 0, 1]})],
+        ids=["string-coefficient", "not-an-object", "fractional-coefficient", "another-source"],
     )
-    def test_tampered_matching_entry_rejected(self, side, entry, needle):
+    def test_tampered_matching_entry_rejected(self, side, entry):
         from hgdecide.config import DEFAULT_CONFIG
 
         cert = decide_document(parse_instance(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")), DEFAULT_CONFIG)
         assert cert["matching"] is not None
         assert verify_certificate(cert) == []
         cert["matching"][side] = {**cert["matching"][side], **entry} if isinstance(entry, dict) else entry
-        failures = verify_certificate(cert)
-        assert any(f.startswith(needle) for f in failures), failures
+        assert verify_certificate(cert) == [f"{side} matching differs from the replayed matching"]
 
     # the same certificate; a matching once verified on its pair count alone
     @pytest.mark.parametrize(
@@ -405,7 +441,28 @@ class TestCertificates:
         assert len(entry["pairs"]) == 1 and verify_certificate(cert) == []
         entry["pairs"] = tamper(entry["pairs"])
         failures = verify_certificate(cert)
-        assert f"{side} matching pairs differ from the replayed matching" in failures, failures
+        assert f"{side} matching differs from the replayed matching" in failures, failures
+
+    # the same certificate: a side with no entry once went unchecked, so an
+    # empty matching verified; 1.0 and true compare equal to 1 in Python
+    @pytest.mark.parametrize(
+        "tamper,sides",
+        [
+            (lambda m: {}, "pq"),
+            (lambda m: {"p": m["p"]}, "q"),
+            (lambda m: {**m, "p": {**m["p"], "source": [-1.0, -2, 1]}}, "p"),
+            (lambda m: {**m, "q": {**m["q"], "source": [-4, -2, True]}}, "q"),
+        ],
+        ids=["empty", "no-q", "float-source", "bool-source"],
+    )
+    def test_matching_must_hold_both_records(self, tamper, sides):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        cert["matching"] = tamper(cert["matching"])
+        failures = verify_certificate(cert)
+        assert failures == [f"{side} matching differs from the replayed matching" for side in sides]
 
     @pytest.mark.parametrize(
         "p,q,t,problem,n,justification,failure",
@@ -709,6 +766,26 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["theta"] == ["1/39", "0"] and out["f"] == [0, 0, 1]
         assert abs(float(out["enclosure"]["approx"]) - 4.7793728e-05) < 1e-10
+
+    @pytest.mark.parametrize(
+        "argv,content,code,needle",
+        [
+            # roots 2 +- 1025i over 2 +- i: one pair past the x-power cap
+            (
+                ["canon", "{f}"], doc([1050629, -4, 1], [5, -4, 1], "1", "1"), 2,
+                "pair exponent 1025 exceeds the cap 1024 on x^e in the canonical form",
+            ),
+            (["recognize"], None, 3, "give a JSON file or --coeffs"),
+            (["recognize", "--coeffs", "1,x"], None, 3, "--coeffs: bad coefficients"),
+        ],
+        ids=["canon-x-power-cap", "recognize-no-input", "recognize-bad-coefficient"],
+    )
+    def test_refusal_names_its_cause(self, tmp_path, capsys, argv, content, code, needle):
+        f = tmp_path / "inst.json"
+        if content is not None:
+            f.write_text(json.dumps(content))
+        assert main([a.format(f=f) for a in argv]) == code
+        assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("p, q", [([1001, 0, 1], [2**8 * 1001, 0, 1]), ([2**20, 0, 1], [1, 0, 1])])
     def test_canon_prints_limits_past_the_double_range(self, tmp_path, capsys, p, q):

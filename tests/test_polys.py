@@ -355,6 +355,25 @@ class TestPollardRhoBudget:
         a, b = 2147483659, 2147484679
         assert factorize(a * b) == {a: 1, b: 1}
 
+    def test_squares_and_closed_cycles_factor(self):
+        # 41^2 is split as a perfect square; on 41 * 131 the cycle of
+        # x^2 + 1 closes on n itself, and x^2 + 2 finds 41
+        assert factorize(1681) == {41: 2}
+        assert factorize(5371) == {41: 1, 131: 1}
+
+    def test_products_of_primes_past_the_trial_divisors_agree_with_sympy(self):
+        # primes from 41 on, past the trial divisors, so every factor comes
+        # from the square test or Pollard rho; squares and cubes included
+        import sympy
+
+        rng = random.Random(43)
+        primes = list(sympy.primerange(41, 3000)) + [sympy.prevprime(2**k) for k in range(12, 31)]
+        for _ in range(1500):
+            n = 1
+            for p in rng.sample(primes, rng.randint(1, 3)):
+                n *= p ** rng.choice((1, 1, 2, 3))
+            assert factorize(n) == sympy.factorint(n), n
+
 
 class TestMillerRabin:
     # the least strong pseudoprime to the first 12 prime bases
@@ -518,3 +537,7 @@ class TestSturm:
         assert not has_negative_real_root(QPoly.of(1, 0, 1))  # roots +-i
         assert has_negative_real_root(QPoly.of(9, 1))  # root -9
         assert not has_negative_real_root(QPoly.of(-9, 1))  # root 9
+
+    def test_a_root_at_zero_is_not_negative(self):
+        assert has_negative_real_root(QPoly.of(0, 1, 1))  # roots 0 and -1
+        assert not has_negative_real_root(QPoly.of(0, -1, 1))  # roots 0 and 1

@@ -231,6 +231,21 @@ class TestConditionalDecider:
         assert v.conditionality is Conditionality.UNCONDITIONAL
         assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
 
+    def test_identity_is_built_once(self, monkeypatch):
+        # the cancelling pair above and the nonzero t = -3 pair each build
+        # one identity: an Equal is not rebuilt to be trusted
+        from hgdecide import schanuel
+
+        calls = []
+        build = schanuel.build_identity
+        monkeypatch.setattr(schanuel, "build_identity", lambda *args: calls.append(args) or build(*args))
+        f = IntPoly.of(-1, -2, 1)
+        p, q = f * IntPoly.of(1, 1) * IntPoly.of(4, 1), f * IntPoly.of(2, 1) * IntPoly.of(3, 1)
+        v = decide(HGInstance(p, q, F(2), F(6), Problem.MEMBERSHIP))
+        assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION and len(calls) == 1
+        v = decide(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)))
+        assert v.equality_rationale is Rationale.IDENTITY_NONZERO and len(calls) == 2
+
     def test_matching_failure_reported_with_evidence(self):
         # x^4-4x^2-8x+2 has no matching: conditional decider refuses.  The
         # tail rises to L ~ 1.4565, so t = 3/2 needs the limit
