@@ -2,10 +2,10 @@
 
 Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
-re-checks every exact claim (witness values, first violations, bound
-guarantees, matching validity, canonical-tuple invariants) without
-re-deriving the decision.  A certificate holds only the keys that carry
-a value, on one compact line; replay reads an absent key as no claim.
+checks the witness, the matching and the claim `verdicts.Reason` names for
+the reason and verdict (a case, bound, order or equality) without
+re-deriving the decision.  A certificate holds only the keys that carry a
+value, on one compact line; replay reads an absent key as no claim.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
+from .equality import decide_equal
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
 from .recognize import NoMatching, find_symmetric_matching
 from .sequence import ExactScan, HGInstance, Problem
-from .verdicts import Conditionality, Verdict
+from .verdicts import Claim, Conditionality, Rationale, Reason, Verdict, exit_code
 
 FORMAT = "hgdecide-certificate/3"
 
@@ -138,18 +139,6 @@ _VERDICT_NAMES = {
 }
 
 
-# every reason `equality.decide` writes, with the one result it gives, or
-# None where it gives either
-_REASON_RESULTS = {
-    "zero_sequence": None, "constant_sequence": None, "zero_tail": None, "sign_analysis": None,
-    "divergence_bound": None, "shrink_bound": None,
-    "prefix_witness": True, "increasing_tail": True, "decreasing_tail_above_target": True,
-    "decreasing_tail_limit_equals_target": True,
-    "terms_never_zero": False, "prefix_violation": False, "decreasing_tail_below_target": False,
-    "monotone_tail_excludes_target": False, "limit_equals_target_not_attained": False,
-}
-
-
 def _present(fields: dict) -> dict:
     """The entries of `fields` with a value: not None and not [] (0 stays)."""
     return {k: v for k, v in fields.items() if v is not None and v != []}
@@ -166,7 +155,7 @@ def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
         "format": FORMAT,
         "instance": docin.to_dict(),
         "verdict": _VERDICT_NAMES[(verdict.problem, verdict.result)],
-        "reason": verdict.reason,
+        "reason": verdict.reason.value,
         "conditionality": verdict.conditionality.value,
         "witness": verdict.witness,
         "scanned_up_to": verdict.scanned_up_to,
@@ -196,7 +185,7 @@ def serialize_certificate(cert: dict) -> str:
 
 
 def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> list[str]:
-    """Re-check every exact claim in a certificate; returns failures."""
+    """Check the claims a certificate's reason and verdict rest on; returns failures."""
     problems: list[str] = []
     if not isinstance(cert, dict):
         return ["certificate must be a JSON object"]
@@ -223,29 +212,31 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if docin.mode == "unconditional" and conditional_oracle:
         problems.append("mode 'unconditional' never builds the conditional oracle")
     code = cert.get("exit_code")  # a JSON integer: true and 1.0 compare equal to 1
-    if type(code) is not int or code != Verdict(inst.problem, result, cond, "").exit_code:
+    if type(code) is not int or code != exit_code(result, cond):
         problems.append("exit code inconsistent with verdict/conditionality")
+    try:
+        if _json_index(cert.get("scanned_up_to", 0), "scanned_up_to") > config.scan_cap:
+            problems.append(f"scanned_up_to exceeds the scan cap {config.scan_cap}")
+    except ParseError as e:
+        problems.append(f"scan claim invalid: {e}")
 
-    reason = cert.get("reason")
-    if not isinstance(reason, str) or reason not in _REASON_RESULTS:
-        problems.append(f"unknown reason {reason!r}")
-    elif _REASON_RESULTS[reason] not in (None, result):
-        problems.append(f"reason {reason} never gives a {verdict_name} verdict")
-    elif reason in ("zero_sequence", "constant_sequence"):
-        # u_n = u0 for every n, so u0 alone gives the result
-        constant = inst.u0 == 0 if reason == "zero_sequence" else inst.u0 != 0 and inst.p == inst.q
-        held = inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t
-        if not constant or result != held:
-            problems.append(f"the instance gives no {reason} {verdict_name} verdict")
+    try:
+        reason = Reason(cert.get("reason"))
+    except ValueError:
+        return problems + [f"unknown reason {cert.get('reason')!r}"]
+    if verdict_name not in reason.claims:
+        problems.append(f"reason {reason.value} never gives a {verdict_name} verdict")
+    claim = reason.claims.get(verdict_name, Claim.NONE)
+    held = inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t  # by u_n = u0
+    if Claim.CASE in claim and _instance_case(inst) is not reason or Claim.CONSTANT in claim and result != held:
+        problems.append(f"the instance gives no {reason.value} {verdict_name} verdict")
 
     scan = None  # the witness scan, left at the witness for the bound replay
     if verdict_name in ("member", "fails"):
         # a member verdict claims the least u_n = t, a fails verdict the
         # first u_n < t: exactly the scan's witness test
-        if result:
-            what, least, rel, not_rel = "witness", "least", "=", "!="
-        else:
-            what, least, rel, not_rel = "violation", "first", "<", ">="
+        words = ("witness", "least", "=", "!=") if result else ("violation", "first", "<", ">=")
+        what, least, rel, not_rel = words
         try:
             witness = _json_index(cert.get("witness"), "witness")
             scan = ExactScan(inst, config.scan_cap)
@@ -266,20 +257,49 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
             problems.append(f"witness replay failed: {e}")
             scan = None
 
-    bound = cert.get("bound")
+    bound, compare = cert.get("bound"), cert.get("compare")
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, cert.get("compare"), config, scan))
-    elif reason in ("divergence_bound", "shrink_bound"):
-        problems.append(f"a {reason} certificate carries no bound")
+        problems.extend(_verify_bound(inst, bound, compare, config, scan))
+    elif Claim.BOUND in claim:
+        problems.append(f"a {reason.value} certificate carries no bound")
+    # the order claim the verdict rests on; an oracle-free GREATER verdict rests on its bound
+    side = "less" if Claim.LESS in claim else "greater" if Claim.GREATER in claim and bound is None else None
+    if side and (compare.get("relation") if isinstance(compare, dict) else None) != side:
+        problems.append(f"a {reason.value} certificate does not claim that L is {side} than t")
 
-    canonical = cert.get("canonical")
+    # the equality record read again: a cancelling identity claims the JSON integer 0 terms
+    # (false is not 0), and a canonical constant decides anew (a tuple under t = 0 is refused)
+    identity, canonical = cert.get("identity"), cert.get("canonical")
+    rationale = cert.get("equality_rationale")
+    count = identity.get("term_count") if isinstance(identity, dict) else None
+    found = rationale == Rationale.IDENTITY_CANCELLATION.value and type(count) is int and count == 0
     if canonical is not None:
-        problems.extend(_verify_canonical(canonical))
+        try:
+            eq = decide_equal(_canonical_constant(canonical), inst.t)
+            found = eq.equal
+            if rationale != eq.rationale.value:
+                problems.append(f"the canonical constant gives the equality rationale {eq.rationale.value}")
+        except (KeyError, ValueError, DecideError) as e:
+            problems.append(f"canonical tuple invalid: {e}")
+    if found != (Claim.EQUAL in claim):
+        verb = "does not find" if Claim.EQUAL in claim else "finds"
+        problems.append(f"the equality record {verb} L = t under {reason.value}")
 
     matching = cert.get("matching")
     if matching is not None:
         problems.extend(_verify_matching(matching, inst))
     return problems
+
+
+def _instance_case(inst: HGInstance) -> Reason | None:
+    """The reason `equality.decide` gives from the instance alone, tested in its order."""
+    if inst.u0 == 0:
+        return Reason.ZERO_SEQUENCE
+    if inst.first_zero_of_q is not None:
+        return Reason.ZERO_TAIL
+    if inst.t == 0:
+        return Reason.TERMS_NEVER_ZERO if inst.problem is Problem.MEMBERSHIP else Reason.SIGN_ANALYSIS
+    return Reason.CONSTANT_SEQUENCE if inst.p == inst.q else None
 
 
 def _verify_bound(
@@ -350,26 +370,19 @@ def _verify_bound(
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
 
 
-def _verify_canonical(desc: dict) -> list[str]:
+def _canonical_constant(desc) -> CanonicalConstant:
+    """The constant a canonical tuple describes; raises KeyError, ValueError
+    or DecideError on a malformed tuple."""
     if not isinstance(desc, dict):
-        return ["canonical tuple invalid: must be an object"]
-    try:
-        theta = desc["theta"]
-        if not isinstance(theta, list) or len(theta) != 2:
-            raise ParseError("must be a list of two rational strings", "theta")
-        CanonicalConstant(
-            _json_rat(theta[0], "theta"),
-            _json_rat(theta[1], "theta"),
-            _json_int(desc["ell"], "ell"),
-            _json_poly(desc["f"], "f"),
-            _json_poly(desc["g"], "g"),
-            _json_int(desc["m"], "m"),
-            _json_int(desc["D"], "D"),
-            _json_bool(desc["base_trivial"], "base_trivial"),
-        )
-    except (KeyError, ValueError, DecideError) as e:
-        return [f"canonical tuple invalid: {e}"]
-    return []
+        raise ParseError("must be an object")
+    theta = desc["theta"]
+    if not isinstance(theta, list) or len(theta) != 2:
+        raise ParseError("must be a list of two rational strings", "theta")
+    return CanonicalConstant(
+        _json_rat(theta[0], "theta"), _json_rat(theta[1], "theta"), _json_int(desc["ell"], "ell"),
+        _json_poly(desc["f"], "f"), _json_poly(desc["g"], "g"), _json_int(desc["m"], "m"),
+        _json_int(desc["D"], "D"), _json_bool(desc["base_trivial"], "base_trivial"),
+    )
 
 
 def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:

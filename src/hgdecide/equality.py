@@ -40,7 +40,7 @@ from .sequence import (
     divergence_bound,
     shrink_bound,
 )
-from .verdicts import Conditionality, EqualityDecision, Rationale, Verdict
+from .verdicts import Conditionality, EqualityDecision, Rationale, Reason, Verdict
 
 
 def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
@@ -118,7 +118,7 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
     shared.
     """
     if inst.u0 == 0:
-        return _constant_verdict(inst, "zero_sequence", None)
+        return _constant_verdict(inst, Reason.ZERO_SEQUENCE, None)
     ztail = inst.first_zero_of_q
     if ztail is not None:
         return _zero_tail_verdict(inst, ztail, config)
@@ -127,13 +127,13 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
 
     cls = inst.asymptotic
     if cls.grows:
-        return _bounded_verdict(inst, divergence_bound(inst, config), "divergence_bound")
+        return _bounded_verdict(inst, divergence_bound(inst, config), Reason.DIVERGENCE_BOUND)
     if cls.shrinks:
-        return _bounded_verdict(inst, shrink_bound(inst, config), "shrink_bound")
+        return _bounded_verdict(inst, shrink_bound(inst, config), Reason.SHRINK_BOUND)
     if not cls.is_balanced:
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
     if inst.p == inst.q:
-        return _constant_verdict(inst, "constant_sequence", cls)
+        return _constant_verdict(inst, Reason.CONSTANT_SEQUENCE, cls)
     return _balanced_verdict(inst, config, conditional)
 
 
@@ -144,22 +144,19 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
     """t = 0 and q has no nonnegative integer root, so no term vanishes:
     membership fails, and threshold is sign analysis."""
     if inst.problem is Problem.MEMBERSHIP:
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL,
-            "terms_never_zero",
-        )
+        return Verdict(inst.problem, False, Conditionality.UNCONDITIONAL, Reason.TERMS_NEVER_ZERO)
     k1 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k1 + 1)  # t = 0: the first negative term
     if n is not None:
         return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "sign_analysis",
+            inst.problem, False, Conditionality.UNCONDITIONAL, Reason.SIGN_ANALYSIS,
             witness=n, scanned_up_to=n,
         )
     # u_{k1-1}, u_{k1} > 0, and every real root of p and q lies below
     # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
     return Verdict(
-        inst.problem, True, Conditionality.UNCONDITIONAL, "sign_analysis",
+        inst.problem, True, Conditionality.UNCONDITIONAL, Reason.SIGN_ANALYSIS,
         scanned_up_to=k1, bound=SearchBound(k1, "product_monotone_beyond"),
     )
 
@@ -173,12 +170,12 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
     n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
     return Verdict(
         inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP),
-        Conditionality.UNCONDITIONAL, "zero_tail",
+        Conditionality.UNCONDITIONAL, Reason.ZERO_TAIL,
         witness=n, scanned_up_to=last if n is None else n,
     )
 
 
-def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: str) -> Verdict:
+def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: Reason) -> Verdict:
     """Verdict from a divergence or shrink bound N whose scan looked for a
     witness at every n <= N (u_N itself is never a member: |u_N| != |t|)."""
     cls = inst.asymptotic
@@ -202,7 +199,7 @@ def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: str) -> Verdi
     )
 
 
-def _constant_verdict(inst: HGInstance, reason: str, asymptotic: AsymptoticClass | None) -> Verdict:
+def _constant_verdict(inst: HGInstance, reason: Reason, asymptotic: AsymptoticClass | None) -> Verdict:
     """u_n = u0 for every n: p = q, or u0 = 0 (the zero sequence)."""
     membership = inst.problem is Problem.MEMBERSHIP
     ok = inst.u0 == inst.t if membership else inst.u0 >= inst.t
@@ -263,11 +260,11 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     if n is not None:
         if membership:
             return Verdict(
-                inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
+                inst.problem, True, Conditionality.UNCONDITIONAL, Reason.PREFIX_WITNESS,
                 witness=n, asymptotic=cls, scanned_up_to=n,
             )
         return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, "prefix_violation",
+            inst.problem, False, Conditionality.UNCONDITIONAL, Reason.PREFIX_VIOLATION,
             witness=n, asymptotic=cls, scanned_up_to=n,
         )
     direction = scan.tail_direction()
@@ -275,11 +272,11 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
         raise DecideError("internal: degenerate tail in balanced branch")
     if scan.tail_misses():
         if membership:
-            reason, at = "monotone_tail_excludes_target", k0 + 2
+            reason, at = Reason.MONOTONE_TAIL_EXCLUDES_TARGET, k0 + 2
         elif direction > 0:
-            reason, at = "increasing_tail", k0 + 1
+            reason, at = Reason.INCREASING_TAIL, k0 + 1
         else:  # a positive tail stays above its limit L >= 0 > t
-            reason, at = "decreasing_tail_above_target", k0 + 2
+            reason, at = Reason.DECREASING_TAIL_ABOVE_TARGET, k0 + 2
         return Verdict(
             inst.problem, not membership, Conditionality.UNCONDITIONAL, reason,
             asymptotic=cls, scanned_up_to=k0 + 1,
@@ -295,13 +292,13 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     if eq.equal:
         if membership:  # a strictly monotone tail never attains its limit
             return Verdict(
-                inst.problem, False, cond, "limit_equals_target_not_attained",
+                inst.problem, False, cond, Reason.LIMIT_EQUALS_TARGET_NOT_ATTAINED,
                 scanned_up_to=k0 + 1, **fields,
             )
         # threshold, decreasing tail with infimum L = t
         return Verdict(
             inst.problem, True, Conditionality.UNCONDITIONAL,
-            "decreasing_tail_limit_equals_target", scanned_up_to=k0 + 1, **fields,
+            Reason.DECREASING_TAIL_LIMIT_EQUALS_TARGET, scanned_up_to=k0 + 1, **fields,
         )
     side, bits, enc = oracle.compare(inst.t)
     fields.update(compare_relation="less" if side < 0 else "greater", compare_precision_bits=bits)
@@ -319,22 +316,22 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             n = scan.first_past()
         if n is not None:
             return Verdict(
-                inst.problem, True, Conditionality.UNCONDITIONAL, "prefix_witness",
+                inst.problem, True, Conditionality.UNCONDITIONAL, Reason.PREFIX_WITNESS,
                 witness=n, scanned_up_to=n, **fields,
             )
         return Verdict(
-            inst.problem, False, cond, "monotone_tail_excludes_target",
+            inst.problem, False, cond, Reason.MONOTONE_TAIL_EXCLUDES_TARGET,
             scanned_up_to=scan.n - 1, bound=SearchBound(scan.n, "product_monotone_beyond"), **fields,
         )
 
     # threshold, decreasing tail with infimum L != t: holds iff L > t
     if side > 0:
         return Verdict(
-            inst.problem, True, cond, "decreasing_tail_above_target",
+            inst.problem, True, cond, Reason.DECREASING_TAIL_ABOVE_TARGET,
             scanned_up_to=k0 + 1, **fields,
         )
     n = scan.first_hit()
     return Verdict(
-        inst.problem, False, cond, "decreasing_tail_below_target",
+        inst.problem, False, cond, Reason.DECREASING_TAIL_BELOW_TARGET,
         witness=n, scanned_up_to=n, **fields,
     )

@@ -13,6 +13,53 @@ class Conditionality(enum.Enum):
     CONDITIONAL_ON_SCHANUEL = "conditional_on_schanuel"
 
 
+def exit_code(result: bool, conditionality: Conditionality) -> int:
+    """0 for member or holds, else 1; plus 10 when conditional on Schanuel's conjecture."""
+    return (0 if result else 1) + (10 if conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL else 0)
+
+
+class Claim(enum.Flag):
+    """What a verdict rests on besides the witness every member or fails verdict names."""
+
+    NONE = 0
+    CASE = enum.auto()  # the instance alone picks the reason: u0, q's roots, t = 0, p = q
+    CONSTANT = enum.auto()  # u_n = u0 for every n, so u0 alone gives the result
+    BOUND = enum.auto()  # a bound past which the tail holds no witness
+    LESS = enum.auto()  # the order claim L < t
+    GREATER = enum.auto()  # the order claim L > t, or a bound that needs no limit
+    EQUAL = enum.auto()  # an equality record that finds L = t
+
+
+_ANY = "member not_member holds fails"
+
+
+class Reason(str, enum.Enum):
+    """A verdict's case, its certificate's `reason`.  Each member maps every
+    verdict name it gives to the claim that verdict rests on: `equality.decide`
+    writes the members and `certs.verify_certificate` checks the claims."""
+
+    def __new__(cls, value: str, *gives: tuple[str, Claim]):
+        member = str.__new__(cls, value)
+        member._value_, member.claims = value, {name: claim for names, claim in gives for name in names.split()}
+        return member
+
+    ZERO_SEQUENCE = "zero_sequence", (_ANY, Claim.CASE | Claim.CONSTANT)
+    CONSTANT_SEQUENCE = "constant_sequence", (_ANY, Claim.CASE | Claim.CONSTANT)
+    ZERO_TAIL = "zero_tail", (_ANY, Claim.CASE)
+    TERMS_NEVER_ZERO = "terms_never_zero", ("not_member", Claim.CASE)
+    SIGN_ANALYSIS = "sign_analysis", ("holds", Claim.CASE | Claim.BOUND), ("fails", Claim.CASE)
+    DIVERGENCE_BOUND = "divergence_bound", (_ANY, Claim.BOUND)
+    SHRINK_BOUND = "shrink_bound", (_ANY, Claim.BOUND)
+    PREFIX_WITNESS = "prefix_witness", ("member", Claim.NONE)
+    PREFIX_VIOLATION = "prefix_violation", ("fails", Claim.NONE)
+    INCREASING_TAIL = "increasing_tail", ("holds", Claim.BOUND)
+    MONOTONE_TAIL_EXCLUDES_TARGET = "monotone_tail_excludes_target", ("not_member", Claim.BOUND)
+    DECREASING_TAIL_ABOVE_TARGET = "decreasing_tail_above_target", ("holds", Claim.GREATER)
+    DECREASING_TAIL_BELOW_TARGET = "decreasing_tail_below_target", ("fails", Claim.LESS)
+    DECREASING_TAIL_LIMIT_EQUALS_TARGET = "decreasing_tail_limit_equals_target", ("holds", Claim.EQUAL)
+    LIMIT_EQUALS_TARGET_NOT_ATTAINED = "limit_equals_target_not_attained", ("not_member", Claim.EQUAL)
+
+
 class Rationale(enum.Enum):
     RATIONAL_IDENTITY = "rational_identity"
     PI_POWER_OBSTRUCTION = "pi_power_obstruction"
@@ -45,7 +92,7 @@ class Verdict:
     problem: Problem
     result: bool
     conditionality: Conditionality
-    reason: str
+    reason: Reason
     witness: int | None = None
     bound: SearchBound | None = None
     scanned_up_to: int | None = None
@@ -57,9 +104,9 @@ class Verdict:
     matching: dict | None = None
     identity: dict | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "reason", Reason(self.reason))
+
     @property
     def exit_code(self) -> int:
-        base = 0 if self.result else 1
-        if self.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL:
-            return base + 10
-        return base
+        return exit_code(self.result, self.conditionality)

@@ -171,14 +171,16 @@ class TestCertificates:
         assert any(needle in f for f in failures), failures
 
     def test_flipped_and_stripped_certificates_fail(self):
-        # every honest certificate verifies; flip its verdict and exit code
-        # and strip its witness and bound, and it must fail: a reason binds
-        # its verdict, and the constant sequences are recomputed
+        # every honest certificate verifies; flip its verdict and exit code,
+        # strip its witness and bound, and write it under each of the 15
+        # reasons in turn, and it must fail: each reason's own claim is
+        # checked (521 of these 2250 rewrites once verified)
         from hgdecide.config import EngineConfig
+        from hgdecide.verdicts import Reason
 
         config = EngineConfig(scan_cap=2 * 10**4)
         flip = {"member": "not_member", "not_member": "member", "holds": "fails", "fails": "holds"}
-        still = []
+        tried, still = 0, []
         for family in FAMILIES:
             for d in generate_documents(7, 30, family):
                 cert = decide_document(parse_instance(d), config)
@@ -186,9 +188,137 @@ class TestCertificates:
                 cert = {**cert, "verdict": flip[cert["verdict"]], "exit_code": cert["exit_code"] ^ 1}
                 cert.pop("witness", None)
                 cert.pop("bound", None)
-                if not verify_certificate(cert, config):
-                    still.append(cert["reason"])
-        assert still == []
+                for reason in Reason:
+                    tried += 1
+                    if not verify_certificate({**cert, "reason": reason.value}, config):
+                        still.append((reason.value, cert["verdict"]))
+        assert tried == 2250 and still == []
+
+    # the worked pair's member certificate, rewritten as not_member with no
+    # witness: each of these reasons once verified it
+    @pytest.mark.parametrize(
+        "reason,needle",
+        [
+            ("terms_never_zero", "the instance gives no terms_never_zero not_member verdict"),
+            ("monotone_tail_excludes_target", "a monotone_tail_excludes_target certificate carries no bound"),
+            ("limit_equals_target_not_attained", "the equality record does not find L = t"),
+            ("sign_analysis", "reason sign_analysis never gives a not_member verdict"),
+            ("zero_tail", "the instance gives no zero_tail not_member verdict"),
+        ],
+    )
+    def test_member_rewritten_as_not_member_fails(self, reason, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert (cert["verdict"], cert["witness"]) == ("member", 2)
+        cert = {**cert, "verdict": "not_member", "exit_code": 1, "reason": reason}
+        del cert["witness"]
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
+    # one honest certificate per reason, and the claim it rests on taken
+    # away: the instance's case (an instance the reason does not fit), a
+    # bound, an order claim or an equality record (a witness for the two
+    # prefix reasons)
+    CLAIMS = [
+        (doc([5, 1], [5, 1], "0", "8"), "zero_sequence", "not_member", lambda c: c["instance"].update(u0="1")),
+        (doc([5, 1], [5, 1], "7", "7"), "constant_sequence", "member", lambda c: c["instance"].update(q=[6, 1])),
+        (doc([1, 1], [-3, 1], "2", "5"), "zero_tail", "not_member", lambda c: c["instance"].update(q=[-3, 2])),
+        ({**WORKED, "t": "0"}, "terms_never_zero", "not_member", lambda c: c["instance"].update(t="1/7")),
+        ({**WORKED, "t": "0", "problem": "threshold"}, "sign_analysis", "holds", lambda c: c.pop("bound")),
+        (
+            {**WORKED, "u0": "-1", "t": "0", "problem": "threshold"}, "sign_analysis", "fails",
+            lambda c: c["instance"].update(t="-1/2"),
+        ),
+        (doc([1], [2], "3", "50"), "divergence_bound", "not_member", lambda c: c.pop("bound")),
+        (doc([2, 1], [1, 1], "1", "1/7"), "shrink_bound", "member", lambda c: c.pop("bound")),
+        (WORKED, "prefix_witness", "member", lambda c: c.pop("witness")),
+        ({**WORKED, "t": "1/26", "problem": "threshold"}, "prefix_violation", "fails", lambda c: c.pop("witness")),
+        (doc([4, 5, 1], [6, 5, 1], "1", "1/2", "threshold"), "increasing_tail", "holds", lambda c: c.pop("bound")),
+        ({**WORKED, "t": "1/100000"}, "monotone_tail_excludes_target", "not_member", lambda c: c.pop("bound")),
+        (
+            doc([6, 5, 1], [4, 5, 1], "1", "1/4", "threshold"), "decreasing_tail_above_target", "holds",
+            lambda c: c.pop("compare"),
+        ),
+        (
+            {**WORKED, "t": "-1", "problem": "threshold"}, "decreasing_tail_above_target", "holds",
+            lambda c: c.pop("bound"),
+        ),
+        (
+            doc([6, 5, 1], [4, 5, 1], "1", "1001/3000", "threshold"), "decreasing_tail_below_target", "fails",
+            lambda c: c["compare"].update(relation="greater"),
+        ),
+        (
+            doc([6, 5, 1], [4, 5, 1], "1", "1/3", "threshold"), "decreasing_tail_limit_equals_target", "holds",
+            lambda c: c.pop("canonical"),
+        ),
+        (
+            doc([4, 5, 1], [6, 5, 1], "1", "3"), "limit_equals_target_not_attained", "not_member",
+            lambda c: c.pop("canonical"),
+        ),
+        (
+            doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"), "limit_equals_target_not_attained",
+            "not_member", lambda c: c.pop("identity"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("d,reason,verdict,remove", CLAIMS, ids=[f"{r}-{v}" for _, r, v, _ in CLAIMS])
+    def test_each_reason_rests_on_its_claim(self, d, reason, verdict, remove):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert (cert["reason"], cert["verdict"]) == (reason, verdict)
+        assert verify_certificate(cert) == []
+        remove(cert)
+        assert verify_certificate(cert)
+
+    # forged equality records: a count that only compares equal to 0, a
+    # canonical constant of another limit, and a canonical tuple under t = 0
+    # (which decide_equal refuses) fail and never raise
+    @pytest.mark.parametrize(
+        "d,tamper,needle",
+        [
+            (
+                doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"),
+                lambda c: c["identity"].update(term_count=False), "the equality record does not find L = t",
+            ),
+            (
+                doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"),
+                lambda c: c["identity"].update(term_count=0.0), "the equality record does not find L = t",
+            ),
+            (
+                doc([4, 5, 1], [6, 5, 1], "1", "3"),
+                lambda c: c["canonical"].update(theta=["4", "0"]), "the equality record does not find L = t",
+            ),
+            (
+                doc([6, 5, 1], [4, 5, 1], "1", "1/4", "threshold"),
+                lambda c: c["canonical"].update(theta=["1/4", "0"]), "the equality record finds L = t",
+            ),
+            (
+                doc([4, 5, 1], [6, 5, 1], "1", "3"),
+                lambda c: c["instance"].update(t="0"), "canonical tuple invalid: decide_equal expects a nonzero",
+            ),
+        ],
+    )
+    def test_forged_equality_record_fails(self, d, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        tamper(cert)
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
+    @pytest.mark.parametrize("value", [True, -1, "5", 10**6 + 1])
+    def test_scanned_up_to_is_an_index_within_the_cap(self, value):
+        # README: scanned_up_to never passes the scan cap; verify once never read it
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert cert["scanned_up_to"] == 2 and verify_certificate(cert) == []
+        cert["scanned_up_to"] = value
+        failures = verify_certificate(cert)
+        assert failures and all(f.startswith("scan") for f in failures), failures
 
     # each once verified: a prefix witness claims a member, p != q is no
     # constant sequence, and no decision writes the reason "bogus"
@@ -377,7 +507,8 @@ class TestCertificates:
     def test_no_field_value_crashes_the_replay(self):
         # a member, a canonical and a matching certificate, each field in
         # turn (every key a certificate can hold, present or not, and those
-        # of instance, bound, compare and canonical) set to each JSON kind
+        # of instance, bound, compare, canonical and identity) set to each
+        # JSON kind
         from hgdecide.config import DEFAULT_CONFIG
 
         certs = [
@@ -389,7 +520,7 @@ class TestCertificates:
             assert set(cert) <= set(CERT_KEYS)
             paths = [(key,) for key in CERT_KEYS] + [
                 (key, sub)
-                for key in ("instance", "bound", "compare", "canonical")
+                for key in ("instance", "bound", "compare", "canonical", "identity")
                 if isinstance(cert.get(key), dict)
                 for sub in cert[key]
             ]

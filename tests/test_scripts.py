@@ -87,6 +87,35 @@ def test_package_imports_at_module_top_without_a_cycle():
     assert graph == {}
 
 
+def test_reasons_are_declared_once():
+    # `equality` writes each reason as a `verdicts.Reason` member and `certs`
+    # reads the members: neither holds a string literal equal to a reason
+    # (docstrings aside; comments never reach the syntax tree)
+    import ast
+
+    from hgdecide.verdicts import Reason
+
+    values = {reason.value for reason in Reason}
+    found = []
+    for name in ("equality", "certs"):
+        path = os.path.join(ROOT, "src", "hgdecide", f"{name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        found += [
+            f"{name}:{node.lineno} {node.value}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in values and id(node) not in docstrings
+        ]
+    assert len(values) == 15 and found == []
+
+
 def test_bench_records_digests_and_every_metric(tmp_path):
     # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
     # names, end to end per workload and per layer, and the 256-bit row of
