@@ -14,13 +14,20 @@ the least of 5 timed calls, in ms, of `pi_interval`, and of `exp_interval`,
 `sin_interval` and `cos_interval` at 3 * 355/113, at 256, 1024, 4096 and
 16384 bits.  Each call starts with the timed kernel's own cache cleared;
 sin and cos find the pi of their angle reduction cached, as in a decision.
+The `scan` table holds the exact scan's cost in this process, in ns per
+index: the least of 5 calls of `ExactScan.jump(N)`, and of `first_hit(N)`
+with u0 = -1 and Threshold t = -2|u_N| (no witness before N, so the
+search skips towards t all the way), for N = 10^4 and 10^5 on three
+growing pairs: p = x + 3, q = x + 4, which telescopes; p = 2x + 3,
+q = 2x + 4 and p = x^2 + 1, q = x^2 + 2x + 3, which do not.
 `--smoke` runs hgbench's tiny plans once, at seed 11 (both trace modes in
-one run), and times the kernels at 256 bits only, to check the plumbing;
-its numbers are no baseline.
+one run), and times the kernels at 256 bits and the scans at 10^4 only,
+to check the plumbing; its numbers are no baseline.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -38,6 +45,12 @@ DIGEST = re.compile(r"^\s+cert_stream_sha256 ([0-9a-f]{64})")
 PACE = re.compile(r"the kernel ran ([0-9.]+)x its reference time")
 KERNEL_BITS = (256, 1024, 4096, 16384)
 KERNEL_REPEATS = 5
+SCAN_DEPTHS = (10**4, 10**5)
+SCAN_PAIRS = {
+    "p = x + 3, q = x + 4": ((3, 1), (4, 1)),
+    "p = 2x + 3, q = 2x + 4": ((3, 2), (4, 2)),
+    "p = x^2 + 1, q = x^2 + 2x + 3": ((1, 0, 1), (3, 2, 1)),
+}
 
 
 def run_hgbench(seed: int, trace: int, smoke: bool) -> tuple[dict, dict, dict, bool]:
@@ -97,6 +110,34 @@ def time_kernels(bits_list) -> dict:
     return table
 
 
+def time_scans(depths) -> dict:
+    """{pair: {"jump" or "first_hit": {N: ns per index}}}, the least of
+    KERNEL_REPEATS calls each, on one instance per pair and N."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from hgdecide.polys import IntPoly
+    from hgdecide.sequence import ExactScan, HGInstance, Problem
+
+    table = {}
+    for label, (p, q) in SCAN_PAIRS.items():
+        row = table[label] = {"jump": {}, "first_hit": {}}
+        for n in depths:
+            scan = ExactScan(HGInstance(IntPoly(p), IntPoly(q), Fraction(-1), Fraction(0), Problem.THRESHOLD))
+            scan.jump(n)
+            t = -2 * Fraction(math.exp(scan.logabs))
+            inst = HGInstance(IntPoly(p), IntPoly(q), Fraction(-1), t, Problem.THRESHOLD)
+            for name in row:
+                best = float("inf")
+                for _ in range(KERNEL_REPEATS):
+                    scan = ExactScan(inst, n)
+                    start = time.perf_counter()
+                    found = scan.jump(n) if name == "jump" else scan.first_hit(n)
+                    best = min(best, time.perf_counter() - start)
+                    if found is not None or scan.n != n:
+                        raise SystemExit(f"{label}: {name}({n}) left the scan at {scan.n}, found {found}")
+                row[name][str(n)] = round(1e9 * best / n, 2)
+    return table
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, help="writes BENCH_<pr>.json at the repository root")
@@ -133,6 +174,7 @@ def main() -> int:
             if layer:
                 record["per_layer"][workload] = layer
     record["kernels"] = time_kernels(KERNEL_BITS[:1] if args.smoke else KERNEL_BITS)
+    record["scan"] = time_scans(SCAN_DEPTHS[:1] if args.smoke else SCAN_DEPTHS)
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -37,19 +37,21 @@ residuals p1, q1 = +-1, an exact term at any index is the anchor pair
 times a few values of g at each end (`_windows`), and the search finds
 the crossing by exact terms, an exponential search and then bisection
 (`ExactScan._last_on`).  Elsewhere it gallops (Bentley and Yao, IPL 5(3),
-1976) in float blocks: one telescoped exact product of q(k) and of p(k)
-over the block (`_factor_products`: a linear factor's values are an
-arithmetic progression that `_product` multiplies as a range, others come
-by forward differences in `_values`) and one float log of their ratio
-move the log-magnitude to the block's end, and a block whose ends are
-float-settled on one side of |t| is committed without an exact term.  A
-product over a residual other than +-1 costs more per index the longer
-the span (products of 2x + 3 and 2x + 4 and their log over 10^5 indices
-past 10^5, on a 2-core x86 host: 14 ms at span 64, 33 ms at 1024, 160 ms
-at 16384; a jump over 10^4 indices of the same pair took 1.4 ms with
-blocks of 64, 1.5 ms with 128 and 2.5 ms with 1024; a constant c != +-1
-makes a c^span of span * log2|c| bits), so float blocks span at most
-_BLOCK indices.
+1976) in float blocks: a block moves the log-magnitude to its end by the
+float log of prod q(k)/p(k) over it, and a block whose ends are
+float-settled on one side of |t| is committed without an exact term.
+Blocks of at least _LEAF indices take that log from double products of
+chunks of values (`_float_products`: a linear factor's values are an
+arithmetic progression, multiplied as a range, others come by forward
+differences in `_values`), one math.log per chunk, at a cost linear in
+the span.  Shorter blocks, whose fixed cost is lower exact, and every
+block of a telescoped instance, which costs the same at any length, take
+it from the exact products (`_factor_products`).  An exact product over a
+residual other than +-1 costs more per index the longer the span (of
+2x + 3 and 2x + 4 near 10^4, with its log, on a 2-core x86 host: 1.6 us
+at span 4, then 145 ns per index at span 64, 195 ns at 256, 290 ns at
+1024 and 550 ns at 4096, against 4.1 us, then 105, 70, 60 and 60 ns, for
+the double products), so float blocks gallop up to _SPAN indices.
 
 Skips are needed only while |u_n| moves towards |t|.  Which way |u_n|
 moves, and whether its sign alternates, is one record of the instance,
@@ -283,10 +285,12 @@ _MAX_PENDING = 2**30
 _SAFETY = 1.0 + 2.0**-20
 # product-tree ranges this short are multiplied left to right
 _LEAF = 64
-# the longest float block of the monotone tail; a longer stretch is
-# searched by exact terms when the shift form's residuals are in _UNITS
+# a search stretch this short steps throughout; a longer one is searched
+# by exact terms when the shift form's residuals are in _UNITS
 _BLOCK = 64
 _UNITS = ((1,), (-1,))
+# the longest float block of a galloping tail search
+_SPAN = 256
 
 
 def _log_ratio(a: int, b: int) -> tuple[float, float]:
@@ -340,6 +344,67 @@ def _product(f: IntPoly, lo: int, hi: int) -> int:
         return math.prod(_values(f, lo, hi))
     mid = (lo + hi) // 2
     return _product(f, lo, mid) * _product(f, mid, hi)
+
+
+def _log_product(f: IntPoly, lo: int, hi: int) -> tuple[float, float, int]:
+    """(s, e, sign): s ~ log|prod f(k)| over lo <= k < hi, a bound e on
+    |s - log|prod f(k)||, and the product's sign; sign 0 when some f(k) is
+    0, s and e then meaningless.
+
+    Each value is below 2^top, top read off the coefficients (exactly for
+    a linear factor, whose |f| peaks at an end), so chunks of
+    m = 1023 // top values multiply to a finite double: as
+    `math.prod(range(...), start=1.0)` for a linear factor, else over
+    `_values`, with one math.log per chunk.  Past top = 1023 the values
+    may leave the double range, and each takes its log by math.log on the
+    integer.  The bound is derived in ExactScan."""
+    if f.degree == 1:
+        c0, c1 = f.coeffs
+        top = max(abs(c0 + c1 * lo), abs(c0 + c1 * (hi - 1)), 1).bit_length()
+    else:
+        k = max(abs(lo), abs(hi - 1)).bit_length()
+        top = len(f.coeffs).bit_length() + max(c.bit_length() + i * k for i, c in enumerate(f.coeffs))
+    m = 1023 // top
+    s = e = 0.0
+    sign = 1
+    if not m:
+        for v in _values(f, lo, hi):
+            if v < 0:
+                v, sign = -v, -sign
+            elif not v:
+                return 0.0, 0.0, 0
+            y = math.log(v)
+            s += y
+            e += 6.0 * y + s
+        return s, (6 * (hi - lo) + e) * _U, sign
+    if f.degree == 1:
+        chunks = (range(c0 + c1 * a, c0 + c1 * min(a + m, hi), c1) for a in range(lo, hi, m))
+    else:
+        vals = iter(_values(f, lo, hi))
+        chunks = (itertools.islice(vals, m) for _ in range(lo, hi, m))
+    for chunk in chunks:
+        x = math.prod(chunk, start=1.0)
+        if x < 0:
+            x, sign = -x, -sign
+        elif not x:
+            return 0.0, 0.0, 0
+        y = math.log(x)
+        s += y
+        e += 2.0 * y + s
+    return s, (2 * (hi - lo) + e) * _U, sign
+
+
+def _float_products(inst: HGInstance, lo: int, hi: int) -> tuple[float, float, int]:
+    """(d, e, sign), the float counterpart of `_factor_products`: d ~ the
+    log of |prod q(k)/p(k)| over lo <= k < hi, e a bound on its error and
+    sign the ratio's sign, 0 when some q(k) is 0 (`_log_product` on q, and
+    on p, which has no zero at k >= 0)."""
+    sq, eq, sign = _log_product(inst.q, lo, hi)
+    if not sign:
+        return 0.0, 0.0, 0
+    sp, ep, sign_p = _log_product(inst.p, lo, hi)
+    d = sq - sp
+    return d, eq + ep + abs(d) * _U, sign * sign_p
 
 
 def _windows(pairs, m: int) -> tuple[int, int]:
@@ -414,12 +479,36 @@ class ExactScan:
     ratio is the one wanted, so a telescoped (Q, P) is charged the same
     way as the direct products, only less.  Each step adds that for
     a = q(k), b = p(k), plus u|logabs| for the rounding of the running sum.
-    err itself is a float sum of nonnegative terms, each a few roundings,
-    so with fewer than 2^30 steps since the anchor the true bound is below
-    err * (1 + 2^-21); _SAFETY = 1 + 2^-20 also absorbs the roundings of
-    the final comparison.  A comparison with a target t is settled by
-    floats only when |logabs - log|t|| > (err + err_t) * _SAFETY, err_t
-    the same bound for log|t|; otherwise it is exact.
+
+    A float block (`_log_product`, on q and on p) multiplies chunks of m
+    nonzero integer values in doubles.  A chunk product F that is finite
+    never underflowed, as every partial product is at least 1 in
+    magnitude, and it rounded at most 2m times, once per conversion of a
+    value above 2^53 and once per multiplication, each by a relative u:
+    |log|F| - log|X|| <= 2m u(1 + u) for the exact product X.  F is
+    finite: every value lies below 2^top, top read off the coefficients,
+    and m = 1023 // top values multiply to below 2^1023, which 2m
+    roundings cannot carry past the largest double.  math.log(F) = y >= 0
+    adds 2u y, and each addition to the running sum S of the chunk logs
+    adds u S, so log|prod f(k)| over [lo, hi) is off by at most
+    (2(hi - lo) + sum of (2y + S)) u; the factor 1 + u of the first term is
+    one more rounding of the kind _SAFETY absorbs.  A chunk product of 0.0
+    means some f(k) = 0: only q has zeros at k >= 0, and the block records
+    zero_since as an exact product of 0 does.  Where top > 1023 the values
+    may lie outside the double range (a degree-32 q with 256-bit
+    coefficients near k = 2^40), and each takes its log by math.log on the
+    integer, off by at most 6u(1 + y) as above, plus u S for the sum.
+    d = S_q - S_p adds u|d| for the subtraction (`_float_products`).
+
+    err itself is a float sum of nonnegative terms, each a few roundings: a
+    step adds two to it, and a block two after its own chunk sums, which
+    hold fewer terms than the block has indices.  So with fewer than 2^30
+    indices since the anchor each term passes fewer than 2^32 roundings,
+    and the true bound is below err * (1 + 2^-21); _SAFETY = 1 + 2^-20
+    also absorbs the roundings of the final comparison.  A comparison with
+    a target t is settled by floats only when
+    |logabs - log|t|| > (err + err_t) * _SAFETY, err_t the same bound for
+    log|t|; otherwise it is exact.
 
     Monotone tail.  Two indices bound the prefix.  The certified index
     k1 = inst.monotonicity_index (the Cauchy bound 1 + max|c_i|/|lead| of
@@ -453,24 +542,29 @@ class ExactScan:
     is on the side (monotone |u|), so none is a witness and none passes a
     bound.  Any other tail, and a telescoped one within _BLOCK of its
     limit, is skipped in float blocks: the search tries a block [n, hi),
-    hi = n + span or the limit: with (Q, P) the telescoped pair of the
-    block, Q/P = prod q(k)/p(k), P nonzero and Q zero only at a zero of q,
-    logabs moves by the d of _log_ratio(Q, P) and err by its bound
-    (12 + 6(log|Q| + log|P|) + |d|)u plus u|logabs| for the running sum,
+    hi = n + span or the limit, and logabs moves by the block's float d of
+    log|prod q(k)/p(k)| and err by d's bound plus u|logabs| for the running
+    sum (`_advance`).  A block of at least _LEAF indices on an instance
+    that does not telescope takes d from double chunk products, as above.
+    Any other block takes the d of _log_ratio(Q, P), with (Q, P) the
+    telescoped pair of the block, Q/P = prod q(k)/p(k), P nonzero and Q
+    zero only at a zero of q, and its bound (12 + 6(log|Q| + log|P|) + |d|)u,
     the same derivation with a = Q, b = P, so the 12u is paid once per
     block, not per index.  If the block's end is float-settled on the side
     its start is on, every index in between is on that side too (monotone
     |u|), so none is a witness and none passes a bound: the block is
-    committed (n and steps move by hi - n, the sign flips when Q*P < 0)
-    and never materializes, and the span doubles, up to _BLOCK.
+    committed (n and steps move by hi - n, the sign flips when the block's
+    ratio is negative) and never materializes, and the span doubles, up to
+    _SPAN.
     Otherwise the span halves and the block is tried again at n; at span
     one the scan steps instead, and the span is two again after the step.
     A search with at most _BLOCK indices left never builds the shift form
     (spans start at one and `_factor_products` multiplies short ranges
     directly).  A first_past search that has recorded its witness needs
     only the magnitude, so it skips without waiting for two misses.
-    jump(n) moves the float state, unchecked, by one product when the
-    residuals are +-1, else by one per _BLOCK indices.
+    jump(n) moves the float state, unchecked, by one block (`_advance`),
+    which builds no exact product when it spans at least _LEAF indices of
+    an instance that does not telescope.
 
     Tail exit.  Where a skip would be tried and sign(|r(k)| - 1), the
     second of inst.tail_signs and the same at every k past the skip index,
@@ -550,9 +644,7 @@ class ExactScan:
 
     def jump(self, n: int):
         """Go straight to index n >= self.n.  The float state moves by one
-        product when the shift form leaves the residuals +-1 (or the jump
-        is shorter than _BLOCK), else by one per _BLOCK indices; no exact
-        term is built."""
+        block (`_advance`); no exact term is built."""
         if n > self.cap:
             raise ScanCapExceeded(f"scan index {n} exceeds cap {self.cap}")
         if n < self.n:
@@ -564,9 +656,8 @@ class ExactScan:
 
     def _floats_to(self, n: int):
         """jump's float move from self.n to n; `steps` is the caller's."""
-        whole = n - self.n < _BLOCK or self._telescoped()
-        while self.n < n and self.zero_since is None:
-            self._advance(n if whole else min(self.n + _BLOCK, n))
+        if self.n < n and self.zero_since is None:
+            self._advance(n)
         self.n = n
 
     def _catch_up(self):
@@ -581,8 +672,9 @@ class ExactScan:
     def _telescoped(self) -> bool:
         """Whether the shift form leaves the residuals p1, q1 = +-1, so that
         a product, and an exact term, costs the same at any length.  Read
-        only where a search has more than _BLOCK indices to skip, or a jump
-        at least _BLOCK, which builds the shift form if no product has."""
+        only where a search has more than _BLOCK indices to skip, or a
+        block spans at least _LEAF, which builds the shift form if no
+        product has."""
         _, p1, q1 = self.inst.shift_form
         return p1.coeffs in _UNITS and q1.coeffs in _UNITS
 
@@ -653,13 +745,13 @@ class ExactScan:
         index inst.monotonicity_index is that close reads sides from
         there, never computing the skip index.  A search whose k1 lies past
         the cap reads sides from the skip index, so the tail exit can take
-        it to the cap, but skips nothing else: such a k1 comes from
-        coefficients that are huge next to the lead, whose wide values make
-        a block's exact product cost more per index than a step
-        (p = x^2 + 2^250, q = x^2 + 2^252 galloped from skip index 1 to the
-        10^6 cap in 6.8-8.9 s, against 2.9-3.6 s stepping, on a 2-core x86
-        host; with Threshold t = 10^-6 the tail exit takes it there after
-        steps at 0 and 1)."""
+        it to the cap, and skips from there like any other search.  Such a
+        k1 comes from coefficients that are huge next to the lead, whose
+        wide values float blocks take in short chunks (p = x^2 + 2^250,
+        q = x^2 + 2^252, u0 = 1 and Membership t = 2^60000 galloped from
+        skip index 1 to a 2 * 10^4 cap in 11 ms, against 68 ms stepping,
+        on a 2-core x86 host; with Threshold t = 10^-6 the tail exit takes
+        it there after steps at 0 and 1)."""
         inst = self.inst
         result = self._witness_test()
         t = inst.t
@@ -667,14 +759,10 @@ class ExactScan:
         k1 = inst.monotonicity_index if past else 0
         hit = None
         low = end
-        reopen = 2  # the span after a step; 1, no block ever, where k1 lies past the cap
         if past or (t and end - self.n > _BLOCK):
-            certified = inst.monotonicity_index
-            low = min(end, certified)
+            low = min(end, inst.monotonicity_index)
             if low - self.n > _BLOCK:
                 low = min(end, inst.skip_index)
-            if certified > self.cap:
-                reopen = 1
         prev = 0  # side of the last index when it was a float-settled miss
         span = 1  # length of the next block tried
         while self.n < end:
@@ -721,9 +809,9 @@ class ExactScan:
                     span //= 2
                 if span > 1:
                     self.steps += hi - n
-                    span = min(2 * (hi - n), _BLOCK)
+                    span = min(2 * (hi - n), _SPAN)
                     continue
-                span = reopen
+                span = 2
             prev = side
             step()
         return hit
@@ -735,20 +823,27 @@ class ExactScan:
         return 1 if self._logabs > self._tlog else -1
 
     def _advance(self, hi: int, side: int = 0) -> bool:
-        """Move the float state from n to hi by one product of q(k) and of
-        p(k) over [n, hi); with side != 0 only if |u_hi| is then
-        float-settled on that side of |t| (class docstring).  Returns
-        whether it moved; `steps` is the caller's.  Never called while the
-        float pair lags: jump catches it up first, and a search tries no
-        block where its tail exit has nowhere left to go."""
+        """Move the float state from n to hi by the float log of
+        prod q(k)/p(k) over [n, hi): from double chunk products
+        (`_float_products`) over at least _LEAF indices of an instance that
+        does not telescope, else from the exact telescoped products
+        (`_factor_products`); with side != 0 only if |u_hi| is then
+        float-settled on that side of |t| (class docstring).  Returns whether it moved; `steps` is the caller's.
+        Never called while the float pair lags: jump catches it up first,
+        and a search tries no block where its tail exit has nowhere left
+        to go."""
         lo = self.n
-        qs, ps = _factor_products(self.inst, lo, hi)
-        if qs == 0:  # a jump over a zero of q; past k1 q has none
+        if hi - lo < _LEAF or self._telescoped():
+            qs, ps = _factor_products(self.inst, lo, hi)
+            sign = ((qs > 0) - (qs < 0)) * (1 if ps > 0 else -1)
+            d, e = _log_ratio(qs, ps) if sign else (0.0, 0.0)
+        else:
+            d, e, sign = _float_products(self.inst, lo, hi)
+        if not sign:  # a jump over a zero of q; past k1 q has none
             # no zero lies below lo: every move past one records it
             self.zero_since = 1 + self.inst.first_zero_of_q
             self.n = hi
             return True
-        d, e = _log_ratio(qs, ps)
         logabs = self._logabs + d
         err = self._err + e + abs(logabs) * _U
         if side:
@@ -761,7 +856,7 @@ class ExactScan:
                 return False
         self.n = hi
         self._logabs, self._err = logabs, err
-        if (qs < 0) != (ps < 0):
+        if sign < 0:
             self._sign = -self._sign
         return True
 

@@ -466,18 +466,13 @@ class TestScanCapReachable:
         # the prefix u_0 .. u_{k0+1}
         inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(u0), t, problem)
         k0 = inst.monotonicity_index
-        ends = []
-        products = sequence._factor_products
-        monkeypatch.setattr(
-            sequence, "_factor_products", lambda i, lo, hi: ends.append(hi) or products(i, lo, hi)
-        )
-        steps = record_steps(monkeypatch)
+        blocks, steps = record_products(monkeypatch), record_steps(monkeypatch)
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
         assert main(["decide", str(f)]) == 4
         err = capsys.readouterr().err
         assert "resource limit" in err and "the limit puts the crossing of t past the cap" in err
-        assert all(hi <= k0 + 2 for hi in ends) and max(steps) < k0 + 2
+        assert all(hi <= k0 + 2 for _, _, hi in blocks) and max(steps) < k0 + 2
 
     @pytest.mark.parametrize(
         "q,t,problem",
@@ -578,6 +573,62 @@ class TestValues:
             _horner_product(q, lo, lo + span),
             _horner_product(p, lo, lo + span),
         )
+
+
+@st.composite
+def float_blocks(draw):
+    """(p, q, lo, hi): p with positive coefficients, so no root at k >= 0,
+    and q of degree 1-8, a few of degree 32 with 256-bit coefficients, in
+    some draws with a root inside the block; a block of 1-2048 indices
+    starting anywhere up to 10^6."""
+    degree, bits = draw(st.one_of(
+        st.tuples(st.integers(1, 8), st.sampled_from([3, 16, 64])),
+        st.just((32, 256)),
+    ))
+    lo = draw(st.integers(0, 10**6))
+    hi = lo + draw(st.integers(1, 2048))
+    root = draw(st.one_of(st.none(), st.integers(lo, hi - 1)))
+    # the cofactor of x - root keeps q within the 256-bit cap
+    top = 2 ** (bits if root is None else min(bits, 230)) - 1
+    p = [draw(st.integers(1, top)) for _ in range(draw(st.integers(1, degree)) + 1)]
+    q = [draw(st.integers(-top, top)) for _ in range(degree)] + [draw(st.integers(1, top))]
+    if root is not None:
+        q = list((IntPoly.of(-root, 1) * IntPoly(tuple(q[1:]))).coeffs)
+    return p, q, lo, hi
+
+
+class TestFloatBlocks:
+    """`_float_products` against the exact block products: the float log
+    of |Q/P| within its bound, the sign of Q/P, and a zero of q reported."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_blocks())
+    def test_log_within_its_bound(self, mp, block):
+        p, q, lo, hi = block
+        inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
+        qs, ps = sequence._factor_products(inst, lo, hi)
+        d, e, sign = sequence._float_products(inst, lo, hi)
+        assert sign == _sgn(qs) * _sgn(ps)
+        if qs:
+            exact = mp.log(abs(mp.mpf(qs))) - mp.log(abs(mp.mpf(ps)))
+            assert abs(mp.mpf(d) - exact) <= e
+
+    def test_values_past_the_double_range_take_integer_logs(self, mp):
+        # degree 32, 256-bit coefficients: near k = 2^40 every value is
+        # about 2^1570, which no double holds
+        p = IntPoly((2**255 + 1,) * 33)
+        q = IntPoly((-(2**255) + 7,) * 32 + (2**256 - 1,))
+        inst = HGInstance(p, q, F(1), F(0), Problem.MEMBERSHIP)
+        lo, hi = 2**40, 2**40 + 40
+        assert q(lo).bit_length() > 1024
+        qs, ps = sequence._factor_products(inst, lo, hi)
+        d, e, sign = sequence._float_products(inst, lo, hi)
+        exact = mp.log(abs(mp.mpf(qs))) - mp.log(abs(mp.mpf(ps)))
+        assert sign == _sgn(qs) * _sgn(ps) == 1 and abs(mp.mpf(d) - exact) <= e
+        # a root at lo + 5 inside such a block
+        q0 = IntPoly.of(-(lo + 5), 1) * IntPoly((2**200 + 3,) * 32)
+        inst = HGInstance(p, q0, F(1), F(0), Problem.MEMBERSHIP)
+        assert sequence._float_products(inst, lo, hi)[2] == 0
 
 
 DEEP = 3000
@@ -823,23 +874,25 @@ def record_windows(monkeypatch) -> list[int]:
     return at
 
 
-def record_products(monkeypatch) -> list[int]:
-    """The span hi - lo of every exact block product from now on."""
-    spans = []
-    products = sequence._factor_products
+def record_products(monkeypatch) -> list[tuple[str, int, int]]:
+    """(kernel, lo, hi) of every block product from now on, exact
+    (`_factor_products`) or float (`_float_products`)."""
+    blocks = []
+    for kernel, name in (("exact", "_factor_products"), ("float", "_float_products")):
+        product = getattr(sequence, name)
 
-    def recording(inst, lo, hi):
-        spans.append(hi - lo)
-        return products(inst, lo, hi)
+        def recording(inst, lo, hi, kernel=kernel, product=product):
+            blocks.append((kernel, lo, hi))
+            return product(inst, lo, hi)
 
-    monkeypatch.setattr(sequence, "_factor_products", recording)
-    return spans
+        monkeypatch.setattr(sequence, name, recording)
+    return blocks
 
 
 class TestGallop:
     """The tail search doubles its block span after each committed block
-    and halves it after a refused one; spans pass 64 only where the shift
-    form leaves the residuals +-1."""
+    and halves it after a refused one, up to 256 indices; an exact product
+    spans 64 or more only where the shift form leaves the residuals +-1."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1040,8 +1093,23 @@ class TestGallop:
         inst = HGInstance(IntPoly.of(3, 1), IntPoly.of(4, 1), F(1), F(0), Problem.MEMBERSHIP)
         scan = ExactScan(inst)
         scan.jump(10**6)
-        assert spans == [10**6]
+        assert spans == [("exact", 0, 10**6)]
         assert scan.fraction() == F(10**6 + 3, 3)
+
+    def test_other_residual_gallops_in_float_blocks(self, monkeypatch):
+        # p = 2x + 3, q = 2x + 4 does not telescope: blocks under 64
+        # indices multiply exactly, longer ones take double chunk products,
+        # and the span doubles up to 256 on the way to the witness at 5000,
+        # where the one exact product over 64 indices brings the exact
+        # pair from u_0 to u_5000
+        inst = HGInstance(IntPoly.of(3, 2), IntPoly.of(4, 2), F(1), F(0), Problem.MEMBERSHIP)
+        inst = HGInstance(inst.p, inst.q, F(1), sequence.term(inst, 5000), Problem.MEMBERSHIP)
+        spans = record_products(monkeypatch)
+        assert ExactScan(inst).first_hit() == 5000
+        *blocks, last = spans
+        assert last == ("exact", 0, 5000)
+        assert all((kind == "exact") == (hi - lo < 64) for kind, lo, hi in blocks)
+        assert max(hi - lo for _, lo, hi in blocks) == sequence._SPAN == 256
 
     @pytest.mark.parametrize(
         "p,q",
@@ -1050,13 +1118,13 @@ class TestGallop:
             ([6, 2], [12, 3]),  # the pair x + 3, h = 1, leaves p1, q1 = 2, 3
         ],
     )
-    def test_other_residual_multiplies_at_most_a_block(self, monkeypatch, p, q):
+    def test_other_residual_jump_is_one_float_product(self, monkeypatch, p, q):
         # |u_n| grows like n^2 or (3/2)^n n and is above |t| = 1 past u_0.
         # k1 is 5 or 8, within 64 of the start, so sides are read from k1 on
         # (the skip index is not computed): the misses at k1 and k1 + 1
         # prove there is no witness, the search exits there with no
-        # product, and the float pair stays at k1 + 1 until jump catches it
-        # up, in blocks of at most 64 indices like its own
+        # product, and the float pair stays at k1 + 1.  jump catches it up
+        # and then moves it, each in one float product and no exact one
         spans = record_products(monkeypatch)
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(-1), Problem.MEMBERSHIP)
         lag = inst.monotonicity_index + 1
@@ -1065,8 +1133,7 @@ class TestGallop:
         assert scan.n == scan.steps == 20000 and scan.materialized == 0
         assert spans == []
         scan.jump(30000)
-        assert max(spans) == sequence._BLOCK and sum(spans) == 30000 - lag
-        assert len(spans) == -(-(20000 - lag) // 64) + -(-10000 // 64)
+        assert spans == [("float", lag, 20000), ("float", 20000, 30000)]
         assert scan.n == scan.steps == 30000 and scan.materialized == 0
 
 

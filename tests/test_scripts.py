@@ -118,8 +118,8 @@ def test_reasons_are_declared_once():
 
 def test_bench_records_digests_and_every_metric(tmp_path):
     # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
-    # names, end to end per workload and per layer, and the 256-bit row of
-    # the enclosure kernels' timings
+    # names, end to end per workload and per layer, the 256-bit row of
+    # the enclosure kernels' timings and the scan's at depth 10^4
     import json
 
     out = tmp_path / "bench.json"
@@ -150,6 +150,11 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     kernels = {"pi_interval", "exp_interval", "sin_interval", "cos_interval"}
     assert {bits: set(row) for bits, row in record["kernels"].items()} == {"256": kernels}
     assert all(ms > 0 for ms in record["kernels"]["256"].values())
+    # the scan table: ns per index of jump and first_hit at depth 10^4
+    assert len(record["scan"]) == 3
+    for row in record["scan"].values():
+        assert set(row) == {"jump", "first_hit"}
+        assert all(set(by_depth) == {"10000"} and min(by_depth.values()) > 0 for by_depth in row.values())
     assert record["python"] and record["cpu_count"] >= 1
 
 
