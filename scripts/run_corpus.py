@@ -18,6 +18,7 @@ from hgdecide.certs import parse_instance, serialize_certificate, verify_certifi
 from hgdecide.cli import decide_document
 from hgdecide.config import EngineConfig
 from hgdecide.corpus import cross_check, generate_documents
+from hgdecide.verdicts import VerdictName
 
 # brute-force depth of the consistency check
 ORACLE_DEPTH = 10**4
@@ -27,7 +28,7 @@ def run_one(doc: dict) -> tuple[dict, str]:
     config = EngineConfig.from_env()
     docin = parse_instance(doc)
     cert = decide_document(docin, config)
-    result = cert["verdict"] in ("member", "holds")
+    result = VerdictName(cert["verdict"]).result
     mismatch = cross_check(docin.inst, result, cert.get("witness"), ORACLE_DEPTH, config)
     return cert, "consistent" if mismatch is None else f"MISMATCH {mismatch}"
 

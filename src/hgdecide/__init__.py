@@ -28,7 +28,6 @@ from .sequence import (
     brute_force,
     classify,
     divergence_bound,
-    monotonicity_index,
     shrink_bound,
     term,
     terms,
@@ -62,7 +61,6 @@ __all__ = [
     "divergence_bound",
     "find_symmetric_matching",
     "limit_as_gamma",
-    "monotonicity_index",
     "recognize_shifted_square",
     "roots_quadratic",
     "shrink_bound",

@@ -17,12 +17,12 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
-from .equality import decide_equal
+from .equality import decide_equal, instance_case
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
 from .recognize import NoMatching, find_symmetric_matching
 from .sequence import ExactScan, HGInstance, Problem
-from .verdicts import Claim, Conditionality, Rationale, Reason, Verdict, exit_code
+from .verdicts import Claim, Conditionality, Justification, Rationale, Reason, Verdict, VerdictName, exit_code
 
 FORMAT = "hgdecide-certificate/3"
 
@@ -131,14 +131,6 @@ def load_instance(path: str) -> InstanceDocument:
 # Certificates
 # ---------------------------------------------------------------------------
 
-_VERDICT_NAMES = {
-    (Problem.MEMBERSHIP, True): "member",
-    (Problem.MEMBERSHIP, False): "not_member",
-    (Problem.THRESHOLD, True): "holds",
-    (Problem.THRESHOLD, False): "fails",
-}
-
-
 def _present(fields: dict) -> dict:
     """The entries of `fields` with a value: not None and not [] (0 stays)."""
     return {k: v for k, v in fields.items() if v is not None and v != []}
@@ -149,17 +141,18 @@ def _rat_or_none(q: Fraction | None) -> str | None:
 
 
 def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
-    """A verdict's certificate: only the keys that carry a value."""
+    """A verdict's certificate: only the keys that carry a value; a bound
+    with its reason's justification."""
     bound, asym, rel = verdict.bound, verdict.asymptotic, verdict.compare_relation
     return _present({
         "format": FORMAT,
         "instance": docin.to_dict(),
-        "verdict": _VERDICT_NAMES[(verdict.problem, verdict.result)],
+        "verdict": verdict.name.value,
         "reason": verdict.reason.value,
         "conditionality": verdict.conditionality.value,
         "witness": verdict.witness,
         "scanned_up_to": verdict.scanned_up_to,
-        "bound": bound and {"n": bound.n, "justification": bound.justification},
+        "bound": None if bound is None else {"n": bound, "justification": verdict.reason.justification.value},
         "asymptotic": asym and _present({
             "variant": asym.variant.value,
             "ratio_limit": _rat_or_none(asym.ratio_limit),
@@ -196,12 +189,12 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     except ParseError as e:
         return [f"instance does not parse: {e}"]
     inst = docin.inst
-    verdict_name = cert.get("verdict")
-    # a tuple: a malformed verdict may be a list or an object, not hashable
-    if verdict_name not in ("member", "not_member", "holds", "fails"):
-        return [f"unknown verdict {verdict_name!r}"]
-    result = verdict_name in ("member", "holds")
-    if _VERDICT_NAMES[(inst.problem, result)] != verdict_name:
+    try:
+        verdict_name = VerdictName(cert.get("verdict"))
+    except ValueError:
+        return [f"unknown verdict {cert.get('verdict')!r}"]
+    result = verdict_name.result
+    if verdict_name.problem is not inst.problem:
         problems.append("verdict name inconsistent with problem kind")
     try:
         cond = Conditionality(cert.get("conditionality"))
@@ -225,14 +218,14 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     except ValueError:
         return problems + [f"unknown reason {cert.get('reason')!r}"]
     if verdict_name not in reason.claims:
-        problems.append(f"reason {reason.value} never gives a {verdict_name} verdict")
+        problems.append(f"reason {reason.value} never gives a {verdict_name.value} verdict")
     claim = reason.claims.get(verdict_name, Claim.NONE)
     held = inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t  # by u_n = u0
-    if Claim.CASE in claim and _instance_case(inst) is not reason or Claim.CONSTANT in claim and result != held:
-        problems.append(f"the instance gives no {reason.value} {verdict_name} verdict")
+    if Claim.CASE in claim and instance_case(inst) is not reason or Claim.CONSTANT in claim and result != held:
+        problems.append(f"the instance gives no {reason.value} {verdict_name.value} verdict")
 
     scan = None  # the witness scan, left at the witness for the bound replay
-    if verdict_name in ("member", "fails"):
+    if result == (verdict_name.problem is Problem.MEMBERSHIP):
         # a member verdict claims the least u_n = t, a fails verdict the
         # first u_n < t: exactly the scan's witness test
         words = ("witness", "least", "=", "!=") if result else ("violation", "first", "<", ">=")
@@ -259,7 +252,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
 
     bound, compare = cert.get("bound"), cert.get("compare")
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, compare, config, scan))
+        problems.extend(_verify_bound(inst, bound, reason, compare, config, scan))
     elif Claim.BOUND in claim:
         problems.append(f"a {reason.value} certificate carries no bound")
     # the order claim the verdict rests on; an oracle-free GREATER verdict rests on its bound
@@ -291,25 +284,15 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     return problems
 
 
-def _instance_case(inst: HGInstance) -> Reason | None:
-    """The reason `equality.decide` gives from the instance alone, tested in its order."""
-    if inst.u0 == 0:
-        return Reason.ZERO_SEQUENCE
-    if inst.first_zero_of_q is not None:
-        return Reason.ZERO_TAIL
-    if inst.t == 0:
-        return Reason.TERMS_NEVER_ZERO if inst.problem is Problem.MEMBERSHIP else Reason.SIGN_ANALYSIS
-    return Reason.CONSTANT_SEQUENCE if inst.p == inst.q else None
-
-
 def _verify_bound(
     inst: HGInstance,
     bound: dict,
+    reason: Reason,
     compare: dict | None,
     config: EngineConfig,
     scan: ExactScan | None = None,
 ) -> list[str]:
-    """Prove a bound's claim for every n >= n0.
+    """Prove the claim of the justification `reason` writes for every n >= n0.
 
     n0 must be at least the certified index k1 = inst.monotonicity_index
     (the Cauchy bound, never the scan's skip index): past k1, q, p,
@@ -319,17 +302,20 @@ def _verify_bound(
     with t then settles the whole tail; a monotone-tail bound passes the
     balanced verdicts' own test, scan.tail_misses(), or an order claim.
     `scan`, if given and not past n0, carries on from where it is (its
-    exact anchor included).
+    exact anchor included).  The certificate's justification must be
+    the reason's own, and a reason that writes no bound carries none.
     """
     if not isinstance(bound, dict):
         return ["bound invalid"]
+    just = reason.justification
+    if just is None:
+        return [f"reason {reason.value} never writes a bound"]
     try:
         n0 = _json_index(bound.get("n"), "bound.n")
     except ParseError as e:
         return [f"bound index invalid: {e}"]
-    just = bound.get("justification")
-    if just not in ("ratio_exceeds_target", "tail_below_target", "product_monotone_beyond"):
-        return [f"unknown bound justification {just!r}"]
+    if bound.get("justification") != just.value:
+        return [f"bound justification {bound.get('justification')!r} is not {reason.value}'s {just.value}"]
     if n0 > config.scan_cap:
         return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
     k1 = inst.monotonicity_index
@@ -340,9 +326,9 @@ def _verify_bound(
     scan.jump(n0)
     t = inst.t
     ratio, grow = inst.tail_signs
-    if just != "product_monotone_beyond":
+    if just is not Justification.PRODUCT_MONOTONE_BEYOND:
         # the bound search's own past exit: |r| and |u_{n0}| - |t| on `side`
-        side = 1 if just == "ratio_exceeds_target" else -1
+        side = 1 if just is Justification.RATIO_EXCEEDS_TARGET else -1
         rel, kind = ("<=", "divergence") if side > 0 else (">=", "shrink")
         if grow != side:
             return [f"|r(k)| {rel} 1 for k >= {k1} under a {kind} bound"]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .exactnum import format_rat
 from .polys import IntPoly
-from .sequence import HGInstance, Problem, brute_force, classify, monotonicity_index, term
+from .sequence import HGInstance, Problem, brute_force, term
 
 _PROBE_LIMIT = 24000
 _ADMIT_DEPTH = 8000
@@ -142,12 +142,13 @@ def _pick_target(rng: random.Random, inst_wo_t: HGInstance) -> Fraction:
     return Fraction(num if num else 7, rng.randint(1, 10**5))
 
 
-def _scan_depth_ok(p: IntPoly, q: IntPoly, u0: Fraction, t: Fraction) -> bool:
-    """Float probe: would the exact bound/crossing scans stay shallow?"""
+def _scan_depth_ok(probe: HGInstance, t: Fraction) -> bool:
+    """Float probe: would the exact bound/crossing scans stay shallow at t?"""
+    p, q, u0 = probe.p, probe.q, probe.u0
     if u0 == 0 or t == 0:
         return True
-    cls = classify(p, q)
-    k1 = monotonicity_index(p, q)
+    cls = probe.asymptotic
+    k1 = probe.monotonicity_index
     lt = math.log(abs(t))
     lu = math.log(abs(u0))
     if cls.grows or cls.shrinks:
@@ -195,7 +196,7 @@ def generate_documents(seed: int, count: int, family: str) -> list[dict]:
             t = _pick_target(rng, probe)
             if t == 0:
                 t = Fraction(1, 7)
-            if _scan_depth_ok(p, q, u0, t):
+            if _scan_depth_ok(probe, t):
                 break
         docs.append(
             {

@@ -32,11 +32,9 @@ from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
 from .polys import roots_quadratic
 from .schanuel import ConditionalLimitOracle
 from .sequence import (
-    AsymptoticClass,
     ExactScan,
     HGInstance,
     Problem,
-    SearchBound,
     divergence_bound,
     shrink_bound,
 )
@@ -104,12 +102,27 @@ def limit_oracle(inst: HGInstance, config: EngineConfig, conditional: bool):
 # ---------------------------------------------------------------------------
 
 
+def instance_case(inst: HGInstance) -> Reason | None:
+    """The reason the instance alone gives, tested in `decide`'s order:
+    u0 = 0, a nonnegative integer root of q, t = 0, p = q; None for every
+    other instance.  The certificate replay recomputes it."""
+    if inst.u0 == 0:
+        return Reason.ZERO_SEQUENCE
+    if inst.first_zero_of_q is not None:
+        return Reason.ZERO_TAIL
+    if inst.t == 0:
+        return Reason.TERMS_NEVER_ZERO if inst.problem is Problem.MEMBERSHIP else Reason.SIGN_ANALYSIS
+    return Reason.CONSTANT_SEQUENCE if inst.p == inst.q else None
+
+
 def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional: bool = True) -> Verdict:
     """Full decision pipeline, the only decider.
 
-    The bounded regimes (zero tails, divergence, shrinkage) are decided for
-    arbitrary nonzero coefficients; a zero tail is tested before t = 0, so
-    every instance whose terms vanish, t = 0 included, is one prefix scan.
+    The instance's case (`instance_case`) is decided first.  The bounded
+    regimes (zero tails, divergence, shrinkage) are decided for arbitrary
+    nonzero coefficients; a zero tail is tested before t = 0, so every
+    instance whose terms vanish, t = 0 included, is one prefix scan.  p = q
+    is a balanced pair, so testing it before the class changes nothing.
     The balanced branch scans first and builds the limit oracle only for a
     verdict that reads the limit; that build needs monic p and q and the
     gamma-product machinery, so only such verdicts can end as
@@ -117,23 +130,21 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
     Schanuel-conditional oracle (`limit_oracle`); everything else is
     shared.
     """
-    if inst.u0 == 0:
-        return _constant_verdict(inst, Reason.ZERO_SEQUENCE, None)
-    ztail = inst.first_zero_of_q
-    if ztail is not None:
-        return _zero_tail_verdict(inst, ztail, config)
-    if inst.t == 0:
+    case = instance_case(inst)
+    if case is Reason.ZERO_SEQUENCE or case is Reason.CONSTANT_SEQUENCE:
+        return _constant_verdict(inst, case)
+    if case is Reason.ZERO_TAIL:
+        return _zero_tail_verdict(inst, config)
+    if case is not None:
         return _zero_target_verdict(inst, config)
 
     cls = inst.asymptotic
     if cls.grows:
-        return _bounded_verdict(inst, divergence_bound(inst, config), Reason.DIVERGENCE_BOUND)
+        return _bounded_verdict(inst, Reason.DIVERGENCE_BOUND, *divergence_bound(inst, config))
     if cls.shrinks:
-        return _bounded_verdict(inst, shrink_bound(inst, config), Reason.SHRINK_BOUND)
+        return _bounded_verdict(inst, Reason.SHRINK_BOUND, *shrink_bound(inst, config))
     if not cls.is_balanced:
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
-    if inst.p == inst.q:
-        return _constant_verdict(inst, Reason.CONSTANT_SEQUENCE, cls)
     return _balanced_verdict(inst, config, conditional)
 
 
@@ -157,16 +168,16 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
     # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
     return Verdict(
         inst.problem, True, Conditionality.UNCONDITIONAL, Reason.SIGN_ANALYSIS,
-        scanned_up_to=k1, bound=SearchBound(k1, "product_monotone_beyond"),
+        scanned_up_to=k1, bound=k1,
     )
 
 
-def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig) -> Verdict:
-    """q(k0) = 0: u_n = 0 for every n > k0, so the prefix through
-    u_{k0+1} = 0 holds every answer.  A Membership t = 0 first meets
-    u_{k0+1}, and a Threshold t > 0 meets it at the latest; past it the
-    zeros equal no other t and fall below no t <= 0."""
-    last = first_q_root + 1
+def _zero_tail_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
+    """q(k0) = 0, k0 = inst.first_zero_of_q: u_n = 0 for every n > k0, so
+    the prefix through u_{k0+1} = 0 holds every answer.  A Membership
+    t = 0 first meets u_{k0+1}, and a Threshold t > 0 meets it at the
+    latest; past it the zeros equal no other t and fall below no t <= 0."""
+    last = inst.first_zero_of_q + 1
     n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
     return Verdict(
         inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP),
@@ -175,37 +186,33 @@ def _zero_tail_verdict(inst: HGInstance, first_q_root: int, config: EngineConfig
     )
 
 
-def _bounded_verdict(inst: HGInstance, bound: SearchBound, reason: Reason) -> Verdict:
-    """Verdict from a divergence or shrink bound N whose scan looked for a
-    witness at every n <= N (u_N itself is never a member: |u_N| != |t|)."""
+def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int | None) -> Verdict:
+    """Verdict from a divergence or shrink bound N and the least witness
+    n <= N its scan found (u_N itself is never a member: |u_N| != |t|)."""
     cls = inst.asymptotic
-    common = dict(bound=bound, asymptotic=cls, scanned_up_to=bound.n)
-    witness = bound.first_hit
-    if inst.problem is Problem.MEMBERSHIP:
-        return Verdict(
-            inst.problem, witness is not None, Conditionality.UNCONDITIONAL, reason,
-            witness=witness, **common,
-        )
-    if witness is None and cls.grows and inst.tail_signs[0] < 0:
+    membership = inst.problem is Problem.MEMBERSHIP
+    if not membership and witness is None and cls.grows and inst.tail_signs[0] < 0:
         # clean prefix forces u_N > |t| (a negative u_N would already
         # violate); an alternating growing tail puts u_{N+1} below -|t| < t
-        witness = bound.n + 1
-    if witness is None and cls.shrinks and inst.t > 0:
+        witness = bound + 1
+    if not membership and witness is None and cls.shrinks and inst.t > 0:
         # the tail satisfies |u_n| < |t|; with a clean prefix this forces t < 0
         raise DecideError("internal: shrink tail below a positive target escaped the scan")
     return Verdict(
-        inst.problem, witness is None, Conditionality.UNCONDITIONAL, reason,
-        witness=witness, **common,
+        inst.problem, (witness is not None) == membership, Conditionality.UNCONDITIONAL, reason,
+        witness=witness, bound=bound, asymptotic=cls, scanned_up_to=bound,
     )
 
 
-def _constant_verdict(inst: HGInstance, reason: Reason, asymptotic: AsymptoticClass | None) -> Verdict:
-    """u_n = u0 for every n: p = q, or u0 = 0 (the zero sequence)."""
+def _constant_verdict(inst: HGInstance, reason: Reason) -> Verdict:
+    """u_n = u0 for every n: p = q (a balanced class), or u0 = 0 (the zero
+    sequence, with no class)."""
     membership = inst.problem is Problem.MEMBERSHIP
     ok = inst.u0 == inst.t if membership else inst.u0 >= inst.t
     return Verdict(
         inst.problem, ok, Conditionality.UNCONDITIONAL, reason,
-        witness=0 if ok == membership else None, asymptotic=asymptotic,
+        witness=0 if ok == membership else None,
+        asymptotic=inst.asymptotic if reason is Reason.CONSTANT_SEQUENCE else None,
     )
 
 
@@ -258,13 +265,9 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     n = scan.first_hit(k0 + 2)
     membership = inst.problem is Problem.MEMBERSHIP
     if n is not None:
-        if membership:
-            return Verdict(
-                inst.problem, True, Conditionality.UNCONDITIONAL, Reason.PREFIX_WITNESS,
-                witness=n, asymptotic=cls, scanned_up_to=n,
-            )
         return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, Reason.PREFIX_VIOLATION,
+            inst.problem, membership, Conditionality.UNCONDITIONAL,
+            Reason.PREFIX_WITNESS if membership else Reason.PREFIX_VIOLATION,
             witness=n, asymptotic=cls, scanned_up_to=n,
         )
     direction = scan.tail_direction()
@@ -280,7 +283,7 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
         return Verdict(
             inst.problem, not membership, Conditionality.UNCONDITIONAL, reason,
             asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=SearchBound(at, "product_monotone_beyond"),
+            bound=at,
         )
 
     oracle = limit_oracle(inst, config, conditional)
@@ -321,7 +324,7 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             )
         return Verdict(
             inst.problem, False, cond, Reason.MONOTONE_TAIL_EXCLUDES_TARGET,
-            scanned_up_to=scan.n - 1, bound=SearchBound(scan.n, "product_monotone_beyond"), **fields,
+            scanned_up_to=scan.n - 1, bound=scan.n, **fields,
         )
 
     # threshold, decreasing tail with infimum L != t: holds iff L > t

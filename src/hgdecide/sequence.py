@@ -74,7 +74,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -97,8 +97,9 @@ class HGInstance:
     problem: Problem
 
     def __post_init__(self):
-        object.__setattr__(self, "u0", Fraction(self.u0))
-        object.__setattr__(self, "t", Fraction(self.t))
+        # a Fraction passed in is kept, so a parsed instance builds each rational once
+        object.__setattr__(self, "u0", self.u0 if type(self.u0) is Fraction else Fraction(self.u0))
+        object.__setattr__(self, "t", self.t if type(self.t) is Fraction else Fraction(self.t))
         if self.p.is_zero or self.q.is_zero:
             raise DecideError("p and q must be nonzero")
         self.p.check_caps()
@@ -175,12 +176,31 @@ class HGInstance:
 
     @functools.cached_property
     def _tails(self) -> tuple[tuple[int, ...], ...]:
-        return _tail_coeffs(self.p, self.q)
+        """The coefficients of p, q, q - p and q + p: past their positive
+        real roots r(k) and |r(k)| - 1 keep their signs."""
+        out = [self.p.coeffs, self.q.coeffs]
+        for sign in (-1, 1):
+            c = [b + sign * a for a, b in itertools.zip_longest(self.p.coeffs, self.q.coeffs, fillvalue=0)]
+            while c and not c[-1]:
+                c.pop()
+            out.append(tuple(c))
+        return tuple(out)
 
     @functools.cached_property
     def monotonicity_index(self) -> int:
-        """The certified index k1 (module function `monotonicity_index`)."""
-        return _cauchy_index(self._tails)
+        """The certified index k1 past which r(k) has constant sign and
+        |r(k)| - 1 does too.
+
+        Uses the Cauchy root bound 1 + max |c_i|/|lead| of p, q, q-p and
+        q+p, rounded up in integers: past every real root of those, none
+        of them changes sign.  Not minimal; soundness only.
+        """
+        bound = 0
+        for c in self._tails:
+            if len(c) >= 2:
+                top = max(map(abs, c[:-1]))
+                bound = max(bound, 1 - (-top // abs(c[-1])))
+        return 1 + bound
 
     @functools.cached_property
     def skip_index(self) -> int:
@@ -982,52 +1002,6 @@ def terms(inst: HGInstance, count: int, config: EngineConfig = DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBound:
-    """Index N with a re-checkable guarantee for all n >= N.
-
-    `first_hit` is the least n <= N with u_n = t (Membership) or u_n < t
-    (Threshold), found by the bound search on the same scan, or None.  It
-    is not part of the guarantee and is ignored by equality.
-    """
-
-    n: int
-    justification: str  # ratio_exceeds_target | tail_below_target | product_monotone_beyond
-    first_hit: int | None = field(default=None, compare=False)
-
-
-def monotonicity_index(p: IntPoly, q: IntPoly) -> int:
-    """Index beyond which r(k) > 0 has constant sign and r(k) - 1 does too.
-
-    Uses the Cauchy root bound 1 + max |c_i|/|lead| of p, q, q-p and q+p,
-    rounded up in integers: past every real root of those, none of them
-    changes sign.  Not minimal; soundness only.  An instance caches it
-    as `HGInstance.monotonicity_index`.
-    """
-    return _cauchy_index(_tail_coeffs(p, q))
-
-
-def _tail_coeffs(p: IntPoly, q: IntPoly) -> tuple[tuple[int, ...], ...]:
-    """The coefficients of p, q, q - p and q + p: past their positive real
-    roots r(k) and |r(k)| - 1 keep their signs."""
-    out = [p.coeffs, q.coeffs]
-    for sign in (-1, 1):
-        c = [b + sign * a for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0)]
-        while c and not c[-1]:
-            c.pop()
-        out.append(tuple(c))
-    return tuple(out)
-
-
-def _cauchy_index(tails) -> int:
-    bound = 0
-    for c in tails:
-        if len(c) >= 2:
-            top = max(map(abs, c[:-1]))
-            bound = max(bound, 1 - (-top // abs(c[-1])))
-    return 1 + bound
-
-
 def _positive_root_bound(c: tuple[int, ...]) -> int:
     """floor(B) for Cauchy's rule bound B on the positive roots of f
     (Akritas, Strzebonski and Vigklas, Nonlinear Analysis: Modelling and
@@ -1047,27 +1021,28 @@ def _positive_root_bound(c: tuple[int, ...]) -> int:
     return max((int_nthroot_floor(lam * a // lead, n - i) for i, a in negative), default=0)
 
 
-def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> SearchBound:
-    """N with |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
+def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
+    """(N, first witness): |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
     if not inst.asymptotic.grows:
         raise DecideError("divergence_bound needs a growing class")
     if inst.u0 == 0:
         raise DecideError("zero initial value never grows")
-    return _bound_scan(inst, 1, "ratio_exceeds_target", config)
+    return _bound_scan(inst, 1, config)
 
 
-def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> SearchBound:
-    """N with |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
+def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
+    """(N, first witness): |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
     if not inst.asymptotic.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
-    return _bound_scan(inst, -1, "tail_below_target", config)
+    return _bound_scan(inst, -1, config)
 
 
-def _bound_scan(inst, side, justification, config) -> SearchBound:
+def _bound_scan(inst, side, config) -> tuple[int, int | None]:
     """first_past() for a tail moving to `side` of |t|: the first N >= k1
     with sign(|u_N| - |t|) = side (a zero term counts as below) and the
-    least witness n <= N; ScanCapExceeded if the cap comes first, even
-    after a witness (first_past returns below the cap only at N)."""
+    least witness n <= N, u_n = t (Membership) or u_n < t (Threshold), or
+    None; ScanCapExceeded if the cap comes first, even after a witness
+    (first_past returns below the cap only at N)."""
     if inst.t == 0:
         raise DecideError("target must be nonzero")
     if inst.tail_signs[1] != side:
@@ -1076,7 +1051,7 @@ def _bound_scan(inst, side, justification, config) -> SearchBound:
     hit = scan.first_past()
     if scan.n == scan.cap and (scan.cap < inst.monotonicity_index or scan.abs_cmp(inst.t) != side):
         raise ScanCapExceeded(f"scan index {scan.cap + 1} exceeds cap {scan.cap}")
-    return SearchBound(scan.n, justification, first_hit=hit)
+    return scan.n, hit
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .sequence import AsymptoticClass, Problem, SearchBound
+from .sequence import AsymptoticClass, Problem
 
 
 class Conditionality(enum.Enum):
@@ -30,34 +30,64 @@ class Claim(enum.Flag):
     EQUAL = enum.auto()  # an equality record that finds L = t
 
 
-_ANY = "member not_member holds fails"
+class VerdictName(str, enum.Enum):
+    """A certificate's `verdict`: the problem it answers and its result."""
+
+    def __new__(cls, value: str, problem: Problem, result: bool):
+        member = str.__new__(cls, value)
+        member._value_, member.problem, member.result = value, problem, result
+        return member
+
+    MEMBER = "member", Problem.MEMBERSHIP, True
+    NOT_MEMBER = "not_member", Problem.MEMBERSHIP, False
+    HOLDS = "holds", Problem.THRESHOLD, True
+    FAILS = "fails", Problem.THRESHOLD, False
+
+
+_ANY = " ".join(VerdictName)
+_NAMES = {(name.problem, name.result): name for name in VerdictName}
+
+
+class Justification(str, enum.Enum):
+    """What a certificate's bound N claims for every n >= N: the bound
+    replay `certs._verify_bound` proves it."""
+
+    RATIO_EXCEEDS_TARGET = "ratio_exceeds_target"  # |r(n)| > 1 and |u_n| > |t|
+    TAIL_BELOW_TARGET = "tail_below_target"  # |r(n)| < 1 and |u_n| < |t|
+    PRODUCT_MONOTONE_BEYOND = "product_monotone_beyond"  # r(n) > 0: u_n keeps its sign, |u_n| is monotone
+
+
+_MONOTONE = Justification.PRODUCT_MONOTONE_BEYOND
 
 
 class Reason(str, enum.Enum):
-    """A verdict's case, its certificate's `reason`.  Each member maps every
-    verdict name it gives to the claim that verdict rests on: `equality.decide`
-    writes the members and `certs.verify_certificate` checks the claims."""
+    """A verdict's case, its certificate's `reason`.  Each member names the
+    justification of the bound it writes (`justification`, None for a
+    reason that writes none) and maps every verdict name it gives to the
+    claim that verdict rests on: `equality.decide` writes the members and
+    `certs.verify_certificate` checks the claims."""
 
-    def __new__(cls, value: str, *gives: tuple[str, Claim]):
+    def __new__(cls, value: str, justification: Justification | None, *gives: tuple[str, Claim]):
         member = str.__new__(cls, value)
-        member._value_, member.claims = value, {name: claim for names, claim in gives for name in names.split()}
+        member._value_, member.justification = value, justification
+        member.claims = {name: claim for names, claim in gives for name in names.split()}
         return member
 
-    ZERO_SEQUENCE = "zero_sequence", (_ANY, Claim.CASE | Claim.CONSTANT)
-    CONSTANT_SEQUENCE = "constant_sequence", (_ANY, Claim.CASE | Claim.CONSTANT)
-    ZERO_TAIL = "zero_tail", (_ANY, Claim.CASE)
-    TERMS_NEVER_ZERO = "terms_never_zero", ("not_member", Claim.CASE)
-    SIGN_ANALYSIS = "sign_analysis", ("holds", Claim.CASE | Claim.BOUND), ("fails", Claim.CASE)
-    DIVERGENCE_BOUND = "divergence_bound", (_ANY, Claim.BOUND)
-    SHRINK_BOUND = "shrink_bound", (_ANY, Claim.BOUND)
-    PREFIX_WITNESS = "prefix_witness", ("member", Claim.NONE)
-    PREFIX_VIOLATION = "prefix_violation", ("fails", Claim.NONE)
-    INCREASING_TAIL = "increasing_tail", ("holds", Claim.BOUND)
-    MONOTONE_TAIL_EXCLUDES_TARGET = "monotone_tail_excludes_target", ("not_member", Claim.BOUND)
-    DECREASING_TAIL_ABOVE_TARGET = "decreasing_tail_above_target", ("holds", Claim.GREATER)
-    DECREASING_TAIL_BELOW_TARGET = "decreasing_tail_below_target", ("fails", Claim.LESS)
-    DECREASING_TAIL_LIMIT_EQUALS_TARGET = "decreasing_tail_limit_equals_target", ("holds", Claim.EQUAL)
-    LIMIT_EQUALS_TARGET_NOT_ATTAINED = "limit_equals_target_not_attained", ("not_member", Claim.EQUAL)
+    ZERO_SEQUENCE = "zero_sequence", None, (_ANY, Claim.CASE | Claim.CONSTANT)
+    CONSTANT_SEQUENCE = "constant_sequence", None, (_ANY, Claim.CASE | Claim.CONSTANT)
+    ZERO_TAIL = "zero_tail", None, (_ANY, Claim.CASE)
+    TERMS_NEVER_ZERO = "terms_never_zero", None, ("not_member", Claim.CASE)
+    SIGN_ANALYSIS = "sign_analysis", _MONOTONE, ("holds", Claim.CASE | Claim.BOUND), ("fails", Claim.CASE)
+    DIVERGENCE_BOUND = "divergence_bound", Justification.RATIO_EXCEEDS_TARGET, (_ANY, Claim.BOUND)
+    SHRINK_BOUND = "shrink_bound", Justification.TAIL_BELOW_TARGET, (_ANY, Claim.BOUND)
+    PREFIX_WITNESS = "prefix_witness", None, ("member", Claim.NONE)
+    PREFIX_VIOLATION = "prefix_violation", None, ("fails", Claim.NONE)
+    INCREASING_TAIL = "increasing_tail", _MONOTONE, ("holds", Claim.BOUND)
+    MONOTONE_TAIL_EXCLUDES_TARGET = "monotone_tail_excludes_target", _MONOTONE, ("not_member", Claim.BOUND)
+    DECREASING_TAIL_ABOVE_TARGET = "decreasing_tail_above_target", _MONOTONE, ("holds", Claim.GREATER)
+    DECREASING_TAIL_BELOW_TARGET = "decreasing_tail_below_target", None, ("fails", Claim.LESS)
+    DECREASING_TAIL_LIMIT_EQUALS_TARGET = "decreasing_tail_limit_equals_target", None, ("holds", Claim.EQUAL)
+    LIMIT_EQUALS_TARGET_NOT_ATTAINED = "limit_equals_target_not_attained", None, ("not_member", Claim.EQUAL)
 
 
 class Rationale(enum.Enum):
@@ -94,7 +124,7 @@ class Verdict:
     conditionality: Conditionality
     reason: Reason
     witness: int | None = None
-    bound: SearchBound | None = None
+    bound: int | None = None  # written with reason.justification
     scanned_up_to: int | None = None
     asymptotic: AsymptoticClass | None = None
     canonical: dict | None = None
@@ -106,6 +136,10 @@ class Verdict:
 
     def __post_init__(self):
         object.__setattr__(self, "reason", Reason(self.reason))
+
+    @property
+    def name(self) -> VerdictName:
+        return _NAMES[self.problem, self.result]
 
     @property
     def exit_code(self) -> int:

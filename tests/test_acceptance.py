@@ -236,8 +236,8 @@ class TestCriterion5and6:
 
 
 def _bound_holds(inst, verdict) -> bool:
-    n0 = verdict.bound.n
-    just = verdict.bound.justification
+    n0 = verdict.bound
+    just = verdict.reason.justification.value
     scan = ExactScan(inst)
     for _ in range(n0):
         scan.step()

@@ -623,18 +623,57 @@ class TestCertificates:
         ],
     )
     def test_forged_bound_rejected(self, p, q, t, problem, n, justification, failure):
-        from hgdecide.sequence import SearchBound
         from hgdecide.verdicts import Conditionality, Verdict
 
         din = parse_instance(doc(p, q, "1", t, problem))
-        # holds or not_member: the bound claims no witness from n on
+        # holds or not_member: the bound claims no witness from n on, under
+        # the reason that writes its justification
         result = din.inst.problem.value == "threshold"
+        reason = {
+            "ratio_exceeds_target": "divergence_bound",
+            "tail_below_target": "shrink_bound",
+            "product_monotone_beyond": "increasing_tail" if result else "monotone_tail_excludes_target",
+        }[justification]
         forged = Verdict(
-            din.inst.problem, result, Conditionality.UNCONDITIONAL, "divergence_bound",
-            bound=SearchBound(n, justification), scanned_up_to=n,
+            din.inst.problem, result, Conditionality.UNCONDITIONAL, reason, bound=n, scanned_up_to=n,
         )
-        failures = verify_certificate(certificate_dict(din, forged))
+        cert = certificate_dict(din, forged)
+        assert cert["bound"]["justification"] == justification
+        failures = verify_certificate(cert)
         assert any(failure in f for f in failures), failures
+
+    # honest certificates whose bound is rewritten: a justification that is
+    # not the reason's own, and a bound under a reason that writes none
+    @pytest.mark.parametrize(
+        "d,reason,n,tamper,needle",
+        [
+            (
+                doc([1, 1], [3, 1], "1", "1000"), "divergence_bound", 44,
+                lambda c: c["bound"].update(justification="product_monotone_beyond"),
+                "bound justification 'product_monotone_beyond' is not divergence_bound's ratio_exceeds_target",
+            ),
+            (
+                {**WORKED, "t": "1/100"}, "monotone_tail_excludes_target", 17,
+                lambda c: c["bound"].update(justification="tail_below_target"),
+                "bound justification 'tail_below_target' is not monotone_tail_excludes_target's",
+            ),
+            (
+                WORKED, "prefix_witness", None,
+                lambda c: c.update(bound={"n": 17, "justification": "product_monotone_beyond"}),
+                "reason prefix_witness never writes a bound",
+            ),
+        ],
+        ids=["divergence-as-monotone", "monotone-as-shrink", "witness-with-bound"],
+    )
+    def test_bound_its_reason_never_writes_rejected(self, d, reason, n, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert (cert["reason"], cert.get("bound", {}).get("n")) == (reason, n)
+        assert verify_certificate(cert) == []
+        tamper(cert)
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
 
     # a matching whose source is the instance's own p, but which the
     # matching search cannot rebuild: p of degree 17 is past its cap, and

@@ -26,7 +26,6 @@ from hgdecide.sequence import (
     Problem,
     Variant,
     brute_force,
-    monotonicity_index,
     term,
 )
 from hgdecide.verdicts import Conditionality, Rationale
@@ -305,10 +304,10 @@ class TestScanFirst:
         # the worked pair falls past t between u_{k0+1} and u_{k0+2}: the
         # tail moves away from t only from k0 + 2 on, where the bound lies
         p, q = [13, -4, 1], [5, -4, 1]
-        k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        k0 = inst(p, q, 1, 0).monotonicity_index
         t = (term(inst(p, q, 1, 0), k0 + 1) + term(inst(p, q, 1, 0), k0 + 2)) / 2
         v = decide(inst(p, q, 1, t))
-        assert (v.reason, v.scanned_up_to, v.bound.n) == (EXCLUDED, k0 + 1, k0 + 2)
+        assert (v.reason, v.scanned_up_to, v.bound) == (EXCLUDED, k0 + 1, k0 + 2)
         cert = certificate_dict(InstanceDocument(inst(p, q, 1, t), "unconditional"), v)
         assert verify_certificate(cert) == []
         cert["bound"]["n"] = k0 + 1  # u_{k0+1} is above t: the tail moves towards it
@@ -318,10 +317,10 @@ class TestScanFirst:
     def test_positive_tail_over_negative_target_is_bounded(self, no_oracle):
         # u_n > L >= 0 > t from k0 + 2 on: the bound replay proves it
         p, q = [13, -4, 1], [5, -4, 1]
-        k0 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
         i = inst(p, q, 1, -1, Problem.THRESHOLD)
+        k0 = i.monotonicity_index
         v = decide(i)
-        assert (v.reason, v.scanned_up_to, v.bound.n) == (FALLING_ABOVE, k0 + 1, k0 + 2)
+        assert (v.reason, v.scanned_up_to, v.bound) == (FALLING_ABOVE, k0 + 1, k0 + 2)
         assert v.canonical is None and v.compare_relation is None and v.equality_rationale is None
         cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
         assert verify_certificate(cert) == []

@@ -34,7 +34,6 @@ from hgdecide.sequence import (
     Problem,
     classify,
     divergence_bound,
-    monotonicity_index,
     shrink_bound,
 )
 
@@ -597,9 +596,37 @@ def float_blocks(draw):
     return p, q, lo, hi
 
 
+def _documented_bound(f, lo, hi):
+    """The error bound `_log_product` documents for log|prod f(k)| over
+    lo <= k < hi, recomputed from the values: with every |f(k)| below
+    2^top, (2(hi - lo) + sum(2y + S)) u over chunks of m = 1023 // top
+    values, y the log of a chunk's double product and S the running sum
+    of the y through it, and past top = 1023, where m = 0,
+    (6(hi - lo) + sum(6y + S)) u with y the log of each value."""
+    values = [abs(f(k)) for k in range(lo, hi)]
+    if f.degree == 1:
+        top = max(values[0], values[-1], 1).bit_length()
+    else:
+        k = max(abs(lo), abs(hi - 1)).bit_length()
+        top = len(f.coeffs).bit_length() + max(c.bit_length() + i * k for i, c in enumerate(f.coeffs))
+    assert max(values) < 2**top
+    m = 1023 // top
+    if m:
+        per, chunks = 2, [math.prod(values[a:a + m], start=1.0) for a in range(0, hi - lo, m)]
+    else:
+        per, chunks = 6, values
+    s = e = 0.0
+    for x in chunks:
+        y = math.log(x)
+        s += y
+        e += per * y + s
+    return (per * (hi - lo) + e) * sequence._U
+
+
 class TestFloatBlocks:
     """`_float_products` against the exact block products: the float log
-    of |Q/P| within its bound, the sign of Q/P, and a zero of q reported."""
+    of |Q/P| within its bound, the sign of Q/P, and a zero of q reported;
+    `_log_product`'s bound against its documented form."""
 
     @settings(max_examples=60, deadline=None)
     @given(float_blocks())
@@ -629,6 +656,24 @@ class TestFloatBlocks:
         q0 = IntPoly.of(-(lo + 5), 1) * IntPoly((2**200 + 3,) * 32)
         inst = HGInstance(p, q0, F(1), F(0), Problem.MEMBERSHIP)
         assert sequence._float_products(inst, lo, hi)[2] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_blocks())
+    def test_bound_counts_every_chunk_rounding(self, block):
+        # soundness alone passes a bound that drops a term: each factor's
+        # bound must be at least the one documented
+        p, q, lo, hi = block
+        for f in (IntPoly(tuple(p)), IntPoly(tuple(q))):
+            s, e, sign = sequence._log_product(f, lo, hi)
+            if sign:
+                assert e >= _documented_bound(f, lo, hi), (f, lo, hi)
+
+    def test_bound_counts_every_integer_log_rounding(self):
+        # values near 2^1570 (top > 1023): one integer log per value
+        lo, hi = 2**40, 2**40 + 40
+        for f in (IntPoly((2**255 + 1,) * 33), IntPoly((-(2**255) + 7,) * 32 + (2**256 - 1,))):
+            s, e, sign = sequence._log_product(f, lo, hi)
+            assert sign == 1 and e >= _documented_bound(f, lo, hi)
 
 
 DEEP = 3000
@@ -695,7 +740,8 @@ class TestDeepScan:
         p, q, u0 = DEEP_FAMILIES[family]
         pairs = _deep_pairs(family)
         signs = [_sgn(num) * _sgn(den) for num, den in pairs]
-        k1 = monotonicity_index(IntPoly(tuple(p)), IntPoly(tuple(q)))
+        probe = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, F(1), Problem.MEMBERSHIP)
+        k1 = probe.monotonicity_index
         cls = classify(IntPoly(tuple(p)), IntPoly(tuple(q)))
         grows = family.startswith("grow")
         side = 1 if grows else -1
@@ -720,7 +766,7 @@ class TestDeepScan:
                     assert scan.n == scan.steps == bound, where
                     if cls.grows or cls.shrinks:  # not for r -> -1
                         found = (divergence_bound if grows else shrink_bound)(inst)
-                        assert (found.n, found.first_hit) == (bound, want), where
+                        assert found == (bound, want), where
 
     @pytest.mark.parametrize("c", CROSSINGS)
     def test_balanced_membership_crossing(self, c):
@@ -906,7 +952,7 @@ class TestGallop:
         # crossings at and next to k1 + 2^j, where the doubling blocks
         # started at the monotonicity index k1 end, and next to the cap
         p, q, grows = family
-        k1 = monotonicity_index(p, q)
+        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).monotonicity_index
         assume(k1 <= 800)
         cap = k1 + 2**10 + 40
         c = (k1 if where[0] == "k1" else cap) + where[1]
@@ -949,7 +995,7 @@ class TestGallop:
                             find(inst, config=config)
                     else:
                         found = find(inst, config=config)
-                        assert (found.n, found.first_hit) == (bound, want), here
+                        assert found == (bound, want), here
             for start, stop in ((0, c), (k1, cap), (c - 1, cap)):
                 scan = ExactScan(HGInstance(p, q, u0, size, Problem.MEMBERSHIP), cap)
                 for _ in range(start):
@@ -973,7 +1019,7 @@ class TestGallop:
         # answers against the search target, a second target and the float
         # pair, each caught up on first read
         p, q, grows = family
-        k1 = monotonicity_index(p, q)
+        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).monotonicity_index
         assume(k1 <= 400)
         cap = k1 + 200
         pairs = list(reference_pairs(p.coeffs, q.coeffs, u0, cap + 1))

@@ -88,16 +88,18 @@ def test_package_imports_at_module_top_without_a_cycle():
 
 
 def test_reasons_are_declared_once():
-    # `equality` writes each reason as a `verdicts.Reason` member and `certs`
-    # reads the members: neither holds a string literal equal to a reason
-    # (docstrings aside; comments never reach the syntax tree)
+    # `verdicts` declares the reasons, the justification each reason's
+    # bound carries and the verdict names; `sequence` and `equality` write
+    # them as members and `certs` reads the members: none of the three
+    # holds a string literal equal to one of them (docstrings aside;
+    # comments never reach the syntax tree)
     import ast
 
-    from hgdecide.verdicts import Reason
+    from hgdecide.verdicts import Justification, Reason, VerdictName
 
-    values = {reason.value for reason in Reason}
+    values = {member.value for enum in (Reason, Justification, VerdictName) for member in enum}
     found = []
-    for name in ("equality", "certs"):
+    for name in ("sequence", "equality", "certs"):
         path = os.path.join(ROOT, "src", "hgdecide", f"{name}.py")
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
@@ -113,7 +115,7 @@ def test_reasons_are_declared_once():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and node.value in values and id(node) not in docstrings
         ]
-    assert len(values) == 15 and found == []
+    assert len(values) == 15 + 3 + 4 and found == []
 
 
 def test_bench_records_digests_and_every_metric(tmp_path):

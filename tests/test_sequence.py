@@ -20,7 +20,6 @@ from hgdecide.sequence import (
     brute_force,
     classify,
     divergence_bound,
-    monotonicity_index,
     shrink_bound,
     term,
     terms,
@@ -96,39 +95,39 @@ class TestClassify:
 
 class TestBounds:
     def test_divergence_examples(self):
-        b = divergence_bound(inst([1, 1], [3, 1], 1, 7))
+        b, _ = divergence_bound(inst([1, 1], [3, 1], 1, 7))
         i = inst([1, 1], [3, 1], 1, 7)
-        for n in range(b.n, b.n + 51):
+        for n in range(b, b + 51):
             assert abs(term(i, n)) > 7
             assert abs(F(i.q(n), i.p(n))) > 1
-        b2 = divergence_bound(inst([1], [2], 1, 1000))
-        assert 2**b2.n > 1000
+        b2, _ = divergence_bound(inst([1], [2], 1, 1000))
+        assert 2**b2 > 1000
 
     def test_inverted_roles(self):
         i = inst([1, 1], [2, 1], 1, 100)  # u_n = (n+2)/2... diverges
-        b = divergence_bound(i)
-        for n in range(b.n, b.n + 51):
+        b, _ = divergence_bound(i)
+        for n in range(b, b + 51):
             assert abs(term(i, n)) > 100
 
     def test_shrink_examples(self):
         i = inst([2, 1], [1, 1], 1, F(1, 10))  # u_n = 1/(n+1)
-        b = shrink_bound(i)
-        for n in range(b.n, b.n + 51):
+        b, _ = shrink_bound(i)
+        for n in range(b, b + 51):
             assert abs(term(i, n)) < F(1, 10)
             assert abs(F(i.q(n), i.p(n))) < 1
-        b2 = shrink_bound(inst([2], [1], 1, F(1, 100)))
-        assert F(1, 2**b2.n) < F(1, 100)
+        b2, _ = shrink_bound(inst([2], [1], 1, F(1, 100)))
+        assert F(1, 2**b2) < F(1, 100)
         i3 = inst([3, 1], [1, 1], 4, F(1, 5))
-        b3 = shrink_bound(i3)
-        assert abs(term(i3, b3.n)) < F(1, 5)
+        b3, _ = shrink_bound(i3)
+        assert abs(term(i3, b3)) < F(1, 5)
 
     def test_first_hit_is_the_least_witness(self):
         threshold = Problem.THRESHOLD
-        assert divergence_bound(inst([1], [2], 3, 48)).first_hit == 4  # u_n = 3 * 2^n
-        assert divergence_bound(inst([1], [2], 3, 50)).first_hit is None
-        assert divergence_bound(inst([1], [2], 3, 10, threshold)).first_hit == 0
-        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 5))).first_hit == 4  # u_n = 1/(n+1)
-        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 10), threshold)).first_hit == 10
+        assert divergence_bound(inst([1], [2], 3, 48))[1] == 4  # u_n = 3 * 2^n
+        assert divergence_bound(inst([1], [2], 3, 50))[1] is None
+        assert divergence_bound(inst([1], [2], 3, 10, threshold))[1] == 0
+        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 5)))[1] == 4  # u_n = 1/(n+1)
+        assert shrink_bound(inst([2, 1], [1, 1], 1, F(1, 10), threshold))[1] == 10
 
     def test_wrong_class_rejected(self):
         with pytest.raises(DecideError):
@@ -139,17 +138,17 @@ class TestBounds:
 
 class TestMonotonicityIndex:
     def test_worked_example(self):
-        k0 = monotonicity_index(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1))
+        i = inst([13, -4, 1], [5, -4, 1], 1, 0)
+        k0 = i.monotonicity_index
         assert k0 >= 14
         # beyond k0: r > 0 and r < 1 (q - p = -8 < 0, both quadratics positive)
-        i = inst([13, -4, 1], [5, -4, 1], 1, 0)
         for k in range(k0, k0 + 20):
             assert 0 < F(i.q(k), i.p(k)) < 1
 
     def test_sign_change_case(self):
         p, q = IntPoly.of(1, 0, 1), IntPoly.of(7, -5, 1)
-        k0 = monotonicity_index(p, q)
         i = inst(p.coeffs, q.coeffs, 1, 0)
+        k0 = i.monotonicity_index
         sign = F(i.q(k0), i.p(k0)) < 1
         for k in range(k0, k0 + 20):
             assert (F(i.q(k), i.p(k)) < 1) == sign
@@ -165,11 +164,12 @@ class TestMonotonicityIndex:
         p[-1] = p[-1] or 1
         q[-1] = q[-1] or 1
         p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
+        assume(all(r < 0 for r in integer_roots(p)))
         bound = F(0)
         for f in (p, q, q - p, q + p):
             if not f.is_zero and f.degree >= 1:
                 bound = max(bound, 1 + max(F(abs(c), abs(f.lead)) for c in f.coeffs[:-1]))
-        assert monotonicity_index(p, q) == 1 + math.ceil(bound)
+        assert inst(p.coeffs, q.coeffs, 1, 0).monotonicity_index == 1 + math.ceil(bound)
 
 
 def _coefficient_lists():
@@ -201,7 +201,7 @@ class TestSkipIndex:
         assume(all(r < 0 for r in integer_roots(p)))
         i = inst(p.coeffs, q.coeffs, 1, 0)
         skip = i.skip_index
-        assert 1 <= skip <= i.monotonicity_index == monotonicity_index(p, q)
+        assert 1 <= skip <= i.monotonicity_index
         x = sympy.Symbol("x")
         for f in (p, q, q - p, q + p):
             if f.degree < 1:
@@ -244,7 +244,8 @@ class TestTailRecord:
         p[-1] = p[-1] or 1
         q[-1] = q[-1] or -1
         p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
-        k1 = monotonicity_index(p, q)
+        assume(all(r < 0 for r in integer_roots(p)))
+        k1 = inst(p.coeffs, q.coeffs, 1, 0).monotonicity_index
         for f in (p, q):
             if f.degree < 1:
                 continue
@@ -296,7 +297,7 @@ class TestTailMisses:
     )
     def test_no_witness_after_a_missing_tail(self, pq, u0, problem, data):
         p, q = pq
-        k0 = monotonicity_index(p, q)
+        k0 = HGInstance(p, q, u0, F(1), problem).monotonicity_index
         us = [u0]
         for k in range(k0 + 201):
             us.append(us[-1] * F(q(k), p(k)))
