@@ -4,8 +4,10 @@ Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
 checks the witness, the matching and the claim `verdicts.Reason` names for
 the reason and verdict (a case, bound, order or equality) without
-re-deriving the decision.  A certificate holds only the keys that carry a
-value, on one compact line; replay reads an absent key as no claim.
+re-deriving the decision, and recomputes the fields the others give:
+conditionality, exit code, equality rationale and asymptotic record.  A
+certificate holds only the keys that carry a value, on one compact line;
+replay reads an absent key as no claim.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
-from .equality import decide_equal, instance_case
+from .equality import constant_result, decide_equal, instance_case
 from .gammacanon import CanonicalConstant
 from .polys import IntPoly
 from .recognize import NoMatching, find_symmetric_matching
-from .sequence import ExactScan, HGInstance, Problem
-from .verdicts import Claim, Conditionality, Justification, Rationale, Reason, Verdict, VerdictName, exit_code
+from .sequence import AsymptoticClass, ExactScan, HGInstance, Problem
+from .verdicts import Claim, Justification, Rationale, Reason, Verdict, VerdictName, conditionality, exit_code
 
 FORMAT = "hgdecide-certificate/3"
 
@@ -140,10 +142,19 @@ def _rat_or_none(q: Fraction | None) -> str | None:
     return None if q is None else format_rat(q)
 
 
+def _asymptotic_record(asym: AsymptoticClass | None) -> dict | None:
+    return asym and _present({
+        "variant": asym.variant.value,
+        "ratio_limit": _rat_or_none(asym.ratio_limit),
+        "exponent": _rat_or_none(asym.exponent),
+    })
+
+
 def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
     """A verdict's certificate: only the keys that carry a value; a bound
-    with its reason's justification."""
-    bound, asym, rel = verdict.bound, verdict.asymptotic, verdict.compare_relation
+    with its reason's justification, and the asymptotic record the reason
+    names."""
+    bound, eq = verdict.bound, verdict.equality
     return _present({
         "format": FORMAT,
         "instance": docin.to_dict(),
@@ -153,16 +164,12 @@ def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
         "witness": verdict.witness,
         "scanned_up_to": verdict.scanned_up_to,
         "bound": None if bound is None else {"n": bound, "justification": verdict.reason.justification.value},
-        "asymptotic": asym and _present({
-            "variant": asym.variant.value,
-            "ratio_limit": _rat_or_none(asym.ratio_limit),
-            "exponent": _rat_or_none(asym.exponent),
-        }),
-        "canonical": verdict.canonical,
-        "equality_rationale": verdict.equality_rationale and verdict.equality_rationale.value,
-        "compare": rel and {"relation": rel, "precision_bits": verdict.compare_precision_bits},
-        "matching": verdict.matching,
-        "identity": verdict.identity,
+        "asymptotic": _asymptotic_record(verdict.reason.asymptotic(docin.inst)),
+        "canonical": eq and eq.canonical,
+        "equality_rationale": eq and eq.rationale.value,
+        "compare": verdict.compare,
+        "matching": eq and eq.matching,
+        "identity": eq and eq.identity,
         "exit_code": verdict.exit_code,
     })
 
@@ -178,7 +185,8 @@ def serialize_certificate(cert: dict) -> str:
 
 
 def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> list[str]:
-    """Check the claims a certificate's reason and verdict rest on; returns failures."""
+    """Check the claims a certificate's reason and verdict rest on, and
+    recompute the fields they give; returns failures."""
     problems: list[str] = []
     if not isinstance(cert, dict):
         return ["certificate must be a JSON object"]
@@ -196,17 +204,9 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     result = verdict_name.result
     if verdict_name.problem is not inst.problem:
         problems.append("verdict name inconsistent with problem kind")
-    try:
-        cond = Conditionality(cert.get("conditionality"))
-    except ValueError:
-        problems.append(f"unknown conditionality {cert.get('conditionality')!r}")
-        cond = Conditionality.UNCONDITIONAL
-    conditional_oracle = cond is not Conditionality.UNCONDITIONAL or cert.get("matching") is not None
-    if docin.mode == "unconditional" and conditional_oracle:
+    identity, canonical, matching = cert.get("identity"), cert.get("canonical"), cert.get("matching")
+    if docin.mode == "unconditional" and (identity is not None or matching is not None):
         problems.append("mode 'unconditional' never builds the conditional oracle")
-    code = cert.get("exit_code")  # a JSON integer: true and 1.0 compare equal to 1
-    if type(code) is not int or code != exit_code(result, cond):
-        problems.append("exit code inconsistent with verdict/conditionality")
     try:
         if _json_index(cert.get("scanned_up_to", 0), "scanned_up_to") > config.scan_cap:
             problems.append(f"scanned_up_to exceeds the scan cap {config.scan_cap}")
@@ -220,8 +220,8 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if verdict_name not in reason.claims:
         problems.append(f"reason {reason.value} never gives a {verdict_name.value} verdict")
     claim = reason.claims.get(verdict_name, Claim.NONE)
-    held = inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t  # by u_n = u0
-    if Claim.CASE in claim and instance_case(inst) is not reason or Claim.CONSTANT in claim and result != held:
+    if (Claim.CASE in claim and instance_case(inst) is not reason
+            or Claim.CONSTANT in claim and result != constant_result(inst)):
         problems.append(f"the instance gives no {reason.value} {verdict_name.value} verdict")
 
     scan = None  # the witness scan, left at the witness for the bound replay
@@ -251,44 +251,78 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
             scan = None
 
     bound, compare = cert.get("bound"), cert.get("compare")
+    if compare is not None:
+        problems.extend(_verify_compare(compare, config))
+    relation = compare.get("relation") if isinstance(compare, dict) else None
     if bound is not None:
-        problems.extend(_verify_bound(inst, bound, reason, compare, config, scan))
+        problems.extend(_verify_bound(inst, bound, reason, relation, config, scan))
     elif Claim.BOUND in claim:
         problems.append(f"a {reason.value} certificate carries no bound")
     # the order claim the verdict rests on; an oracle-free GREATER verdict rests on its bound
     side = "less" if Claim.LESS in claim else "greater" if Claim.GREATER in claim and bound is None else None
-    if side and (compare.get("relation") if isinstance(compare, dict) else None) != side:
+    if side and relation != side:
         problems.append(f"a {reason.value} certificate does not claim that L is {side} than t")
 
-    # the equality record read again: a cancelling identity claims the JSON integer 0 terms
-    # (false is not 0), and a canonical constant decides anew (a tuple under t = 0 is refused)
-    identity, canonical = cert.get("identity"), cert.get("canonical")
-    rationale = cert.get("equality_rationale")
-    count = identity.get("term_count") if isinstance(identity, dict) else None
-    found = rationale == Rationale.IDENTITY_CANCELLATION.value and type(count) is int and count == 0
-    if canonical is not None:
+    # the equality record read again: a canonical constant decides anew (a
+    # tuple under t = 0 is refused), an identity by its term count
+    rationale, found = None, False
+    if canonical is not None and identity is not None:
+        problems.append("a certificate carries both a canonical and an identity record")
+    elif canonical is not None:
         try:
             eq = decide_equal(_canonical_constant(canonical), inst.t)
-            found = eq.equal
-            if rationale != eq.rationale.value:
-                problems.append(f"the canonical constant gives the equality rationale {eq.rationale.value}")
+            rationale, found = eq.rationale, eq.equal
         except (KeyError, ValueError, DecideError) as e:
             problems.append(f"canonical tuple invalid: {e}")
+    elif identity is not None:
+        rationale = Rationale.of_identity(identity)
+        found = rationale is Rationale.IDENTITY_CANCELLATION
     if found != (Claim.EQUAL in claim):
         verb = "does not find" if Claim.EQUAL in claim else "finds"
         problems.append(f"the equality record {verb} L = t under {reason.value}")
+    # only a limit that is not t is ordered against it
+    if (compare is not None) != ((canonical is not None or identity is not None) and not found):
+        problems.append("a compare record comes exactly with an equality record that does not find L = t")
 
-    matching = cert.get("matching")
+    cond = conditionality(claim, rationale)
+    for key, want in (
+        ("equality_rationale", rationale and rationale.value),
+        ("conditionality", cond.value),
+        ("exit_code", exit_code(result, cond)),
+        ("asymptotic", _asymptotic_record(reason.asymptotic(inst))),
+    ):
+        got = cert.get(key)  # of the recomputed JSON kind: true and 1.0 are not 1
+        if got != want or type(got) is not type(want):
+            problems.append(f"{key.replace('_', ' ')} {got!r} is not the recomputed {want!r}")
+
     if matching is not None:
         problems.extend(_verify_matching(matching, inst))
     return problems
+
+
+def _verify_compare(compare, config: EngineConfig) -> list[str]:
+    """A compare record: the relation `less` or `greater`, and the
+    precision of the ladder rung that separated L from t, a JSON integer
+    from the first rung, 64 bits, to the precision cap."""
+    if not isinstance(compare, dict) or set(compare) != {"relation", "precision_bits"}:
+        return ["compare invalid: must be an object of relation and precision_bits"]
+    out = []
+    if compare["relation"] not in ("less", "greater"):
+        out.append(f"compare relation {compare['relation']!r} is neither less nor greater")
+    try:
+        bits = _json_int(compare["precision_bits"], "precision_bits")
+        if not 64 <= bits <= config.precision_cap_bits:
+            out.append(f"compare precision_bits {bits} lies outside 64 .. {config.precision_cap_bits}")
+    except ParseError as e:
+        out.append(f"compare invalid: {e}")
+    return out
 
 
 def _verify_bound(
     inst: HGInstance,
     bound: dict,
     reason: Reason,
-    compare: dict | None,
+    relation: str | None,
     config: EngineConfig,
     scan: ExactScan | None = None,
 ) -> list[str]:
@@ -350,7 +384,6 @@ def _verify_bound(
     # the tail moves towards t and misses it only if its limit stays on
     # u_{n0}'s side of t: the order claim (read here, not replayed)
     side = scan.cmp(t)
-    relation = compare.get("relation") if isinstance(compare, dict) else None
     if inst.asymptotic.is_balanced and relation == ("less" if side < 0 else "greater"):
         return []
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]

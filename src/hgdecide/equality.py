@@ -38,7 +38,7 @@ from .sequence import (
     divergence_bound,
     shrink_bound,
 )
-from .verdicts import Conditionality, EqualityDecision, Rationale, Reason, Verdict
+from .verdicts import EqualityDecision, Rationale, Reason, Verdict
 
 
 def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
@@ -115,6 +115,12 @@ def instance_case(inst: HGInstance) -> Reason | None:
     return Reason.CONSTANT_SEQUENCE if inst.p == inst.q else None
 
 
+def constant_result(inst: HGInstance) -> bool:
+    """The result when u_n = u0 for every n: u0 = t for Membership,
+    u0 >= t for Threshold.  The certificate replay recomputes it."""
+    return inst.u0 == inst.t if inst.problem is Problem.MEMBERSHIP else inst.u0 >= inst.t
+
+
 def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional: bool = True) -> Verdict:
     """Full decision pipeline, the only decider.
 
@@ -131,8 +137,10 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
     shared.
     """
     case = instance_case(inst)
-    if case is Reason.ZERO_SEQUENCE or case is Reason.CONSTANT_SEQUENCE:
-        return _constant_verdict(inst, case)
+    if case is Reason.ZERO_SEQUENCE or case is Reason.CONSTANT_SEQUENCE:  # u_n = u0 for every n
+        ok = constant_result(inst)
+        witness = 0 if ok == (inst.problem is Problem.MEMBERSHIP) else None
+        return Verdict(inst.problem, ok, case, witness=witness)
     if case is Reason.ZERO_TAIL:
         return _zero_tail_verdict(inst, config)
     if case is not None:
@@ -155,21 +163,15 @@ def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
     """t = 0 and q has no nonnegative integer root, so no term vanishes:
     membership fails, and threshold is sign analysis."""
     if inst.problem is Problem.MEMBERSHIP:
-        return Verdict(inst.problem, False, Conditionality.UNCONDITIONAL, Reason.TERMS_NEVER_ZERO)
+        return Verdict(inst.problem, False, Reason.TERMS_NEVER_ZERO)
     k1 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k1 + 1)  # t = 0: the first negative term
     if n is not None:
-        return Verdict(
-            inst.problem, False, Conditionality.UNCONDITIONAL, Reason.SIGN_ANALYSIS,
-            witness=n, scanned_up_to=n,
-        )
+        return Verdict(inst.problem, False, Reason.SIGN_ANALYSIS, witness=n, scanned_up_to=n)
     # u_{k1-1}, u_{k1} > 0, and every real root of p and q lies below
     # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
-    return Verdict(
-        inst.problem, True, Conditionality.UNCONDITIONAL, Reason.SIGN_ANALYSIS,
-        scanned_up_to=k1, bound=k1,
-    )
+    return Verdict(inst.problem, True, Reason.SIGN_ANALYSIS, scanned_up_to=k1, bound=k1)
 
 
 def _zero_tail_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
@@ -180,8 +182,7 @@ def _zero_tail_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
     last = inst.first_zero_of_q + 1
     n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
     return Verdict(
-        inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP),
-        Conditionality.UNCONDITIONAL, Reason.ZERO_TAIL,
+        inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP), Reason.ZERO_TAIL,
         witness=n, scanned_up_to=last if n is None else n,
     )
 
@@ -199,20 +200,8 @@ def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int 
         # the tail satisfies |u_n| < |t|; with a clean prefix this forces t < 0
         raise DecideError("internal: shrink tail below a positive target escaped the scan")
     return Verdict(
-        inst.problem, (witness is not None) == membership, Conditionality.UNCONDITIONAL, reason,
-        witness=witness, bound=bound, asymptotic=cls, scanned_up_to=bound,
-    )
-
-
-def _constant_verdict(inst: HGInstance, reason: Reason) -> Verdict:
-    """u_n = u0 for every n: p = q (a balanced class), or u0 = 0 (the zero
-    sequence, with no class)."""
-    membership = inst.problem is Problem.MEMBERSHIP
-    ok = inst.u0 == inst.t if membership else inst.u0 >= inst.t
-    return Verdict(
-        inst.problem, ok, Conditionality.UNCONDITIONAL, reason,
-        witness=0 if ok == membership else None,
-        asymptotic=inst.asymptotic if reason is Reason.CONSTANT_SEQUENCE else None,
+        inst.problem, (witness is not None) == membership, reason,
+        witness=witness, bound=bound, scanned_up_to=bound,
     )
 
 
@@ -259,17 +248,13 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     only ties with |L/t - 1| below about |r(C) - 1|, which falls like
     1/C^2: a crossing between C and about C^2 is still left to the scan.
     """
-    cls = inst.asymptotic
     k0 = inst.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k0 + 2)
     membership = inst.problem is Problem.MEMBERSHIP
     if n is not None:
-        return Verdict(
-            inst.problem, membership, Conditionality.UNCONDITIONAL,
-            Reason.PREFIX_WITNESS if membership else Reason.PREFIX_VIOLATION,
-            witness=n, asymptotic=cls, scanned_up_to=n,
-        )
+        reason = Reason.PREFIX_WITNESS if membership else Reason.PREFIX_VIOLATION
+        return Verdict(inst.problem, membership, reason, witness=n, scanned_up_to=n)
     direction = scan.tail_direction()
     if direction == 0:
         raise DecideError("internal: degenerate tail in balanced branch")
@@ -280,31 +265,19 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             reason, at = Reason.INCREASING_TAIL, k0 + 1
         else:  # a positive tail stays above its limit L >= 0 > t
             reason, at = Reason.DECREASING_TAIL_ABOVE_TARGET, k0 + 2
-        return Verdict(
-            inst.problem, not membership, Conditionality.UNCONDITIONAL, reason,
-            asymptotic=cls, scanned_up_to=k0 + 1,
-            bound=at,
-        )
+        return Verdict(inst.problem, not membership, reason, scanned_up_to=k0 + 1, bound=at)
 
     oracle = limit_oracle(inst, config, conditional)
     eq = oracle.decide_equal(inst.t)
-    fields = dict(asymptotic=cls, equality_rationale=eq.rationale, canonical=eq.canonical,
-                  matching=eq.matching, identity=eq.identity)
-    conjectural = eq.rationale is Rationale.IDENTITY_NONZERO
-    cond = Conditionality.CONDITIONAL_ON_SCHANUEL if conjectural else Conditionality.UNCONDITIONAL
     if eq.equal:
-        if membership:  # a strictly monotone tail never attains its limit
-            return Verdict(
-                inst.problem, False, cond, Reason.LIMIT_EQUALS_TARGET_NOT_ATTAINED,
-                scanned_up_to=k0 + 1, **fields,
-            )
-        # threshold, decreasing tail with infimum L = t
-        return Verdict(
-            inst.problem, True, Conditionality.UNCONDITIONAL,
-            Reason.DECREASING_TAIL_LIMIT_EQUALS_TARGET, scanned_up_to=k0 + 1, **fields,
-        )
+        # a strictly monotone tail never attains its limit; a decreasing
+        # Threshold tail has the infimum L = t
+        reason = (Reason.LIMIT_EQUALS_TARGET_NOT_ATTAINED if membership
+                  else Reason.DECREASING_TAIL_LIMIT_EQUALS_TARGET)
+        return Verdict(inst.problem, not membership, reason, scanned_up_to=k0 + 1, equality=eq)
     side, bits, enc = oracle.compare(inst.t)
-    fields.update(compare_relation="less" if side < 0 else "greater", compare_precision_bits=bits)
+    relation = "less" if side < 0 else "greater"
+    fields = dict(equality=eq, compare={"relation": relation, "precision_bits": bits})
     cap = config.scan_cap
     if side == direction and enc.compare_fraction(inst.t * Fraction(inst.q(cap), inst.p(cap))) == -direction:
         raise ScanCapExceeded(
@@ -319,22 +292,19 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             n = scan.first_past()
         if n is not None:
             return Verdict(
-                inst.problem, True, Conditionality.UNCONDITIONAL, Reason.PREFIX_WITNESS,
-                witness=n, scanned_up_to=n, **fields,
+                inst.problem, True, Reason.PREFIX_WITNESS, witness=n, scanned_up_to=n, **fields,
             )
         return Verdict(
-            inst.problem, False, cond, Reason.MONOTONE_TAIL_EXCLUDES_TARGET,
+            inst.problem, False, Reason.MONOTONE_TAIL_EXCLUDES_TARGET,
             scanned_up_to=scan.n - 1, bound=scan.n, **fields,
         )
 
     # threshold, decreasing tail with infimum L != t: holds iff L > t
     if side > 0:
         return Verdict(
-            inst.problem, True, cond, Reason.DECREASING_TAIL_ABOVE_TARGET,
-            scanned_up_to=k0 + 1, **fields,
+            inst.problem, True, Reason.DECREASING_TAIL_ABOVE_TARGET, scanned_up_to=k0 + 1, **fields,
         )
     n = scan.first_hit()
     return Verdict(
-        inst.problem, False, cond, Reason.DECREASING_TAIL_BELOW_TARGET,
-        witness=n, scanned_up_to=n, **fields,
+        inst.problem, False, Reason.DECREASING_TAIL_BELOW_TARGET, witness=n, scanned_up_to=n, **fields,
     )

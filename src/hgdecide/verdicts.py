@@ -1,11 +1,14 @@
-"""Verdict and certificate-facing result types."""
+"""Verdict and certificate-facing result types, and the rules that give a
+certificate's conditionality, exit code, equality rationale and
+asymptotic record from its other fields: `decide` stores none of them,
+and `certs.verify_certificate` recomputes each."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from .sequence import AsymptoticClass, Problem
+from .sequence import AsymptoticClass, HGInstance, Problem
 
 
 class Conditionality(enum.Enum):
@@ -89,6 +92,14 @@ class Reason(str, enum.Enum):
     DECREASING_TAIL_LIMIT_EQUALS_TARGET = "decreasing_tail_limit_equals_target", None, ("holds", Claim.EQUAL)
     LIMIT_EQUALS_TARGET_NOT_ATTAINED = "limit_equals_target_not_attained", None, ("not_member", Claim.EQUAL)
 
+    def asymptotic(self, inst: HGInstance) -> AsymptoticClass | None:
+        """The certificate's asymptotic record: the instance's class, but
+        for the four reasons `decide` gives before it classifies."""
+        return None if self in _UNCLASSIFIED else inst.asymptotic
+
+
+_UNCLASSIFIED = {Reason.ZERO_SEQUENCE, Reason.ZERO_TAIL, Reason.TERMS_NEVER_ZERO, Reason.SIGN_ANALYSIS}
+
 
 class Rationale(enum.Enum):
     RATIONAL_IDENTITY = "rational_identity"
@@ -96,6 +107,23 @@ class Rationale(enum.Enum):
     TRANSCENDENCE_OBSTRUCTION = "transcendence_obstruction"
     IDENTITY_CANCELLATION = "identity_cancellation"
     IDENTITY_NONZERO = "identity_nonzero"
+
+    @classmethod
+    def of_identity(cls, identity) -> Rationale:
+        """An identity record's rationale: it cancels exactly when its
+        term_count is the JSON integer 0 (false is not 0)."""
+        count = identity.get("term_count") if isinstance(identity, dict) else None
+        return cls.IDENTITY_CANCELLATION if type(count) is int and count == 0 else cls.IDENTITY_NONZERO
+
+
+def conditionality(claim: Claim, rationale: Rationale | None) -> Conditionality:
+    """Schanuel's conjecture carries a verdict exactly when the limit's
+    identity is nonzero and the verdict rests on a claim besides its
+    witness (a bound, an order or an equality): a prefix witness found
+    after the oracle stays unconditional."""
+    if rationale is Rationale.IDENTITY_NONZERO and claim != Claim.NONE:
+        return Conditionality.CONDITIONAL_ON_SCHANUEL
+    return Conditionality.UNCONDITIONAL
 
 
 @dataclass(frozen=True)
@@ -113,7 +141,8 @@ class EqualityDecision:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Decision outcome plus everything a certificate needs to replay it.
+    """Decision outcome plus everything a certificate needs to replay it;
+    its conditionality and exit code are derived.
 
     `result` means "target is a member" for membership problems and
     "u_n >= t holds for all n" for threshold problems.
@@ -121,25 +150,21 @@ class Verdict:
 
     problem: Problem
     result: bool
-    conditionality: Conditionality
     reason: Reason
     witness: int | None = None
     bound: int | None = None  # written with reason.justification
     scanned_up_to: int | None = None
-    asymptotic: AsymptoticClass | None = None
-    canonical: dict | None = None
-    equality_rationale: Rationale | None = None
-    compare_relation: str | None = None
-    compare_precision_bits: int | None = None
-    matching: dict | None = None
-    identity: dict | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "reason", Reason(self.reason))
+    equality: EqualityDecision | None = None  # the limit oracle's, for a verdict that read it
+    compare: dict | None = None  # {relation, precision_bits}
 
     @property
     def name(self) -> VerdictName:
         return _NAMES[self.problem, self.result]
+
+    @property
+    def conditionality(self) -> Conditionality:
+        claim = self.reason.claims.get(self.name, Claim.NONE)
+        return conditionality(claim, self.equality and self.equality.rationale)
 
     @property
     def exit_code(self) -> int:

@@ -353,14 +353,15 @@ class TestCriterion8:
                 v = decide(inst, DEFAULT_CONFIG)
             except UnsupportedInstance:
                 continue
-            if v.equality_rationale is Rationale.IDENTITY_NONZERO:
+            rationale = v.equality and v.equality.rationale
+            if rationale is Rationale.IDENTITY_NONZERO:
                 exercised += 1
                 flags_ok &= v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL or (
                     v.reason in ("prefix_witness", "prefix_violation")
                 )
-                if v.identity is not None and v.identity.get("stress_separated") is False:
+                if v.equality.identity is not None and v.equality.identity.get("stress_separated") is False:
                     stress_failures += 1
-            elif v.equality_rationale is Rationale.IDENTITY_CANCELLATION:
+            elif rationale is Rationale.IDENTITY_CANCELLATION:
                 exercised += 1
                 cancellations += 1
                 if v.reason in (

@@ -28,6 +28,12 @@ def doc(p, q, u0, t, problem="membership", mode="auto"):
 
 
 WORKED = doc([13, -4, 1], [5, -4, 1], "1", "1/13")
+# a Schanuel-conditional holds: decreasing_tail_above_target, exit code 10
+COND = doc([7, 0, 8, 0, 1], [6, 0, 5, 0, 1], "1", "1/100", "threshold")
+# the worked pair's u_20, past k0 + 2 = 17: a prefix witness found after the order test
+CROSSED = {**WORKED, "t": "37820626940981/502276968004066749"}
+# u_n = 3 * 2^n passes 50: a divergence_bound verdict
+DIVERGING = doc([1], [2], "3", "50")
 # every key certificate_dict can write; a certificate holds those with a value
 CERT_KEYS = (
     "format", "instance", "verdict", "reason", "conditionality", "witness", "scanned_up_to", "bound",
@@ -193,6 +199,107 @@ class TestCertificates:
                     if not verify_certificate({**cert, "reason": reason.value}, config):
                         still.append((reason.value, cert["verdict"]))
         assert tried == 2250 and still == []
+
+    def test_relabelled_conditionality_and_stripped_asymptotic_fail(self):
+        # the same corpus: each certificate relabelled with the other
+        # conditionality and its exit code moved by 10 to match, and each
+        # asymptotic record stripped.  verify recomputes both fields, so
+        # none verifies (all 150 and all 147 once did)
+        from hgdecide.config import EngineConfig
+
+        config = EngineConfig(scan_cap=2 * 10**4)
+        other = {
+            "unconditional": ("conditional_on_schanuel", 10), "conditional_on_schanuel": ("unconditional", -10),
+        }
+        relabelled, stripped = [], []
+        for family in FAMILIES:
+            for d in generate_documents(7, 30, family):
+                cert = decide_document(parse_instance(d), config)
+                label, move = other[cert["conditionality"]]
+                relabelled.append(verify_certificate(
+                    {**cert, "conditionality": label, "exit_code": cert["exit_code"] + move}, config,
+                ))
+                if "asymptotic" in cert:
+                    stripped.append(verify_certificate({k: cert[k] for k in cert if k != "asymptotic"}, config))
+        assert (len(relabelled), len(stripped)) == (150, 147)
+        assert all(relabelled) and all(stripped)
+
+    # honest certificates whose derived fields are rewritten: the
+    # conditional holds of p = x^4 + 8x^2 + 7, q = x^4 + 5x^2 + 6 at
+    # Threshold t = 1/100 (its identity has 8 terms), the worked pair's
+    # monotone tail at t = 1/100, and a zero tail given a class
+    @pytest.mark.parametrize(
+        "d,tamper,needle",
+        [
+            (COND, lambda c: c.update(conditionality="unconditional", exit_code=0),
+             "conditionality 'unconditional' is not the recomputed 'conditional_on_schanuel'"),
+            (COND, lambda c: c.update(equality_rationale="identity_cancellation"),
+             "equality rationale 'identity_cancellation' is not the recomputed 'identity_nonzero'"),
+            (COND, lambda c: c.update(equality_rationale="pi_power_obstruction"),
+             "equality rationale 'pi_power_obstruction' is not the recomputed 'identity_nonzero'"),
+            (COND, lambda c: c.update(equality_rationale="no_such_rationale"),
+             "equality rationale 'no_such_rationale' is not the recomputed 'identity_nonzero'"),
+            (COND, lambda c: c.pop("equality_rationale"), "equality rationale None is not the recomputed"),
+            ({**WORKED, "t": "1/100"}, lambda c: c["asymptotic"].update(variant="diverges_to_infinity"),
+             "asymptotic {'variant': 'diverges_to_infinity', 'exponent': '0'} is not the recomputed"),
+            (doc([1, 1], [-3, 1], "1", "5"), lambda c: c.update(asymptotic={"variant": "ratio_limit_one"}),
+             "asymptotic {'variant': 'ratio_limit_one'} is not the recomputed None"),
+        ],
+        ids=["relabelled-unconditional", "cancellation", "pi-power", "unknown-rationale", "no-rationale",
+             "diverging-class", "zero-tail-class"],
+    )
+    def test_derived_field_rewritten_fails(self, d, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        assert cert["reason"] in ("decreasing_tail_above_target", "monotone_tail_excludes_target", "zero_tail")
+        assert cert["exit_code"] == (10 if d is COND else 1)
+        tamper(cert)
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
+    NO_INTEGER = "compare invalid: precision_bits: must be an integer"
+
+    # a compare record names less or greater and a ladder rung from 64 bits
+    # to the precision cap, and comes exactly with an equality record that
+    # does not find L = t: each of these once verified (CROSSED rests on
+    # no compare record)
+    @pytest.mark.parametrize(
+        "d,tamper,needle",
+        [
+            (COND, lambda c: c["compare"].update(precision_bits="x"), NO_INTEGER),
+            (COND, lambda c: c["compare"].update(precision_bits=10**9), "compare precision_bits 1000000000 lies"),
+            (COND, lambda c: c["compare"].update(precision_bits=3), "compare precision_bits 3 lies outside 64"),
+            (COND, lambda c: c["compare"].update(precision_bits=True), NO_INTEGER),
+            (COND, lambda c: c["compare"].update(precision_bits=64.0), NO_INTEGER),
+            (COND, lambda c: c["compare"].update(precision_bits=None), NO_INTEGER),
+            (COND, lambda c: c["compare"].pop("precision_bits"), "compare invalid: must be an object"),
+            (COND, lambda c: c["compare"].update(relation="equal"), "compare relation 'equal' is neither"),
+            (CROSSED, lambda c: c.pop("compare"), "a compare record comes exactly with"),
+            (DIVERGING, lambda c: c.update(compare={"relation": "greater", "precision_bits": 64}),
+             "a compare record comes exactly with"),
+        ],
+        ids=["string", "past-the-cap", "below-64", "true", "float", "null", "missing", "equal", "dropped",
+             "divergence-bound"],
+    )
+    def test_compare_record_of_the_wrong_shape_fails(self, d, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        assert ("compare" in cert) == (d is not DIVERGING)
+        tamper(cert)
+        failures = verify_certificate(cert)
+        assert any(f.startswith(needle) for f in failures), failures
+
+    def test_canonical_and_identity_records_together_fail(self):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance({**WORKED, "t": "1/100000"}), DEFAULT_CONFIG)
+        assert "canonical" in cert and verify_certificate(cert) == []
+        cert["identity"] = decide_document(parse_instance(COND), DEFAULT_CONFIG)["identity"]
+        assert "a certificate carries both a canonical and an identity record" in verify_certificate(cert)
 
     # the worked pair's member certificate, rewritten as not_member with no
     # witness: each of these reasons once verified it
@@ -623,7 +730,7 @@ class TestCertificates:
         ],
     )
     def test_forged_bound_rejected(self, p, q, t, problem, n, justification, failure):
-        from hgdecide.verdicts import Conditionality, Verdict
+        from hgdecide.verdicts import Reason, Verdict
 
         din = parse_instance(doc(p, q, "1", t, problem))
         # holds or not_member: the bound claims no witness from n on, under
@@ -634,9 +741,7 @@ class TestCertificates:
             "tail_below_target": "shrink_bound",
             "product_monotone_beyond": "increasing_tail" if result else "monotone_tail_excludes_target",
         }[justification]
-        forged = Verdict(
-            din.inst.problem, result, Conditionality.UNCONDITIONAL, reason, bound=n, scanned_up_to=n,
-        )
+        forged = Verdict(din.inst.problem, result, Reason(reason), bound=n, scanned_up_to=n)
         cert = certificate_dict(din, forged)
         assert cert["bound"]["justification"] == justification
         failures = verify_certificate(cert)
@@ -686,13 +791,10 @@ class TestCertificates:
         ],
     )
     def test_matching_the_search_cannot_rebuild_rejected(self, p, q, needle):
-        from hgdecide.verdicts import Conditionality, Verdict
+        from hgdecide.verdicts import Reason, Verdict
 
         din = parse_instance(doc(p, q, "1", "1/2"))
-        claimed = Verdict(
-            din.inst.problem, False, Conditionality.CONDITIONAL_ON_SCHANUEL,
-            "limit_equals_target_not_attained",
-        )
+        claimed = Verdict(din.inst.problem, False, Reason.LIMIT_EQUALS_TARGET_NOT_ATTAINED)
         cert = certificate_dict(din, claimed)
         cert["matching"] = {"p": {"source": p, "pairs": []}}
         failures = verify_certificate(cert)

@@ -276,4 +276,4 @@ def test_worked_pair_decides_at_32768_bits():
     t = limit - F(1, 2**30000)
     inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(1), t, Problem.THRESHOLD)
     v = equality.decide(inst)
-    assert (v.result, v.reason, v.compare_precision_bits) == (True, "decreasing_tail_above_target", 32768)
+    assert (v.result, v.reason, v.compare["precision_bits"]) == (True, "decreasing_tail_above_target", 32768)

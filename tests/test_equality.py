@@ -126,7 +126,7 @@ class TestMembershipPipeline:
         i = HGInstance(p, q, F(3), F(9), Problem.MEMBERSHIP)  # limit = 3*u0 = 9
         v = decide(i)
         assert not v.result and v.reason == "limit_equals_target_not_attained"
-        assert v.equality_rationale is Rationale.RATIONAL_IDENTITY
+        assert v.equality.rationale is Rationale.RATIONAL_IDENTITY
 
     def test_non_monic_tail_moving_away_decides(self, no_oracle):
         # u_n rises from u_0 = 1 to L ~ 7.52: t = 1/2 lies behind the tail,
@@ -135,7 +135,7 @@ class TestMembershipPipeline:
         v = decide(i)
         assert not v.result and v.reason == "monotone_tail_excludes_target"
         assert v.conditionality is Conditionality.UNCONDITIONAL
-        assert v.canonical is None and v.compare_relation is None
+        assert v.equality is None and v.compare is None
         cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
         assert verify_certificate(cert) == []
 
@@ -155,9 +155,10 @@ class TestMembershipPipeline:
 
     def test_alternating_unit_ratio_growth_decides(self):
         # r(k) = -(k + 2)/(k + 1): u_n = (-1)^n (n + 1), |u_n| grows like n
-        v = decide(inst([1, 1], [-2, -1], 1, 101))
+        i = inst([1, 1], [-2, -1], 1, 101)
+        v = decide(i)
         assert (v.result, v.reason, v.witness) == (True, "divergence_bound", 100)
-        assert v.asymptotic.exponent == 1
+        assert v.reason.asymptotic(i).exponent == 1
 
     def test_ratio_minus_one_census(self):
         # random pairs with q/p -> -1, degree 1-3: every one with a nonzero
@@ -321,7 +322,7 @@ class TestScanFirst:
         k0 = i.monotonicity_index
         v = decide(i)
         assert (v.reason, v.scanned_up_to, v.bound) == (FALLING_ABOVE, k0 + 1, k0 + 2)
-        assert v.canonical is None and v.compare_relation is None and v.equality_rationale is None
+        assert v.equality is None and v.compare is None
         cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
         assert verify_certificate(cert) == []
         cert["instance"]["t"] = "1/100000"  # beyond L ~ 4.78e-5: the tail reaches it
@@ -330,7 +331,7 @@ class TestScanFirst:
     def test_real_quadratic_positive_tail_over_negative_target_is_unconditional(self):
         v = decide(inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD))
         assert v.result and v.reason == FALLING_ABOVE
-        assert v.conditionality is Conditionality.UNCONDITIONAL and v.identity is None
+        assert v.conditionality is Conditionality.UNCONDITIONAL and v.equality is None
 
 
 class TestVerdictOracleConsistency:

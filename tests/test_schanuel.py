@@ -193,8 +193,8 @@ class TestConditionalDecider:
         v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
-        assert v.equality_rationale is Rationale.IDENTITY_NONZERO
-        assert v.identity["stress_separated"] is True
+        assert v.equality.rationale is Rationale.IDENTITY_NONZERO
+        assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
 
     def test_precision_cap_limits_the_first_rung(self, monkeypatch):
@@ -229,7 +229,7 @@ class TestConditionalDecider:
         v = decide(i)
         assert not v.result and v.reason == "limit_equals_target_not_attained"
         assert v.conditionality is Conditionality.UNCONDITIONAL
-        assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
+        assert v.equality.rationale is Rationale.IDENTITY_CANCELLATION
 
     def test_identity_is_built_once(self, monkeypatch):
         # the cancelling pair above and the nonzero t = -3 pair each build
@@ -242,9 +242,9 @@ class TestConditionalDecider:
         f = IntPoly.of(-1, -2, 1)
         p, q = f * IntPoly.of(1, 1) * IntPoly.of(4, 1), f * IntPoly.of(2, 1) * IntPoly.of(3, 1)
         v = decide(HGInstance(p, q, F(2), F(6), Problem.MEMBERSHIP))
-        assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION and len(calls) == 1
+        assert v.equality.rationale is Rationale.IDENTITY_CANCELLATION and len(calls) == 1
         v = decide(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)))
-        assert v.equality_rationale is Rationale.IDENTITY_NONZERO and len(calls) == 2
+        assert v.equality.rationale is Rationale.IDENTITY_NONZERO and len(calls) == 2
 
     def test_matching_failure_reported_with_evidence(self):
         # x^4-4x^2-8x+2 has no matching: conditional decider refuses.  The
@@ -354,7 +354,7 @@ class TestConditionalDecider:
         v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
-        assert v.identity["stress_separated"] is True
+        assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 3000).kind is BruteKind.NONE_UP_TO
         orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
         iv = orc.limit_enclosure(96)
@@ -384,7 +384,7 @@ class TestConditionalDecider:
         v = decide(i)
         assert not v.result
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
-        assert v.identity["stress_separated"] is True
+        assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
         # limit enclosure must match a partial product
         orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
@@ -445,9 +445,9 @@ class TestConditionalDecider:
             v = decide(i)
             assert v.exit_code == exit_code, t
             if relation is None:
-                assert v.equality_rationale is Rationale.IDENTITY_CANCELLATION
+                assert v.equality.rationale is Rationale.IDENTITY_CANCELLATION
             else:
-                assert (v.compare_relation, v.compare_precision_bits) == (relation, 64), t
+                assert (v.compare["relation"], v.compare["precision_bits"]) == (relation, 64), t
             assert verify_certificate(certificate_dict(InstanceDocument(i, "auto"), v)) == [], t
 
     def test_towers_without_i_keep_their_certificates(self):
@@ -720,10 +720,10 @@ class TestConditionalRungs:
     def test_verdict_relation_and_rung(self, name, problem, k, sign, expected):
         p, q, limit = _conditional_limit(name)
         v = decide(HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem))
-        assert (v.result, v.reason, v.compare_relation, v.compare_precision_bits) == expected
+        assert (v.result, v.reason, v.compare["relation"], v.compare["precision_bits"]) == expected
         assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
-        assert v.equality_rationale is Rationale.IDENTITY_NONZERO
-        assert v.identity["stress_separated"] is True
+        assert v.equality.rationale is Rationale.IDENTITY_NONZERO
+        assert v.equality.identity["stress_separated"] is True
 
 
 def test_unprintable_target_is_a_resource_error():

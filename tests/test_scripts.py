@@ -89,20 +89,25 @@ def test_package_imports_at_module_top_without_a_cycle():
 
 def test_reasons_are_declared_once():
     # `verdicts` declares the reasons, the justification each reason's
-    # bound carries and the verdict names; `sequence` and `equality` write
-    # them as members and `certs` reads the members: none of the three
-    # holds a string literal equal to one of them (docstrings aside;
-    # comments never reach the syntax tree)
+    # bound carries, the verdict names, the equality rationales and the
+    # conditional label; `sequence` and `equality` write them as members
+    # and `certs` reads the members: none of the three holds a string
+    # literal equal to one of them (docstrings aside; comments never reach
+    # the syntax tree).  "unconditional" is also a document mode, so it is
+    # left out.  Conditionality is derived, so `equality` never names it.
     import ast
 
-    from hgdecide.verdicts import Justification, Reason, VerdictName
+    from hgdecide.verdicts import Conditionality, Justification, Rationale, Reason, VerdictName
 
-    values = {member.value for enum in (Reason, Justification, VerdictName) for member in enum}
+    values = {member.value for enum in (Reason, Justification, VerdictName, Rationale) for member in enum}
+    values.add(Conditionality.CONDITIONAL_ON_SCHANUEL.value)
     found = []
     for name in ("sequence", "equality", "certs"):
         path = os.path.join(ROOT, "src", "hgdecide", f"{name}.py")
         with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
+            source = fh.read()
+        assert name != "equality" or "Conditionality" not in source
+        tree = ast.parse(source, path)
         docstrings = {
             id(node.body[0].value)
             for node in ast.walk(tree)
@@ -115,7 +120,7 @@ def test_reasons_are_declared_once():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and node.value in values and id(node) not in docstrings
         ]
-    assert len(values) == 15 + 3 + 4 and found == []
+    assert len(values) == 15 + 3 + 4 + 5 + 1 and found == []
 
 
 def test_bench_records_digests_and_every_metric(tmp_path):
