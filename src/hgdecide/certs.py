@@ -2,9 +2,10 @@
 
 Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
-checks the witness, the matching and the claim `verdicts.Reason` names for
-the reason and verdict (a case, bound, order or equality) without
-re-deriving the decision, and recomputes the fields the others give:
+checks the witness, the matching and canonical tuple (each rebuilt from
+the instance) and the claim `verdicts.Reason` names for the reason and
+verdict (a case, bound, order or equality) without re-deriving the
+decision, and recomputes the fields the others give:
 conditionality, exit code, equality rationale and asymptotic record.  A
 certificate holds only the keys that carry a value, on one compact line;
 replay reads an absent key as no claim.
@@ -19,8 +20,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
-from .equality import constant_result, decide_equal, instance_case
-from .gammacanon import CanonicalConstant
+from .equality import canonical_constant, case_prefix_end, constant_result, decide_equal, instance_case
 from .polys import IntPoly
 from .recognize import NoMatching, find_symmetric_matching
 from .sequence import AsymptoticClass, ExactScan, HGInstance, Problem
@@ -59,22 +59,13 @@ def _json_index(val, key: str) -> int:
     return val
 
 
-def _json_bool(val, key: str) -> bool:
-    """`val` if it is JSON true or false."""
-    if not isinstance(val, bool):
-        raise ParseError(f"must be true or false, not {val!r}", key)
-    return val
-
-
-def _json_rat(val, key: str, integers: bool = False) -> Fraction:
-    """Fraction from a JSON string 'a' or 'a/b', or, with `integers`, from a
-    JSON integer.  A float is refused: it has already rounded the rational
-    it stands for."""
-    if integers and isinstance(val, int) and not isinstance(val, bool):
+def _json_rat(val, key: str) -> Fraction:
+    """Fraction from a JSON string 'a' or 'a/b', or from a JSON integer.  A
+    float is refused: it has already rounded the rational it stands for."""
+    if isinstance(val, int) and not isinstance(val, bool):
         return Fraction(val)
     if not isinstance(val, str):
-        kinds = "a rational string or an integer" if integers else "a rational string"
-        raise ParseError(f"must be {kinds}, not {val!r}", key)
+        raise ParseError(f"must be a rational string or an integer, not {val!r}", key)
     try:
         return parse_rat(val)
     except (ValueError, ZeroDivisionError) as e:
@@ -96,8 +87,8 @@ def parse_instance(doc: dict) -> InstanceDocument:
             raise ParseError("missing field", key)
     p = _json_poly(doc["p"], "p")
     q = _json_poly(doc["q"], "q")
-    u0 = _json_rat(doc["u0"], "u0", integers=True)
-    t = _json_rat(doc["t"], "t", integers=True)
+    u0 = _json_rat(doc["u0"], "u0")
+    t = _json_rat(doc["t"], "t")
     problem_raw = doc["problem"]
     try:
         problem = Problem(problem_raw)
@@ -225,11 +216,11 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         problems.append(f"the instance gives no {reason.value} {verdict_name.value} verdict")
 
     scan = None  # the witness scan, left at the witness for the bound replay
-    if result == (verdict_name.problem is Problem.MEMBERSHIP):
-        # a member verdict claims the least u_n = t, a fails verdict the
-        # first u_n < t: exactly the scan's witness test
-        words = ("witness", "least", "=", "!=") if result else ("violation", "first", "<", ">=")
-        what, least, rel, not_rel = words
+    # a member verdict claims the least u_n = t, a fails verdict the first
+    # u_n < t: exactly the scan's witness test
+    membership = verdict_name.problem is Problem.MEMBERSHIP
+    what, least, rel, not_rel = ("witness", "least", "=", "!=") if membership else ("violation", "first", "<", ">=")
+    if result == membership:
         try:
             witness = _json_index(cert.get("witness"), "witness")
             scan = ExactScan(inst, config.scan_cap)
@@ -249,6 +240,15 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
         except DecideError as e:
             problems.append(f"witness replay failed: {e}")
             scan = None
+    elif Claim.CASE in claim and (end := case_prefix_end(inst)) is not None:
+        # a witness-less zero tail or t = 0 verdict: the prefix that holds
+        # the case's answer holds no witness
+        try:
+            n = ExactScan(inst, config.scan_cap).first_hit(end)
+            if n is not None:
+                problems.append(f"{what} u_{n} {rel} t lies in the prefix through u_{end - 1}")
+        except DecideError as e:
+            problems.append(f"prefix replay failed: {e}")
 
     bound, compare = cert.get("bound"), cert.get("compare")
     if compare is not None:
@@ -263,17 +263,22 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if side and relation != side:
         problems.append(f"a {reason.value} certificate does not claim that L is {side} than t")
 
-    # the equality record read again: a canonical constant decides anew (a
-    # tuple under t = 0 is refused), an identity by its term count
+    # the equality record read again: a canonical tuple must be the one
+    # rebuilt from the instance, which decides anew (none under u0 = 0 or
+    # t = 0, nor outside the canonical class); an identity by its term count
     rationale, found = None, False
     if canonical is not None and identity is not None:
         problems.append("a certificate carries both a canonical and an identity record")
     elif canonical is not None:
         try:
-            eq = decide_equal(_canonical_constant(canonical), inst.t)
+            constant = canonical_constant(inst)
+            eq = decide_equal(constant, inst.t)
+        except DecideError as e:
+            problems.append(f"canonical tuple not rebuilt: {e}")
+        else:
             rationale, found = eq.rationale, eq.equal
-        except (KeyError, ValueError, DecideError) as e:
-            problems.append(f"canonical tuple invalid: {e}")
+            if json.dumps(canonical, sort_keys=True) != json.dumps(constant.describe(), sort_keys=True):
+                problems.append("canonical tuple differs from the one rebuilt from the instance")
     elif identity is not None:
         rationale = Rationale.of_identity(identity)
         found = rationale is Rationale.IDENTITY_CANCELLATION
@@ -387,21 +392,6 @@ def _verify_bound(
     if inst.asymptotic.is_balanced and relation == ("less" if side < 0 else "greater"):
         return []
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
-
-
-def _canonical_constant(desc) -> CanonicalConstant:
-    """The constant a canonical tuple describes; raises KeyError, ValueError
-    or DecideError on a malformed tuple."""
-    if not isinstance(desc, dict):
-        raise ParseError("must be an object")
-    theta = desc["theta"]
-    if not isinstance(theta, list) or len(theta) != 2:
-        raise ParseError("must be a list of two rational strings", "theta")
-    return CanonicalConstant(
-        _json_rat(theta[0], "theta"), _json_rat(theta[1], "theta"), _json_int(desc["ell"], "ell"),
-        _json_poly(desc["f"], "f"), _json_poly(desc["g"], "g"), _json_int(desc["m"], "m"),
-        _json_int(desc["D"], "D"), _json_bool(desc["base_trivial"], "base_trivial"),
-    )
 
 
 def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:

@@ -42,7 +42,7 @@ from .certs import (
 from .config import EngineConfig
 from .corpus import FAMILIES, generate_documents
 from .enclosure import eval_enclosure
-from .equality import CanonicalLimitOracle, decide
+from .equality import canonical_constant, decide
 from .errors import ParseError, PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from .exactnum import format_rat
 from .polys import IntPoly
@@ -143,7 +143,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    constant = CanonicalLimitOracle(load_instance(args.file).inst, args.config).constant
+    constant = canonical_constant(load_instance(args.file).inst)
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)

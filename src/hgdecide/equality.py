@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .dyadic import DyadicInterval
 from .enclosure import compare
 from .errors import DecideError, ScanCapExceeded, UnsupportedInstance
 from .gammacanon import CanonicalConstant, canonicalize, limit_as_gamma
-from .polys import roots_quadratic
+from .polys import IntPoly, roots_quadratic
 from .schanuel import ConditionalLimitOracle
 from .sequence import (
     ExactScan,
@@ -66,13 +67,24 @@ def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _unit_constant(p: IntPoly, q: IntPoly) -> CanonicalConstant:
+    return canonicalize(limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q)))
+
+
+def canonical_constant(inst: HGInstance) -> CanonicalConstant:
+    """The one build of the limit's canonical constant, for the oracle and
+    the certificate replay (its u0 = 1 part cached per pair); raises
+    UnsupportedInstance outside the oracle's class, DecideError at u0 = 0."""
+    return _unit_constant(inst.p, inst.q).scale(inst.u0)
+
+
 class CanonicalLimitOracle:
     """Equality/order oracle backed by the canonical constant (unconditional);
     raises UnsupportedInstance outside the rational / single imaginary quadratic class."""
 
     def __init__(self, inst: HGInstance, config: EngineConfig):
-        roots = roots_quadratic(inst.p), roots_quadratic(inst.q)
-        self.constant = canonicalize(limit_as_gamma(inst.p, inst.q, *roots)).scale(inst.u0)
+        self.constant = canonical_constant(inst)
         self.config = config
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
@@ -115,6 +127,22 @@ def instance_case(inst: HGInstance) -> Reason | None:
     return Reason.CONSTANT_SEQUENCE if inst.p == inst.q else None
 
 
+def case_prefix_end(inst: HGInstance) -> int | None:
+    """The end of the prefix u_0 .. u_{end-1} that holds the answer of a
+    zero tail or a Threshold t = 0, None for every other case: `decide`
+    scans to it, and the replay scans a witness-less verdict to it.  A zero
+    tail, q(k0) = 0 (k0 = inst.first_zero_of_q), ends at k0 + 2: a Membership
+    t = 0 first meets u_{k0+1} = 0, a Threshold t > 0 meets it at the
+    latest, and the zeros past it equal no other t and fall below no t <= 0.
+    A t = 0 ends at k1 + 1 (k1 = inst.monotonicity_index): every real root
+    of p and q lies below k1 - 1 (Cauchy), so with u_{k1-1}, u_{k1} > 0 the
+    tail stays positive."""
+    case = instance_case(inst)
+    if case is Reason.ZERO_TAIL:
+        return inst.first_zero_of_q + 2
+    return inst.monotonicity_index + 1 if case is Reason.SIGN_ANALYSIS else None
+
+
 def constant_result(inst: HGInstance) -> bool:
     """The result when u_n = u0 for every n: u0 = t for Membership,
     u0 >= t for Threshold.  The certificate replay recomputes it."""
@@ -141,10 +169,16 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
         ok = constant_result(inst)
         witness = 0 if ok == (inst.problem is Problem.MEMBERSHIP) else None
         return Verdict(inst.problem, ok, case, witness=witness)
-    if case is Reason.ZERO_TAIL:
-        return _zero_tail_verdict(inst, config)
-    if case is not None:
-        return _zero_target_verdict(inst, config)
+    if case is Reason.TERMS_NEVER_ZERO:  # t = 0 and no term vanishes
+        return Verdict(inst.problem, False, case)
+    if case is not None:  # a zero tail or a Threshold t = 0: the prefix holds the answer
+        end = case_prefix_end(inst)
+        n = ExactScan(inst, config.scan_cap).first_hit(end)
+        bound = end - 1 if case is Reason.SIGN_ANALYSIS and n is None else None
+        return Verdict(
+            inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP), case,
+            witness=n, bound=bound, scanned_up_to=end - 1 if n is None else n,
+        )
 
     cls = inst.asymptotic
     if cls.grows:
@@ -157,34 +191,6 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
 
 
 # -- easy regimes ------------------------------------------------------------
-
-
-def _zero_target_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
-    """t = 0 and q has no nonnegative integer root, so no term vanishes:
-    membership fails, and threshold is sign analysis."""
-    if inst.problem is Problem.MEMBERSHIP:
-        return Verdict(inst.problem, False, Reason.TERMS_NEVER_ZERO)
-    k1 = inst.monotonicity_index
-    scan = ExactScan(inst, config.scan_cap)
-    n = scan.first_hit(k1 + 1)  # t = 0: the first negative term
-    if n is not None:
-        return Verdict(inst.problem, False, Reason.SIGN_ANALYSIS, witness=n, scanned_up_to=n)
-    # u_{k1-1}, u_{k1} > 0, and every real root of p and q lies below
-    # k1 - 1 (Cauchy), so r > 0 from k1 - 1 on: the tail stays positive
-    return Verdict(inst.problem, True, Reason.SIGN_ANALYSIS, scanned_up_to=k1, bound=k1)
-
-
-def _zero_tail_verdict(inst: HGInstance, config: EngineConfig) -> Verdict:
-    """q(k0) = 0, k0 = inst.first_zero_of_q: u_n = 0 for every n > k0, so
-    the prefix through u_{k0+1} = 0 holds every answer.  A Membership
-    t = 0 first meets u_{k0+1}, and a Threshold t > 0 meets it at the
-    latest; past it the zeros equal no other t and fall below no t <= 0."""
-    last = inst.first_zero_of_q + 1
-    n = ExactScan(inst, config.scan_cap).first_hit(last + 1)
-    return Verdict(
-        inst.problem, (n is not None) == (inst.problem is Problem.MEMBERSHIP), Reason.ZERO_TAIL,
-        witness=n, scanned_up_to=last if n is None else n,
-    )
 
 
 def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int | None) -> Verdict:

@@ -45,7 +45,7 @@ from .dyadic import DyadicInterval
 from .enclosure import exp_interval, pi_interval, root_int_interval
 from .errors import DecideError, PrecisionExceeded, UnsupportedInstance
 from .exactnum import format_rat, is_half_integer
-from .polys import IntPoly, RootEntry, coprime, cyclotomic
+from .polys import IntPoly, RootEntry, cyclotomic
 from .sequence import classify
 
 # largest e in the x^e and x^(2e) +- 1 factors that canonicalize builds (a
@@ -161,7 +161,10 @@ class CanonicalConstant:
     """theta * pi**ell * f(x)/g(x) with x = exp(pi*sqrt(m)/D).
 
     theta = theta_a + theta_b*sqrt(m), real.  base_trivial marks the
-    all-rational case (value theta * pi**ell, f = g = 1).
+    all-rational case (value theta * pi**ell, f = g = 1).  Only
+    `canonicalize` builds one (`scale` copies it), and it holds the
+    invariants: theta != 0, m >= 1 with sqrt(1) folded into theta_a,
+    D in {1, 2}, and f, g coprime and primitive with positive leads.
     """
 
     theta_a: Fraction
@@ -172,28 +175,6 @@ class CanonicalConstant:
     m: int
     D: int
     base_trivial: bool
-
-    def __post_init__(self):
-        if self.theta_a == 0 and self.theta_b == 0:
-            raise DecideError("theta must be nonzero")
-        if self.m < 1:
-            raise DecideError("base radicand must be positive")
-        if self.m == 1 and self.theta_b != 0:
-            raise DecideError("sqrt(1) part must be folded into theta_a")
-        if self.D not in (1, 2):
-            raise DecideError("D must be 1 or 2")
-        if self.base_trivial:
-            if self.f != IntPoly.of(1) or self.g != IntPoly.of(1) or self.theta_b != 0:
-                raise DecideError("trivial base requires f = g = 1 and rational theta")
-        else:
-            if self.f.is_zero or self.g.is_zero:
-                raise DecideError("f, g must be nonzero")
-            if self.f.lead < 0 or self.g.lead < 0:
-                raise DecideError("f, g must have positive leading coefficients")
-            if self.f.content() != 1 or self.g.content() != 1:
-                raise DecideError("f, g must be primitive")
-            if not coprime(self.f, self.g):
-                raise DecideError("f, g must be coprime")
 
     def limit_enclosure(self, prec: int) -> DyadicInterval:
         """Enclosure of the value, worked at prec + 32 bits: theta, then

@@ -39,6 +39,11 @@ CERT_KEYS = (
     "format", "instance", "verdict", "reason", "conditionality", "witness", "scanned_up_to", "bound",
     "asymptotic", "canonical", "equality_rationale", "compare", "matching", "identity", "exit_code",
 )
+# the worked pair's canonical tuple: sinh(pi)/(39 sinh 3pi) = (1/39) x^2/(x^4 + x^2 + 1), x = e^pi
+WORKED_TUPLE = {"theta": ["1/39", "0"], "ell": 0, "f": [0, 0, 1], "g": [1, 0, 1, 0, 1], "m": 1, "D": 1,
+                "base_trivial": False}
+# a canonical record that is not the one verify rebuilds from the instance
+REBUILT = "canonical tuple differs from the one rebuilt from the instance"
 # the product of two primes near 2^100
 PQ = (2**100 + 277) * (2**100 + 331)
 
@@ -200,6 +205,44 @@ class TestCertificates:
                         still.append((reason.value, cert["verdict"]))
         assert tried == 2250 and still == []
 
+    def test_canonical_class_rewritten_to_limit_equality_fails(self):
+        # the same corpus: each balanced certificate whose pair has a
+        # canonical constant, rewritten to its limit-equality verdict with
+        # a trivial tuple whose theta is t and the derived fields to match.
+        # verify rebuilds the tuple from the instance, so none verifies
+        # (all 69 once did, 38 of them with the verdict flipped)
+        from hgdecide.config import EngineConfig
+        from hgdecide.equality import canonical_constant, instance_case
+        from hgdecide.errors import DecideError
+
+        config = EngineConfig(scan_cap=2 * 10**4)
+        tried, flipped, still = 0, 0, []
+        for family in FAMILIES:
+            for d in generate_documents(7, 30, family):
+                docin = parse_instance(d)
+                inst = docin.inst
+                if instance_case(inst) is not None or not inst.asymptotic.is_balanced:
+                    continue
+                try:
+                    canonical_constant(inst)
+                except DecideError:
+                    continue
+                cert = decide_document(docin, config)
+                membership = inst.problem is Problem.MEMBERSHIP
+                forged = {k: v for k, v in cert.items() if k not in ("witness", "bound", "compare")}
+                forged.update(
+                    verdict="not_member" if membership else "holds",
+                    reason="limit_equals_target_not_attained" if membership else "decreasing_tail_limit_equals_target",
+                    canonical={"theta": [d["t"], "0"], "ell": 0, "f": [1], "g": [1], "m": 1, "D": 1,
+                               "base_trivial": True},
+                    equality_rationale="rational_identity", exit_code=1 if membership else 0,
+                )
+                tried += 1
+                flipped += forged["verdict"] != cert["verdict"]
+                if not verify_certificate(forged, config):
+                    still.append(d)
+        assert (tried, flipped, still) == (69, 38, [])
+
     def test_relabelled_conditionality_and_stripped_asymptotic_fail(self):
         # the same corpus: each certificate relabelled with the other
         # conditionality and its exit code moved by 10 to match, and each
@@ -301,6 +344,73 @@ class TestCertificates:
         cert["identity"] = decide_document(parse_instance(COND), DEFAULT_CONFIG)["identity"]
         assert "a certificate carries both a canonical and an identity record" in verify_certificate(cert)
 
+    def test_worked_member_rewritten_with_a_trivial_tuple_fails(self):
+        # the worked pair's member at 2, rewritten as not_member by
+        # limit_equals_target_not_attained with the tuple theta = t = 1/13
+        # (this once verified)
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(WORKED), DEFAULT_CONFIG)
+        assert (cert["verdict"], cert["witness"]) == ("member", 2)
+        del cert["witness"]
+        cert.update(
+            verdict="not_member", exit_code=1, reason="limit_equals_target_not_attained",
+            equality_rationale="rational_identity",
+            canonical={"theta": ["1/13", "0"], "ell": 0, "f": [1], "g": [1], "m": 1, "D": 1, "base_trivial": True},
+        )
+        assert REBUILT in verify_certificate(cert)
+
+    def test_canonical_record_of_another_instance_fails(self):
+        # the worked pair's monotone tail at t = 10^-5 carrying the record of
+        # another Gaussian pair, p = x^2 - 4x + 8, q = x^2 - 4x + 5, whose
+        # limit is not t either (this once verified)
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance({**WORKED, "t": "1/100000"}), DEFAULT_CONFIG)
+        other = decide_document(parse_instance(doc([8, -4, 1], [5, -4, 1], "1", "1/100000")), DEFAULT_CONFIG)
+        assert cert["canonical"] == WORKED_TUPLE and other["canonical"] != WORKED_TUPLE
+        assert other["equality_rationale"] == cert["equality_rationale"] == "transcendence_obstruction"
+        assert verify_certificate(other) == []
+        assert verify_certificate({**cert, "canonical": other["canonical"]}) == [REBUILT]
+
+    # a witness-less verdict of a zero tail or a Threshold t = 0 replays
+    # the prefix that holds the case's answer: p = x + 1, q = x - 3,
+    # Membership t = 3 is member at 2 (its zero tail starts past u_4), and
+    # p = 16x^4 + x^3 + x^2 + x + 1, q = (2x - 3)(2x - 5)(2x - 9)(2x - 11),
+    # Threshold t = 0 fails at 3 (k1 = 139).  Rewritten as not_member and as
+    # holds with the bound k1, each once verified
+    @pytest.mark.parametrize(
+        "d,verdict,needle",
+        [
+            (doc([1, 1], [-3, 1], "1", "3"), "not_member", "witness u_2 = t lies in the prefix through u_4"),
+            (
+                doc([1, 1, 1, 1, 16], [1485, -2184, 1096, -224, 16], "1", "0", "threshold"), "holds",
+                "violation u_3 < t lies in the prefix through u_139",
+            ),
+        ],
+        ids=["zero-tail", "sign-analysis"],
+    )
+    def test_witness_less_case_verdict_replays_its_prefix(self, d, verdict, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert cert["reason"] in ("zero_tail", "sign_analysis") and verify_certificate(cert) == []
+        del cert["witness"]
+        cert.update(verdict=verdict, exit_code=1 - cert["exit_code"])
+        if verdict == "holds":
+            cert.update(bound={"n": 139, "justification": "product_monotone_beyond"}, scanned_up_to=139)
+        assert verify_certificate(cert) == [needle]
+
+    def test_case_prefix_past_the_cap_is_a_resource_limit(self):
+        # the worked pair at Threshold t = 0 holds with the bound k1 = 15;
+        # under a cap of 10 neither its prefix nor its bound is replayed
+        from hgdecide.config import DEFAULT_CONFIG, EngineConfig
+
+        cert = decide_document(parse_instance({**WORKED, "t": "0", "problem": "threshold"}), DEFAULT_CONFIG)
+        assert (cert["verdict"], cert["bound"]["n"]) == ("holds", 15) and verify_certificate(cert) == []
+        failures = verify_certificate(cert, EngineConfig(scan_cap=10))
+        assert "prefix replay failed: scan index 11 exceeds cap 10" in failures, failures
+
     # the worked pair's member certificate, rewritten as not_member with no
     # witness: each of these reasons once verified it
     @pytest.mark.parametrize(
@@ -380,8 +490,11 @@ class TestCertificates:
         assert verify_certificate(cert)
 
     # forged equality records: a count that only compares equal to 0, a
-    # canonical constant of another limit, and a canonical tuple under t = 0
-    # (which decide_equal refuses) fail and never raise
+    # canonical tuple of another limit (not the one rebuilt from the
+    # instance), and a canonical tuple where the instance has no canonical
+    # constant: under t = 0 (which decide_equal refuses), u0 = 0 (which
+    # scale refuses) or roots in several quadratic fields (COND's pair,
+    # which decides on the conditional oracle).  Each fails and never raises
     @pytest.mark.parametrize(
         "d,tamper,needle",
         [
@@ -395,15 +508,24 @@ class TestCertificates:
             ),
             (
                 doc([4, 5, 1], [6, 5, 1], "1", "3"),
-                lambda c: c["canonical"].update(theta=["4", "0"]), "the equality record does not find L = t",
+                lambda c: c["canonical"].update(theta=["4", "0"]), REBUILT,
             ),
             (
                 doc([6, 5, 1], [4, 5, 1], "1", "1/4", "threshold"),
-                lambda c: c["canonical"].update(theta=["1/4", "0"]), "the equality record finds L = t",
+                lambda c: c["canonical"].update(theta=["1/4", "0"]), REBUILT,
             ),
             (
                 doc([4, 5, 1], [6, 5, 1], "1", "3"),
-                lambda c: c["instance"].update(t="0"), "canonical tuple invalid: decide_equal expects a nonzero",
+                lambda c: c["instance"].update(t="0"), "canonical tuple not rebuilt: decide_equal expects a nonzero",
+            ),
+            (
+                doc([4, 5, 1], [6, 5, 1], "1", "3"),
+                lambda c: c["instance"].update(u0="0"),
+                "canonical tuple not rebuilt: scaling a canonical constant by zero",
+            ),
+            (
+                COND, lambda c: c.update(identity=None, canonical=WORKED_TUPLE),
+                "canonical tuple not rebuilt: roots span several quadratic fields",
             ),
         ],
     )
@@ -548,7 +670,9 @@ class TestCertificates:
     # int() would read each of these as a well-formed tuple of the worked
     # example (f = x^2 or 1, ell = 1, m = D = 1); the malformed theta and
     # base_trivial entries once escaped replay as TypeError, AttributeError
-    # or ZeroDivisionError, or read the string "no" as true
+    # or ZeroDivisionError, or read the string "no" as true.  The record is
+    # compared as JSON text with the one rebuilt from the instance, so each
+    # differs from it
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -576,8 +700,7 @@ class TestCertificates:
         assert cert["canonical"] is not None
         assert verify_certificate(cert) == []
         cert["canonical"][key] = value
-        failures = verify_certificate(cert)
-        assert any(f.startswith(f"canonical tuple invalid: {key}:") for f in failures), failures
+        assert REBUILT in verify_certificate(cert)
 
     # each of these once crashed `verify` (exit 5): a top-level value that
     # is not an object (AttributeError), no instance (KeyError), a verdict

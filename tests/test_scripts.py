@@ -87,6 +87,31 @@ def test_package_imports_at_module_top_without_a_cycle():
     assert graph == {}
 
 
+def test_only_gammacanon_builds_a_canonical_constant():
+    # `canonicalize` is the one construction of a CanonicalConstant (its
+    # `scale` copies one), and verify rebuilds a canonical record through
+    # `equality`, so no other module calls the constructor and `certs`
+    # imports nothing from `gammacanon`
+    import ast
+    import glob
+
+    builders, certs_imports = [], set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hgdecide", "*.py"))):
+        name = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            source = fh.read()
+        if "CanonicalConstant(" in source:
+            builders.append(name)
+        if name == "certs":
+            certs_imports = {
+                target
+                for node in ast.walk(ast.parse(source, path)) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for target in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            }
+    assert builders == ["gammacanon"]
+    assert "equality" in certs_imports and not any("gammacanon" in target for target in certs_imports)
+
+
 def test_reasons_are_declared_once():
     # `verdicts` declares the reasons, the justification each reason's
     # bound carries, the verdict names, the equality rationales and the

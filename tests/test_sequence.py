@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hgdecide import polys
@@ -190,8 +190,13 @@ class TestSkipIndex:
         assert inst([1, 2, 1], [2, 2, 1], 1, 0).skip_index == 1
         assert inst([1, 1], [1, 1], 1, 0).skip_index == 1  # q - p = 0
 
+    # no real root at or above the skip index, counted by Sturm's theorem:
+    # sympy.real_roots factors the integer coefficients and, under sympy
+    # 1.14.0, raised ValueError on its first call in a process for the
+    # pinned q = 6x^2 + 227201541366600x + 6
     @settings(max_examples=150, deadline=None)
     @given(_coefficient_lists(), _coefficient_lists())
+    @example([-62], [6, 227201541366600, 6])
     def test_past_every_positive_root(self, p, q):
         import sympy
 
@@ -206,8 +211,7 @@ class TestSkipIndex:
         for f in (p, q, q - p, q + p):
             if f.degree < 1:
                 continue
-            roots = sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x))
-            assert all(r < skip for r in roots if r > 0), (f, skip)
+            assert sympy.Poly(list(reversed(f.coeffs)), x).count_roots(skip, None) == 0, (f, skip)
             for k in range(skip, skip + 65):
                 assert (f(k) > 0) == (f.lead > 0), (f, k)
 
