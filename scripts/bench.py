@@ -20,9 +20,17 @@ with u0 = -1 and Threshold t = -2|u_N| (no witness before N, so the
 search skips towards t all the way), for N = 10^4 and 10^5 on three
 growing pairs: p = x + 3, q = x + 4, which telescopes; p = 2x + 3,
 q = 2x + 4 and p = x^2 + 1, q = x^2 + 2x + 3, which do not.
+The `cold` table holds what decide and verify cost when a pair is met for
+the first time: the seed-11 corpus-unconditional plan (hgbench's own, at
+its 20-second size), each document parsed and decided, and its
+certificate verified, with the per-pair record cache
+(`sequence.recurrence`) cleared before each call; the sums over the plan,
+in ms, the least of 5 passes.  hgbench verifies every certificate right
+after deciding it, so none of its workloads meets a pair cold at verify.
 `--smoke` runs hgbench's tiny plans once, at seed 11 (both trace modes in
-one run), and times the kernels at 256 bits and the scans at 10^4 only,
-to check the plumbing; its numbers are no baseline.
+one run), times the kernels at 256 bits and the scans at 10^4 only, and
+the cold calls on the smoke plan, to check the plumbing; its numbers are
+no baseline.
 """
 
 import argparse
@@ -138,6 +146,43 @@ def time_scans(depths) -> dict:
     return table
 
 
+def time_cold(smoke: bool) -> dict:
+    """{"calls", "decide_ms", "verify_ms"}: the corpus-unconditional plan
+    at seed TRACE_SEED, each call with the record cache cleared first,
+    summed per pass, the least of KERNEL_REPEATS passes."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(ROOT, "hgbench"))
+    import workloads
+    from hgdecide import certs, cli, corpus, sequence
+    from hgdecide.config import DEFAULT_CONFIG
+    from hgdecide.errors import DecideError
+
+    plan = workloads.build_plan("corpus-unconditional", TRACE_SEED, 20.0, corpus, smoke=smoke)
+    clear = sequence.recurrence.cache_clear
+    best_decide = best_verify = float("inf")
+    for _ in range(KERNEL_REPEATS):
+        decide_s = verify_s = 0.0
+        for item in plan:
+            clear()
+            start = time.perf_counter()
+            try:
+                cert = cli.decide_document(certs.parse_instance(item.doc), DEFAULT_CONFIG)
+            except DecideError:
+                cert = None
+            decide_s += time.perf_counter() - start
+            if cert is None:
+                continue
+            cert = json.loads(certs.serialize_certificate(cert))  # as hgbench replays it
+            clear()
+            start = time.perf_counter()
+            failures = certs.verify_certificate(cert)
+            verify_s += time.perf_counter() - start
+            if failures:
+                raise SystemExit(f"cold verify failed on {item.doc}: {failures}")
+        best_decide, best_verify = min(best_decide, decide_s), min(best_verify, verify_s)
+    return {"calls": len(plan), "decide_ms": round(1e3 * best_decide, 3), "verify_ms": round(1e3 * best_verify, 3)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, help="writes BENCH_<pr>.json at the repository root")
@@ -175,6 +220,7 @@ def main() -> int:
                 record["per_layer"][workload] = layer
     record["kernels"] = time_kernels(KERNEL_BITS[:1] if args.smoke else KERNEL_BITS)
     record["scan"] = time_scans(SCAN_DEPTHS[:1] if args.smoke else SCAN_DEPTHS)
+    record["cold"] = time_cold(args.smoke)
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

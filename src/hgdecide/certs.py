@@ -333,16 +333,17 @@ def _verify_bound(
 ) -> list[str]:
     """Prove the claim of the justification `reason` writes for every n >= n0.
 
-    n0 must be at least the certified index k1 = inst.monotonicity_index
-    (the Cauchy bound, never the scan's skip index): past k1, q, p,
-    q - p and q + p keep their signs, so sign r(k) and sign(|r(k)| - 1)
-    are those at k1, the record inst.tail_signs that the decision read,
-    and |u_n| is monotone from n0 on.  One exact comparison of u_{n0}
-    with t then settles the whole tail; a monotone-tail bound passes the
-    balanced verdicts' own test, scan.tail_misses(), or an order claim.
-    `scan`, if given and not past n0, carries on from where it is (its
-    exact anchor included).  The certificate's justification must be
-    the reason's own, and a reason that writes no bound carries none.
+    n0 must be at least the certified index k1 of the pair's record
+    rec = inst.recurrence (the Cauchy bound, never the scan's skip
+    index): past k1, q, p, q - p and q + p keep their signs, so sign r(k)
+    and sign(|r(k)| - 1) are those at k1, rec.tail_signs, which the
+    decision read, and |u_n| is monotone from n0 on.  One exact
+    comparison of u_{n0} with t then settles the whole tail; a
+    monotone-tail bound passes the balanced verdicts' own test,
+    scan.tail_misses(), or an order claim.  `scan`, if given and not past
+    n0, carries on from where it is (its exact anchor included).  The
+    certificate's justification must be the reason's own, and a reason
+    that writes no bound carries none.
     """
     if not isinstance(bound, dict):
         return ["bound invalid"]
@@ -357,14 +358,15 @@ def _verify_bound(
         return [f"bound justification {bound.get('justification')!r} is not {reason.value}'s {just.value}"]
     if n0 > config.scan_cap:
         return [f"bound replay failed: bound index {n0} exceeds cap {config.scan_cap}"]
-    k1 = inst.monotonicity_index
+    rec = inst.recurrence
+    k1 = rec.monotonicity_index
     if n0 < k1:
         return [f"bound index {n0} is below the monotonicity index {k1}"]
     if scan is None or scan.n > n0:
         scan = ExactScan(inst, config.scan_cap)
     scan.jump(n0)
     t = inst.t
-    ratio, grow = inst.tail_signs
+    ratio, grow = rec.tail_signs
     if just is not Justification.PRODUCT_MONOTONE_BEYOND:
         # the bound search's own past exit: |r| and |u_{n0}| - |t| on `side`
         side = 1 if just is Justification.RATIO_EXCEEDS_TARGET else -1
@@ -389,7 +391,7 @@ def _verify_bound(
     # the tail moves towards t and misses it only if its limit stays on
     # u_{n0}'s side of t: the order claim (read here, not replayed)
     side = scan.cmp(t)
-    if inst.asymptotic.is_balanced and relation == ("less" if side < 0 else "greater"):
+    if rec.asymptotic.is_balanced and relation == ("less" if side < 0 else "greater"):
         return []
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
 

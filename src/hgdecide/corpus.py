@@ -147,8 +147,8 @@ def _scan_depth_ok(probe: HGInstance, t: Fraction) -> bool:
     p, q, u0 = probe.p, probe.q, probe.u0
     if u0 == 0 or t == 0:
         return True
-    cls = probe.asymptotic
-    k1 = probe.monotonicity_index
+    cls = probe.recurrence.asymptotic
+    k1 = probe.recurrence.monotonicity_index
     lt = math.log(abs(t))
     lu = math.log(abs(u0))
     if cls.grows or cls.shrinks:

@@ -99,7 +99,7 @@ def limit_oracle(inst: HGInstance, config: EngineConfig, conditional: bool):
     applies, else, when `conditional`, the symbolic-identity oracle of the
     schanuel module.  Raises UnsupportedInstance for a non-monic pair and
     for a limit outside the allowed oracles' class."""
-    if not inst.is_monic_pair:
+    if not inst.recurrence.is_monic_pair:
         raise UnsupportedInstance("balanced instances need monic coefficients")
     try:
         return CanonicalLimitOracle(inst, config)
@@ -120,7 +120,7 @@ def instance_case(inst: HGInstance) -> Reason | None:
     other instance.  The certificate replay recomputes it."""
     if inst.u0 == 0:
         return Reason.ZERO_SEQUENCE
-    if inst.first_zero_of_q is not None:
+    if inst.recurrence.first_zero_of_q is not None:
         return Reason.ZERO_TAIL
     if inst.t == 0:
         return Reason.TERMS_NEVER_ZERO if inst.problem is Problem.MEMBERSHIP else Reason.SIGN_ANALYSIS
@@ -130,17 +130,18 @@ def instance_case(inst: HGInstance) -> Reason | None:
 def case_prefix_end(inst: HGInstance) -> int | None:
     """The end of the prefix u_0 .. u_{end-1} that holds the answer of a
     zero tail or a Threshold t = 0, None for every other case: `decide`
-    scans to it, and the replay scans a witness-less verdict to it.  A zero
-    tail, q(k0) = 0 (k0 = inst.first_zero_of_q), ends at k0 + 2: a Membership
-    t = 0 first meets u_{k0+1} = 0, a Threshold t > 0 meets it at the
-    latest, and the zeros past it equal no other t and fall below no t <= 0.
-    A t = 0 ends at k1 + 1 (k1 = inst.monotonicity_index): every real root
-    of p and q lies below k1 - 1 (Cauchy), so with u_{k1-1}, u_{k1} > 0 the
-    tail stays positive."""
+    scans to it, and the replay scans a witness-less verdict to it.  With
+    rec = inst.recurrence, a zero tail, q(k0) = 0 (k0 =
+    rec.first_zero_of_q), ends at k0 + 2: a Membership t = 0 first meets
+    u_{k0+1} = 0, a Threshold t > 0 meets it at the latest, and the zeros
+    past it equal no other t and fall below no t <= 0.  A t = 0 ends at
+    k1 + 1 (k1 = rec.monotonicity_index): every real root of p and q lies
+    below k1 - 1 (Cauchy), so with u_{k1-1}, u_{k1} > 0 the tail stays
+    positive."""
     case = instance_case(inst)
     if case is Reason.ZERO_TAIL:
-        return inst.first_zero_of_q + 2
-    return inst.monotonicity_index + 1 if case is Reason.SIGN_ANALYSIS else None
+        return inst.recurrence.first_zero_of_q + 2
+    return inst.recurrence.monotonicity_index + 1 if case is Reason.SIGN_ANALYSIS else None
 
 
 def constant_result(inst: HGInstance) -> bool:
@@ -180,7 +181,7 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
             witness=n, bound=bound, scanned_up_to=end - 1 if n is None else n,
         )
 
-    cls = inst.asymptotic
+    cls = inst.recurrence.asymptotic
     if cls.grows:
         return _bounded_verdict(inst, Reason.DIVERGENCE_BOUND, *divergence_bound(inst, config))
     if cls.shrinks:
@@ -196,9 +197,9 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
 def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int | None) -> Verdict:
     """Verdict from a divergence or shrink bound N and the least witness
     n <= N its scan found (u_N itself is never a member: |u_N| != |t|)."""
-    cls = inst.asymptotic
+    cls = inst.recurrence.asymptotic
     membership = inst.problem is Problem.MEMBERSHIP
-    if not membership and witness is None and cls.grows and inst.tail_signs[0] < 0:
+    if not membership and witness is None and cls.grows and inst.recurrence.tail_signs[0] < 0:
         # clean prefix forces u_N > |t| (a negative u_N would already
         # violate); an alternating growing tail puts u_{N+1} below -|t| < t
         witness = bound + 1
@@ -217,10 +218,10 @@ def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int 
 def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool) -> Verdict:
     """Balanced pair: u_n tends to the limit L = u0 * prod q(k)/p(k).
 
-    Past the certified index k0 = inst.monotonicity_index the tail is
-    strictly monotone towards L, so the prefix u_0 .. u_{k0+1} is scanned
-    first (per index only below the scan's skip index, in blocks from
-    there).  These verdicts do not depend on L and build no oracle: a
+    Past the certified index k0 = inst.recurrence.monotonicity_index the
+    tail is strictly monotone towards L, so the prefix u_0 .. u_{k0+1} is
+    scanned first (per index only below the scan's skip index, in blocks
+    from there).  These verdicts do not depend on L and build no oracle: a
     prefix witness or violation, and every tail that scan.tail_misses()
     shows to miss t from u_{k0+2} on.  The bound replay accepts their
     bounds with that same test, without an order claim.  The tail's
@@ -254,7 +255,7 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
     only ties with |L/t - 1| below about |r(C) - 1|, which falls like
     1/C^2: a crossing between C and about C^2 is still left to the scan.
     """
-    k0 = inst.monotonicity_index
+    k0 = inst.recurrence.monotonicity_index
     scan = ExactScan(inst, config.scan_cap)
     n = scan.first_hit(k0 + 2)
     membership = inst.problem is Problem.MEMBERSHIP
@@ -294,7 +295,7 @@ def _balanced_verdict(inst: HGInstance, config: EngineConfig, conditional: bool)
             # the monotone tail, of t's sign, is on the far side of t from
             # the limit: a tail witness is possible until the tail passes
             # t, where direction * (u_n - t) > 0, i.e. |u_n| - |t| has the
-            # sign of direction * u_n, the second of inst.tail_signs
+            # sign of direction * u_n, the second of the tail signs
             n = scan.first_past()
         if n is not None:
             return Verdict(

@@ -8,8 +8,8 @@ or equality test against a target is settled by the floats when the logs
 differ by more than the bound; otherwise the exact unreduced
 numerator/denominator pair is brought up to n by one telescoped product
 of the pending q(k) and p(k) and the test is an exact cross-multiplied
-integer comparison.  Telescoped: an instance caches a shift form
-(`HGInstance.shift_form`) that pairs a factor g of p with a factor
+integer comparison.  Telescoped: the pair's record holds a shift form
+(`Recurrence.shift_form`) that pairs a factor g of p with a factor
 g(x + h) of q, h an integer, so that the product of g(k + h)/g(k) over a
 range leaves only |h| values of g at each end; the rest of q and p goes
 through a balanced product tree.  Ranges shorter than _LEAF, which cost
@@ -23,11 +23,19 @@ replay; first_past records it and runs on to the past exit, so the bound
 searches and the balanced Membership crossing find N and the least
 witness in one scan.
 
-The scan reads two indices of an instance.  The certified index k1 =
-`HGInstance.monotonicity_index` is the Cauchy bound that certificates,
+Every fact that p and q alone decide lives in one record,
+`Recurrence`: the integer roots, the shift form, the monic test, the
+asymptotic class, the tail analysis (k1 and the tail's signs) and the
+skip index.  `recurrence(p, q)` caches it for the last 1024 pairs, so
+the instances, decisions and certificate replays on one pair in a
+process share one analysis, and an instance reads it as
+`inst.recurrence`.
+
+The scan reads two indices of the record.  The certified index k1 =
+`Recurrence.monotonicity_index` is the Cauchy bound that certificates,
 bounds and replay use: a bound search ends at some N >= k1, and a balanced
 verdict scans its prefix to k1 + 2.  The skip index
-(`HGInstance.skip_index`, at most k1) is Cauchy's rule for positive roots,
+(`Recurrence.skip_index`, at most k1) is Cauchy's rule for positive roots,
 past every nonnegative root of p, q, q - p and q + p; only the scan reads
 it.  Past the skip index the tail is monotone: |r(k)| - 1 and sign r(k)
 are constant, so |u_n| is monotone and the signs of u_n are constant or
@@ -54,8 +62,8 @@ at span 4, then 145 ns per index at span 64, 195 ns at 256, 290 ns at
 the double products), so float blocks gallop up to _SPAN indices.
 
 Skips are needed only while |u_n| moves towards |t|.  Which way |u_n|
-moves, and whether its sign alternates, is one record of the instance,
-`HGInstance.tail_signs`, read once at k1 and shared by the scan, the
+moves, and whether its sign alternates, is one fact of the record,
+`Recurrence.tail_signs`, read once at k1 and shared by the scan, the
 decisions and the bound replay, which share one test on it,
 ExactScan.tail_misses().  Once |u_n| lies on one side of |t| and
 the record says it moves away from it, monotonicity alone says that no
@@ -74,7 +82,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -88,29 +96,30 @@ class Problem(enum.Enum):
     THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class HGInstance:
+@dataclass(frozen=True, eq=False)
+class Recurrence:
+    """The facts of p(n) u_{n+1} = q(n) u_n that u0 and t do not enter:
+    the integer roots, the shift form, the monic test, the asymptotic class,
+    the tail analysis (k1 and the tail's signs) and the skip index.  Each
+    is worked out on first use.  `recurrence(p, q)` hands out one record
+    per pair from a bounded cache, so every instance, decision and
+    certificate replay on that pair in a process shares one analysis.
+    Building a record checks that p and q are nonzero and within the caps;
+    an instance also needs p to have no nonnegative integer root, which it
+    checks on every construction against `p_roots`."""
+
     p: IntPoly
     q: IntPoly
-    u0: Fraction
-    t: Fraction
-    problem: Problem
 
     def __post_init__(self):
-        # a Fraction passed in is kept, so a parsed instance builds each rational once
-        object.__setattr__(self, "u0", self.u0 if type(self.u0) is Fraction else Fraction(self.u0))
-        object.__setattr__(self, "t", self.t if type(self.t) is Fraction else Fraction(self.t))
         if self.p.is_zero or self.q.is_zero:
             raise DecideError("p and q must be nonzero")
         self.p.check_caps()
         self.q.check_caps()
-        bad = [r for r in self.p_roots if r >= 0]
-        if bad:
-            raise DecideError(f"p vanishes at nonnegative integer {bad[0]}")
 
     @functools.cached_property
     def p_roots(self) -> tuple[int, ...]:
-        """Sorted distinct integer roots of p, all negative (validated)."""
+        """Sorted distinct integer roots of p."""
         return integer_roots(self.p)
 
     @functools.cached_property
@@ -175,58 +184,90 @@ class HGInstance:
         return self.p.is_monic and self.q.is_monic
 
     @functools.cached_property
-    def _tails(self) -> tuple[tuple[int, ...], ...]:
-        """The coefficients of p, q, q - p and q + p: past their positive
-        real roots r(k) and |r(k)| - 1 keep their signs."""
-        out = [self.p.coeffs, self.q.coeffs]
-        for sign in (-1, 1):
-            c = [b + sign * a for a, b in itertools.zip_longest(self.p.coeffs, self.q.coeffs, fillvalue=0)]
-            while c and not c[-1]:
-                c.pop()
-            out.append(tuple(c))
-        return tuple(out)
-
-    @functools.cached_property
-    def monotonicity_index(self) -> int:
-        """The certified index k1 past which r(k) has constant sign and
-        |r(k)| - 1 does too.
-
-        Uses the Cauchy root bound 1 + max |c_i|/|lead| of p, q, q-p and
-        q+p, rounded up in integers: past every real root of those, none
-        of them changes sign.  Not minimal; soundness only.
-        """
-        bound = 0
-        for c in self._tails:
-            if len(c) >= 2:
-                top = max(map(abs, c[:-1]))
-                bound = max(bound, 1 - (-top // abs(c[-1])))
-        return 1 + bound
-
-    @functools.cached_property
-    def skip_index(self) -> int:
-        """1 + the largest Cauchy's-rule bound (`_positive_root_bound`) of
-        p, q, q - p and q + p, capped at k1: past it the tail is monotone.
-        Only ExactScan reads it; certificates use k1."""
-        bound = max(_positive_root_bound(c) for c in self._tails)
-        return min(1 + bound, self.monotonicity_index)
-
-    @functools.cached_property
     def asymptotic(self) -> AsymptoticClass:
         """classify(p, q)."""
         return classify(self.p, self.q)
 
     @functools.cached_property
+    def _tail(self) -> tuple[int, tuple[int, int], tuple[tuple[int, ...], ...]]:
+        """(k1, tail signs, tails), the certified tail analysis, in one pass
+        over `tails`, the coefficients of p, q, q - p and q + p: past their
+        real roots r(k) and |r(k)| - 1 keep their signs.  k1 is 1 + the
+        largest Cauchy bound 1 + max |c_i|/|lead| of those of degree >= 1,
+        rounded up in integers, which lies past every real root of them;
+        the signs are read at k1, where q(k1) and p(k1) are nonzero."""
+        pc, qc = self.p.coeffs, self.q.coeffs
+        tails = [pc, qc]
+        for sign in (-1, 1):
+            c = [b + sign * a for a, b in itertools.zip_longest(pc, qc, fillvalue=0)]
+            while c and not c[-1]:
+                c.pop()
+            tails.append(tuple(c))
+        bound = 0
+        for c in tails:
+            if len(c) >= 2:
+                top = max(map(abs, c[:-1]))
+                bound = max(bound, 1 - (-top // abs(c[-1])))
+        k1 = 1 + bound
+        qk, pk = self.q(k1), self.p(k1)
+        signs = (1 if (qk > 0) == (pk > 0) else -1), (abs(qk) > abs(pk)) - (abs(qk) < abs(pk))
+        return k1, signs, tuple(tails)
+
+    @property
+    def monotonicity_index(self) -> int:
+        """The certified index k1 past which r(k) has constant sign and
+        |r(k)| - 1 does too (`_tail`).  Not minimal; soundness only."""
+        return self._tail[0]
+
+    @property
     def tail_signs(self) -> tuple[int, int]:
         """(sign r(k), sign(|r(k)| - 1)), the same for every k >= skip_index:
-        past it none of p, q, q - p and q + p changes sign.  Read once, at
-        k1 = monotonicity_index, which is safe to evaluate at: q(k1) and
-        p(k1) are nonzero, as k1 lies past every nonnegative root of p and
-        q.  From the skip index on, sign(u_n) is constant or alternates and
-        |u_n| rises, falls or stays put.  The scan, the decisions and the
-        bound replay all read this one record."""
-        k1 = self.monotonicity_index
-        qk, pk = self.q(k1), self.p(k1)
-        return (1 if (qk > 0) == (pk > 0) else -1), (abs(qk) > abs(pk)) - (abs(qk) < abs(pk))
+        past it none of p, q, q - p and q + p changes sign.  From the skip
+        index on, sign(u_n) is constant or alternates and |u_n| rises,
+        falls or stays put.  The scan, the decisions and the bound replay
+        all read this one record."""
+        return self._tail[1]
+
+    @functools.cached_property
+    def skip_index(self) -> int:
+        """1 + the largest Cauchy's-rule bound (`_positive_root_bound`) of
+        p, q, q - p and q + p, capped at k1: past it the tail is monotone.
+        Only ExactScan reads it, and only for a search longer than _BLOCK,
+        so it is worked out on first use, from the coefficients `_tail`
+        kept; certificates use k1."""
+        k1, _, tails = self._tail
+        return min(1 + max(_positive_root_bound(c) for c in tails), k1)
+
+
+@functools.lru_cache(maxsize=1024)
+def recurrence(p: IntPoly, q: IntPoly) -> Recurrence:
+    """The one record of the pair (p, q), cached for 1024 pairs, the size of
+    `integer_roots`' cache.  A pair that fails the checks is refused on
+    every call: a raising build is not cached."""
+    return Recurrence(p, q)
+
+
+@dataclass(frozen=True)
+class HGInstance:
+    """A question on the sequence: p, q, u0, t and the problem.  What p and
+    q alone decide is read from `recurrence`, the pair's shared record."""
+
+    p: IntPoly
+    q: IntPoly
+    u0: Fraction
+    t: Fraction
+    problem: Problem
+    recurrence: Recurrence = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a Fraction passed in is kept, so a parsed instance builds each rational once
+        object.__setattr__(self, "u0", self.u0 if type(self.u0) is Fraction else Fraction(self.u0))
+        object.__setattr__(self, "t", self.t if type(self.t) is Fraction else Fraction(self.t))
+        rec = recurrence(self.p, self.q)
+        roots = rec.p_roots  # sorted: some root is nonnegative iff the last one is
+        if roots and roots[-1] >= 0:
+            raise DecideError(f"p vanishes at nonnegative integer {next(r for r in roots if r >= 0)}")
+        object.__setattr__(self, "recurrence", rec)
 
 
 class Variant(enum.Enum):
@@ -414,15 +455,15 @@ def _log_product(f: IntPoly, lo: int, hi: int) -> tuple[float, float, int]:
     return s, (2 * (hi - lo) + e) * _U, sign
 
 
-def _float_products(inst: HGInstance, lo: int, hi: int) -> tuple[float, float, int]:
+def _float_products(rec: Recurrence, lo: int, hi: int) -> tuple[float, float, int]:
     """(d, e, sign), the float counterpart of `_factor_products`: d ~ the
     log of |prod q(k)/p(k)| over lo <= k < hi, e a bound on its error and
     sign the ratio's sign, 0 when some q(k) is 0 (`_log_product` on q, and
     on p, which has no zero at k >= 0)."""
-    sq, eq, sign = _log_product(inst.q, lo, hi)
+    sq, eq, sign = _log_product(rec.q, lo, hi)
     if not sign:
         return 0.0, 0.0, 0
-    sp, ep, sign_p = _log_product(inst.p, lo, hi)
+    sp, ep, sign_p = _log_product(rec.p, lo, hi)
     d = sq - sp
     return d, eq + ep + abs(d) * _U, sign * sign_p
 
@@ -442,9 +483,9 @@ def _windows(pairs, m: int) -> tuple[int, int]:
     return a, b
 
 
-def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
+def _factor_products(rec: Recurrence, lo: int, hi: int) -> tuple[int, int]:
     """(Q, P) with Q/P = prod q(k)/p(k) over lo <= k < hi, telescoped by
-    HGInstance.shift_form: Q = q1^(hi - lo) A(hi) B(lo) and
+    Recurrence.shift_form: Q = q1^(hi - lo) A(hi) B(lo) and
     P = p1^(hi - lo) A(lo) B(hi) (`_windows`), the residuals q1, p1 by
     product trees.
 
@@ -458,14 +499,14 @@ def _factor_products(inst: HGInstance, lo: int, hi: int) -> tuple[int, int]:
     builds it.  A shift form with no pairs has no windows to multiply in.
     """
     if hi - lo >= _LEAF:
-        pairs, p1, q1 = inst.shift_form
+        pairs, p1, q1 = rec.shift_form
         if not pairs:
             return _product(q1, lo, hi), _product(p1, lo, hi)
         if all(abs(h) <= hi - lo for _, h in pairs):
             a_lo, b_lo = _windows(pairs, lo)
             a_hi, b_hi = _windows(pairs, hi)
             return _product(q1, lo, hi) * a_hi * b_lo, _product(p1, lo, hi) * a_lo * b_hi
-    return _product(inst.q, lo, hi), _product(inst.p, lo, hi)
+    return _product(rec.q, lo, hi), _product(rec.p, lo, hi)
 
 
 class ExactScan:
@@ -530,23 +571,25 @@ class ExactScan:
     |logabs - log|t|| > (err + err_t) * _SAFETY, err_t the same bound for
     log|t|; otherwise it is exact.
 
-    Monotone tail.  Two indices bound the prefix.  The certified index
-    k1 = inst.monotonicity_index (the Cauchy bound 1 + max|c_i|/|lead| of
-    p, q, q - p and q + p) is the one certificates and replay use: the
-    past exit of a search fires only at n >= k1.  The skip index
-    inst.skip_index <= k1 (Cauchy's rule for positive roots,
-    `_positive_root_bound`) lies past every nonnegative root of the same
-    four polynomials; the scan reads it only to start skipping.  Past the
-    skip index q(k), p(k) and q(k)^2 - p(k)^2 keep their signs, so |u_n|
-    is monotone and sign(u_n) is constant or alternates (on
-    p = x^2 - 6x + 108, q = x^2 - 6x + 284, k1 is 286 and the skip index
-    7).  The witness test then depends only on sign(u_n) and on the side
-    of |t| that |u_n| lies on: two consecutive misses on one side cover
-    both signs of the pattern, so no index on that side is a witness.
-    From there a telescoped instance (`_telescoped`: the shift form leaves
-    the residuals +-1) whose search has more than _BLOCK indices left
-    before its limit (the search end, the cap, or k1 while the past exit
-    is pending) is searched exactly (`_last_on`).  With (num, den) the
+    Monotone tail.  Two indices of the pair's record rec = inst.recurrence
+    bound the prefix, both read off the coefficients of its tail analysis
+    (`Recurrence._tail`).  The certified index k1 = rec.monotonicity_index
+    (the Cauchy bound 1 + max|c_i|/|lead| of p, q, q - p and q + p) is the
+    one certificates and replay use: the past exit of a search fires only
+    at n >= k1.  The skip index rec.skip_index <= k1 (Cauchy's rule for
+    positive roots, `_positive_root_bound`) lies past every nonnegative
+    root of the same four polynomials; the scan reads it only to start
+    skipping.  Past the skip index q(k), p(k)
+    and q(k)^2 - p(k)^2 keep their signs, so |u_n| is monotone and
+    sign(u_n) is constant or alternates (on p = x^2 - 6x + 108,
+    q = x^2 - 6x + 284, k1 is 286 and the skip index 7).  The witness
+    test then depends only on sign(u_n) and on the side of |t| that |u_n|
+    lies on: two consecutive misses on one side cover both signs of the
+    pattern, so no index on that side is a witness.  From there a
+    telescoped instance (`_telescoped`: the shift form leaves the
+    residuals +-1) whose search has more than _BLOCK indices left before
+    its limit (the search end, the cap, or k1 while the past exit is
+    pending) is searched exactly (`_last_on`).  With (num, den) the
     exact pair at the anchor a, the term at m is num A(m) B(a) over
     den A(a) B(m) (`_windows`) up to the residuals' sign, which
     |u_m| - |t| ignores.  No window value is zero: those in A lie at
@@ -587,12 +630,12 @@ class ExactScan:
     an instance that does not telescope.
 
     Tail exit.  Where a skip would be tried and sign(|r(k)| - 1), the
-    second of inst.tail_signs and the same at every k past the skip index,
+    second of rec.tail_signs and the same at every k past the skip index,
     is the side |u_n| is on, |u_m| stays strictly on that side for every
     m >= n.  No later index is a witness, and the past exit fires at k1 if
     it is on that side and never otherwise; so the search moves n, with
     `steps`, straight to the search end, the cap or k1, builds no product,
-    and flips the sign when r(k) < 0 (the first of inst.tail_signs) and
+    and flips the sign when r(k) < 0 (the first of rec.tail_signs) and
     the stretch is odd.  The float pair stays at the exit's index (`_lag`)
     and proves the side for its target `_t`: cmp, abs_cmp and _side
     against that target read the same settled logs as at the exit.  step,
@@ -606,12 +649,13 @@ class ExactScan:
     """
 
     __slots__ = (
-        "inst", "cap", "n", "steps", "materialized", "zero_since",
+        "inst", "rec", "cap", "n", "steps", "materialized", "zero_since",
         "_logabs", "_err", "_lag", "_sign", "_num", "_den", "_at", "_t", "_tlog", "_terr",
     )
 
     def __init__(self, inst: HGInstance, cap: int = DEFAULT_CONFIG.scan_cap):
         self.inst = inst
+        self.rec = inst.recurrence
         self.cap = cap
         self.n = 0
         self.steps = 0
@@ -695,7 +739,7 @@ class ExactScan:
         only where a search has more than _BLOCK indices to skip, or a
         block spans at least _LEAF, which builds the shift form if no
         product has."""
-        _, p1, q1 = self.inst.shift_form
+        _, p1, q1 = self.rec.shift_form
         return p1.coeffs in _UNITS and q1.coeffs in _UNITS
 
     def _witness_test(self) -> int:
@@ -711,26 +755,26 @@ class ExactScan:
         """Least n in [self.n, stop) with a witness u_n, the scan left there;
         None with the scan at stop if there is none.  Without stop the
         search ends only at a witness or at the cap (ScanCapExceeded).
-        Blocks may start below k1 = inst.monotonicity_index, at the skip
-        index inst.skip_index (`_search`); where they start moves only the
+        Blocks may start below k1 = rec.monotonicity_index, at the skip
+        index rec.skip_index (`_search`); where they start moves only the
         work, never the result or where the scan is left.
         """
         return self._search(self.cap + 1 if stop is None else stop, 0)
 
     def first_past(self) -> int | None:
-        """Move to the first N >= k1 = inst.monotonicity_index, the
+        """Move to the first N >= k1 = rec.monotonicity_index, the
         certified index, where |u_N| has passed |t| (t nonzero) the way the
-        tail moves: sign(|u_N| - |t|) = the second of inst.tail_signs.
+        tail moves: sign(|u_N| - |t|) = the second of rec.tail_signs.
         Return the least witness n <= N met on the way, or None; at the cap
         a recorded witness ends the search, else ScanCapExceeded.  Blocks
         may start below k1, as in first_hit."""
-        return self._search(self.cap + 1, self.inst.tail_signs[1])
+        return self._search(self.cap + 1, self.rec.tail_signs[1])
 
     def tail_direction(self) -> int:
         """sign(u_{m+1} - u_m) for every m >= n, for n past the skip index
         and r(k) > 0 there: u_{m+1} - u_m = u_m (r(m) - 1) has the sign of
-        u_n times the second of inst.tail_signs (0: the terms stay put)."""
-        return self.sign() * self.inst.tail_signs[1]
+        u_n times the second of rec.tail_signs (0: the terms stay put)."""
+        return self.sign() * self.rec.tail_signs[1]
 
     def tail_misses(self) -> bool:
         """Whether monotonicity alone rules out a witness after n, for n
@@ -754,17 +798,16 @@ class ExactScan:
         terms (a telescoped instance with more than _BLOCK indices left)
         or by committed float blocks, or the whole rest of the search at
         the tail exit (class docstring).  With a past exit,
-        k1 = inst.monotonicity_index is read first; it fires only at
+        k1 = rec.monotonicity_index is read first; it fires only at
         n >= k1, and while it is pending no skip and no tail exit crosses
         k1, so the exit index is the one a per-index scan finds.
-        first_hit reads inst.tail_signs only where a skip or the tail exit
-        is considered, past the prologue that computes k1, so a short
-        witness replay computes neither.  Stretches of at most _BLOCK
-        indices are too short to pay for what a skip costs: a search that
-        short with no past exit steps throughout, and one whose certified
-        index inst.monotonicity_index is that close reads sides from
-        there, never computing the skip index.  A search whose k1 lies past
-        the cap reads sides from the skip index, so the tail exit can take
+        Stretches of at most _BLOCK indices are too short to pay for what
+        a skip costs: a search that short with no past exit steps
+        throughout and reads no tail fact, so a short witness replay on a
+        new pair runs no tail analysis, and one whose certified index
+        rec.monotonicity_index is that close reads sides from there, never
+        computing the skip index.  A search whose k1 lies past the cap
+        reads sides from the skip index, so the tail exit can take
         it to the cap, and skips from there like any other search.  Such a
         k1 comes from coefficients that are huge next to the lead, whose
         wide values float blocks take in short chunks (p = x^2 + 2^250,
@@ -772,17 +815,17 @@ class ExactScan:
         skip index 1 to a 2 * 10^4 cap in 11 ms, against 68 ms stepping,
         on a 2-core x86 host; with Threshold t = 10^-6 the tail exit takes
         it there after steps at 0 and 1)."""
-        inst = self.inst
+        rec = self.rec
         result = self._witness_test()
-        t = inst.t
+        t = self.inst.t
         cmp, step = self.cmp, self.step
-        k1 = inst.monotonicity_index if past else 0
+        k1 = rec.monotonicity_index if past else 0
         hit = None
         low = end
         if past or (t and end - self.n > _BLOCK):
-            low = min(end, inst.monotonicity_index)
+            low = min(end, rec.monotonicity_index)
             if low - self.n > _BLOCK:
-                low = min(end, inst.skip_index)
+                low = min(end, rec.skip_index)
         prev = 0  # side of the last index when it was a float-settled miss
         span = 1  # length of the next block tried
         while self.n < end:
@@ -798,7 +841,7 @@ class ExactScan:
                 return hit
             if side and (side == prev or hit is not None):
                 # once a witness is recorded only the magnitude matters
-                ratio, away = inst.tail_signs
+                ratio, away = rec.tail_signs
                 # the tail exit: |u_n| moves away from |t|, so there is no
                 # witness from here on, and the past exit fires at k1 if
                 # it is on this side, else never
@@ -854,14 +897,14 @@ class ExactScan:
         to go."""
         lo = self.n
         if hi - lo < _LEAF or self._telescoped():
-            qs, ps = _factor_products(self.inst, lo, hi)
+            qs, ps = _factor_products(self.rec, lo, hi)
             sign = ((qs > 0) - (qs < 0)) * (1 if ps > 0 else -1)
             d, e = _log_ratio(qs, ps) if sign else (0.0, 0.0)
         else:
-            d, e, sign = _float_products(self.inst, lo, hi)
+            d, e, sign = _float_products(self.rec, lo, hi)
         if not sign:  # a jump over a zero of q; past k1 q has none
             # no zero lies below lo: every move past one records it
-            self.zero_since = 1 + self.inst.first_zero_of_q
+            self.zero_since = 1 + self.rec.first_zero_of_q
             self.n = hi
             return True
         logabs = self._logabs + d
@@ -888,7 +931,7 @@ class ExactScan:
         anchor pair times the windows at m; the exact and float pairs are
         re-anchored on the last term on the side.  `steps` is the caller's."""
         n, lo = self.n, self._at
-        pairs, p1, q1 = self.inst.shift_form
+        pairs, p1, q1 = self.rec.shift_form
         a, b = _windows(pairs, lo)
         num, den = self._num * b, self._den * a
         good, bad, width, pair = n, top + 1, span, None
@@ -929,7 +972,7 @@ class ExactScan:
         # q has no zero in [lo, hi), so qs != 0: a step, a block, a jump and
         # a catch-up each record a zero they move past, and the tail exit
         # starts past the skip index, beyond every root of q
-        qs, ps = _factor_products(self.inst, lo, hi)
+        qs, ps = _factor_products(self.rec, lo, hi)
         self._anchor(hi, self._num * qs, self._den * ps)
 
     def fraction(self) -> Fraction:
@@ -1023,7 +1066,7 @@ def _positive_root_bound(c: tuple[int, ...]) -> int:
 
 def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
     """(N, first witness): |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
-    if not inst.asymptotic.grows:
+    if not inst.recurrence.asymptotic.grows:
         raise DecideError("divergence_bound needs a growing class")
     if inst.u0 == 0:
         raise DecideError("zero initial value never grows")
@@ -1032,7 +1075,7 @@ def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) ->
 
 def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
     """(N, first witness): |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
-    if not inst.asymptotic.shrinks:
+    if not inst.recurrence.asymptotic.shrinks:
         raise DecideError("shrink_bound needs a shrinking class")
     return _bound_scan(inst, -1, config)
 
@@ -1045,11 +1088,11 @@ def _bound_scan(inst, side, config) -> tuple[int, int | None]:
     (first_past returns below the cap only at N)."""
     if inst.t == 0:
         raise DecideError("target must be nonzero")
-    if inst.tail_signs[1] != side:
+    if inst.recurrence.tail_signs[1] != side:
         raise DecideError(f"internal: |r| not {'above' if side > 0 else 'below'} 1 past the root bound")
     scan = ExactScan(inst, config.scan_cap)
     hit = scan.first_past()
-    if scan.n == scan.cap and (scan.cap < inst.monotonicity_index or scan.abs_cmp(inst.t) != side):
+    if scan.n == scan.cap and (scan.cap < inst.recurrence.monotonicity_index or scan.abs_cmp(inst.t) != side):
         raise ScanCapExceeded(f"scan index {scan.cap + 1} exceeds cap {scan.cap}")
     return scan.n, hit
 

@@ -95,7 +95,7 @@ class Reason(str, enum.Enum):
     def asymptotic(self, inst: HGInstance) -> AsymptoticClass | None:
         """The certificate's asymptotic record: the instance's class, but
         for the four reasons `decide` gives before it classifies."""
-        return None if self in _UNCLASSIFIED else inst.asymptotic
+        return None if self in _UNCLASSIFIED else inst.recurrence.asymptotic
 
 
 _UNCLASSIFIED = {Reason.ZERO_SEQUENCE, Reason.ZERO_TAIL, Reason.TERMS_NEVER_ZERO, Reason.SIGN_ANALYSIS}

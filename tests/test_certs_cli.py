@@ -102,7 +102,7 @@ class TestDocuments:
 
     def test_negative_root_at_a_large_semiprime_parses(self):
         d = parse_instance({**WORKED, "p": [3 * PQ, PQ + 3, 1]})
-        assert d.inst.p_roots == (-PQ, -3)
+        assert d.inst.recurrence.p_roots == (-PQ, -3)
 
 
 class TestCertificates:
@@ -221,7 +221,7 @@ class TestCertificates:
             for d in generate_documents(7, 30, family):
                 docin = parse_instance(d)
                 inst = docin.inst
-                if instance_case(inst) is not None or not inst.asymptotic.is_balanced:
+                if instance_case(inst) is not None or not inst.recurrence.asymptotic.is_balanced:
                     continue
                 try:
                     canonical_constant(inst)

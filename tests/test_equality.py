@@ -184,11 +184,11 @@ class TestMembershipPipeline:
             else:
                 t = F(rng.randint(-1000, 1000) or 7, rng.randint(1, 100))
             i = replace(probe, t=t)
-            assert i.asymptotic.variant is Variant.RATIO_LIMIT_MINUS_ONE
+            assert i.recurrence.asymptotic.variant is Variant.RATIO_LIMIT_MINUS_ONE
             try:
                 v = decide(i, config)
             except UnsupportedInstance:
-                assert i.asymptotic.exponent == 0
+                assert i.recurrence.asymptotic.exponent == 0
                 outcomes["unsupported"] += 1
                 continue
             except ScanCapExceeded:
@@ -305,7 +305,7 @@ class TestScanFirst:
         # the worked pair falls past t between u_{k0+1} and u_{k0+2}: the
         # tail moves away from t only from k0 + 2 on, where the bound lies
         p, q = [13, -4, 1], [5, -4, 1]
-        k0 = inst(p, q, 1, 0).monotonicity_index
+        k0 = inst(p, q, 1, 0).recurrence.monotonicity_index
         t = (term(inst(p, q, 1, 0), k0 + 1) + term(inst(p, q, 1, 0), k0 + 2)) / 2
         v = decide(inst(p, q, 1, t))
         assert (v.reason, v.scanned_up_to, v.bound) == (EXCLUDED, k0 + 1, k0 + 2)
@@ -319,7 +319,7 @@ class TestScanFirst:
         # u_n > L >= 0 > t from k0 + 2 on: the bound replay proves it
         p, q = [13, -4, 1], [5, -4, 1]
         i = inst(p, q, 1, -1, Problem.THRESHOLD)
-        k0 = i.monotonicity_index
+        k0 = i.recurrence.monotonicity_index
         v = decide(i)
         assert (v.reason, v.scanned_up_to, v.bound) == (FALLING_ABOVE, k0 + 1, k0 + 2)
         assert v.equality is None and v.compare is None
@@ -527,7 +527,7 @@ def crossing_cases(draw):
         return replace(i, t=t), cap, 0
     k = draw(st.one_of(st.integers(4, 39), st.integers(40, 120)))
     limit = gamma_ratio_limit(u0, [i.p], [i.q], k + 64)
-    k0 = i.monotonicity_index
+    k0 = i.recurrence.monotonicity_index
     scan = ExactScan(i, k0 + 2)
     scan.jump(k0 + 2)
     # mostly on the side the tail comes from, where it must cross t
@@ -555,5 +555,5 @@ class TestCrossingPastCap:
             assert enc.compare_fraction(i.t) == sign
         # |r(C) - 1| >= 2/C^2 > 2^-23 here, so t within 2^-40 of L, on the
         # side the tail comes from, is proven out of reach without a scan
-        if k >= 40 and out == "cap" and i.monotonicity_index + 2 <= cap:
-            assert reached <= i.monotonicity_index + 2
+        if k >= 40 and out == "cap" and i.recurrence.monotonicity_index + 2 <= cap:
+            assert reached <= i.recurrence.monotonicity_index + 2

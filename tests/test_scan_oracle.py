@@ -32,6 +32,7 @@ from hgdecide.sequence import (
     ExactScan,
     HGInstance,
     Problem,
+    Recurrence,
     classify,
     divergence_bound,
     shrink_bound,
@@ -233,7 +234,7 @@ class TestShiftForm:
     )
     def test_pairs(self, p, q, pairs, rest):
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
-        got, p1, q1 = inst.shift_form
+        got, p1, q1 = inst.recurrence.shift_form
         assert [(list(g.coeffs), h) for g, h in got] == pairs
         assert (list(p1.coeffs), list(q1.coeffs)) == rest
 
@@ -244,7 +245,7 @@ class TestShiftForm:
         # each |h| <= 200
         p, q = pq
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
-        qs, ps = sequence._factor_products(inst, lo, lo + span)
+        qs, ps = sequence._factor_products(inst.recurrence, lo, lo + span)
         values = [(_horner(q, k), _horner(p, k)) for k in range(lo, lo + span)]
         assert ps != 0
         if any(qk == 0 for qk, _ in values):
@@ -336,7 +337,7 @@ class TestSkipIndex:
         fields = (IntPoly(tuple(p)), IntPoly(tuple(q)), u0, t, problem)
         got = _three_searches(HGInstance(*fields), DEPTH, stop)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(HGInstance, "skip_index", property(lambda inst: inst.monotonicity_index))
+            m.setattr(Recurrence, "skip_index", property(lambda rec: rec.monotonicity_index))
             want = _three_searches(HGInstance(*fields), DEPTH, stop)
         assert got == want
 
@@ -353,7 +354,7 @@ class TestSkipIndex:
             ((F(*pairs[200]) + F(*pairs[201])) / 2, Problem.THRESHOLD),
         ):
             inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), t, problem)
-            assert (inst.monotonicity_index, inst.skip_index) == (286, 7)
+            assert (inst.recurrence.monotonicity_index, inst.recurrence.skip_index) == (286, 7)
             if problem is Problem.MEMBERSHIP:
                 want = next((n for n, (a, b) in enumerate(pairs[:288]) if F(a, b) == t), None)
             else:
@@ -365,7 +366,7 @@ class TestSkipIndex:
             assert len(steps) < 40, (t, len(steps))
 
     def test_certified_index_past_the_cap_steps(self, monkeypatch):
-        # k1 = 2^252 + 1 and skip index 1: the search can only end at the
+        # k1 = 2^252 + 2 and skip index 1: the search can only end at the
         # cap.  u_n rises from u_0 = 1 > t, so two misses above |t| at 1
         # and 2 prove there is no witness: the tail exit goes to the cap
         # with no product, and the step there raises
@@ -376,8 +377,8 @@ class TestSkipIndex:
         spans = record_products(monkeypatch)
         scan = ExactScan(inst, cap=300)
         with pytest.raises(ScanCapExceeded):
-            scan.first_hit(inst.monotonicity_index + 2)
-        assert steps == [0, 1, 300] and spans == [] and inst.skip_index == 1
+            scan.first_hit(inst.recurrence.monotonicity_index + 2)
+        assert steps == [0, 1, 300] and spans == [] and inst.recurrence.skip_index == 1
         assert scan.n == scan.steps == 301
 
 
@@ -399,7 +400,7 @@ PAST_THE_CAP = [
         _linear_product(1001, 1001) * IntPoly.of(5, -4, 1),
         F(-1), Problem.THRESHOLD, id="k1-5010007-threshold",
     ),
-    # k1 = 2^252 + 1; none of the four polynomials has a real root
+    # k1 = 2^252 + 2; none of the four polynomials has a real root
     pytest.param(
         IntPoly.of(2**250, 0, 1), IntPoly.of(2**252, 0, 1), F(1, 10**6), Problem.THRESHOLD,
         id="k1-2-to-252-threshold",
@@ -438,7 +439,7 @@ class TestScanCapReachable:
         monkeypatch.setattr(ExactScan, "__init__", recording_init)
         with pytest.raises(ScanCapExceeded):
             decide(inst, EngineConfig(scan_cap=10**5))
-        assert len(scans) == 1 and scans[0].n <= inst.monotonicity_index + 2
+        assert len(scans) == 1 and scans[0].n <= inst.recurrence.monotonicity_index + 2
         # the threshold hunt itself runs to the cap.  The gap |u_n - t|
         # stays far above the float error bound, so the scan must not fall
         # back to exact arithmetic on the way: a handful of
@@ -464,7 +465,7 @@ class TestScanCapReachable:
         # enclosure puts the crossing past 10^6, so nothing is scanned past
         # the prefix u_0 .. u_{k0+1}
         inst = HGInstance(IntPoly.of(13, -4, 1), IntPoly.of(5, -4, 1), F(u0), t, problem)
-        k0 = inst.monotonicity_index
+        k0 = inst.recurrence.monotonicity_index
         blocks, steps = record_products(monkeypatch), record_steps(monkeypatch)
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
@@ -502,11 +503,11 @@ class TestScanCapReachable:
         # moves away from, prove there is no witness: the prefix scan goes
         # straight to the cap with no block product, and exits 4 there
         inst = HGInstance(p, q, F(1), t, problem)
-        assert inst.monotonicity_index > EngineConfig().scan_cap
+        assert inst.recurrence.monotonicity_index > EngineConfig().scan_cap
         steps, spans = record_steps(monkeypatch), record_products(monkeypatch)
         with pytest.raises(ScanCapExceeded):
             decide(inst, EngineConfig())
-        assert spans == [] and len(steps) < inst.skip_index + 10
+        assert spans == [] and len(steps) < inst.recurrence.skip_index + 10
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(InstanceDocument(inst, "auto").to_dict()))
         assert main(["decide", str(f)]) == 4
@@ -566,9 +567,9 @@ class TestValues:
         # with no shift pair nothing telescopes: the products are those of
         # q(k) and p(k) themselves, not only a pair with their ratio
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
-        assert inst.shift_form == ((), inst.p, inst.q)
+        assert inst.recurrence.shift_form == ((), inst.p, inst.q)
         lo = 1000
-        assert sequence._factor_products(inst, lo, lo + span) == (
+        assert sequence._factor_products(inst.recurrence, lo, lo + span) == (
             _horner_product(q, lo, lo + span),
             _horner_product(p, lo, lo + span),
         )
@@ -633,8 +634,8 @@ class TestFloatBlocks:
     def test_log_within_its_bound(self, mp, block):
         p, q, lo, hi = block
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(0), Problem.MEMBERSHIP)
-        qs, ps = sequence._factor_products(inst, lo, hi)
-        d, e, sign = sequence._float_products(inst, lo, hi)
+        qs, ps = sequence._factor_products(inst.recurrence, lo, hi)
+        d, e, sign = sequence._float_products(inst.recurrence, lo, hi)
         assert sign == _sgn(qs) * _sgn(ps)
         if qs:
             exact = mp.log(abs(mp.mpf(qs))) - mp.log(abs(mp.mpf(ps)))
@@ -648,14 +649,14 @@ class TestFloatBlocks:
         inst = HGInstance(p, q, F(1), F(0), Problem.MEMBERSHIP)
         lo, hi = 2**40, 2**40 + 40
         assert q(lo).bit_length() > 1024
-        qs, ps = sequence._factor_products(inst, lo, hi)
-        d, e, sign = sequence._float_products(inst, lo, hi)
+        qs, ps = sequence._factor_products(inst.recurrence, lo, hi)
+        d, e, sign = sequence._float_products(inst.recurrence, lo, hi)
         exact = mp.log(abs(mp.mpf(qs))) - mp.log(abs(mp.mpf(ps)))
         assert sign == _sgn(qs) * _sgn(ps) == 1 and abs(mp.mpf(d) - exact) <= e
         # a root at lo + 5 inside such a block
         q0 = IntPoly.of(-(lo + 5), 1) * IntPoly((2**200 + 3,) * 32)
         inst = HGInstance(p, q0, F(1), F(0), Problem.MEMBERSHIP)
-        assert sequence._float_products(inst, lo, hi)[2] == 0
+        assert sequence._float_products(inst.recurrence, lo, hi)[2] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(float_blocks())
@@ -741,7 +742,7 @@ class TestDeepScan:
         pairs = _deep_pairs(family)
         signs = [_sgn(num) * _sgn(den) for num, den in pairs]
         probe = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), u0, F(1), Problem.MEMBERSHIP)
-        k1 = probe.monotonicity_index
+        k1 = probe.recurrence.monotonicity_index
         cls = classify(IntPoly(tuple(p)), IntPoly(tuple(q)))
         grows = family.startswith("grow")
         side = 1 if grows else -1
@@ -863,7 +864,7 @@ def _outcome(search):
 
 
 def _stepping_search(scan, stop, k1, past):
-    """first_hit(stop), or with past = inst.tail_signs[1] first_past()
+    """first_hit(stop), or with past = inst.recurrence.tail_signs[1] first_past()
     (stop the cap plus one), by a scan that steps index by index and tests
     every index exactly as the search docstrings state."""
     t, hit = scan.inst.t, None
@@ -927,9 +928,9 @@ def record_products(monkeypatch) -> list[tuple[str, int, int]]:
     for kernel, name in (("exact", "_factor_products"), ("float", "_float_products")):
         product = getattr(sequence, name)
 
-        def recording(inst, lo, hi, kernel=kernel, product=product):
+        def recording(rec, lo, hi, kernel=kernel, product=product):
             blocks.append((kernel, lo, hi))
-            return product(inst, lo, hi)
+            return product(rec, lo, hi)
 
         monkeypatch.setattr(sequence, name, recording)
     return blocks
@@ -952,7 +953,7 @@ class TestGallop:
         # crossings at and next to k1 + 2^j, where the doubling blocks
         # started at the monotonicity index k1 end, and next to the cap
         p, q, grows = family
-        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).monotonicity_index
+        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).recurrence.monotonicity_index
         assume(k1 <= 800)
         cap = k1 + 2**10 + 40
         c = (k1 if where[0] == "k1" else cap) + where[1]
@@ -1019,7 +1020,7 @@ class TestGallop:
         # answers against the search target, a second target and the float
         # pair, each caught up on first read
         p, q, grows = family
-        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).monotonicity_index
+        k1 = HGInstance(p, q, u0, F(1), Problem.MEMBERSHIP).recurrence.monotonicity_index
         assume(k1 <= 400)
         cap = k1 + 200
         pairs = list(reference_pairs(p.coeffs, q.coeffs, u0, cap + 1))
@@ -1034,7 +1035,7 @@ class TestGallop:
         )
         floats_first = data.draw(st.booleans(), label="floats_first")
         inst = HGInstance(p, q, u0, t, problem)
-        past = past and inst.tail_signs[1]
+        past = past and inst.recurrence.tail_signs[1]
         scan, stepped = ExactScan(inst, cap), ExactScan(inst, cap)
         if past:
             got = _outcome(lambda: scan.first_past())
@@ -1067,10 +1068,10 @@ class TestGallop:
         inst = HGInstance(
             IntPoly.of(412, 87, 0, 1), IntPoly.of(720, 164, 0, 1), F(1), F(1, 2), Problem.THRESHOLD
         )
-        assert (inst.monotonicity_index, inst.skip_index) == (722, 1)
+        assert (inst.recurrence.monotonicity_index, inst.recurrence.skip_index) == (722, 1)
         spans, steps = record_products(monkeypatch), record_steps(monkeypatch)
         scan = ExactScan(inst)
-        assert scan.first_hit(inst.monotonicity_index + 2) is None
+        assert scan.first_hit(inst.recurrence.monotonicity_index + 2) is None
         assert scan.n == scan.steps == 724 and spans == [] and steps == [0, 1]
         assert scan.sign() == 1 and scan.cmp(inst.t) == 1 and spans == []
 
@@ -1080,7 +1081,7 @@ class TestGallop:
         inst = HGInstance(
             IntPoly.of(412, 87, 0, 1), IntPoly.of(720, 164, 0, 1), F(1), F(1, 2), Problem.THRESHOLD
         )
-        stop = inst.monotonicity_index + 2
+        stop = inst.recurrence.monotonicity_index + 2
 
         def exact_log(n):
             fresh = ExactScan(inst)
@@ -1173,7 +1174,7 @@ class TestGallop:
         # and then moves it, each in one float product and no exact one
         spans = record_products(monkeypatch)
         inst = HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(1), F(-1), Problem.MEMBERSHIP)
-        lag = inst.monotonicity_index + 1
+        lag = inst.recurrence.monotonicity_index + 1
         scan = ExactScan(inst)
         assert scan.first_hit(20000) is None
         assert scan.n == scan.steps == 20000 and scan.materialized == 0

@@ -87,6 +87,46 @@ def test_package_imports_at_module_top_without_a_cycle():
     assert graph == {}
 
 
+def test_every_cache_is_bounded():
+    # every functools.lru_cache in the package is called with a finite
+    # maxsize, an integer literal or a module constant bound to one, and
+    # functools.cache, which never evicts, is not used at all
+    import ast
+    import glob
+
+    bounded, unbounded = [], []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hgdecide", "*.py"))):
+        name = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        constants = {
+            target.id: node.value.value
+            for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def size(node):
+            value = constants.get(node.id) if isinstance(node, ast.Name) else getattr(node, "value", None)
+            return value if type(value) is int and value > 0 else None
+
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{name}:{node.lineno} imports cache" for a in node.names if a.name == "cache"]
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", "") == "functools":
+                unbounded.append(f"{name}:{node.lineno} functools.cache")
+            if getattr(node, "id", getattr(node, "attr", None)) != "lru_cache":
+                continue
+            call = calls.get(id(node))
+            args = call and ([kw.value for kw in call.keywords if kw.arg == "maxsize"] or call.args[:1])
+            if args and size(args[0]):
+                bounded.append(f"{name}:{node.lineno}")
+            else:
+                unbounded.append(f"{name}:{node.lineno} lru_cache without a positive finite maxsize")
+    assert unbounded == []
+    assert len(bounded) == 12, bounded
+
+
 def test_only_gammacanon_builds_a_canonical_constant():
     # `canonicalize` is the one construction of a CanonicalConstant (its
     # `scale` copies one), and verify rebuilds a canonical record through
@@ -151,7 +191,8 @@ def test_reasons_are_declared_once():
 def test_bench_records_digests_and_every_metric(tmp_path):
     # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
     # names, end to end per workload and per layer, the 256-bit row of
-    # the enclosure kernels' timings and the scan's at depth 10^4
+    # the enclosure kernels' timings, the scan's at depth 10^4 and the
+    # cold calls on the smoke corpus-unconditional plan
     import json
 
     out = tmp_path / "bench.json"
@@ -187,6 +228,11 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     for row in record["scan"].values():
         assert set(row) == {"jump", "first_hit"}
         assert all(set(by_depth) == {"10000"} and min(by_depth.values()) > 0 for by_depth in row.values())
+    # the cold table: decide and verify summed over the plan, each call
+    # with the per-pair record cache cleared first
+    cold = record["cold"]
+    assert set(cold) == {"calls", "decide_ms", "verify_ms"} and cold["calls"] > 0
+    assert cold["decide_ms"] > 0 and cold["verify_ms"] > 0
     assert record["python"] and record["cpu_count"] >= 1
 
 

@@ -6,10 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hgdecide import polys
-from hgdecide.certs import InstanceDocument, verify_certificate
+from hgdecide.certs import InstanceDocument, parse_instance, verify_certificate
 from hgdecide.cli import decide_document
-from hgdecide.config import DEFAULT_CONFIG
-from hgdecide.errors import DecideError, ScanCapExceeded
+from hgdecide.config import DEFAULT_CONFIG, EngineConfig
+from hgdecide.corpus import FAMILIES, generate_documents
+from hgdecide.errors import DecideError, ScanCapExceeded, UnsupportedInstance
 from hgdecide.polys import IntPoly, integer_roots
 from hgdecide.sequence import (
     BruteKind,
@@ -20,6 +21,7 @@ from hgdecide.sequence import (
     brute_force,
     classify,
     divergence_bound,
+    recurrence,
     shrink_bound,
     term,
     terms,
@@ -139,7 +141,7 @@ class TestBounds:
 class TestMonotonicityIndex:
     def test_worked_example(self):
         i = inst([13, -4, 1], [5, -4, 1], 1, 0)
-        k0 = i.monotonicity_index
+        k0 = i.recurrence.monotonicity_index
         assert k0 >= 14
         # beyond k0: r > 0 and r < 1 (q - p = -8 < 0, both quadratics positive)
         for k in range(k0, k0 + 20):
@@ -148,7 +150,7 @@ class TestMonotonicityIndex:
     def test_sign_change_case(self):
         p, q = IntPoly.of(1, 0, 1), IntPoly.of(7, -5, 1)
         i = inst(p.coeffs, q.coeffs, 1, 0)
-        k0 = i.monotonicity_index
+        k0 = i.recurrence.monotonicity_index
         sign = F(i.q(k0), i.p(k0)) < 1
         for k in range(k0, k0 + 20):
             assert (F(i.q(k), i.p(k)) < 1) == sign
@@ -169,7 +171,7 @@ class TestMonotonicityIndex:
         for f in (p, q, q - p, q + p):
             if not f.is_zero and f.degree >= 1:
                 bound = max(bound, 1 + max(F(abs(c), abs(f.lead)) for c in f.coeffs[:-1]))
-        assert inst(p.coeffs, q.coeffs, 1, 0).monotonicity_index == 1 + math.ceil(bound)
+        assert inst(p.coeffs, q.coeffs, 1, 0).recurrence.monotonicity_index == 1 + math.ceil(bound)
 
 
 def _coefficient_lists():
@@ -183,12 +185,12 @@ class TestSkipIndex:
     def test_worked_pair(self):
         # Cauchy: 1 + 284 for q; Cauchy's rule: 6 for p, q and q + p
         i = inst([108, -6, 1], [284, -6, 1], 1, 0)
-        assert (i.monotonicity_index, i.skip_index) == (286, 7)
+        assert (i.recurrence.monotonicity_index, i.recurrence.skip_index) == (286, 7)
 
     def test_no_sign_variation_is_one(self):
         # no coefficient of p, q, q - p = 1 or q + p opposes its lead
-        assert inst([1, 2, 1], [2, 2, 1], 1, 0).skip_index == 1
-        assert inst([1, 1], [1, 1], 1, 0).skip_index == 1  # q - p = 0
+        assert inst([1, 2, 1], [2, 2, 1], 1, 0).recurrence.skip_index == 1
+        assert inst([1, 1], [1, 1], 1, 0).recurrence.skip_index == 1  # q - p = 0
 
     # no real root at or above the skip index, counted by Sturm's theorem:
     # sympy.real_roots factors the integer coefficients and, under sympy
@@ -205,8 +207,8 @@ class TestSkipIndex:
         p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
         assume(all(r < 0 for r in integer_roots(p)))
         i = inst(p.coeffs, q.coeffs, 1, 0)
-        skip = i.skip_index
-        assert 1 <= skip <= i.monotonicity_index
+        skip = i.recurrence.skip_index
+        assert 1 <= skip <= i.recurrence.monotonicity_index
         x = sympy.Symbol("x")
         for f in (p, q, q - p, q + p):
             if f.degree < 1:
@@ -221,8 +223,8 @@ def _sgn(x) -> int:
 
 
 class TestTailRecord:
-    """An instance works out its class and the two signs of its tail once;
-    the scan, the decisions and the bound replay read that record."""
+    """A pair's record works out its class and the two signs of its tail
+    once; the scan, the decisions and the bound replay read that record."""
 
     @settings(max_examples=150, deadline=None)
     @given(_coefficient_lists(), _coefficient_lists())
@@ -232,11 +234,11 @@ class TestTailRecord:
         p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
         assume(all(r < 0 for r in integer_roots(p)))
         i = inst(p.coeffs, q.coeffs, 1, 0)
-        assert i.asymptotic == classify(p, q)
-        skip, k1 = i.skip_index, i.monotonicity_index
+        assert i.recurrence.asymptotic == classify(p, q)
+        skip, k1 = i.recurrence.skip_index, i.recurrence.monotonicity_index
         for k in [k1, *range(skip, skip + 65)]:
             qk, pk = q(k), p(k)
-            assert i.tail_signs == (_sgn(qk * pk), _sgn(abs(qk) - abs(pk))), (p, q, k)
+            assert i.recurrence.tail_signs == (_sgn(qk * pk), _sgn(abs(qk) - abs(pk))), (p, q, k)
 
     @settings(max_examples=150, deadline=None)
     @given(_coefficient_lists(), _coefficient_lists())
@@ -249,7 +251,7 @@ class TestTailRecord:
         q[-1] = q[-1] or -1
         p, q = IntPoly(tuple(p)), IntPoly(tuple(q))
         assume(all(r < 0 for r in integer_roots(p)))
-        k1 = inst(p.coeffs, q.coeffs, 1, 0).monotonicity_index
+        k1 = inst(p.coeffs, q.coeffs, 1, 0).recurrence.monotonicity_index
         for f in (p, q):
             if f.degree < 1:
                 continue
@@ -301,7 +303,7 @@ class TestTailMisses:
     )
     def test_no_witness_after_a_missing_tail(self, pq, u0, problem, data):
         p, q = pq
-        k0 = HGInstance(p, q, u0, F(1), problem).monotonicity_index
+        k0 = HGInstance(p, q, u0, F(1), problem).recurrence.monotonicity_index
         us = [u0]
         for k in range(k0 + 201):
             us.append(us[-1] * F(q(k), p(k)))
@@ -313,7 +315,7 @@ class TestTailMisses:
             t = us[data.draw(st.integers(k0 + 2, k0 + 201), label="m")]
             t = t if kind == "term" else t * (1 + data.draw(st.sampled_from([F(1, 10**6), F(-1, 10**6)])))
         i = HGInstance(p, q, u0, t, problem)
-        assert i.asymptotic.is_balanced and i.tail_signs[0] > 0
+        assert i.recurrence.asymptotic.is_balanced and i.recurrence.tail_signs[0] > 0
         scan = ExactScan(i)
         if scan.first_hit(k0 + 2) is not None or scan.hit() or not scan.tail_misses():
             return
@@ -344,11 +346,11 @@ class TestBruteForce:
 
 class TestZeroTail:
     def test_roots_detected(self):
-        assert inst([1, 1], [-3, 1], 2, 0).first_zero_of_q == 3
-        assert inst([1, 1], [0, 1], 2, 0).first_zero_of_q == 0
-        assert inst([1, 1], [1, 1], 2, 0).first_zero_of_q is None
-        assert inst([1, 1], [6, -7, 0, 1], 2, 0).q_roots == (-3, 1, 2)
-        assert inst([6, 5, 1], [1], 2, 0).p_roots == (-3, -2)
+        assert inst([1, 1], [-3, 1], 2, 0).recurrence.first_zero_of_q == 3
+        assert inst([1, 1], [0, 1], 2, 0).recurrence.first_zero_of_q == 0
+        assert inst([1, 1], [1, 1], 2, 0).recurrence.first_zero_of_q is None
+        assert inst([1, 1], [6, -7, 0, 1], 2, 0).recurrence.q_roots == (-3, 1, 2)
+        assert inst([6, 5, 1], [1], 2, 0).recurrence.p_roots == (-3, -2)
 
     def test_tail_is_zero_after_root(self):
         i = inst([1, 1], [-3, 1], 2, 0)
@@ -359,3 +361,74 @@ class TestZeroTail:
     def test_p_validation(self):
         with pytest.raises(DecideError):
             inst([-3, 1], [1, 1], 1, 0)
+
+
+def _facts(rec) -> tuple:
+    return (
+        rec.p_roots, rec.q_roots, rec.first_zero_of_q, rec.shift_form, rec.is_monic_pair,
+        rec.asymptotic, rec.monotonicity_index, rec.skip_index, rec.tail_signs,
+    )
+
+
+class TestRecurrence:
+    """What p and q alone decide is one record per pair, cached and shared
+    by every instance on the pair."""
+
+    # the pairs the sequence docstrings cite, with (k1, skip index, tail
+    # signs): k1 past every scan cap, k1 far past the skip index, and the
+    # cubic pair whose tail exit ends a prefix scan at once
+    CITED = [
+        ([2**250, 0, 1], [2**252, 0, 1], (2**252 + 2, 1, (1, 1))),
+        ([108, -6, 1], [284, -6, 1], (286, 7, (1, 1))),
+        ([412, 87, 0, 1], [720, 164, 0, 1], (722, 1, (1, 1))),
+    ]
+
+    def test_instances_on_one_pair_share_one_record(self):
+        a = inst([108, -6, 1], [284, -6, 1], 1, F(1, 2))
+        b = inst([108, -6, 1], [284, -6, 1], F(-3, 7), 5, Problem.THRESHOLD)
+        assert a.recurrence is b.recurrence is recurrence(a.p, a.q)
+        assert inst([108, -6, 1], [285, -6, 1], 1, 0).recurrence is not a.recurrence
+
+    def test_cached_facts_equal_a_fresh_analysis(self):
+        # the seed-7 corpus, decided first so that its instances share the
+        # records the decisions filled, and the cited pairs: every fact of
+        # a cached record equals the one a record built after the cache is
+        # cleared works out
+        config = EngineConfig(scan_cap=2 * 10**4)
+        cached = []
+        for family in FAMILIES:
+            for d in generate_documents(7, 30, family):
+                docin = parse_instance(d)
+                try:
+                    decide_document(docin, config)
+                except DecideError:
+                    pass
+                cached.append(docin.inst)
+        cached += [inst(p, q, 1, F(1, 2)) for p, q, _ in self.CITED]
+        want = [_facts(i.recurrence) for i in cached]
+        recurrence.cache_clear()
+        for i, facts in zip(cached, want):
+            fresh = HGInstance(i.p, i.q, i.u0, i.t, i.problem).recurrence
+            assert fresh is not i.recurrence and _facts(fresh) == facts, (i.p, i.q)
+        for p, q, tail in self.CITED:
+            rec = inst(p, q, 1, 0).recurrence
+            assert (rec.monotonicity_index, rec.skip_index, rec.tail_signs) == tail
+
+    def test_p_with_a_nonnegative_root_is_refused_on_every_construction(self):
+        # the record holds the roots; each instance checks them, also when
+        # the record comes from the cache
+        p, q = IntPoly.of(-3, 1), IntPoly.of(1, 1)
+        rec = recurrence(p, q)
+        for _ in range(2):
+            with pytest.raises(DecideError, match="nonnegative integer 3"):
+                HGInstance(p, q, F(1), F(0), Problem.MEMBERSHIP)
+        assert recurrence(p, q) is rec and rec.p_roots == (3,)
+
+    def test_a_refused_pair_is_refused_again(self):
+        # a zero or over-cap polynomial fails the record's build, which is
+        # not cached, so the second construction fails the same way
+        for _ in range(2):
+            with pytest.raises(DecideError, match="nonzero"):
+                inst([], [1, 1], 1, 0)
+            with pytest.raises(UnsupportedInstance, match="256 bits"):
+                inst([1, 1], [2**300, 1], 1, 0)
