@@ -2,11 +2,12 @@
 
 Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
-checks the witness, the matching and canonical tuple (each rebuilt from
-the instance) and the claim `verdicts.Reason` names for the reason and
-verdict (a case, bound, order or equality) without re-deriving the
-decision, and recomputes the fields the others give:
-conditionality, exit code, equality rationale and asymptotic record.  A
+checks the witness, the matching, the canonical tuple and a cancelling
+identity (each rebuilt from the instance) and the claim `verdicts.Reason`
+names for the reason and verdict (a case, bound, order or equality)
+without re-deriving the decision, and recomputes the fields the others
+give (`derived_fields`): equality rationale, conditionality, exit code and
+asymptotic record.  A
 certificate holds only the keys that carry a value, on one compact line;
 replay reads an absent key as no claim.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
-from .equality import canonical_constant, case_prefix_end, constant_result, decide_equal, instance_case
+from .equality import canonical_constant, case_prefix_end, constant_result, decide_equal, instance_case, limit_oracle
 from .polys import IntPoly
 from .recognize import NoMatching, find_symmetric_matching
 from .sequence import AsymptoticClass, ExactScan, HGInstance, Problem
@@ -141,27 +142,36 @@ def _asymptotic_record(asym: AsymptoticClass | None) -> dict | None:
     })
 
 
+def derived_fields(inst: HGInstance, name: VerdictName, reason: Reason, rationale: Rationale | None) -> dict:
+    """The fields a certificate's other fields give: equality rationale,
+    conditionality, exit code and asymptotic record.  `certificate_dict`
+    writes them and `verify_certificate` recomputes them, both from here."""
+    cond = conditionality(reason.claims.get(name, Claim.NONE), rationale)
+    return {
+        "equality_rationale": rationale and rationale.value,
+        "conditionality": cond.value,
+        "exit_code": exit_code(name.result, cond),
+        "asymptotic": _asymptotic_record(reason.asymptotic(inst)),
+    }
+
+
 def certificate_dict(docin: InstanceDocument, verdict: Verdict) -> dict:
     """A verdict's certificate: only the keys that carry a value; a bound
-    with its reason's justification, and the asymptotic record the reason
-    names."""
+    with its reason's justification, and the derived fields."""
     bound, eq = verdict.bound, verdict.equality
     return _present({
         "format": FORMAT,
         "instance": docin.to_dict(),
         "verdict": verdict.name.value,
         "reason": verdict.reason.value,
-        "conditionality": verdict.conditionality.value,
         "witness": verdict.witness,
         "scanned_up_to": verdict.scanned_up_to,
         "bound": None if bound is None else {"n": bound, "justification": verdict.reason.justification.value},
-        "asymptotic": _asymptotic_record(verdict.reason.asymptotic(docin.inst)),
         "canonical": eq and eq.canonical,
-        "equality_rationale": eq and eq.rationale.value,
         "compare": verdict.compare,
         "matching": eq and eq.matching,
         "identity": eq and eq.identity,
-        "exit_code": verdict.exit_code,
+        **derived_fields(docin.inst, verdict.name, verdict.reason, eq and eq.rationale),
     })
 
 
@@ -263,9 +273,10 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if side and relation != side:
         problems.append(f"a {reason.value} certificate does not claim that L is {side} than t")
 
-    # the equality record read again: a canonical tuple must be the one
-    # rebuilt from the instance, which decides anew (none under u0 = 0 or
-    # t = 0, nor outside the canonical class); an identity by its term count
+    # the equality record read again: a canonical tuple, and an identity
+    # that cancels, must be the one rebuilt from the instance, which decides
+    # anew (none under u0 = 0 or t = 0, nor outside the oracle's class); a
+    # nonzero identity is read by its term count
     rationale, found = None, False
     if canonical is not None and identity is not None:
         problems.append("a certificate carries both a canonical and an identity record")
@@ -282,6 +293,14 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     elif identity is not None:
         rationale = Rationale.of_identity(identity)
         found = rationale is Rationale.IDENTITY_CANCELLATION
+        if found:
+            try:
+                rebuilt = limit_oracle(inst, config, docin.mode != "unconditional").decide_equal(inst.t).identity
+            except DecideError as e:
+                problems.append(f"identity not rebuilt: {e}")
+            else:
+                if json.dumps(identity, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
+                    problems.append("identity differs from the one rebuilt from the instance")
     if found != (Claim.EQUAL in claim):
         verb = "does not find" if Claim.EQUAL in claim else "finds"
         problems.append(f"the equality record {verb} L = t under {reason.value}")
@@ -289,13 +308,7 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if (compare is not None) != ((canonical is not None or identity is not None) and not found):
         problems.append("a compare record comes exactly with an equality record that does not find L = t")
 
-    cond = conditionality(claim, rationale)
-    for key, want in (
-        ("equality_rationale", rationale and rationale.value),
-        ("conditionality", cond.value),
-        ("exit_code", exit_code(result, cond)),
-        ("asymptotic", _asymptotic_record(reason.asymptotic(inst))),
-    ):
+    for key, want in derived_fields(inst, verdict_name, reason, rationale).items():
         got = cert.get(key)  # of the recomputed JSON kind: true and 1.0 are not 1
         if got != want or type(got) is not type(want):
             problems.append(f"{key.replace('_', ' ')} {got!r} is not the recomputed {want!r}")

@@ -147,21 +147,19 @@ def _scan_depth_ok(probe: HGInstance, t: Fraction) -> bool:
     p, q, u0 = probe.p, probe.q, probe.u0
     if u0 == 0 or t == 0:
         return True
-    cls = probe.recurrence.asymptotic
-    k1 = probe.recurrence.monotonicity_index
+    rec = probe.recurrence
+    cls, k1 = rec.asymptotic, rec.monotonicity_index
     lt = math.log(abs(t))
     lu = math.log(abs(u0))
-    if cls.grows or cls.shrinks:
+    if cls.is_bounded:
+        grows = rec.tail_signs[1] > 0
         for k in range(_PROBE_LIMIT):
             qk, pk = q(k), p(k)
             if qk == 0:
                 return True  # zero tail: trivially cheap
             lu += math.log(abs(qk)) - math.log(abs(pk))
-            if k >= k1:
-                if cls.grows and lu > lt + 0.1:
-                    return k < _ADMIT_DEPTH
-                if cls.shrinks and lu < lt - 0.1:
-                    return k < _ADMIT_DEPTH
+            if k >= k1 and (lu > lt + 0.1 if grows else lu < lt - 0.1):
+                return k < _ADMIT_DEPTH
         return False
     if cls.is_balanced and p != q:
         # crossing scans run while the monotone tail is between t and the

@@ -182,13 +182,13 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
         )
 
     cls = inst.recurrence.asymptotic
-    if cls.grows:
-        return _bounded_verdict(inst, Reason.DIVERGENCE_BOUND, *divergence_bound(inst, config))
-    if cls.shrinks:
-        return _bounded_verdict(inst, Reason.SHRINK_BOUND, *shrink_bound(inst, config))
-    if not cls.is_balanced:
+    if cls.is_balanced:
+        return _balanced_verdict(inst, config, conditional)
+    if not cls.is_bounded:
         raise UnsupportedInstance(f"unsupported asymptotic class {cls.variant.value}")
-    return _balanced_verdict(inst, config, conditional)
+    if inst.recurrence.tail_signs[1] > 0:
+        return _bounded_verdict(inst, Reason.DIVERGENCE_BOUND, *divergence_bound(inst, config))
+    return _bounded_verdict(inst, Reason.SHRINK_BOUND, *shrink_bound(inst, config))
 
 
 # -- easy regimes ------------------------------------------------------------
@@ -197,13 +197,13 @@ def decide(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG, conditional:
 def _bounded_verdict(inst: HGInstance, reason: Reason, bound: int, witness: int | None) -> Verdict:
     """Verdict from a divergence or shrink bound N and the least witness
     n <= N its scan found (u_N itself is never a member: |u_N| != |t|)."""
-    cls = inst.recurrence.asymptotic
+    grows = reason is Reason.DIVERGENCE_BOUND
     membership = inst.problem is Problem.MEMBERSHIP
-    if not membership and witness is None and cls.grows and inst.recurrence.tail_signs[0] < 0:
+    if not membership and witness is None and grows and inst.recurrence.tail_signs[0] < 0:
         # clean prefix forces u_N > |t| (a negative u_N would already
         # violate); an alternating growing tail puts u_{N+1} below -|t| < t
         witness = bound + 1
-    if not membership and witness is None and cls.shrinks and inst.t > 0:
+    if not membership and witness is None and not grows and inst.t > 0:
         # the tail satisfies |u_n| < |t|; with a clean prefix this forces t < 0
         raise DecideError("internal: shrink tail below a positive target escaped the scan")
     return Verdict(

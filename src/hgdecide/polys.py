@@ -311,29 +311,6 @@ def _gcd_mod(a: list[int], b: list[int], l: int) -> list[int]:
     return [c * inv % l for c in a]
 
 
-# Mersenne prime modulus of the coprimality filter
-_COPRIME_MODULUS = 2**61 - 1
-
-
-def coprime(a: IntPoly, b: IntPoly) -> bool:
-    """Whether a and b have no common factor of degree >= 1 over Q.
-
-    Runs Euclid mod the prime P = 2^61 - 1 when P divides neither leading
-    coefficient.  A common factor over Q can be taken primitive in Z[x];
-    by Gauss's lemma it divides a and b in Z[x], so its leading coefficient
-    divides theirs and is a unit mod P: the factor keeps its degree mod P
-    and divides both reductions.  A constant gcd mod P therefore proves
-    a and b coprime.  A larger gcd mod P may come from P alone (P divides
-    the resultant), so then the answer is the exact `poly_gcd`; this
-    function never answers differently from `poly_gcd(a, b).degree < 1`.
-    """
-    mod = _COPRIME_MODULUS
-    if not a.is_zero and not b.is_zero and a.lead % mod and b.lead % mod:
-        if len(_gcd_mod(_trim_mod(a.coeffs, mod), _trim_mod(b.coeffs, mod), mod)) == 1:
-            return True
-    return poly_gcd(a, b).degree < 1
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
@@ -409,8 +386,8 @@ def has_negative_real_root(f: QPoly) -> bool:
 @lru_cache(maxsize=1024)
 def _squarefree_part(f: IntPoly) -> IntPoly:
     """f over gcd(f, f'): the same roots, each once."""
-    df = f.derivative()
-    return f if coprime(f, df) else f.exact_div(poly_gcd(f, df))
+    g = poly_gcd(f, f.derivative())
+    return f if g.degree < 1 else f.exact_div(g)
 
 
 def _good_prime(f: IntPoly, df: IntPoly) -> int:

@@ -280,7 +280,8 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class AsymptoticClass:
-    """Limit behavior of the shift quotient r(k) = q(k)/p(k).
+    """Limit behavior of the shift quotient r(k) = q(k)/p(k), the
+    certificate's asymptotic record.
 
     Determined solely by degrees and the top two coefficients.  For
     RATIO_LIMIT_ONE, `exponent` is the partial-product growth exponent
@@ -290,6 +291,8 @@ class AsymptoticClass:
     RATIO_LIMIT_MINUS_ONE it is the same exponent of |r(k)| = -r(k), so
     |u_n| behaves like n**A while the signs alternate; there A = 0 (p = -q
     among others) is neither growth nor shrinkage, and stays unsupported.
+    Which way a bounded tail moves is not read here but from the pair's
+    record, `Recurrence.tail_signs`.
     """
 
     variant: Variant
@@ -301,20 +304,13 @@ class AsymptoticClass:
         return self.variant is Variant.RATIO_LIMIT_ONE and self.exponent == 0
 
     @property
-    def grows(self) -> bool:
-        if self.variant is Variant.DIVERGES_TO_INFINITY:
-            return True
-        if self.variant is Variant.CONVERGES_TO and abs(self.ratio_limit) > 1:
-            return True
-        return self.exponent is not None and self.exponent > 0
-
-    @property
-    def shrinks(self) -> bool:
-        if self.variant is Variant.CONVERGES_TO_ZERO_RATIO:
-            return True
-        if self.variant is Variant.CONVERGES_TO and abs(self.ratio_limit) < 1:
-            return True
-        return self.exponent is not None and self.exponent < 0
+    def is_bounded(self) -> bool:
+        """Whether a divergence or shrink bound settles the tail: the
+        exponent is absent or nonzero.  Past k1 the sign of q^2 - p^2 is
+        then that of its leading term, so |r(k)| stays on the side of 1
+        the class grows or shrinks to, the second of the record's
+        tail_signs."""
+        return self.exponent is None or self.exponent != 0
 
 
 def classify(p: IntPoly, q: IntPoly) -> AsymptoticClass:
@@ -1065,18 +1061,14 @@ def _positive_root_bound(c: tuple[int, ...]) -> int:
 
 
 def divergence_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
-    """(N, first witness): |u_n| > |t| and |r(n)| > 1 for all n >= N (growing classes)."""
-    if not inst.recurrence.asymptotic.grows:
-        raise DecideError("divergence_bound needs a growing class")
-    if inst.u0 == 0:
-        raise DecideError("zero initial value never grows")
+    """(N, first witness): |u_n| > |t| and |r(n)| > 1 for all n >= N, for a
+    bounded class whose record's tail_signs[1] is 1 (|u_n| rises)."""
     return _bound_scan(inst, 1, config)
 
 
 def shrink_bound(inst: HGInstance, config: EngineConfig = DEFAULT_CONFIG) -> tuple[int, int | None]:
-    """(N, first witness): |u_n| < |t| and |r(n)| < 1 for all n >= N (shrinking classes)."""
-    if not inst.recurrence.asymptotic.shrinks:
-        raise DecideError("shrink_bound needs a shrinking class")
+    """(N, first witness): |u_n| < |t| and |r(n)| < 1 for all n >= N, for a
+    bounded class whose record's tail_signs[1] is -1 (|u_n| falls)."""
     return _bound_scan(inst, -1, config)
 
 
@@ -1086,13 +1078,17 @@ def _bound_scan(inst, side, config) -> tuple[int, int | None]:
     least witness n <= N, u_n = t (Membership) or u_n < t (Threshold), or
     None; ScanCapExceeded if the cap comes first, even after a witness
     (first_past returns below the cap only at N)."""
+    rec = inst.recurrence
+    if not rec.asymptotic.is_bounded or rec.tail_signs[1] != side:
+        name, kind = ("divergence", "growing") if side > 0 else ("shrink", "shrinking")
+        raise DecideError(f"{name}_bound needs a {kind} class")
+    if side > 0 and inst.u0 == 0:
+        raise DecideError("zero initial value never grows")
     if inst.t == 0:
         raise DecideError("target must be nonzero")
-    if inst.recurrence.tail_signs[1] != side:
-        raise DecideError(f"internal: |r| not {'above' if side > 0 else 'below'} 1 past the root bound")
     scan = ExactScan(inst, config.scan_cap)
     hit = scan.first_past()
-    if scan.n == scan.cap and (scan.cap < inst.recurrence.monotonicity_index or scan.abs_cmp(inst.t) != side):
+    if scan.n == scan.cap and (scan.cap < rec.monotonicity_index or scan.abs_cmp(inst.t) != side):
         raise ScanCapExceeded(f"scan index {scan.cap + 1} exceeds cap {scan.cap}")
     return scan.n, hit
 

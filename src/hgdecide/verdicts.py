@@ -142,7 +142,8 @@ class EqualityDecision:
 @dataclass(frozen=True)
 class Verdict:
     """Decision outcome plus everything a certificate needs to replay it;
-    its conditionality and exit code are derived.
+    its conditionality is derived (the certificate's derived fields come
+    from `certs.derived_fields`).
 
     `result` means "target is a member" for membership problems and
     "u_n >= t holds for all n" for threshold problems.
@@ -166,6 +167,3 @@ class Verdict:
         claim = self.reason.claims.get(self.name, Claim.NONE)
         return conditionality(claim, self.equality and self.equality.rationale)
 
-    @property
-    def exit_code(self) -> int:
-        return exit_code(self.result, self.conditionality)

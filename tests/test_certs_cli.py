@@ -243,6 +243,59 @@ class TestCertificates:
                     still.append(d)
         assert (tried, flipped, still) == (69, 38, [])
 
+    def test_conditional_certificate_rewritten_to_identity_cancellation_fails(self):
+        # the seed-7 real-quadratic corpus: each Schanuel-conditional
+        # certificate rewritten to its limit-equality verdict, its identity's
+        # term_count set to 0 and the derived fields to match, witness, bound
+        # and compare removed.  verify rebuilds a cancelling identity from
+        # the instance, so none verifies (all 26 once did)
+        from hgdecide.config import EngineConfig
+
+        config = EngineConfig(scan_cap=2 * 10**4)
+        tried, still = 0, []
+        for d in generate_documents(7, 300, "real-quadratic"):
+            cert = decide_document(parse_instance(d), config)
+            if cert["conditionality"] != "conditional_on_schanuel":
+                continue
+            membership = d["problem"] == "membership"
+            forged = {k: v for k, v in cert.items() if k not in ("witness", "bound", "compare")}
+            forged.update(
+                verdict="not_member" if membership else "holds",
+                reason="limit_equals_target_not_attained" if membership else "decreasing_tail_limit_equals_target",
+                identity={**cert["identity"], "term_count": 0}, equality_rationale="identity_cancellation",
+                conditionality="unconditional", exit_code=1 if membership else 0,
+            )
+            tried += 1
+            if not verify_certificate(forged, config):
+                still.append(d)
+        assert (tried, still) == (26, [])
+
+    # a cancelling identity is rebuilt from the instance: the honest one of
+    # p = f (x + 1)(x + 4), q = f (x + 2)(x + 3), f = x^2 - 2x - 1, at t = 3 u0
+    # verifies, and is refused with another target; on a pair outside the
+    # conditional oracle's class the rebuild fails, which is a failure of
+    # the certificate, not a crash
+    @pytest.mark.parametrize(
+        "d,tamper,needle",
+        [
+            (doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"), lambda c: c["identity"].update(target="7"),
+             "identity differs from the one rebuilt from the instance"),
+            (DIVERGING, lambda c: c.update(
+                verdict="not_member", reason="limit_equals_target_not_attained", bound=None, asymptotic=None,
+                identity={"term_count": 0}, equality_rationale="identity_cancellation",
+            ), "identity not rebuilt: balanced instances need monic coefficients"),
+        ],
+        ids=["other-target", "non-monic"],
+    )
+    def test_forged_cancelling_identity_fails(self, d, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        tamper(cert)
+        failures = verify_certificate({k: v for k, v in cert.items() if v is not None})
+        assert needle in failures, failures
+
     def test_relabelled_conditionality_and_stripped_asymptotic_fail(self):
         # the same corpus: each certificate relabelled with the other
         # conditionality and its exit code moved by 10 to match, and each

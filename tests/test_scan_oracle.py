@@ -746,6 +746,7 @@ class TestDeepScan:
         cls = classify(IntPoly(tuple(p)), IntPoly(tuple(q)))
         grows = family.startswith("grow")
         side = 1 if grows else -1
+        assert cls.is_bounded and probe.recurrence.tail_signs[1] == side
         for size in _deep_targets(pairs, c):
             sides = [_abs_cmp_fast(num, den, size) for num, den in pairs]
             bound = next(n for n in range(k1, DEEP + 1) if sides[n] == side)
@@ -765,9 +766,8 @@ class TestDeepScan:
                     scan = ExactScan(inst)
                     assert scan.first_past() == want, where
                     assert scan.n == scan.steps == bound, where
-                    if cls.grows or cls.shrinks:  # not for r -> -1
-                        found = (divergence_bound if grows else shrink_bound)(inst)
-                        assert found == (bound, want), where
+                    found = (divergence_bound if grows else shrink_bound)(inst)
+                    assert found == (bound, want), where
 
     @pytest.mark.parametrize("c", CROSSINGS)
     def test_balanced_membership_crossing(self, c):

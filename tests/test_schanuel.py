@@ -443,12 +443,13 @@ class TestConditionalDecider:
         ]:
             i = self._cancelling(f, t, problem)
             v = decide(i)
-            assert v.exit_code == exit_code, t
+            cert = certificate_dict(InstanceDocument(i, "auto"), v)
+            assert cert["exit_code"] == exit_code, t
             if relation is None:
                 assert v.equality.rationale is Rationale.IDENTITY_CANCELLATION
             else:
                 assert (v.compare["relation"], v.compare["precision_bits"]) == (relation, 64), t
-            assert verify_certificate(certificate_dict(InstanceDocument(i, "auto"), v)) == [], t
+            assert verify_certificate(cert) == [], t
 
     def test_towers_without_i_keep_their_certificates(self):
         # the same instances over the towers that lack i: Q(zeta_5) with

@@ -69,12 +69,16 @@ class TestClassify:
         assert c.variant is Variant.RATIO_LIMIT_ONE and c.exponent == 0 and c.is_balanced
 
     def test_product_to_zero(self):
-        c = classify(IntPoly.of(2, 1), IntPoly.of(1, 1))
-        assert c.variant is Variant.RATIO_LIMIT_ONE and c.exponent == -1 and c.shrinks
+        rec = recurrence(IntPoly.of(2, 1), IntPoly.of(1, 1))
+        c = rec.asymptotic
+        assert c.variant is Variant.RATIO_LIMIT_ONE and c.exponent == -1 and c.is_bounded
+        assert rec.tail_signs == (1, -1)  # |u_n| falls
 
     def test_constant_ratio(self):
-        c = classify(IntPoly.of(1, 1), IntPoly.of(2, 2))
-        assert c.variant is Variant.CONVERGES_TO and c.ratio_limit == 2 and c.grows
+        rec = recurrence(IntPoly.of(1, 1), IntPoly.of(2, 2))
+        c = rec.asymptotic
+        assert c.variant is Variant.CONVERGES_TO and c.ratio_limit == 2 and c.is_bounded
+        assert rec.tail_signs == (1, 1)  # |u_n| rises
 
     def test_minus_one(self):
         assert classify(IntPoly.of(1, 1), IntPoly.of(1, -1)).variant is Variant.RATIO_LIMIT_MINUS_ONE
@@ -93,6 +97,51 @@ class TestClassify:
         sum_p = sum((e.root.a for e in rp), F(0))
         sum_q = sum((e.root.a for e in rq), F(0))
         assert sum_p == sum_q and classify(p, q).is_balanced
+
+
+def direction_by_leads(p: IntPoly, q: IntPoly) -> int:
+    """The leading-coefficient rule: 1 when |u_n| grows, -1 when it
+    shrinks, 0 for r -> +-1 with exponent A = 0 (no bound settles it), read
+    off the degrees, the leads and, at |lead q| = |lead p|, the sign of
+    A = (s q_{d-1} - p_{d-1}) / lead p with s = lead q / lead p."""
+    if q.degree != p.degree:
+        return 1 if q.degree > p.degree else -1
+    if abs(q.lead) != abs(p.lead):
+        return 1 if abs(q.lead) > abs(p.lead) else -1
+    d = p.degree
+    if d == 0:
+        return 0
+    s = 1 if q.lead == p.lead else -1
+    a = F(s * q.coeffs[d - 1] - p.coeffs[d - 1], p.lead)
+    return (a > 0) - (a < 0)
+
+
+leads = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+class TestTailDirection:
+    # pairs of degree 0 to 4 with non-monic leads; `lead` gives q the degree
+    # of p and p's lead times +-1, and `sub` then also p's subleading
+    # coefficient (times that sign) plus sub, so that A is small or 0
+    @settings(max_examples=400, deadline=None)
+    @given(p_low=st.lists(st.integers(-3, 3), max_size=4), p_lead=leads,
+           q_low=st.lists(st.integers(-3, 3), max_size=4), q_lead=leads,
+           lead=st.sampled_from([None, 1, -1]), sub=st.none() | st.integers(-2, 2))
+    @example(p_low=[1], p_lead=1, q_low=[5], q_lead=1, lead=1, sub=0)  # q = p: balanced
+    @example(p_low=[0, 3], p_lead=2, q_low=[1, -3], q_lead=-2, lead=-1, sub=0)  # r -> -1, A = 0
+    @example(p_low=[0, 3], p_lead=2, q_low=[1, -2], q_lead=-2, lead=-1, sub=1)  # r -> -1, A = -1/2
+    def test_record_direction_is_the_leading_coefficient_rule(self, p_low, p_lead, q_low, q_lead, lead, sub):
+        if lead is not None:
+            q_low = (q_low + [0] * len(p_low))[:len(p_low)]
+            q_lead = lead * p_lead
+            if sub is not None and p_low:
+                q_low[-1] = lead * p_low[-1] + sub
+        p, q = IntPoly(tuple(p_low) + (p_lead,)), IntPoly(tuple(q_low) + (q_lead,))
+        rec = recurrence(p, q)
+        want = direction_by_leads(p, q)
+        assert rec.asymptotic.is_bounded == (want != 0)
+        if want:
+            assert rec.tail_signs[1] == want
 
 
 class TestBounds:
