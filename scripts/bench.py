@@ -21,15 +21,19 @@ search skips towards t all the way), for N = 10^4 and 10^5 on three
 growing pairs: p = x + 3, q = x + 4, which telescopes; p = 2x + 3,
 q = 2x + 4 and p = x^2 + 1, q = x^2 + 2x + 3, which do not.
 The `cold` table holds what decide and verify cost when a pair is met for
-the first time: the seed-11 corpus-unconditional plan (hgbench's own, at
-its 20-second size), each document parsed and decided, and its
-certificate verified, with the per-pair record cache
-(`sequence.recurrence`) cleared before each call; the sums over the plan,
-in ms, the least of 5 passes.  hgbench verifies every certificate right
-after deciding it, so none of its workloads meets a pair cold at verify.
+the first time: the seed-11 corpus-unconditional and corpus-conditional
+plans (hgbench's own, at their 20-second size; the second is where limit
+oracles are built), each document parsed and decided, and its
+certificate verified, with every cache keyed by the pair or by one of
+its polynomials cleared before each call (the record
+`sequence.recurrence`, the limit oracle `equality._pair_oracle`, the
+symmetry graph and the factor and root caches of `polys`); the sums over
+each plan, in ms, the least of 5 passes.  hgbench verifies every
+certificate right after deciding it, so none of its workloads meets a
+pair cold at verify.
 `--smoke` runs hgbench's tiny plans once, at seed 11 (both trace modes in
 one run), times the kernels at 256 bits and the scans at 10^4 only, and
-the cold calls on the smoke plan, to check the plumbing; its numbers are
+the cold calls on the smoke plans, to check the plumbing; its numbers are
 no baseline.
 """
 
@@ -59,6 +63,7 @@ SCAN_PAIRS = {
     "p = 2x + 3, q = 2x + 4": ((3, 2), (4, 2)),
     "p = x^2 + 1, q = x^2 + 2x + 3": ((1, 0, 1), (3, 2, 1)),
 }
+COLD_PLANS = ("corpus-unconditional", "corpus-conditional")
 
 
 def run_hgbench(seed: int, trace: int, smoke: bool) -> tuple[dict, dict, dict, bool]:
@@ -147,40 +152,54 @@ def time_scans(depths) -> dict:
 
 
 def time_cold(smoke: bool) -> dict:
-    """{"calls", "decide_ms", "verify_ms"}: the corpus-unconditional plan
-    at seed TRACE_SEED, each call with the record cache cleared first,
-    summed per pass, the least of KERNEL_REPEATS passes."""
+    """{plan: {"calls", "decide_ms", "verify_ms"}}: the COLD_PLANS at seed
+    TRACE_SEED, each call with every per-pair cache cleared first, summed
+    per pass, the least of KERNEL_REPEATS passes."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     sys.path.insert(0, os.path.join(ROOT, "hgbench"))
     import workloads
-    from hgdecide import certs, cli, corpus, sequence
+    from hgdecide import certs, cli, corpus, equality, polys, recognize, sequence
     from hgdecide.config import DEFAULT_CONFIG
     from hgdecide.errors import DecideError
 
-    plan = workloads.build_plan("corpus-unconditional", TRACE_SEED, 20.0, corpus, smoke=smoke)
-    clear = sequence.recurrence.cache_clear
-    best_decide = best_verify = float("inf")
-    for _ in range(KERNEL_REPEATS):
-        decide_s = verify_s = 0.0
-        for item in plan:
-            clear()
-            start = time.perf_counter()
-            try:
-                cert = cli.decide_document(certs.parse_instance(item.doc), DEFAULT_CONFIG)
-            except DecideError:
-                cert = None
-            decide_s += time.perf_counter() - start
-            if cert is None:
-                continue
-            cert = json.loads(certs.serialize_certificate(cert))  # as hgbench replays it
-            clear()
-            start = time.perf_counter()
-            failures = certs.verify_certificate(cert)
-            verify_s += time.perf_counter() - start
-            if failures:
-                raise SystemExit(f"cold verify failed on {item.doc}: {failures}")
-        best_decide, best_verify = min(best_decide, decide_s), min(best_verify, verify_s)
-    return {"calls": len(plan), "decide_ms": round(1e3 * best_decide, 3), "verify_ms": round(1e3 * best_verify, 3)}
+    # the caches keyed by a pair (p, q) or by one of its polynomials
+    caches = (
+        sequence.recurrence, equality._pair_oracle, recognize.build_symmetry_graph,
+        polys.factor_monic, polys.integer_roots, polys._squarefree_part,
+    )
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    table = {}
+    for workload in COLD_PLANS:
+        plan = workloads.build_plan(workload, TRACE_SEED, 20.0, corpus, smoke=smoke)
+        best_decide = best_verify = float("inf")
+        for _ in range(KERNEL_REPEATS):
+            decide_s = verify_s = 0.0
+            for item in plan:
+                clear()
+                start = time.perf_counter()
+                try:
+                    cert = cli.decide_document(certs.parse_instance(item.doc), DEFAULT_CONFIG)
+                except DecideError:
+                    cert = None
+                decide_s += time.perf_counter() - start
+                if cert is None:
+                    continue
+                cert = json.loads(certs.serialize_certificate(cert))  # as hgbench replays it
+                clear()
+                start = time.perf_counter()
+                failures = certs.verify_certificate(cert)
+                verify_s += time.perf_counter() - start
+                if failures:
+                    raise SystemExit(f"cold verify failed on {item.doc}: {failures}")
+            best_decide, best_verify = min(best_decide, decide_s), min(best_verify, verify_s)
+        table[workload] = {
+            "calls": len(plan), "decide_ms": round(1e3 * best_decide, 3), "verify_ms": round(1e3 * best_verify, 3),
+        }
+    return table
 
 
 def main() -> int:

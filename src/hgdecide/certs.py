@@ -2,14 +2,14 @@
 
 Documents are JSON with rationals as strings ("a/b"), so no numeric type
 in transport can lose precision.  Certificates are replayable: `verify`
-checks the witness, the matching, the canonical tuple and a cancelling
-identity (each rebuilt from the instance) and the claim `verdicts.Reason`
-names for the reason and verdict (a case, bound, order or equality)
-without re-deriving the decision, and recomputes the fields the others
-give (`derived_fields`): equality rationale, conditionality, exit code and
-asymptotic record.  A
-certificate holds only the keys that carry a value, on one compact line;
-replay reads an absent key as no claim.
+checks the witness, rebuilds the equality records (canonical tuple, or
+matching and identity) from the limit oracle `decide` reads
+(`equality.limit_oracle`), and checks the claim `verdicts.Reason` names
+for the reason and verdict (a case, bound, order or equality) without
+re-deriving the decision; it recomputes the fields the others give
+(`derived_fields`): equality rationale, conditionality, exit code and
+asymptotic record.  A certificate holds only the keys that carry a
+value, on one compact line; replay reads an absent key as no claim.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DecideError, ParseError, ScanCapExceeded
 from .exactnum import format_rat, parse_rat
-from .equality import canonical_constant, case_prefix_end, constant_result, decide_equal, instance_case, limit_oracle
+from .equality import case_prefix_end, constant_result, instance_case, limit_oracle
 from .polys import IntPoly
-from .recognize import NoMatching, find_symmetric_matching
 from .sequence import AsymptoticClass, ExactScan, HGInstance, Problem
 from .verdicts import Claim, Justification, Rationale, Reason, Verdict, VerdictName, conditionality, exit_code
 
@@ -184,6 +183,11 @@ def serialize_certificate(cert: dict) -> str:
 # Replay verification
 # ---------------------------------------------------------------------------
 
+# the equality records a certificate can carry, and their names in failures
+_RECORDS = {"canonical": "canonical tuple", "identity": "identity", "matching": "matching"}
+# a record as JSON text with sorted keys, so 1.0 and true are not 1
+_json_text = json.JSONEncoder(sort_keys=True).encode
+
 
 def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> list[str]:
     """Check the claims a certificate's reason and verdict rest on, and
@@ -205,9 +209,6 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     result = verdict_name.result
     if verdict_name.problem is not inst.problem:
         problems.append("verdict name inconsistent with problem kind")
-    identity, canonical, matching = cert.get("identity"), cert.get("canonical"), cert.get("matching")
-    if docin.mode == "unconditional" and (identity is not None or matching is not None):
-        problems.append("mode 'unconditional' never builds the conditional oracle")
     try:
         if _json_index(cert.get("scanned_up_to", 0), "scanned_up_to") > config.scan_cap:
             problems.append(f"scanned_up_to exceeds the scan cap {config.scan_cap}")
@@ -273,48 +274,40 @@ def verify_certificate(cert: dict, config: EngineConfig = DEFAULT_CONFIG) -> lis
     if side and relation != side:
         problems.append(f"a {reason.value} certificate does not claim that L is {side} than t")
 
-    # the equality record read again: a canonical tuple, and an identity
-    # that cancels, must be the one rebuilt from the instance, which decides
-    # anew (none under u0 = 0 or t = 0, nor outside the oracle's class); a
-    # nonzero identity is read by its term count
+    # each equality record must be the one `decide`'s oracle, rebuilt from
+    # the instance, writes (none under u0 = 0 or t = 0, nor outside the
+    # mode's oracles); a nonzero identity's stress_separated is the
+    # decision's own evidence, read and not rebuilt
+    claimed = {key: cert.get(key) for key in _RECORDS}
+    carried = [name for key, name in _RECORDS.items() if claimed[key] is not None]
     rationale, found = None, False
-    if canonical is not None and identity is not None:
-        problems.append("a certificate carries both a canonical and an identity record")
-    elif canonical is not None:
+    if carried:
         try:
-            constant = canonical_constant(inst)
-            eq = decide_equal(constant, inst.t)
+            eq = limit_oracle(inst, config, docin.mode != "unconditional").decide_equal(inst.t)
         except DecideError as e:
-            problems.append(f"canonical tuple not rebuilt: {e}")
+            problems.append(f"{carried[0]} not rebuilt: {e}")
         else:
             rationale, found = eq.rationale, eq.equal
-            if json.dumps(canonical, sort_keys=True) != json.dumps(constant.describe(), sort_keys=True):
-                problems.append("canonical tuple differs from the one rebuilt from the instance")
-    elif identity is not None:
-        rationale = Rationale.of_identity(identity)
-        found = rationale is Rationale.IDENTITY_CANCELLATION
-        if found:
-            try:
-                rebuilt = limit_oracle(inst, config, docin.mode != "unconditional").decide_equal(inst.t).identity
-            except DecideError as e:
-                problems.append(f"identity not rebuilt: {e}")
-            else:
-                if json.dumps(identity, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
-                    problems.append("identity differs from the one rebuilt from the instance")
+            identity = claimed["identity"]
+            if rationale is Rationale.IDENTITY_NONZERO and isinstance(identity, dict):
+                stress = identity.get("stress_separated")
+                if type(stress) is not bool:
+                    problems.append(f"identity stress_separated {stress!r} is not a JSON bool")
+                claimed["identity"] = {k: v for k, v in identity.items() if k != "stress_separated"}
+            for key, record in eq.records.items():
+                if (claimed[key], record) != (None, None) and _json_text(claimed[key]) != _json_text(record):
+                    problems.append(f"{_RECORDS[key]} differs from the one rebuilt from the instance")
     if found != (Claim.EQUAL in claim):
         verb = "does not find" if Claim.EQUAL in claim else "finds"
         problems.append(f"the equality record {verb} L = t under {reason.value}")
     # only a limit that is not t is ordered against it
-    if (compare is not None) != ((canonical is not None or identity is not None) and not found):
+    if (compare is not None) != (bool(carried) and not found):
         problems.append("a compare record comes exactly with an equality record that does not find L = t")
 
     for key, want in derived_fields(inst, verdict_name, reason, rationale).items():
         got = cert.get(key)  # of the recomputed JSON kind: true and 1.0 are not 1
         if got != want or type(got) is not type(want):
             problems.append(f"{key.replace('_', ' ')} {got!r} is not the recomputed {want!r}")
-
-    if matching is not None:
-        problems.extend(_verify_matching(matching, inst))
     return problems
 
 
@@ -408,21 +401,3 @@ def _verify_bound(
         return []
     return [f"the tail moves from u_{n0} towards t and no order claim keeps it off t"]
 
-
-def _verify_matching(desc: dict, inst: HGInstance) -> list[str]:
-    """Each side's entry is the record the matching search writes again for
-    the instance's own p or q, compared as JSON text (1.0 is not 1)."""
-    if not isinstance(desc, dict):
-        return ["matching invalid: must be an object"]
-    out = []
-    for side, poly in (("p", inst.p), ("q", inst.q)):
-        try:
-            fresh = find_symmetric_matching(poly)
-        except DecideError as e:
-            out.append(f"matching for {side} not replayable: {e}")
-            continue
-        if isinstance(fresh, NoMatching):
-            out.append(f"{side} no longer admits a perfect matching")
-        elif json.dumps(desc.get(side), sort_keys=True) != json.dumps(fresh.describe(), sort_keys=True):
-            out.append(f"{side} matching differs from the replayed matching")
-    return out

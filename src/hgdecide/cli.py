@@ -42,7 +42,7 @@ from .certs import (
 from .config import EngineConfig
 from .corpus import FAMILIES, generate_documents
 from .enclosure import eval_enclosure
-from .equality import canonical_constant, decide
+from .equality import decide, limit_oracle
 from .errors import ParseError, PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from .exactnum import format_rat
 from .polys import IntPoly
@@ -143,7 +143,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    constant = canonical_constant(load_instance(args.file).inst)
+    constant = limit_oracle(load_instance(args.file).inst, args.config, conditional=False).constant
     enclosure = eval_enclosure(constant, args.bits, args.config)
     doc = constant.describe()
     lo, hi = format_rat(enclosure.lo), format_rat(enclosure.hi)

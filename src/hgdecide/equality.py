@@ -1,7 +1,9 @@
 """The decision core: `decide`, the one decider of both results, and its
 limit oracles.  `limit_oracle` alone picks the equality test on the limit:
 the canonical oracle below (unconditional) or, when `conditional`, the
-schanuel module's identity oracle.
+schanuel module's identity oracle.  The limit is u0 times a closed form of
+p and q alone, so each pair's oracle is built once, at u0 = 1, for both
+`decide` and the certificate replay, and handed out scaled by u0.
 
 decide_equal is purely symbolic.  The canonical value is
 theta * pi**ell * f(x)/g(x) with x = exp(pi*sqrt(m)/D) transcendental
@@ -21,7 +23,6 @@ Both oracles order the limit with one test, `enclosure.compare`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,23 +44,24 @@ from .verdicts import EqualityDecision, Rationale, Reason, Verdict
 
 
 def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
-    """Symbolic equality test of the canonical value against rational t.
+    """Symbolic equality test of the canonical value against rational t,
+    with the canonical record it rests on.
 
     Deterministic and numerics-free; no interval evaluation happens here.
     """
     t = Fraction(t)
     if t == 0:
         raise DecideError("decide_equal expects a nonzero target")
+    canonical = c.describe()
     trivial_ratio = c.base_trivial or c.f == c.g
     if trivial_ratio:
         if c.ell != 0:
-            return EqualityDecision(False, Rationale.PI_POWER_OBSTRUCTION)
-        if c.theta_b == 0 and c.theta_a == t:
-            return EqualityDecision(True, Rationale.RATIONAL_IDENTITY)
-        return EqualityDecision(False, Rationale.RATIONAL_IDENTITY)
+            return EqualityDecision(False, Rationale.PI_POWER_OBSTRUCTION, canonical)
+        equal = c.theta_b == 0 and c.theta_a == t
+        return EqualityDecision(equal, Rationale.RATIONAL_IDENTITY, canonical)
     # f and g are coprime and distinct: theta*f(X) - t*g(X) is nonzero,
     # coefficient-wise in Q(sqrt(m)) (both coordinates would have to vanish)
-    return EqualityDecision(False, Rationale.TRANSCENDENCE_OBSTRUCTION)
+    return EqualityDecision(False, Rationale.TRANSCENDENCE_OBSTRUCTION, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -67,46 +69,53 @@ def decide_equal(c: CanonicalConstant, t: Fraction) -> EqualityDecision:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _unit_constant(p: IntPoly, q: IntPoly) -> CanonicalConstant:
-    return canonicalize(limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q)))
-
-
-def canonical_constant(inst: HGInstance) -> CanonicalConstant:
-    """The one build of the limit's canonical constant, for the oracle and
-    the certificate replay (its u0 = 1 part cached per pair); raises
-    UnsupportedInstance outside the oracle's class, DecideError at u0 = 0."""
-    return _unit_constant(inst.p, inst.q).scale(inst.u0)
-
-
 class CanonicalLimitOracle:
-    """Equality/order oracle backed by the canonical constant (unconditional);
-    raises UnsupportedInstance outside the rational / single imaginary quadratic class."""
+    """Equality/order oracle backed by the canonical constant (unconditional)."""
 
-    def __init__(self, inst: HGInstance, config: EngineConfig):
-        self.constant = canonical_constant(inst)
+    def __init__(self, constant: CanonicalConstant, config: EngineConfig):
+        self.constant = constant
         self.config = config
 
+    def scale(self, u0: Fraction, config: EngineConfig) -> CanonicalLimitOracle:
+        """The oracle of u0 times this limit, under `config`; DecideError at u0 = 0."""
+        return CanonicalLimitOracle(self.constant.scale(u0), config)
+
     def decide_equal(self, t: Fraction) -> EqualityDecision:
-        return replace(decide_equal(self.constant, t), canonical=self.constant.describe())
+        return decide_equal(self.constant, t)
 
     def compare(self, t: Fraction) -> tuple[int, int, DyadicInterval]:
         return compare(self.constant, t, self.config)
 
 
+@lru_cache(maxsize=256)
+def _pair_oracle(p: IntPoly, q: IntPoly, conditional: bool) -> CanonicalLimitOracle | ConditionalLimitOracle | str:
+    """The pair's canonical oracle, or with `conditional` its conditional
+    one, at u0 = 1.  A refusal is returned as its message, so that it is
+    cached too."""
+    try:
+        if conditional:
+            return ConditionalLimitOracle(p, q)
+        constant = canonicalize(limit_as_gamma(p, q, roots_quadratic(p), roots_quadratic(q)))
+        return CanonicalLimitOracle(constant, DEFAULT_CONFIG)
+    except UnsupportedInstance as e:
+        return str(e)
+
+
 def limit_oracle(inst: HGInstance, config: EngineConfig, conditional: bool):
     """The one place a limit oracle is chosen: the canonical oracle where it
     applies, else, when `conditional`, the symbolic-identity oracle of the
-    schanuel module.  Raises UnsupportedInstance for a non-monic pair and
-    for a limit outside the allowed oracles' class."""
+    schanuel module.  Each is built once per pair (`_pair_oracle`) and
+    handed out scaled by u0.  Raises UnsupportedInstance for a non-monic
+    pair and for a limit outside the allowed oracles' class, DecideError
+    at u0 = 0."""
     if not inst.recurrence.is_monic_pair:
         raise UnsupportedInstance("balanced instances need monic coefficients")
-    try:
-        return CanonicalLimitOracle(inst, config)
-    except UnsupportedInstance:
-        if not conditional:
-            raise
-    return ConditionalLimitOracle(inst, config)
+    oracle = _pair_oracle(inst.p, inst.q, False)
+    if isinstance(oracle, str) and conditional:
+        oracle = _pair_oracle(inst.p, inst.q, True)
+    if isinstance(oracle, str):
+        raise UnsupportedInstance(oracle)
+    return oracle.scale(inst.u0, config)
 
 
 # ---------------------------------------------------------------------------

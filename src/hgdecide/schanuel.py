@@ -1,6 +1,8 @@
 """The conditional limit oracle for root-symmetric instances, which
-`equality.limit_oracle` builds for a `conditional` decision (the one
-decider, `equality.decide`) where the canonical oracle does not apply.
+`equality.limit_oracle` builds once per pair (p, q), at u0 = 1, for a
+`conditional` decision (the one decider, `equality.decide`) where the
+canonical oracle does not apply; `ConditionalLimitOracle.scale` gives an
+instance's copy.
 
 For balanced instances whose polynomials admit a perfect matching on the
 root-symmetry graph, the limit is a product of conjugate-style pair values
@@ -19,11 +21,13 @@ nonzero polynomial relation that Schanuel's Conjecture rules out, giving
 a NotEqual labeled conditional.  Order comparisons and search bounds stay
 unconditional, and a completed NotEqual run also carries a separating
 enclosure, so correctness never actually rests on the conjecture; only
-termination does.
+termination does.  A nonzero identity's stress check, the decision's own
+evidence, runs only when its record is read, so a replay never runs it.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -45,7 +49,6 @@ from .gammacanon import integer_gamma_ratio, translation_squares
 from .linalg import Eliminator
 from .polys import IntPoly, factor_monic
 from .recognize import MatchingCertificate, NoMatching, _tower, find_symmetric_matching
-from .sequence import HGInstance
 from .towers import CyclotomicTower, IAdjoinedTower, MultiquadraticTower, Tower, TowerElem
 from .verdicts import EqualityDecision, Rationale
 
@@ -339,14 +342,15 @@ class ConditionalLimitOracle:
     """Equality via the symbolic identity; order by `enclosure.compare` over
     `limit_enclosure`, the product of the pair-value enclosures.
 
-    A pure function of its instance: nothing is stored after construction,
-    so every call answers the same in any order.
+    Built for the pair (p, q) at u0 = 1 (`equality.limit_oracle` builds it
+    once per pair), and `scale` gives an instance's copy.  Nothing changes
+    after construction, so every call answers the same in any order.
     """
 
-    def __init__(self, inst: HGInstance, config: EngineConfig):
-        self.config = config
+    def __init__(self, p: IntPoly, q: IntPoly):
+        self.config = DEFAULT_CONFIG
         certs = []
-        for side, poly in (("p", inst.p), ("q", inst.q)):
+        for side, poly in (("p", p), ("q", q)):
             cert = find_symmetric_matching(poly)
             if isinstance(cert, NoMatching):
                 raise UnsupportedInstance(f"{side} lacks a perfect root matching")
@@ -364,9 +368,15 @@ class ConditionalLimitOracle:
         self.basis = build_basis([pair.w for pair in pairs], self.tower)
         split = len(self.cert_p.pairs)
         self.num_pairs, self.den_pairs = pairs[:split], pairs[split:]
-        self.rational_factor = Fraction(inst.u0) * integer_gamma_ratio(
-            _rational_gamma_args(inst.p), _rational_gamma_args(inst.q)
-        )
+        self.rational_factor = integer_gamma_ratio(_rational_gamma_args(p), _rational_gamma_args(q))
+
+    def scale(self, u0: Fraction, config: EngineConfig) -> ConditionalLimitOracle:
+        """The oracle of u0 times this limit, under `config`: a copy; DecideError at u0 = 0."""
+        if u0 == 0:
+            raise DecideError("scaling a limit oracle by zero")
+        out = copy.copy(self)
+        out.rational_factor, out.config = self.rational_factor * Fraction(u0), config
+        return out
 
     def _common_tower(self, ws: list[TowerElem]) -> Tower:
         quad_ds = set()
@@ -408,16 +418,14 @@ class ConditionalLimitOracle:
 
     def decide_equal(self, t: Fraction) -> EqualityDecision:
         """The identity's verdict with the matching and identity it rests
-        on; a nonzero identity also records its stress check."""
-        ident = build_identity(
-            self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis
-        )
-        matching = {"p": self.cert_p.describe(), "q": self.cert_q.describe()}
-        identity = ident.describe()
+        on; a nonzero identity's record also gets its stress check, run
+        when the record is first read (`EqualityDecision.identity`)."""
+        ident = build_identity(self.num_pairs, self.den_pairs, self.rational_factor, t, self.basis)
+        matching, claim = {"p": self.cert_p.describe(), "q": self.cert_q.describe()}, ident.describe()
         if decide_identity(ident):
-            return EqualityDecision(True, Rationale.IDENTITY_CANCELLATION, matching=matching, identity=identity)
-        identity["stress_separated"] = stress_check_identity(ident, self.config)
-        return EqualityDecision(False, Rationale.IDENTITY_NONZERO, matching=matching, identity=identity)
+            return EqualityDecision(True, Rationale.IDENTITY_CANCELLATION, matching=matching, identity_claim=claim)
+        return EqualityDecision(False, Rationale.IDENTITY_NONZERO, matching=matching, identity_claim=claim,
+                                stress_check=lambda: stress_check_identity(ident, self.config))
 
     # -- numeric limit value ------------------------------------------------
 

@@ -6,7 +6,9 @@ and `certs.verify_certificate` recomputes each."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .sequence import AsymptoticClass, HGInstance, Problem
 
@@ -108,13 +110,6 @@ class Rationale(enum.Enum):
     IDENTITY_CANCELLATION = "identity_cancellation"
     IDENTITY_NONZERO = "identity_nonzero"
 
-    @classmethod
-    def of_identity(cls, identity) -> Rationale:
-        """An identity record's rationale: it cancels exactly when its
-        term_count is the JSON integer 0 (false is not 0)."""
-        count = identity.get("term_count") if isinstance(identity, dict) else None
-        return cls.IDENTITY_CANCELLATION if type(count) is int and count == 0 else cls.IDENTITY_NONZERO
-
 
 def conditionality(claim: Claim, rationale: Rationale | None) -> Conditionality:
     """Schanuel's conjecture carries a verdict exactly when the limit's
@@ -128,22 +123,35 @@ def conditionality(claim: Claim, rationale: Rationale | None) -> Conditionality:
 
 @dataclass(frozen=True)
 class EqualityDecision:
-    """An oracle's equality verdict with the certificate fields it rests
-    on: `canonical` for the canonical constant, `matching` and `identity`
-    for the symbolic identity."""
+    """An oracle's equality verdict with the certificate records it rests
+    on (`records`): `canonical` for the canonical constant, `matching` and
+    `identity` for the symbolic identity.  A nonzero identity's record
+    also holds `stress_separated`, evidence and no claim, which
+    `stress_check` gives when `identity` is first read."""
 
     equal: bool
     rationale: Rationale
     canonical: dict | None = None
     matching: dict | None = None
-    identity: dict | None = None
+    identity_claim: dict | None = None
+    stress_check: Callable[[], bool] | None = field(default=None, compare=False)
+
+    @property
+    def records(self) -> dict:
+        return {"canonical": self.canonical, "matching": self.matching, "identity": self.identity_claim}
+
+    @cached_property
+    def identity(self) -> dict | None:
+        if self.stress_check is None:
+            return self.identity_claim
+        return {**self.identity_claim, "stress_separated": self.stress_check()}
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Decision outcome plus everything a certificate needs to replay it;
-    its conditionality is derived (the certificate's derived fields come
-    from `certs.derived_fields`).
+    its conditionality, like the certificate's other derived fields, comes
+    from `certs.derived_fields`.
 
     `result` means "target is a member" for membership problems and
     "u_n >= t holds for all n" for threshold problems.
@@ -161,9 +169,4 @@ class Verdict:
     @property
     def name(self) -> VerdictName:
         return _NAMES[self.problem, self.result]
-
-    @property
-    def conditionality(self) -> Conditionality:
-        claim = self.reason.claims.get(self.name, Claim.NONE)
-        return conditionality(claim, self.equality and self.equality.rationale)
 

@@ -18,7 +18,7 @@ from hgdecide.config import DEFAULT_CONFIG
 from hgdecide.corpus import cross_check, generate_documents
 from hgdecide.dyadic import DyadicInterval
 from hgdecide.enclosure import eval_enclosure, exp_interval
-from hgdecide.equality import CanonicalLimitOracle, decide
+from hgdecide.equality import decide, limit_oracle
 from hgdecide.errors import UnsupportedInstance
 from hgdecide.gammacanon import canonicalize, limit_as_gamma
 from hgdecide.polys import IntPoly, QPoly, cyclotomic, roots_quadratic
@@ -34,6 +34,7 @@ from hgdecide.verdicts import Conditionality, Rationale
 
 from gammaforms import tail_log_bound
 from intervals import overlaps, record_enclosures
+from test_schanuel import cert_conditionality
 
 P13 = IntPoly.of(13, -4, 1)
 Q13 = IntPoly.of(5, -4, 1)
@@ -139,7 +140,7 @@ class TestCriterion3:
     def test_equality_is_numerics_free(self, monkeypatch):
         import random
 
-        oracle = CanonicalLimitOracle(worked_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = limit_oracle(worked_instance(F(1, 13)), DEFAULT_CONFIG, False)
         rng = random.Random(20260808)
         calls = record_enclosures(monkeypatch)
         all_not_equal = True
@@ -317,7 +318,7 @@ class TestCriterion8:
                 same = (
                     v1.result == v2.result
                     and v1.witness == v2.witness
-                    and v1.conditionality == v2.conditionality
+                    and cert_conditionality(inst, v1) == cert_conditionality(inst, v2)
                 )
             else:
                 same = True  # genuinely outside the unconditional class
@@ -356,7 +357,7 @@ class TestCriterion8:
             rationale = v.equality and v.equality.rationale
             if rationale is Rationale.IDENTITY_NONZERO:
                 exercised += 1
-                flags_ok &= v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL or (
+                flags_ok &= cert_conditionality(inst, v) is Conditionality.CONDITIONAL_ON_SCHANUEL or (
                     v.reason in ("prefix_witness", "prefix_violation")
                 )
                 if v.equality.identity is not None and v.equality.identity.get("stress_separated") is False:
@@ -368,7 +369,7 @@ class TestCriterion8:
                     "limit_equals_target_not_attained",
                     "decreasing_tail_limit_equals_target",
                 ):
-                    flags_ok &= v.conditionality is Conditionality.UNCONDITIONAL
+                    flags_ok &= cert_conditionality(inst, v) is Conditionality.UNCONDITIONAL
         report(
             "criterion-8 conditional-path consistency",
             imag_ok and flags_ok and stress_failures == 0

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -42,10 +43,24 @@ CERT_KEYS = (
 # the worked pair's canonical tuple: sinh(pi)/(39 sinh 3pi) = (1/39) x^2/(x^4 + x^2 + 1), x = e^pi
 WORKED_TUPLE = {"theta": ["1/39", "0"], "ell": 0, "f": [0, 0, 1], "g": [1, 0, 1, 0, 1], "m": 1, "D": 1,
                 "base_trivial": False}
-# a canonical record that is not the one verify rebuilds from the instance
+# equality records that are not the ones verify rebuilds from the instance
 REBUILT = "canonical tuple differs from the one rebuilt from the instance"
+IDENTITY_REBUILT = "identity differs from the one rebuilt from the instance"
+MATCHING_REBUILT = "matching differs from the one rebuilt from the instance"
 # the product of two primes near 2^100
 PQ = (2**100 + 277) * (2**100 + 331)
+
+
+@functools.lru_cache(maxsize=1)
+def seed_7_conditional_certificates():
+    """(config, certificates): the Schanuel-conditional certificates of the
+    seed-7 real-quadratic corpus, 300 documents decided under a scan cap of
+    2 * 10^4; each carries a nonzero identity"""
+    from hgdecide.config import EngineConfig
+
+    config = EngineConfig(scan_cap=2 * 10**4)
+    certs = [decide_document(parse_instance(d), config) for d in generate_documents(7, 300, "real-quadratic")]
+    return config, [c for c in certs if c["conditionality"] == "conditional_on_schanuel"]
 
 
 class TestDocuments:
@@ -212,7 +227,7 @@ class TestCertificates:
         # verify rebuilds the tuple from the instance, so none verifies
         # (all 69 once did, 38 of them with the verdict flipped)
         from hgdecide.config import EngineConfig
-        from hgdecide.equality import canonical_constant, instance_case
+        from hgdecide.equality import instance_case, limit_oracle
         from hgdecide.errors import DecideError
 
         config = EngineConfig(scan_cap=2 * 10**4)
@@ -224,7 +239,7 @@ class TestCertificates:
                 if instance_case(inst) is not None or not inst.recurrence.asymptotic.is_balanced:
                     continue
                 try:
-                    canonical_constant(inst)
+                    limit_oracle(inst, config, False)
                 except DecideError:
                     continue
                 cert = decide_document(docin, config)
@@ -247,17 +262,12 @@ class TestCertificates:
         # the seed-7 real-quadratic corpus: each Schanuel-conditional
         # certificate rewritten to its limit-equality verdict, its identity's
         # term_count set to 0 and the derived fields to match, witness, bound
-        # and compare removed.  verify rebuilds a cancelling identity from
-        # the instance, so none verifies (all 26 once did)
-        from hgdecide.config import EngineConfig
-
-        config = EngineConfig(scan_cap=2 * 10**4)
-        tried, still = 0, []
-        for d in generate_documents(7, 300, "real-quadratic"):
-            cert = decide_document(parse_instance(d), config)
-            if cert["conditionality"] != "conditional_on_schanuel":
-                continue
-            membership = d["problem"] == "membership"
+        # and compare removed.  verify rebuilds the identity from the
+        # instance, so none verifies (all 26 once did)
+        config, certs = seed_7_conditional_certificates()
+        still = []
+        for cert in certs:
+            membership = cert["instance"]["problem"] == "membership"
             forged = {k: v for k, v in cert.items() if k not in ("witness", "bound", "compare")}
             forged.update(
                 verdict="not_member" if membership else "holds",
@@ -265,10 +275,26 @@ class TestCertificates:
                 identity={**cert["identity"], "term_count": 0}, equality_rationale="identity_cancellation",
                 conditionality="unconditional", exit_code=1 if membership else 0,
             )
-            tried += 1
             if not verify_certificate(forged, config):
-                still.append(d)
-        assert (tried, still) == (26, [])
+                still.append(cert["instance"])
+        assert (len(certs), still) == (26, [])
+
+    def test_nonzero_identity_of_another_count_or_pair_fails(self):
+        # the same 26 certificates, each keeping its verdict and its
+        # identity nonzero: the term count one higher, or the identity of
+        # the next certificate whose pair differs.  A nonzero identity is
+        # rebuilt from the instance, so none verifies (all 52 once did)
+        config, certs = seed_7_conditional_certificates()
+        pair = [(c["instance"]["p"], c["instance"]["q"]) for c in certs]
+        still = []
+        for k, cert in enumerate(certs):
+            other = next(certs[j % 26] for j in range(k + 1, k + 26) if pair[j % 26] != pair[k])
+            for identity in ({**cert["identity"], "term_count": cert["identity"]["term_count"] + 1},
+                             other["identity"]):
+                forged = {**cert, "identity": identity}
+                if not verify_certificate(forged, config):
+                    still.append((cert["instance"], identity))
+        assert (len(certs), still) == (26, [])
 
     # a cancelling identity is rebuilt from the instance: the honest one of
     # p = f (x + 1)(x + 4), q = f (x + 2)(x + 3), f = x^2 - 2x - 1, at t = 3 u0
@@ -279,7 +305,7 @@ class TestCertificates:
         "d,tamper,needle",
         [
             (doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"), lambda c: c["identity"].update(target="7"),
-             "identity differs from the one rebuilt from the instance"),
+             IDENTITY_REBUILT),
             (DIVERGING, lambda c: c.update(
                 verdict="not_member", reason="limit_equals_target_not_attained", bound=None, asymptotic=None,
                 identity={"term_count": 0}, equality_rationale="identity_cancellation",
@@ -294,6 +320,35 @@ class TestCertificates:
         assert verify_certificate(cert) == []
         tamper(cert)
         failures = verify_certificate({k: v for k, v in cert.items() if v is not None})
+        assert needle in failures, failures
+
+    # a nonzero identity is rebuilt from the instance too: the conditional
+    # holds of COND (exit 10, an 8-term identity) once verified with its
+    # identity cut to a term count.  stress_separated, the decision's own
+    # evidence, is read and not rebuilt: a JSON bool on a nonzero identity,
+    # absent from a cancelling one
+    @pytest.mark.parametrize(
+        "d,tamper,needle",
+        [
+            (COND, lambda c: c.update(identity={"term_count": 3}), IDENTITY_REBUILT),
+            (COND, lambda c: c["identity"].update(stress_separated=1),
+             "identity stress_separated 1 is not a JSON bool"),
+            (COND, lambda c: c["identity"].pop("stress_separated"),
+             "identity stress_separated None is not a JSON bool"),
+            (doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"),
+             lambda c: c["identity"].update(stress_separated=True), IDENTITY_REBUILT),
+        ],
+        ids=["term-count-only", "stress-one", "stress-absent", "stress-on-cancelling"],
+    )
+    def test_forged_nonzero_identity_fails(self, d, tamper, needle):
+        from hgdecide.config import DEFAULT_CONFIG
+
+        cert = decide_document(parse_instance(d), DEFAULT_CONFIG)
+        assert verify_certificate(cert) == []
+        if d is COND:
+            assert (cert["verdict"], cert["exit_code"], cert["identity"]["term_count"]) == ("holds", 10, 8)
+        tamper(cert)
+        failures = verify_certificate(cert)
         assert needle in failures, failures
 
     def test_relabelled_conditionality_and_stripped_asymptotic_fail(self):
@@ -395,7 +450,7 @@ class TestCertificates:
         cert = decide_document(parse_instance({**WORKED, "t": "1/100000"}), DEFAULT_CONFIG)
         assert "canonical" in cert and verify_certificate(cert) == []
         cert["identity"] = decide_document(parse_instance(COND), DEFAULT_CONFIG)["identity"]
-        assert "a certificate carries both a canonical and an identity record" in verify_certificate(cert)
+        assert verify_certificate(cert) == [IDENTITY_REBUILT]
 
     def test_worked_member_rewritten_with_a_trivial_tuple_fails(self):
         # the worked pair's member at 2, rewritten as not_member by
@@ -547,17 +602,18 @@ class TestCertificates:
     # instance), and a canonical tuple where the instance has no canonical
     # constant: under t = 0 (which decide_equal refuses), u0 = 0 (which
     # scale refuses) or roots in several quadratic fields (COND's pair,
-    # which decides on the conditional oracle).  Each fails and never raises
+    # whose rebuilt oracle is the conditional one).  Each fails and never
+    # raises
     @pytest.mark.parametrize(
         "d,tamper,needle",
         [
             (
                 doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"),
-                lambda c: c["identity"].update(term_count=False), "the equality record does not find L = t",
+                lambda c: c["identity"].update(term_count=False), IDENTITY_REBUILT,
             ),
             (
                 doc([-4, -13, -7, 3, 1], [-6, -17, -5, 3, 1], "2", "6"),
-                lambda c: c["identity"].update(term_count=0.0), "the equality record does not find L = t",
+                lambda c: c["identity"].update(term_count=0.0), IDENTITY_REBUILT,
             ),
             (
                 doc([4, 5, 1], [6, 5, 1], "1", "3"),
@@ -576,10 +632,7 @@ class TestCertificates:
                 lambda c: c["instance"].update(u0="0"),
                 "canonical tuple not rebuilt: scaling a canonical constant by zero",
             ),
-            (
-                COND, lambda c: c.update(identity=None, canonical=WORKED_TUPLE),
-                "canonical tuple not rebuilt: roots span several quadratic fields",
-            ),
+            (COND, lambda c: c.update(identity=None, canonical=WORKED_TUPLE), REBUILT),
         ],
     )
     def test_forged_equality_record_fails(self, d, tamper, needle):
@@ -703,10 +756,11 @@ class TestCertificates:
 
     def test_conditional_oracle_under_unconditional_mode_rejected(self):
         # a decision under mode "unconditional" never builds the
-        # conditional oracle, so no such certificate is conditional or
-        # carries a matching: two seed-11 conditional verdicts, and an
-        # unconditional Equal of that oracle, p = f (x + 1)(x + 4),
-        # q = f (x + 2)(x + 3), f = x^2 - 2x - 1, with the limit 3 u0 = t
+        # conditional oracle, so the rebuild under that mode refuses each
+        # certificate that carries its records: two seed-11 conditional
+        # verdicts, and an unconditional Equal of that oracle,
+        # p = f (x + 1)(x + 4), q = f (x + 2)(x + 3), f = x^2 - 2x - 1,
+        # with the limit 3 u0 = t
         from hgdecide.config import DEFAULT_CONFIG
 
         docs = generate_documents(11, 20, "real-quadratic")
@@ -718,7 +772,8 @@ class TestCertificates:
         for cert in built:
             assert verify_certificate(cert) == []
             cert["instance"]["mode"] = "unconditional"
-            assert "mode 'unconditional' never builds the conditional oracle" in verify_certificate(cert)
+            failures = verify_certificate(cert)
+            assert failures[0].startswith("identity not rebuilt: "), failures
 
     # int() would read each of these as a well-formed tuple of the worked
     # example (f = x^2 or 1, ell = 1, m = D = 1); the malformed theta and
@@ -833,7 +888,7 @@ class TestCertificates:
         assert cert["matching"] is not None
         assert verify_certificate(cert) == []
         cert["matching"][side] = {**cert["matching"][side], **entry} if isinstance(entry, dict) else entry
-        assert verify_certificate(cert) == [f"{side} matching differs from the replayed matching"]
+        assert verify_certificate(cert) == [MATCHING_REBUILT]
 
     # the same certificate; a matching once verified on its pair count alone
     @pytest.mark.parametrize(
@@ -855,28 +910,27 @@ class TestCertificates:
         assert len(entry["pairs"]) == 1 and verify_certificate(cert) == []
         entry["pairs"] = tamper(entry["pairs"])
         failures = verify_certificate(cert)
-        assert f"{side} matching differs from the replayed matching" in failures, failures
+        assert MATCHING_REBUILT in failures, failures
 
     # the same certificate: a side with no entry once went unchecked, so an
     # empty matching verified; 1.0 and true compare equal to 1 in Python
     @pytest.mark.parametrize(
-        "tamper,sides",
+        "tamper",
         [
-            (lambda m: {}, "pq"),
-            (lambda m: {"p": m["p"]}, "q"),
-            (lambda m: {**m, "p": {**m["p"], "source": [-1.0, -2, 1]}}, "p"),
-            (lambda m: {**m, "q": {**m["q"], "source": [-4, -2, True]}}, "q"),
+            lambda m: {},
+            lambda m: {"p": m["p"]},
+            lambda m: {**m, "p": {**m["p"], "source": [-1.0, -2, 1]}},
+            lambda m: {**m, "q": {**m["q"], "source": [-4, -2, True]}},
         ],
         ids=["empty", "no-q", "float-source", "bool-source"],
     )
-    def test_matching_must_hold_both_records(self, tamper, sides):
+    def test_matching_must_hold_both_records(self, tamper):
         from hgdecide.config import DEFAULT_CONFIG
 
         cert = decide_document(parse_instance(doc([-1, -2, 1], [-4, -2, 1], "1", "-3")), DEFAULT_CONFIG)
         assert verify_certificate(cert) == []
         cert["matching"] = tamper(cert["matching"])
-        failures = verify_certificate(cert)
-        assert failures == [f"{side} matching differs from the replayed matching" for side in sides]
+        assert verify_certificate(cert) == [MATCHING_REBUILT]
 
     @pytest.mark.parametrize(
         "p,q,t,problem,n,justification,failure",
@@ -962,8 +1016,9 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "p,q,needle",
         [
-            ([7] + [0] * 16 + [1], [5] + [0] * 16 + [1], "matching for p not replayable"),
-            ([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "p no longer admits a perfect matching"),
+            ([7] + [0] * 16 + [1], [5] + [0] * 16 + [1],
+             "matching not rebuilt: factorization supported up to degree 16; got 17"),
+            ([2, -8, -4, 0, 1], [6, -8, -4, 0, 1], "matching not rebuilt: p lacks a perfect root matching"),
         ],
     )
     def test_matching_the_search_cannot_rebuild_rejected(self, p, q, needle):

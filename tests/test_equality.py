@@ -11,10 +11,10 @@ from hgdecide.config import DEFAULT_CONFIG, EngineConfig
 from hgdecide.corpus import cross_check
 from hgdecide import equality, schanuel
 from hgdecide.equality import (
-    CanonicalLimitOracle,
     compare,
     decide,
     decide_equal,
+    limit_oracle,
 )
 from hgdecide.errors import PrecisionExceeded, ScanCapExceeded, UnsupportedInstance
 from hgdecide.gammacanon import CanonicalConstant
@@ -31,7 +31,7 @@ from hgdecide.sequence import (
 from hgdecide.verdicts import Conditionality, Rationale
 from gammaforms import gamma_ratio_limit
 from intervals import record_enclosures
-from test_schanuel import both_quadratic_pairs
+from test_schanuel import both_quadratic_pairs, cert_conditionality
 
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
@@ -44,7 +44,7 @@ def trivial_const(theta, ell=0):
 
 class TestDecideEqual:
     def test_worked_example_never_rational(self, sinh_ratio_instance):
-        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = limit_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG, False)
         for t in (F(1, 13), F(22, 7), F(-3), F(10**6, 999983)):
             r = oracle.decide_equal(t)
             assert not r.equal and r.rationale is Rationale.TRANSCENDENCE_OBSTRUCTION
@@ -59,7 +59,7 @@ class TestDecideEqual:
         assert not r.equal and r.rationale is Rationale.PI_POWER_OBSTRUCTION
 
     def test_no_interval_evaluations(self, sinh_ratio_instance, monkeypatch):
-        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = limit_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG, False)
         rng = random.Random(11)
         calls = record_enclosures(monkeypatch)
         for _ in range(300):
@@ -70,7 +70,7 @@ class TestDecideEqual:
         assert "limit_enclosure" in calls and "exp_interval" in calls
 
     def test_deterministic(self, sinh_ratio_instance):
-        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = limit_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG, False)
         a = [oracle.decide_equal(F(5, 7)) for _ in range(3)]
         assert all(x == a[0] for x in a)
 
@@ -82,7 +82,7 @@ class TestDecideEqual:
 
 class TestCompare:
     def test_worked_example_sides(self, sinh_ratio_instance):
-        oracle = CanonicalLimitOracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG)
+        oracle = limit_oracle(sinh_ratio_instance(F(1, 13)), DEFAULT_CONFIG, False)
         assert oracle.compare(F(1, 26))[0] < 0  # limit ~ 4.78e-5 < 1/26
         assert oracle.compare(F(1, 10**5))[0] > 0
 
@@ -100,14 +100,16 @@ class TestCompare:
 
 class TestMembershipPipeline:
     def test_worked_example_members(self, sinh_ratio_instance):
-        v = decide(sinh_ratio_instance(F(1, 13)))
-        assert v.result and v.witness == 2 and v.conditionality is Conditionality.UNCONDITIONAL
+        i = sinh_ratio_instance(F(1, 13))
+        v = decide(i)
+        assert v.result and v.witness == 2 and cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
         v2 = decide(sinh_ratio_instance(F(5, 13)))
         assert v2.result and v2.witness == 1
 
     def test_worked_example_not_member(self, sinh_ratio_instance):
-        v = decide(sinh_ratio_instance(F(1, 7)))
-        assert not v.result and v.conditionality is Conditionality.UNCONDITIONAL
+        i = sinh_ratio_instance(F(1, 7))
+        v = decide(i)
+        assert not v.result and cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
 
     def test_powers_of_two(self):
         v = decide(inst([1], [2], 3, 48))
@@ -134,7 +136,7 @@ class TestMembershipPipeline:
         i = inst([1, 1, 2], [3, 1, 2], 1, F(1, 2))
         v = decide(i)
         assert not v.result and v.reason == "monotone_tail_excludes_target"
-        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
         assert v.equality is None and v.compare is None
         cert = certificate_dict(InstanceDocument(i, "unconditional"), v)
         assert verify_certificate(cert) == []
@@ -278,10 +280,11 @@ class TestScanFirst:
     def test_limit_free_verdicts_never_build_the_oracle(self, no_oracle, p, q, u0, t, problem, reason, witness):
         if t is None:
             t = term(inst(p, q, u0, 0), witness)
-        v = decide(inst(p, q, u0, t, problem))
+        i = inst(p, q, u0, t, problem)
+        v = decide(i)
         assert (v.reason, v.witness) == (reason, witness)
         assert v.result == (reason not in ("prefix_violation", EXCLUDED))
-        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
 
     def test_prefix_violation_scans_to_the_violation(self, no_oracle):
         # u_1 = 11701 / (2^20 * 11701) = 2^-20 < 1/2, while k0 + 1 is past
@@ -329,9 +332,10 @@ class TestScanFirst:
         assert any("the tail falls" in f for f in verify_certificate(cert))
 
     def test_real_quadratic_positive_tail_over_negative_target_is_unconditional(self):
-        v = decide(inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD))
+        i = inst([-1, -3, 1], [-3, -3, 1], 4, -1, Problem.THRESHOLD)
+        v = decide(i)
         assert v.result and v.reason == FALLING_ABOVE
-        assert v.conditionality is Conditionality.UNCONDITIONAL and v.equality is None
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL and v.equality is None
 
 
 class TestVerdictOracleConsistency:

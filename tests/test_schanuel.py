@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdecide.config import DEFAULT_CONFIG, EngineConfig
-from hgdecide.equality import CanonicalLimitOracle, decide
+from hgdecide.certs import derived_fields
+from hgdecide.equality import decide, limit_oracle
 from hgdecide.errors import PrecisionExceeded, UnsupportedInstance
 from hgdecide.polys import IntPoly
 from hgdecide.schanuel import (
@@ -30,6 +31,16 @@ from intervals import overlaps
 
 def inst(p, q, u0, t, problem=Problem.MEMBERSHIP):
     return HGInstance(IntPoly(tuple(p)), IntPoly(tuple(q)), F(u0), F(t), problem)
+
+
+def cert_conditionality(i: HGInstance, v) -> Conditionality:
+    """The conditionality of the verdict's certificate (`certs.derived_fields`)."""
+    return Conditionality(derived_fields(i, v.name, v.reason, v.equality and v.equality.rationale)["conditionality"])
+
+
+def conditional_oracle(i: HGInstance) -> ConditionalLimitOracle:
+    """The conditional oracle of i, also where the canonical one applies."""
+    return ConditionalLimitOracle(i.p, i.q).scale(i.u0, DEFAULT_CONFIG)
 
 
 def assert_within_envelope(prod, limit, envelope):
@@ -181,10 +192,11 @@ class TestCElem:
 
 class TestConditionalDecider:
     def test_gaussian_instances_route_unconditional(self, sinh_ratio_instance):
-        v = decide(sinh_ratio_instance(F(1, 13)))
-        assert v.result and v.witness == 2 and v.conditionality is Conditionality.UNCONDITIONAL
-        v2 = decide(sinh_ratio_instance(F(1, 7)))
-        assert not v2.result and v2.conditionality is Conditionality.UNCONDITIONAL
+        i, i2 = sinh_ratio_instance(F(1, 13)), sinh_ratio_instance(F(1, 7))
+        v = decide(i)
+        assert v.result and v.witness == 2 and cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
+        v2 = decide(i2)
+        assert not v2.result and cert_conditionality(i2, v2) is Conditionality.UNCONDITIONAL
 
     def test_real_quadratic_not_member_is_conditional(self):
         # the negative tail rises to L ~ -4.43, so t = -3 is never reached
@@ -192,7 +204,7 @@ class TestConditionalDecider:
         i = inst([-1, -2, 1], [-4, -2, 1], 1, F(-3))
         v = decide(i)
         assert not v.result
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality.rationale is Rationale.IDENTITY_NONZERO
         assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 5000).kind is BruteKind.NONE_UP_TO
@@ -211,15 +223,17 @@ class TestConditionalDecider:
             return evaluate(ident, prec)
 
         monkeypatch.setattr(schanuel, "evaluate_identity", recording)
-        v = decide(inst([-1, -2, 1], [-4, -2, 1], 1, F(-3)), EngineConfig(precision_cap_bits=128))
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        i = inst([-1, -2, 1], [-4, -2, 1], 1, F(-3))
+        v = decide(i, EngineConfig(precision_cap_bits=128))
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert v.equality.identity["stress_separated"] is True
         assert rungs and max(rungs) <= 128
 
     def test_real_quadratic_witness_is_unconditional(self):
         i = inst([-1, -2, 1], [-4, -2, 1], 1, 4)  # u_1 = q(0)/p(0) = 4
         v = decide(i)
         assert v.result and v.witness == 1
-        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
 
     def test_equal_branch_syntactic_cancellation(self):
         f = IntPoly.of(-1, -2, 1)
@@ -228,7 +242,7 @@ class TestConditionalDecider:
         i = HGInstance(p, q, F(2), F(6), Problem.MEMBERSHIP)
         v = decide(i)
         assert not v.result and v.reason == "limit_equals_target_not_attained"
-        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
         assert v.equality.rationale is Rationale.IDENTITY_CANCELLATION
 
     def test_identity_is_built_once(self, monkeypatch):
@@ -276,7 +290,7 @@ class TestConditionalDecider:
             v_cond = decide(i)
             assert v_uncond.result == v_cond.result
             assert v_uncond.witness == v_cond.witness
-            assert v_uncond.conditionality == v_cond.conditionality
+            assert cert_conditionality(i, v_uncond) == cert_conditionality(i, v_cond)
             agreements += 1
         assert agreements == 30
 
@@ -316,8 +330,8 @@ class TestConditionalDecider:
                 lin_q = IntPoly.of(a1 + 1, 1) * IntPoly.of(a2 - 1, 1)
             u0 = F(rng.randint(1, 3))
             i = inst((irr_p * lin_p).coeffs, (irr_q * lin_q).coeffs, u0, 1)
-            canon = CanonicalLimitOracle(i, DEFAULT_CONFIG)
-            ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+            canon = limit_oracle(i, DEFAULT_CONFIG, False)
+            ident = conditional_oracle(i)
             iv = ident.limit_enclosure(96)
             assert overlaps(canon.constant.limit_enclosure(96), iv)
             targets = [
@@ -353,10 +367,10 @@ class TestConditionalDecider:
         i = inst([-1, -1, 1], [-3, -1, 1], 1, F(-5, 3))
         v = decide(i)
         assert not v.result
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 3000).kind is BruteKind.NONE_UP_TO
-        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        orc = conditional_oracle(i)
         iv = orc.limit_enclosure(96)
         prod = 1.0
         terms = 20000
@@ -370,9 +384,10 @@ class TestConditionalDecider:
         # answers t = u0 at index 0 without any matching machinery
         p = IntPoly.of(1, 0, -1, 0, 1)
         q = IntPoly.of(-1, 0, 1) * IntPoly.of(-1, 0, 1)
-        v = decide(HGInstance(p, q, F(1), F(1), Problem.MEMBERSHIP))
+        i = HGInstance(p, q, F(1), F(1), Problem.MEMBERSHIP)
+        v = decide(i)
         assert v.result and v.witness == 0
-        assert v.conditionality is Conditionality.UNCONDITIONAL
+        assert cert_conditionality(i, v) is Conditionality.UNCONDITIONAL
 
     def test_cyclotomic_identity_path(self):
         # same pair but a target the sequence never attains: the equality
@@ -383,11 +398,11 @@ class TestConditionalDecider:
         i = HGInstance(p, q, F(1), F(25), Problem.MEMBERSHIP)
         v = decide(i)
         assert not v.result
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality.identity["stress_separated"] is True
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
         # limit enclosure must match a partial product
-        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        orc = conditional_oracle(i)
         iv = orc.limit_enclosure(96)
         prod = 1.0
         terms = 20000
@@ -404,7 +419,7 @@ class TestConditionalDecider:
         p = IntPoly.of(3, 0, -2, 0, 2, 0, 1)
         q = IntPoly.of(-3, 0, -5, 0, -1, 0, 1)
         i = HGInstance(p, q, F(1), F(1, 5), Problem.MEMBERSHIP)
-        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        orc = conditional_oracle(i)
         assert orc.tower == CyclotomicTower(12)
         iv = orc.limit_enclosure(96)
         prod = 1.0
@@ -414,7 +429,7 @@ class TestConditionalDecider:
         assert_within_envelope(prod, float(iv.mid()), math.exp(4 * 12 / terms))
         v = decide(i)
         assert not v.result and v.reason == "monotone_tail_excludes_target"
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert brute_force(i, 2000).kind is BruteKind.NONE_UP_TO
 
     @staticmethod
@@ -433,7 +448,7 @@ class TestConditionalDecider:
         from hgdecide.towers import IAdjoinedTower, RadicalTower
 
         f = IntPoly(f)
-        tower = ConditionalLimitOracle(self._cancelling(f, F(1, 3)), DEFAULT_CONFIG).tower
+        tower = conditional_oracle(self._cancelling(f, F(1, 3))).tower
         assert tower == (RadicalTower(4, 2) if has_i else IAdjoinedTower(RadicalTower(6, 3)))
         assert tower.i_element() is not None
         for t, problem, exit_code, relation in [
@@ -491,7 +506,7 @@ class TestConditionalDecider:
 
         i = self._cancelling(IntPoly(f), F(1, 3))
         with pytest.raises(UnsupportedInstance, match=message):
-            ConditionalLimitOracle(i, DEFAULT_CONFIG)
+            conditional_oracle(i)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
             "p": list(i.p.coeffs), "q": list(i.q.coeffs), "u0": "1", "t": "1/3", "problem": "membership",
@@ -507,7 +522,7 @@ class TestConditionalDecider:
         monkeypatch.setattr(TowerElem, "embed", lambda self, prec: calls.append(prec) or embed(self, prec))
         p = IntPoly.of(3, 0, -2, 0, 2, 0, 1)
         q = IntPoly.of(-3, 0, -5, 0, -1, 0, 1)
-        orc = ConditionalLimitOracle(HGInstance(p, q, F(1), F(1, 5), Problem.MEMBERSHIP), DEFAULT_CONFIG)
+        orc = conditional_oracle(HGInstance(p, q, F(1), F(1, 5), Problem.MEMBERSHIP))
         assert orc.tower == CyclotomicTower(12)
         assert calls == []
 
@@ -555,7 +570,7 @@ class TestOnePairFormula:
     def test_pair_values_contain_the_gamma_products(self, i):
         import mpmath
 
-        orc = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        orc = conditional_oracle(i)
         for pair in orc.num_pairs + orc.den_pairs:
             w = pair.w.embed(600)
             with mpmath.workprec(512):
@@ -599,14 +614,14 @@ class TestStatelessOracles:
     @pytest.mark.parametrize(
         "build, targets",
         [
-            (lambda: ConditionalLimitOracle(TestStatelessOracles._conditional_equal_instance(), DEFAULT_CONFIG),
+            (lambda: conditional_oracle(TestStatelessOracles._conditional_equal_instance()),
              [F(6), F(5), F(61, 10)]),
-            (lambda: ConditionalLimitOracle(inst([-1, -1, 1], [-3, -1, 1], 1, 1), DEFAULT_CONFIG),
+            (lambda: conditional_oracle(inst([-1, -1, 1], [-3, -1, 1], 1, 1)),
              [F(-5, 3), F(-3), F(-262, 100)]),
-            (lambda: ConditionalLimitOracle(
-                inst([3, 0, -2, 0, 2, 0, 1], [-3, 0, -5, 0, -1, 0, 1], 1, 1), DEFAULT_CONFIG),
+            (lambda: conditional_oracle(
+                inst([3, 0, -2, 0, 2, 0, 1], [-3, 0, -5, 0, -1, 0, 1], 1, 1)),
              [F(1, 5), F(1, 7), F(158, 1000)]),
-            (lambda: CanonicalLimitOracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG),
+            (lambda: limit_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG, False),
              [F(1, 13), F(1, 7), F(1, 10**6)]),
         ],
     )
@@ -623,14 +638,14 @@ class TestStatelessOracles:
             assert {call: self._answer(oracle, call) for call in order} == reference
 
     def test_decisions_carry_their_certificate_fields(self):
-        orc = ConditionalLimitOracle(self._conditional_equal_instance(), DEFAULT_CONFIG)
+        orc = conditional_oracle(self._conditional_equal_instance())
         equal, unequal = orc.decide_equal(F(6)), orc.decide_equal(F(5))
         assert equal.equal and not unequal.equal
         for eq in (equal, unequal):
             assert set(eq.matching) == {"p", "q"} and eq.canonical is None
         assert "stress_separated" not in equal.identity
         assert unequal.identity["stress_separated"] is True
-        canon = CanonicalLimitOracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG)
+        canon = limit_oracle(inst([13, -4, 1], [5, -4, 1], 1, 1), DEFAULT_CONFIG, False)
         eq = canon.decide_equal(F(1, 13))
         assert eq.canonical == canon.constant.describe()
         assert eq.matching is None and eq.identity is None
@@ -641,8 +656,8 @@ class TestOneOrderTest:
     @given(imaginary_quadratic_pairs(), st.fractions(min_value=-50, max_value=50, max_denominator=50))
     def test_limit_enclosures_contain_the_gamma_ratio_and_compares_agree(self, drawn, t):
         i, prec = drawn
-        canon = CanonicalLimitOracle(i, DEFAULT_CONFIG)
-        ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        canon = limit_oracle(i, DEFAULT_CONFIG, False)
+        ident = conditional_oracle(i)
         limit = gamma_ratio_limit(i.u0, [i.p], [i.q], prec)
         assert limit in canon.constant.limit_enclosure(prec)
         assert limit in ident.limit_enclosure(prec)
@@ -656,7 +671,7 @@ class TestOneOrderTest:
     def test_real_quadratic_enclosures_contain_the_gamma_ratio_and_compares_agree(self, i, t):
         """The conditional oracle's own traffic: no canonical form exists
         for d > 0, so mpmath's gamma ratio is the only reference."""
-        ident = ConditionalLimitOracle(i, DEFAULT_CONFIG)
+        ident = conditional_oracle(i)
         limit = gamma_ratio_limit(i.u0, [i.p], [i.q], 256)
         for bits in (64, 128, 256):
             assert limit in ident.limit_enclosure(bits)
@@ -720,9 +735,10 @@ class TestConditionalRungs:
     @pytest.mark.parametrize("name, problem, k, sign, expected", CONDITIONAL_RUNGS)
     def test_verdict_relation_and_rung(self, name, problem, k, sign, expected):
         p, q, limit = _conditional_limit(name)
-        v = decide(HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem))
+        i = HGInstance(p, q, F(1), limit * (1 + F(sign, 2**k)), problem)
+        v = decide(i)
         assert (v.result, v.reason, v.compare["relation"], v.compare["precision_bits"]) == expected
-        assert v.conditionality is Conditionality.CONDITIONAL_ON_SCHANUEL
+        assert cert_conditionality(i, v) is Conditionality.CONDITIONAL_ON_SCHANUEL
         assert v.equality.rationale is Rationale.IDENTITY_NONZERO
         assert v.equality.identity["stress_separated"] is True
 

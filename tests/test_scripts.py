@@ -129,9 +129,10 @@ def test_every_cache_is_bounded():
 
 def test_only_gammacanon_builds_a_canonical_constant():
     # `canonicalize` is the one construction of a CanonicalConstant (its
-    # `scale` copies one), and verify rebuilds a canonical record through
-    # `equality`, so no other module calls the constructor and `certs`
-    # imports nothing from `gammacanon`
+    # `scale` copies one), and verify rebuilds every equality record
+    # through `equality.limit_oracle`, so no other module calls the
+    # constructor and `certs` imports nothing from `gammacanon`, `schanuel`
+    # or `recognize`
     import ast
     import glob
 
@@ -149,7 +150,8 @@ def test_only_gammacanon_builds_a_canonical_constant():
                 for target in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
             }
     assert builders == ["gammacanon"]
-    assert "equality" in certs_imports and not any("gammacanon" in target for target in certs_imports)
+    assert "equality" in certs_imports
+    assert not [t for t in certs_imports for m in ("gammacanon", "schanuel", "recognize") if m in t]
 
 
 def test_reasons_are_declared_once():
@@ -192,7 +194,7 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     # the tiny plans at seed 11: four digests, every metric BENCHMARK.json
     # names, end to end per workload and per layer, the 256-bit row of
     # the enclosure kernels' timings, the scan's at depth 10^4 and the
-    # cold calls on the smoke corpus-unconditional plan
+    # cold calls on the smoke corpus-unconditional and corpus-conditional plans
     import json
 
     out = tmp_path / "bench.json"
@@ -228,11 +230,14 @@ def test_bench_records_digests_and_every_metric(tmp_path):
     for row in record["scan"].values():
         assert set(row) == {"jump", "first_hit"}
         assert all(set(by_depth) == {"10000"} and min(by_depth.values()) > 0 for by_depth in row.values())
-    # the cold table: decide and verify summed over the plan, each call
-    # with the per-pair record cache cleared first
+    # the cold table: decide and verify summed over each plan, each call
+    # with every per-pair cache cleared first, on the plan with no limit
+    # oracle to build and on the plan that builds them
     cold = record["cold"]
-    assert set(cold) == {"calls", "decide_ms", "verify_ms"} and cold["calls"] > 0
-    assert cold["decide_ms"] > 0 and cold["verify_ms"] > 0
+    assert set(cold) == {"corpus-unconditional", "corpus-conditional"}
+    for row in cold.values():
+        assert set(row) == {"calls", "decide_ms", "verify_ms"} and row["calls"] > 0
+        assert row["decide_ms"] > 0 and row["verify_ms"] > 0
     assert record["python"] and record["cpu_count"] >= 1
 
 
